@@ -57,6 +57,46 @@ func TestOpenRejectsZeroCapacity(t *testing.T) {
 	}
 }
 
+// hostileCapacityHeader is a 256-byte file whose valid-looking header claims
+// far more ring than the file holds; left unchecked, the capacity sized the
+// reader's buffers (8.6 GB for 1<<28) before the read failed with EOF.
+func hostileCapacityHeader(capacity uint32) []byte {
+	buf := make([]byte, 256)
+	copy(buf, hbfile.Magic)
+	binary.LittleEndian.PutUint32(buf[8:], hbfile.Version)
+	binary.LittleEndian.PutUint32(buf[12:], hbfile.RecordSize)
+	binary.LittleEndian.PutUint32(buf[16:], capacity)
+	binary.LittleEndian.PutUint32(buf[20:], 10)
+	binary.LittleEndian.PutUint64(buf[56:], 1<<40) // cursor
+	return buf
+}
+
+func TestOpenRejectsCapacityBeyondFile(t *testing.T) {
+	for _, capacity := range []uint32{5, 1 << 28, 1<<32 - 1} {
+		p := filepath.Join(t.TempDir(), "hostile.hb")
+		if err := os.WriteFile(p, hostileCapacityHeader(capacity), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := hbfile.Open(p); err == nil {
+			r.Close()
+			t.Fatalf("capacity %d accepted over a 256-byte file", capacity)
+		}
+	}
+	// The largest ring the file really holds is still fine.
+	p := filepath.Join(t.TempDir(), "fits.hb")
+	if err := os.WriteFile(p, hostileCapacityHeader(4), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := hbfile.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if recs, cur, err := r.ReadSince(0, 0); err != nil || len(recs) != 0 || cur != 1<<40 {
+		t.Fatalf("ReadSince over an empty ring = %d records, cursor %d, err %v", len(recs), cur, err)
+	}
+}
+
 func TestOpenRejectsShortFile(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "short.hb")
 	if err := os.WriteFile(p, []byte("APPHBv1\x00"), 0o644); err != nil {

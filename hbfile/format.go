@@ -16,6 +16,38 @@
 // or discard torn data instead of consuming it. This is a seqlock over a
 // file — the closest idiomatic Go analogue of the shared memory buffer the
 // paper standardizes for hardware observers.
+//
+// # Write granularity and the reserved head
+//
+// The writer stores a batch one contiguous ring segment at a time: each
+// maximal run of consecutive sequence numbers that does not wrap the ring
+// (capped at maxRun records, the writer's fixed encode buffer) is one
+// positional write, followed by one cursor write for the whole batch. While
+// such a write is in flight, every slot it covers is being overwritten at
+// once, so the header carries a second monotone word next to the cursor,
+// the reserved head:
+//
+//   - Writer: before touching any slot, a call whose highest sequence number
+//     exceeds cursor+1 stores that number in the reserved head. A call that
+//     only writes cursor+1 (the in-order single beat) or older sequence
+//     numbers skips the store, so a direct beat stays two writes: record,
+//     cursor. The word is never cleared — once the cursor catches up with it
+//     it adds nothing to the rule below.
+//   - Reader: after copying slots out it re-reads cursor and reserved head in
+//     one 16-byte read and discards every slot whose successor one lap later
+//     may have been in flight: want+capacity <= max(cursor+1, reserved).
+//     Discarded records are counted by the caller as missed, exactly like
+//     records overwritten outright.
+//
+// # Version policy
+//
+// The reserved head occupies header bytes that every earlier writer left
+// zero, and a zero word makes the reader's rule collapse to the earlier
+// one-slot guard (cursor+1), so the layout stays Version 1: files from an
+// older writer read exactly as before, with no second decode path. An older
+// reader ignores the word; against a segment-writing producer it is exposed
+// only when it has fallen a full ring minus one batch behind — the same
+// lapped regime in which it was already exposed to out-of-order beats.
 package hbfile
 
 import (
@@ -44,8 +76,13 @@ const (
 	offTargetVer  = 32 // uint64, odd while target update in progress
 	offTargetMin  = 40 // float64 bits
 	offTargetMax  = 48 // float64 bits
-	offCursor     = 56 // uint64, total records ever written
+	offCursor     = 56 // uint64, highest sequence number published
+	offReserved   = 64 // uint64, highest sequence number any write in flight may cover (0: none beyond cursor+1); written before the slots, read together with offCursor
 )
+
+// maxRun caps one encoded segment, bounding each writer's encode buffer at
+// 32 KB.
+const maxRun = 1024
 
 // Record field offsets (within a 32-byte record).
 const (
@@ -104,12 +141,24 @@ func decodeStaticHeader(buf []byte) (header, error) {
 	return h, nil
 }
 
-func encodeRecord(r heartbeat.Record) []byte {
-	buf := make([]byte, RecordSize)
-	byteOrder.PutUint64(buf[recOffSeq:], r.Seq)
-	byteOrder.PutUint64(buf[recOffTime:], uint64(r.Time.UnixNano()))
-	byteOrder.PutUint64(buf[recOffTag:], uint64(r.Tag))
-	byteOrder.PutUint32(buf[recOffProducer:], uint32(r.Producer))
+// encodeRun encodes recs back to back into buf, reallocating it only when
+// it is too small, and returns the encoded bytes. Callers keep the result
+// as their scratch, so a warmed writer encodes without allocating.
+func encodeRun(buf []byte, recs []heartbeat.Record) []byte {
+	n := len(recs) * RecordSize
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	for i, r := range recs {
+		b := buf[i*RecordSize : (i+1)*RecordSize]
+		byteOrder.PutUint64(b[recOffSeq:], r.Seq)
+		byteOrder.PutUint64(b[recOffTime:], uint64(r.Time.UnixNano()))
+		byteOrder.PutUint64(b[recOffTag:], uint64(r.Tag))
+		// The producer's upper half is padding; the buffer is reused, so
+		// it is zeroed explicitly.
+		byteOrder.PutUint64(b[recOffProducer:], uint64(uint32(r.Producer)))
+	}
 	return buf
 }
 

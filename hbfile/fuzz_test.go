@@ -1,6 +1,7 @@
 package hbfile_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,6 +26,15 @@ func FuzzOpenArbitraryBytes(f *testing.F) {
 	valid[12] = 32   // record size
 	valid[16] = 0xff // capacity
 	f.Add(valid)
+	// A header claiming 2^28 slots over a 256-byte file (Open must refuse
+	// it before anything is sized from it), and a well-formed 4-slot ring
+	// whose reserved head is far ahead of its cursor.
+	f.Add(hostileCapacityHeader(1 << 28))
+	reserved := hostileCapacityHeader(4)
+	binary.LittleEndian.PutUint64(reserved[56:], 3)    // cursor
+	binary.LittleEndian.PutUint64(reserved[64:], 1000) // reserved head
+	binary.LittleEndian.PutUint64(reserved[128:], 1)   // slot 0 holds seq 1
+	f.Add(reserved)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.hb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -35,6 +45,15 @@ func FuzzOpenArbitraryBytes(f *testing.F) {
 			// well-behaved on truncated/garbage bodies.
 			_, _ = r.Cursor()
 			_, _ = r.Last(16)
+			// Sized by the header's capacity, which Open bounded by the
+			// file; whatever comes back must have been validated.
+			if recs, cur, err := r.ReadSince(0, 0); err == nil {
+				for _, rec := range recs {
+					if rec.Seq == 0 || rec.Seq > cur {
+						t.Fatalf("ReadSince delivered seq %d under cursor %d", rec.Seq, cur)
+					}
+				}
+			}
 			_, _, _, _ = r.Target()
 			r.Close()
 		}
@@ -48,22 +67,32 @@ func FuzzOpenArbitraryBytes(f *testing.F) {
 }
 
 // Round-trip fuzz: any record written must decode back identically through
-// the ring file.
+// the ring file — written as part of a batch that wraps the ring, so the
+// fuzzed record travels the segment encoder at an arbitrary slot.
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint64(1), int64(0), int64(0), int32(0))
 	f.Add(uint64(1<<40), int64(-5), int64(1<<62), int32(-1))
+	f.Add(uint64(8), int64(7), int64(-1), int32(1<<31-1)) // batch ends on the ring's last slot
 	f.Fuzz(func(t *testing.T, seq uint64, nanos, tag int64, producer int32) {
-		if seq == 0 {
-			t.Skip()
+		const capacity = 8
+		if seq == 0 || seq > 1<<63 {
+			t.Skip() // 0 is invalid; near 2^64 the lap arithmetic (seq+capacity) wraps
 		}
 		path := filepath.Join(t.TempDir(), "rt.hb")
-		w, err := hbfile.Create(path, 5, 8)
+		w, err := hbfile.Create(path, 5, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.Close()
+		// Five consecutive records ending at seq: wherever seq falls in
+		// the ring, five of eight slots wrap for most residues.
 		rec := recordFrom(seq, nanos, tag, producer)
-		if err := w.WriteRecord(rec); err != nil {
+		var batch []heartbeat.Record
+		for s := seq - min(seq-1, 4); s < seq; s++ {
+			batch = append(batch, recordFrom(s, int64(s), int64(s), 0))
+		}
+		batch = append(batch, rec)
+		if err := w.WriteRecords(batch); err != nil {
 			t.Fatal(err)
 		}
 		r, err := hbfile.Open(path)
@@ -71,16 +100,18 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		got, err := r.Last(8)
+		got, err := r.Last(capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 {
-			t.Fatalf("read back %d records", len(got))
+		if len(got) != len(batch) {
+			t.Fatalf("read back %d records, wrote %d", len(got), len(batch))
 		}
-		if got[0].Seq != rec.Seq || got[0].Tag != rec.Tag ||
-			got[0].Producer != rec.Producer || got[0].Time.UnixNano() != rec.Time.UnixNano() {
-			t.Fatalf("round trip mismatch: wrote %+v, read %+v", rec, got[0])
+		for i, want := range batch {
+			if got[i].Seq != want.Seq || got[i].Tag != want.Tag ||
+				got[i].Producer != want.Producer || got[i].Time.UnixNano() != want.Time.UnixNano() {
+				t.Fatalf("round trip mismatch at %d: wrote %+v, read %+v", i, want, got[i])
+			}
 		}
 	})
 }

@@ -21,17 +21,18 @@ import (
 const LogMagic = "APPHBL1\x00"
 
 // LogWriter appends heartbeats to a log file. It implements
-// heartbeat.Sink and heartbeat.TargetSink. One process writes a given
+// heartbeat.BatchSink and heartbeat.TargetSink. One process writes a given
 // file; within it, LogWriter is safe for concurrent use.
 type LogWriter struct {
-	mu        sync.Mutex
-	f         *os.File
-	count     uint64
-	targetVer uint64
-	closed    bool
+	mu sync.Mutex
+	fileWriter
+	count uint64
 }
 
-var _ heartbeat.TargetSink = (*LogWriter)(nil)
+var (
+	_ heartbeat.TargetSink = (*LogWriter)(nil)
+	_ heartbeat.BatchSink  = (*LogWriter)(nil)
+)
 
 // CreateLog creates (or truncates) an append-only heartbeat log.
 func CreateLog(path string, window int) (*LogWriter, error) {
@@ -52,59 +53,64 @@ func CreateLog(path string, window int) (*LogWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("hbfile: write log header: %w", err)
 	}
-	return &LogWriter{f: f}, nil
+	return &LogWriter{fileWriter: fileWriter{f: f, out: f}}, nil
 }
 
-// WriteRecord appends one heartbeat (heartbeat.Sink). Records are stored
-// in arrival order; each embeds its sequence number, so observers can
-// reorder if concurrent producers interleave.
+// WriteRecord appends one heartbeat (heartbeat.Sink): a batch of one.
+// Records are stored in arrival order; each embeds its sequence number, so
+// observers can reorder if concurrent producers interleave.
 func (w *LogWriter) WriteRecord(r heartbeat.Record) error {
-	if r.Seq == 0 {
-		return fmt.Errorf("hbfile: record with zero sequence number")
+	one := [1]heartbeat.Record{r}
+	return w.WriteRecords(one[:])
+}
+
+// WriteRecords appends a batch (heartbeat.BatchSink): one write of the
+// encoded records (one per maxRun records for a larger batch) and one of
+// the count, instead of two per record. The batch is validated as a whole
+// before anything is written; a failed append loses its records, is
+// reported (first error wins) and does not stop the rest.
+func (w *LogWriter) WriteRecords(recs []heartbeat.Record) error {
+	for _, r := range recs {
+		if r.Seq == 0 {
+			return fmt.Errorf("hbfile: record with zero sequence number")
+		}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("hbfile: log writer closed")
+		return fmt.Errorf("hbfile: writer closed")
 	}
-	off := HeaderSize + int64(w.count)*RecordSize
-	if _, err := w.f.WriteAt(encodeRecord(r), off); err != nil {
-		return fmt.Errorf("hbfile: append record: %w", err)
+	var firstErr error
+	count := w.count
+	for len(recs) > 0 {
+		n := min(len(recs), maxRun)
+		w.scratch = encodeRun(w.scratch, recs[:n])
+		recs = recs[n:]
+		if _, err := w.out.WriteAt(w.scratch, HeaderSize+int64(count)*RecordSize); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("hbfile: append records: %w", err)
+			}
+			continue
+		}
+		count += uint64(n)
 	}
-	w.count++
-	var buf [8]byte
-	byteOrder.PutUint64(buf[:], w.count)
-	if _, err := w.f.WriteAt(buf[:], offCursor); err != nil {
-		return fmt.Errorf("hbfile: write count: %w", err)
+	if count > w.count {
+		// A count that failed to reach the file is not remembered either:
+		// the next append overwrites what readers never saw.
+		if err := w.putWord(offCursor, count); err == nil {
+			w.count = count
+		} else if firstErr == nil {
+			firstErr = fmt.Errorf("hbfile: write count: %w", err)
+		}
 	}
-	return nil
+	return firstErr
 }
 
 // WriteTarget publishes the target range (heartbeat.TargetSink).
 func (w *LogWriter) WriteTarget(min, max float64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("hbfile: log writer closed")
-	}
-	var buf [8]byte
-	w.targetVer++
-	byteOrder.PutUint64(buf[:], w.targetVer)
-	if _, err := w.f.WriteAt(buf[:], offTargetVer); err != nil {
-		return err
-	}
-	byteOrder.PutUint64(buf[:], math.Float64bits(min))
-	if _, err := w.f.WriteAt(buf[:], offTargetMin); err != nil {
-		return err
-	}
-	byteOrder.PutUint64(buf[:], math.Float64bits(max))
-	if _, err := w.f.WriteAt(buf[:], offTargetMax); err != nil {
-		return err
-	}
-	w.targetVer++
-	byteOrder.PutUint64(buf[:], w.targetVer)
-	_, err := w.f.WriteAt(buf[:], offTargetVer)
-	return err
+	return w.writeTarget(min, max)
 }
 
 // Count returns how many records have been appended.
@@ -118,15 +124,7 @@ func (w *LogWriter) Count() uint64 {
 func (w *LogWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return w.close()
 }
 
 // LogReader observes an append-only heartbeat log, possibly while another
@@ -179,19 +177,31 @@ func (r *LogReader) Read(from uint64, n int) ([]heartbeat.Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.read(from, n, count, nil)
+}
+
+// read is Read against an already fetched count, decoding into buf
+// (reallocated when too small).
+func (r *LogReader) read(from uint64, n int, count uint64, buf []heartbeat.Record) ([]heartbeat.Record, error) {
 	if from >= count || n <= 0 {
 		return nil, nil
 	}
 	if uint64(n) > count-from {
 		n = int(count - from)
 	}
-	buf := make([]byte, n*RecordSize)
-	if _, err := r.f.ReadAt(buf, HeaderSize+int64(from)*RecordSize); err != nil {
-		return nil, fmt.Errorf("hbfile: read log records: %w", err)
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]heartbeat.Record, 0, n)
 	}
-	out := make([]heartbeat.Record, n)
-	for i := range out {
-		out[i] = decodeRecord(buf[i*RecordSize:])
+	var raw [readChunk * RecordSize]byte
+	for len(out) < n {
+		b := raw[:min(n-len(out), readChunk)*RecordSize]
+		if _, err := r.f.ReadAt(b, HeaderSize+int64(from+uint64(len(out)))*RecordSize); err != nil {
+			return nil, fmt.Errorf("hbfile: read log records: %w", err)
+		}
+		for ; len(b) > 0; b = b[RecordSize:] {
+			out = append(out, decodeRecord(b))
+		}
 	}
 	return out, nil
 }
@@ -204,6 +214,12 @@ func (r *LogReader) Read(from uint64, n int) ([]heartbeat.Record, error) {
 // been appended the call costs a single 8-byte header read. This is the
 // incremental tail over the full-history log: no record is ever re-read.
 func (r *LogReader) ReadSince(since uint64, max int) ([]heartbeat.Record, uint64, error) {
+	return r.ReadSinceInto(since, max, nil)
+}
+
+// ReadSinceInto is ReadSince decoding into buf when its capacity suffices
+// (see Reader.ReadSinceInto).
+func (r *LogReader) ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error) {
 	count, err := r.Count()
 	if err != nil {
 		return nil, since, err
@@ -217,7 +233,7 @@ func (r *LogReader) ReadSince(since uint64, max int) ([]heartbeat.Record, uint64
 	if max > 0 && n > uint64(max) {
 		n = uint64(max)
 	}
-	recs, err := r.Read(since, int(n))
+	recs, err := r.read(since, int(n), count, buf)
 	if err != nil {
 		return nil, since, err
 	}
@@ -237,7 +253,7 @@ func (r *LogReader) Last(n int) ([]heartbeat.Record, error) {
 	if uint64(n) < count {
 		from = count - uint64(n)
 	}
-	return r.Read(from, n)
+	return r.read(from, n, count, nil)
 }
 
 // Target returns the advertised target range, if set.

@@ -33,6 +33,18 @@ func Open(path string) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
+	// The writer sizes the ring before it writes the header, so a header
+	// claiming more slots than the file holds is corrupt or hostile; left
+	// unchecked, its capacity would size this reader's buffers.
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("hbfile: stat: %w", err)
+	}
+	if need := HeaderSize + int64(hdr.capacity)*RecordSize; st.Size() < need {
+		f.Close()
+		return nil, fmt.Errorf("hbfile: capacity %d needs %d bytes, file has %d", hdr.capacity, need, st.Size())
+	}
 	return &Reader{f: f, hdr: hdr}, nil
 }
 
@@ -104,7 +116,7 @@ func (r *Reader) Last(n int) ([]heartbeat.Record, error) {
 	if n > int(r.hdr.capacity) {
 		n = int(r.hdr.capacity)
 	}
-	return r.readRange(cur-uint64(n)+1, n)
+	return r.readRange(cur-uint64(n)+1, n, nil)
 }
 
 // ReadSince returns the retained records with sequence numbers greater
@@ -118,6 +130,13 @@ func (r *Reader) Last(n int) ([]heartbeat.Record, error) {
 // Records older than the ring capacity are lost to overwrite; the caller
 // detects that as cursor-since exceeding len(records).
 func (r *Reader) ReadSince(since uint64, max int) ([]heartbeat.Record, uint64, error) {
+	return r.ReadSinceInto(since, max, nil)
+}
+
+// ReadSinceInto is ReadSince decoding into buf when its capacity suffices
+// (nil buf allocates) — the reuse hook that keeps a polling observer
+// allocation-free. The returned records alias buf.
+func (r *Reader) ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error) {
 	cur, err := r.Cursor()
 	if err != nil {
 		return nil, since, err
@@ -136,51 +155,58 @@ func (r *Reader) ReadSince(since uint64, max int) ([]heartbeat.Record, uint64, e
 	if max > 0 && to-first+1 > uint64(max) {
 		to = first + uint64(max) - 1
 	}
-	recs, err := r.readRange(first, int(to-first+1))
+	recs, err := r.readRange(first, int(to-first+1), buf)
 	if err != nil {
 		return nil, since, err
 	}
 	return recs, to, nil
 }
 
-// readRange bulk-reads records [first, first+n), validating each slot
-// seqlock-style against writer overwrites.
-func (r *Reader) readRange(first uint64, n int) ([]heartbeat.Record, error) {
-	// Bulk-read the byte range covering the slots, then validate per slot.
-	// The range may wrap the ring; read it as up to two spans.
-	buf := make([]byte, n*RecordSize)
-	firstSlot := (first - 1) % uint64(r.hdr.capacity)
-	span1 := uint64(r.hdr.capacity) - firstSlot
-	if span1 > uint64(n) {
-		span1 = uint64(n)
+// readChunk is how many slots one positional read covers: an 8 KB buffer
+// on the caller's stack, so reads neither allocate nor share state between
+// concurrent callers.
+const readChunk = 256
+
+// readRange reads records [first, first+n) into buf (reallocated when too
+// small), validating each slot seqlock-style against writer overwrites.
+func (r *Reader) readRange(first uint64, n int, buf []heartbeat.Record) ([]heartbeat.Record, error) {
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]heartbeat.Record, 0, n)
 	}
-	if _, err := r.f.ReadAt(buf[:span1*RecordSize], HeaderSize+int64(firstSlot)*RecordSize); err != nil {
-		return nil, fmt.Errorf("hbfile: read records: %w", err)
-	}
-	if span1 < uint64(n) {
-		if _, err := r.f.ReadAt(buf[span1*RecordSize:], HeaderSize); err != nil {
+	capacity := uint64(r.hdr.capacity)
+	var raw [readChunk * RecordSize]byte
+	for want, end := first, first+uint64(n); want < end; {
+		// A chunk stops at the ring's last slot; the next one wraps.
+		slot := (want - 1) % capacity
+		k := min(end-want, capacity-slot, readChunk)
+		b := raw[:k*RecordSize]
+		if _, err := r.f.ReadAt(b, HeaderSize+int64(slot)*RecordSize); err != nil {
 			return nil, fmt.Errorf("hbfile: read records: %w", err)
 		}
-	}
-	// Re-read the cursor: anything the writer might have lapped during our
-	// read window is suspect and dropped (seqlock validation step).
-	cur2, err := r.Cursor()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]heartbeat.Record, 0, n)
-	for i := 0; i < n; i++ {
-		want := first + uint64(i)
-		rec := decodeRecord(buf[i*RecordSize:])
-		if rec.Seq != want {
-			continue // slot not yet written, lapped, or torn
+		for i := uint64(0); i < k; i++ {
+			// A mismatch is a slot not yet written, lapped, or torn.
+			if rec := decodeRecord(b[i*RecordSize:]); rec.Seq == want+i {
+				out = append(out, rec)
+			}
 		}
-		// The writer may be mid-write of want+capacity as soon as the
-		// cursor reaches want+capacity-1; such a slot is suspect.
-		if cur2+1 >= want+uint64(r.hdr.capacity) {
-			continue
-		}
-		out = append(out, rec)
+		want += k
+	}
+	// Seqlock validation: re-read how far the writer has got. It may be
+	// mid-write of any slot up to the reserved head, and of cursor+1 in
+	// any case, so a record one lap below either is suspect and dropped.
+	// Those are the oldest records read, a prefix of out.
+	var heads [16]byte // offCursor and offReserved are adjacent
+	if _, err := r.f.ReadAt(heads[:], offCursor); err != nil {
+		return nil, fmt.Errorf("hbfile: read cursor: %w", err)
+	}
+	inFlight := max(byteOrder.Uint64(heads[:8])+1, byteOrder.Uint64(heads[8:]))
+	drop := 0
+	for drop < len(out) && out[drop].Seq+capacity <= inFlight {
+		drop++
+	}
+	if drop > 0 {
+		out = out[:copy(out, out[drop:])]
 	}
 	return out, nil
 }

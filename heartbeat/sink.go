@@ -29,8 +29,10 @@ type TargetSink interface {
 // records in one call. The aggregator delivers each shard merge through
 // WriteRecords when the sink supports it, amortizing per-record overhead
 // (hbfile.Writer, for example, takes its lock and advances its cursor once
-// per batch). Sinks that don't implement BatchSink receive the same records
-// through WriteRecord, one call each, in the same order.
+// per batch and issues one write per contiguous ring segment, not per
+// record; hbfile.LogWriter appends the batch in one write). Sinks that
+// don't implement BatchSink receive the same records through WriteRecord,
+// one call each, in the same order.
 //
 // The slice is the aggregator's reusable scratch buffer: it is only valid
 // for the duration of the call. A sink that wants to keep the records must

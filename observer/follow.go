@@ -61,7 +61,12 @@ type followStream struct {
 	fs     *fileStream // nil between a failed reopen and the next retry
 	closer io.Closer
 	info   os.FileInfo // identity of the opened file, for os.SameFile
+	pool   recycler    // every fs decodes into it, so Recycle never touches fs
 }
+
+// Recycle hands a delivered batch's record slice back for reuse by the
+// next Next (the BatchRecycler hook; see heartbeatStream.Recycle).
+func (s *followStream) Recycle(b Batch) { s.pool.put(b.Records) }
 
 // open (re)opens the path, detecting the variant, and positions the new
 // reader at the carried cursor. The resynchronization against a shorter
@@ -74,7 +79,7 @@ func (s *followStream) open() error {
 			return serr
 		}
 		fs := newRingFileStream(r, s.poll, s.cursor)
-		fs.clk = s.clk
+		fs.clk, fs.pool = s.clk, &s.pool
 		s.fs, s.closer, s.info = fs, r, info
 		return nil
 	}
@@ -88,7 +93,7 @@ func (s *followStream) open() error {
 		return serr
 	}
 	fs := newLogFileStream(r, s.poll, s.cursor)
-	fs.clk = s.clk
+	fs.clk, fs.pool = s.clk, &s.pool
 	s.fs, s.closer, s.info = fs, r, info
 	return nil
 }

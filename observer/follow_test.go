@@ -141,3 +141,121 @@ func TestFollowFileMissingGap(t *testing.T) {
 		t.Fatalf("catch-up after gap wrong: %+v", recs)
 	}
 }
+
+// The file streams hand their decode buffer out with each batch and take it
+// back through Recycle (the hook hbnet.Relay probes every upstream for), so
+// a tail that is recycled decodes into one backing array for its whole life
+// — across a FollowFile reopen too — while an unrecycled batch stays the
+// consumer's to keep.
+func TestFileStreamsRecycleDecodeBuffer(t *testing.T) {
+	type recycler interface{ Recycle(Batch) }
+	dir := t.TempDir()
+	ringPath, logPath, followPath := filepath.Join(dir, "r.hb"), filepath.Join(dir, "l.hblog"), filepath.Join(dir, "f.hb")
+
+	ring, err := hbfile.Create(ringPath, 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Close()
+	lw, err := hbfile.CreateLog(logPath, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lw.Close()
+	followed, err := hbfile.Create(followPath, 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { followed.Close() }()
+
+	rr, err := hbfile.Open(ringPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Close()
+	lr, err := hbfile.OpenLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lr.Close()
+	fs, err := FollowFile(followPath, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.(io.Closer).Close()
+
+	var seq uint64
+	write := func(w heartbeat.BatchSink, n int) {
+		t.Helper()
+		recs := make([]heartbeat.Record, n)
+		for i := range recs {
+			seq++
+			recs[i] = heartbeat.Record{Seq: seq, Time: time.Unix(0, int64(seq))}
+		}
+		if err := w.WriteRecords(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func(s Stream, want int) Batch {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		b, err := s.Next(ctx)
+		if err != nil || len(b.Records) != want {
+			t.Fatalf("Next = %d records, err %v; want %d", len(b.Records), err, want)
+		}
+		return b
+	}
+
+	for name, tc := range map[string]struct {
+		s Stream
+		w func() heartbeat.BatchSink
+	}{
+		"ring":   {FileStream(rr, time.Millisecond), func() heartbeat.BatchSink { return ring }},
+		"log":    {LogStream(lr, time.Millisecond), func() heartbeat.BatchSink { return lw }},
+		"follow": {fs, func() heartbeat.BatchSink { return followed }},
+	} {
+		rec, ok := tc.s.(recycler)
+		if !ok {
+			t.Fatalf("%s stream has no Recycle method", name)
+		}
+		seq = 0
+		write(tc.w(), 20)
+		b1 := next(tc.s, 20)
+		kept := append([]heartbeat.Record(nil), b1.Records...)
+		rec.Recycle(b1)
+		write(tc.w(), 10)
+		b2 := next(tc.s, 10)
+		if &b2.Records[0] != &b1.Records[0] {
+			t.Fatalf("%s: recycled batch was not decoded into", name)
+		}
+		if b2.Records[0].Seq != 21 || kept[0].Seq != 1 {
+			t.Fatalf("%s: second batch starts at %d", name, b2.Records[0].Seq)
+		}
+		// Not recycled: the next delivery must leave b2 alone.
+		write(tc.w(), 5)
+		b3 := next(tc.s, 5)
+		if &b3.Records[0] == &b2.Records[0] || b2.Records[0].Seq != 21 || b3.Records[0].Seq != 31 {
+			t.Fatalf("%s: unrecycled batch was overwritten", name)
+		}
+		if name != "follow" {
+			continue
+		}
+		// The producer restarts; the buffer recycled before the reopen
+		// serves the new life's reader.
+		rec.Recycle(b3)
+		followed.Close()
+		if err := os.Remove(followPath); err != nil {
+			t.Fatal(err)
+		}
+		if followed, err = hbfile.Create(followPath, 8, 64); err != nil {
+			t.Fatal(err)
+		}
+		seq = 0
+		write(followed, 4)
+		b4 := next(tc.s, 4)
+		if &b4.Records[0] != &b3.Records[0] || b4.Records[0].Seq != 1 {
+			t.Fatalf("follow: new life's first batch %+v did not reuse the recycled buffer", b4.Records[0])
+		}
+	}
+}

@@ -157,26 +157,47 @@ func HeartbeatStreamFrom(hb *heartbeat.Heartbeat, since uint64) Stream {
 	return &heartbeatStream{hb: hb, sub: hb.SubscribeFrom(context.Background(), since)}
 }
 
+// recycler holds the one record slice a consumer handed back (Recycle): a
+// consumer that returns each batch once done — the hbnet server does, after
+// encoding; the relay does, after merging — makes the stream reuse one
+// backing array instead of allocating per delivery. It is locked because
+// Next is single-consumer but Recycle may be called from the goroutine
+// that drained the batch.
+type recycler struct {
+	mu   sync.Mutex
+	free []heartbeat.Record
+}
+
+// take removes and returns the held slice (nil when there is none).
+func (p *recycler) take() []heartbeat.Record {
+	p.mu.Lock()
+	buf := p.free
+	p.free = nil
+	p.mu.Unlock()
+	return buf
+}
+
+// put keeps recs' storage for the next take unless one is already held.
+func (p *recycler) put(recs []heartbeat.Record) {
+	if cap(recs) == 0 {
+		return
+	}
+	p.mu.Lock()
+	if p.free == nil {
+		p.free = recs[:0]
+	}
+	p.mu.Unlock()
+}
+
 type heartbeatStream struct {
 	hb         *heartbeat.Heartbeat
 	sub        *heartbeat.Subscription
 	lastMissed uint64
-
-	// free is the recycled record slice (Recycle): a consumer that hands
-	// each batch back once done — the hbnet server does, after encoding —
-	// makes the poll loop reuse one backing array instead of allocating
-	// per delivery. Guarded by freeMu: Next is single-consumer, but
-	// Recycle may be called from the goroutine that drained the batch.
-	freeMu sync.Mutex
-	free   []heartbeat.Record
+	pool       recycler
 }
 
 func (s *heartbeatStream) Next(ctx context.Context) (Batch, error) {
-	s.freeMu.Lock()
-	buf := s.free
-	s.free = nil
-	s.freeMu.Unlock()
-	recs, err := s.sub.NextInto(ctx, buf)
+	recs, err := s.sub.NextInto(ctx, s.pool.take())
 	if err != nil {
 		if errors.Is(err, heartbeat.ErrClosed) {
 			return Batch{}, io.EOF
@@ -194,16 +215,7 @@ func (s *heartbeatStream) Next(ctx context.Context) (Batch, error) {
 // Recycle hands a delivered batch's record slice back for reuse by the
 // next Next (the BatchRecycler hook). Only call it when the batch's
 // records are completely consumed — the next delivery overwrites them.
-func (s *heartbeatStream) Recycle(b Batch) {
-	if cap(b.Records) == 0 {
-		return
-	}
-	s.freeMu.Lock()
-	if s.free == nil {
-		s.free = b.Records[:0]
-	}
-	s.freeMu.Unlock()
-}
+func (s *heartbeatStream) Recycle(b Batch) { s.pool.put(b.Records) }
 
 // Close releases the underlying subscription. The Stream interface does
 // not require Close; it exists for consumers that outlive their interest
@@ -245,7 +257,7 @@ func newRingFileStream(r *hbfile.Reader, poll time.Duration, since uint64) *file
 	if poll <= 0 {
 		poll = DefaultPollInterval
 	}
-	return &fileStream{read: r.ReadSince, window: r.Window, target: r.Target, poll: poll, cursor: since}
+	return &fileStream{read: r.ReadSinceInto, window: r.Window, target: r.Target, poll: poll, cursor: since, pool: new(recycler)}
 }
 
 // LogStream streams an append-only heartbeat log (hbfile.LogReader),
@@ -276,19 +288,24 @@ func newLogFileStream(r *hbfile.LogReader, poll time.Duration, since uint64) *fi
 	if poll <= 0 {
 		poll = DefaultPollInterval
 	}
-	return &fileStream{read: r.ReadSince, window: r.Window, target: r.Target, poll: poll, max: 65536, cursor: since}
+	return &fileStream{read: r.ReadSinceInto, window: r.Window, target: r.Target, poll: poll, max: 65536, cursor: since, pool: new(recycler)}
 }
 
 // fileStream is the shared cursor loop over either hbfile reader variant.
 type fileStream struct {
-	read   func(since uint64, max int) ([]heartbeat.Record, uint64, error)
+	read   func(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error)
 	window func() int
 	target func() (min, max float64, ok bool, err error)
 	poll   time.Duration
 	max    int
 	cursor uint64
 	clk    heartbeat.Clock // nil = wall clock; paces the idle-tick waits
+	pool   *recycler       // the decode buffer; a followStream shares its own across reopens
 }
+
+// Recycle hands a delivered batch's record slice back for reuse by the
+// next Next (the BatchRecycler hook; see heartbeatStream.Recycle).
+func (s *fileStream) Recycle(b Batch) { s.pool.put(b.Records) }
 
 func (s *fileStream) Next(ctx context.Context) (Batch, error) {
 	if ctx == nil {
@@ -315,9 +332,11 @@ func (s *fileStream) Next(ctx context.Context) (Batch, error) {
 // an idle tick. followStream interleaves these checks with recreation
 // stats, which is why the step is separate from the waiting loop.
 func (s *fileStream) step() (Batch, bool, error) {
+	buf := s.pool.take()
 	for {
-		recs, cur, err := s.read(s.cursor, s.max)
+		recs, cur, err := s.read(s.cursor, s.max, buf)
 		if err != nil {
+			s.pool.put(buf) // a failure delivers no records: keep the buffer
 			return Batch{}, false, err
 		}
 		if cur < s.cursor {
@@ -333,6 +352,7 @@ func (s *fileStream) step() (Batch, bool, error) {
 			continue
 		}
 		if cur == s.cursor {
+			s.pool.put(buf) // idle tick: keep the buffer for the next delivery
 			return Batch{}, false, nil
 		}
 		// Read the target before advancing the cursor: an error here
@@ -340,6 +360,7 @@ func (s *fileStream) step() (Batch, bool, error) {
 		// records instead of silently dropping them.
 		min, max, ok, terr := s.target()
 		if terr != nil {
+			s.pool.put(recs) // buf, or what replaced it when it was too small
 			return Batch{}, false, terr
 		}
 		b := Batch{Records: recs, Count: cur, Window: s.window(),
