@@ -7,8 +7,14 @@ GO ?= go
 
 ci: vet analyze build build-extras race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench-compare bench-net bench-relay bench-shm bench-balance benchgate
 
+# go vet, and gofmt as a gate: any file gofmt would rewrite fails the target
+# (analyzer testdata holds deliberately odd source and is left alone).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/' || true); \
+	if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Project-specific static analysis: tools/hbvet enforces the clock seam
 # (no wall-clock reads outside the seam files), the hot-path contract

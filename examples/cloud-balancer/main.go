@@ -165,7 +165,7 @@ func fail(format string, args ...interface{}) {
 }
 
 func waitFor(what string, d time.Duration, cond func() bool) {
-	deadline := time.Now().Add(d) //hbvet:allow wallclock -- real deadline for a cross-process condition; no clock spans the fleet
+	deadline := time.Now().Add(d)     //hbvet:allow wallclock -- real deadline for a cross-process condition; no clock spans the fleet
 	for time.Now().Before(deadline) { //hbvet:allow wallclock -- checks the real deadline set above
 		if cond() {
 			return

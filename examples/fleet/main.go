@@ -348,7 +348,7 @@ func runFleet() {
 		}
 	}
 	pump := func(d time.Duration) {
-		deadline := time.Now().Add(d) //hbvet:allow wallclock -- real drain deadline: the fleet runs across processes in wall time
+		deadline := time.Now().Add(d)     //hbvet:allow wallclock -- real drain deadline: the fleet runs across processes in wall time
 		for time.Now().Before(deadline) { //hbvet:allow wallclock -- checks the real drain deadline set above
 			ctx, cancel := context.WithDeadline(context.Background(), deadline) //hbvet:allow wallclock -- bounds a real network drain with the same wall deadline
 			drainAudit(ctx)
@@ -392,7 +392,7 @@ func runFleet() {
 
 	// Let the tail drain through both relay layers and the last rollup
 	// windows flush, then take the final audit.
-	deadline := time.Now().Add(15 * time.Second) //hbvet:allow wallclock -- real drain deadline: the fleet runs across processes in wall time
+	deadline := time.Now().Add(15 * time.Second)                                       //hbvet:allow wallclock -- real drain deadline: the fleet runs across processes in wall time
 	for uint64(len(auditSeqs))+auditMissed < produced && time.Now().Before(deadline) { //hbvet:allow wallclock -- checks the real drain deadline set above
 		pump(200 * time.Millisecond)
 	}

@@ -39,8 +39,8 @@ func TestConsumeCleanEndAndClose(t *testing.T) {
 	s := &fakeRollupStream{
 		batches: []RollupBatch{
 			{Cursor: 1, Rollups: mkRollups("a")},
-			{Cursor: 2},                         // empty delivery: skipped
-			{Cursor: 3, Missed: 2},              // loss-only delivery: delivered
+			{Cursor: 2},            // empty delivery: skipped
+			{Cursor: 3, Missed: 2}, // loss-only delivery: delivered
 			{Cursor: 4, Rollups: mkRollups("b")},
 		},
 		err: io.EOF,

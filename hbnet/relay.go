@@ -689,7 +689,7 @@ type Relay struct {
 	ds        *observer.Downsampler // guarded by mu: pumps absorb on shutdown
 	ups       map[string]*relayUpstream
 	order     []string
-	nextID    int32 // next upstream id: unique per registration life, never reused
+	nextID    int32                     // next upstream id: unique per registration life, never reused
 	compactor *observer.RollupCompactor // guarded by mu, like ds
 	rups      map[string]*rollupUpstream
 	rupOrder  []string

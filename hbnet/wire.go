@@ -417,7 +417,15 @@ func (d *decoder) uint64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
+// uvarint reads one unsigned varint. Most of what a record batch carries —
+// sequence delta, time delta, producer — is a single byte, so that case is
+// decoded here and everything else (longer values, truncation, a decoder
+// that has already failed) goes to the library.
 func (d *decoder) uvarint() uint64 {
+	if d.err == nil && d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		d.off++
+		return uint64(d.buf[d.off-1])
+	}
 	if d.err != nil {
 		return 0
 	}
@@ -430,15 +438,8 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// varint reads one signed varint: zigzag over uvarint, as binary.Varint is.
 func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }

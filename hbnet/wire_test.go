@@ -2,6 +2,7 @@ package hbnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -145,5 +146,47 @@ func TestFrameIO(t *testing.T) {
 	// Empty frame is rejected.
 	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
 		t.Fatal("empty frame accepted")
+	}
+}
+
+// The decoder's one-byte path must be binary.Uvarint/Varint on every value it
+// takes — every first byte, in the middle of a buffer and at its very end —
+// and leave the rest, truncation included, to the library with the same
+// outcome.
+func TestDecoderVarintMatchesLibrary(t *testing.T) {
+	check := func(buf []byte, off int) {
+		t.Helper()
+		wantU, nU := binary.Uvarint(buf[off:])
+		wantV, nV := binary.Varint(buf[off:])
+		du := decoder{buf: buf, off: off}
+		gotU := du.uvarint()
+		dv := decoder{buf: buf, off: off}
+		gotV := dv.varint()
+		if nU <= 0 {
+			if du.err == nil || dv.err == nil || gotU != 0 || gotV != 0 {
+				t.Fatalf("% x at %d: library rejects, decoder read %d/%d (err %v/%v)", buf, off, gotU, gotV, du.err, dv.err)
+			}
+			return
+		}
+		if du.err != nil || gotU != wantU || du.off != off+nU {
+			t.Fatalf("% x at %d: uvarint = %d, off %d, err %v; library says %d, %d bytes", buf, off, gotU, du.off, du.err, wantU, nU)
+		}
+		if dv.err != nil || gotV != wantV || dv.off != off+nV {
+			t.Fatalf("% x at %d: varint = %d, off %d, err %v; library says %d, %d bytes", buf, off, gotV, dv.off, dv.err, wantV, nV)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		check([]byte{byte(b)}, 0)                // last byte of the buffer: a lone continuation byte is a truncation
+		check([]byte{0xff, byte(b)}, 1)          // the same, not at offset 0
+		check([]byte{byte(b), 0x01}, 0)          // with a byte to continue into
+		check([]byte{byte(b), 0x81, 0x00, 7}, 0) // and a longer tail
+	}
+	check(nil, 0)
+	check([]byte{1}, 1)
+	// A decoder that has already failed keeps returning zero and its error.
+	d := decoder{buf: []byte{5, 5}}
+	d.fail()
+	if d.uvarint() != 0 || d.varint() != 0 || d.off != 0 {
+		t.Fatalf("failed decoder advanced: off %d", d.off)
 	}
 }

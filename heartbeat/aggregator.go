@@ -85,6 +85,7 @@ type aggregator struct {
 	shardsPtr atomic.Pointer[[]*gshard]
 	heads     []mergeHead // merge scratch, reused across flushes
 	batch     []Record    // sink-batch scratch, reused across flushes
+	tags      [256]int64  // merge scratch: the tags of the run being appended
 }
 
 // register creates a shard for a new producer.
@@ -245,14 +246,22 @@ func (a *aggregator) mergeLocked() {
 		// record in it shares the minimal timestamp, so record-by-record
 		// selection would keep picking this shard anyway (ties break to
 		// the earliest-registered shard). This keeps the merge O(runs)
-		// rather than O(records) in shard-head scans.
-		run := h.sh.cur.RunLen(h.limit)
+		// rather than O(records) in shard-head scans, and the run goes
+		// into the store under one claim of sequence numbers (a run
+		// longer than the tag scratch under several: this head stays
+		// the minimum, so the next round continues it).
+		run := min(h.sh.cur.RunLen(h.limit), uint64(len(a.tags)))
 		h.sh.countConsumed.Store(h.sh.cur.Consumed() + run)
-		for i := uint64(0); i < run; i++ {
+		tags := a.tags[:run]
+		for i := range tags {
 			e, _ := h.sh.cur.Next(h.limit)
-			seq := a.st.append(e.Time, e.Tag, h.sh.producer)
-			if a.sink != nil {
-				a.batch = append(a.batch, Record{Seq: seq, Time: time.Unix(0, e.Time), Tag: e.Tag, Producer: h.sh.producer})
+			tags[i] = e.Tag
+		}
+		first := a.st.appendRun(h.t, h.sh.producer, tags)
+		if a.sink != nil {
+			tm := time.Unix(0, h.t)
+			for i, tag := range tags {
+				a.batch = append(a.batch, Record{Seq: first + uint64(i), Time: tm, Tag: tag, Producer: h.sh.producer})
 			}
 		}
 		if h.sh.cur.Consumed() >= h.limit {

@@ -91,7 +91,7 @@ type IntervalStats struct {
 }
 
 // IntervalStatsOf computes interval statistics over recs (oldest first).
-// ok is false with fewer than two records.
+// ok is false with fewer than two distinct timestamps (see Intervals).
 func IntervalStatsOf(recs []Record) (IntervalStats, bool) {
 	gaps := Intervals(recs)
 	if len(gaps) == 0 {

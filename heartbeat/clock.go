@@ -7,8 +7,9 @@ import (
 )
 
 // Clock supplies timestamps for heartbeats. The default clock is the wall
-// clock (time.Now). Deterministic tests and the simulated-machine experiments
-// inject a manual clock (see package sim).
+// clock (time.Now), which Thread beats read once per several beats (see
+// Thread). Deterministic tests and the simulated-machine experiments inject a
+// manual clock (see package sim); an injected clock is read on every beat.
 type Clock interface {
 	Now() time.Time
 }
@@ -25,6 +26,10 @@ func (f ClockFunc) Now() time.Time { return f() }
 // suspends or NTP steps. Per-producer monotonicity (never letting a
 // thread's beats go backward across a wall step) is enforced by the beat
 // paths themselves.
+//
+// A Heartbeat built without WithClock runs on this clock and lets each Thread
+// reuse a reading for a bounded number of beats; passing it explicitly,
+// WithClock(SystemClock()), asks for a reading on every beat instead.
 func SystemClock() Clock { return systemClock{} }
 
 type systemClock struct{}
@@ -50,12 +55,16 @@ func nanosFunc(clk Clock) func() int64 {
 
 // CoarseClock is a cached wall clock: a background goroutine refreshes an
 // atomic Unix-nanosecond reading at a fixed resolution, and Now/NowNanos
-// just load it. Reading it costs about a nanosecond where time.Now costs
-// tens, so it is the clock of choice for beat rates beyond roughly a
-// million per second — the sharded hot path degenerates to a single atomic
-// store per beat while consecutive beats share a timestamp. Heart rates
-// measured over windows spanning many resolution intervals are unaffected
-// by the quantization.
+// just load it. It quantizes every reader in the process to the same
+// instants, which suits a consumer that wants many heartbeats stamped alike.
+// It is not the way to a cheap beat — the default clock already reads the
+// wall once per several Thread beats, with no goroutine — and its resolution
+// is a request, not a bound: the refresher is an ordinary goroutine, and with
+// every P busy beating (GOMAXPROCS 2, two spinning producers, 100 µs
+// resolution, 2 s) the reading handed out lagged the wall clock by 1.2 ms at
+// the median, 4 ms at p90, 10 ms at p99 and 15 ms at worst, against 1.2 µs,
+// 2 µs and 5 µs for the default clock's per-thread reuse in the same
+// harness. An idle process pays the refresher's wake-ups all the same.
 //
 // Stop releases the refresher goroutine; a stopped clock keeps returning
 // its last reading.

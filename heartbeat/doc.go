@@ -36,27 +36,34 @@
 //     GlobalBeat. A beat is a mutex-free, allocation-free push; the rings
 //     run-length encode timestamps and store tags out of line, so in the
 //     steady state (repeated timestamp, tag 0) a beat is a single atomic
-//     store. Pair the Heartbeat with a CoarseClock to make repeated
-//     timestamps the norm at high beat rates.
+//     store.
+//   - Repeated timestamps are the norm on the default clock: a Thread reads
+//     the wall clock once per several beats, not once per beat — how many is
+//     private to the producer, adapts to its beat rate, and is capped at
+//     min(64, window/2), so a stamp is at most 100 µs old on a steady fast
+//     beater, exact on one beating slower than that, and any window of beats
+//     still spans two readings (see Thread). A clock injected with WithClock,
+//     SystemClock included, is read on every beat.
 //   - A batched aggregator merges the shards into the global history — a
 //     k-way merge by timestamp, ties broken by shard registration order —
-//     assigning the dense global sequence numbers and delivering sink
-//     batches (BatchSink). Merges happen on every read, on the interval
-//     configured with WithFlushInterval, and whenever a shard's backlog
-//     reaches half its capacity (WithShardCapacity), so no beat is ever
-//     lost. When no sink is attached, backlog beyond the history capacity
-//     is accounted without being materialized, since a bounded history
-//     would discard it on arrival anyway.
+//     assigning the dense global sequence numbers, one atomic claim per
+//     same-timestamp run, and delivering sink batches (BatchSink). Merges
+//     happen on every read, on the interval configured with
+//     WithFlushInterval, and whenever a shard's backlog reaches half its
+//     capacity (WithShardCapacity), so no beat is ever lost. When no sink is
+//     attached, backlog beyond the history capacity is accounted without
+//     being materialized, since a bounded history would discard it on
+//     arrival anyway.
 //   - Beats on the Heartbeat itself (Beat/BeatTag) keep the reference
 //     implementation's synchronous contract: the record is stored,
 //     sequenced after all pending shard records, and delivered to the sink
 //     before the call returns.
 //
-// The merged global history is a lock-free ring with seqlock-validated
-// slots: observers never block producers, mirroring the paper's requirement
-// that hardware or external software may read heartbeat buffers
-// concurrently with the application. A mutex-guarded variant
-// (WithLockedStore) exists for the locking ablation; the subdirectory
+// The merged global history is a lock-free ring whose slots readers validate
+// against the writers' claim counter: observers never block producers,
+// mirroring the paper's requirement that hardware or external software may
+// read heartbeat buffers concurrently with the application. A mutex-guarded
+// variant (WithLockedStore) exists for the locking ablation; the subdirectory
 // package compat offers the paper's exact Table 1 function shapes.
 //
 // # Streaming consumers

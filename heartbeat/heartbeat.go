@@ -35,6 +35,11 @@ type Heartbeat struct {
 	sink     Sink
 	agg      *aggregator
 
+	// maxEvery is how many beats a Thread may serve from one clock reading
+	// (see Thread): min(maxReuse, window/2) on the default clock, 1 on an
+	// injected one.
+	maxEvery int
+
 	targetMin atomic.Uint64 // math.Float64bits
 	targetMax atomic.Uint64
 	targetSet atomic.Bool
@@ -72,6 +77,7 @@ type config struct {
 	shardCap   int
 	flushEvery time.Duration
 	clock      Clock
+	clockSet   bool
 	sink       Sink
 	locked     bool
 }
@@ -102,8 +108,12 @@ func WithShardCapacity(n int) Option { return func(c *config) { c.shardCap = n }
 // beats on the global handle or reads.
 func WithFlushInterval(d time.Duration) Option { return func(c *config) { c.flushEvery = d } }
 
-// WithClock injects the timestamp source (default: the wall clock).
-func WithClock(clk Clock) Option { return func(c *config) { c.clock = clk } }
+// WithClock injects the timestamp source (default: the wall clock). An
+// injected clock is read on every beat, exactly: a simulated or test clock
+// replays bit-identically, and WithClock(SystemClock()) is the way to ask for
+// a wall-clock reading on every Thread beat, which the default amortises (see
+// Thread).
+func WithClock(clk Clock) Option { return func(c *config) { c.clock, c.clockSet = clk, true } }
 
 // WithSink registers a Sink that receives every global record as it is
 // produced, e.g. an hbfile.Writer exposing the heartbeat to other processes.
@@ -164,9 +174,13 @@ func New(window int, opts ...Option) (*Heartbeat, error) {
 		window:    window,
 		clock:     cfg.clock,
 		nowNanos:  nanosFunc(cfg.clock),
+		maxEvery:  1,
 		sink:      cfg.sink,
 		threadCap: cfg.threadCap,
 		shardCap:  cfg.shardCap,
+	}
+	if !cfg.clockSet {
+		h.maxEvery = max(1, min(maxReuse, window/2))
 	}
 	if cfg.locked {
 		h.store = newLockedStore(cfg.capacity)

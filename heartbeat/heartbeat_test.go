@@ -244,6 +244,46 @@ func TestIntervals(t *testing.T) {
 	}
 }
 
+// Records sharing a stamp are read as evenly spread over the time to the
+// next stamp, so a steady heartbeat on reused stamps does not look erratic.
+func TestIntervalsSpreadRunsOfEqualStamps(t *testing.T) {
+	at := func(ms ...int64) (recs []heartbeat.Record) {
+		for i, m := range ms {
+			recs = append(recs, heartbeat.Record{Seq: uint64(i + 1), Time: time.Unix(0, m*int64(time.Millisecond))})
+		}
+		return recs
+	}
+	for _, tc := range []struct {
+		name string
+		recs []heartbeat.Record
+		want []float64
+	}{
+		{"distinct stamps are untouched", at(0, 100, 300), []float64{0.1, 0.2}},
+		{"a run of three then a gap", at(0, 0, 0, 300, 400), []float64{0.1, 0.1, 0.1, 0.1}},
+		{"a trailing run contributes nothing", at(0, 100, 100, 100), []float64{0.1}},
+		{"one stamp throughout", at(5, 5, 5), nil},
+		{"a backward stamp clamps the whole run to zero", at(100, 100, 50, 150), []float64{0, 0, 0.1}},
+	} {
+		got := heartbeat.Intervals(tc.recs)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: Intervals = %v, want %v", tc.name, got, tc.want)
+		}
+		for i := range got {
+			if diff := got[i] - tc.want[i]; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("%s: Intervals = %v, want %v", tc.name, got, tc.want)
+			}
+		}
+	}
+	// Ten beats per reading, readings steady: CV 0 rather than 3.
+	var steady []heartbeat.Record
+	for i := 0; i < 100; i++ {
+		steady = append(steady, heartbeat.Record{Seq: uint64(i + 1), Time: time.Unix(0, int64(i/10)*1000)})
+	}
+	if st, ok := heartbeat.IntervalStatsOf(steady); !ok || st.CV > 1e-9 {
+		t.Fatalf("steady reused stamps: stats %+v, ok %v", st, ok)
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	hb, _ := newTestHB(t, 5)
 	if err := hb.Close(); err != nil {

@@ -57,19 +57,30 @@ func rateOf(recs []Record) (Rate, bool) {
 }
 
 // Intervals returns the inter-beat gaps of recs (oldest to newest), in
-// seconds. Non-positive gaps (possible between concurrent producers) are
-// clamped to zero.
+// seconds. A run of k records sharing one stamp — a clock coarser than the
+// beat rate, or a Thread serving several beats from one reading — is read as
+// evenly spread over the time d to the next distinct stamp: k gaps of d/k,
+// not k−1 zeros and one d, which would read a steady heartbeat as erratic. A
+// trailing run has no later stamp to be measured against and contributes
+// nothing, so fewer than len(recs)−1 gaps may come back. Negative gaps
+// (possible between concurrent producers) are clamped to zero.
 func Intervals(recs []Record) []float64 {
 	if len(recs) < 2 {
 		return nil
 	}
 	out := make([]float64, 0, len(recs)-1)
+	start := 0 // first record of the run being measured
 	for i := 1; i < len(recs); i++ {
-		d := recs[i].Time.Sub(recs[i-1].Time).Seconds()
+		d := recs[i].Time.Sub(recs[start].Time).Seconds()
+		if d == 0 {
+			continue
+		}
 		if d < 0 {
 			d = 0
 		}
-		out = append(out, d)
+		for k := i - start; start < i; start++ {
+			out = append(out, d/float64(k))
+		}
 	}
 	return out
 }

@@ -13,6 +13,11 @@ import (
 type store interface {
 	// append claims the next sequence number and stores a record.
 	append(unixNanos int64, tag int64, producer int32) (seq uint64)
+	// appendRun claims len(tags) consecutive sequence numbers at once and
+	// stores one record per tag under them, all carrying the same timestamp
+	// and producer — the shape in which the aggregator merges a shard. It
+	// returns the first sequence number claimed.
+	appendRun(unixNanos int64, producer int32, tags []int64) (first uint64)
 	// total returns the number of records ever appended.
 	total() uint64
 	// skip claims n sequence numbers without materializing records: the
@@ -37,22 +42,34 @@ type store interface {
 	readSince(since uint64, buf []Record) ([]Record, uint64)
 }
 
-// lockfreeStore is a ring of seqlock-validated slots. Producers claim a slot
-// by atomically incrementing next, bracket their field stores with an odd
-// and then an even version stamp, and never block. Observers validate each
-// slot's version before and after reading its fields, so a torn read is
-// detected and the slot skipped rather than returned corrupt. This mirrors
-// the paper's requirement that external software (or hardware) read the
-// heartbeat buffers without coordinating with the application.
+// lockfreeStore is a ring of slots validated against the claim counter.
+// Producers never block, and observers never coordinate with them — the
+// paper's requirement that external software (or hardware) read the heartbeat
+// buffers beside the application. The protocol, per slot:
+//
+//   - A writer first claims its sequence numbers in next (one atomic add, for
+//     one record or for a whole run), and only then stores a claimed record's
+//     fields — time, tag, prod — and last of all the slot's seq, which
+//     publishes it.
+//   - A reader of record seq checks the slot's seq, copies the fields, and
+//     then re-reads next: the record is good iff next < seq + capacity. The
+//     only writer that can disturb the slot is the one lapping it, and that
+//     writer claimed seq + capacity before it stored a field; if the claim is
+//     not visible after the copy, none of its stores preceded the copy.
+//
+// So a torn read is detected and the slot skipped rather than returned
+// corrupt, with no "mid-write" mark on the slot: claimed-but-unpublished is
+// told from lapped by next alone (readSince retries the first, gives up the
+// second).
 type lockfreeStore struct {
 	slots []lfSlot
 	next  atomic.Uint64 // last claimed sequence number
 }
 
 type lfSlot struct {
-	// ver holds 2*seq when the record for seq is stable in this slot and
-	// 2*seq-1 while it is being written. 0 means never written.
-	ver  atomic.Uint64
+	// seq is the sequence number of the record stable in this slot; 0
+	// means never written.
+	seq  atomic.Uint64
 	time atomic.Int64
 	tag  atomic.Int64
 	prod atomic.Int32
@@ -62,49 +79,57 @@ func newLockfreeStore(capacity int) *lockfreeStore {
 	return &lockfreeStore{slots: make([]lfSlot, capacity)}
 }
 
-func (s *lockfreeStore) append(unixNanos int64, tag int64, producer int32) uint64 {
-	seq := s.next.Add(1)
+// claim reserves n consecutive sequence numbers and returns the first.
+func (s *lockfreeStore) claim(n uint64) (first uint64) { return s.next.Add(n) - n + 1 }
+
+// put stores and publishes the record of a claimed sequence number.
+func (s *lockfreeStore) put(seq uint64, unixNanos, tag int64, producer int32) {
 	sl := &s.slots[(seq-1)%uint64(len(s.slots))]
-	sl.ver.Store(2*seq - 1)
 	sl.time.Store(unixNanos)
 	sl.tag.Store(tag)
 	sl.prod.Store(producer)
-	sl.ver.Store(2 * seq)
+	sl.seq.Store(seq)
+}
+
+func (s *lockfreeStore) append(unixNanos int64, tag int64, producer int32) uint64 {
+	seq := s.claim(1)
+	s.put(seq, unixNanos, tag, producer)
 	return seq
+}
+
+func (s *lockfreeStore) appendRun(unixNanos int64, producer int32, tags []int64) uint64 {
+	first := s.claim(uint64(len(tags)))
+	for i, tag := range tags {
+		s.put(first+uint64(i), unixNanos, tag, producer)
+	}
+	return first
 }
 
 func (s *lockfreeStore) total() uint64 { return s.next.Load() }
 func (s *lockfreeStore) capacity() int { return len(s.slots) }
 
 // skip advances the sequence counter; the skipped slots keep their stale
-// version stamps, so reads of the skipped sequence numbers fail like reads
-// of overwritten records.
+// seq, so reads of the skipped sequence numbers fail like reads of
+// overwritten records.
 func (s *lockfreeStore) skip(n uint64) { s.next.Add(n) }
 
-// read returns the record with the given sequence number if it is still
-// retained and stable.
+// read returns the record with the given sequence number if it is published
+// and its slot has not been claimed by a later lap.
 func (s *lockfreeStore) read(seq uint64) (Record, bool) {
 	if seq == 0 {
 		return Record{}, false
 	}
 	sl := &s.slots[(seq-1)%uint64(len(s.slots))]
-	const maxTries = 64
-	for tries := 0; tries < maxTries; tries++ {
-		v1 := sl.ver.Load()
-		switch {
-		case v1 == 2*seq-1:
-			continue // mid-write; retry
-		case v1 != 2*seq:
-			return Record{}, false // not yet written, or overwritten
-		}
-		t := sl.time.Load()
-		tag := sl.tag.Load()
-		p := sl.prod.Load()
-		if sl.ver.Load() == v1 {
-			return Record{Seq: seq, Time: time.Unix(0, t), Tag: tag, Producer: p}, true
-		}
+	if sl.seq.Load() != seq {
+		return Record{}, false // not yet published, or overwritten
 	}
-	return Record{}, false
+	t := sl.time.Load()
+	tag := sl.tag.Load()
+	p := sl.prod.Load()
+	if s.next.Load() >= seq+uint64(len(s.slots)) {
+		return Record{}, false // the lapping writer may have begun
+	}
+	return Record{Seq: seq, Time: time.Unix(0, t), Tag: tag, Producer: p}, true
 }
 
 func (s *lockfreeStore) readSince(since uint64, buf []Record) ([]Record, uint64) {
@@ -129,10 +154,11 @@ func (s *lockfreeStore) readSince(since uint64, buf []Record) ([]Record, uint64)
 		if s.next.Load() >= seq+uint64(len(s.slots)) {
 			continue // lapped (or skipped) while scanning: lost for good
 		}
-		// Mid-write by a concurrent producer: stop here so the record is
-		// retried next call rather than reported lost. The producer's
-		// wake fires after its append completes, so a waiting subscriber
-		// is re-notified once the record is stable.
+		// Claimed by a concurrent producer but not published yet: stop
+		// here so the record is retried next call rather than reported
+		// lost. The producer's wake fires after its append completes,
+		// so a waiting subscriber is re-notified once the record is
+		// stable.
 		return out, seq - 1
 	}
 	return out, cur
@@ -175,11 +201,18 @@ func newLockedStore(capacity int) *lockedStore {
 }
 
 func (s *lockedStore) append(unixNanos int64, tag int64, producer int32) uint64 {
+	return s.appendRun(unixNanos, producer, []int64{tag})
+}
+
+func (s *lockedStore) appendRun(unixNanos int64, producer int32, tags []int64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.buf.Total() + 1
-	s.buf.Push(Record{Seq: seq, Time: time.Unix(0, unixNanos), Tag: tag, Producer: producer})
-	return seq
+	first := s.buf.Total() + 1
+	tm := time.Unix(0, unixNanos)
+	for i, tag := range tags {
+		s.buf.Push(Record{Seq: first + uint64(i), Time: tm, Tag: tag, Producer: producer})
+	}
+	return first
 }
 
 func (s *lockedStore) total() uint64 {

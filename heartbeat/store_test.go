@@ -136,6 +136,78 @@ func TestLockfreeReadStates(t *testing.T) {
 	}
 }
 
+// The slot protocol has no mid-write mark: a reader tells that the writer
+// lapping its slot has begun from the claim counter alone. Claim the lapping
+// sequence number and store only its time — the lapped record must stop
+// reading there and then; complete the put and the new one reads.
+func TestLockfreeClaimInvalidatesLappedSlot(t *testing.T) {
+	const capacity = 4
+	s := newLockfreeStore(capacity)
+	for i := int64(1); i <= capacity; i++ {
+		s.append(i, 10*i, 7)
+	}
+	if r, ok := s.read(1); !ok || r.Tag != 10 {
+		t.Fatalf("read(1) = %+v, %v before the lap", r, ok)
+	}
+	lap := s.claim(1)
+	if lap != capacity+1 {
+		t.Fatalf("claimed %d, want %d", lap, capacity+1)
+	}
+	if _, ok := s.read(1); ok {
+		t.Fatal("read(1) ok once its slot was claimed by the next lap")
+	}
+	s.slots[0].time.Store(99) // the lapping writer, one field in
+	if _, ok := s.read(1); ok {
+		t.Fatal("read(1) ok with the lapping writer mid-put")
+	}
+	if _, ok := s.read(lap); ok {
+		t.Fatal("read of a claimed, unpublished record ok")
+	}
+	// A cursor stops at the unpublished record to retry it, and does not
+	// report it lost.
+	recs, cursor := s.readSince(1, nil)
+	if len(recs) != capacity-1 || cursor != capacity {
+		t.Fatalf("readSince(1) = %d records, cursor %d; want %d records, cursor %d", len(recs), cursor, capacity-1, capacity)
+	}
+	s.put(lap, 99, 990, 3)
+	if r, ok := s.read(lap); !ok || r.Tag != 990 || r.Time != time.Unix(0, 99) || r.Producer != 3 {
+		t.Fatalf("read(%d) = %+v, %v after the put", lap, r, ok)
+	}
+	recs, cursor = s.readSince(capacity, nil)
+	if len(recs) != 1 || recs[0].Seq != lap || cursor != lap {
+		t.Fatalf("readSince(%d) = %+v, cursor %d", capacity, recs, cursor)
+	}
+}
+
+// A run goes in under one claim, and reads back as the same records
+// appending them one by one would have stored — on both stores.
+func TestAppendRunMatchesAppend(t *testing.T) {
+	for name, mk := range map[string]func(int) store{
+		"lockfree": func(n int) store { return newLockfreeStore(n) },
+		"locked":   func(n int) store { return newLockedStore(n) },
+	} {
+		one, run := mk(16), mk(16)
+		tags := []int64{5, 0, -3, 1 << 40}
+		for round := int64(1); round <= 7; round++ { // wraps the ring
+			first := run.appendRun(100*round, int32(round), tags)
+			for i, tag := range tags {
+				if seq := one.append(100*round, tag, int32(round)); seq != first+uint64(i) {
+					t.Fatalf("%s: run claimed %d for record %d, append gave %d", name, first+uint64(i), i, seq)
+				}
+			}
+		}
+		a, b := one.last(16), run.last(16)
+		if len(a) != 16 || len(b) != 16 {
+			t.Fatalf("%s: retained %d and %d records, want 16", name, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: record %d: append %+v, appendRun %+v", name, i, a[i], b[i])
+			}
+		}
+	}
+}
+
 func TestConcurrentBeatsAllCounted(t *testing.T) {
 	hb, err := New(10, WithCapacity(1<<14))
 	if err != nil {

@@ -231,4 +231,14 @@ func TestBeatHotPathDoesNotAllocate(t *testing.T) {
 	if got := testing.AllocsPerRun(20000, func() { tr.GlobalBeatTag(7) }); got != 0 {
 		t.Errorf("Thread.GlobalBeatTag allocates %v per op", got)
 	}
+	// A warmed merge — claim per run, tag scratch, store appends — likewise.
+	merge := func() {
+		for i := 0; i < 300; i++ {
+			tr.GlobalBeatTag(int64(i))
+		}
+		hb.Flush()
+	}
+	if got := testing.AllocsPerRun(200, merge); got != 0 {
+		t.Errorf("a warmed merge of 300 records allocates %v per run", got)
+	}
 }

@@ -81,7 +81,7 @@ type RollupWindow struct {
 	// the last record of one window and the first of the next is counted
 	// (in the later window), matching the intervals a raw Window computes
 	// over a contiguous record history.
-	prev      time.Time
+	prev      int64 // Unix nanoseconds of the last record absorbed
 	prevOK    bool
 	intervals uint64
 	sumIv     time.Duration
@@ -110,28 +110,37 @@ func (w *RollupWindow) Absorb(b Batch) {
 		// populate Count; keep the last real value then).
 		w.count = b.Count
 	}
-	for _, r := range b.Records {
-		if w.records == 0 {
-			w.first = r
-		}
-		w.last = r
-		w.records++
-		if w.prevOK {
-			iv := r.Time.Sub(w.prev)
-			if iv < 0 {
-				iv = 0 // concurrent producers can interleave timestamps
-			}
-			if w.intervals == 0 || iv < w.minIv {
-				w.minIv = iv
-			}
-			if iv > w.maxIv {
-				w.maxIv = iv
-			}
-			w.sumIv += iv
-			w.intervals++
-		}
-		w.prev, w.prevOK = r.Time, true
+	recs := b.Records
+	if len(recs) == 0 {
+		return
 	}
+	if w.records == 0 {
+		w.first = recs[0]
+	}
+	w.last = recs[len(recs)-1]
+	w.records += uint64(len(recs))
+	if !w.prevOK {
+		w.prev, w.prevOK = recs[0].Time.UnixNano(), true
+		recs = recs[1:] // the first record ever has no gap before it
+	}
+	prev, n, sum, lo, hi := w.prev, w.intervals, w.sumIv, w.minIv, w.maxIv
+	for i := range recs {
+		t := recs[i].Time.UnixNano()
+		iv := time.Duration(t - prev)
+		if iv < 0 {
+			iv = 0 // concurrent producers can interleave timestamps
+		}
+		if n == 0 || iv < lo {
+			lo = iv
+		}
+		if iv > hi {
+			hi = iv
+		}
+		sum += iv
+		n++
+		prev = t
+	}
+	w.prev, w.intervals, w.sumIv, w.minIv, w.maxIv = prev, n, sum, lo, hi
 }
 
 // Active reports whether the current window has absorbed any records or

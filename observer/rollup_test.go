@@ -1,6 +1,7 @@
 package observer
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -148,5 +149,106 @@ func TestRollupObservedRate(t *testing.T) {
 	}
 	if got := (Rollup{}).ObservedRate(); got != 0 {
 		t.Fatalf("ObservedRate with no evidence = %v, want 0", got)
+	}
+}
+
+// perRecordWindow is RollupWindow as it was before Absorb went per batch:
+// every record copied into first/last and every gap taken with time.Time.Sub.
+// Kept as the reference the batch form must reproduce exactly.
+type perRecordWindow struct {
+	records, missed, count, intervals uint64
+	first, last                       heartbeat.Record
+	prev                              time.Time
+	prevOK                            bool
+	sumIv, minIv, maxIv               time.Duration
+}
+
+func (w *perRecordWindow) absorb(b Batch) {
+	w.missed += b.Missed
+	if b.Count > 0 {
+		w.count = b.Count
+	}
+	for _, r := range b.Records {
+		if w.records == 0 {
+			w.first = r
+		}
+		w.last = r
+		w.records++
+		if w.prevOK {
+			iv := r.Time.Sub(w.prev)
+			if iv < 0 {
+				iv = 0
+			}
+			if w.intervals == 0 || iv < w.minIv {
+				w.minIv = iv
+			}
+			if iv > w.maxIv {
+				w.maxIv = iv
+			}
+			w.sumIv += iv
+			w.intervals++
+		}
+		w.prev, w.prevOK = r.Time, true
+	}
+}
+
+func (w *perRecordWindow) flush(app string, start, end time.Time) Rollup {
+	r := Rollup{App: app, Start: start, End: end, Records: w.records, Missed: w.missed, Count: w.count}
+	if w.records >= 2 {
+		if span := w.last.Time.Sub(w.first.Time); span > 0 {
+			r.Rate = heartbeat.Rate{PerSec: float64(w.records-1) / span.Seconds(), Beats: int(w.records), Span: span}
+			r.RateOK = true
+		}
+	}
+	if w.records >= 1 {
+		r.Rate.FirstSeq, r.Rate.LastSeq = w.first.Seq, w.last.Seq
+	}
+	if w.intervals > 0 {
+		r.MinInterval, r.MaxInterval, r.MeanInterval = w.minIv, w.maxIv, w.sumIv/time.Duration(w.intervals)
+	}
+	w.records, w.missed = 0, 0
+	w.first, w.last = heartbeat.Record{}, heartbeat.Record{}
+	w.intervals, w.sumIv, w.minIv, w.maxIv = 0, 0, 0, 0
+	return r
+}
+
+// One record stream — repeated stamps, backward stamps, long gaps — cut into
+// random batches (empty ones included) and random windows must roll up the
+// same per batch as per record: the gap carried across Flush and the clamp of
+// negative gaps included.
+func TestRollupWindowAbsorbMatchesPerRecordReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		got, want := NewRollupWindow("app"), &perRecordWindow{}
+		nanos := int64(1_700_000_000_000_000_000)
+		seq := uint64(rng.Intn(5))
+		start := time.Unix(0, nanos)
+		for step := 0; step < 40; step++ {
+			if rng.Intn(4) == 0 {
+				end := time.Unix(0, nanos)
+				if g, w := got.Flush(start, end), want.flush("app", start, end); g != w {
+					t.Fatalf("trial %d step %d:\n batch      %+v\n per record %+v", trial, step, g, w)
+				}
+				start = end
+				continue
+			}
+			b := Batch{Missed: uint64(rng.Intn(3)), Count: uint64(rng.Intn(2)) * seq}
+			for n := rng.Intn(6); n > 0; n-- {
+				switch rng.Intn(5) {
+				case 0: // the stamp repeats
+				case 1:
+					nanos -= int64(rng.Intn(500)) // another producer's older stamp
+				default:
+					nanos += int64(rng.Intn(2_000_000))
+				}
+				seq += 1 + uint64(rng.Intn(2))
+				b.Records = append(b.Records, heartbeat.Record{Seq: seq, Time: time.Unix(0, nanos), Tag: int64(n), Producer: int32(n % 3)})
+			}
+			got.Absorb(b)
+			want.absorb(b)
+			if got.Active() != (want.records > 0 || want.missed > 0) {
+				t.Fatalf("trial %d step %d: Active = %v", trial, step, got.Active())
+			}
+		}
 	}
 }

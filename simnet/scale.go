@@ -158,10 +158,10 @@ type ScaleStats struct {
 	Delivered uint64
 	Missed    uint64
 
-	Left     int // producers that churned out
-	Rejoined int // producers that churned back in (a new Life)
-	Silenced int // producer-burst memberships applied
-	Handoffs int // app streams re-homed between leaves mid-run
+	Left     int    // producers that churned out
+	Rejoined int    // producers that churned back in (a new Life)
+	Silenced int    // producer-burst memberships applied
+	Handoffs int    // app streams re-homed between leaves mid-run
 	Shed     uint64 // records shed to backpressure across the tree's rings
 
 	P50, P95, P99 time.Duration // record-time → consumer delivery, virtual
