@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet analyze build build-extras test race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench bench-compare bench-net bench-relay bench-shm bench-balance benchgate
+.PHONY: ci vet analyze build build-extras test race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs apicount bench-short bench bench-compare bench-net bench-relay bench-shm bench-balance benchgate
 
 ci: vet analyze build build-extras race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench-compare bench-net bench-relay bench-shm bench-balance benchgate
 
@@ -132,6 +132,12 @@ fuzz-short:
 docs: vet
 	$(GO) test -run '^Example' ./...
 	$(GO) run ./tools/docscheck README.md ARCHITECTURE.md
+
+# The size of the observation stack's surface: non-test lines and exported
+# identifiers per package (tools/apicount). A PR that shrinks either runs
+# this at its parent and at itself and reports both tables in CHANGES.md.
+apicount:
+	@$(GO) run ./tools/apicount hbnet hbshm observer internal/cursor
 
 # The core-API benchmarks only, briefly: enough to catch a hot-path
 # regression without regenerating every figure.

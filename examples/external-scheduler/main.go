@@ -50,7 +50,7 @@ func main() {
 
 	// ---- Scheduler side: reads ONLY the file, and incrementally — each
 	// decision consumes just the records the application published since
-	// the previous one, through the file's cursor (observer.FileStream).
+	// the previous one, through the file's cursor (observer.ReaderStream).
 	reader, err := hbfile.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +60,7 @@ func main() {
 		nil,
 		machine,
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
-		scheduler.WithStream(observer.FileStream(reader, 0)),
+		scheduler.WithStream(observer.ReaderStream(reader, 0, 0, nil)),
 		scheduler.WithWindow(10),
 	)
 	if err != nil {

@@ -213,3 +213,52 @@ func TestLogReadEdges(t *testing.T) {
 		t.Fatalf("Rate on empty log: ok=%v err=%v", ok, err)
 	}
 }
+
+// hostileCountLog is a well-formed one-record log whose count word claims
+// 2^40 records. Unchecked, the count sized ReadSince's buffer (a fatal,
+// unrecoverable out-of-memory, not a panic), and a bounded read from the
+// observer path failed with EOF forever instead of delivering the record.
+func hostileCountLog(tb testing.TB) []byte {
+	tb.Helper()
+	p := filepath.Join(tb.TempDir(), "hostile.hblog")
+	w, err := hbfile.CreateLog(p, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.WriteRecord(heartbeat.Record{Seq: 1, Tag: 7}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	buf, err := os.ReadFile(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(buf[56:], 1<<40) // count
+	return buf
+}
+
+func TestLogReaderClampsCountToFile(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "hostile.hblog")
+	if err := os.WriteFile(p, hostileCountLog(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := hbfile.OpenLog(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n, err := r.Count(); err != nil || n != 1 {
+		t.Fatalf("Count = %d, %v; want the 1 record the file holds", n, err)
+	}
+	for _, max := range []int{0, 65536} { // unbounded, and the observer path's page
+		recs, cur, err := r.ReadSinceInto(0, max, nil)
+		if err != nil || len(recs) != 1 || cur != 1 || recs[0].Tag != 7 {
+			t.Fatalf("ReadSinceInto(0, %d) = %d records, cursor %d, %v; want the one record", max, len(recs), cur, err)
+		}
+	}
+	if recs, err := r.Last(16); err != nil || len(recs) != 1 {
+		t.Fatalf("Last = %d records, %v", len(recs), err)
+	}
+}

@@ -35,6 +35,7 @@ func FuzzOpenArbitraryBytes(f *testing.F) {
 	binary.LittleEndian.PutUint64(reserved[64:], 1000) // reserved head
 	binary.LittleEndian.PutUint64(reserved[128:], 1)   // slot 0 holds seq 1
 	f.Add(reserved)
+	f.Add(hostileCountLog(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.hb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -60,6 +61,10 @@ func FuzzOpenArbitraryBytes(f *testing.F) {
 		if lr, err := hbfile.OpenLog(path); err == nil {
 			_, _ = lr.Count()
 			_, _ = lr.Last(16)
+			// Sized by the count word, which every read bounds by the file.
+			if recs, cur, err := lr.ReadSince(0, 0); err == nil && uint64(len(recs)) != cur {
+				t.Fatalf("ReadSince delivered %d records under cursor %d", len(recs), cur)
+			}
 			_, _, _, _ = lr.Target()
 			lr.Close()
 		}

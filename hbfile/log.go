@@ -159,13 +159,25 @@ func OpenLog(path string) (*LogReader, error) {
 // Window returns the application's default averaging window.
 func (r *LogReader) Window() int { return r.window }
 
-// Count returns the number of records appended so far.
+// Count returns the number of records appended so far. The header's count
+// word is input from outside the program, and — unlike a ring's capacity —
+// cannot be bounded once at open, because a log grows: every call clamps it
+// to the records the file is long enough to hold, so no read is ever sized
+// from (or pointed past the end by) a corrupt or hostile count.
 func (r *LogReader) Count() (uint64, error) {
 	var buf [8]byte
 	if _, err := r.f.ReadAt(buf[:], offCursor); err != nil {
 		return 0, fmt.Errorf("hbfile: read count: %w", err)
 	}
-	return byteOrder.Uint64(buf[:]), nil
+	fi, err := r.f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("hbfile: stat log: %w", err)
+	}
+	var held uint64
+	if size := fi.Size(); size > HeaderSize {
+		held = uint64(size-HeaderSize) / RecordSize
+	}
+	return min(byteOrder.Uint64(buf[:]), held), nil
 }
 
 // Read returns n records starting at index from (0-based, in append

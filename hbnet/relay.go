@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/heartbeat"
+	"repro/internal/cursor"
 	"repro/observer"
 )
 
@@ -291,9 +292,7 @@ func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64
 	}
 	var b observer.Batch
 	b.Count = cur
-	if d := cur - since; d > uint64(take) {
-		b.Missed = d - uint64(take)
-	}
+	_, b.Missed, _ = cursor.Advance(since, cur, take)
 	fb = newFrameBuf()                       //hbvet:allow hotpath -- encode-once path: pooled buffer acquired once per (cursor, head)
 	buf := append(fb.data, 0, 0, 0, 0)       //hbvet:allow hotpath -- encode-once path: grows pooled storage, amortized across reuse
 	buf = appendBatchMeta(buf, b, cur, take) //hbvet:allow hotpath -- encode-once path
@@ -322,13 +321,46 @@ type ShedCounter interface {
 	Shed() uint64
 }
 
+// ringCursor is one subscriber's position in a relay ring, and the one
+// place the relay's subscriber streams settle a read: the cursor rule, then
+// — when there is nothing to deliver — the wait for the ring's next append.
+type ringCursor struct{ cursor uint64 }
+
+// settle applies the cursor rule to one ring read: head is the position the
+// read consumed up to, n how many items it returned, notify and closed the
+// ring's wake channel and ended flag as of the read. ok means deliver (the
+// cursor has advanced; missed is the span the read passed over). Otherwise
+// the caller reads again: settle has either resynchronized a cursor from a
+// previous life of the relay (the records between the two lives are
+// unknowable, so not Missed) or parked until the ring moved. A closed,
+// drained ring is io.EOF; cancellation is reported only when idle.
+func (c *ringCursor) settle(ctx context.Context, head uint64, n int, notify <-chan struct{}, closed bool) (missed uint64, ok bool, err error) {
+	next, missed, move := cursor.Advance(c.cursor, head, n)
+	c.cursor = next
+	if move != cursor.Idle {
+		return missed, move == cursor.Moved, nil
+	}
+	if closed {
+		return 0, false, io.EOF
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	select {
+	case <-ctx.Done():
+		return 0, false, ctx.Err()
+	case <-notify:
+		return 0, false, nil
+	}
+}
+
 // replayStream is one subscriber's cursor over a replayRing; it satisfies
 // observer.Stream with the same resync-and-loss semantics as every other
 // stream in the system.
 type replayStream struct {
-	ring   *replayRing
-	cursor uint64
-	shedN  atomic.Uint64
+	ring *replayRing
+	ringCursor
+	shedN atomic.Uint64
 }
 
 // Shed reports how many seqs the ring shed to this subscriber (lapped or
@@ -337,68 +369,37 @@ type replayStream struct {
 func (s *replayStream) Shed() uint64 { return s.shedN.Load() }
 
 func (s *replayStream) Next(ctx context.Context) (observer.Batch, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for {
 		recs, cur, shed, notify, closed := s.ring.readSince(s.cursor, maxRelayBatch)
 		if shed != 0 {
 			s.shedN.Add(shed)
 		}
-		if cur < s.cursor {
-			// The ring's head is behind the cursor: the cursor came from a
-			// previous life of the relay. Resynchronize from the beginning
-			// (parity with fileStream and Subscription); the records
-			// between the two lives are unknowable, so not Missed.
-			s.cursor = 0
-			continue
+		missed, ok, err := s.settle(ctx, cur, len(recs), notify, closed)
+		if ok {
+			return observer.Batch{Records: recs, Count: cur, Missed: missed}, nil
 		}
-		if cur > s.cursor {
-			b := observer.Batch{Records: recs, Count: cur}
-			if d := cur - s.cursor; d > uint64(len(recs)) {
-				b.Missed = d - uint64(len(recs))
-			}
-			s.cursor = cur
-			return b, nil
-		}
-		if closed {
-			return observer.Batch{}, io.EOF
-		}
-		select {
-		case <-ctx.Done():
-			return observer.Batch{}, ctx.Err()
-		case <-notify:
+		if err != nil {
+			return observer.Batch{}, err
 		}
 	}
 }
 
 // NextFrame is the server's zero-copy fast path over the ring: the same
 // replay-resync-loss semantics as Next, delivered as a pre-encoded frame
-// shared with every other subscriber at the same cursor (frameStream).
+// shared with every other subscriber at the same cursor (frameStream). The
+// frame carries its own Missed, so settle only moves the cursor.
 func (s *replayStream) NextFrame(ctx context.Context) (*frameBuf, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for {
 		fb, cur, shed, notify, closed := s.ring.frameSince(s.cursor, maxRelayBatch)
 		if shed != 0 {
 			s.shedN.Add(shed)
 		}
-		if cur < s.cursor {
-			s.cursor = 0 // previous relay life: resynchronize (see Next)
-			continue
-		}
-		if fb != nil {
-			s.cursor = cur
+		_, ok, err := s.settle(ctx, cur, 0, notify, closed)
+		if ok {
 			return fb, nil
 		}
-		if closed {
-			return nil, io.EOF
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-notify:
+		if err != nil {
+			return nil, err
 		}
 	}
 }
@@ -493,35 +494,19 @@ func (r *rollupRing) readSince(since uint64) (out []observer.Rollup, cur uint64,
 
 // rollupReplayStream is one subscriber's cursor over a rollupRing.
 type rollupReplayStream struct {
-	ring   *rollupRing
-	cursor uint64
+	ring *rollupRing
+	ringCursor
 }
 
 func (s *rollupReplayStream) Next(ctx context.Context) (RollupBatch, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for {
 		rs, cur, delivered, notify, closed := s.ring.readSince(s.cursor)
-		if cur < s.cursor {
-			s.cursor = 0 // previous relay life: resynchronize
-			continue
+		missed, ok, err := s.settle(ctx, cur, int(delivered), notify, closed)
+		if ok {
+			return RollupBatch{Rollups: rs, Cursor: cur, Missed: missed}, nil
 		}
-		if cur > s.cursor {
-			b := RollupBatch{Rollups: rs, Cursor: cur}
-			if d := cur - s.cursor; d > delivered {
-				b.Missed = d - delivered
-			}
-			s.cursor = cur
-			return b, nil
-		}
-		if closed {
-			return RollupBatch{}, io.EOF
-		}
-		select {
-		case <-ctx.Done():
-			return RollupBatch{}, ctx.Err()
-		case <-notify:
+		if err != nil {
+			return RollupBatch{}, err
 		}
 	}
 }
@@ -571,7 +556,7 @@ func (f *StreamFeed) Run(ctx context.Context) error {
 // Feed returns the fan-out feed over the pumped history.
 func (f *StreamFeed) Feed() Feed {
 	return func(ctx context.Context, since uint64) (observer.Stream, error) {
-		return &replayStream{ring: f.ring, cursor: since}, nil
+		return &replayStream{ring: f.ring, ringCursor: ringCursor{since}}, nil
 	}
 }
 
@@ -686,15 +671,13 @@ type Relay struct {
 	drainMu sync.Mutex
 
 	mu        sync.Mutex
-	ds        *observer.Downsampler // guarded by mu: pumps absorb on shutdown
-	ups       map[string]*relayUpstream
-	order     []string
-	nextID    int32                     // next upstream id: unique per registration life, never reused
+	ds        *observer.Downsampler     // guarded by mu: pumps absorb on shutdown
+	raw       upstreamSet               // AddUpstream registrations
+	rollup    upstreamSet               // AddRollupUpstream registrations: their own namespace
+	nextID    int32                     // next raw upstream id: unique per registration life, never reused
 	compactor *observer.RollupCompactor // guarded by mu, like ds
-	rups      map[string]*rollupUpstream
-	rupOrder  []string
-	rupMissed uint64    // child rollup emissions lapped before absorption
-	winFrom   time.Time // current rollup window's start
+	rupMissed uint64                    // child rollup emissions lapped before absorption
+	winFrom   time.Time                 // current rollup window's start
 	runCtx    context.Context
 	runDone   chan struct{} // non-nil while a Run loop consumes r.events; closed at its exit
 	events    chan relayEvent
@@ -702,46 +685,89 @@ type Relay struct {
 	closed    bool
 }
 
+// relayUpstream is one registration, raw or rollup: exactly one of stream
+// and rstream is set, and that choice is the only thing the lifecycle —
+// pump, park, drain, retire, remove — ever asks of the kind (next,
+// absorbLocked, retireLocked, closeStream).
 type relayUpstream struct {
-	app      string
-	id       int32
-	stream   observer.Stream
-	rec      BatchRecycler // stream's recycler, when it has one
+	set     *upstreamSet // the namespace it is registered in
+	name    string
+	id      int32           // raw: the hop-local Producer id of its records
+	stream  observer.Stream // raw: records for the merged history and the downsampler
+	rstream RollupStream    // rollup: a child's per-app windows for the compactor
+	rec     BatchRecycler   // stream's recycler, when it has one
+
 	cancel   context.CancelFunc
 	pumping  bool
 	eof      bool
-	removing bool          // a RemoveUpstream owns this registration's teardown
+	removing bool          // a removal owns this registration's teardown
 	done     chan struct{} // closed when the current pump goroutine exits; nil before first start
-	// pending holds a batch the pump consumed from the stream but could
+	// pending holds a delivery the pump consumed from the stream but could
 	// not hand to a stopped Run loop; the next shutdown drain (or Run)
 	// absorbs it after the older events still queued in r.events, so the
-	// merged order is preserved across a Run restart.
-	pending *observer.Batch
+	// upstream's order is preserved across a Run restart.
+	pending *relayEvent
 }
 
-// rollupUpstream mirrors relayUpstream for a child's already-downsampled
-// feed: the pump forwards RollupBatches into the relay loop, which folds
-// them into the compactor instead of the downsampler.
-type rollupUpstream struct {
-	name     string
-	stream   RollupStream
-	cancel   context.CancelFunc
-	pumping  bool
-	eof      bool
-	removing bool          // see relayUpstream.removing
-	done     chan struct{} // see relayUpstream.done
-	pending  *RollupBatch  // see relayUpstream.pending
+// next blocks in the upstream's stream for its next delivery.
+func (up *relayUpstream) next(ctx context.Context) (relayEvent, error) {
+	ev := relayEvent{up: up}
+	var err error
+	if up.rstream != nil {
+		ev.rbatch, err = up.rstream.Next(ctx)
+	} else {
+		ev.batch, err = up.stream.Next(ctx)
+	}
+	return ev, err
 }
 
+// closeStream releases the upstream's stream when it can be closed.
+func (up *relayUpstream) closeStream() {
+	var s any = up.stream
+	if up.rstream != nil {
+		s = up.rstream
+	}
+	if c, ok := s.(io.Closer); ok {
+		c.Close()
+	}
+}
+
+// upstreamSet is one namespace of registrations in registration order.
+type upstreamSet struct {
+	kind   string // "upstream" or "rollup upstream", for error text
+	byName map[string]*relayUpstream
+	order  []string
+}
+
+func (s *upstreamSet) add(up *relayUpstream) {
+	up.set = s
+	s.byName[up.name] = up
+	s.order = append(s.order, up.name)
+}
+
+// live reports whether up is still the registration its name resolves to
+// (it may have been removed, or removed and replaced, while an event of
+// its was in flight).
+func (s *upstreamSet) live(up *relayUpstream) bool { return s.byName[up.name] == up }
+
+func (s *upstreamSet) remove(name string) {
+	delete(s.byName, name)
+	for i, n := range s.order {
+		if n == name {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			return
+		}
+	}
+}
+
+// relayEvent is what a pump hands the relay loop: one delivery (batch or
+// rbatch, by the upstream's kind), a stream failure, or the stream's end.
 type relayEvent struct {
-	up    *relayUpstream
-	batch observer.Batch
-	err   error
-	eof   bool
-	// Rollup-upstream events: when rup is set, rbatch carries the child's
-	// windows and the other payload fields are unused.
-	rup    *rollupUpstream
+	up     *relayUpstream
+	batch  observer.Batch
 	rbatch RollupBatch
+	err    error
+	eof    bool
 	// gate, when set, is a drain sentinel: every event queued before it has
 	// been handled once the consumer closes it. All other fields are unused.
 	gate chan struct{}
@@ -752,9 +778,9 @@ func NewRelay(opts ...RelayOption) *Relay {
 	r := &Relay{
 		rollupEvery: time.Second,
 		ds:          observer.NewDownsampler(),
-		ups:         make(map[string]*relayUpstream),
+		raw:         upstreamSet{kind: "upstream", byName: make(map[string]*relayUpstream)},
 		compactor:   observer.NewRollupCompactor(),
-		rups:        make(map[string]*rollupUpstream),
+		rollup:      upstreamSet{kind: "rollup upstream", byName: make(map[string]*relayUpstream)},
 		events:      make(chan relayEvent, 64),
 	}
 	for _, o := range opts {
@@ -777,27 +803,35 @@ func (r *Relay) AddUpstream(app string, stream observer.Stream) error {
 	if stream == nil {
 		return fmt.Errorf("hbnet: nil upstream stream for %q", app)
 	}
-	if len(app) > maxFeedName {
-		return fmt.Errorf("hbnet: upstream name exceeds %d bytes", maxFeedName)
+	up := &relayUpstream{name: app, stream: stream}
+	up.rec, _ = stream.(BatchRecycler)
+	return r.register(&r.raw, up)
+}
+
+// register is the one registration path: validate, claim the name in set,
+// and start the pump when a Run loop is live.
+func (r *Relay) register(set *upstreamSet, up *relayUpstream) error {
+	if len(up.name) > maxFeedName {
+		return fmt.Errorf("hbnet: %s name exceeds %d bytes", set.kind, maxFeedName)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return fmt.Errorf("hbnet: relay closed")
 	}
-	if _, dup := r.ups[app]; dup {
-		return fmt.Errorf("hbnet: duplicate upstream %q", app)
+	if _, dup := set.byName[up.name]; dup {
+		return fmt.Errorf("hbnet: duplicate %s %q", set.kind, up.name)
 	}
-	// Ids are allocated, never recycled: a name removed and re-added gets a
-	// fresh id, so records from the two registration lives stay
-	// distinguishable in the merged seq space (len(r.order) would collide
-	// after any removal).
-	up := &relayUpstream{app: app, id: r.nextID, stream: stream}
-	r.nextID++
-	up.rec, _ = stream.(BatchRecycler)
-	r.ups[app] = up
-	r.order = append(r.order, app)
-	r.ds.Track(app) // silent upstreams still roll up, as silence
+	if up.stream != nil {
+		// Ids are allocated, never recycled: a name removed and re-added
+		// gets a fresh id, so records from the two registration lives stay
+		// distinguishable in the merged seq space (len(order) would collide
+		// after any removal).
+		up.id = r.nextID
+		r.nextID++
+		r.ds.Track(up.name) // silent upstreams still roll up, as silence
+	}
+	set.add(up)
 	if r.runCtx != nil && r.runCtx.Err() == nil {
 		r.startPumpLocked(up)
 	}
@@ -889,19 +923,58 @@ func (r *Relay) DetachUpstream(app string) (Handoff, error) {
 }
 
 func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
+	up, err := r.unregister(&r.raw, app)
+	if err != nil {
+		return Handoff{}, err
+	}
+	if up == nil {
+		// The eof path retired it while the removal drained (closing the
+		// stream there); the name is free either way.
+		return Handoff{App: app}, nil
+	}
+	h := Handoff{App: app, Stream: up.stream}
+	if cs, ok := up.stream.(CursorSource); ok {
+		h.Cursor, h.HasCursor = cs.Cursor(), true
+	}
+	if closeStream {
+		h.Stream = nil
+		up.closeStream()
+	}
+	return h, nil
+}
+
+// RemoveRollupUpstream retires the named rollup upstream the same way
+// RemoveUpstream retires a raw one: pump cancelled, queued and parked
+// deliveries folded into the compactor, stream closed, name freed.
+// Compactor per-app state stays — the applications still exist even when
+// this child stops reporting them.
+func (r *Relay) RemoveRollupUpstream(name string) error {
+	up, err := r.unregister(&r.rollup, name)
+	if up != nil {
+		up.closeStream()
+	}
+	return err
+}
+
+// unregister is the one removal path: cancel the named upstream's pump and
+// wait it out, absorb everything it queued and then what it parked, and
+// free the name. It returns the retired registration, whose stream is now
+// the caller's — or nil with a nil error when the eof path retired it
+// (closing the stream there) while the removal drained.
+func (r *Relay) unregister(set *upstreamSet, name string) (*relayUpstream, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return Handoff{}, fmt.Errorf("hbnet: relay closed")
+		return nil, fmt.Errorf("hbnet: relay closed")
 	}
-	up, ok := r.ups[app]
+	up, ok := set.byName[name]
 	if !ok {
 		r.mu.Unlock()
-		return Handoff{}, fmt.Errorf("hbnet: unknown upstream %q", app)
+		return nil, fmt.Errorf("hbnet: unknown %s %q", set.kind, name)
 	}
 	if up.removing {
 		r.mu.Unlock()
-		return Handoff{}, fmt.Errorf("hbnet: upstream %q already being removed", app)
+		return nil, fmt.Errorf("hbnet: %s %q already being removed", set.kind, name)
 	}
 	up.removing = true // pumps will not restart for it
 	cancel, done := up.cancel, up.done
@@ -917,84 +990,33 @@ func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
 	// same oldest-first order Run's own shutdown preserves.
 	r.drainEvents()
 	r.mu.Lock()
-	if live, ok := r.ups[app]; !ok || live != up {
-		// The eof path retired it while we drained (closing the stream
-		// there); the name is free either way.
+	if !set.live(up) {
 		r.mu.Unlock()
-		return Handoff{App: app}, nil
+		return nil, nil
 	}
-	if up.pending != nil {
-		b := *up.pending
-		up.pending = nil
-		r.absorbLocked(up, b)
-	}
-	delete(r.ups, app)
-	r.dropOrderLocked(app)
-	final, active := r.ds.Remove(app, r.winFrom, r.now())
+	final := r.retireLocked(up)
 	r.mu.Unlock()
-	if active {
-		// The removed app's mid-window counts become one last emission, so
-		// rollup conservation holds across the removal.
-		r.rollups.append([]observer.Rollup{final})
-	}
-	h := Handoff{App: app, Stream: up.stream}
-	if cs, ok := up.stream.(CursorSource); ok {
-		h.Cursor, h.HasCursor = cs.Cursor(), true
-	}
-	if closeStream {
-		h.Stream = nil
-		if c, ok := up.stream.(io.Closer); ok {
-			c.Close()
-		}
-	}
-	return h, nil
+	r.rollups.append(final)
+	return up, nil
 }
 
-// RemoveRollupUpstream retires the named rollup upstream the same way
-// RemoveUpstream retires a raw one: pump cancelled, queued and parked
-// deliveries folded into the compactor, stream closed, name freed.
-// Compactor per-app state stays — the applications still exist even when
-// this child stops reporting them.
-func (r *Relay) RemoveRollupUpstream(name string) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return fmt.Errorf("hbnet: relay closed")
+// retireLocked is the one retire step, shared by removal and stream end:
+// absorb what a shutdown parked, free the name, and — for a raw upstream —
+// close the app's downsampler account, returning its mid-window counts as
+// one last emission so rollup conservation holds across the retirement.
+// (Compactor state is keyed by application, not by child name, so it
+// stays.) Callers hold r.mu and append the result to r.rollups after
+// releasing it.
+func (r *Relay) retireLocked(up *relayUpstream) []observer.Rollup {
+	if up.pending != nil {
+		r.absorbLocked(up.pending)
+		up.pending = nil
 	}
-	rup, ok := r.rups[name]
-	if !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("hbnet: unknown rollup upstream %q", name)
-	}
-	if rup.removing {
-		r.mu.Unlock()
-		return fmt.Errorf("hbnet: rollup upstream %q already being removed", name)
-	}
-	rup.removing = true
-	cancel, done := rup.cancel, rup.done
-	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	if done != nil {
-		<-done
-	}
-	r.drainEvents()
-	r.mu.Lock()
-	if live, ok := r.rups[name]; !ok || live != rup {
-		r.mu.Unlock()
-		return nil // the eof path retired it while we drained
-	}
-	if rup.pending != nil {
-		b := *rup.pending
-		rup.pending = nil
-		r.absorbRollupsLocked(b)
-	}
-	delete(r.rups, name)
-	r.dropRupOrderLocked(name)
-	r.mu.Unlock()
-	if c, ok := rup.stream.(io.Closer); ok {
-		c.Close()
+	up.set.remove(up.name)
+	if up.stream != nil {
+		if final, active := r.ds.Remove(up.name, r.winFrom, r.now()); active {
+			return []observer.Rollup{final}
+		}
 	}
 	return nil
 }
@@ -1028,15 +1050,7 @@ func (r *Relay) drainEvents() {
 			continue
 		}
 		if r.drainMu.TryLock() {
-			for {
-				select {
-				case ev := <-r.events:
-					r.handleEvent(ev)
-					continue
-				default:
-				}
-				break
-			}
+			r.drainQueued()
 			r.drainMu.Unlock()
 			return
 		}
@@ -1074,7 +1088,7 @@ func (r *Relay) DialUpstreamFrom(app, addr, feed string, since uint64, opts ...C
 // stream object itself with RebalanceStream.
 func Rebalance(src, dst *Relay, app, addr, feed string, opts ...ClientOption) (*Client, error) {
 	src.mu.Lock()
-	up, ok := src.ups[app]
+	up, ok := src.raw.byName[app]
 	var cs CursorSource
 	if ok {
 		cs, _ = up.stream.(CursorSource)
@@ -1132,24 +1146,7 @@ func (r *Relay) AddRollupUpstream(name string, stream RollupStream) error {
 	if stream == nil {
 		return fmt.Errorf("hbnet: nil rollup upstream stream for %q", name)
 	}
-	if len(name) > maxFeedName {
-		return fmt.Errorf("hbnet: rollup upstream name exceeds %d bytes", maxFeedName)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("hbnet: relay closed")
-	}
-	if _, dup := r.rups[name]; dup {
-		return fmt.Errorf("hbnet: duplicate rollup upstream %q", name)
-	}
-	rup := &rollupUpstream{name: name, stream: stream}
-	r.rups[name] = rup
-	r.rupOrder = append(r.rupOrder, name)
-	if r.runCtx != nil && r.runCtx.Err() == nil {
-		r.startRollupPumpLocked(rup)
-	}
-	return nil
+	return r.register(&r.rollup, &relayUpstream{name: name, rstream: stream})
 }
 
 // DialRollupUpstream dials a child relay's published rollup feed and
@@ -1176,7 +1173,7 @@ func (r *Relay) DialRollupUpstream(name, addr, feed string, opts ...ClientOption
 func (r *Relay) Apps() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
+	return append([]string(nil), r.raw.order...)
 }
 
 // MergedHead returns the newest sequence number of the merged history:
@@ -1201,7 +1198,7 @@ func (r *Relay) Shed() uint64 { return r.merged.shed() }
 // replay-then-live-push from any cursor.
 func (r *Relay) MergedFeed() Feed {
 	return func(ctx context.Context, since uint64) (observer.Stream, error) {
-		return &replayStream{ring: r.merged, cursor: since}, nil
+		return &replayStream{ring: r.merged, ringCursor: ringCursor{since}}, nil
 	}
 }
 
@@ -1209,7 +1206,7 @@ func (r *Relay) MergedFeed() Feed {
 // interval, replayable across the retained emissions.
 func (r *Relay) RollupFeed() RollupFeed {
 	return func(ctx context.Context, since uint64) (RollupStream, error) {
-		return &rollupReplayStream{ring: r.rollups, cursor: since}, nil
+		return &rollupReplayStream{r.rollups, ringCursor{since}}, nil
 	}
 }
 
@@ -1220,7 +1217,7 @@ func (r *Relay) RollupFeed() RollupFeed {
 // convention "apps", beside the relay's own per-upstream "rollup" feed).
 func (r *Relay) CompactedFeed() RollupFeed {
 	return func(ctx context.Context, since uint64) (RollupStream, error) {
-		return &rollupReplayStream{ring: r.compacted, cursor: since}, nil
+		return &rollupReplayStream{r.compacted, ringCursor{since}}, nil
 	}
 }
 
@@ -1268,11 +1265,8 @@ func (r *Relay) Run(ctx context.Context) {
 	runDone := make(chan struct{})
 	r.runDone = runDone
 	r.winFrom = r.now()
-	for _, app := range r.order {
-		r.startPumpLocked(r.ups[app])
-	}
-	for _, name := range r.rupOrder {
-		r.startRollupPumpLocked(r.rups[name])
+	for _, up := range r.upstreamsLocked() {
+		r.startPumpLocked(up)
 	}
 	r.mu.Unlock()
 	// Hold drainMu for the whole run: this loop is the channel's only
@@ -1281,14 +1275,9 @@ func (r *Relay) Run(ctx context.Context) {
 	r.drainMu.Lock()
 	defer func() {
 		r.mu.Lock()
-		for _, up := range r.ups {
+		for _, up := range r.upstreamsLocked() {
 			if up.cancel != nil {
 				up.cancel()
-			}
-		}
-		for _, rup := range r.rups {
-			if rup.cancel != nil {
-				rup.cancel()
 			}
 		}
 		r.mu.Unlock()
@@ -1297,30 +1286,14 @@ func (r *Relay) Run(ctx context.Context) {
 		// queued predate any batch a pump parked in pending (each pump is
 		// its upstream's only producer), so draining the channel before
 		// the pending slots keeps every upstream's records in order.
-		for {
-			select {
-			case ev := <-r.events:
-				r.handleEvent(ev)
-				continue
-			default:
-			}
-			break
-		}
+		r.drainQueued()
 		r.mu.Lock()
-		for _, app := range r.order {
-			// A concurrent removal may have finalized between the drain
-			// above and this lock; its pending was absorbed there.
-			if up := r.ups[app]; up != nil && up.pending != nil {
-				b := *up.pending
+		// A concurrent removal may have finalized between the drain above
+		// and this lock; its pending was absorbed there.
+		for _, up := range r.upstreamsLocked() {
+			if up.pending != nil {
+				r.absorbLocked(up.pending)
 				up.pending = nil
-				r.absorbLocked(up, b)
-			}
-		}
-		for _, name := range r.rupOrder {
-			if rup := r.rups[name]; rup != nil && rup.pending != nil {
-				b := *rup.pending
-				rup.pending = nil
-				r.absorbRollupsLocked(b)
 			}
 		}
 		r.runDone = nil
@@ -1339,6 +1312,31 @@ func (r *Relay) Run(ctx context.Context) {
 		case <-tick.C():
 			tick.Next()
 			r.flushRollups()
+		}
+	}
+}
+
+// upstreamsLocked returns every registration, raw then rollup, each in
+// registration order. Callers hold r.mu.
+func (r *Relay) upstreamsLocked() []*relayUpstream {
+	ups := make([]*relayUpstream, 0, len(r.raw.order)+len(r.rollup.order))
+	for _, set := range []*upstreamSet{&r.raw, &r.rollup} {
+		for _, name := range set.order {
+			ups = append(ups, set.byName[name])
+		}
+	}
+	return ups
+}
+
+// drainQueued handles every event already queued in r.events without
+// blocking. Callers hold drainMu (they are the channel's only consumer).
+func (r *Relay) drainQueued() {
+	for {
+		select {
+		case ev := <-r.events:
+			r.handleEvent(ev)
+		default:
+			return
 		}
 	}
 }
@@ -1370,13 +1368,9 @@ func (r *Relay) handleEvent(ev relayEvent) {
 		close(ev.gate)
 		return
 	}
-	if ev.rup != nil {
-		r.handleRollupEvent(ev)
-		return
-	}
 	r.mu.Lock()
 	up := ev.up
-	if live, ok := r.ups[up.app]; !ok || live != up {
+	if !up.set.live(up) {
 		r.mu.Unlock()
 		return // removed/replaced while the event was in flight
 	}
@@ -1384,126 +1378,51 @@ func (r *Relay) handleEvent(ev relayEvent) {
 		cb := r.onError
 		r.mu.Unlock()
 		if cb != nil {
-			cb(up.app, ev.err)
+			cb(up.name, ev.err)
 		}
 		return
 	}
 	if ev.eof {
 		up.eof = true
 		if up.removing || r.closed {
-			// A concurrent RemoveUpstream owns the teardown (or relay Close
+			// A concurrent removal owns the teardown (or relay Close
 			// already collected the stream for closing).
 			r.mu.Unlock()
 			return
 		}
-		// Retire for good: the stream has ended, so free the registration —
-		// absorb anything a previous shutdown parked, emit the app's final
-		// partial rollup window, release the stream, and make the name
-		// reusable. (Leaving it in r.ups kept the stream open and the name
-		// taken until relay Close: the retired-upstream leak.)
-		if up.pending != nil {
-			b := *up.pending
-			up.pending = nil
-			r.absorbLocked(up, b)
-		}
-		delete(r.ups, up.app)
-		r.dropOrderLocked(up.app)
-		final, active := r.ds.Remove(up.app, r.winFrom, r.now())
+		// Retire for good: the stream has ended, so free the registration
+		// and release the stream. (Leaving it registered kept the stream
+		// open and the name taken until relay Close: the retired-upstream
+		// leak.)
+		final := r.retireLocked(up)
 		r.mu.Unlock()
-		if active {
-			r.rollups.append([]observer.Rollup{final})
-		}
-		if c, ok := up.stream.(io.Closer); ok {
-			c.Close()
-		}
+		r.rollups.append(final)
+		up.closeStream()
 		return
 	}
-	r.absorbLocked(up, ev.batch)
+	r.absorbLocked(&ev)
 	r.mu.Unlock()
 }
 
-// dropOrderLocked removes app from the registration-order slice. Callers
-// hold r.mu.
-func (r *Relay) dropOrderLocked(app string) {
-	for i, a := range r.order {
-		if a == app {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// dropRupOrderLocked removes name from the rollup-upstream order slice.
-// Callers hold r.mu.
-func (r *Relay) dropRupOrderLocked(name string) {
-	for i, n := range r.rupOrder {
-		if n == name {
-			r.rupOrder = append(r.rupOrder[:i], r.rupOrder[i+1:]...)
-			return
-		}
-	}
-}
-
-func (r *Relay) handleRollupEvent(ev relayEvent) {
-	r.mu.Lock()
-	rup := ev.rup
-	if live, ok := r.rups[rup.name]; !ok || live != rup {
-		r.mu.Unlock()
-		return // removed/replaced while the event was in flight
-	}
-	if ev.err != nil {
-		cb := r.onError
-		r.mu.Unlock()
-		if cb != nil {
-			cb(rup.name, ev.err)
-		}
-		return
-	}
-	if ev.eof {
-		rup.eof = true
-		if rup.removing || r.closed {
-			r.mu.Unlock()
-			return
-		}
-		// Retire like a raw upstream (see handleEvent): absorb any parked
-		// delivery, free the name, release the stream. Compactor state is
-		// keyed by application, not by child name, so it stays.
-		if rup.pending != nil {
-			b := *rup.pending
-			rup.pending = nil
-			r.absorbRollupsLocked(b)
-		}
-		delete(r.rups, rup.name)
-		r.dropRupOrderLocked(rup.name)
-		r.mu.Unlock()
-		if c, ok := rup.stream.(io.Closer); ok {
-			c.Close()
-		}
-		return
-	}
-	r.absorbRollupsLocked(ev.rbatch)
-	r.mu.Unlock()
-}
-
-// absorbRollupsLocked folds one child delivery into the compactor. Callers
-// hold r.mu.
-func (r *Relay) absorbRollupsLocked(b RollupBatch) {
-	for _, ru := range b.Rollups {
-		r.compactor.Absorb(ru)
-	}
-	r.rupMissed += b.Missed
-}
-
-// absorbLocked merges one upstream batch: into the replay ring (re-
-// sequenced, loss-widened) and into the app's rollup window. Both copy the
+// absorbLocked folds one delivery into the relay's state. A child's rollup
+// windows go to the compactor. A raw batch goes into the replay ring (re-
+// sequenced, loss-widened) and into the app's rollup window; both copy the
 // record values out, so the batch's slice can go straight back to the
 // upstream's decode pool — at high fan-in that recycling is what keeps the
 // merge path allocation-free. Callers hold r.mu.
-func (r *Relay) absorbLocked(up *relayUpstream, b observer.Batch) {
-	r.merged.append(b.Records, b.Missed, up.id)
-	r.ds.Absorb(up.app, b)
+func (r *Relay) absorbLocked(ev *relayEvent) {
+	up := ev.up
+	if up.rstream != nil {
+		for _, ru := range ev.rbatch.Rollups {
+			r.compactor.Absorb(ru)
+		}
+		r.rupMissed += ev.rbatch.Missed
+		return
+	}
+	r.merged.append(ev.batch.Records, ev.batch.Missed, up.id)
+	r.ds.Absorb(up.name, ev.batch)
 	if up.rec != nil {
-		up.rec.Recycle(b)
+		up.rec.Recycle(ev.batch)
 	}
 }
 
@@ -1590,7 +1509,7 @@ func (p *pollTimeout) Err() error {
 }
 
 // startPumpLocked starts the goroutine that blocks in the upstream's Next
-// and forwards batches to the relay loop. Callers hold r.mu.
+// and forwards deliveries to the relay loop. Callers hold r.mu.
 func (r *Relay) startPumpLocked(up *relayUpstream) {
 	if up.pumping || up.eof || up.removing {
 		return
@@ -1609,6 +1528,16 @@ func (r *Relay) startPumpLocked(up *relayUpstream) {
 			close(done) // after pending is parked: removal reads it via this edge
 			r.pumps.Done()
 		}()
+		// send queues ev for the relay loop; false means the pump was
+		// cancelled first.
+		send := func(ev relayEvent) bool {
+			select {
+			case r.events <- ev:
+				return true
+			case <-pctx.Done():
+				return false
+			}
+		}
 		// Wall-clock (and coarse-clock) relays poll through one reusable
 		// timeout context; virtual WaitClocks need ContextWithTimeout's
 		// clock-driven expiry and never care about allocation rates.
@@ -1620,163 +1549,58 @@ func (r *Relay) startPumpLocked(up *relayUpstream) {
 			// Bound each wait by the rollup interval: re-entering Next is
 			// itself a read for poll-based upstreams, so a low-rate
 			// in-process upstream still publishes at least once per window.
-			var b observer.Batch
+			var ev relayEvent
 			var err error
 			if pt != nil {
 				pt.arm(r.rollupEvery)
-				b, err = up.stream.Next(pt)
+				ev, err = up.next(pt)
 				pt.disarm()
 			} else {
 				nctx, ncancel := heartbeat.ContextWithTimeout(pctx, r.clk, r.rollupEvery)
-				b, err = up.stream.Next(nctx)
+				ev, err = up.next(nctx)
 				ncancel()
 			}
-			if err == nil {
-				select {
-				case r.events <- relayEvent{up: up, batch: b}:
-				case <-pctx.Done():
-					// Shutting down with a batch in hand: park it so the
-					// records already consumed from the upstream cursor are
-					// not lost across a Run restart. It must NOT be absorbed
+			switch {
+			case err == nil:
+				if !send(ev) {
+					// Shutting down with a delivery in hand: park it so what
+					// was already consumed from the upstream cursor is not
+					// lost across a Run restart. It must NOT be absorbed
 					// here — an older batch of this upstream may still sit
 					// in r.events, and absorbing out of order would corrupt
 					// the merged history; Run's shutdown drain absorbs the
 					// queue first, then this.
+					parked := ev
 					r.mu.Lock()
-					up.pending = &b
+					up.pending = &parked
 					r.mu.Unlock()
 					return
 				}
-				continue
-			}
-			if pctx.Err() != nil {
+			case pctx.Err() != nil:
 				return
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				continue // idle window: loop and re-poll
-			}
-			if errors.Is(err, io.EOF) {
-				select {
-				case r.events <- relayEvent{up: up, eof: true}:
-				case <-pctx.Done():
-				}
+			case errors.Is(err, context.DeadlineExceeded):
+				// Idle window: loop and re-poll.
+			case errors.Is(err, io.EOF):
+				send(relayEvent{up: up, eof: true})
 				return
-			}
-			if errors.Is(err, ErrRejected) {
+			case errors.Is(err, ErrRejected):
 				// The subscription was refused for good (feed unpublished,
 				// kind mismatch): every further Next returns the same
 				// error, so report it once and retire the upstream rather
 				// than re-reporting it every interval forever.
-				select {
-				case r.events <- relayEvent{up: up, err: err}:
-				case <-pctx.Done():
-				}
-				select {
-				case r.events <- relayEvent{up: up, eof: true}:
-				case <-pctx.Done():
-				}
+				send(relayEvent{up: up, err: err})
+				send(relayEvent{up: up, eof: true})
 				return
-			}
-			select {
-			case r.events <- relayEvent{up: up, err: err}:
-			case <-pctx.Done():
-				return
-			}
-			// Pace retries against a persistently failing upstream.
-			select {
-			case <-heartbeat.After(r.clk, r.rollupEvery):
-			case <-pctx.Done():
-				return
-			}
-		}
-	}()
-}
-
-// startRollupPumpLocked starts the goroutine that blocks in a rollup
-// upstream's Next and forwards deliveries to the relay loop — the same
-// shape as startPumpLocked with RollupBatch payloads. Callers hold r.mu.
-func (r *Relay) startRollupPumpLocked(rup *rollupUpstream) {
-	if rup.pumping || rup.eof || rup.removing {
-		return
-	}
-	rup.pumping = true
-	done := make(chan struct{})
-	rup.done = done
-	pctx, cancel := context.WithCancel(r.runCtx)
-	rup.cancel = cancel
-	r.pumps.Add(1)
-	go func() {
-		defer func() {
-			r.mu.Lock()
-			rup.pumping = false
-			r.mu.Unlock()
-			close(done)
-			r.pumps.Done()
-		}()
-		var pt *pollTimeout
-		if _, isWait := r.clk.(heartbeat.WaitClock); !isWait {
-			pt = newPollTimeout(pctx)
-		}
-		for {
-			var b RollupBatch
-			var err error
-			if pt != nil {
-				pt.arm(r.rollupEvery)
-				b, err = rup.stream.Next(pt)
-				pt.disarm()
-			} else {
-				nctx, ncancel := heartbeat.ContextWithTimeout(pctx, r.clk, r.rollupEvery)
-				b, err = rup.stream.Next(nctx)
-				ncancel()
-			}
-			if err == nil {
-				select {
-				case r.events <- relayEvent{rup: rup, rbatch: b}:
-				case <-pctx.Done():
-					// Park the in-hand delivery for the shutdown drain, like
-					// the raw pump (see startPumpLocked). Compaction is
-					// commutative over deliveries, but the cursor was already
-					// advanced upstream — dropping it would lose windows.
-					r.mu.Lock()
-					rup.pending = &b
-					r.mu.Unlock()
+			default:
+				if !send(relayEvent{up: up, err: err}) {
 					return
 				}
-				continue
-			}
-			if pctx.Err() != nil {
-				return
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				continue // idle window: loop and re-poll
-			}
-			if errors.Is(err, io.EOF) {
+				// Pace retries against a persistently failing upstream.
 				select {
-				case r.events <- relayEvent{rup: rup, eof: true}:
+				case <-heartbeat.After(r.clk, r.rollupEvery):
 				case <-pctx.Done():
+					return
 				}
-				return
-			}
-			if errors.Is(err, ErrRejected) {
-				select {
-				case r.events <- relayEvent{rup: rup, err: err}:
-				case <-pctx.Done():
-				}
-				select {
-				case r.events <- relayEvent{rup: rup, eof: true}:
-				case <-pctx.Done():
-				}
-				return
-			}
-			select {
-			case r.events <- relayEvent{rup: rup, err: err}:
-			case <-pctx.Done():
-				return
-			}
-			select {
-			case <-heartbeat.After(r.clk, r.rollupEvery):
-			case <-pctx.Done():
-				return
 			}
 		}
 	}()
@@ -1793,30 +1617,13 @@ func (r *Relay) Close() error {
 		return nil
 	}
 	r.closed = true
-	ups := make([]*relayUpstream, 0, len(r.order))
-	for _, app := range r.order {
-		ups = append(ups, r.ups[app])
-	}
-	rups := make([]*rollupUpstream, 0, len(r.rupOrder))
-	for _, name := range r.rupOrder {
-		rups = append(rups, r.rups[name])
-	}
+	ups := r.upstreamsLocked()
 	r.mu.Unlock()
 	for _, up := range ups {
 		if up.cancel != nil {
 			up.cancel()
 		}
-		if c, ok := up.stream.(io.Closer); ok {
-			c.Close()
-		}
-	}
-	for _, rup := range rups {
-		if rup.cancel != nil {
-			rup.cancel()
-		}
-		if c, ok := rup.stream.(io.Closer); ok {
-			c.Close()
-		}
+		up.closeStream()
 	}
 	r.merged.close()
 	r.rollups.close()

@@ -2,7 +2,12 @@ package hbnet
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,104 +188,391 @@ func TestRelayRemoveReaddNoIDAlias(t *testing.T) {
 	}
 }
 
-// blockingStream never yields; it exists so a registration can sit idle
-// while the test stages relay state by hand.
-type blockingStream struct{}
-
-func (blockingStream) Next(ctx context.Context) (observer.Batch, error) {
-	<-ctx.Done()
-	return observer.Batch{}, ctx.Err()
+// script is a hand-driven upstream for the lifecycle table below: the test
+// decides when it delivers (one marker per delivery), when and how it ends,
+// and sees whether its owner closed it. rawScript and rollupScript present
+// it as the two upstream kinds.
+type script struct {
+	deliveries chan int
+	ended      chan struct{}
+	final      error
+	closed     chan struct{}
+	closeOnce  sync.Once
 }
 
-// Satellite: a removed upstream's parked pending batch. A Run shutdown
-// parks an in-hand batch in up.pending behind whatever the pump already
+func newScript() *script {
+	return &script{deliveries: make(chan int), ended: make(chan struct{}), closed: make(chan struct{})}
+}
+
+// end makes every further Next return err (io.EOF, a wrapped ErrRejected).
+func (s *script) end(err error) { s.final = err; close(s.ended) }
+
+func (s *script) wait(ctx context.Context) (int, error) {
+	select {
+	case m := <-s.deliveries:
+		return m, nil
+	case <-s.ended:
+		return 0, s.final
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
+func (s *script) Close() error {
+	s.closeOnce.Do(func() { close(s.closed) })
+	return nil
+}
+
+func (s *script) isClosed() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+func markerBatch(m int) observer.Batch {
+	return observer.Batch{Records: []heartbeat.Record{{Time: time.Unix(0, int64(m))}}, Count: uint64(m)}
+}
+
+func markerRollups(m int) RollupBatch {
+	return RollupBatch{Rollups: []observer.Rollup{{App: fmt.Sprint("m", m), Records: 1}}, Cursor: uint64(m)}
+}
+
+type rawScript struct{ *script }
+
+func (s rawScript) Next(ctx context.Context) (observer.Batch, error) {
+	m, err := s.wait(ctx)
+	if err != nil {
+		return observer.Batch{}, err
+	}
+	return markerBatch(m), nil
+}
+
+type rollupScript struct{ *script }
+
+func (s rollupScript) Next(ctx context.Context) (RollupBatch, error) {
+	m, err := s.wait(ctx)
+	if err != nil {
+		return RollupBatch{}, err
+	}
+	return markerRollups(m), nil
+}
+
+// lifecycleKind is one row of the {raw, rollup} table: how to register,
+// remove and hand-stage an upstream of that kind, and how to read back the
+// markers the relay absorbed from it, in absorption order.
+type lifecycleKind struct {
+	name     string
+	set      func(r *Relay) *upstreamSet
+	add      func(r *Relay, name string, s *script) error
+	remove   func(r *Relay, name string) error
+	event    func(up *relayUpstream, marker int) relayEvent
+	absorbed func(r *Relay) []int
+	// readded checks what a removed-then-re-added name means for the kind,
+	// after markers 1 and 2 arrived in the first life and 3 in the second.
+	readded func(t *testing.T, r *Relay)
+}
+
+var lifecycleKinds = []lifecycleKind{
+	{
+		name:   "raw",
+		set:    func(r *Relay) *upstreamSet { return &r.raw },
+		add:    func(r *Relay, name string, s *script) error { return r.AddUpstream(name, rawScript{s}) },
+		remove: func(r *Relay, name string) error { _, err := r.RemoveUpstream(name); return err },
+		event: func(up *relayUpstream, m int) relayEvent {
+			return relayEvent{up: up, batch: markerBatch(m)}
+		},
+		absorbed: func(r *Relay) []int {
+			recs, _, _, _, _ := r.merged.readSince(0, maxRelayBatch)
+			var ms []int
+			for _, rec := range recs {
+				ms = append(ms, int(rec.Time.UnixNano()))
+			}
+			return ms
+		},
+		readded: func(t *testing.T, r *Relay) {
+			// A fresh id per registration life: the second life's records
+			// are distinguishable in the merged history.
+			recs, _, _, _, _ := r.merged.readSince(0, maxRelayBatch)
+			var ids []int32
+			for _, rec := range recs {
+				ids = append(ids, rec.Producer)
+			}
+			if !reflect.DeepEqual(ids, []int32{0, 0, 1}) {
+				t.Fatalf("producer ids %v across a re-add, want [0 0 1]", ids)
+			}
+		},
+	},
+	{
+		name:   "rollup",
+		set:    func(r *Relay) *upstreamSet { return &r.rollup },
+		add:    func(r *Relay, name string, s *script) error { return r.AddRollupUpstream(name, rollupScript{s}) },
+		remove: func(r *Relay, name string) error { return r.RemoveRollupUpstream(name) },
+		event: func(up *relayUpstream, m int) relayEvent {
+			return relayEvent{up: up, rbatch: markerRollups(m)}
+		},
+		// Compaction is commutative, but the compactor lists applications in
+		// first-absorbed order — and every marker is its own application.
+		absorbed: func(r *Relay) []int {
+			var ms []int
+			for _, app := range r.RollupApps() {
+				m, _ := strconv.Atoi(strings.TrimPrefix(app, "m"))
+				ms = append(ms, m)
+			}
+			return ms
+		},
+		readded: func(t *testing.T, r *Relay) {
+			// Compactor state is keyed by application, not by child: the
+			// first life's applications are still tracked (absorbed checks
+			// exactly that), and no raw-side state was created for the child.
+			if apps := r.Apps(); len(apps) != 0 {
+				t.Fatalf("rollup upstream leaked into the raw namespace: %v", apps)
+			}
+		},
+	},
+}
+
+func forEachKind(t *testing.T, f func(t *testing.T, k lifecycleKind)) {
+	for _, k := range lifecycleKinds {
+		k := k
+		t.Run(k.name, func(t *testing.T) { f(t, k) })
+	}
+}
+
+// runRelay drives r.Run until the test ends.
+func runRelay(t *testing.T, r *Relay) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); r.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done; r.Close() })
+}
+
+func waitAbsorbed(t *testing.T, k lifecycleKind, r *Relay, want []int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !reflect.DeepEqual(k.absorbed(r), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("absorbed %v, want %v", k.absorbed(r), want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// waitRetired polls until name is no longer registered in the kind's set.
+func waitRetired(t *testing.T, k lifecycleKind, r *Relay, name string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r.mu.Lock()
+		_, registered := k.set(r).byName[name]
+		r.mu.Unlock()
+		if !registered {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s %q still registered", k.set(r).kind, name)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// Satellite: a removed upstream's parked pending delivery. A Run shutdown
+// parks an in-hand delivery in up.pending behind whatever the pump already
 // queued in r.events; removing that upstream afterwards must absorb both,
 // oldest first — neither resurrecting them out of order nor dropping them.
 // The mid-shutdown state is staged directly (the select race in the pump
 // makes parking non-deterministic through the public API alone).
 func TestRelayRemoveAbsorbsParkedPending(t *testing.T) {
-	relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
-	if err := relay.AddUpstream("a", blockingStream{}); err != nil {
-		t.Fatal(err)
-	}
-	relay.mu.Lock()
-	up := relay.ups["a"]
-	relay.mu.Unlock()
-
-	rec := func(nanos int64) heartbeat.Record {
-		return heartbeat.Record{Time: time.Unix(0, nanos)}
-	}
-	queued := observer.Batch{Records: []heartbeat.Record{rec(1), rec(2)}, Count: 2}
-	parked := observer.Batch{Records: []heartbeat.Record{rec(3)}, Count: 3}
-	// The exact state a cancelled Run leaves: an older batch still queued in
-	// the event channel, a newer one parked in pending, no loop consuming.
-	relay.events <- relayEvent{up: up, batch: queued}
-	relay.mu.Lock()
-	up.pending = &parked
-	relay.mu.Unlock()
-
-	if _, err := relay.RemoveUpstream("a"); err != nil {
-		t.Fatal(err)
-	}
-	if relay.MergedHead() != 3 {
-		t.Fatalf("merged head %d after removal, want 3 (queued + parked)", relay.MergedHead())
-	}
-	recs, missed := drainMergedFeed(t, relay, 3)
-	if missed != 0 {
-		t.Fatalf("missed %d", missed)
-	}
-	for i, want := range []int64{1, 2, 3} {
-		if recs[i].Time.UnixNano() != want {
-			t.Fatalf("record %d carries marker %d, want %d (out-of-order absorb)", i, recs[i].Time.UnixNano(), want)
+	forEachKind(t, func(t *testing.T, k lifecycleKind) {
+		relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
+		first := newScript()
+		if err := k.add(relay, "a", first); err != nil {
+			t.Fatal(err)
 		}
-	}
+		relay.mu.Lock()
+		up := k.set(relay).byName["a"]
+		relay.mu.Unlock()
 
-	// And a later Run over the freed name must not resurrect anything.
-	hb := newTestHB(t)
-	if err := relay.AddUpstream("a", observer.HeartbeatStream(hb)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); relay.Run(ctx) }()
-	defer func() { cancel(); <-done; relay.Close() }()
-	beatN(hb, 5)
-	waitMergedHead(t, relay, 8)
-	if relay.MergedHead() != 8 {
-		t.Fatalf("merged head %d, want 8", relay.MergedHead())
-	}
+		// The exact state a cancelled Run leaves: an older delivery still
+		// queued in the event channel, a newer one parked in pending, no loop
+		// consuming.
+		relay.events <- k.event(up, 1)
+		parked := k.event(up, 2)
+		relay.mu.Lock()
+		up.pending = &parked
+		relay.mu.Unlock()
+
+		if err := k.remove(relay, "a"); err != nil {
+			t.Fatal(err)
+		}
+		if got := k.absorbed(relay); !reflect.DeepEqual(got, []int{1, 2}) {
+			t.Fatalf("absorbed %v after removal, want [1 2] (queued, then parked)", got)
+		}
+		if !first.isClosed() {
+			t.Fatal("removed upstream's stream was not closed")
+		}
+
+		// And a later Run over the freed name must not resurrect anything.
+		second := newScript()
+		if err := k.add(relay, "a", second); err != nil {
+			t.Fatalf("re-adding removed name: %v", err)
+		}
+		runRelay(t, relay)
+		second.deliveries <- 3
+		waitAbsorbed(t, k, relay, []int{1, 2, 3})
+	})
 }
 
-// Satellite regression: a terminally rejected upstream is retired through
-// the removal path — stream released, name reusable — instead of leaking in
-// r.ups forever.
-func TestRelayRetiredRejectedNameReusable(t *testing.T) {
-	relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
-	defer relay.Close()
-	if err := relay.AddUpstream("gone", rejectedStream{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); relay.Run(ctx) }()
-	defer func() { cancel(); <-done }()
-
-	// Retirement now frees the name; before the leak fix the registration
-	// stayed in Apps() until relay Close.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(relay.Apps()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("rejected upstream still registered: %v", relay.Apps())
+// Removal while Run is live cannot drain the event channel itself (Run is
+// its only consumer): it goes through the gate sentinel, and everything the
+// pump consumed before the removal — queued or parked — is absorbed by the
+// time the removal returns. The freed name then starts a new registration
+// life.
+func TestRelayRemoveWhileRunning(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k lifecycleKind) {
+		relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
+		first := newScript()
+		if err := k.add(relay, "a", first); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		runRelay(t, relay)
+		first.deliveries <- 1
+		waitAbsorbed(t, k, relay, []int{1})
+		// The pump holds delivery 2 the moment this send returns; whether it
+		// queues or parks it is the race the removal must win either way.
+		first.deliveries <- 2
+		relay.mu.Lock()
+		live := relay.runDone != nil
+		relay.mu.Unlock()
+		if !live {
+			t.Fatal("Run loop not live: the removal would not exercise the gate")
+		}
+		if err := k.remove(relay, "a"); err != nil {
+			t.Fatal(err)
+		}
+		if got := k.absorbed(relay); !reflect.DeepEqual(got, []int{1, 2}) {
+			t.Fatalf("absorbed %v when the removal returned, want [1 2]", got)
+		}
+		if !first.isClosed() {
+			t.Fatal("removed upstream's stream was not closed")
+		}
+		if err := k.remove(relay, "a"); err == nil || !strings.Contains(err.Error(), "unknown "+k.set(relay).kind+` "a"`) {
+			t.Fatalf("second removal: %v, want unknown %s", err, k.set(relay).kind)
+		}
 
-	hb := newTestHB(t)
-	if err := relay.AddUpstream("gone", observer.HeartbeatStream(hb)); err != nil {
-		t.Fatalf("re-adding retired name: %v", err)
-	}
-	beatN(hb, 20)
-	waitMergedHead(t, relay, 20)
+		second := newScript()
+		if err := k.add(relay, "a", second); err != nil {
+			t.Fatalf("re-adding removed name: %v", err)
+		}
+		second.deliveries <- 3
+		waitAbsorbed(t, k, relay, []int{1, 2, 3})
+		k.readded(t, relay)
+	})
+}
+
+// A stream that ends retires its registration: everything it delivered is
+// kept, the stream is closed, and the name is free.
+func TestRelayEOFRetires(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k lifecycleKind) {
+		relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
+		s := newScript()
+		if err := k.add(relay, "a", s); err != nil {
+			t.Fatal(err)
+		}
+		runRelay(t, relay)
+		s.deliveries <- 1
+		s.end(io.EOF)
+		waitRetired(t, k, relay, "a")
+		if got := k.absorbed(relay); !reflect.DeepEqual(got, []int{1}) {
+			t.Fatalf("absorbed %v, want [1]", got)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !s.isClosed() { // closed right after the name is freed
+			if time.Now().After(deadline) {
+				t.Fatal("ended upstream's stream was not closed")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err := k.add(relay, "a", newScript()); err != nil {
+			t.Fatalf("re-adding retired name: %v", err)
+		}
+	})
+}
+
+// Satellite regression: a terminally rejected upstream is reported once and
+// retired through the removal path — stream released, name reusable —
+// instead of leaking in the registration set (and being re-reported every
+// interval) forever.
+func TestRelayRetiredRejectedNameReusable(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k lifecycleKind) {
+		type report struct {
+			name string
+			err  error
+		}
+		reports := make(chan report, 16)
+		relay := NewRelay(
+			WithRollupInterval(10*time.Millisecond),
+			WithRelayOnError(func(name string, err error) { reports <- report{name, err} }),
+		)
+		s := newScript()
+		s.end(fmt.Errorf("%w by server: feed gone", ErrRejected))
+		if err := k.add(relay, "gone", s); err != nil {
+			t.Fatal(err)
+		}
+		runRelay(t, relay)
+		waitRetired(t, k, relay, "gone")
+		select {
+		case r := <-reports:
+			if r.name != "gone" || !errors.Is(r.err, ErrRejected) {
+				t.Fatalf("reported %q: %v, want gone: ErrRejected", r.name, r.err)
+			}
+		default:
+			t.Fatal("rejection retired without being reported")
+		}
+
+		second := newScript()
+		if err := k.add(relay, "gone", second); err != nil {
+			t.Fatalf("re-adding retired name: %v", err)
+		}
+		second.deliveries <- 1
+		waitAbsorbed(t, k, relay, []int{1})
+		// Many intervals later: no re-reports.
+		time.Sleep(50 * time.Millisecond)
+		if n := len(reports); n != 0 {
+			t.Fatalf("rejected upstream re-reported %d times", n)
+		}
+	})
+}
+
+// The lifecycle's refusals name the kind they refused.
+func TestRelayUpstreamErrorsNameKind(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k lifecycleKind) {
+		relay := NewRelay()
+		defer relay.Close()
+		kind := k.set(relay).kind
+		if k.name == "rollup" && kind != "rollup upstream" {
+			t.Fatalf("rollup kind is %q", kind)
+		}
+		wantErr := func(err error, text string) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), text) {
+				t.Fatalf("got %v, want an error containing %q", err, text)
+			}
+		}
+		wantErr(k.remove(relay, "x"), "unknown "+kind+` "x"`)
+		if err := k.add(relay, "a", newScript()); err != nil {
+			t.Fatal(err)
+		}
+		wantErr(k.add(relay, "a", newScript()), "duplicate "+kind+` "a"`)
+		wantErr(k.add(relay, strings.Repeat("n", maxFeedName+1), newScript()), kind+" name exceeds")
+		relay.mu.Lock()
+		k.set(relay).byName["a"].removing = true
+		relay.mu.Unlock()
+		wantErr(k.remove(relay, "a"), kind+` "a" already being removed`)
+	})
 }
 
 // Tentpole: cursor-preserving migration of a dialed upstream. The producer

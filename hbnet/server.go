@@ -2,7 +2,6 @@ package hbnet
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -276,7 +275,10 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// serveConn runs one subscriber: handshake, replay-then-live-push, done.
+// serveConn runs one subscriber: handshake, open, welcome, watch, then the
+// replay-then-live push loop — the same sequence for a raw feed, an
+// encode-once ring feed and a rollup feed, which differ only in how
+// feedEntry.open produces the next frame's bytes.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	if s.handshakeTimeout > 0 {
 		conn.SetReadDeadline(heartbeat.Now(s.clk).Add(s.handshakeTimeout))
@@ -301,21 +303,20 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 		s.writeTimed(conn, appendError(nil, "hbnet: "+err.Error(), true))
 		return err
 	}
+	kind := ""
 	if entry.rollup != nil {
-		return s.serveRollup(ctx, conn, name, entry.rollup, since)
+		kind = "rollup "
 	}
-	stream, err := entry.raw(ctx, since)
+	frames, src, err := entry.open(ctx, since)
 	if err != nil {
 		// Not permanent: the feed exists but failed to open — a file
 		// mid-recreation heals, so the subscriber should keep retrying.
 		s.writeTimed(conn, appendError(nil, err.Error(), false))
 		return err
 	}
-	defer func() {
-		if c, ok := stream.(io.Closer); ok {
-			c.Close()
-		}
-	}()
+	if c, ok := src.(io.Closer); ok {
+		defer c.Close()
+	}
 	if err := s.writeTimed(conn, appendWelcome(nil, since)); err != nil {
 		return fmt.Errorf("writing welcome: %w", err)
 	}
@@ -325,19 +326,8 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	defer cancel()
 	defer unwatch()
 
-	if fs, ok := stream.(frameStream); ok {
-		return s.serveFrames(ctx, conn, name, fs)
-	}
-
-	cursor := since
-	buf := make([]byte, 0, 4096)
-	// The encode loop never retains records past appendBatch, so streams
-	// that can reuse their record storage (BatchRecycler) get each batch
-	// back as soon as its bytes are framed — the server side of the same
-	// recycling contract the Relay pump uses on its upstream clients.
-	rec, _ := stream.(BatchRecycler)
 	for {
-		b, err := stream.Next(ctx)
+		fb, err := frames.NextFrame(ctx)
 		switch {
 		case err == nil:
 		case errors.Is(err, io.EOF):
@@ -346,90 +336,10 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 		case ctx.Err() != nil:
 			return nil // subscriber went away or server closed: not a failure
 		default:
-			s.writeTimed(conn, appendError(nil, err.Error(), false))
-			return fmt.Errorf("feed %q: %w", name, err)
-		}
-		if len(b.Records) <= maxRecordsPerFrame {
-			// The steady-state push: one reused buffer, one Write, no
-			// per-batch allocation (the length prefix is encoded in place).
-			cursor = advanceCursor(cursor, b)
-			buf = appendBatch(append(buf[:0], 0, 0, 0, 0), b, cursor)
-			if len(buf)-4 > maxFramePayload {
-				// Cannot happen with the record cap; guard it with a
-				// visible, permanent error rather than a silent livelock.
-				s.writeTimed(conn, appendError(nil, errFrameTooLarge.Error(), true))
-				return fmt.Errorf("feed %q: %w", name, errFrameTooLarge)
-			}
-			binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-			if rec != nil {
-				rec.Recycle(b)
-			}
-			if err := s.writeRaw(conn, buf); err != nil {
-				if ctx.Err() != nil {
-					return nil
-				}
-				return fmt.Errorf("writing batch: %w", err)
-			}
-			continue
-		}
-		// A huge replay (a subscriber dialing from 0 against a very large
-		// retained history arrives as ONE batch) must not exceed the frame
-		// cap — aborting would make the client redial from the same cursor
-		// and rebuild the same batch forever. Split the records across
-		// frames and flush them in one vectored write; the cursor advances
-		// per chunk, so even a disconnect mid-split resumes exactly.
-		var group net.Buffers
-		recs := b.Records
-		for first := true; len(recs) > 0; first = false {
-			chunk := b
-			chunk.Records = recs
-			if len(recs) > maxRecordsPerFrame {
-				chunk.Records = recs[:maxRecordsPerFrame]
-			}
-			recs = recs[len(chunk.Records):]
-			if !first {
-				chunk.Missed = 0 // lapped records are reported once
-			}
-			cursor = advanceCursor(cursor, chunk)
-			cb := appendBatch(make([]byte, 4, 4+len(chunk.Records)*8), chunk, cursor)
-			if len(cb)-4 > maxFramePayload {
-				s.writeTimed(conn, appendError(nil, errFrameTooLarge.Error(), true))
-				return fmt.Errorf("feed %q: %w", name, errFrameTooLarge)
-			}
-			binary.BigEndian.PutUint32(cb, uint32(len(cb)-4))
-			group = append(group, cb)
-		}
-		if rec != nil {
-			rec.Recycle(b)
-		}
-		if err := s.writeBuffers(conn, &group); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("writing batch: %w", err)
-		}
-	}
-}
-
-// serveFrames is serveConn's push loop on the encode-once fast path: the
-// stream hands each delivery over as a pre-encoded, ref-counted frame
-// shared with every other subscriber at the same cursor, and the server
-// writes the identical bytes to each connection — no per-connection
-// encode, no per-connection buffer. The stream advances its own cursor
-// (the frame embeds it), so resume semantics are unchanged.
-func (s *Server) serveFrames(ctx context.Context, conn net.Conn, name string, stream frameStream) error {
-	for {
-		fb, err := stream.NextFrame(ctx)
-		switch {
-		case err == nil:
-		case errors.Is(err, io.EOF):
-			s.writeTimed(conn, []byte{frameEOF})
-			return nil
-		case ctx.Err() != nil:
-			return nil // subscriber went away or server closed: not a failure
-		default:
-			s.writeTimed(conn, appendError(nil, err.Error(), false))
-			return fmt.Errorf("feed %q: %w", name, err)
+			// A frame over the cap is permanent: redialing from the same
+			// cursor would rebuild the same frame forever.
+			s.writeTimed(conn, appendError(nil, err.Error(), errors.Is(err, errFrameTooLarge)))
+			return fmt.Errorf("%sfeed %q: %w", kind, name, err)
 		}
 		werr := s.writeRaw(conn, fb.data)
 		fb.release()
@@ -437,7 +347,7 @@ func (s *Server) serveFrames(ctx context.Context, conn net.Conn, name string, st
 			if ctx.Err() != nil {
 				return nil
 			}
-			return fmt.Errorf("writing batch: %w", werr)
+			return fmt.Errorf("writing %sbatch: %w", kind, werr)
 		}
 	}
 }
@@ -458,60 +368,6 @@ func (s *Server) watchSubscriber(ctx context.Context, conn net.Conn) (context.Co
 		cancel()
 	}()
 	return ctx, cancel, func() { conn.Close(); <-watchDone }
-}
-
-// serveRollup runs one rollup subscriber: same shape as the raw path, but
-// each delivery is one rollup frame (the ring bounds batch sizes, so no
-// frame splitting is needed).
-func (s *Server) serveRollup(ctx context.Context, conn net.Conn, name string, feed RollupFeed, since uint64) error {
-	stream, err := feed(ctx, since)
-	if err != nil {
-		s.writeTimed(conn, appendError(nil, err.Error(), false))
-		return err
-	}
-	defer func() {
-		if c, ok := stream.(io.Closer); ok {
-			c.Close()
-		}
-	}()
-	if err := s.writeTimed(conn, appendWelcome(nil, since)); err != nil {
-		return fmt.Errorf("writing welcome: %w", err)
-	}
-	conn.SetReadDeadline(time.Time{})
-
-	ctx, cancel, unwatch := s.watchSubscriber(ctx, conn)
-	defer cancel()
-	defer unwatch()
-
-	buf := make([]byte, 0, 4096)
-	for {
-		rb, err := stream.Next(ctx)
-		switch {
-		case err == nil:
-		case errors.Is(err, io.EOF):
-			s.writeTimed(conn, []byte{frameEOF})
-			return nil
-		case ctx.Err() != nil:
-			return nil // subscriber went away or server closed: not a failure
-		default:
-			s.writeTimed(conn, appendError(nil, err.Error(), false))
-			return fmt.Errorf("rollup feed %q: %w", name, err)
-		}
-		buf = appendRollups(append(buf[:0], 0, 0, 0, 0), rb)
-		if len(buf)-4 > maxFramePayload {
-			// Cannot happen with the per-batch rollup cap; guard it with a
-			// visible, permanent error rather than a silent livelock.
-			s.writeTimed(conn, appendError(nil, errFrameTooLarge.Error(), true))
-			return fmt.Errorf("rollup feed %q: %w", name, errFrameTooLarge)
-		}
-		binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-		if err := s.writeRaw(conn, buf); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("writing rollup batch: %w", err)
-		}
-	}
 }
 
 // advanceCursor computes the resume cursor after delivering b. For real
@@ -561,19 +417,6 @@ func (s *Server) writeRaw(conn net.Conn, framed []byte) error {
 		conn.SetWriteDeadline(heartbeat.Now(s.clk).Add(s.writeTimeout))
 	}
 	_, err := conn.Write(framed)
-	if s.writeTimeout > 0 {
-		conn.SetWriteDeadline(time.Time{})
-	}
-	return err
-}
-
-// writeBuffers writes a group of already-framed buffers under the write
-// timeout in one vectored write (writev, on platforms that batch it).
-func (s *Server) writeBuffers(conn net.Conn, group *net.Buffers) error {
-	if s.writeTimeout > 0 {
-		conn.SetWriteDeadline(heartbeat.Now(s.clk).Add(s.writeTimeout))
-	}
-	_, err := group.WriteTo(conn)
 	if s.writeTimeout > 0 {
 		conn.SetWriteDeadline(time.Time{})
 	}

@@ -1,150 +1,35 @@
 package hbshm
 
 import (
-	"context"
-	"errors"
-	"io"
-	"sync"
 	"time"
 
 	"repro/heartbeat"
 	"repro/observer"
 )
 
-// maxStreamBatch pages very large backlogs so one Next never materializes
-// more records than the wire layer would accept in a single frame.
-const maxStreamBatch = 1 << 16
-
-// Stream adapts a Reader to observer.Stream: an incremental, cursor-based
-// view with the same replay-resync-loss semantics as every other stream
-// in the system — records newer than the cursor delivered oldest to
-// newest, lapped records surfacing exactly once as Missed, a recreated
-// region resynchronizing from the start, io.EOF once the writer closed
-// and everything published was delivered. The idle tick is one atomic
-// load of the shared head word every poll interval.
-//
-// Like every Stream, it is a single-consumer cursor: calls to Next must
-// not overlap. A consumer done with each batch before the next Next can
-// hand it back with Recycle, making the whole observation path
-// allocation-free.
-var _ observer.Stream = (*Stream)(nil)
-
+// Stream adapts a Reader to observer.Stream: the polled cursor loop every
+// medium without a wake-up channel shares (observer.ReaderStream), so it
+// has the same replay-resync-loss semantics as every other stream in the
+// system — records newer than the cursor delivered oldest to newest, lapped
+// records surfacing exactly once as Missed, a recreated region
+// resynchronizing from the start, io.EOF once the writer closed and
+// everything published was delivered. The idle tick is one atomic load of
+// the shared head word every poll interval; Recycle makes the observation
+// path allocation-free. What Stream adds is ownership: Close releases the
+// reader's mapping.
 type Stream struct {
-	r      *Reader
-	poll   time.Duration
-	cursor uint64
-	clk    heartbeat.Clock // nil = wall clock; paces the idle-tick waits
-
-	// free is the recycled record slice (Recycle); see the hbnet client's
-	// recycler for the contract. Guarded by freeMu: Recycle may be called
-	// from the goroutine that consumed the batch.
-	freeMu sync.Mutex
-	free   []heartbeat.Record
+	*observer.PolledStream
+	r *Reader
 }
+
+var _ observer.Stream = (*Stream)(nil)
 
 // StreamFrom returns a Stream over r resuming after sequence number since
 // (0 streams the retained history first). poll paces idle checks (<= 0
 // selects observer.DefaultPollInterval); clk interprets the waits (nil is
 // the wall clock — a virtual clock makes an idle tail a simulation event).
 func StreamFrom(r *Reader, poll time.Duration, since uint64, clk heartbeat.Clock) *Stream {
-	if poll <= 0 {
-		poll = observer.DefaultPollInterval
-	}
-	return &Stream{r: r, poll: poll, cursor: since, clk: clk}
-}
-
-// Next implements observer.Stream.
-func (s *Stream) Next(ctx context.Context) (observer.Batch, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for {
-		b, ok, err := s.step()
-		if err != nil {
-			return observer.Batch{}, err
-		}
-		if ok {
-			return b, nil
-		}
-		// Check cancellation before arming a poll timer: a Next that is
-		// already cancelled costs one head load, not a timer allocation.
-		select {
-		case <-ctx.Done():
-			return observer.Batch{}, ctx.Err()
-		default:
-		}
-		select {
-		case <-ctx.Done():
-			return observer.Batch{}, ctx.Err()
-		case <-heartbeat.After(s.clk, s.poll):
-		}
-	}
-}
-
-// step performs one non-blocking cursor check: (batch, true, nil) when new
-// records (or a detected loss) advanced the cursor, (zero, false, nil) on
-// an idle tick, io.EOF at stream end.
-func (s *Stream) step() (observer.Batch, bool, error) {
-	s.freeMu.Lock()
-	buf := s.free
-	s.free = nil
-	s.freeMu.Unlock()
-	putBack := func() {
-		s.freeMu.Lock()
-		if s.free == nil {
-			s.free = buf
-		}
-		s.freeMu.Unlock()
-	}
-	for {
-		recs, cur, err := s.r.ReadSinceInto(s.cursor, maxStreamBatch, buf)
-		if err != nil {
-			putBack() // EOF and failures deliver no records: keep the buffer
-			if errors.Is(err, io.EOF) {
-				return observer.Batch{}, false, io.EOF
-			}
-			return observer.Batch{}, false, err
-		}
-		if cur < s.cursor {
-			// The region's head is behind the cursor: the region was
-			// recreated by a restarted producer, or the cursor came from a
-			// previous life of it. Resynchronize from the beginning
-			// (parity with fileStream and Subscription); the records
-			// between the two lives are unknowable, so not Missed.
-			s.cursor = 0
-			continue
-		}
-		if cur == s.cursor {
-			putBack() // idle tick: keep the buffer for the next delivery
-			return observer.Batch{}, false, nil
-		}
-		min, max, ok, terr := s.r.Target()
-		if terr != nil {
-			putBack()
-			return observer.Batch{}, false, terr
-		}
-		b := observer.Batch{Records: recs, Count: cur, Window: s.r.Window(),
-			TargetMin: min, TargetMax: max, TargetSet: ok}
-		if d := cur - s.cursor; d > uint64(len(recs)) {
-			b.Missed = d - uint64(len(recs))
-		}
-		s.cursor = cur
-		return b, true, nil
-	}
-}
-
-// Recycle hands a delivered batch's record slice back for reuse by the
-// next Next (the recycling contract hbnet.BatchRecycler names). Only call
-// it when the batch is completely consumed.
-func (s *Stream) Recycle(b observer.Batch) {
-	if cap(b.Records) == 0 {
-		return
-	}
-	s.freeMu.Lock()
-	if s.free == nil {
-		s.free = b.Records[:0]
-	}
-	s.freeMu.Unlock()
+	return &Stream{observer.ReaderStream(r, poll, since, clk), r}
 }
 
 // Close releases the underlying reader's mapping.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cursor"
 )
 
 // ErrClosed is returned by Subscription.Next once the Heartbeat has been
@@ -213,25 +215,22 @@ func (s *Subscription) Poll() ([]Record, bool) {
 // PollInto is Poll decoding into buf when its capacity suffices (nil buf
 // allocates, exactly like Poll); see ReadSinceInto.
 func (s *Subscription) PollInto(buf []Record) ([]Record, bool) {
-	recs, cur := s.h.ReadSinceInto(s.cursor, buf)
-	if cur < s.cursor {
-		// The history's head is behind the cursor: this subscription was
-		// resumed (SubscribeFrom) with a cursor from a previous life of
-		// the producer, whose sequence numbers restarted. Resynchronize
-		// from the beginning — the stream-side resync pollStream and
-		// fileStream already do — rather than stall silently until the
-		// new history happens to pass the old cursor. The records between
-		// the two lives are unknowable, so they are not counted as
-		// Missed.
-		s.cursor = 0
-		recs, cur = s.h.ReadSinceInto(0, buf)
+	for {
+		recs, head := s.h.ReadSinceInto(s.cursor, buf)
+		next, missed, move := cursor.Advance(s.cursor, head, len(recs))
+		s.cursor = next
+		switch move {
+		case cursor.Moved:
+			s.missed += missed
+			return recs, true
+		case cursor.Idle:
+			return nil, false
+		}
+		// Resync: this subscription was resumed (SubscribeFrom) with a
+		// cursor from a previous life of the producer; read the new life
+		// from its beginning rather than stall until it passes the old
+		// cursor.
 	}
-	if cur <= s.cursor {
-		return nil, false
-	}
-	s.missed += (cur - s.cursor) - uint64(len(recs))
-	s.cursor = cur
-	return recs, true
 }
 
 // Cursor returns the sequence number the subscription has consumed up to;

@@ -13,14 +13,14 @@ import (
 
 // FollowFile tails the heartbeat file at path — ring or append-only log,
 // detected automatically — surviving the file being deleted and recreated
-// by a restarted producer. A plain FileStream holds the inode it opened:
+// by a restarted producer. A plain ReaderStream holds the inode it opened:
 // once the producer recreates the path, the old reader tails a dead file
 // and the stream flatlines until the consumer reopens by hand. FollowFile
 // stats the path on idle ticks (a recreation can only surface when the old
 // file has gone quiet, so the stat costs nothing on the hot path) and,
 // when the path no longer names the opened file, reopens it and
 // resynchronizes — redelivering the new life's retained records exactly
-// like FileStreamFrom resuming against a recreated file.
+// like ReaderStream resuming against a recreated file.
 //
 // The initial open must succeed; after that, transient open failures (the
 // producer mid-recreation) are retried on the poll cadence rather than
@@ -31,7 +31,7 @@ func FollowFile(path string, poll time.Duration) (Stream, error) {
 }
 
 // FollowFileFrom is FollowFile with the cursor pre-positioned after
-// sequence number since (see FileStreamFrom).
+// sequence number since (see ReaderStream).
 func FollowFileFrom(path string, poll time.Duration, since uint64) (Stream, error) {
 	return FollowFileClock(path, poll, since, nil)
 }
@@ -51,14 +51,14 @@ func FollowFileClock(path string, poll time.Duration, since uint64, clk heartbea
 	return s, nil
 }
 
-// followStream wraps a fileStream with path-level recreation detection.
+// followStream wraps a PolledStream with path-level recreation detection.
 type followStream struct {
 	path   string
 	poll   time.Duration
 	cursor uint64          // carried across reopens
 	clk    heartbeat.Clock // nil = wall clock
 
-	fs     *fileStream // nil between a failed reopen and the next retry
+	fs     *PolledStream // nil between a failed reopen and the next retry
 	closer io.Closer
 	info   os.FileInfo // identity of the opened file, for os.SameFile
 	pool   recycler    // every fs decodes into it, so Recycle never touches fs
@@ -68,32 +68,34 @@ type followStream struct {
 // next Next (the BatchRecycler hook; see heartbeatStream.Recycle).
 func (s *followStream) Recycle(b Batch) { s.pool.put(b.Records) }
 
+// followedFile is what either hbfile reader variant offers a followStream.
+type followedFile interface {
+	PolledReader
+	Stat() (os.FileInfo, error)
+	Close() error
+}
+
 // open (re)opens the path, detecting the variant, and positions the new
 // reader at the carried cursor. The resynchronization against a shorter
-// new life happens inside fileStream.poll (head < cursor → resync to 0).
+// new life happens inside PolledStream.step (head < cursor → resync to 0).
 func (s *followStream) open() error {
-	if r, err := hbfile.Open(s.path); err == nil {
-		info, serr := r.Stat()
-		if serr != nil {
-			r.Close()
-			return serr
+	var r followedFile
+	if ring, err := hbfile.Open(s.path); err == nil {
+		r = ring
+	} else {
+		log, err := hbfile.OpenLog(s.path)
+		if err != nil {
+			return fmt.Errorf("observer: follow %s: %w", s.path, err)
 		}
-		fs := newRingFileStream(r, s.poll, s.cursor)
-		fs.clk, fs.pool = s.clk, &s.pool
-		s.fs, s.closer, s.info = fs, r, info
-		return nil
+		r = log
 	}
-	r, err := hbfile.OpenLog(s.path)
+	info, err := r.Stat()
 	if err != nil {
-		return fmt.Errorf("observer: follow %s: %w", s.path, err)
-	}
-	info, serr := r.Stat()
-	if serr != nil {
 		r.Close()
-		return serr
+		return err
 	}
-	fs := newLogFileStream(r, s.poll, s.cursor)
-	fs.clk, fs.pool = s.clk, &s.pool
+	fs := ReaderStream(r, s.poll, s.cursor, s.clk)
+	fs.pool = &s.pool
 	s.fs, s.closer, s.info = fs, r, info
 	return nil
 }
@@ -102,7 +104,7 @@ func (s *followStream) open() error {
 // the cursor to zero: the inode change proves the path is a new life whose
 // sequence space restarted, so the whole retained history of the successor
 // is due — a bare cursor carried over would silently skip any new-life
-// records numbered at or below it (the cursor-only resync in fileStream
+// records numbered at or below it (the cursor-only resync in PolledStream
 // can only catch the head falling BELOW the cursor; the stat gives this
 // stream strictly more information, so it uses it).
 func (s *followStream) restart() {
@@ -128,15 +130,12 @@ func (s *followStream) recreated() bool {
 }
 
 func (s *followStream) Next(ctx context.Context) (Batch, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for {
 		if s.fs == nil {
 			// A previous reopen failed (producer mid-recreation): retry on
 			// the poll cadence; the path healing is the only way forward.
 			if err := s.open(); err != nil {
-				if werr := s.wait(ctx); werr != nil {
+				if werr := waitPoll(ctx, s.clk, s.poll); werr != nil {
 					return Batch{}, werr
 				}
 				continue
@@ -163,18 +162,9 @@ func (s *followStream) Next(ctx context.Context) (Batch, error) {
 			s.restart()
 			continue
 		}
-		if err := s.wait(ctx); err != nil {
+		if err := waitPoll(ctx, s.clk, s.poll); err != nil {
 			return Batch{}, err
 		}
-	}
-}
-
-func (s *followStream) wait(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-heartbeat.After(s.clk, s.poll):
-		return nil
 	}
 }
 

@@ -211,8 +211,8 @@ func TestFileStreamsRecycleDecodeBuffer(t *testing.T) {
 		s Stream
 		w func() heartbeat.BatchSink
 	}{
-		"ring":   {FileStream(rr, time.Millisecond), func() heartbeat.BatchSink { return ring }},
-		"log":    {LogStream(lr, time.Millisecond), func() heartbeat.BatchSink { return lw }},
+		"ring":   {ReaderStream(rr, time.Millisecond, 0, nil), func() heartbeat.BatchSink { return ring }},
+		"log":    {ReaderStream(lr, time.Millisecond, 0, nil), func() heartbeat.BatchSink { return lw }},
 		"follow": {fs, func() heartbeat.BatchSink { return followed }},
 	} {
 		rec, ok := tc.s.(recycler)

@@ -14,7 +14,7 @@
 // applications into one loop with per-application Status fan-out. Native
 // streams exist for in-process heartbeats (HeartbeatStream — wakes on
 // flush, no polling) and for heartbeat files written by other processes
-// (FileStream, LogStream — idle ticks cost one cursor read); package
+// and shared memory (ReaderStream — idle ticks cost one cursor read); package
 // hbnet carries the same streams across machines (hbnet.Client satisfies
 // Stream, so hubs and monitors take remote sources unchanged).
 //

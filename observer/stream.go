@@ -7,8 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/hbfile"
 	"repro/heartbeat"
+	"repro/internal/cursor"
 )
 
 // DefaultPollInterval paces the cursor checks of streams that observe a
@@ -225,79 +225,49 @@ func (s *heartbeatStream) Close() error {
 	return nil
 }
 
-// FileStream streams a heartbeat ring file written by another process: the
-// external-observation path of Figure 1(b), incrementally. Idle ticks cost
-// one 8-byte cursor read every poll interval (poll <= 0 selects
-// DefaultPollInterval); new records are read and decoded exactly once.
-func FileStream(r *hbfile.Reader, poll time.Duration) Stream {
-	return FileStreamFrom(r, poll, 0)
+// PolledReader is a medium observed by cursor with no wake-up channel: a
+// ring file, an append-only log, a shared-memory region. ReadSinceInto
+// returns up to max records newer than since (decoded into buf when its
+// capacity suffices) plus the position consumed up to — the medium's head
+// when nothing bounded the read; io.EOF means the producer closed the
+// medium and everything was delivered. hbfile.Reader, hbfile.LogReader and
+// hbshm.Reader all have this shape.
+type PolledReader interface {
+	ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error)
+	Window() int
+	Target() (min, max float64, ok bool, err error)
 }
 
-// FileStreamFrom is FileStream with the cursor pre-positioned after
-// sequence number since — records at or before since are never delivered,
-// and records published beyond since but already overwritten count as
-// Missed. It is how a disconnected consumer of a ring file resumes without
-// re-reading (or double-counting) what it already saw.
-func FileStreamFrom(r *hbfile.Reader, poll time.Duration, since uint64) Stream {
-	return newRingFileStream(r, poll, since)
-}
+// maxPolledBatch pages very large backlogs so one Next never materializes
+// more records than the wire layer would accept in a single frame.
+const maxPolledBatch = 1 << 16
 
-// FileStreamClock is FileStreamFrom on an explicit clock: poll waits run
-// on clk's time (virtual for a sim clock), so an idle tail is a
-// simulation event instead of a host sleep. A nil clk is the wall clock.
-func FileStreamClock(r *hbfile.Reader, poll time.Duration, since uint64, clk heartbeat.Clock) Stream {
-	s := newRingFileStream(r, poll, since)
-	s.clk = clk
-	return s
-}
-
-// newRingFileStream is the one place the ring-file cursor loop is wired
-// up (FileStreamFrom and followStream.open share it).
-func newRingFileStream(r *hbfile.Reader, poll time.Duration, since uint64) *fileStream {
+// ReaderStream streams a PolledReader: the external-observation path of
+// Figure 1(b), incrementally, and the one polled cursor loop behind ring
+// files, logs and shared memory alike. The cursor starts after sequence
+// number since (0 streams the retained history first): records at or before
+// it are never delivered, records published beyond it but already
+// overwritten count as Missed, and a head below it — a recreated medium —
+// resynchronizes from the start. That is how a disconnected consumer
+// resumes without re-reading or double-counting. Idle ticks cost one cursor
+// read every poll interval (poll <= 0 selects DefaultPollInterval) on clk's
+// time (nil is the wall clock; a virtual clock makes an idle tail a
+// simulation event); new records are read and decoded exactly once. The
+// caller keeps ownership of r.
+func ReaderStream(r PolledReader, poll time.Duration, since uint64, clk heartbeat.Clock) *PolledStream {
 	if poll <= 0 {
 		poll = DefaultPollInterval
 	}
-	return &fileStream{read: r.ReadSinceInto, window: r.Window, target: r.Target, poll: poll, cursor: since, pool: new(recycler)}
+	return &PolledStream{r: r, poll: poll, cursor: since, clk: clk, pool: new(recycler)}
 }
 
-// LogStream streams an append-only heartbeat log (hbfile.LogReader),
-// tailing appended records without ever re-reading delivered ones. Large
-// backlogs are paged in bounded batches; poll <= 0 selects
-// DefaultPollInterval.
-func LogStream(r *hbfile.LogReader, poll time.Duration) Stream {
-	return LogStreamFrom(r, poll, 0)
-}
-
-// LogStreamFrom is LogStream resuming after sequence number since (see
-// FileStreamFrom).
-func LogStreamFrom(r *hbfile.LogReader, poll time.Duration, since uint64) Stream {
-	return newLogFileStream(r, poll, since)
-}
-
-// LogStreamClock is LogStreamFrom on an explicit clock (see
-// FileStreamClock).
-func LogStreamClock(r *hbfile.LogReader, poll time.Duration, since uint64, clk heartbeat.Clock) Stream {
-	s := newLogFileStream(r, poll, since)
-	s.clk = clk
-	return s
-}
-
-// newLogFileStream is newRingFileStream's append-only-log counterpart;
-// the max bound pages large backlogs in batches.
-func newLogFileStream(r *hbfile.LogReader, poll time.Duration, since uint64) *fileStream {
-	if poll <= 0 {
-		poll = DefaultPollInterval
-	}
-	return &fileStream{read: r.ReadSinceInto, window: r.Window, target: r.Target, poll: poll, max: 65536, cursor: since, pool: new(recycler)}
-}
-
-// fileStream is the shared cursor loop over either hbfile reader variant.
-type fileStream struct {
-	read   func(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error)
-	window func() int
-	target func() (min, max float64, ok bool, err error)
+// PolledStream is the Stream ReaderStream returns. Like every Stream it is
+// a single-consumer cursor; a consumer done with each batch before the next
+// Next can hand it back with Recycle, making the whole observation path
+// allocation-free.
+type PolledStream struct {
+	r      PolledReader
 	poll   time.Duration
-	max    int
 	cursor uint64
 	clk    heartbeat.Clock // nil = wall clock; paces the idle-tick waits
 	pool   *recycler       // the decode buffer; a followStream shares its own across reopens
@@ -305,12 +275,10 @@ type fileStream struct {
 
 // Recycle hands a delivered batch's record slice back for reuse by the
 // next Next (the BatchRecycler hook; see heartbeatStream.Recycle).
-func (s *fileStream) Recycle(b Batch) { s.pool.put(b.Records) }
+func (s *PolledStream) Recycle(b Batch) { s.pool.put(b.Records) }
 
-func (s *fileStream) Next(ctx context.Context) (Batch, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Next implements Stream.
+func (s *PolledStream) Next(ctx context.Context) (Batch, error) {
 	for {
 		b, ok, err := s.step()
 		if err != nil {
@@ -319,11 +287,27 @@ func (s *fileStream) Next(ctx context.Context) (Batch, error) {
 		if ok {
 			return b, nil
 		}
-		select {
-		case <-ctx.Done():
-			return Batch{}, ctx.Err()
-		case <-heartbeat.After(s.clk, s.poll):
+		if err := waitPoll(ctx, s.clk, s.poll); err != nil {
+			return Batch{}, err
 		}
+	}
+}
+
+// waitPoll sits out one idle tick. Cancellation is checked before arming
+// the poll timer: a Next that is already cancelled — the non-blocking
+// drain — costs one cursor read, not a timer allocation.
+func waitPoll(ctx context.Context, clk heartbeat.Clock, poll time.Duration) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-heartbeat.After(clk, poll):
+		return nil
 	}
 }
 
@@ -331,59 +315,51 @@ func (s *fileStream) Next(ctx context.Context) (Batch, error) {
 // records (or a detected loss) advanced the cursor, (zero, false, nil) on
 // an idle tick. followStream interleaves these checks with recreation
 // stats, which is why the step is separate from the waiting loop.
-func (s *fileStream) step() (Batch, bool, error) {
+func (s *PolledStream) step() (Batch, bool, error) {
 	buf := s.pool.take()
 	for {
-		recs, cur, err := s.read(s.cursor, s.max, buf)
+		recs, head, err := s.r.ReadSinceInto(s.cursor, maxPolledBatch, buf)
 		if err != nil {
-			s.pool.put(buf) // a failure delivers no records: keep the buffer
+			s.pool.put(buf) // EOF and failures deliver no records: keep the buffer
 			return Batch{}, false, err
 		}
-		if cur < s.cursor {
-			// The file's head is behind the cursor: the file was
-			// recreated by a restarted producer (or the cursor came from
-			// another life of it, the FileStreamFrom resume case).
-			// Resynchronize from the beginning — parity with the
-			// in-process Subscription resync — rather than silently
-			// skipping the new life's records until it passes the old
-			// cursor. The records between the two lives are unknowable,
-			// so they are not counted as Missed.
-			s.cursor = 0
+		next, missed, move := cursor.Advance(s.cursor, head, len(recs))
+		switch move {
+		case cursor.Resync:
+			// The medium was recreated by a restarted producer (or the
+			// cursor came from another life of it): read the new life
+			// from its beginning.
+			s.cursor = next
 			continue
-		}
-		if cur == s.cursor {
-			s.pool.put(buf) // idle tick: keep the buffer for the next delivery
+		case cursor.Idle:
+			s.pool.put(buf) // keep the buffer for the next delivery
 			return Batch{}, false, nil
 		}
 		// Read the target before advancing the cursor: an error here
 		// must leave the cursor in place so the retry re-delivers the
 		// records instead of silently dropping them.
-		min, max, ok, terr := s.target()
+		min, max, ok, terr := s.r.Target()
 		if terr != nil {
 			s.pool.put(recs) // buf, or what replaced it when it was too small
 			return Batch{}, false, terr
 		}
-		b := Batch{Records: recs, Count: cur, Window: s.window(),
-			TargetMin: min, TargetMax: max, TargetSet: ok}
-		if d := cur - s.cursor; d > uint64(len(recs)) {
-			b.Missed = d - uint64(len(recs))
-		}
-		s.cursor = cur
-		return b, true, nil
+		s.cursor = next
+		return Batch{Records: recs, Count: head, Window: s.r.Window(),
+			TargetMin: min, TargetMax: max, TargetSet: ok, Missed: missed}, true, nil
 	}
 }
 
 // PollStream adapts any Source to the Stream interface by polling
 // snapshots and forwarding only records newer than the cursor. It is the
 // compatibility fallback: each check still pays the source's full snapshot
-// cost, so native streams (HeartbeatStream, FileStream, LogStream) are
+// cost, so native streams (HeartbeatStream, ReaderStream) are
 // preferred wherever they apply — StreamOf picks them automatically.
 // poll <= 0 selects DefaultPollInterval.
 func PollStream(src Source, poll time.Duration) Stream {
 	return PollStreamClock(src, poll, nil)
 }
 
-// PollStreamClock is PollStream on an explicit clock (see FileStreamClock);
+// PollStreamClock is PollStream on an explicit clock (see ReaderStream);
 // a nil clk is the wall clock.
 func PollStreamClock(src Source, poll time.Duration, clk heartbeat.Clock) Stream {
 	if poll <= 0 {
@@ -400,9 +376,6 @@ type pollStream struct {
 }
 
 func (s *pollStream) Next(ctx context.Context) (Batch, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for {
 		snap, err := s.src.Snapshot(0)
 		if err != nil {
@@ -452,10 +425,8 @@ func (s *pollStream) Next(ctx context.Context) (Batch, error) {
 				TargetSet: snap.TargetSet,
 			}, nil
 		}
-		select {
-		case <-ctx.Done():
-			return Batch{}, ctx.Err()
-		case <-heartbeat.After(s.clk, s.poll):
+		if err := waitPoll(ctx, s.clk, s.poll); err != nil {
+			return Batch{}, err
 		}
 	}
 }
@@ -480,9 +451,9 @@ func StreamOfClock(src Source, poll time.Duration, clk heartbeat.Clock) Stream {
 	case hbSource:
 		return HeartbeatStream(s.hb)
 	case fileSource:
-		return FileStreamClock(s.r, poll, 0, clk)
+		return ReaderStream(s.r, poll, 0, clk)
 	case logSource:
-		return LogStreamClock(s.r, poll, 0, clk)
+		return ReaderStream(s.r, poll, 0, clk)
 	default:
 		return PollStreamClock(src, poll, clk)
 	}

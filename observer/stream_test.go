@@ -69,7 +69,7 @@ func TestFileStreamTailsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	st := observer.FileStream(r, time.Millisecond)
+	st := observer.ReaderStream(r, time.Millisecond, 0, nil)
 	b, err := st.Next(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestFileStreamFromFutureCursorResynchronizes(t *testing.T) {
 	}
 	defer r.Close()
 	// The consumer's cursor predates this file's life entirely.
-	st := observer.FileStreamFrom(r, time.Millisecond, 100)
+	st := observer.ReaderStream(r, time.Millisecond, 100, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for delivered := 0; delivered < 5; {
@@ -162,7 +162,7 @@ func TestLogStreamTailsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	st := observer.LogStream(r, time.Millisecond)
+	st := observer.ReaderStream(r, time.Millisecond, 0, nil)
 	b, err := st.Next(context.Background())
 	if err != nil || len(b.Records) != 4 || b.Count != 4 {
 		t.Fatalf("log batch = %+v, err %v", b, err)
