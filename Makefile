@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet analyze build build-extras test race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs apicount bench-short bench bench-compare bench-net bench-relay bench-shm bench-balance benchgate
+.PHONY: ci vet analyze build build-extras test race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs apicount bench-short bench bench-net bench-relay bench-shm bench-balance benchgate
 
-ci: vet analyze build build-extras race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench-compare bench-net bench-relay bench-shm bench-balance benchgate
+ci: vet analyze build build-extras race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench-net bench-relay bench-shm bench-balance benchgate
 
 # go vet, and gofmt as a gate: any file gofmt would rewrite fails the target
 # (analyzer testdata holds deliberately odd source and is left alone).
@@ -137,7 +137,7 @@ docs: vet
 # identifiers per package (tools/apicount). A PR that shrinks either runs
 # this at its parent and at itself and reports both tables in CHANGES.md.
 apicount:
-	@$(GO) run ./tools/apicount hbnet hbshm observer internal/cursor
+	@$(GO) run ./tools/apicount hbnet hbshm observer internal/cursor scheduler cmd/hbmon
 
 # The core-API benchmarks only, briefly: enough to catch a hot-path
 # regression without regenerating every figure.
@@ -156,16 +156,9 @@ define show-bench
 		| grep 'ns/op'
 endef
 
-# Snapshot polling vs cursor streaming, recorded as test2json events in
-# BENCH_stream.json so the consumer-path perf trajectory is tracked across
-# PRs (compare the Output lines of successive runs).
-bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkPollVsStream' -benchmem \
-		-benchtime=200ms -json . > BENCH_stream.json
-	$(call show-bench,BENCH_stream.json)
-
 # The remote consumer path: sustained records/s over loopback TCP and the
-# idle-tick cost, recorded in BENCH_net.json alongside BENCH_stream.json.
+# idle-tick cost, recorded as test2json events in BENCH_net.json so the
+# trajectory is tracked across PRs.
 bench-net:
 	$(GO) test -run '^$$' -bench 'BenchmarkNetStream' -benchmem \
 		-benchtime=200ms -json ./hbnet > BENCH_net.json

@@ -8,7 +8,6 @@ package repro
 //	go test -bench=. -benchmem
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -218,131 +217,6 @@ func BenchmarkRateUnderWriters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hb.Rate(100)
 	}
-}
-
-// BenchmarkPollVsStream is the consumer-API redesign's proof: snapshot
-// polling pays O(window) fetch-and-decode on every tick whether or not
-// anything happened, while a cursor-based stream consumer pays O(new
-// records) — in particular, an idle tick (no new beats) does no
-// per-record work at all. The in-process pairs compare Source.Snapshot
-// against Subscription.Poll; the file pairs compare Reader.Last against
-// Reader.ReadSince on the same ring file.
-func BenchmarkPollVsStream(b *testing.B) {
-	const window = 512
-
-	mkFull := func(b *testing.B) *heartbeat.Heartbeat {
-		b.Helper()
-		hb, err := heartbeat.New(window, heartbeat.WithCapacity(window))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < window; i++ {
-			hb.Beat()
-		}
-		return hb
-	}
-
-	b.Run("inproc-poll-idle", func(b *testing.B) {
-		hb := mkFull(b)
-		src := observer.HeartbeatSource(hb)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			snap, err := src.Snapshot(window)
-			if err != nil || len(snap.Records) != window {
-				b.Fatal("bad snapshot")
-			}
-		}
-	})
-	b.Run("inproc-stream-idle", func(b *testing.B) {
-		hb := mkFull(b)
-		sub := hb.Subscribe(context.Background())
-		defer sub.Close()
-		if _, ok := sub.Poll(); !ok {
-			b.Fatal("no backlog")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := sub.Poll(); ok {
-				b.Fatal("phantom records on an idle tick")
-			}
-		}
-	})
-	b.Run("inproc-poll-live", func(b *testing.B) {
-		hb := mkFull(b)
-		src := observer.HeartbeatSource(hb)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hb.Beat()
-			if _, err := src.Snapshot(window); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("inproc-stream-live", func(b *testing.B) {
-		hb := mkFull(b)
-		sub := hb.Subscribe(context.Background())
-		defer sub.Close()
-		sub.Poll() // consume the backlog
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hb.Beat()
-			if recs, ok := sub.Poll(); !ok || len(recs) != 1 {
-				b.Fatal("expected exactly the one new record")
-			}
-		}
-	})
-
-	mkFile := func(b *testing.B) *hbfile.Reader {
-		b.Helper()
-		path := filepath.Join(b.TempDir(), "pvs.hb")
-		w, err := hbfile.Create(path, window, window)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := time.Unix(0, 0)
-		for i := uint64(1); i <= window; i++ {
-			if err := w.WriteRecord(heartbeat.Record{Seq: i, Time: base.Add(time.Duration(i) * time.Millisecond)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		r, err := hbfile.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { r.Close(); w.Close() })
-		return r
-	}
-
-	b.Run("file-poll-idle", func(b *testing.B) {
-		r := mkFile(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			recs, err := r.Last(window)
-			if err != nil || len(recs) == 0 {
-				b.Fatal("bad read")
-			}
-		}
-	})
-	b.Run("file-stream-idle", func(b *testing.B) {
-		r := mkFile(b)
-		_, cursor, err := r.ReadSince(0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			recs, cur, err := r.ReadSince(cursor, 0)
-			if err != nil || len(recs) != 0 || cur != cursor {
-				b.Fatal("phantom records on an idle tick")
-			}
-		}
-	})
 }
 
 // BenchmarkHBFileRead measures an external observer reading the ring file.
@@ -563,10 +437,11 @@ func runSchedBench(b *testing.B, w parsec.SchedWorkload, pol scheduler.Policy) i
 		b.Fatal(err)
 	}
 	m.SetCores(1)
-	sched, err := scheduler.New(observer.HeartbeatSource(hb), m, pol, scheduler.WithWindow(w.Window))
+	sched, err := scheduler.New(observer.HeartbeatStream(hb), m, pol, scheduler.WithWindow(w.Window))
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sched.Close()
 	inWindow := 0
 	for beat := 1; beat <= w.Beats; beat++ {
 		m.Execute(w.Work(coreRate, beat))

@@ -15,12 +15,12 @@
 //	hbmon -relay -listen :9999 \
 //	      -upstream a=host1:9999/app -upstream-file b=/var/run/b.hb
 //
-// The default mode polls a full snapshot every interval. With -follow,
-// hbmon tails the file incrementally: each tick reads only the records
-// published since the previous one (an idle tick is a single cursor
-// read), reports how many new beats arrived, and flags records lost to
-// ring overwrite. The tail survives the file being deleted and recreated
-// by a restarted producer (the reader reopens on inode change).
+// Every mode tails its source incrementally: each tick reads only the
+// records published since the previous one (an idle tick is a single
+// cursor read), reports how many new beats arrived, and flags records lost
+// to ring overwrite. With -follow the tail also survives the file being
+// deleted and recreated by a restarted producer (the reader reopens on
+// inode change); without it hbmon keeps watching the file it opened.
 //
 // With -shm, hbmon watches a shared-memory heartbeat region (hbshm)
 // instead of a file: the same incremental tail as -follow, but an idle
@@ -33,13 +33,12 @@
 // With -listen, hbmon additionally serves the file as an hbnet feed so
 // observers on other machines can subscribe to it — the relay case: the
 // application only writes a local file, hbmon exports it. With -connect,
-// hbmon is such a remote observer: it streams the named feed (always
-// incremental, like -follow) and reports identically, including records
-// missed across connection outages. The balance of the reporting flags
-// applies to every mode. Each line reports: beat count, new beats this
-// tick (incremental modes), heart rate over the window, the advertised
-// target range, and the health classification (healthy / slow / fast /
-// erratic / flatlined / dead).
+// hbmon is such a remote observer: it streams the named feed and reports
+// identically, including records missed across connection outages. The
+// balance of the reporting flags applies to every mode. Each line reports:
+// beat count, new beats this tick, heart rate over the window, the
+// advertised target range, and the health classification (healthy / slow /
+// fast / erratic / flatlined / dead).
 //
 // With -relay, hbmon is a hierarchical fan-in node (hbnet.Relay): it
 // subscribes to every -upstream (a remote hbnet feed, NAME=ADDR/FEED) and
@@ -95,7 +94,7 @@ func main() {
 	interval := flag.Duration("interval", 500*time.Millisecond, "reporting interval")
 	window := flag.Int("window", 0, "rate window in beats (0 = file default)")
 	count := flag.Int("count", 0, "stop after this many reports (0 = forever)")
-	follow := flag.Bool("follow", false, "tail the file incrementally instead of re-reading the window each poll")
+	follow := flag.Bool("follow", false, "keep tailing across the file being deleted and recreated by a restarted producer")
 	rollup := flag.Bool("rollup", false, "with -connect: the feed is a rollup feed; print per-app rollup lines")
 	balanceSwaps := flag.Bool("balance", false, "with -connect -rollup: drive a balance.Updater from the feed and print routing-table swaps")
 	relay := flag.Bool("relay", false, "run as a fan-in relay node (requires -listen and at least one -upstream/-upstream-file)")
@@ -170,20 +169,15 @@ func main() {
 
 	// Accept either file variant: the bounded ring or the append-only log.
 	var (
-		source      observer.Source
-		fileWindow  int
+		reader      observer.PolledReader
 		closeReader func() error
 	)
 	if r, err := hbfile.Open(*path); err == nil {
-		closeReader = r.Close
+		reader, closeReader = r, r.Close
 		fmt.Printf("watching ring %s (pid %d, window %d, capacity %d)\n", *path, r.PID(), r.Window(), r.Capacity())
-		source = observer.FileSource(r)
-		fileWindow = r.Window()
 	} else if lr, lerr := hbfile.OpenLog(*path); lerr == nil {
-		closeReader = lr.Close
+		reader, closeReader = lr, lr.Close
 		fmt.Printf("watching log %s (window %d, full history)\n", *path, lr.Window())
-		source = observer.LogSource(lr)
-		fileWindow = lr.Window()
 	} else {
 		// Neither variant opened: show both failures — the ring error
 		// alone would hide why a log file was rejected.
@@ -195,40 +189,26 @@ func main() {
 	if *listen != "" {
 		// Each subscriber opens its own reader of the file, so the relay
 		// and the local report never share a cursor.
-		serveFeed(*listen, *app, hbnet.FileFeed(*path, *interval/10))
+		serveFeed(*listen, *app, hbnet.FileFeed(*path, *interval/10, nil))
 	}
 
-	if *follow {
-		// The banner reader's job is done; holding it open would pin the
-		// deleted inode across the very producer restart the follow
-		// stream exists to survive.
-		closeReader()
-		// The live tail reopens on inode change, so a producer that
-		// restarts and recreates its file resumes instead of flatlining.
-		fs, err := observer.FollowFile(*path, *interval/10)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbmon:", err)
-			os.Exit(1)
-		}
-		runFollow(fs, classifier, *interval, *count)
+	if !*follow {
+		defer closeReader()
+		runFollow(observer.ReaderStream(reader, *interval/10, 0, nil), classifier, *interval, *count)
 		return
 	}
-
-	defer closeReader()
-
-	maxRecords := *window
-	if maxRecords <= 0 {
-		maxRecords = fileWindow
+	// The banner reader's job is done; holding it open would pin the
+	// deleted inode across the very producer restart the follow stream
+	// exists to survive.
+	closeReader()
+	// The live tail reopens on inode change, so a producer that restarts
+	// and recreates its file resumes instead of flatlining.
+	fs, err := observer.FollowFile(*path, *interval/10, 0, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hbmon:", err)
+		os.Exit(1)
 	}
-	for polls := 0; *count == 0 || polls < *count; polls++ {
-		snap, err := source.Snapshot(maxRecords)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbmon:", err)
-			os.Exit(1)
-		}
-		report(classifier.Classify(snap), -1, 0)
-		time.Sleep(*interval) //hbvet:allow wallclock -- live monitor poll cadence; hbmon has no virtual mode
-	}
+	runFollow(fs, classifier, *interval, *count)
 }
 
 // serveFeed exports a local source as an hbnet feed alongside the local
@@ -267,21 +247,21 @@ func shmFeed(path string, poll time.Duration) hbnet.Feed {
 	}
 }
 
-// runFollow is the incremental mode shared by -follow and -connect:
-// absorb new records as they land, judge and report every interval.
+// runFollow is the one report loop every mode shares: absorb new records
+// as they land, judge and report every interval.
 func runFollow(stream observer.Stream, classifier *observer.Classifier, interval time.Duration, count int) {
 	win := observer.NewWindow(classifier.Window)
 	ctx := context.Background()
 	var lastCount, lastMissed uint64
 	for reports := 0; count == 0 || reports < count; reports++ {
-		if _, err := observer.CollectInto(ctx, stream, win, time.Now().Add(interval)); err != nil { //hbvet:allow wallclock -- live monitor batch deadline; hbmon has no virtual mode
+		if _, err := observer.CollectInto(ctx, stream, win, time.Now().Add(interval), nil); err != nil { //hbvet:allow wallclock -- live monitor batch deadline; hbmon has no virtual mode
 			fmt.Fprintln(os.Stderr, "hbmon:", err)
 			os.Exit(1)
 		}
 		st := classifier.ClassifyWindow(win)
-		delta := int64(st.Count) - int64(lastCount)
-		if delta < 0 {
-			delta = 0 // the file was recreated under us
+		delta := st.Count - lastCount
+		if st.Count < lastCount {
+			delta = st.Count // the producer restarted: every beat of its new life is new
 		}
 		report(st, delta, win.Missed()-lastMissed)
 		lastCount, lastMissed = st.Count, win.Missed()
@@ -429,9 +409,8 @@ func reportRollup(r observer.Rollup, weight float64) {
 	fmt.Println(line)
 }
 
-// report prints one status line; delta < 0 means "don't show new-beat
-// accounting" (snapshot mode).
-func report(st observer.Status, delta int64, missed uint64) {
+// report prints one status line; delta is the beats new since the last one.
+func report(st observer.Status, delta, missed uint64) {
 	target := "no target"
 	if st.TargetSet {
 		target = fmt.Sprintf("target [%.2f, %.2f]", st.TargetMin, st.TargetMax)
@@ -441,10 +420,7 @@ func report(st observer.Status, delta int64, missed uint64) {
 		rate = fmt.Sprintf("rate %7.2f beats/s", st.Rate)
 	}
 	line := fmt.Sprintf("%s  beats %8d", time.Now().Format("15:04:05.000"), st.Count) //hbvet:allow wallclock -- wall-clock timestamp on a human-facing report line
-	if delta >= 0 {
-		line += fmt.Sprintf("  +%d", delta)
-	}
-	line += fmt.Sprintf("  %s  %s  health %s", rate, target, st.Health)
+	line += fmt.Sprintf("  +%d  %s  %s  health %s", delta, rate, target, st.Health)
 	if missed > 0 {
 		line += fmt.Sprintf("  (missed %d: consumer outran by ring overwrite)", missed)
 	}

@@ -67,10 +67,11 @@ func runWorkload(w parsec.SchedWorkload, policyName string, cw, ch int) error {
 	default:
 		return fmt.Errorf("unknown policy %q", policyName)
 	}
-	sched, err := scheduler.New(observer.HeartbeatSource(hb), m, pol, scheduler.WithWindow(w.Window))
+	sched, err := scheduler.New(observer.HeartbeatStream(hb), m, pol, scheduler.WithWindow(w.Window))
 	if err != nil {
 		return err
 	}
+	defer sched.Close()
 
 	series := &plot.Series{
 		Title:  fmt.Sprintf("%s under the external %s scheduler (target %g-%g beats/s)", w.Name, policyName, w.TargetMin, w.TargetMax),

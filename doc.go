@@ -21,8 +21,7 @@
 //   - observer: external observation as incremental Streams — Monitor for
 //     one application, Hub to multiplex many named applications into one
 //     loop, RollupWindow/Downsampler to reduce streams to per-interval
-//     summaries — plus health classification; the old snapshot Source
-//     remains as a compat shim (see observer.StreamOf)
+//     summaries — plus health classification
 //   - control: adaptation policies (threshold stepper, PI, quality ladder)
 //   - scheduler: heart-rate-driven core allocation, deciding from streams
 //   - sim: the deterministic simulated multicore machine
@@ -31,6 +30,5 @@
 // the cursor/Missed delivery contract, and how to choose among the four
 // observation topologies. The benchmarks in bench_test.go regenerate the
 // paper's tables and figures under go test -bench and ablate the main
-// design choices; BenchmarkPollVsStream records the snapshot-polling vs
-// cursor-streaming consumer cost (make bench-compare).
+// design choices.
 package repro

@@ -57,15 +57,15 @@ func main() {
 	}
 	defer reader.Close()
 	sched, err := scheduler.New(
-		nil,
+		observer.ReaderStream(reader, 0, 0, nil),
 		machine,
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
-		scheduler.WithStream(observer.ReaderStream(reader, 0, 0, nil)),
 		scheduler.WithWindow(10),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sched.Close()
 
 	// The application works: heavy at first, then the load halves.
 	work := func(beat int) sim.Work {

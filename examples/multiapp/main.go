@@ -64,12 +64,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer part.Close()
 	// Each consumer opens its own stream: the partitioner and the hub each
 	// hold an independent cursor into the same heartbeat histories.
-	if err := part.AddStream("video", observer.HeartbeatStream(videoHB), videoProc.SetCores, 1); err != nil {
+	if err := part.Add("video", observer.HeartbeatStream(videoHB), videoProc.SetCores, 1); err != nil {
 		log.Fatal(err)
 	}
-	if err := part.AddStream("indexer", observer.HeartbeatStream(indexHB), indexProc.SetCores, 1); err != nil {
+	if err := part.Add("indexer", observer.HeartbeatStream(indexHB), indexProc.SetCores, 1); err != nil {
 		log.Fatal(err)
 	}
 

@@ -537,7 +537,7 @@ func TestFileFeedRelay(t *testing.T) {
 	}
 
 	srv := NewServer()
-	srv.Publish("file-app", FileFeed(path, time.Millisecond))
+	srv.Publish("file-app", FileFeed(path, time.Millisecond, nil))
 	addr := startServer(t, srv)
 
 	c, err := Dial(addr, "file-app")

@@ -145,14 +145,13 @@ func TestProcessBoundaryMonitorAndScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	var muStatus sync.Mutex
 	var statuses []observer.Status
-	monitor := observer.NewMonitor(nil, 50*time.Millisecond, func(st observer.Status) {
+	monitor := observer.NewMonitor(mon, 50*time.Millisecond, func(st observer.Status) {
 		muStatus.Lock()
 		statuses = append(statuses, st)
 		muStatus.Unlock()
-	}, observer.WithStream(mon), observer.WithClassifier(&observer.Classifier{FlatlineFactor: 50}))
+	}, observer.WithClassifier(&observer.Classifier{FlatlineFactor: 50}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -166,9 +165,9 @@ func TestProcessBoundaryMonitorAndScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	machine := sim.NewMachine(sim.NewClock(time.Time{}), 8, 1e6)
-	sched, err := scheduler.New(nil, machine, scheduler.StepperPolicy{
+	sched, err := scheduler.New(schedStream, machine, scheduler.StepperPolicy{
 		Stepper: &control.Stepper{TargetMin: 50, TargetMax: 5000},
-	}, scheduler.WithStream(schedStream))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestProcessBoundaryMonitorAndScheduler(t *testing.T) {
 			muSample.Unlock()
 		}, nil)
 	}()
-	defer schedStream.Close()
+	defer sched.Close()
 
 	// Phase 1: clean streaming.
 	recs, missed := collect(t, raw, func(r []heartbeat.Record, _ uint64) bool { return len(r) >= 200 })

@@ -861,11 +861,11 @@ func (r *Relay) DialUpstream(app, addr, feed string, opts ...ClientOption) (*Cli
 }
 
 // AddFileUpstream registers a heartbeat ring or log file as an upstream,
-// tailed live via observer.FollowFileFrom — so a producer that restarts
+// tailed live via observer.FollowFile — so a producer that restarts
 // and recreates its file resumes instead of flatlining. poll <= 0 selects
 // observer.DefaultPollInterval.
 func (r *Relay) AddFileUpstream(app, path string, poll time.Duration) error {
-	s, err := observer.FollowFileClock(path, poll, 0, r.clk)
+	s, err := observer.FollowFile(path, poll, 0, r.clk)
 	if err != nil {
 		return err
 	}

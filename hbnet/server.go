@@ -34,22 +34,16 @@ func HeartbeatFeed(hb *heartbeat.Heartbeat) Feed {
 // FileFeed publishes a heartbeat ring or log file: the relay case, where
 // the hbnet server and the observed application share a filesystem but
 // subscribers do not. Each subscriber opens its own live tail
-// (observer.FollowFileFrom — readers never coordinate, so concurrent
+// (observer.FollowFile — readers never coordinate, so concurrent
 // subscribers cost nothing extra), tailed every poll (poll <= 0 selects
-// observer.DefaultPollInterval). The variant is detected per open, and the
-// tail survives the file being deleted and recreated by a restarted
-// producer — including in the other format — without dropping the
-// connection.
-func FileFeed(path string, poll time.Duration) Feed {
-	return FileFeedClock(path, poll, nil)
-}
-
-// FileFeedClock is FileFeed on an explicit clock: subscriber tails poll on
-// clk's time, so a simulated server relays a file at virtual speed. A nil
-// clk is the wall clock.
-func FileFeedClock(path string, poll time.Duration, clk heartbeat.Clock) Feed {
+// observer.DefaultPollInterval) on clk's time (nil is the wall clock; a
+// simulated server relays a file at virtual speed). The variant is
+// detected per open, and the tail survives the file being deleted and
+// recreated by a restarted producer — including in the other format —
+// without dropping the connection.
+func FileFeed(path string, poll time.Duration, clk heartbeat.Clock) Feed {
 	return func(ctx context.Context, since uint64) (observer.Stream, error) {
-		s, err := observer.FollowFileClock(path, poll, since, clk)
+		s, err := observer.FollowFile(path, poll, since, clk)
 		if err != nil {
 			return nil, fmt.Errorf("hbnet: open feed file: %w", err)
 		}

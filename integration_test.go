@@ -74,13 +74,12 @@ func TestEndToEndLiveMonitoring(t *testing.T) {
 	}
 	defer r.Close()
 	classifier := &observer.Classifier{FlatlineFactor: 8, Epoch: time.Now()}
-	source := observer.FileSource(r)
+	stream, win := observer.ReaderStream(r, 0, 0, nil), observer.NewWindow(0)
 	poll := func() observer.Status {
-		snap, err := source.Snapshot(0)
-		if err != nil {
+		if _, err := observer.DrainInto(stream, win); err != nil {
 			t.Fatal(err)
 		}
-		return classifier.Classify(snap)
+		return classifier.ClassifyWindow(win)
 	}
 
 	// Phase 1: the application must be judged alive and beating.

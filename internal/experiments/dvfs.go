@@ -59,11 +59,12 @@ func DVFS(Options) Result {
 		}
 		var gov *scheduler.DVFSGovernor
 		if governed {
-			gov, err = scheduler.NewDVFSGovernor(observer.HeartbeatSource(hb), m,
+			gov, err = scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), m,
 				scheduler.WithGovernorWindow(window))
 			if err != nil {
 				panic(err)
 			}
+			defer gov.Close()
 			m.SetFrequency(0.5) // governors start low and earn speed
 		}
 		var res runResult

@@ -70,10 +70,11 @@ func MultiApp(Options) Result {
 	if err != nil {
 		panic(err)
 	}
-	if err := part.Add("A", observer.HeartbeatSource(a.hb), a.proc.SetCores, 1); err != nil {
+	defer part.Close()
+	if err := part.Add("A", observer.HeartbeatStream(a.hb), a.proc.SetCores, 1); err != nil {
 		panic(err)
 	}
-	if err := part.Add("B", observer.HeartbeatSource(b.hb), b.proc.SetCores, 1); err != nil {
+	if err := part.Add("B", observer.HeartbeatStream(b.hb), b.proc.SetCores, 1); err != nil {
 		panic(err)
 	}
 

@@ -28,13 +28,14 @@ func schedExperiment(id string, w parsec.SchedWorkload, paperNote string) Result
 	}
 	m.SetCores(1) // the paper's scheduler starts every application on one core
 	sched, err := scheduler.New(
-		observer.HeartbeatSource(hb), m,
+		observer.HeartbeatStream(hb), m,
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: w.TargetMin, TargetMax: w.TargetMax}},
 		scheduler.WithWindow(w.Window),
 	)
 	if err != nil {
 		panic(err)
 	}
+	defer sched.Close()
 
 	series := &plot.Series{
 		Title:  fmt.Sprintf("%s: %s under the external scheduler", id, w.Name),

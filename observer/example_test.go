@@ -11,7 +11,7 @@ import (
 
 // An external observer classifies an application's health purely from its
 // heartbeats: a healthy app, then the same app after it stops beating.
-func ExampleClassifier_Classify() {
+func ExampleClassifier_ClassifyWindow() {
 	clk := sim.NewClock(time.Time{})
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(8, 12)
@@ -20,15 +20,17 @@ func ExampleClassifier_Classify() {
 		hb.Beat()
 	}
 
+	// The observer's side: a stream of the application's beats, absorbed
+	// into a window, judged by a classifier.
 	classifier := &observer.Classifier{Clock: clk}
-	source := observer.HeartbeatSource(hb)
+	stream, window := observer.HeartbeatStream(hb), observer.NewWindow(0)
 
-	snap, _ := source.Snapshot(0)
-	fmt.Println("while beating:", classifier.Classify(snap).Health)
+	observer.DrainInto(stream, window)
+	fmt.Println("while beating:", classifier.ClassifyWindow(window).Health)
 
-	clk.Advance(30 * time.Second) // the application hangs
-	snap, _ = source.Snapshot(0)
-	fmt.Println("after hanging:", classifier.Classify(snap).Health)
+	clk.Advance(30 * time.Second) // the application hangs: nothing new to absorb
+	observer.DrainInto(stream, window)
+	fmt.Println("after hanging:", classifier.ClassifyWindow(window).Health)
 	// Output:
 	// while beating: healthy
 	// after hanging: flatlined

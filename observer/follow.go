@@ -22,25 +22,15 @@ import (
 // resynchronizes — redelivering the new life's retained records exactly
 // like ReaderStream resuming against a recreated file.
 //
-// The initial open must succeed; after that, transient open failures (the
-// producer mid-recreation) are retried on the poll cadence rather than
-// surfaced. poll <= 0 selects DefaultPollInterval. The returned stream
-// implements io.Closer; Close releases the current reader.
-func FollowFile(path string, poll time.Duration) (Stream, error) {
-	return FollowFileFrom(path, poll, 0)
-}
-
-// FollowFileFrom is FollowFile with the cursor pre-positioned after
-// sequence number since (see ReaderStream).
-func FollowFileFrom(path string, poll time.Duration, since uint64) (Stream, error) {
-	return FollowFileClock(path, poll, since, nil)
-}
-
-// FollowFileClock is FollowFileFrom on an explicit clock: poll waits (and
-// the recreation-detection idle ticks they pace) run on clk's time, so a
-// simulated consumer notices a delete/recreate at virtual speed. A nil clk
-// is the wall clock.
-func FollowFileClock(path string, poll time.Duration, since uint64, clk heartbeat.Clock) (Stream, error) {
+// The cursor starts after sequence number since (0 streams the retained
+// history first; see ReaderStream), and poll waits — with the
+// recreation-detection idle ticks they pace — run on clk's time, so a
+// simulated consumer notices a delete/recreate at virtual speed (nil is the
+// wall clock). The initial open must succeed; after that, transient open
+// failures (the producer mid-recreation) are retried on the poll cadence
+// rather than surfaced. poll <= 0 selects DefaultPollInterval. The returned
+// stream implements io.Closer; Close releases the current reader.
+func FollowFile(path string, poll time.Duration, since uint64, clk heartbeat.Clock) (Stream, error) {
 	if poll <= 0 {
 		poll = DefaultPollInterval
 	}

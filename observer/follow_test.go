@@ -16,6 +16,13 @@ import (
 // deadline passes.
 func drainFollow(t *testing.T, s Stream, want int) []heartbeat.Record {
 	t.Helper()
+	return drainFollowInto(t, s, want, NewWindow(0))
+}
+
+// drainFollowInto is drainFollow absorbing each batch into w as a consumer
+// would.
+func drainFollowInto(t *testing.T, s Stream, want int, w *Window) []heartbeat.Record {
+	t.Helper()
 	var out []heartbeat.Record
 	deadline := time.Now().Add(10 * time.Second)
 	for len(out) < want {
@@ -26,6 +33,7 @@ func drainFollow(t *testing.T, s Stream, want int) []heartbeat.Record {
 			t.Fatalf("Next after %d records: %v", len(out), err)
 		}
 		out = append(out, b.Records...)
+		w.Absorb(b)
 	}
 	return out
 }
@@ -53,12 +61,13 @@ func TestFollowFileSurvivesDeleteRecreate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "app.hb")
 	writeRing(t, path, 1, 5)
 
-	s, err := FollowFile(path, time.Millisecond)
+	s, err := FollowFile(path, time.Millisecond, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.(io.Closer).Close()
-	first := drainFollow(t, s, 5)
+	win := NewWindow(0)
+	first := drainFollowInto(t, s, 5, win)
 	if first[len(first)-1].Seq != 5 {
 		t.Fatalf("first life tail wrong: %+v", first)
 	}
@@ -70,11 +79,16 @@ func TestFollowFileSurvivesDeleteRecreate(t *testing.T) {
 	}
 	writeRing(t, path, 1, 3)
 
-	second := drainFollow(t, s, 3)
+	second := drainFollowInto(t, s, 3, win)
 	for i, r := range second {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("new life record %d has seq %d, want %d", i, r.Seq, i+1)
 		}
+	}
+	// The consumer's window follows the new life instead of reporting the
+	// old one's count until the successor overtakes it.
+	if st := (&Classifier{}).ClassifyWindow(win); st.Count != 3 || len(win.Records()) != 3 {
+		t.Fatalf("after the restart: Status.Count = %d over %d records, want the new life's 3", st.Count, len(win.Records()))
 	}
 }
 
@@ -84,7 +98,7 @@ func TestFollowFileSurvivesVariantChange(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "app.hb")
 	writeRing(t, path, 1, 4)
 
-	s, err := FollowFile(path, time.Millisecond)
+	s, err := FollowFile(path, time.Millisecond, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +131,7 @@ func TestFollowFileMissingGap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "app.hb")
 	writeRing(t, path, 1, 2)
 
-	s, err := FollowFile(path, time.Millisecond)
+	s, err := FollowFile(path, time.Millisecond, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +192,7 @@ func TestFileStreamsRecycleDecodeBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lr.Close()
-	fs, err := FollowFile(followPath, time.Millisecond)
+	fs, err := FollowFile(followPath, time.Millisecond, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

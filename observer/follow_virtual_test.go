@@ -53,7 +53,7 @@ func TestFollowFileVirtualRecreateBetweenIdleTicks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "app.hb")
 	hb := virtualRingProducer(t, clk, path, 1024)
 
-	s, err := observer.FollowFileClock(path, 15*time.Millisecond, 0, clk)
+	s, err := observer.FollowFile(path, 15*time.Millisecond, 0, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFollowFileDeletedWindowAndUnopenableSuccessor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "app.hb")
 	hb := virtualRingProducer(t, clk, path, 1024)
 
-	s, err := observer.FollowFileClock(path, 10*time.Millisecond, 0, clk)
+	s, err := observer.FollowFile(path, 10*time.Millisecond, 0, clk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/heartbeat"
-	"repro/internal/stats"
 )
 
 // Health is an observer's judgment of an application from its heartbeats
@@ -53,7 +52,7 @@ func (h Health) String() string {
 	}
 }
 
-// Status is the result of classifying one snapshot.
+// Status is the result of classifying one Window.
 type Status struct {
 	Health     Health
 	Rate       float64 // beats/s over the classifier window (0 if !RateOK)
@@ -67,10 +66,10 @@ type Status struct {
 	TargetSet  bool
 }
 
-// Classifier turns snapshots into Status judgments. The zero value uses
+// Classifier turns Windows into Status judgments. The zero value uses
 // sensible defaults; set Clock for deterministic tests.
 type Classifier struct {
-	// Window is the averaging window in beats (0: the source's default).
+	// Window is the averaging window in beats (0: the application's default).
 	Window int
 	// FlatlineFactor: a gap exceeding FlatlineFactor × the expected
 	// inter-beat interval marks the app Flatlined. Default 16.
@@ -113,20 +112,6 @@ func (c *Classifier) now() time.Time {
 	return heartbeat.Now(c.Clock)
 }
 
-// Classify judges one snapshot. It recomputes the windowed statistics from
-// the snapshot's records on every call; streaming consumers use
-// ClassifyWindow, which caches them between batches.
-func (c *Classifier) Classify(snap Snapshot) Status {
-	var last time.Time
-	if n := len(snap.Records); n > 0 {
-		last = snap.Records[n-1].Time
-	}
-	rate, rateOK := snap.Rate(c.Window)
-	cv := stats.Summarize(heartbeat.Intervals(snap.Records)).CV()
-	return c.judge(snap.Count, snap.TargetMin, snap.TargetMax, snap.TargetSet,
-		len(snap.Records) > 0, last, rate, rateOK, cv)
-}
-
 // ClassifyWindow judges the state accumulated in a stream consumer's
 // Window. The windowed rate and interval statistics are cached inside the
 // Window and recomputed only when a batch delivered new records, so an
@@ -134,21 +119,15 @@ func (c *Classifier) Classify(snap Snapshot) Status {
 // arrive — does no per-record work.
 func (c *Classifier) ClassifyWindow(w *Window) Status {
 	rate, rateOK, cv := w.cachedStats(c.Window)
-	return c.judge(w.count, w.targetMin, w.targetMax, w.targetSet,
-		len(w.recs) > 0, w.LastBeat(), rate.PerSec, rateOK, cv)
-}
-
-// judge is the single health decision procedure behind both entry points.
-func (c *Classifier) judge(count uint64, targetMin, targetMax float64, targetSet bool,
-	hasBeats bool, lastBeat time.Time, rate float64, rateOK bool, cv float64) Status {
+	targetMin, targetMax, targetSet := w.Target()
 	now := c.now()
 	st := Status{
-		Count:     count,
+		Count:     w.count,
 		TargetMin: targetMin,
 		TargetMax: targetMax,
 		TargetSet: targetSet,
 	}
-	if !hasBeats {
+	if len(w.recs) == 0 {
 		if !c.Epoch.IsZero() && now.Sub(c.Epoch) > c.grace() {
 			st.Health = Dead
 		} else {
@@ -156,9 +135,9 @@ func (c *Classifier) judge(count uint64, targetMin, targetMax float64, targetSet
 		}
 		return st
 	}
-	st.LastBeat = lastBeat
-	st.SinceLast = now.Sub(lastBeat)
-	st.Rate, st.RateOK = rate, rateOK
+	st.LastBeat = w.LastBeat()
+	st.SinceLast = now.Sub(st.LastBeat)
+	st.Rate, st.RateOK = rate.PerSec, rateOK
 	st.IntervalCV = cv
 
 	// Expected inter-beat interval: from the target if set, else measured.

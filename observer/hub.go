@@ -119,7 +119,8 @@ func NewHub(interval time.Duration, onStatus func(name string, st Status), opts 
 }
 
 // Add registers an application's stream under a unique name. Applications
-// may be added while Run is active; their pump starts immediately.
+// may be added while Run is active; their pump starts immediately. The hub
+// owns a registered stream: Remove closes it if it is an io.Closer.
 func (h *Hub) Add(name string, stream Stream) error {
 	if stream == nil {
 		return fmt.Errorf("observer: nil stream for %q", name)
@@ -147,24 +148,6 @@ func (h *Hub) Add(name string, stream Stream) error {
 	h.order = append(h.order, name)
 	if h.runCtx != nil && h.runCtx.Err() == nil {
 		h.startPumpLocked(a)
-	}
-	return nil
-}
-
-// AddSource is Add for code still holding a Source: the source is
-// converted to its natural stream via StreamOf. The derived stream is
-// closed by Remove (and on registration failure), so AddSource never
-// leaks a subscription.
-func (h *Hub) AddSource(name string, src Source) error {
-	if src == nil {
-		return fmt.Errorf("observer: nil source for %q", name)
-	}
-	stream := StreamOfClock(src, h.interval/4, h.clk)
-	if err := h.Add(name, stream); err != nil {
-		if c, ok := stream.(io.Closer); ok {
-			c.Close()
-		}
-		return err
 	}
 	return nil
 }

@@ -245,7 +245,8 @@ func TestHubAddWhileRunningAndRemove(t *testing.T) {
 	}
 	defer hb.Close()
 	time.Sleep(5 * time.Millisecond) // Run is live
-	if err := hub.Add("late", observer.HeartbeatStream(hb)); err != nil {
+	late := &closeCounter{Stream: observer.HeartbeatStream(hb)}
+	if err := hub.Add("late", late); err != nil {
 		t.Fatal(err)
 	}
 	hb.Beat()
@@ -261,8 +262,12 @@ func TestHubAddWhileRunningAndRemove(t *testing.T) {
 		}
 	}
 	hub.Remove("late")
+	hub.Remove("late")
 	if _, ok := hub.Status("late"); ok {
 		t.Fatal("removed app still reported")
+	}
+	if n := late.closes.Load(); n != 1 {
+		t.Fatalf("Remove closed the stream %d times, want 1", n)
 	}
 	cancel()
 	<-done

@@ -2,7 +2,6 @@ package observer
 
 import (
 	"context"
-	"errors"
 	"io"
 	"time"
 
@@ -14,14 +13,12 @@ import (
 // external scheduler polls the application's heart rate between decisions,
 // and its cloud manager watches for flatlined nodes.
 //
-// Run consumes the application incrementally through a Stream: between
+// Run consumes the application incrementally through its Stream: between
 // judgments it absorbs only the records published since the last batch,
-// and an interval in which nothing was published re-reads nothing at all —
-// the snapshot re-fetch of the pre-stream Monitor is gone. Judgments still
-// fire every interval regardless, because silence is exactly what
-// flatline/death detection must observe.
+// and an interval in which nothing was published re-reads nothing at all.
+// Judgments still fire every interval regardless, because silence is
+// exactly what flatline/death detection must observe.
 type Monitor struct {
-	source     Source
 	stream     Stream
 	classifier *Classifier
 	interval   time.Duration
@@ -47,18 +44,10 @@ func WithMaxRecords(n int) MonitorOption {
 }
 
 // WithOnError installs a callback for observation errors (default:
-// ignored; a source that keeps failing will surface as Dead via the
+// ignored; a stream that keeps failing will surface as Dead via the
 // classifier Epoch).
 func WithOnError(f func(error)) MonitorOption {
 	return func(m *Monitor) { m.onError = f }
-}
-
-// WithStream has Run consume the given stream instead of deriving one from
-// the Source. Use it to monitor a Stream that has no Source form; the
-// source argument of NewMonitor may then be nil (Poll, which is
-// snapshot-based, returns an error in that case).
-func WithStream(st Stream) MonitorOption {
-	return func(m *Monitor) { m.stream = st }
 }
 
 // WithMonitorClock runs the monitor on an explicit clock: Run's judgment
@@ -69,16 +58,17 @@ func WithMonitorClock(clk heartbeat.Clock) MonitorOption {
 	return func(m *Monitor) { m.clk = clk }
 }
 
-// NewMonitor creates a Monitor that judges source every interval and calls
+// NewMonitor creates a Monitor that judges stream every interval and calls
 // onStatus with each classification. A non-positive interval selects
-// DefaultHubInterval (the snapshot-era Run panicked on one; the
-// stream-era loop would busy-spin instead, which is worse).
-func NewMonitor(source Source, interval time.Duration, onStatus func(Status), opts ...MonitorOption) *Monitor {
+// DefaultHubInterval (the loop would busy-spin on one). The monitor owns
+// the stream from here on: Run closes it, if it is an io.Closer, when it
+// returns.
+func NewMonitor(stream Stream, interval time.Duration, onStatus func(Status), opts ...MonitorOption) *Monitor {
 	if interval <= 0 {
 		interval = DefaultHubInterval
 	}
 	m := &Monitor{
-		source:   source,
+		stream:   stream,
 		interval: interval,
 		onStatus: onStatus,
 	}
@@ -91,28 +81,14 @@ func NewMonitor(source Source, interval time.Duration, onStatus func(Status), op
 	return m
 }
 
-// Poll performs one snapshot-based observation immediately. It uses the
-// Source directly (the compat path); Run is the incremental path.
-func (m *Monitor) Poll() (Status, error) {
-	if m.source == nil {
-		return Status{}, errors.New("observer: monitor has no source (stream-only; use Run)")
-	}
-	snap, err := m.source.Snapshot(m.maxRecords)
-	if err != nil {
-		return Status{}, err
-	}
-	return m.classifier.Classify(snap), nil
-}
-
 // Run judges every interval until ctx is cancelled, absorbing stream
 // batches as they land in between. The first judgment fires immediately
-// from whatever is already published (parity with the snapshot-era Run,
-// whose first poll preceded the first wait); subsequent ones follow the
-// interval. The classifier's Epoch is set to the start time if unset,
-// enabling Dead detection for sources that never beat. Run returns when
-// ctx is cancelled or the stream ends (the observed Heartbeat was closed);
-// a final status is delivered for the stream's tail. A stream Run derived
-// itself (no WithStream) is released when Run returns.
+// from whatever is already published; subsequent ones follow the interval.
+// The classifier's Epoch is set to the start time if unset, enabling Dead
+// detection for applications that never beat. Run returns when ctx is
+// cancelled or the stream ends (the observed Heartbeat was closed); a
+// final status is delivered for the stream's tail. The stream is released
+// when Run returns, so a Monitor runs once.
 func (m *Monitor) Run(ctx context.Context) {
 	if m.classifier.Clock == nil {
 		m.classifier.Clock = m.clk
@@ -121,11 +97,8 @@ func (m *Monitor) Run(ctx context.Context) {
 		m.classifier.Epoch = m.classifier.now()
 	}
 	stream := m.stream
-	if stream == nil {
-		stream = StreamOfClock(m.source, m.interval, m.clk)
-		if c, ok := stream.(io.Closer); ok {
-			defer c.Close()
-		}
+	if c, ok := stream.(io.Closer); ok {
+		defer c.Close()
 	}
 	win := NewWindow(m.windowCap())
 
@@ -146,7 +119,7 @@ func (m *Monitor) Run(ctx context.Context) {
 
 	for {
 		deadline := clockNow(m.clk).Add(m.interval)
-		eof, err := CollectIntoClock(ctx, stream, win, deadline, m.clk)
+		eof, err := CollectInto(ctx, stream, win, deadline, m.clk)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -154,9 +127,8 @@ func (m *Monitor) Run(ctx context.Context) {
 			if m.onError != nil {
 				m.onError(err)
 			}
-			// Pace retries against a persistently failing source; no
-			// status is delivered for a failed interval (matching the
-			// snapshot-era behavior).
+			// Pace retries against a persistently failing stream; no
+			// status is delivered for a failed interval.
 			if !heartbeat.SleepCtx(ctx, m.clk, deadline.Sub(clockNow(m.clk))) {
 				return
 			}

@@ -20,6 +20,30 @@ func beatSteadily(hb *heartbeat.Heartbeat, clk *sim.Clock, n int, gap time.Durat
 	}
 }
 
+// attach drains st into a fresh Window: what a consumer attaching now
+// sees of the application — its count, goal and recent history.
+func attach(t *testing.T, st observer.Stream) *observer.Window {
+	t.Helper()
+	w := observer.NewWindow(0)
+	if _, err := observer.DrainInto(st, w); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func wantRate(t *testing.T, w *observer.Window, window int, want float64) {
+	t.Helper()
+	r, ok := w.RateOver(window)
+	if !ok || r.PerSec < want*0.999 || r.PerSec > want*1.001 {
+		t.Fatalf("RateOver(%d) = %v (ok %v), want %v", window, r.PerSec, ok, want)
+	}
+}
+
+// The four tests below keep the names of the Source adapters they used to
+// exercise (HeartbeatSource, ThreadSource, FileSource, LogSource): each
+// pins that the adapter's replacement — the stream of the same medium,
+// attached to a Window — observes the same count, goal and rate.
+
 func TestHeartbeatSourceSnapshot(t *testing.T) {
 	clk := sim.NewClock(time.Time{})
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
@@ -31,25 +55,15 @@ func TestHeartbeatSourceSnapshot(t *testing.T) {
 	}
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)
 
-	snap, err := observer.HeartbeatSource(hb).Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
+	w := attach(t, observer.HeartbeatStream(hb))
+	if min, max, ok := w.Target(); w.Count() != 20 || !ok || min != 5 || max != 15 {
+		t.Fatalf("count %d, target [%v, %v] set %v", w.Count(), min, max, ok)
 	}
-	if snap.Count != 20 || snap.Window != 10 || !snap.TargetSet || snap.TargetMin != 5 || snap.TargetMax != 15 {
-		t.Fatalf("snapshot = %+v", snap)
+	if n := len(w.Records()); n != 10 {
+		t.Fatalf("records = %d, want default window 10", n)
 	}
-	if len(snap.Records) != 10 {
-		t.Fatalf("records = %d, want default window 10", len(snap.Records))
-	}
-	r, ok := snap.Rate(0)
-	if !ok || r < 9.99 || r > 10.01 {
-		t.Fatalf("Rate = %v, want 10", r)
-	}
-	// Rate over a smaller explicit window still works.
-	r2, ok := snap.Rate(5)
-	if !ok || r2 < 9.99 || r2 > 10.01 {
-		t.Fatalf("Rate(5) = %v", r2)
-	}
+	wantRate(t, w, 0, 10)
+	wantRate(t, w, 5, 10) // a smaller explicit window still works
 }
 
 func TestThreadSourceSnapshot(t *testing.T) {
@@ -58,32 +72,33 @@ func TestThreadSourceSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := hb.Thread("w")
+	tr, other := hb.Thread("w"), hb.Thread("other")
 	for i := 0; i < 6; i++ {
-		clk.Advance(50 * time.Millisecond)
-		tr.Beat()
+		clk.Advance(25 * time.Millisecond)
+		other.GlobalBeat()
+		clk.Advance(25 * time.Millisecond)
+		tr.GlobalBeat()
 	}
-	snap, err := observer.ThreadSource(tr, 8).Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
+	// One worker's view is the global stream filtered by Record.Producer.
+	var mine []heartbeat.Record
+	for _, rec := range attach(t, observer.HeartbeatStream(hb)).Records() {
+		if rec.Producer == tr.ID() {
+			mine = append(mine, rec)
+		}
 	}
-	if snap.Count != 6 || len(snap.Records) != 6 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	r, ok := snap.Rate(0)
-	if !ok || r < 19.99 || r > 20.01 {
-		t.Fatalf("thread rate = %v, want 20", r)
+	if r, ok := heartbeat.RateOf(mine); len(mine) != 4 || !ok || r.PerSec < 19.99 || r.PerSec > 20.01 {
+		t.Fatalf("thread view = %d of the 8 retained records at %v beats/s, want 4 at 20", len(mine), r.PerSec)
 	}
 }
 
 func TestFileSourceSnapshot(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "a.hb")
-	w, err := hbfile.Create(p, 10, 64)
+	fw, err := hbfile.Create(p, 10, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk := sim.NewClock(time.Time{})
-	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
+	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(fw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,29 +111,52 @@ func TestFileSourceSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	snap, err := observer.FileSource(r).Snapshot(0)
+	w := attach(t, observer.ReaderStream(r, 0, 0, nil))
+	if min, _, ok := w.Target(); w.Count() != 30 || !ok || min != 30 {
+		t.Fatalf("count %d, target min %v set %v", w.Count(), min, ok)
+	}
+	wantRate(t, w, 0, 40)
+}
+
+func TestLogSourceSnapshot(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "a.hblog")
+	lw, err := hbfile.CreateLog(p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Count != 30 || !snap.TargetSet || snap.TargetMin != 30 {
-		t.Fatalf("snapshot = %+v", snap)
+	clk := sim.NewClock(time.Time{})
+	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(lw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rate, ok := snap.Rate(0)
-	if !ok || rate < 39.9 || rate > 40.1 {
-		t.Fatalf("rate = %v, want 40", rate)
+	defer hb.Close()
+	hb.SetTarget(4, 6)
+	beatSteadily(hb, clk, 40, 200*time.Millisecond)
+
+	r, err := hbfile.OpenLog(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	w := attach(t, observer.ReaderStream(r, 0, 0, nil))
+	if min, max, ok := w.Target(); w.Count() != 40 || !ok || min != 4 || max != 6 {
+		t.Fatalf("count %d, target [%v, %v] set %v", w.Count(), min, max, ok)
+	}
+	wantRate(t, w, 0, 5)
+	// A classifier over the log works end to end.
+	if st := (&observer.Classifier{Clock: clk}).ClassifyWindow(w); st.Health != observer.Healthy {
+		t.Fatalf("health = %v", st.Health)
 	}
 }
 
+// classify judges hb the one way there is: its stream, absorbed into a
+// Window, through ClassifyWindow.
 func classify(t *testing.T, clk *sim.Clock, hb *heartbeat.Heartbeat, c *observer.Classifier) observer.Status {
 	t.Helper()
 	if c.Clock == nil {
 		c.Clock = clk
 	}
-	snap, err := observer.HeartbeatSource(hb).Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.Classify(snap)
+	return c.ClassifyWindow(attach(t, observer.HeartbeatStream(hb)))
 }
 
 func TestClassifyHealthy(t *testing.T) {
@@ -212,13 +250,11 @@ func TestClassifyUnknownAndDead(t *testing.T) {
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	epoch := clk.Now()
 	c := &observer.Classifier{Clock: clk, Epoch: epoch, Grace: 5 * time.Second}
-	snap, _ := observer.HeartbeatSource(hb).Snapshot(0)
-	if st := c.Classify(snap); st.Health != observer.Unknown {
+	if st := classify(t, clk, hb, c); st.Health != observer.Unknown {
 		t.Fatalf("health = %v, want unknown inside grace", st.Health)
 	}
 	clk.Advance(6 * time.Second)
-	snap, _ = observer.HeartbeatSource(hb).Snapshot(0)
-	if st := c.Classify(snap); st.Health != observer.Dead {
+	if st := classify(t, clk, hb, c); st.Health != observer.Dead {
 		t.Fatalf("health = %v, want dead after grace", st.Health)
 	}
 }
@@ -249,7 +285,7 @@ func TestMonitorRunDeliversStatuses(t *testing.T) {
 
 	var polls atomic.Int32
 	got := make(chan observer.Status, 64)
-	m := observer.NewMonitor(observer.HeartbeatSource(hb), time.Millisecond, func(st observer.Status) {
+	m := observer.NewMonitor(observer.HeartbeatStream(hb), time.Millisecond, func(st observer.Status) {
 		polls.Add(1)
 		select {
 		case got <- st:
@@ -276,16 +312,8 @@ func TestMonitorRunDeliversStatuses(t *testing.T) {
 	}
 }
 
-func TestMonitorPollError(t *testing.T) {
-	errSource := sourceFunc(func(int) (observer.Snapshot, error) {
-		return observer.Snapshot{}, context.DeadlineExceeded
-	})
-	m := observer.NewMonitor(errSource, time.Millisecond, nil)
-	if _, err := m.Poll(); err == nil {
-		t.Fatal("Poll swallowed source error")
-	}
-}
+// scriptStream is a scripted observer.Stream: each Next is one call of the
+// function.
+type scriptStream func(ctx context.Context) (observer.Batch, error)
 
-type sourceFunc func(int) (observer.Snapshot, error)
-
-func (f sourceFunc) Snapshot(n int) (observer.Snapshot, error) { return f(n) }
+func (f scriptStream) Next(ctx context.Context) (observer.Batch, error) { return f(ctx) }

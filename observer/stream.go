@@ -1,3 +1,31 @@
+// Package observer implements the external-observer side of the Application
+// Heartbeats framework: reading a heartbeat-enabled application's progress,
+// goals, and history, and classifying its health. This is the role the
+// paper assigns to the OS, runtime, cloud manager, or system-administration
+// tooling (§2.3, §2.4, §2.6, §5.3): observers read heartbeat data the
+// application publishes and adapt on the application's behalf — or detect
+// that it is hung, slow, erratic, or dead.
+//
+// There is one way to observe: Stream, a cursor-based incremental view that
+// delivers each heartbeat record to a consumer exactly once, in batches,
+// as the application publishes them. Consumers accumulate batches in a
+// Window and judge it with Classifier.ClassifyWindow; Monitor packages
+// that loop for one application, and Hub multiplexes many named
+// applications into one loop with per-application Status fan-out. Each
+// stream kind has one constructor: HeartbeatStream for in-process
+// heartbeats (wakes on flush, no polling), ReaderStream for a heartbeat
+// file or shared-memory region another process writes (idle ticks cost one
+// cursor read), FollowFile for a file path that must survive the producer
+// recreating it; package hbnet carries the same streams across machines
+// (hbnet.Client satisfies Stream, so hubs and monitors take remote
+// applications unchanged).
+//
+// One ownership rule: the consumer a stream is handed to (NewMonitor,
+// Hub.Add, scheduler.New, ...) releases it — when the consumer's Run
+// returns, or in its Close or Remove — by calling Close if the stream is an
+// io.Closer. The paper's two point reads, HB_get_history and
+// HB_current_rate, stay where the paper put them: on heartbeat.Heartbeat
+// (History, Rate) and hbfile.Reader (Last, Rate).
 package observer
 
 import (
@@ -12,8 +40,8 @@ import (
 )
 
 // DefaultPollInterval paces the cursor checks of streams that observe a
-// medium with no wake-up channel (files written by another process, foreign
-// Sources). Each check is a single tiny read — the cursor — never a window
+// medium with no wake-up channel (files and shared memory written by another
+// process). Each check is a single tiny read — the cursor — never a window
 // re-decode, so the interval trades only detection latency, not per-tick
 // work.
 const DefaultPollInterval = 20 * time.Millisecond
@@ -42,8 +70,7 @@ type Batch struct {
 // Stream is the primary consumer-side abstraction: an incremental,
 // cursor-based view of one application's heartbeats. Next blocks until new
 // records are published and returns them as a Batch — so an idle
-// application costs its observers no per-record work at all, where the old
-// Snapshot polling re-read and re-decoded the whole window every tick.
+// application costs its observers no per-record work at all.
 //
 // Contract: when records are already pending, Next returns them
 // immediately even if ctx is already cancelled; cancellation is only
@@ -95,17 +122,12 @@ func DrainInto(s Stream, w *Window) (eof bool, err error) {
 // CollectInto absorbs batches of s into w until deadline (eof false, err
 // nil — a normal idle tick), stream end (eof true), ctx cancellation
 // (err = ctx.Err()), or a stream failure. This is the one
-// deadline-bounded collect loop shared by the wall-clock consumers
-// (Monitor.Run, scheduler.CoreScheduler.Run, hbmon -follow).
-func CollectInto(ctx context.Context, s Stream, w *Window, deadline time.Time) (eof bool, err error) {
-	return CollectIntoClock(ctx, s, w, deadline, nil)
-}
-
-// CollectIntoClock is CollectInto on an explicit clock: the deadline is
+// deadline-bounded collect loop shared by the waiting consumers
+// (Monitor.Run, scheduler.CoreScheduler.Run, hbmon). The deadline is
 // interpreted (and waited out) on clk's time, so a virtual clock makes the
-// collect interval a simulation event instead of a host sleep. A nil clk
+// collect interval a simulation event instead of a host sleep; a nil clk
 // (or any clock without scheduling) is the wall clock.
-func CollectIntoClock(ctx context.Context, s Stream, w *Window, deadline time.Time, clk heartbeat.Clock) (eof bool, err error) {
+func CollectInto(ctx context.Context, s Stream, w *Window, deadline time.Time, clk heartbeat.Clock) (eof bool, err error) {
 	dctx, cancel := heartbeat.ContextWithTimeout(ctx, clk, deadline.Sub(clockNow(clk)))
 	defer cancel()
 	for {
@@ -346,115 +368,5 @@ func (s *PolledStream) step() (Batch, bool, error) {
 		s.cursor = next
 		return Batch{Records: recs, Count: head, Window: s.r.Window(),
 			TargetMin: min, TargetMax: max, TargetSet: ok, Missed: missed}, true, nil
-	}
-}
-
-// PollStream adapts any Source to the Stream interface by polling
-// snapshots and forwarding only records newer than the cursor. It is the
-// compatibility fallback: each check still pays the source's full snapshot
-// cost, so native streams (HeartbeatStream, ReaderStream) are
-// preferred wherever they apply — StreamOf picks them automatically.
-// poll <= 0 selects DefaultPollInterval.
-func PollStream(src Source, poll time.Duration) Stream {
-	return PollStreamClock(src, poll, nil)
-}
-
-// PollStreamClock is PollStream on an explicit clock (see ReaderStream);
-// a nil clk is the wall clock.
-func PollStreamClock(src Source, poll time.Duration, clk heartbeat.Clock) Stream {
-	if poll <= 0 {
-		poll = DefaultPollInterval
-	}
-	return &pollStream{src: src, poll: poll, clk: clk}
-}
-
-type pollStream struct {
-	src    Source
-	poll   time.Duration
-	cursor uint64
-	clk    heartbeat.Clock // nil = wall clock
-}
-
-func (s *pollStream) Next(ctx context.Context) (Batch, error) {
-	for {
-		snap, err := s.src.Snapshot(0)
-		if err != nil {
-			return Batch{}, err
-		}
-		recs := snap.Records
-		var fresh []heartbeat.Record
-		if n := len(recs); n > 0 && recs[n-1].Seq == 0 {
-			// The source does not populate Seq (nothing in the snapshot
-			// API forced it to): fall back to count-based dedup so the
-			// stream still progresses instead of silently delivering
-			// nothing forever. Count regressions resynchronize.
-			if snap.Count < s.cursor {
-				s.cursor = 0
-			}
-			if snap.Count > s.cursor {
-				k := snap.Count - s.cursor
-				if k > uint64(n) {
-					k = uint64(n)
-				}
-				fresh = recs[n-int(k):]
-				s.cursor = snap.Count
-			}
-		} else {
-			if n := len(recs); n > 0 && recs[n-1].Seq < s.cursor {
-				// Sequence numbers regressed: the observed history was
-				// recreated (application restart). Resynchronize rather
-				// than silence the stream forever.
-				s.cursor = 0
-			}
-			i := len(recs)
-			for i > 0 && recs[i-1].Seq > s.cursor {
-				i--
-			}
-			fresh = recs[i:]
-			if len(fresh) > 0 {
-				s.cursor = fresh[len(fresh)-1].Seq
-			}
-		}
-		if len(fresh) > 0 {
-			return Batch{
-				Records:   fresh,
-				Count:     snap.Count,
-				Window:    snap.Window,
-				TargetMin: snap.TargetMin,
-				TargetMax: snap.TargetMax,
-				TargetSet: snap.TargetSet,
-			}, nil
-		}
-		if err := waitPoll(ctx, s.clk, s.poll); err != nil {
-			return Batch{}, err
-		}
-	}
-}
-
-// StreamOf converts a Source to its natural Stream: the built-in sources
-// map to their native incremental streams (in-process subscription, file
-// cursor tail), and anything else falls back to snapshot polling through
-// PollStream. poll paces the fallback and the file cursors; poll <= 0
-// selects DefaultPollInterval. This is the migration path for code holding
-// a Source from the pre-stream API.
-func StreamOf(src Source, poll time.Duration) Stream {
-	return StreamOfClock(src, poll, nil)
-}
-
-// StreamOfClock is StreamOf on an explicit clock: the derived stream's
-// poll waits run on clk, so the Source-compat path participates in
-// virtual time like the native streams (Hub.AddSource, Monitor.Run, and
-// scheduler.New thread their own clocks through here). A nil clk is the
-// wall clock.
-func StreamOfClock(src Source, poll time.Duration, clk heartbeat.Clock) Stream {
-	switch s := src.(type) {
-	case hbSource:
-		return HeartbeatStream(s.hb)
-	case fileSource:
-		return ReaderStream(s.r, poll, 0, clk)
-	case logSource:
-		return ReaderStream(s.r, poll, 0, clk)
-	default:
-		return PollStreamClock(src, poll, clk)
 	}
 }

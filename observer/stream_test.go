@@ -169,65 +169,6 @@ func TestLogStreamTailsLog(t *testing.T) {
 	}
 }
 
-func TestPollStreamFallbackDeliversOnlyNewRecords(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
-	hb, err := heartbeat.New(8, heartbeat.WithClock(clk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := hb.Thread("w")
-	for i := 0; i < 3; i++ {
-		clk.Advance(50 * time.Millisecond)
-		tr.Beat()
-	}
-	// ThreadSource has no native stream: StreamOf must fall back to
-	// polling yet still deliver each record exactly once.
-	st := observer.StreamOf(observer.ThreadSource(tr, 8), time.Millisecond)
-	b, err := st.Next(context.Background())
-	if err != nil || len(b.Records) != 3 {
-		t.Fatalf("fallback batch = %+v, err %v", b, err)
-	}
-	clk.Advance(50 * time.Millisecond)
-	tr.Beat()
-	b, err = st.Next(context.Background())
-	if err != nil || len(b.Records) != 1 || b.Records[0].Seq != 4 {
-		t.Fatalf("fallback delta = %+v, err %v", b, err)
-	}
-}
-
-func TestPollStreamZeroSeqFallback(t *testing.T) {
-	// A hand-rolled Source that never populates Seq (the snapshot API
-	// did not require it): the fallback dedups by Count.
-	base := time.Unix(0, 0)
-	count := uint64(0)
-	src := sourceFunc(func(int) (observer.Snapshot, error) {
-		recs := make([]heartbeat.Record, count)
-		for i := range recs {
-			recs[i].Time = base.Add(time.Duration(i) * time.Second)
-		}
-		return observer.Snapshot{Count: count, Window: 8, Records: recs}, nil
-	})
-	st := observer.PollStream(src, time.Millisecond)
-	count = 3
-	b, err := st.Next(context.Background())
-	if err != nil || len(b.Records) != 3 {
-		t.Fatalf("first batch = %d records, err %v; want 3", len(b.Records), err)
-	}
-	count = 5
-	b, err = st.Next(context.Background())
-	if err != nil || len(b.Records) != 2 || b.Count != 5 {
-		t.Fatalf("delta batch = %d records (count %d), err %v; want the 2 new ones", len(b.Records), b.Count, err)
-	}
-}
-
-func TestStreamOfPicksNativeStreams(t *testing.T) {
-	hb, _ := heartbeat.New(10)
-	defer hb.Close()
-	if _, ok := observer.StreamOf(observer.HeartbeatSource(hb), 0).(io.Closer); !ok {
-		t.Fatal("StreamOf(HeartbeatSource) did not return the native heartbeat stream")
-	}
-}
-
 func TestWindowAbsorbTrimAndCachedStats(t *testing.T) {
 	w := observer.NewWindow(4)
 	base := time.Unix(0, 0)
@@ -253,47 +194,37 @@ func TestWindowAbsorbTrimAndCachedStats(t *testing.T) {
 	if w.LastBeat() != mk(6).Time {
 		t.Fatalf("last beat = %v", w.LastBeat())
 	}
-	snap := w.Snapshot()
-	if snap.Count != 6 || snap.Window != 10 || len(snap.Records) != 4 {
-		t.Fatalf("snapshot view = %+v", snap)
-	}
 }
 
-func TestClassifyWindowMatchesClassify(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
-	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
-	if err != nil {
-		t.Fatal(err)
+// A stream that resynchronized after a producer restart delivers the new
+// life from Seq 1: the window must follow it, not straddle the two lives.
+func TestWindowRestartDropsOldLife(t *testing.T) {
+	w := observer.NewWindow(8)
+	base := time.Unix(0, 0)
+	w.Absorb(observer.Batch{
+		Records: []heartbeat.Record{{Seq: 99, Time: base}, {Seq: 100, Time: base.Add(time.Second)}},
+		Count:   100, Window: 8,
+	})
+	// An hour of dead time, then the new life beats at 10/s.
+	born := base.Add(time.Hour)
+	var fresh []heartbeat.Record
+	for seq := uint64(1); seq <= 3; seq++ {
+		fresh = append(fresh, heartbeat.Record{Seq: seq, Time: born.Add(time.Duration(seq) * 100 * time.Millisecond)})
 	}
-	hb.SetTarget(8, 12)
-	beatSteadily(hb, clk, 20, 100*time.Millisecond)
-
-	snap, err := observer.HeartbeatSource(hb).Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
+	w.Absorb(observer.Batch{Records: fresh, Count: 3, Window: 8})
+	if w.Count() != 3 {
+		t.Fatalf("Count = %d, want the new life's 3", w.Count())
 	}
-	w := observer.NewWindow(0)
-	st := observer.HeartbeatStream(hb)
-	b, err := st.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if recs := w.Records(); len(recs) != 3 || recs[0].Seq != 1 {
+		t.Fatalf("window straddles the restart: %+v", recs)
 	}
-	w.Absorb(b)
-
-	c := &observer.Classifier{Clock: clk}
-	fromSnap := c.Classify(snap)
-	fromWin := c.ClassifyWindow(w)
-	if fromSnap.Health != fromWin.Health || fromSnap.Rate != fromWin.Rate ||
-		fromSnap.RateOK != fromWin.RateOK || fromSnap.LastBeat != fromWin.LastBeat {
-		t.Fatalf("classify mismatch:\n snapshot %+v\n window   %+v", fromSnap, fromWin)
+	if r, ok := w.RateOver(0); !ok || r.PerSec < 9.99 || r.PerSec > 10.01 {
+		t.Fatalf("rate = %+v, want the new life's 10/s (not one spanning the dead hour)", r)
 	}
-	if fromWin.Health != observer.Healthy {
-		t.Fatalf("health = %v", fromWin.Health)
-	}
-	// Repeat judgment with no new records: cached stats, same verdict.
-	again := c.ClassifyWindow(w)
-	if again.Health != fromWin.Health || again.Rate != fromWin.Rate {
-		t.Fatalf("cached judgment drifted: %+v vs %+v", again, fromWin)
+	// The new life then continues normally.
+	w.Absorb(observer.Batch{Records: []heartbeat.Record{{Seq: 4, Time: born.Add(400 * time.Millisecond)}}, Count: 4, Window: 8})
+	if w.Count() != 4 || len(w.Records()) != 4 {
+		t.Fatalf("after continuing: count %d, %d records", w.Count(), len(w.Records()))
 	}
 }
 
@@ -305,28 +236,12 @@ func TestMonitorRunFirstStatusImmediate(t *testing.T) {
 	}
 	hb.SetTarget(8, 12)
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)
-	got := make(chan observer.Status, 1)
-	// With an hour-long interval, only the immediate initial judgment can
-	// deliver a status within the test deadline.
-	m := observer.NewMonitor(observer.HeartbeatSource(hb), time.Hour, func(st observer.Status) {
-		select {
-		case got <- st:
-		default:
-		}
-	}, observer.WithClassifier(&observer.Classifier{Clock: clk}))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { m.Run(ctx); close(done) }()
-	select {
-	case st := <-got:
-		if st.Health != observer.Healthy {
-			t.Fatalf("first status = %+v", st)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("first status waited for the interval instead of firing immediately")
+	// firstStatus runs the monitor on an hour-long interval: only the
+	// immediate initial judgment can deliver a status within its deadline.
+	st := firstStatus(t, observer.HeartbeatStream(hb), observer.WithClassifier(&observer.Classifier{Clock: clk}))
+	if st.Health != observer.Healthy {
+		t.Fatalf("first status = %+v", st)
 	}
-	cancel()
-	<-done
 }
 
 func TestMonitorRunOnStreamDetectsFlatline(t *testing.T) {
@@ -340,7 +255,7 @@ func TestMonitorRunOnStreamDetectsFlatline(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	flat := make(chan observer.Status, 1)
-	m := observer.NewMonitor(observer.HeartbeatSource(hb), 10*time.Millisecond, func(st observer.Status) {
+	m := observer.NewMonitor(observer.HeartbeatStream(hb), 10*time.Millisecond, func(st observer.Status) {
 		if st.Health == observer.Flatlined {
 			select {
 			case flat <- st:

@@ -118,16 +118,15 @@ func TestWatchdogEndToEnd(t *testing.T) {
 	}
 	hb.SetTarget(10, 100)
 	classifier := &observer.Classifier{Clock: clk, FlatlineFactor: 5}
-	source := observer.HeartbeatSource(hb)
+	stream, win := observer.HeartbeatStream(hb), observer.NewWindow(0)
 	restarted := false
 	dog := &observer.Watchdog{Threshold: 2, OnRestart: func(observer.Status) { restarted = true }}
 
 	poll := func() bool {
-		snap, err := source.Snapshot(0)
-		if err != nil {
+		if _, err := observer.DrainInto(stream, win); err != nil {
 			t.Fatal(err)
 		}
-		return dog.Observe(classifier.Classify(snap))
+		return dog.Observe(classifier.ClassifyWindow(win))
 	}
 
 	// Healthy operation: beat at 20/s, poll every 10 beats.

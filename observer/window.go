@@ -8,11 +8,10 @@ import (
 )
 
 // Window accumulates stream batches into the bounded record window that
-// rate and health judgments are made over. It is the stream-side
-// replacement for re-fetching a Snapshot every tick: Absorb folds in only
-// the new records of each batch, and the derived statistics (windowed
-// rate, interval variability) are cached between batches, so an idle tick
-// does no per-record work at all.
+// rate and health judgments are made over. Absorb folds in only the new
+// records of each batch, and the derived statistics (windowed rate,
+// interval variability) are cached between batches, so an idle tick does
+// no per-record work at all.
 //
 // Window is not safe for concurrent use; each consumer owns one.
 type Window struct {
@@ -49,12 +48,18 @@ func (w *Window) limit() int {
 	return 64
 }
 
-// Absorb folds one batch into the window.
+// Absorb folds one batch into the window. A batch whose first record does
+// not continue the retained sequence (its Seq is at or below the newest
+// retained one) is a new life of the producer — a stream resynchronized
+// after a restart — so the old life's records and count are dropped rather
+// than judged across the gap between lives.
 func (w *Window) Absorb(b Batch) {
 	if b.Window > 0 {
 		w.window = b.Window
 	}
-	if b.Count > w.count {
+	if n := len(w.recs); n > 0 && len(b.Records) > 0 && b.Records[0].Seq <= w.recs[n-1].Seq {
+		w.recs, w.count = w.recs[:0], b.Count
+	} else if b.Count > w.count {
 		w.count = b.Count
 	}
 	w.targetMin, w.targetMax, w.targetSet = b.TargetMin, b.TargetMax, b.TargetSet
@@ -106,19 +111,6 @@ func (w *Window) RateOver(window int) (heartbeat.Rate, bool) {
 		recs = recs[len(recs)-window:]
 	}
 	return heartbeat.RateOf(recs)
-}
-
-// Snapshot views the window as the legacy Snapshot type, for code written
-// against the pre-stream API. The records slice is shared, not copied.
-func (w *Window) Snapshot() Snapshot {
-	return Snapshot{
-		Count:     w.count,
-		Window:    w.window,
-		TargetMin: w.targetMin,
-		TargetMax: w.targetMax,
-		TargetSet: w.targetSet,
-		Records:   w.recs,
-	}
 }
 
 // cachedStats returns the windowed rate and interval CV, recomputing them

@@ -21,9 +21,11 @@ type FrequencyMachine interface {
 // "where decisions about dynamic frequency and voltage scaling are driven
 // by the performance measurements and target heart rate mechanisms of the
 // Heartbeats framework". Below the window it raises frequency one step;
-// above it, it lowers one step, cutting dynamic power cubically.
+// above it, it lowers one step, cutting dynamic power cubically. Like
+// CoreScheduler it observes incrementally and owns its stream; Close
+// releases it.
 type DVFSGovernor struct {
-	source  observer.Source
+	observed
 	machine FrequencyMachine
 	window  int
 	step    float64
@@ -44,15 +46,16 @@ func WithGovernorStep(s float64) GovernorOption {
 }
 
 // NewDVFSGovernor creates a governor over the application's heartbeat
-// source and the machine's frequency control.
-func NewDVFSGovernor(source observer.Source, machine FrequencyMachine, opts ...GovernorOption) (*DVFSGovernor, error) {
-	if source == nil || machine == nil {
-		return nil, fmt.Errorf("scheduler: nil source or machine")
+// stream and the machine's frequency control.
+func NewDVFSGovernor(stream observer.Stream, machine FrequencyMachine, opts ...GovernorOption) (*DVFSGovernor, error) {
+	if stream == nil || machine == nil {
+		return nil, fmt.Errorf("scheduler: nil stream or machine")
 	}
-	g := &DVFSGovernor{source: source, machine: machine, step: 0.125}
+	g := &DVFSGovernor{machine: machine, step: 0.125}
 	for _, o := range opts {
 		o(g)
 	}
+	g.observed = observe(stream, g.window)
 	return g, nil
 }
 
@@ -70,22 +73,22 @@ type GovernorSample struct {
 // application misses its minimum target, lower it when the application
 // exceeds its maximum (wasting energy on unneeded speed).
 func (g *DVFSGovernor) Step() (GovernorSample, error) {
-	snap, err := g.source.Snapshot(g.window)
-	if err != nil {
+	if err := g.drain(); err != nil {
 		return GovernorSample{}, fmt.Errorf("scheduler: %w", err)
 	}
-	rate, ok := snap.Rate(g.window)
+	r, ok := g.win.RateOver(g.window)
+	tmin, tmax, tset := g.win.Target()
 	f := g.machine.Frequency()
-	if ok && snap.TargetSet {
+	if ok && tset {
 		switch {
-		case rate < snap.TargetMin:
+		case r.PerSec < tmin:
 			f = g.machine.SetFrequency(f + g.step)
-		case rate > snap.TargetMax:
+		case r.PerSec > tmax:
 			f = g.machine.SetFrequency(f - g.step)
 		}
 	}
 	return GovernorSample{
-		Beat: snap.Count, Rate: rate, RateOK: ok, Frequency: f,
-		TargetMin: snap.TargetMin, TargetMax: snap.TargetMax,
+		Beat: g.win.Count(), Rate: r.PerSec, RateOK: ok, Frequency: f,
+		TargetMin: tmin, TargetMax: tmax,
 	}, nil
 }

@@ -1,9 +1,11 @@
 package scheduler_test
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/hbfile"
 	"repro/heartbeat"
 	"repro/observer"
 	"repro/scheduler"
@@ -14,9 +16,9 @@ func TestDVFSGovernorValidation(t *testing.T) {
 	hb, _ := heartbeat.New(10)
 	m := sim.NewMachine(sim.NewClock(time.Time{}), 8, 1e6)
 	if _, err := scheduler.NewDVFSGovernor(nil, m); err == nil {
-		t.Fatal("nil source accepted")
+		t.Fatal("nil stream accepted")
 	}
-	if _, err := scheduler.NewDVFSGovernor(observer.HeartbeatSource(hb), nil); err == nil {
+	if _, err := scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), nil); err == nil {
 		t.Fatal("nil machine accepted")
 	}
 }
@@ -32,7 +34,7 @@ func TestDVFSGovernorSettlesAtMinimumFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb.SetTarget(29, 33)
-	gov, err := scheduler.NewDVFSGovernor(observer.HeartbeatSource(hb), m,
+	gov, err := scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), m,
 		scheduler.WithGovernorWindow(window))
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +78,7 @@ func TestDVFSGovernorHoldsWithoutMeasurement(t *testing.T) {
 	m := sim.NewMachine(clk, 8, 1e6)
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(10, 20)
-	gov, err := scheduler.NewDVFSGovernor(observer.HeartbeatSource(hb), m)
+	gov, err := scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,5 +89,81 @@ func TestDVFSGovernorHoldsWithoutMeasurement(t *testing.T) {
 	}
 	if s.RateOK || m.Frequency() != before {
 		t.Fatalf("governor acted without measurement: %+v, freq %v", s, m.Frequency())
+	}
+}
+
+// A decision point at which the application published nothing reads
+// nothing: the governor observes incrementally, like the core scheduler.
+func TestGovernorIdleStepReadsNothing(t *testing.T) {
+	clk := sim.NewClock(time.Time{})
+	m := sim.NewMachine(clk, 8, 1e6)
+	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
+	hb.SetTarget(5, 15)
+	st := &tallyStream{Stream: observer.HeartbeatStream(hb)}
+	gov, err := scheduler.NewDVFSGovernor(st, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gov.Close()
+	for i := 0; i < 10; i++ {
+		clk.Advance(100 * time.Millisecond)
+		hb.Beat()
+	}
+	busy, err := gov.Step()
+	if err != nil || !busy.RateOK || st.records != 10 {
+		t.Fatalf("first step = %+v, err %v, after absorbing %d records; want a rate from all 10", busy, err, st.records)
+	}
+	idle, err := gov.Step()
+	if err != nil || st.records != 10 {
+		t.Fatalf("idle step absorbed %d records (err %v), want 0", st.records-10, err)
+	}
+	if idle != busy {
+		t.Fatalf("idle step decided differently: %+v, then %+v", busy, idle)
+	}
+}
+
+// The governor across a process boundary: it reads only the heartbeat file.
+func TestGovernorOverFile(t *testing.T) {
+	const window = 10
+	path := filepath.Join(t.TempDir(), "gov.hb")
+	w, err := hbfile.Create(path, window, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewClock(time.Time{})
+	m := sim.NewMachine(clk, 8, 1e9)
+	hb, err := heartbeat.New(window, heartbeat.WithClock(clk), heartbeat.WithSink(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hb.Close()
+	hb.SetTarget(29, 33)
+
+	r, err := hbfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	gov, err := scheduler.NewDVFSGovernor(observer.ReaderStream(r, 0, 0, nil), m,
+		scheduler.WithGovernorWindow(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gov.Close()
+	var last scheduler.GovernorSample
+	for b := 1; b <= 200; b++ {
+		m.Execute(sim.Work{Ops: 0.0912e9, ParallelFrac: 0.95}) // ~32.5 beats/s at f=0.5
+		hb.Beat()
+		if b%window == 0 {
+			if last, err = gov.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m.Frequency() != 0.5 || last.Beat != 200 || last.Rate < 29 || last.Rate > 33 {
+		t.Fatalf("file-driven governor ended at f=%v, %+v; want 0.5 and the rate in [29, 33]", m.Frequency(), last)
+	}
+	if err := hb.SinkErr(); err != nil {
+		t.Fatal(err)
 	}
 }

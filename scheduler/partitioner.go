@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"io"
 
 	"repro/observer"
 )
@@ -28,15 +27,10 @@ type Partitioner struct {
 }
 
 type partApp struct {
-	name   string
-	stream observer.Stream
-	// ownsStream marks a stream the partitioner derived from a Source in
-	// Add (released by Close); AddStream streams belong to the caller.
-	ownsStream bool
-	win        *observer.Window
-	eof        bool
-	set        func(int) int
-	cores      int
+	observed
+	name  string
+	set   func(int) int
+	cores int
 }
 
 // AppStatus reports one application's state at a partitioning decision.
@@ -53,7 +47,7 @@ type AppStatus struct {
 }
 
 // NewPartitioner creates a partitioner over a pool of total cores.
-// window sets the rate-averaging window in beats (0: each source's
+// window sets the rate-averaging window in beats (0: each application's
 // default).
 func NewPartitioner(total, window int) (*Partitioner, error) {
 	if total < 1 {
@@ -62,37 +56,18 @@ func NewPartitioner(total, window int) (*Partitioner, error) {
 	return &Partitioner{total: total, window: window}, nil
 }
 
-// Add registers an application: its heartbeat source and its core
+// Add registers an application: its heartbeat stream and its core
 // actuator (which must clamp and return the effective grant, e.g.
 // (*sim.Proc).SetCores). The initial grant is applied immediately.
-// Add fails if the pool cannot hold one core per registered application.
-// The source is consumed as its natural stream (see observer.StreamOf);
-// AddStream registers a Stream directly. The partitioner is Step-driven —
-// Step drains every stream without blocking, so the derived stream's poll
-// pacing is never waited on and no clock threading is needed (callers on
-// a virtual clock call Step from their own clocked loop; contrast
-// CoreScheduler.Run, which waits and therefore takes WithClock).
-func (p *Partitioner) Add(name string, source observer.Source, set func(int) int, initial int) error {
-	if source == nil {
-		return fmt.Errorf("scheduler: nil source or actuator for %q", name)
-	}
-	stream := observer.StreamOf(source, 0)
-	if err := p.AddStream(name, stream, set, initial); err != nil {
-		// The derived stream may hold a live subscription; a failed
-		// registration must not leak it.
-		if c, ok := stream.(io.Closer); ok {
-			c.Close()
-		}
-		return err
-	}
-	p.apps[len(p.apps)-1].ownsStream = true
-	return nil
-}
-
-// AddStream is Add for an application already exposed as a Stream.
-func (p *Partitioner) AddStream(name string, stream observer.Stream, set func(int) int, initial int) error {
+// Add fails if the pool cannot hold one core per registered application;
+// on success the partitioner owns the stream (see Close). The partitioner
+// is Step-driven — Step drains every stream without blocking, so a polled
+// stream's pacing is never waited on and no clock threading is needed
+// (callers on a virtual clock call Step from their own clocked loop;
+// contrast CoreScheduler.Run, which waits and therefore takes WithClock).
+func (p *Partitioner) Add(name string, stream observer.Stream, set func(int) int, initial int) error {
 	if stream == nil || set == nil {
-		return fmt.Errorf("scheduler: nil source or actuator for %q", name)
+		return fmt.Errorf("scheduler: nil stream or actuator for %q", name)
 	}
 	if len(p.apps)+1 > p.total {
 		return fmt.Errorf("scheduler: %d apps cannot share %d cores (1 core per app minimum)", len(p.apps)+1, p.total)
@@ -103,22 +78,10 @@ func (p *Partitioner) AddStream(name string, stream observer.Stream, set func(in
 	if used := p.used() + initial; used > p.total {
 		initial = p.total - p.used()
 	}
-	a := &partApp{name: name, stream: stream, win: observer.NewWindow(p.window), set: set}
+	a := &partApp{observed: observe(stream, p.window), name: name, set: set}
 	a.cores = set(initial)
 	p.apps = append(p.apps, a)
 	return nil
-}
-
-// drain absorbs the application's pending batches without blocking.
-func (a *partApp) drain() error {
-	if a.eof {
-		return nil
-	}
-	eof, err := observer.DrainInto(a.stream, a.win)
-	if eof {
-		a.eof = true
-	}
-	return err
 }
 
 func (p *Partitioner) used() int {
@@ -132,21 +95,13 @@ func (p *Partitioner) used() int {
 // Free returns the number of unallocated cores.
 func (p *Partitioner) Free() int { return p.total - p.used() }
 
-// Close releases the streams the partitioner derived from Sources in Add
-// (in-process streams hold a subscription on the observed Heartbeat for as
-// long as they live). Streams registered with AddStream are the caller's
-// to close. Close the partitioner once no Step is active.
+// Close releases every registered application's stream (see
+// CoreScheduler.Close). Close the partitioner once no Step is active.
 func (p *Partitioner) Close() error {
 	var first error
 	for _, a := range p.apps {
-		if !a.ownsStream {
-			continue
-		}
-		a.ownsStream = false
-		if c, ok := a.stream.(io.Closer); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := a.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

@@ -1,6 +1,7 @@
 package scheduler_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 	"time"
@@ -53,10 +54,10 @@ func TestPartitionerBalancesTwoApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("a", observer.HeartbeatSource(a.hb), a.proc.SetCores, 1); err != nil {
+	if err := part.Add("a", observer.HeartbeatStream(a.hb), a.proc.SetCores, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("b", observer.HeartbeatSource(b.hb), b.proc.SetCores, 1); err != nil {
+	if err := part.Add("b", observer.HeartbeatStream(b.hb), b.proc.SetCores, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,8 +101,8 @@ func TestPartitionerShiftsCoresOnLoadChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part.Add("a", observer.HeartbeatSource(a.hb), a.proc.SetCores, 4)
-	part.Add("b", observer.HeartbeatSource(b.hb), b.proc.SetCores, 3)
+	part.Add("a", observer.HeartbeatStream(a.hb), a.proc.SetCores, 4)
+	part.Add("b", observer.HeartbeatStream(b.hb), b.proc.SetCores, 3)
 
 	coresAtPhase1 := 0
 	for i := 0; i < 300; i++ {
@@ -133,21 +134,21 @@ func TestPartitionerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb, _ := heartbeat.New(5)
-	src := observer.HeartbeatSource(hb)
+	src := func() observer.Stream { return observer.HeartbeatStream(hb) }
 	set := func(n int) int { return n }
 	if err := part.Add("a", nil, set, 1); err == nil {
-		t.Fatal("nil source accepted")
+		t.Fatal("nil stream accepted")
 	}
-	if err := part.Add("a", src, nil, 1); err == nil {
+	if err := part.Add("a", src(), nil, 1); err == nil {
 		t.Fatal("nil actuator accepted")
 	}
-	if err := part.Add("a", src, set, 1); err != nil {
+	if err := part.Add("a", src(), set, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("b", src, set, 1); err != nil {
+	if err := part.Add("b", src(), set, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("c", src, set, 1); err == nil {
+	if err := part.Add("c", src(), set, 1); err == nil {
 		t.Fatal("third app on 2 cores accepted")
 	}
 }
@@ -167,9 +168,7 @@ func TestPartitionerInvariantsProperty(t *testing.T) {
 		rate := [3]float64{15, 15, 15}
 		for i := 0; i < 3; i++ {
 			i := i
-			src := fakeSource(func(int) (observer.Snapshot, error) {
-				return snapshotWithRate(rate[i], 10, 20), nil
-			})
+			src := &rateStream{perSec: &rate[i], min: 10, max: 20}
 			set := func(n int) int {
 				if n < 1 {
 					n = 1
@@ -203,25 +202,34 @@ func TestPartitionerInvariantsProperty(t *testing.T) {
 	}
 }
 
-type fakeSource func(int) (observer.Snapshot, error)
+// rateStream is a scripted observer.Stream: every non-blocking drain finds
+// exactly one fresh five-record batch, beating at whatever *perSec says at
+// that moment, continuing the sequence and timeline of the previous one.
+type rateStream struct {
+	perSec   *float64
+	min, max float64
+	seq      uint64
+	at       time.Time
+	drained  bool // the pending batch was delivered; the next Next is idle
+}
 
-func (f fakeSource) Snapshot(n int) (observer.Snapshot, error) { return f(n) }
-
-// snapshotWithRate fabricates a snapshot whose Rate() evaluates to
-// approximately perSec beats/s.
-func snapshotWithRate(perSec float64, min, max float64) observer.Snapshot {
+func (s *rateStream) Next(ctx context.Context) (observer.Batch, error) {
+	if s.drained = !s.drained; !s.drained {
+		return observer.Batch{}, ctx.Err()
+	}
+	perSec := *s.perSec
 	if perSec <= 0 {
 		perSec = 0.001
 	}
-	base := time.Unix(0, 0)
 	gap := time.Duration(float64(time.Second) / perSec)
 	recs := make([]heartbeat.Record, 5)
 	for i := range recs {
-		recs[i] = heartbeat.Record{Seq: uint64(i + 1), Time: base.Add(time.Duration(i) * gap)}
+		s.seq++
+		s.at = s.at.Add(gap)
+		recs[i] = heartbeat.Record{Seq: s.seq, Time: s.at}
 	}
-	return observer.Snapshot{
-		Count: 5, Window: 5,
-		TargetMin: min, TargetMax: max, TargetSet: true,
-		Records: recs,
-	}
+	return observer.Batch{
+		Records: recs, Count: s.seq, Window: 5,
+		TargetMin: s.min, TargetMax: s.max, TargetSet: true,
+	}, nil
 }

@@ -19,7 +19,7 @@ func TestPlannerPolicyConvergesFasterThanStepper(t *testing.T) {
 		hb, m := newSim(t, window)
 		hb.SetTarget(8, 10)
 		m.SetCores(1)
-		sched, err := scheduler.New(observer.HeartbeatSource(hb), m, pol)
+		sched, err := scheduler.New(observer.HeartbeatStream(hb), m, pol)
 		if err != nil {
 			t.Fatal(err)
 		}

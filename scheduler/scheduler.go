@@ -84,29 +84,60 @@ type Sample struct {
 	TargetMax float64
 }
 
+// observed is the consumer half every controller in this package shares:
+// one application's stream, drained without blocking into a private window
+// at each decision point, so a decision reads only the records published
+// since the previous one and a decision point at which the application made
+// no progress costs no per-record work.
+//
+// It carries the package's one ownership rule: a controller owns the stream
+// it was handed and releases it in Close.
+type observed struct {
+	stream observer.Stream // nil once closed
+	win    *observer.Window
+	eof    bool
+}
+
+func observe(stream observer.Stream, window int) observed {
+	return observed{stream: stream, win: observer.NewWindow(window)}
+}
+
+// drain absorbs the records published since the last drain. Once the
+// stream ends (the observed Heartbeat was closed) the window keeps its
+// final state.
+func (o *observed) drain() error {
+	if o.eof {
+		return nil
+	}
+	eof, err := observer.DrainInto(o.stream, o.win)
+	o.eof = eof
+	return err
+}
+
+// Close releases the observed stream: it is closed, once, if it is an
+// io.Closer (in-process streams hold a subscription on the observed
+// Heartbeat, remote ones a connection, for as long as they live). Call it
+// once no Step or Run is active; a later Step decides from the final
+// window.
+func (o *observed) Close() error {
+	c, ok := o.stream.(io.Closer)
+	o.stream, o.eof = nil, true
+	if !ok {
+		return nil
+	}
+	return c.Close()
+}
+
 // CoreScheduler couples an application's heartbeat stream to a CoreMachine
 // through a Policy. Drive it either by calling Step at decision points
 // (the deterministic experiment harness does this once per heartbeat
-// window) or with Run for a wall-clock loop.
-//
-// Observation is incremental: the scheduler consumes an observer.Stream
-// into a private observer.Window, so each decision reads only the records
-// published since the previous one — a decision point at which the
-// application made no progress costs no per-record work, where the
-// snapshot-era scheduler re-fetched and re-decoded the whole window every
-// cycle.
+// window) or with Run for a wall-clock loop; Close releases the stream.
 type CoreScheduler struct {
-	stream observer.Stream
-	// ownsStream marks a stream the scheduler derived itself (from the
-	// Source given to New) and must therefore release in Close; a stream
-	// supplied via WithStream belongs to the caller.
-	ownsStream bool
-	machine    CoreMachine
-	policy     Policy
-	window     int // observation window in beats (0: source default)
-	win        *observer.Window
-	eof        bool
-	clk        heartbeat.Clock // nil = wall clock; paces Run's decision cadence
+	observed
+	machine CoreMachine
+	policy  Policy
+	window  int             // observation window in beats (0: the application's default)
+	clk     heartbeat.Clock // nil = wall clock; paces Run's decision cadence
 }
 
 // Option configures New.
@@ -116,50 +147,24 @@ type Option func(*CoreScheduler)
 // measurements (default: the application's default window).
 func WithWindow(n int) Option { return func(s *CoreScheduler) { s.window = n } }
 
-// WithStream has the scheduler consume the given stream instead of
-// deriving one from the Source passed to New (which may then be nil).
-func WithStream(st observer.Stream) Option { return func(s *CoreScheduler) { s.stream = st } }
-
 // WithClock runs the decision loop on an explicit clock: Run's intervals
 // follow clk (virtual for a sim.Clock), so a simulated scheduler decides
 // on the simulation's schedule instead of the host's. A nil clk is the
 // wall clock. Step is unaffected — it is already clock-free.
 func WithClock(clk heartbeat.Clock) Option { return func(s *CoreScheduler) { s.clk = clk } }
 
-// New creates a scheduler observing source. A nil machine or policy is an
-// error; source may only be nil when WithStream supplies the stream.
-func New(source observer.Source, machine CoreMachine, policy Policy, opts ...Option) (*CoreScheduler, error) {
-	if machine == nil || policy == nil {
-		return nil, fmt.Errorf("scheduler: nil machine or policy")
+// New creates a scheduler observing stream, which it owns from here on
+// (see Close). A nil stream, machine or policy is an error.
+func New(stream observer.Stream, machine CoreMachine, policy Policy, opts ...Option) (*CoreScheduler, error) {
+	if stream == nil || machine == nil || policy == nil {
+		return nil, fmt.Errorf("scheduler: nil stream, machine, or policy")
 	}
 	s := &CoreScheduler{machine: machine, policy: policy}
 	for _, o := range opts {
 		o(s)
 	}
-	if s.stream == nil {
-		if source == nil {
-			return nil, fmt.Errorf("scheduler: nil source, machine, or policy")
-		}
-		s.stream = observer.StreamOfClock(source, 0, s.clk)
-		s.ownsStream = true
-	}
-	s.win = observer.NewWindow(s.window)
+	s.observed = observe(stream, s.window)
 	return s, nil
-}
-
-// Close releases the stream the scheduler derived from its Source, if
-// any (in-process streams hold a subscription on the observed Heartbeat
-// for as long as they live). Streams supplied via WithStream are the
-// caller's to close. Close a scheduler once no Run or Step is active.
-func (s *CoreScheduler) Close() error {
-	if !s.ownsStream {
-		return nil
-	}
-	s.ownsStream = false
-	if c, ok := s.stream.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
 }
 
 // Step performs one observe–decide–actuate cycle: absorb the records
@@ -167,14 +172,8 @@ func (s *CoreScheduler) Close() error {
 // Once the stream ends (the observed Heartbeat was closed) the scheduler
 // keeps deciding from the final window.
 func (s *CoreScheduler) Step() (Sample, error) {
-	if !s.eof {
-		eof, err := observer.DrainInto(s.stream, s.win)
-		if eof {
-			s.eof = true
-		}
-		if err != nil {
-			return Sample{}, fmt.Errorf("scheduler: %w", err)
-		}
+	if err := s.drain(); err != nil {
+		return Sample{}, fmt.Errorf("scheduler: %w", err)
 	}
 	return s.decide(), nil
 }
@@ -203,8 +202,8 @@ func (s *CoreScheduler) decide() Sample {
 // non-nil) after each cycle and onError (if non-nil) on failures. Between
 // decisions it blocks on the stream, absorbing batches as the application
 // publishes them, so an idle application costs nothing per tick. A
-// non-positive interval is clamped to a 100ms decision cadence (the
-// ticker-era Run panicked on one; the stream loop would busy-spin).
+// non-positive interval is clamped to a 100ms decision cadence (the loop
+// would busy-spin on one).
 func (s *CoreScheduler) Run(ctx context.Context, interval time.Duration, onSample func(Sample), onError func(error)) {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
@@ -237,13 +236,13 @@ func (s *CoreScheduler) Run(ctx context.Context, interval time.Duration, onSampl
 
 // collect absorbs stream batches until deadline or ctx cancellation.
 // After a stream end or error, the remaining interval is waited out so a
-// dead or failing source cannot spin the decision loop.
+// dead or failing stream cannot spin the decision loop.
 func (s *CoreScheduler) collect(ctx context.Context, deadline time.Time) error {
 	var streamErr error
 	if s.eof {
 		// Nothing more will ever arrive; just keep the decision cadence.
 	} else {
-		eof, err := observer.CollectIntoClock(ctx, s.stream, s.win, deadline, s.clk)
+		eof, err := observer.CollectInto(ctx, s.stream, s.win, deadline, s.clk)
 		if eof {
 			s.eof = true
 		}

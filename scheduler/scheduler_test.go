@@ -47,10 +47,10 @@ func newSim(t *testing.T, window int) (*heartbeat.Heartbeat, *sim.Machine) {
 
 func TestNewValidation(t *testing.T) {
 	hb, m := newSim(t, 10)
-	src := observer.HeartbeatSource(hb)
+	src := observer.HeartbeatStream(hb)
 	pol := scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 2}}
 	if _, err := scheduler.New(nil, m, pol); err == nil {
-		t.Fatal("nil source accepted")
+		t.Fatal("nil stream accepted")
 	}
 	if _, err := scheduler.New(src, nil, pol); err == nil {
 		t.Fatal("nil machine accepted")
@@ -71,7 +71,7 @@ func TestStepperSchedulerReachesWindow(t *testing.T) {
 	hb.SetTarget(8, 10)
 	m.SetCores(1)
 	sched, err := scheduler.New(
-		observer.HeartbeatSource(hb), m,
+		observer.HeartbeatStream(hb), m,
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
 	)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestSchedulerReclaimsCoresOnLoadDrop(t *testing.T) {
 	hb.SetTarget(8, 10)
 	m.SetCores(1)
 	sched, err := scheduler.New(
-		observer.HeartbeatSource(hb), m,
+		observer.HeartbeatStream(hb), m,
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
 	)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestPIPolicyScheduler(t *testing.T) {
 	m.SetCores(1)
 	pi := &control.PI{Kp: 0.15, Ki: 0.4, Setpoint: 9, MinOutput: 1, MaxOutput: 8}
 	sched, err := scheduler.New(
-		observer.HeartbeatSource(hb), m,
+		observer.HeartbeatStream(hb), m,
 		scheduler.PIPolicy{PI: pi, Dt: 1},
 	)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestSchedulerOverFileSource(t *testing.T) {
 	}
 	defer r.Close()
 	sched, err := scheduler.New(
-		observer.FileSource(r), m,
+		observer.ReaderStream(r, 0, 0, nil), m,
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
 		scheduler.WithWindow(window),
 	)
@@ -211,7 +211,7 @@ func TestRunLoop(t *testing.T) {
 	hb, m := newSim(t, 10)
 	hb.SetTarget(1, 2)
 	sched, err := scheduler.New(
-		observer.HeartbeatSource(hb), m,
+		observer.HeartbeatStream(hb), m,
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 2}},
 	)
 	if err != nil {

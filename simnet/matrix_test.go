@@ -255,7 +255,7 @@ func TestVirtualTimeControlLoop(t *testing.T) {
 	go func() { defer close(hubDone); hub.Run(hctx) }()
 
 	var samples atomic.Int64
-	sched, err := scheduler.New(observer.HeartbeatSource(hb), &fakeMachine{},
+	sched, err := scheduler.New(observer.HeartbeatStream(hb), &fakeMachine{},
 		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 5, TargetMax: 1e6}},
 		scheduler.WithClock(clk))
 	if err != nil {

@@ -511,7 +511,7 @@ func (p *producer) stream(since uint64, poll time.Duration) (observer.Stream, er
 		defer p.mu.Unlock()
 		return observer.HeartbeatStreamFrom(p.hb, since), nil
 	}
-	return observer.FollowFileClock(p.path, poll, since, p.clk)
+	return observer.FollowFile(p.path, poll, since, p.clk)
 }
 
 func (p *producer) close() {

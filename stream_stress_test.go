@@ -66,7 +66,7 @@ func TestStreamFanoutNoLossNoDupAcrossResubscribe(t *testing.T) {
 	monitorDone := make(chan struct{})
 	go func() {
 		defer close(monitorDone)
-		m := observer.NewMonitor(observer.HeartbeatSource(hb), time.Millisecond, func(observer.Status) {
+		m := observer.NewMonitor(observer.HeartbeatStream(hb), time.Millisecond, func(observer.Status) {
 			statuses.Add(1)
 		})
 		m.Run(mctx)
@@ -79,13 +79,14 @@ func TestStreamFanoutNoLossNoDupAcrossResubscribe(t *testing.T) {
 	schedDone := make(chan struct{})
 	go func() {
 		defer close(schedDone)
-		sched, err := scheduler.New(observer.HeartbeatSource(hb), &stressMachine{},
+		sched, err := scheduler.New(observer.HeartbeatStream(hb), &stressMachine{},
 			scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 1e9}},
 			scheduler.WithWindow(20))
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		defer sched.Close()
 		sched.Run(sctx, time.Millisecond, func(scheduler.Sample) { samples.Add(1) }, nil)
 	}()
 

@@ -2,7 +2,7 @@
 // reports like any other result: non-test source lines, and exported
 // identifiers (top-level declarations plus methods on exported types).
 //
-//	go run ./tools/apicount hbnet hbshm observer internal/cursor
+//	go run ./tools/apicount hbnet hbshm observer internal/cursor scheduler cmd/hbmon
 package main
 
 import (
