@@ -98,14 +98,18 @@ scale-matrix:
 drain-scenario:
 	$(GO) test -race ./balance ./internal/simcheck
 
-# The elastic-membership shard, race-checked: the deterministic leaf-die
-# failover and backpressure-shed tests, then full scenario-runner replays
-# of generated leaf-die seeds (seeds whose schedules contain EvLeafDie —
-# re-probe if the generator's draw order ever changes). The failover arc
-# also runs inside sim-matrix, whose gate asserts handoffs were exercised;
-# this shard keeps an elastic-membership failure attributable. A failing
-# scenario prints SIMNET_SEED=<seed> for exact replay.
+# The elastic-membership shard, race-checked: the relay lifecycle tests
+# (add, remove, retire, Run stop and restart, rebalance) repeated to shake
+# out interleavings between pumps, removals and shutdown, the deterministic
+# leaf-die failover and backpressure-shed tests, then full scenario-runner
+# replays of generated leaf-die seeds (seeds whose schedules contain
+# EvLeafDie — re-probe if the generator's draw order ever changes). The
+# failover arc also runs inside sim-matrix, whose gate asserts handoffs
+# were exercised; this shard keeps an elastic-membership failure
+# attributable. A failing scenario prints SIMNET_SEED=<seed> for exact
+# replay.
 failover-scenario:
+	$(GO) test -race -count=5 -run 'TestRelay|TestRebalance' ./hbnet
 	$(GO) test -race -run 'TestLeafDieFailoverDeterministic|TestBackpressureShedExactlyAccountsGap' ./simnet
 	@for seed in 1 26 42; do \
 		echo "failover-scenario: replaying SIMNET_SEED=$$seed"; \

@@ -280,8 +280,8 @@ func runRelay(listen string, upstreams, upstreamFiles []string, mergedFeed, roll
 		fmt.Fprintln(os.Stderr, "hbmon: -relay requires at least one -upstream or -upstream-file")
 		os.Exit(2)
 	}
-	// The rollup callback runs on the relay's merge loop, after relay is
-	// assigned, so the shed-delta read below needs no synchronization.
+	// The rollup callback runs on Run's tick, one call at a time and after
+	// relay is assigned, so the shed-delta read below needs no synchronization.
 	var relay *hbnet.Relay
 	var lastShed uint64
 	relay = hbnet.NewRelay(

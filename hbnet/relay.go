@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -483,12 +482,6 @@ func (r *rollupRing) readSince(since uint64) (out []observer.Rollup, cur uint64,
 		delivered++
 		cur = e
 	}
-	if delivered == 0 && first > since+1 {
-		// Everything newer than since was lapped and nothing was taken
-		// (cannot happen — first <= head implies at least one emission is
-		// taken — but keep the cursor honest if it ever does).
-		cur = first - 1
-	}
 	return out, cur, delivered, notify, closed
 }
 
@@ -600,12 +593,15 @@ func WithRollupRetain(n int) RelayOption {
 // (default: dropped; a failing upstream surfaces as silence in its
 // rollups). Transient failures are retried on the rollup cadence and
 // re-reported each attempt; a terminal rejection (ErrRejected) is
-// reported once and the upstream retired.
+// reported once and the upstream retired. f runs on the failing
+// upstream's pump goroutine, so calls for different upstreams may run
+// concurrently, and f must not remove its own upstream (the removal would
+// wait for the pump that is running f).
 func WithRelayOnError(f func(app string, err error)) RelayOption {
 	return func(r *Relay) { r.onError = f }
 }
 
-// WithRelayOnRollup installs a callback invoked from the relay loop with
+// WithRelayOnRollup installs a callback invoked on Run's rollup tick with
 // each emission — the local observation hook (hbmon -relay prints these).
 func WithRelayOnRollup(f func([]observer.Rollup)) RelayOption {
 	return func(r *Relay) { r.onRollup = f }
@@ -663,15 +659,8 @@ type Relay struct {
 	rollups   *rollupRing
 	compacted *rollupRing
 
-	// drainMu serializes consumption of r.events: Run holds it for its
-	// whole execution, and removal's drainEvents takes it only when no Run
-	// loop is live — so the channel never has two consumers, which would
-	// break per-upstream FIFO order. Ordered before mu (never acquired
-	// while holding mu).
-	drainMu sync.Mutex
-
 	mu        sync.Mutex
-	ds        *observer.Downsampler     // guarded by mu: pumps absorb on shutdown
+	ds        *observer.Downsampler     // guarded by mu: every pump absorbs into it
 	raw       upstreamSet               // AddUpstream registrations
 	rollup    upstreamSet               // AddRollupUpstream registrations: their own namespace
 	nextID    int32                     // next raw upstream id: unique per registration life, never reused
@@ -679,16 +668,14 @@ type Relay struct {
 	rupMissed uint64                    // child rollup emissions lapped before absorption
 	winFrom   time.Time                 // current rollup window's start
 	runCtx    context.Context
-	runDone   chan struct{} // non-nil while a Run loop consumes r.events; closed at its exit
-	events    chan relayEvent
 	pumps     sync.WaitGroup
 	closed    bool
 }
 
 // relayUpstream is one registration, raw or rollup: exactly one of stream
 // and rstream is set, and that choice is the only thing the lifecycle —
-// pump, park, drain, retire, remove — ever asks of the kind (next,
-// absorbLocked, retireLocked, closeStream).
+// pump, retire, remove — ever asks of the kind (next, absorbLocked,
+// retireLocked, closeStream).
 type relayUpstream struct {
 	set     *upstreamSet // the namespace it is registered in
 	name    string
@@ -702,11 +689,6 @@ type relayUpstream struct {
 	eof      bool
 	removing bool          // a removal owns this registration's teardown
 	done     chan struct{} // closed when the current pump goroutine exits; nil before first start
-	// pending holds a delivery the pump consumed from the stream but could
-	// not hand to a stopped Run loop; the next shutdown drain (or Run)
-	// absorbs it after the older events still queued in r.events, so the
-	// upstream's order is preserved across a Run restart.
-	pending *relayEvent
 }
 
 // next blocks in the upstream's stream for its next delivery.
@@ -745,11 +727,6 @@ func (s *upstreamSet) add(up *relayUpstream) {
 	s.order = append(s.order, up.name)
 }
 
-// live reports whether up is still the registration its name resolves to
-// (it may have been removed, or removed and replaced, while an event of
-// its was in flight).
-func (s *upstreamSet) live(up *relayUpstream) bool { return s.byName[up.name] == up }
-
 func (s *upstreamSet) remove(name string) {
 	delete(s.byName, name)
 	for i, n := range s.order {
@@ -760,17 +737,14 @@ func (s *upstreamSet) remove(name string) {
 	}
 }
 
-// relayEvent is what a pump hands the relay loop: one delivery (batch or
-// rbatch, by the upstream's kind), a stream failure, or the stream's end.
+// relayEvent is one outcome of a pump's read: a delivery (batch or rbatch,
+// by the upstream's kind), a stream failure, or the stream's end.
 type relayEvent struct {
 	up     *relayUpstream
 	batch  observer.Batch
 	rbatch RollupBatch
 	err    error
 	eof    bool
-	// gate, when set, is a drain sentinel: every event queued before it has
-	// been handled once the consumer closes it. All other fields are unused.
-	gate chan struct{}
 }
 
 // NewRelay creates a relay with no upstreams yet.
@@ -781,7 +755,6 @@ func NewRelay(opts ...RelayOption) *Relay {
 		raw:         upstreamSet{kind: "upstream", byName: make(map[string]*relayUpstream)},
 		compactor:   observer.NewRollupCompactor(),
 		rollup:      upstreamSet{kind: "rollup upstream", byName: make(map[string]*relayUpstream)},
-		events:      make(chan relayEvent, 64),
 	}
 	for _, o := range opts {
 		o(r)
@@ -846,14 +819,27 @@ func (r *Relay) register(set *upstreamSet, up *relayUpstream) error {
 // client is owned by the relay; it is returned for introspection
 // (Reconnects, Missed).
 func (r *Relay) DialUpstream(app, addr, feed string, opts ...ClientOption) (*Client, error) {
+	return r.DialUpstreamFrom(app, addr, feed, 0, opts...)
+}
+
+// dialUpstream is the one dial-and-register path behind the Dial*Upstream
+// methods: the relay's clock goes ahead of opts (so explicit options still
+// override it), the client subscribes to a feed of the given kind from
+// since, and a client the relay refuses to register is closed.
+func (r *Relay) dialUpstream(name, addr, feed string, since uint64, kind byte, opts []ClientOption) (*Client, error) {
 	if r.clk != nil {
 		opts = append([]ClientOption{WithClientClock(r.clk)}, opts...)
 	}
-	c, err := Dial(addr, feed, opts...)
+	c, err := dial(addr, feed, since, kind, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.AddUpstream(app, c); err != nil {
+	if kind == frameRollup {
+		err = r.AddRollupUpstream(name, clientRollupStream{c})
+	} else {
+		err = r.AddUpstream(name, c)
+	}
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -903,13 +889,13 @@ type Handoff struct {
 }
 
 // RemoveUpstream retires the named upstream at runtime: its pump is
-// cancelled, every batch it already queued — and any batch a previous
-// shutdown parked — is absorbed into the merged history in order, its final
-// partial rollup window is emitted, its stream is closed (the relay owns
-// it), and the name becomes reusable immediately. Safe while Run is active
-// or stopped; returns an error for an unknown name. The returned Handoff
-// carries the stream's final cursor when it reports one (CursorSource), so
-// a caller re-homing the producer can resume it elsewhere exactly.
+// cancelled and waited out (everything it consumed is already absorbed into
+// the merged history when it exits), its final partial rollup window is
+// emitted, its stream is closed (the relay owns it), and the name becomes
+// reusable immediately. Safe while Run is active or stopped; returns an
+// error for an unknown name. The returned Handoff carries the stream's
+// final cursor when it reports one (CursorSource), so a caller re-homing
+// the producer can resume it elsewhere exactly.
 func (r *Relay) RemoveUpstream(app string) (Handoff, error) {
 	return r.removeUpstream(app, true)
 }
@@ -927,11 +913,6 @@ func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
 	if err != nil {
 		return Handoff{}, err
 	}
-	if up == nil {
-		// The eof path retired it while the removal drained (closing the
-		// stream there); the name is free either way.
-		return Handoff{App: app}, nil
-	}
 	h := Handoff{App: app, Stream: up.stream}
 	if cs, ok := up.stream.(CursorSource); ok {
 		h.Cursor, h.HasCursor = cs.Cursor(), true
@@ -944,23 +925,25 @@ func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
 }
 
 // RemoveRollupUpstream retires the named rollup upstream the same way
-// RemoveUpstream retires a raw one: pump cancelled, queued and parked
-// deliveries folded into the compactor, stream closed, name freed.
+// RemoveUpstream retires a raw one: pump cancelled and waited out (its
+// deliveries already folded into the compactor), stream closed, name freed.
 // Compactor per-app state stays — the applications still exist even when
 // this child stops reporting them.
 func (r *Relay) RemoveRollupUpstream(name string) error {
 	up, err := r.unregister(&r.rollup, name)
-	if up != nil {
-		up.closeStream()
+	if err != nil {
+		return err
 	}
-	return err
+	up.closeStream()
+	return nil
 }
 
-// unregister is the one removal path: cancel the named upstream's pump and
-// wait it out, absorb everything it queued and then what it parked, and
-// free the name. It returns the retired registration, whose stream is now
-// the caller's — or nil with a nil error when the eof path retired it
-// (closing the stream there) while the removal drained.
+// unregister is the one removal path: cancel the named upstream's pump,
+// wait it out, and retire the registration. The pump is the registration's
+// only absorber, so once it has exited everything it consumed is in the
+// relay's state; and because removing is set before the cancel, the pump's
+// own end-of-stream path leaves the retirement to this call. It returns the
+// retired registration, whose stream is now the caller's.
 func (r *Relay) unregister(set *upstreamSet, name string) (*relayUpstream, error) {
 	r.mu.Lock()
 	if r.closed {
@@ -983,17 +966,9 @@ func (r *Relay) unregister(set *upstreamSet, name string) (*relayUpstream, error
 		cancel()
 	}
 	if done != nil {
-		<-done // pump exited: all its events are queued (or parked in pending)
+		<-done
 	}
-	// Flush the event channel before finalizing so the batches the pump
-	// queued land in the merged history ahead of the parked pending — the
-	// same oldest-first order Run's own shutdown preserves.
-	r.drainEvents()
 	r.mu.Lock()
-	if !set.live(up) {
-		r.mu.Unlock()
-		return nil, nil
-	}
 	final := r.retireLocked(up)
 	r.mu.Unlock()
 	r.rollups.append(final)
@@ -1001,17 +976,12 @@ func (r *Relay) unregister(set *upstreamSet, name string) (*relayUpstream, error
 }
 
 // retireLocked is the one retire step, shared by removal and stream end:
-// absorb what a shutdown parked, free the name, and — for a raw upstream —
-// close the app's downsampler account, returning its mid-window counts as
-// one last emission so rollup conservation holds across the retirement.
-// (Compactor state is keyed by application, not by child name, so it
-// stays.) Callers hold r.mu and append the result to r.rollups after
-// releasing it.
+// free the name and — for a raw upstream — close the app's downsampler
+// account, returning its mid-window counts as one last emission so rollup
+// conservation holds across the retirement. (Compactor state is keyed by
+// application, not by child name, so it stays.) Callers hold r.mu and
+// append the result to r.rollups after releasing it.
 func (r *Relay) retireLocked(up *relayUpstream) []observer.Rollup {
-	if up.pending != nil {
-		r.absorbLocked(up.pending)
-		up.pending = nil
-	}
 	up.set.remove(up.name)
 	if up.stream != nil {
 		if final, active := r.ds.Remove(up.name, r.winFrom, r.now()); active {
@@ -1021,62 +991,12 @@ func (r *Relay) retireLocked(up *relayUpstream) []observer.Rollup {
 	return nil
 }
 
-// drainEvents flushes every event queued in r.events at the moment of the
-// call before returning — through the live Run loop when one is active (a
-// gated sentinel event keeps the loop the channel's only consumer), inline
-// under drainMu otherwise. Removal calls it after its pump has exited, so
-// everything that pump queued is absorbed before the registration is
-// finalized.
-func (r *Relay) drainEvents() {
-	for {
-		r.mu.Lock()
-		runDone := r.runDone
-		r.mu.Unlock()
-		if runDone != nil {
-			gate := make(chan struct{})
-			select {
-			case r.events <- relayEvent{gate: gate}:
-				select {
-				case <-gate:
-					return
-				case <-runDone:
-					// Run exited before consuming the sentinel; it is still
-					// queued — loop and drain inline (closing the gate is a
-					// no-op there).
-				}
-			case <-runDone:
-				// Run exited before accepting the sentinel; drain inline.
-			}
-			continue
-		}
-		if r.drainMu.TryLock() {
-			r.drainQueued()
-			r.drainMu.Unlock()
-			return
-		}
-		// A Run loop is mid-entry or mid-exit: let it progress, re-read
-		// runDone, and retry.
-		runtime.Gosched()
-	}
-}
-
 // DialUpstreamFrom is DialUpstream with an explicit start cursor: the
 // subscription resumes after position since in the feed's sequence space —
 // the receiving half of a cursor-preserving handoff (pass Handoff.Cursor
 // from the removal on the source relay).
 func (r *Relay) DialUpstreamFrom(app, addr, feed string, since uint64, opts ...ClientOption) (*Client, error) {
-	if r.clk != nil {
-		opts = append([]ClientOption{WithClientClock(r.clk)}, opts...)
-	}
-	c, err := DialFrom(addr, feed, since, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.AddUpstream(app, c); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
+	return r.dialUpstream(app, addr, feed, since, frameBatch, opts)
 }
 
 // Rebalance migrates a dialed upstream from src to dst: src's registration
@@ -1155,18 +1075,7 @@ func (r *Relay) AddRollupUpstream(name string, stream RollupStream) error {
 // propagated like DialUpstream's. The returned client is owned by the
 // relay; it is returned for introspection.
 func (r *Relay) DialRollupUpstream(name, addr, feed string, opts ...ClientOption) (*Client, error) {
-	if r.clk != nil {
-		opts = append([]ClientOption{WithClientClock(r.clk)}, opts...)
-	}
-	c, err := DialRollup(addr, feed, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.AddRollupUpstream(name, clientRollupStream{c}); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
+	return r.dialUpstream(name, addr, feed, 0, frameRollup, opts)
 }
 
 // Apps returns the upstream names in registration order.
@@ -1257,22 +1166,18 @@ func (r *Relay) PublishOn(srv *Server, mergedName, rollupName string) error {
 }
 
 // Run pumps every upstream into the merged history and emits rollups every
-// interval until ctx is cancelled. When Run returns, every pump has exited;
-// the relay may be Run again with a fresh context.
+// interval until ctx is cancelled. Each upstream's pump absorbs its own
+// deliveries; Run itself only ticks the rollup windows. When Run returns,
+// every pump has exited and everything the pumps consumed is absorbed; the
+// relay may be Run again with a fresh context.
 func (r *Relay) Run(ctx context.Context) {
 	r.mu.Lock()
 	r.runCtx = ctx
-	runDone := make(chan struct{})
-	r.runDone = runDone
 	r.winFrom = r.now()
 	for _, up := range r.upstreamsLocked() {
 		r.startPumpLocked(up)
 	}
 	r.mu.Unlock()
-	// Hold drainMu for the whole run: this loop is the channel's only
-	// consumer while it lives, and a concurrent removal coordinates through
-	// runDone (a gated sentinel event) instead of competing for events.
-	r.drainMu.Lock()
 	defer func() {
 		r.mu.Lock()
 		for _, up := range r.upstreamsLocked() {
@@ -1282,24 +1187,6 @@ func (r *Relay) Run(ctx context.Context) {
 		}
 		r.mu.Unlock()
 		r.pumps.Wait()
-		// Absorb what the shutdown stranded, oldest first: events still
-		// queued predate any batch a pump parked in pending (each pump is
-		// its upstream's only producer), so draining the channel before
-		// the pending slots keeps every upstream's records in order.
-		r.drainQueued()
-		r.mu.Lock()
-		// A concurrent removal may have finalized between the drain above
-		// and this lock; its pending was absorbed there.
-		for _, up := range r.upstreamsLocked() {
-			if up.pending != nil {
-				r.absorbLocked(up.pending)
-				up.pending = nil
-			}
-		}
-		r.runDone = nil
-		r.mu.Unlock()
-		close(runDone)
-		r.drainMu.Unlock()
 	}()
 	tick := heartbeat.NewTicker(r.clk, r.rollupEvery)
 	defer tick.Stop()
@@ -1307,8 +1194,6 @@ func (r *Relay) Run(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case ev := <-r.events:
-			r.handleEvent(ev)
 		case <-tick.C():
 			tick.Next()
 			r.flushRollups()
@@ -1326,19 +1211,6 @@ func (r *Relay) upstreamsLocked() []*relayUpstream {
 		}
 	}
 	return ups
-}
-
-// drainQueued handles every event already queued in r.events without
-// blocking. Callers hold drainMu (they are the channel's only consumer).
-func (r *Relay) drainQueued() {
-	for {
-		select {
-		case ev := <-r.events:
-			r.handleEvent(ev)
-		default:
-			return
-		}
-	}
 }
 
 // now reads the relay's clock, falling back to the wall clock.
@@ -1362,26 +1234,20 @@ func (r *Relay) flushRollups() {
 	}
 }
 
+// handleEvent applies one outcome of a pump's read to the relay. The pump
+// calls it for its own upstream before reading again, so the upstream's
+// deliveries are absorbed in order with no hand-off, and the registration
+// is live throughout (only this pump's end-of-stream path, or a removal
+// that has waited the pump out, retires it).
 func (r *Relay) handleEvent(ev relayEvent) {
-	if ev.gate != nil {
-		// Drain sentinel: everything queued before it has been handled.
-		close(ev.gate)
-		return
-	}
-	r.mu.Lock()
 	up := ev.up
-	if !up.set.live(up) {
-		r.mu.Unlock()
-		return // removed/replaced while the event was in flight
-	}
 	if ev.err != nil {
-		cb := r.onError
-		r.mu.Unlock()
-		if cb != nil {
-			cb(up.name, ev.err)
+		if r.onError != nil {
+			r.onError(up.name, ev.err)
 		}
 		return
 	}
+	r.mu.Lock()
 	if ev.eof {
 		up.eof = true
 		if up.removing || r.closed {
@@ -1436,6 +1302,7 @@ func (r *Relay) absorbLocked(ev *relayEvent) {
 type pollTimeout struct {
 	parent context.Context
 	timer  *time.Timer
+	stop   func() bool // detaches the parent watch; the owning pump calls it on exit
 
 	mu    sync.Mutex
 	done  chan struct{}
@@ -1445,15 +1312,14 @@ type pollTimeout struct {
 
 func newPollTimeout(parent context.Context) *pollTimeout {
 	p := &pollTimeout{parent: parent, done: make(chan struct{})}
-	go func() {
-		<-parent.Done()
+	p.stop = context.AfterFunc(parent, func() {
 		p.mu.Lock()
 		if p.err == nil {
 			p.err = parent.Err()
 			close(p.done)
 		}
 		p.mu.Unlock()
-	}()
+	})
 	return p
 }
 
@@ -1509,7 +1375,8 @@ func (p *pollTimeout) Err() error {
 }
 
 // startPumpLocked starts the goroutine that blocks in the upstream's Next
-// and forwards deliveries to the relay loop. Callers hold r.mu.
+// and absorbs each delivery itself (handleEvent) before reading again.
+// Callers hold r.mu.
 func (r *Relay) startPumpLocked(up *relayUpstream) {
 	if up.pumping || up.eof || up.removing {
 		return
@@ -1522,30 +1389,28 @@ func (r *Relay) startPumpLocked(up *relayUpstream) {
 	r.pumps.Add(1)
 	go func() {
 		defer func() {
+			// A pump that ended on its own has left upstreamsLocked, so
+			// Run's shutdown would never cancel it: release pctx here.
+			cancel()
 			r.mu.Lock()
 			up.pumping = false
 			r.mu.Unlock()
-			close(done) // after pending is parked: removal reads it via this edge
+			close(done)
 			r.pumps.Done()
 		}()
-		// send queues ev for the relay loop; false means the pump was
-		// cancelled first.
-		send := func(ev relayEvent) bool {
-			select {
-			case r.events <- ev:
-				return true
-			case <-pctx.Done():
-				return false
-			}
-		}
 		// Wall-clock (and coarse-clock) relays poll through one reusable
 		// timeout context; virtual WaitClocks need ContextWithTimeout's
 		// clock-driven expiry and never care about allocation rates.
 		var pt *pollTimeout
 		if _, isWait := r.clk.(heartbeat.WaitClock); !isWait {
 			pt = newPollTimeout(pctx)
+			defer pt.stop()
 		}
-		for {
+		// Checked before every Next, not only when Next fails: a stream
+		// whose producer outpaces the relay has data even under a cancelled
+		// context (the non-blocking drain), so a shutdown or removal would
+		// otherwise never stop this loop.
+		for pctx.Err() == nil {
 			// Bound each wait by the rollup interval: re-entering Next is
 			// itself a read for poll-based upstreams, so a low-rate
 			// in-process upstream still publishes at least once per window.
@@ -1562,39 +1427,27 @@ func (r *Relay) startPumpLocked(up *relayUpstream) {
 			}
 			switch {
 			case err == nil:
-				if !send(ev) {
-					// Shutting down with a delivery in hand: park it so what
-					// was already consumed from the upstream cursor is not
-					// lost across a Run restart. It must NOT be absorbed
-					// here — an older batch of this upstream may still sit
-					// in r.events, and absorbing out of order would corrupt
-					// the merged history; Run's shutdown drain absorbs the
-					// queue first, then this.
-					parked := ev
-					r.mu.Lock()
-					up.pending = &parked
-					r.mu.Unlock()
-					return
-				}
+				// Absorbed even when pctx was cancelled meanwhile: the
+				// delivery has left the upstream's cursor, and this is the
+				// last place it exists.
+				r.handleEvent(ev)
 			case pctx.Err() != nil:
 				return
 			case errors.Is(err, context.DeadlineExceeded):
 				// Idle window: loop and re-poll.
 			case errors.Is(err, io.EOF):
-				send(relayEvent{up: up, eof: true})
+				r.handleEvent(relayEvent{up: up, eof: true})
 				return
 			case errors.Is(err, ErrRejected):
 				// The subscription was refused for good (feed unpublished,
 				// kind mismatch): every further Next returns the same
 				// error, so report it once and retire the upstream rather
 				// than re-reporting it every interval forever.
-				send(relayEvent{up: up, err: err})
-				send(relayEvent{up: up, eof: true})
+				r.handleEvent(relayEvent{up: up, err: err})
+				r.handleEvent(relayEvent{up: up, eof: true})
 				return
 			default:
-				if !send(relayEvent{up: up, err: err}) {
-					return
-				}
+				r.handleEvent(relayEvent{up: up, err: err})
 				// Pace retries against a persistently failing upstream.
 				select {
 				case <-heartbeat.After(r.clk, r.rollupEvery):

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -188,10 +189,16 @@ func TestRelayRemoveReaddNoIDAlias(t *testing.T) {
 	}
 }
 
-// script is a hand-driven upstream for the lifecycle table below: the test
-// decides when it delivers (one marker per delivery), when and how it ends,
-// and sees whether its owner closed it. rawScript and rollupScript present
+// markerSource is an upstream the lifecycle tests drive: one marker per
+// delivery, and a Close its owner calls. rawScript and rollupScript present
 // it as the two upstream kinds.
+type markerSource interface {
+	wait(ctx context.Context) (int, error)
+	Close() error
+}
+
+// script is a hand-driven markerSource: the test decides when it delivers,
+// when and how it ends, and sees whether its owner closed it.
 type script struct {
 	deliveries chan int
 	ended      chan struct{}
@@ -240,7 +247,7 @@ func markerRollups(m int) RollupBatch {
 	return RollupBatch{Rollups: []observer.Rollup{{App: fmt.Sprint("m", m), Records: 1}}, Cursor: uint64(m)}
 }
 
-type rawScript struct{ *script }
+type rawScript struct{ markerSource }
 
 func (s rawScript) Next(ctx context.Context) (observer.Batch, error) {
 	m, err := s.wait(ctx)
@@ -250,7 +257,7 @@ func (s rawScript) Next(ctx context.Context) (observer.Batch, error) {
 	return markerBatch(m), nil
 }
 
-type rollupScript struct{ *script }
+type rollupScript struct{ markerSource }
 
 func (s rollupScript) Next(ctx context.Context) (RollupBatch, error) {
 	m, err := s.wait(ctx)
@@ -260,15 +267,14 @@ func (s rollupScript) Next(ctx context.Context) (RollupBatch, error) {
 	return markerRollups(m), nil
 }
 
-// lifecycleKind is one row of the {raw, rollup} table: how to register,
-// remove and hand-stage an upstream of that kind, and how to read back the
-// markers the relay absorbed from it, in absorption order.
+// lifecycleKind is one row of the {raw, rollup} table: how to register and
+// remove an upstream of that kind, and how to read back the markers the
+// relay absorbed from it, in absorption order.
 type lifecycleKind struct {
 	name     string
 	set      func(r *Relay) *upstreamSet
-	add      func(r *Relay, name string, s *script) error
+	add      func(r *Relay, name string, s markerSource) error
 	remove   func(r *Relay, name string) error
-	event    func(up *relayUpstream, marker int) relayEvent
 	absorbed func(r *Relay) []int
 	// readded checks what a removed-then-re-added name means for the kind,
 	// after markers 1 and 2 arrived in the first life and 3 in the second.
@@ -279,11 +285,8 @@ var lifecycleKinds = []lifecycleKind{
 	{
 		name:   "raw",
 		set:    func(r *Relay) *upstreamSet { return &r.raw },
-		add:    func(r *Relay, name string, s *script) error { return r.AddUpstream(name, rawScript{s}) },
+		add:    func(r *Relay, name string, s markerSource) error { return r.AddUpstream(name, rawScript{s}) },
 		remove: func(r *Relay, name string) error { _, err := r.RemoveUpstream(name); return err },
-		event: func(up *relayUpstream, m int) relayEvent {
-			return relayEvent{up: up, batch: markerBatch(m)}
-		},
 		absorbed: func(r *Relay) []int {
 			recs, _, _, _, _ := r.merged.readSince(0, maxRelayBatch)
 			var ms []int
@@ -308,11 +311,8 @@ var lifecycleKinds = []lifecycleKind{
 	{
 		name:   "rollup",
 		set:    func(r *Relay) *upstreamSet { return &r.rollup },
-		add:    func(r *Relay, name string, s *script) error { return r.AddRollupUpstream(name, rollupScript{s}) },
+		add:    func(r *Relay, name string, s markerSource) error { return r.AddRollupUpstream(name, rollupScript{s}) },
 		remove: func(r *Relay, name string) error { return r.RemoveRollupUpstream(name) },
-		event: func(up *relayUpstream, m int) relayEvent {
-			return relayEvent{up: up, rbatch: markerRollups(m)}
-		},
 		// Compaction is commutative, but the compactor lists applications in
 		// first-absorbed order — and every marker is its own application.
 		absorbed: func(r *Relay) []int {
@@ -379,58 +379,78 @@ func waitRetired(t *testing.T, k lifecycleKind, r *Relay, name string) {
 	}
 }
 
-// Satellite: a removed upstream's parked pending delivery. A Run shutdown
-// parks an in-hand delivery in up.pending behind whatever the pump already
-// queued in r.events; removing that upstream afterwards must absorb both,
-// oldest first — neither resurrecting them out of order nor dropping them.
-// The mid-shutdown state is staged directly (the select race in the pump
-// makes parking non-deterministic through the public API alone).
-func TestRelayRemoveAbsorbsParkedPending(t *testing.T) {
+// cancelScript is a markerSource whose deliveries race a Run shutdown: a
+// Next that has to wait hands over the next marker only once its context is
+// cancelled — consumed from the upstream's cursor just as the relay stops.
+// A busy one also has a marker ready for every Next under an already
+// cancelled context, like a producer beating faster than the relay absorbs;
+// a quiet one has nothing more to give there.
+type cancelScript struct {
+	busy    bool
+	last    int
+	waiting chan struct{} // signalled each time a Next starts to wait
+}
+
+func (s *cancelScript) wait(ctx context.Context) (int, error) {
+	if ctx.Err() == nil {
+		select {
+		case s.waiting <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+	} else if !s.busy {
+		return 0, ctx.Err()
+	}
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		return 0, ctx.Err() // an idle poll deadline, not a shutdown
+	}
+	s.last++
+	return s.last, nil
+}
+
+func (s *cancelScript) Close() error { return nil }
+
+// The pump absorbs a delivery it has in hand when Run stops: the marker the
+// cancellation released is in the relay's state by the time Run returns,
+// and a re-Run continues with the next marker — nothing lost, nothing
+// twice. The busy variant pins the shutdown rule: a stream that always has
+// data under a cancelled context still lets Run return, after exactly the
+// one delivery in hand.
+func TestRelayRunStopAbsorbsInHandDelivery(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k lifecycleKind) {
-		relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
-		first := newScript()
-		if err := k.add(relay, "a", first); err != nil {
-			t.Fatal(err)
+		for _, busy := range []bool{false, true} {
+			relay := NewRelay(WithRollupInterval(time.Hour))
+			s := &cancelScript{busy: busy, waiting: make(chan struct{}, 1)}
+			if err := k.add(relay, "a", s); err != nil {
+				t.Fatal(err)
+			}
+			for run, want := range [][]int{{1}, {1, 2}} {
+				ctx, cancel := context.WithCancel(context.Background())
+				done := make(chan struct{})
+				go func() { defer close(done); relay.Run(ctx) }()
+				select {
+				case <-s.waiting:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("busy=%v run %d: the pump never waited in Next", busy, run+1)
+				}
+				cancel()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("busy=%v run %d: Run did not return with the stream still delivering", busy, run+1)
+				}
+				if got := k.absorbed(relay); !reflect.DeepEqual(got, want) {
+					t.Fatalf("busy=%v run %d: absorbed %v when Run returned, want %v", busy, run+1, got, want)
+				}
+			}
+			relay.Close()
 		}
-		relay.mu.Lock()
-		up := k.set(relay).byName["a"]
-		relay.mu.Unlock()
-
-		// The exact state a cancelled Run leaves: an older delivery still
-		// queued in the event channel, a newer one parked in pending, no loop
-		// consuming.
-		relay.events <- k.event(up, 1)
-		parked := k.event(up, 2)
-		relay.mu.Lock()
-		up.pending = &parked
-		relay.mu.Unlock()
-
-		if err := k.remove(relay, "a"); err != nil {
-			t.Fatal(err)
-		}
-		if got := k.absorbed(relay); !reflect.DeepEqual(got, []int{1, 2}) {
-			t.Fatalf("absorbed %v after removal, want [1 2] (queued, then parked)", got)
-		}
-		if !first.isClosed() {
-			t.Fatal("removed upstream's stream was not closed")
-		}
-
-		// And a later Run over the freed name must not resurrect anything.
-		second := newScript()
-		if err := k.add(relay, "a", second); err != nil {
-			t.Fatalf("re-adding removed name: %v", err)
-		}
-		runRelay(t, relay)
-		second.deliveries <- 3
-		waitAbsorbed(t, k, relay, []int{1, 2, 3})
 	})
 }
 
-// Removal while Run is live cannot drain the event channel itself (Run is
-// its only consumer): it goes through the gate sentinel, and everything the
-// pump consumed before the removal — queued or parked — is absorbed by the
-// time the removal returns. The freed name then starts a new registration
-// life.
+// Removal while Run is live: everything the pump consumed before the
+// removal is absorbed by the time the removal returns, and the freed name
+// then starts a new registration life.
 func TestRelayRemoveWhileRunning(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k lifecycleKind) {
 		relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
@@ -441,15 +461,9 @@ func TestRelayRemoveWhileRunning(t *testing.T) {
 		runRelay(t, relay)
 		first.deliveries <- 1
 		waitAbsorbed(t, k, relay, []int{1})
-		// The pump holds delivery 2 the moment this send returns; whether it
-		// queues or parks it is the race the removal must win either way.
+		// The pump holds delivery 2 the moment this send returns; the removal
+		// must wait for it to be absorbed.
 		first.deliveries <- 2
-		relay.mu.Lock()
-		live := relay.runDone != nil
-		relay.mu.Unlock()
-		if !live {
-			t.Fatal("Run loop not live: the removal would not exercise the gate")
-		}
 		if err := k.remove(relay, "a"); err != nil {
 			t.Fatal(err)
 		}
@@ -498,6 +512,38 @@ func TestRelayEOFRetires(t *testing.T) {
 		}
 		if err := k.add(relay, "a", newScript()); err != nil {
 			t.Fatalf("re-adding retired name: %v", err)
+		}
+	})
+}
+
+// A pump that ends on its own releases what it held: its context and its
+// poll-deadline watch. Its registration has left the relay, so nothing else
+// would — before the fix each retired pump left a goroutine parked until
+// Run returned.
+func TestRelayRetiredPumpsReleaseGoroutines(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k lifecycleKind) {
+		relay := NewRelay(WithRollupInterval(10 * time.Millisecond))
+		runRelay(t, relay)
+		base := runtime.NumGoroutine()
+		const n = 200
+		for i := 0; i < n; i++ {
+			s := newScript()
+			s.end(io.EOF)
+			if err := k.add(relay, fmt.Sprint("u", i), s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			waitRetired(t, k, relay, fmt.Sprint("u", i))
+		}
+		// Pumps finish exiting just after they retire; a leak per pump
+		// would leave n extra goroutines, not a handful.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base+n/20 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines with all %d pumps retired, %d before they started", runtime.NumGoroutine(), n, base)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
 	})
 }

@@ -26,7 +26,7 @@ import (
 // each app reaches the compactor through one child, as in a tree where an
 // app lives on one leaf).
 //
-// RollupCompactor is not safe for concurrent use; the relay loop owns it.
+// RollupCompactor is not safe for concurrent use; a relay guards it with its lock.
 type RollupCompactor struct {
 	apps  map[string]*compactWindow
 	order []string

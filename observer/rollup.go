@@ -194,8 +194,8 @@ func (w *RollupWindow) Flush(start, end time.Time) Rollup {
 // Rollup per registered application (registration order), covering the
 // elapsed interval.
 //
-// Downsampler is not safe for concurrent use; the relay's merge loop owns
-// it.
+// Downsampler is not safe for concurrent use; a relay's pumps and rollup
+// tick share it under the relay's lock.
 type Downsampler struct {
 	apps  map[string]*RollupWindow
 	order []string
