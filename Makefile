@@ -1,11 +1,12 @@
-# Tier-1 verification plus race checking and the short benchmark pass in
-# one command: `make ci`.
+# Tier-1 verification plus race checking, static analysis, the simulation
+# matrices, fuzzing and the docs checks in one command: `make ci`. The
+# performance ledger is hbbench (bash bench/run.sh), not a ci target.
 
 GO ?= go
 
-.PHONY: ci vet analyze build build-extras test race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs apicount bench-short bench bench-net bench-relay bench-shm bench-balance benchgate
+.PHONY: ci vet analyze build build-extras test race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs apicount bench
 
-ci: vet analyze build build-extras race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench-net bench-relay bench-shm bench-balance benchgate
+ci: vet analyze build build-extras race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs
 
 # go vet, and gofmt as a gate: any file gofmt would rewrite fails the target
 # (analyzer testdata holds deliberately odd source and is left alone).
@@ -58,36 +59,36 @@ net-loopback:
 # whole-stack scenarios (lapped rings, producer restarts, file recreation,
 # link blips, partitions, relay outages across every topology), hundreds
 # of simulated seconds in a few real ones, every scenario checked against
-# the simcheck delivery contract. The run is recorded as test2json events
-# in BENCH_sim.json so the suite's runtime trajectory is tracked across
-# PRs; a failing scenario prints its seed (replay with SIMNET_SEED=<seed>)
-# both to the console and into the recording. One rotating seed rides
+# the simcheck delivery contract. The test2json capture goes to a
+# temporary file, from which the summary line and any failing scenario's
+# seed (replay with SIMNET_SEED=<seed>) are echoed. One rotating seed rides
 # along with the fixed ones, widening coverage over time.
 sim-matrix:
-	@rm -f BENCH_sim.json
-	$(GO) test -race -run 'TestScenarioMatrix' -v -json ./simnet > BENCH_sim.json; \
+	@out=$$(mktemp); \
+		$(GO) test -race -run 'TestScenarioMatrix' -v -json ./simnet > $$out; \
 		status=$$?; \
-		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' BENCH_sim.json \
+		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' $$out \
 			| awk '{printf "%s", $$0}' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' \
 			| grep -E 'matrix:|SIMNET_SEED' || true; \
+		rm -f $$out; \
 		exit $$status
 
 # The scale matrix: seeded 10k-producer relay-tree runs (Zipf hot-key
 # skew, producer churn, correlated silence bursts) through package loadgen
-# under virtual time, plus the equal-volume state-growth check, plus the
-# benchmark that records p99 virtual delivery latency and heap
-# bytes/producer into BENCH_scale.json for benchgate's ceilings. `-short`
-# keeps the PR tier at 10k producers; SCALE_FULL=1 adds the 100k and 1M
-# tiers. A failing scenario prints SCALE_SEED=<seed> for exact replay.
+# under virtual time, plus the equal-volume state-growth check. Each run
+# fails on its own p99 virtual delivery latency and heap bytes/producer
+# ceilings (ScaleScenario.Run). `-short` keeps the PR tier at 10k
+# producers; SCALE_FULL=1 adds the 100k and 1M tiers. A failing scenario
+# prints SCALE_SEED=<seed> for exact replay.
 scale-matrix:
-	@rm -f BENCH_scale.json
-	$(GO) test -run 'TestScale' $(if $(SCALE_FULL),,-short) \
-		-bench 'BenchmarkScale' -benchtime=1x -timeout 30m \
-		-v -json ./simnet > BENCH_scale.json; \
+	@out=$$(mktemp); \
+		$(GO) test -run 'TestScale' $(if $(SCALE_FULL),,-short) -timeout 30m \
+			-v -json ./simnet > $$out; \
 		status=$$?; \
-		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' BENCH_scale.json \
+		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' $$out \
 			| awk '{printf "%s", $$0}' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' \
 			| grep -E 'scale:|SCALE_SEED' || true; \
+		rm -f $$out; \
 		exit $$status
 
 # The balancer's tests in isolation, race-checked: the drain/reclaim
@@ -141,81 +142,9 @@ docs: vet
 # identifiers per package (tools/apicount). A PR that shrinks either runs
 # this at its parent and at itself and reports both tables in CHANGES.md.
 apicount:
-	@$(GO) run ./tools/apicount hbnet hbshm observer internal/cursor scheduler cmd/hbmon
+	@$(GO) run ./tools/apicount heartbeat hbnet hbshm observer internal/cursor scheduler cmd/hbmon
 
-# The core-API benchmarks only, briefly: enough to catch a hot-path
-# regression without regenerating every figure.
-bench-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkBeat$$|BenchmarkHeartbeatParallel|BenchmarkThreadBeat' \
-		-benchmem -benchtime=200ms .
-
+# The paper's table and figure benchmarks with their ablations (the root
+# bench_test.go). Hot-path costs are hbbench's: bash bench/run.sh.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Echo the human-readable ns/op lines back out of a go test -json capture.
-define show-bench
-	@sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' $(1) \
-		| awk '{printf "%s", $$0}' \
-		| sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' \
-		| grep 'ns/op'
-endef
-
-# The remote consumer path: sustained records/s over loopback TCP and the
-# idle-tick cost, recorded as test2json events in BENCH_net.json so the
-# trajectory is tracked across PRs.
-bench-net:
-	$(GO) test -run '^$$' -bench 'BenchmarkNetStream' -benchmem \
-		-benchtime=200ms -json ./hbnet > BENCH_net.json
-	$(call show-bench,BENCH_net.json)
-
-# The fan-in tier: records/s through N producers → relay → subscriber over
-# real loopback TCP, plus the in-process downsample cost, recorded in
-# BENCH_relay.json next to the other trajectories.
-bench-relay:
-	$(GO) test -run '^$$' -bench 'BenchmarkRelay' -benchmem \
-		-benchtime=1s -json ./hbnet > BENCH_relay.json
-	$(call show-bench,BENCH_relay.json)
-
-# The shared-memory transport against loopback TCP: the same record
-# batches through both, plus the idle-tick cost of each, recorded in
-# BENCH_shm.json. The shm rows are the paper's shared-memory registry
-# claim in numbers — observation without crossing the kernel.
-bench-shm:
-	$(GO) test -run '^$$' -bench 'BenchmarkShmVsTCP' -benchmem \
-		-benchtime=1s -json ./hbshm > BENCH_shm.json
-	$(call show-bench,BENCH_shm.json)
-
-# The balancer's routing hot path: lock-free copy-on-write Pick vs the
-# RWMutex baseline at 1/4/8 goroutines, Pick throughput during concurrent
-# weight swaps, and the measured remap fraction of a node removal,
-# recorded in BENCH_balance.json next to the other trajectories.
-bench-balance:
-	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkRemap' -benchmem \
-		-benchtime=200ms -json ./balance > BENCH_balance.json
-	$(call show-bench,BENCH_balance.json)
-
-# Gate the recorded benchmarks: fan-in-32 must stay within 20% of the
-# committed baseline (tools/benchgate/baseline.json), the shared-memory
-# transport must stay faster than loopback TCP, and the balancer's
-# lock-free read path must beat the RWMutex baseline under contention,
-# allocate nothing (the -require contract, which also verifies the measured
-# function still carries its //hbvet:hotpath mark so the static and
-# measured 0-alloc guarantees cover the same code), and keep a single-node
-# removal's remap fraction under the minimal-disruption ceiling
-# (simcheck.RemapBound of a 1/8 share). The require contract also gates
-# the scale-matrix recording (BENCH_scale.json): p99 virtual delivery
-# latency and heap bytes/producer at the 10k-producer tier against their
-# committed ceilings. Run after scale-matrix, bench-relay, bench-shm, and
-# bench-balance have refreshed the JSON captures.
-benchgate:
-	$(GO) run ./tools/benchgate -file BENCH_relay.json -bench Relay/fanin-32 \
-		-metric records/s -baseline tools/benchgate/baseline.json -tolerance 0.20
-	$(GO) run ./tools/benchgate -file BENCH_shm.json -metric records/s \
-		-faster ShmVsTCP/shm/stream,ShmVsTCP/tcp/stream
-	$(GO) run ./tools/benchgate -file BENCH_balance.json -metric picks/s \
-		-faster Pick/cow/p8,Pick/rwmutex/p8
-	$(GO) run ./tools/benchgate -require tools/benchgate/require.json
-	$(GO) run ./tools/benchgate -file BENCH_balance.json -bench Remap \
-		-metric remapfrac -atmost 0.2175
-	$(GO) run ./tools/benchgate -file BENCH_balance.json -bench Pick/cow/p8 \
-		-metric picks/s -baseline tools/benchgate/baseline.json -tolerance 0.25

@@ -1,9 +1,9 @@
 package repro
 
 // Benchmark harness: one benchmark per table/figure of the paper plus
-// ablations of the design choices called out in DESIGN.md (lock-free vs
-// locked history, beat granularity, file write-through, controller window,
-// scheduler policy, encoder ladder level).
+// ablations of its design choices (beat granularity with a file sink,
+// controller window, scheduler policy, encoder ladder level). What a beat,
+// a rate query or a file read costs is measured by hbbench (bench/).
 //
 //	go test -bench=. -benchmem
 
@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/control"
 	"repro/hbfile"
@@ -26,224 +24,6 @@ import (
 	"repro/scheduler"
 	"repro/sim"
 )
-
-// ---------------------------------------------------------------- core API
-
-// BenchmarkBeat ablates the global-history locking strategy: the default
-// lock-free seqlock ring against the paper-style mutex-guarded ring.
-func BenchmarkBeat(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		opts []heartbeat.Option
-	}{
-		{"lockfree", nil},
-		{"locked", []heartbeat.Option{heartbeat.WithLockedStore()}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			hb, err := heartbeat.New(20, append(variant.opts, heartbeat.WithCapacity(1<<12))...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				hb.Beat()
-			}
-		})
-		b.Run(variant.name+"-parallel", func(b *testing.B) {
-			hb, err := heartbeat.New(20, append(variant.opts, heartbeat.WithCapacity(1<<12))...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					hb.Beat()
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkHeartbeatParallel measures contended beat registration at 1, 4
-// and 8 goroutines: the sharded per-thread hot path (each goroutine owns a
-// Thread and beats through its lock-free shard) against the seed's mutex
-// path (every goroutine funnels through the locked global store). Each pair
-// runs on the default wall clock and on the cached CoarseClock, since at
-// contended beat rates the vdso clock read is itself a serial bottleneck.
-func BenchmarkHeartbeatParallel(b *testing.B) {
-	type variant struct {
-		name    string
-		locked  bool // seed mutex path: hb.Beat through the locked store
-		coarse  bool
-		sharded bool // per-goroutine Thread.GlobalBeat through shards
-	}
-	variants := []variant{
-		{name: "seed-mutex", locked: true},
-		{name: "seed-mutex-coarse", locked: true, coarse: true},
-		{name: "sharded", sharded: true},
-		{name: "sharded-coarse", sharded: true, coarse: true},
-	}
-	for _, procs := range []int{1, 4, 8} {
-		for _, v := range variants {
-			v := v
-			b.Run(fmt.Sprintf("%s-%dg", v.name, procs), func(b *testing.B) {
-				opts := []heartbeat.Option{
-					heartbeat.WithCapacity(256),
-					heartbeat.WithShardCapacity(1 << 15),
-				}
-				if v.locked {
-					opts = append(opts, heartbeat.WithLockedStore())
-				}
-				if v.coarse {
-					clk := heartbeat.NewCoarseClock(100 * time.Microsecond)
-					defer clk.Stop()
-					opts = append(opts, heartbeat.WithClock(clk))
-				}
-				hb, err := heartbeat.New(20, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				beat := make([]func(), procs)
-				for g := 0; g < procs; g++ {
-					if v.sharded {
-						tr := hb.Thread("bench")
-						beat[g] = tr.GlobalBeat
-					} else {
-						beat[g] = hb.Beat
-					}
-				}
-				n := b.N / procs
-				if n == 0 {
-					n = 1
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < procs; g++ {
-					wg.Add(1)
-					go func(beat func()) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							beat()
-						}
-					}(beat[g])
-				}
-				wg.Wait()
-			})
-		}
-	}
-}
-
-// BenchmarkBeatFileSink measures the reference-implementation behaviour:
-// every heartbeat written through to the observation file.
-func BenchmarkBeatFileSink(b *testing.B) {
-	w, err := hbfile.Create(filepath.Join(b.TempDir(), "bench.hb"), 20, 1<<12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hb, err := heartbeat.New(20, heartbeat.WithCapacity(1<<12), heartbeat.WithSink(w))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer hb.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		hb.Beat()
-	}
-	if err := hb.SinkErr(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkThreadBeat measures per-thread (local) heartbeats.
-func BenchmarkThreadBeat(b *testing.B) {
-	hb, err := heartbeat.New(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := hb.Thread("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Beat()
-	}
-}
-
-// BenchmarkRate measures windowed rate queries while the history is full.
-func BenchmarkRate(b *testing.B) {
-	hb, err := heartbeat.New(20, heartbeat.WithCapacity(1<<12))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 1<<12; i++ {
-		hb.Beat()
-	}
-	for _, window := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("window-%d", window), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := hb.Rate(window); !ok {
-					b.Fatal("rate not available")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRateUnderWriters measures observer reads racing live producers —
-// the concurrent path the seqlock design exists for.
-func BenchmarkRateUnderWriters(b *testing.B) {
-	hb, err := heartbeat.New(20, heartbeat.WithCapacity(1<<10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				hb.Beat()
-			}
-		}
-	}()
-	for {
-		if _, ok := hb.Rate(100); ok {
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hb.Rate(100)
-	}
-}
-
-// BenchmarkHBFileRead measures an external observer reading the ring file.
-func BenchmarkHBFileRead(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.hb")
-	w, err := hbfile.Create(path, 20, 1<<10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := time.Unix(0, 0)
-	for i := uint64(1); i <= 1<<10; i++ {
-		if err := w.WriteRecord(heartbeat.Record{Seq: i, Time: base.Add(time.Duration(i) * time.Millisecond)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	r, err := hbfile.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Rate(100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // ---------------------------------------------------------------- Table 2
 

@@ -500,9 +500,7 @@ func TestHugeReplaySplitsAcrossFrames(t *testing.T) {
 		t.Skip("streams several hundred thousand records")
 	}
 	const beats = maxRecordsPerFrame + 50_000
-	clk := heartbeat.NewCoarseClock(0)
-	defer clk.Stop()
-	hb, err := heartbeat.New(10, heartbeat.WithCapacity(1<<19), heartbeat.WithClock(clk))
+	hb, err := heartbeat.New(10, heartbeat.WithCapacity(1<<19))
 	if err != nil {
 		t.Fatal(err)
 	}

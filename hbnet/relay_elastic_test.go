@@ -680,6 +680,48 @@ func TestRebalanceNoDupNoGap(t *testing.T) {
 	if apps := dst.Apps(); !reflect.DeepEqual(apps, []string{"app"}) {
 		t.Fatalf("dst tracks %v, want [app]", apps)
 	}
+
+	// Repeated moves over a deep delivered history: every re-home resumes
+	// at the consumed cursor, so however often the upstream goes back and
+	// forth, neither relay merges an already-delivered record twice.
+	t.Run("round-trips", func(t *testing.T) {
+		const history, roundTrips = 1 << 14, 4
+		hb := newTestHB(t)
+		srv := NewServer()
+		srv.PublishHeartbeat("app", hb)
+		addr := startServer(t, srv)
+		relays := [2]*Relay{
+			NewRelay(WithRollupInterval(10 * time.Millisecond)),
+			NewRelay(WithRollupInterval(10 * time.Millisecond)),
+		}
+		up, err := relays[0].DialUpstream("app", addr, "app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runRelay(t, relays[0])
+		runRelay(t, relays[1])
+		beatN(hb, history)
+		waitMergedHead(t, relays[0], history)
+
+		for i := 0; i < 2*roundTrips; i++ {
+			if up, err = Rebalance(relays[i%2], relays[1-i%2], "app", addr, "app"); err != nil {
+				t.Fatalf("move %d: %v", i+1, err)
+			}
+		}
+		// A move that re-dialed from zero would replay the history into
+		// the destination; wait for the last upstream to reach the head
+		// before counting.
+		deadline := time.Now().Add(10 * time.Second)
+		for up.Cursor() < history {
+			if time.Now().After(deadline) {
+				t.Fatalf("final upstream stuck at %d", up.Cursor())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if got := relays[0].MergedHead() + relays[1].MergedHead(); got != history {
+			t.Fatalf("merged heads sum to %d after %d round trips, want %d (no replay)", got, roundTrips, history)
+		}
+	})
 }
 
 // Tentpole: stream-object migration for upstreams that cannot re-dial. The

@@ -62,8 +62,7 @@
 // The merged global history is a lock-free ring whose slots readers validate
 // against the writers' claim counter: observers never block producers,
 // mirroring the paper's requirement that hardware or external software may
-// read heartbeat buffers concurrently with the application. A mutex-guarded
-// variant (WithLockedStore) exists for the locking ablation; the subdirectory
+// read heartbeat buffers concurrently with the application. The subdirectory
 // package compat offers the paper's exact Table 1 function shapes.
 //
 // # Streaming consumers

@@ -130,44 +130,3 @@ func TestMultiSinkBatchFanOut(t *testing.T) {
 		t.Fatalf("plain sink got %v", plain)
 	}
 }
-
-func TestCoarseClock(t *testing.T) {
-	clk := heartbeat.NewCoarseClock(time.Millisecond)
-	defer clk.Stop()
-	start := clk.NowNanos()
-	if got := clk.Now().UnixNano(); got < start {
-		t.Fatalf("Now (%d) behind NowNanos (%d)", got, start)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.NowNanos() == start {
-		if time.Now().After(deadline) {
-			t.Fatal("coarse clock never advanced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	clk.Stop()
-	clk.Stop() // idempotent
-
-	// A heartbeat on the coarse clock still measures sane rates: beats
-	// spread over real time spanning many resolution intervals.
-	clk2 := heartbeat.NewCoarseClock(time.Millisecond)
-	defer clk2.Stop()
-	hb, err := heartbeat.New(0, heartbeat.WithClock(clk2), heartbeat.WithCapacity(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := hb.Thread("w")
-	for i := 0; i < 40; i++ {
-		tr.GlobalBeat()
-		time.Sleep(2 * time.Millisecond)
-	}
-	rate, ok := hb.RateDetail(40)
-	if !ok {
-		t.Fatal("rate unavailable on coarse clock")
-	}
-	// 40 beats ~2ms apart: ~500 beats/s; accept a generous band for a
-	// loaded host.
-	if rate.PerSec < 50 || rate.PerSec > 5000 {
-		t.Fatalf("coarse-clock rate = %v beats/s", rate.PerSec)
-	}
-}

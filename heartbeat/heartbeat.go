@@ -121,11 +121,6 @@ func WithClock(clk Clock) Option { return func(c *config) { c.clock, c.clockSet 
 // it in aggregation batches (see BatchSink).
 func WithSink(s Sink) Option { return func(c *config) { c.sink = s } }
 
-// WithLockedStore selects the mutex-guarded history instead of the default
-// lock-free one. It exists for the locking-strategy ablation; the lock-free
-// store is preferred.
-func WithLockedStore() Option { return func(c *config) { c.locked = true } }
-
 // New creates a Heartbeat whose default averaging window is window beats
 // (HB_initialize in the paper). A window of 0 selects DefaultWindow;
 // negative windows are an error.

@@ -189,8 +189,8 @@ func (s *lockfreeStore) last(n int) []Record {
 
 // lockedStore is the straightforward mutex-guarded variant, matching the
 // paper's reference implementation ("a mutex is used to guarantee mutual
-// exclusion and ordering"). Kept for the lock-free-vs-locked ablation
-// benchmark and as a simple correctness oracle in tests.
+// exclusion and ordering"). Kept as the correctness oracle the tests
+// compare the lock-free store against; only tests select it.
 type lockedStore struct {
 	mu  sync.Mutex
 	buf *ring.Buffer[Record]

@@ -59,7 +59,7 @@ func SleepCtx(ctx context.Context, clk Clock, d time.Duration) bool {
 }
 
 // Ticker delivers one tick per interval on any Clock: wall clocks (nil,
-// SystemClock, CoarseClock — anything without scheduling) reuse a single
+// SystemClock, a ClockFunc — anything without scheduling) reuse a single
 // runtime ticker, while WaitClocks re-arm a virtual timer per tick (a
 // virtual timer cannot be cancelled, so a long-lived ticker re-arms only
 // as it is consumed). Receive from C(), then call Next() to re-arm before

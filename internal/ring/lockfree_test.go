@@ -247,6 +247,55 @@ func TestSPCursorRunsAndSkip(t *testing.T) {
 	}
 }
 
+// The measured side of every //hbvet:hotpath mark in this package: each
+// marked function allocates nothing on a warmed ring that has lapped, with
+// a cursor kept within the no-overwrite budget as the aggregator keeps it.
+func TestHotPathZeroAlloc(t *testing.T) {
+	const capacity = 64
+	r := NewSP(capacity)
+	cur := r.NewCursor()
+	now := int64(1)
+	// push appends n records: a new time run every third, a tag every other,
+	// so any three consecutive pushes take every branch of Push. AllocsPerRun
+	// rounds down, so each measured op pushes three.
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			if r.Total()%3 == 0 {
+				now++
+			}
+			r.Push(now, int64(r.Total()%2))
+		}
+	}
+	drain := func() { cur.Skip(r.Total() - cur.Consumed()) }
+	for i := 0; i < 64; i++ {
+		push(8)
+		drain()
+	}
+	if r.Total() <= capacity || r.Entries() <= capacity {
+		t.Fatalf("ring not lapped: total %d, entries %d", r.Total(), r.Entries())
+	}
+	if _, ok := r.Read(r.Total() - capacity/2); !ok {
+		t.Fatal("Read inside the retained window failed")
+	}
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"SP.Push", func() { push(3); drain() }},
+		{"SP.Total", func() { r.Total() }},
+		{"SP.Entries", func() { r.Entries() }},
+		{"SP.Read", func() { r.Read(r.Total()); r.Read(r.Total() - capacity/2) }},
+		{"Cursor.Next", func() { push(3); cur.Next(r.Total()); cur.Next(r.Total()); cur.Next(r.Total()) }},
+		{"Cursor.PeekTime", func() { push(3); cur.PeekTime(); drain() }},
+		{"Cursor.RunLen", func() { push(3); cur.RunLen(r.Total()); drain() }},
+		{"Cursor.Skip", func() { push(3); cur.Skip(3) }},
+	} {
+		if got := testing.AllocsPerRun(1000, c.op); got != 0 {
+			t.Errorf("%s allocates %v per op", c.name, got)
+		}
+	}
+}
+
 func TestBufferSkip(t *testing.T) {
 	b := New[int](4)
 	b.Push(1)

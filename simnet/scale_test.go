@@ -139,20 +139,3 @@ func TestScaleRollupStateGrowth(t *testing.T) {
 		t.Fatalf("10× producers at equal record volume cost %.0f bytes each — relay state is not O(apps)", marginal)
 	}
 }
-
-// BenchmarkScale publishes the PR-scale run's budget metrics for
-// tools/benchgate: p99 virtual delivery latency in milliseconds and live
-// heap bytes per producer, gated by require.json ceilings.
-func BenchmarkScale(b *testing.B) {
-	b.Run("p10k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sc := GenerateScale(1, 10_000)
-			st, err := sc.Run()
-			if err != nil {
-				b.Fatalf("SCALE_SEED=1: %v", err)
-			}
-			b.ReportMetric(float64(st.P99.Milliseconds()), "p99-vms")
-			b.ReportMetric(st.BytesPerProducer, "bytes/producer")
-		}
-	})
-}

@@ -1,6 +1,6 @@
 // Package hotpath machine-checks the measured performance contracts: a
 // function marked //hbvet:hotpath (balance.Table.Pick, the ring.SP beat
-// paths, replayRing.frameSince) is checked — transitively through every
+// paths, heartbeat's Thread beats) is checked — transitively through every
 // same-package callee — for heap allocation (make/new, escaping composite
 // literals, append growth, interface conversions, closures, string
 // concatenation), lock and channel operations, goroutine spawns, and
@@ -12,10 +12,11 @@
 // Known, justified costs — the amortized slow-path spill, the pooled
 // buffer growth — are excused line by line with
 // //hbvet:allow hotpath -- <reason>, which both silences the finding and
-// prunes traversal through that call edge. The same marks feed the
-// benchmark gate: `tools/benchgate -require` asserts the 0 allocs/op
-// numbers for the benchmarks covering these functions, so the static and
-// the measured contract point at the same code.
+// prunes traversal through that call edge. The measured side sits beside
+// each mark: a testing.AllocsPerRun assertion in the marked function's
+// package (ring's TestHotPathZeroAlloc, balance's TestPickZeroAlloc,
+// heartbeat's TestBeatHotPathDoesNotAllocate), so the static and the
+// measured contract point at the same code.
 package hotpath
 
 import (
