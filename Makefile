@@ -99,9 +99,10 @@ scale-matrix:
 drain-scenario:
 	$(GO) test -race ./balance ./internal/simcheck
 
-# The elastic-membership shard, race-checked: the relay lifecycle tests
-# (add, remove, retire, Run stop and restart, rebalance) repeated to shake
-# out interleavings between pumps, removals and shutdown, the deterministic
+# The elastic-membership shard, race-checked: the relay and hub lifecycle
+# tests (add, remove, retire, Run stop and restart, rebalance) repeated to
+# shake out interleavings between pumps, removals and shutdown — both run
+# their streams through internal/pump — the deterministic
 # leaf-die failover and backpressure-shed tests, then full scenario-runner
 # replays of generated leaf-die seeds (seeds whose schedules contain
 # EvLeafDie — re-probe if the generator's draw order ever changes). The
@@ -110,7 +111,7 @@ drain-scenario:
 # attributable. A failing scenario prints SIMNET_SEED=<seed> for exact
 # replay.
 failover-scenario:
-	$(GO) test -race -count=5 -run 'TestRelay|TestRebalance' ./hbnet
+	$(GO) test -race -count=5 -run 'TestRelay|TestRebalance|TestHub' ./hbnet ./observer
 	$(GO) test -race -run 'TestLeafDieFailoverDeterministic|TestBackpressureShedExactlyAccountsGap' ./simnet
 	@for seed in 1 26 42; do \
 		echo "failover-scenario: replaying SIMNET_SEED=$$seed"; \
@@ -142,7 +143,7 @@ docs: vet
 # identifiers per package (tools/apicount). A PR that shrinks either runs
 # this at its parent and at itself and reports both tables in CHANGES.md.
 apicount:
-	@$(GO) run ./tools/apicount heartbeat hbnet hbshm observer internal/cursor scheduler cmd/hbmon
+	@$(GO) run ./tools/apicount heartbeat hbnet hbshm observer internal/cursor internal/pump scheduler cmd/hbmon
 
 # The paper's table and figure benchmarks with their ablations (the root
 # bench_test.go). Hot-path costs are hbbench's: bash bench/run.sh.

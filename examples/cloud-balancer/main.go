@@ -351,7 +351,12 @@ func runBalancer() {
 		return &observer.Classifier{FlatlineFactor: 8, ErraticCV: 1e6}
 	}))
 	for _, n := range nodes {
-		if _, err := hbnet.DialIntoHub(hub, n.name, n.hbAddr, n.name); err != nil {
+		c, err := hbnet.Dial(n.hbAddr, n.name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := hub.Add(n.name, c); err != nil {
+			c.Close()
 			log.Fatal(err)
 		}
 	}

@@ -592,19 +592,3 @@ func (c *Client) Missed() uint64 { return c.missed.Load() }
 // Reconnects returns how many times the client has re-established its
 // connection.
 func (c *Client) Reconnects() int { return int(c.reconnects.Load()) }
-
-// DialIntoHub dials a remote feed and registers it with a Hub under name:
-// the one-liner that gives an observer.Hub a remote source next to its
-// local ones. The hub owns the client — Hub.Remove (or closing the
-// returned client) releases the connection.
-func DialIntoHub(h *observer.Hub, name, addr, feed string, opts ...ClientOption) (*Client, error) {
-	c, err := Dial(addr, feed, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.Add(name, c); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}

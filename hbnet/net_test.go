@@ -556,8 +556,8 @@ func TestFileFeedRelay(t *testing.T) {
 	assertDense(t, recs, 0)
 }
 
-// A hub mixing a local stream and a remote client judges both; removing
-// the remote app closes its connection.
+// A hub mixing a local stream and a remote client (Dial, then Add) judges
+// both; removing the remote app closes its connection.
 func TestDialIntoHub(t *testing.T) {
 	remote, err := heartbeat.New(10, heartbeat.WithCapacity(4096))
 	if err != nil {
@@ -575,8 +575,12 @@ func TestDialIntoHub(t *testing.T) {
 	if err := hub.Add("local", observer.HeartbeatStream(local)); err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialIntoHub(hub, "remote", addr, "remote-app")
+	c, err := Dial(addr, "remote-app")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Add("remote", c); err != nil {
+		c.Close()
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -13,6 +13,7 @@ import (
 
 	"repro/heartbeat"
 	"repro/internal/cursor"
+	"repro/internal/pump"
 	"repro/observer"
 )
 
@@ -504,65 +505,6 @@ func (s *rollupReplayStream) Next(ctx context.Context) (RollupBatch, error) {
 	}
 }
 
-// StreamFeed adapts one live observer.Stream — which is single-consumer —
-// into a Feed any number of subscribers can open with independent cursors:
-// feed registration from a live stream. Run pumps the stream into a
-// bounded replay ring; Feed opens subscriber cursors over it. The ring
-// re-sequences records into its own dense space (hop-local sequence
-// numbers), and upstream losses widen the space so they surface to every
-// subscriber as Missed.
-//
-//	sf := hbnet.NewStreamFeed(observer.HeartbeatStream(hb), 0)
-//	go sf.Run(ctx)
-//	srv.Publish("app", sf.Feed())
-type StreamFeed struct {
-	src  observer.Stream
-	ring *replayRing
-}
-
-// NewStreamFeed wraps src; retain bounds the replay ring (<= 0 selects
-// 65536 records). The StreamFeed takes ownership of src: Close releases it
-// when it implements io.Closer.
-func NewStreamFeed(src observer.Stream, retain int) *StreamFeed {
-	return &StreamFeed{src: src, ring: newReplayRing(retain)}
-}
-
-// Run pumps the source stream into the ring until ctx is cancelled, the
-// source ends (subscribers then drain and see EOF), or it fails.
-func (f *StreamFeed) Run(ctx context.Context) error {
-	for {
-		b, err := f.src.Next(ctx)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				f.ring.close()
-				return nil
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		}
-		f.ring.append(b.Records, b.Missed, -1)
-	}
-}
-
-// Feed returns the fan-out feed over the pumped history.
-func (f *StreamFeed) Feed() Feed {
-	return func(ctx context.Context, since uint64) (observer.Stream, error) {
-		return &replayStream{ring: f.ring, ringCursor: ringCursor{since}}, nil
-	}
-}
-
-// Close ends the feed (subscribers drain, then EOF) and releases the
-// source stream.
-func (f *StreamFeed) Close() error {
-	f.ring.close()
-	if c, ok := f.src.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
 // RelayOption configures NewRelay.
 type RelayOption func(*Relay)
 
@@ -667,8 +609,7 @@ type Relay struct {
 	compactor *observer.RollupCompactor // guarded by mu, like ds
 	rupMissed uint64                    // child rollup emissions lapped before absorption
 	winFrom   time.Time                 // current rollup window's start
-	runCtx    context.Context
-	pumps     sync.WaitGroup
+	pumps     pump.Group
 	closed    bool
 }
 
@@ -684,11 +625,9 @@ type relayUpstream struct {
 	rstream RollupStream    // rollup: a child's per-app windows for the compactor
 	rec     BatchRecycler   // stream's recycler, when it has one
 
-	cancel   context.CancelFunc
-	pumping  bool
+	pump     pump.Pump
 	eof      bool
-	removing bool          // a removal owns this registration's teardown
-	done     chan struct{} // closed when the current pump goroutine exits; nil before first start
+	removing bool // a removal owns this registration's teardown
 }
 
 // next blocks in the upstream's stream for its next delivery.
@@ -737,14 +676,12 @@ func (s *upstreamSet) remove(name string) {
 	}
 }
 
-// relayEvent is one outcome of a pump's read: a delivery (batch or rbatch,
-// by the upstream's kind), a stream failure, or the stream's end.
+// relayEvent is one delivery of a pump's read: batch or rbatch, by the
+// upstream's kind.
 type relayEvent struct {
 	up     *relayUpstream
 	batch  observer.Batch
 	rbatch RollupBatch
-	err    error
-	eof    bool
 }
 
 // NewRelay creates a relay with no upstreams yet.
@@ -805,9 +742,7 @@ func (r *Relay) register(set *upstreamSet, up *relayUpstream) error {
 		r.ds.Track(up.name) // silent upstreams still roll up, as silence
 	}
 	set.add(up)
-	if r.runCtx != nil && r.runCtx.Err() == nil {
-		r.startPumpLocked(up)
-	}
+	r.startPumpLocked(up) // joins a live Run; a no-op otherwise
 	return nil
 }
 
@@ -960,14 +895,9 @@ func (r *Relay) unregister(set *upstreamSet, name string) (*relayUpstream, error
 		return nil, fmt.Errorf("hbnet: %s %q already being removed", set.kind, name)
 	}
 	up.removing = true // pumps will not restart for it
-	cancel, done := up.cancel, up.done
+	done := r.pumps.Cancel(&up.pump)
 	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	if done != nil {
-		<-done
-	}
+	<-done
 	r.mu.Lock()
 	final := r.retireLocked(up)
 	r.mu.Unlock()
@@ -1172,22 +1102,13 @@ func (r *Relay) PublishOn(srv *Server, mergedName, rollupName string) error {
 // relay may be Run again with a fresh context.
 func (r *Relay) Run(ctx context.Context) {
 	r.mu.Lock()
-	r.runCtx = ctx
+	r.pumps.Open(ctx)
 	r.winFrom = r.now()
 	for _, up := range r.upstreamsLocked() {
 		r.startPumpLocked(up)
 	}
 	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		for _, up := range r.upstreamsLocked() {
-			if up.cancel != nil {
-				up.cancel()
-			}
-		}
-		r.mu.Unlock()
-		r.pumps.Wait()
-	}()
+	defer r.pumps.Close()
 	tick := heartbeat.NewTicker(r.clk, r.rollupEvery)
 	defer tick.Stop()
 	for {
@@ -1234,40 +1155,31 @@ func (r *Relay) flushRollups() {
 	}
 }
 
-// handleEvent applies one outcome of a pump's read to the relay. The pump
-// calls it for its own upstream before reading again, so the upstream's
-// deliveries are absorbed in order with no hand-off, and the registration
-// is live throughout (only this pump's end-of-stream path, or a removal
-// that has waited the pump out, retires it).
-func (r *Relay) handleEvent(ev relayEvent) {
-	up := ev.up
-	if ev.err != nil {
-		if r.onError != nil {
-			r.onError(up.name, ev.err)
-		}
-		return
-	}
+// absorb folds one delivery into the relay's state. The upstream's pump
+// calls it before reading again, so each upstream's deliveries are absorbed
+// in order with no hand-off.
+func (r *Relay) absorb(ev relayEvent) {
 	r.mu.Lock()
-	if ev.eof {
-		up.eof = true
-		if up.removing || r.closed {
-			// A concurrent removal owns the teardown (or relay Close
-			// already collected the stream for closing).
-			r.mu.Unlock()
-			return
-		}
-		// Retire for good: the stream has ended, so free the registration
-		// and release the stream. (Leaving it registered kept the stream
-		// open and the name taken until relay Close: the retired-upstream
-		// leak.)
-		final := r.retireLocked(up)
-		r.mu.Unlock()
-		r.rollups.append(final)
-		up.closeStream()
-		return
-	}
 	r.absorbLocked(&ev)
 	r.mu.Unlock()
+}
+
+// retire ends a registration whose stream has ended for good: it frees the
+// name and releases the stream. (Leaving it registered kept the stream open
+// and the name taken until relay Close: the retired-upstream leak.) A
+// concurrent removal owns the teardown instead, and relay Close has already
+// collected the stream for closing.
+func (r *Relay) retire(up *relayUpstream) {
+	r.mu.Lock()
+	up.eof = true
+	if up.removing || r.closed {
+		r.mu.Unlock()
+		return
+	}
+	final := r.retireLocked(up)
+	r.mu.Unlock()
+	r.rollups.append(final)
+	up.closeStream()
 }
 
 // absorbLocked folds one delivery into the relay's state. A child's rollup
@@ -1292,171 +1204,26 @@ func (r *Relay) absorbLocked(ev *relayEvent) {
 	}
 }
 
-// pollTimeout is a reusable deadline context for the pump's bounded Next
-// waits: one context and one timer per pump instead of one of each per
-// batch (heartbeat.ContextWithTimeout in the hot loop is a measurable
-// allocation rate at high fan-in). arm begins a new wait; a fired deadline
-// reports context.DeadlineExceeded until the next arm; parent cancellation
-// is terminal. Single-consumer, like the pump loop that owns it: arm and
-// disarm never overlap a live wait.
-type pollTimeout struct {
-	parent context.Context
-	timer  *time.Timer
-	stop   func() bool // detaches the parent watch; the owning pump calls it on exit
-
-	mu    sync.Mutex
-	done  chan struct{}
-	err   error
-	armed bool
-}
-
-func newPollTimeout(parent context.Context) *pollTimeout {
-	p := &pollTimeout{parent: parent, done: make(chan struct{})}
-	p.stop = context.AfterFunc(parent, func() {
-		p.mu.Lock()
-		if p.err == nil {
-			p.err = parent.Err()
-			close(p.done)
-		}
-		p.mu.Unlock()
-	})
-	return p
-}
-
-func (p *pollTimeout) fire() {
-	p.mu.Lock()
-	if p.armed && p.err == nil {
-		p.armed = false
-		p.err = context.DeadlineExceeded
-		close(p.done)
-	}
-	p.mu.Unlock()
-}
-
-// arm begins a new wait of d, clearing a previous wait's expiry. A stale
-// timer firing across the arm can only expire the new wait early — a
-// spurious timeout the pump already treats as an idle re-poll.
-func (p *pollTimeout) arm(d time.Duration) {
-	p.mu.Lock()
-	if p.err == context.DeadlineExceeded {
-		p.err = nil
-		p.done = make(chan struct{})
-	}
-	p.armed = p.err == nil
-	p.mu.Unlock()
-	if p.timer == nil {
-		p.timer = time.AfterFunc(d, p.fire) //hbvet:allow wallclock -- wall-path-only poll bound: virtual clocks take the heartbeat.ContextWithTimeout branch in servePoll instead
-	} else {
-		p.timer.Reset(d)
-	}
-}
-
-// disarm ends the current wait without expiring it.
-func (p *pollTimeout) disarm() {
-	p.timer.Stop()
-	p.mu.Lock()
-	p.armed = false
-	p.mu.Unlock()
-}
-
-func (p *pollTimeout) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (p *pollTimeout) Value(key any) any           { return p.parent.Value(key) }
-
-func (p *pollTimeout) Done() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.done
-}
-
-func (p *pollTimeout) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// startPumpLocked starts the goroutine that blocks in the upstream's Next
-// and absorbs each delivery itself (handleEvent) before reading again.
-// Callers hold r.mu.
+// startPumpLocked starts the upstream's pump: absorb each delivery, report
+// failures, and retire the registration when the stream ends. Callers hold
+// r.mu.
 func (r *Relay) startPumpLocked(up *relayUpstream) {
-	if up.pumping || up.eof || up.removing {
+	if up.eof || up.removing {
 		return
 	}
-	up.pumping = true
-	done := make(chan struct{})
-	up.done = done
-	pctx, cancel := context.WithCancel(r.runCtx)
-	up.cancel = cancel
-	r.pumps.Add(1)
-	go func() {
-		defer func() {
-			// A pump that ended on its own has left upstreamsLocked, so
-			// Run's shutdown would never cancel it: release pctx here.
-			cancel()
-			r.mu.Lock()
-			up.pumping = false
-			r.mu.Unlock()
-			close(done)
-			r.pumps.Done()
-		}()
-		// Wall-clock (and coarse-clock) relays poll through one reusable
-		// timeout context; virtual WaitClocks need ContextWithTimeout's
-		// clock-driven expiry and never care about allocation rates.
-		var pt *pollTimeout
-		if _, isWait := r.clk.(heartbeat.WaitClock); !isWait {
-			pt = newPollTimeout(pctx)
-			defer pt.stop()
-		}
-		// Checked before every Next, not only when Next fails: a stream
-		// whose producer outpaces the relay has data even under a cancelled
-		// context (the non-blocking drain), so a shutdown or removal would
-		// otherwise never stop this loop.
-		for pctx.Err() == nil {
-			// Bound each wait by the rollup interval: re-entering Next is
-			// itself a read for poll-based upstreams, so a low-rate
-			// in-process upstream still publishes at least once per window.
-			var ev relayEvent
-			var err error
-			if pt != nil {
-				pt.arm(r.rollupEvery)
-				ev, err = up.next(pt)
-				pt.disarm()
-			} else {
-				nctx, ncancel := heartbeat.ContextWithTimeout(pctx, r.clk, r.rollupEvery)
-				ev, err = up.next(nctx)
-				ncancel()
+	r.pumps.Go(&up.pump, func(ctx context.Context) {
+		if pump.Run(ctx, r.clk, r.rollupEvery, up.next, r.absorb, func(err error) bool {
+			if r.onError != nil {
+				r.onError(up.name, err)
 			}
-			switch {
-			case err == nil:
-				// Absorbed even when pctx was cancelled meanwhile: the
-				// delivery has left the upstream's cursor, and this is the
-				// last place it exists.
-				r.handleEvent(ev)
-			case pctx.Err() != nil:
-				return
-			case errors.Is(err, context.DeadlineExceeded):
-				// Idle window: loop and re-poll.
-			case errors.Is(err, io.EOF):
-				r.handleEvent(relayEvent{up: up, eof: true})
-				return
-			case errors.Is(err, ErrRejected):
-				// The subscription was refused for good (feed unpublished,
-				// kind mismatch): every further Next returns the same
-				// error, so report it once and retire the upstream rather
-				// than re-reporting it every interval forever.
-				r.handleEvent(relayEvent{up: up, err: err})
-				r.handleEvent(relayEvent{up: up, eof: true})
-				return
-			default:
-				r.handleEvent(relayEvent{up: up, err: err})
-				// Pace retries against a persistently failing upstream.
-				select {
-				case <-heartbeat.After(r.clk, r.rollupEvery):
-				case <-pctx.Done():
-					return
-				}
-			}
+			// A refused subscription (feed unpublished, kind mismatch) fails
+			// every further Next the same way: retire the upstream rather
+			// than re-report it every interval forever.
+			return errors.Is(err, ErrRejected)
+		}) {
+			r.retire(up)
 		}
-	}()
+	})
 }
 
 // Close ends every feed (subscribers drain, then EOF) and releases every
@@ -1473,9 +1240,7 @@ func (r *Relay) Close() error {
 	ups := r.upstreamsLocked()
 	r.mu.Unlock()
 	for _, up := range ups {
-		if up.cancel != nil {
-			up.cancel()
-		}
+		r.pumps.Cancel(&up.pump)
 		up.closeStream()
 	}
 	r.merged.close()

@@ -464,20 +464,25 @@ func TestRelayServerOutageResume(t *testing.T) {
 	}
 }
 
-// StreamFeed: one live single-consumer stream fans out to many
-// subscribers, each with an independent cursor, and ends cleanly.
+// One live single-consumer stream fans out through a one-upstream relay to
+// many subscribers, each with an independent cursor, and the feed ends
+// cleanly once the relay closes behind the ended stream.
 func TestStreamFeed(t *testing.T) {
 	hb, err := heartbeat.New(20, heartbeat.WithCapacity(1<<12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf := NewStreamFeed(observer.HeartbeatStream(hb), 0)
+	relay := NewRelay()
+	if err := relay.AddUpstream("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go sf.Run(ctx)
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); relay.Run(ctx) }()
 
 	srv := NewServer()
-	if err := srv.Publish("app", sf.Feed()); err != nil {
+	if err := srv.Publish("app", relay.MergedFeed()); err != nil {
 		t.Fatal(err)
 	}
 	addr := startServer(t, srv)
@@ -497,7 +502,7 @@ func TestStreamFeed(t *testing.T) {
 	for i := 0; i < n; i++ {
 		hb.Beat()
 	}
-	hb.Close() // flushes, then ends the source stream → EOF downstream
+	hb.Close() // flushes, then ends the source stream: the relay retires it
 
 	for _, c := range []*Client{c1, c2} {
 		recs, missed := collect(t, c, func(recs []heartbeat.Record, missed uint64) bool {
@@ -507,7 +512,12 @@ func TestStreamFeed(t *testing.T) {
 			t.Fatalf("missed %d", missed)
 		}
 		assertDense(t, recs, 0)
-		// After the tail, the feed must end.
+	}
+	cancel()
+	<-runDone
+	relay.Close()
+	// After the tail, the feed must end.
+	for _, c := range []*Client{c1, c2} {
 		dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_, err := c.Next(dctx)
 		dcancel()

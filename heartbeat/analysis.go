@@ -23,9 +23,9 @@ import (
 // at once.
 func RateOf(recs []Record) (Rate, bool) { return rateOf(recs) }
 
-// FilterTag returns the records of recs carrying the given tag, preserving
+// filterTag returns the records of recs carrying the given tag, preserving
 // order.
-func FilterTag(recs []Record, tag int64) []Record {
+func filterTag(recs []Record, tag int64) []Record {
 	var out []Record
 	for _, r := range recs {
 		if r.Tag == tag {
@@ -35,10 +35,10 @@ func FilterTag(recs []Record, tag int64) []Record {
 	return out
 }
 
-// FilterProducer returns the records of recs emitted by the given
+// filterProducer returns the records of recs emitted by the given
 // registered thread (0 selects records beaten directly on the global
 // handle), preserving order.
-func FilterProducer(recs []Record, producer int32) []Record {
+func filterProducer(recs []Record, producer int32) []Record {
 	var out []Record
 	for _, r := range recs {
 		if r.Producer == producer {
@@ -51,7 +51,7 @@ func FilterProducer(recs []Record, producer int32) []Record {
 // RateByTag computes the heart rate of only the records carrying tag,
 // over the last n global records.
 func (h *Heartbeat) RateByTag(n int, tag int64) (Rate, bool) {
-	return rateOf(FilterTag(h.History(n), tag))
+	return rateOf(filterTag(h.History(n), tag))
 }
 
 // RateByProducer computes the heart rate of only the records emitted by the
@@ -60,7 +60,7 @@ func (h *Heartbeat) RateByTag(n int, tag int64) (Rate, bool) {
 // producer, so an observer can ask how fast each worker is contributing to
 // the shared history without the workers beating locally too.
 func (h *Heartbeat) RateByProducer(n int, producer int32) (Rate, bool) {
-	return rateOf(FilterProducer(h.History(n), producer))
+	return rateOf(filterProducer(h.History(n), producer))
 }
 
 // Tags returns the distinct tags present in the last n global records, in
@@ -90,9 +90,11 @@ type IntervalStats struct {
 	CV float64
 }
 
-// IntervalStatsOf computes interval statistics over recs (oldest first).
-// ok is false with fewer than two distinct timestamps (see Intervals).
-func IntervalStatsOf(recs []Record) (IntervalStats, bool) {
+// IntervalStats summarizes the gaps of the last window global beats;
+// window <= 0 uses the default window. ok is false with fewer than two
+// distinct timestamps (see Intervals).
+func (h *Heartbeat) IntervalStats(window int) (IntervalStats, bool) {
+	recs := h.History(h.clipWindow(window))
 	gaps := Intervals(recs)
 	if len(gaps) == 0 {
 		return IntervalStats{}, false
@@ -106,10 +108,4 @@ func IntervalStatsOf(recs []Record) (IntervalStats, bool) {
 		StdDev: time.Duration(s.StdDev * float64(time.Second)),
 		CV:     s.CV(),
 	}, true
-}
-
-// IntervalStats summarizes the gaps of the last window global beats;
-// window <= 0 uses the default window.
-func (h *Heartbeat) IntervalStats(window int) (IntervalStats, bool) {
-	return IntervalStatsOf(h.History(h.clipWindow(window)))
 }

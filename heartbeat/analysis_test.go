@@ -2,47 +2,10 @@ package heartbeat_test
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/heartbeat"
 )
-
-func TestFilterTag(t *testing.T) {
-	hb, clk := newTestHB(t, 10)
-	// Simulate a video encoder tagging frame types: I=1, P=2, B=3.
-	pattern := []int64{1, 2, 3, 3, 2, 3, 3, 1, 2, 3}
-	for _, tag := range pattern {
-		clk.Advance(100 * time.Millisecond)
-		hb.BeatTag(tag)
-	}
-	recs := hb.History(10)
-	iframes := heartbeat.FilterTag(recs, 1)
-	if len(iframes) != 2 || iframes[0].Seq != 1 || iframes[1].Seq != 8 {
-		t.Fatalf("FilterTag(1) = %+v", iframes)
-	}
-	if got := heartbeat.FilterTag(recs, 99); got != nil {
-		t.Fatalf("FilterTag(99) = %v", got)
-	}
-}
-
-func TestFilterProducer(t *testing.T) {
-	hb, clk := newTestHB(t, 10)
-	t1 := hb.Thread("a")
-	t2 := hb.Thread("b")
-	clk.Advance(time.Millisecond)
-	t1.GlobalBeat()
-	t2.GlobalBeat()
-	hb.Beat()
-	t1.GlobalBeat()
-	recs := hb.History(10)
-	if got := heartbeat.FilterProducer(recs, t1.ID()); len(got) != 2 {
-		t.Fatalf("producer %d records = %+v", t1.ID(), got)
-	}
-	if got := heartbeat.FilterProducer(recs, 0); len(got) != 1 {
-		t.Fatalf("direct records = %+v", got)
-	}
-}
 
 func TestRateByTag(t *testing.T) {
 	hb, clk := newTestHB(t, 20, heartbeat.WithCapacity(64))
@@ -106,40 +69,8 @@ func TestIntervalStats(t *testing.T) {
 	if st.CV <= 0 || st.CV > 1 {
 		t.Fatalf("CV = %v", st.CV)
 	}
-	if _, ok := heartbeat.IntervalStatsOf(nil); ok {
+	empty, _ := newTestHB(t, 10)
+	if _, ok := empty.IntervalStats(0); ok {
 		t.Fatal("empty stats ok")
-	}
-}
-
-// Property: FilterTag partitions the history — every record appears in
-// exactly the filter of its own tag, and concatenating filters over the
-// distinct tags preserves the total count.
-func TestFilterTagPartitionProperty(t *testing.T) {
-	f := func(tagChoices []uint8) bool {
-		if len(tagChoices) == 0 {
-			return true
-		}
-		hb, err := heartbeat.New(10, heartbeat.WithCapacity(512))
-		if err != nil {
-			return false
-		}
-		for _, c := range tagChoices {
-			hb.BeatTag(int64(c % 4))
-		}
-		recs := hb.History(512)
-		total := 0
-		for tag := int64(0); tag < 4; tag++ {
-			sub := heartbeat.FilterTag(recs, tag)
-			total += len(sub)
-			for _, r := range sub {
-				if r.Tag != tag {
-					return false
-				}
-			}
-		}
-		return total == len(recs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -275,11 +275,14 @@ func TestIntervalsSpreadRunsOfEqualStamps(t *testing.T) {
 		}
 	}
 	// Ten beats per reading, readings steady: CV 0 rather than 3.
-	var steady []heartbeat.Record
+	hb, clk := newTestHB(t, 100, heartbeat.WithCapacity(128))
 	for i := 0; i < 100; i++ {
-		steady = append(steady, heartbeat.Record{Seq: uint64(i + 1), Time: time.Unix(0, int64(i/10)*1000)})
+		if i > 0 && i%10 == 0 {
+			clk.Advance(time.Microsecond)
+		}
+		hb.Beat()
 	}
-	if st, ok := heartbeat.IntervalStatsOf(steady); !ok || st.CV > 1e-9 {
+	if st, ok := hb.IntervalStats(100); !ok || st.CV > 1e-9 {
 		t.Fatalf("steady reused stamps: stats %+v, ok %v", st, ok)
 	}
 }

@@ -2,13 +2,13 @@ package observer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
 	"repro/heartbeat"
+	"repro/internal/pump"
 )
 
 // DefaultHubInterval is the judgment cadence a Hub falls back to when
@@ -47,31 +47,30 @@ type Hub struct {
 	onError  func(name string, err error)
 	clk      heartbeat.Clock // nil = wall clock; paces Run's ticks and pumps
 
-	mu     sync.Mutex
-	apps   map[string]*hubApp
-	order  []string
-	runCtx context.Context
-	events chan hubEvent
-	pumps  sync.WaitGroup
+	mu      sync.Mutex
+	apps    map[string]*hubApp
+	order   []string
+	events  chan hubEvent
+	judging chan struct{} // closed once the current Run's loop stops taking events
+	pumps   pump.Group
 }
 
 type hubApp struct {
-	name    string
-	stream  Stream
-	win     *Window
-	cls     *Classifier
-	last    Status
-	judged  bool
-	eof     bool
-	pumping bool
-	cancel  context.CancelFunc
+	name   string
+	stream Stream
+	win    *Window
+	cls    *Classifier
+	last   Status
+	judged bool
+	eof    bool
+	pump   pump.Pump
 }
 
+// hubEvent is what a pump hands Run's loop: a batch, or a stream failure.
 type hubEvent struct {
 	app   *hubApp
 	batch Batch
 	err   error
-	eof   bool
 }
 
 // HubOption configures NewHub.
@@ -146,9 +145,7 @@ func (h *Hub) Add(name string, stream Stream) error {
 	a := &hubApp{name: name, stream: stream, win: NewWindow(0), cls: cls}
 	h.apps[name] = a
 	h.order = append(h.order, name)
-	if h.runCtx != nil && h.runCtx.Err() == nil {
-		h.startPumpLocked(a)
-	}
+	h.startPumpLocked(a) // joins a live Run; a no-op otherwise
 	return nil
 }
 
@@ -162,9 +159,7 @@ func (h *Hub) Remove(name string) {
 	if !ok {
 		return
 	}
-	if a.cancel != nil {
-		a.cancel()
-	}
+	h.pumps.Cancel(&a.pump)
 	if c, ok := a.stream.(io.Closer); ok {
 		c.Close()
 	}
@@ -208,23 +203,23 @@ func (h *Hub) Statuses() []NamedStatus {
 // fan-out fires on health changes) and every interval regardless (the
 // fan-out fires for every application), so both fast degradation and
 // silent death are noticed promptly. When Run returns, every pump has
-// exited — the hub may be Run again with a fresh context.
+// exited and every batch a pump consumed is in its application's window —
+// the hub may be Run again with a fresh context, or stepped.
 func (h *Hub) Run(ctx context.Context) {
 	h.mu.Lock()
-	h.runCtx = ctx
+	h.pumps.Open(ctx)
+	judging := make(chan struct{})
+	h.judging = judging
 	for _, name := range h.order {
 		h.startPumpLocked(h.apps[name])
 	}
 	h.mu.Unlock()
 	defer func() {
+		close(judging)
+		h.pumps.Close() // streams are single-consumer: no pump may outlive Run
 		h.mu.Lock()
-		for _, a := range h.apps {
-			if a.cancel != nil {
-				a.cancel()
-			}
-		}
+		h.absorbQueuedLocked()
 		h.mu.Unlock()
-		h.pumps.Wait() // streams are single-consumer: no pump may outlive Run
 	}()
 	tick := heartbeat.NewTicker(h.clk, h.interval)
 	defer tick.Stop()
@@ -241,73 +236,55 @@ func (h *Hub) Run(ctx context.Context) {
 	}
 }
 
-// startPumpLocked starts the goroutine that blocks in Next and forwards
-// batches to the hub loop. Callers hold h.mu.
+// startPumpLocked starts a's pump (internal/pump). It hands every batch and
+// failure to Run's loop, which keeps judgments and callbacks on Run's
+// goroutine. Once the loop has stopped, the pump absorbs a batch in hand
+// itself, behind whatever the loop left queued, so nothing it consumed is
+// lost or reordered. Callers hold h.mu.
 func (h *Hub) startPumpLocked(a *hubApp) {
-	if a.pumping {
-		return
-	}
-	a.pumping = true
-	pctx, cancel := context.WithCancel(h.runCtx)
-	a.cancel = cancel
-	h.pumps.Add(1)
-	go func() {
-		defer func() {
-			h.mu.Lock()
-			a.pumping = false
-			h.mu.Unlock()
-			h.pumps.Done()
-		}()
-		for {
-			// Bound each wait by the hub interval: re-entering Next is
-			// itself a read (an in-process stream's Poll merges pending
-			// shard records), so a low-rate app beating through thread
-			// shards with no flusher still publishes at least once per
-			// interval instead of sitting below the backlog threshold
-			// until a wake that may be a long time coming.
-			nctx, ncancel := heartbeat.ContextWithTimeout(pctx, h.clk, h.interval)
-			b, err := a.stream.Next(nctx)
-			ncancel()
-			if err == nil {
-				select {
-				case h.events <- hubEvent{app: a, batch: b}:
-				case <-pctx.Done():
-					// Shutting down with a batch in hand: absorb it
-					// directly so the records (already consumed from the
-					// stream's cursor) are not lost across a Run restart.
-					h.mu.Lock()
-					a.win.Absorb(b)
-					h.mu.Unlock()
-					return
-				}
-				continue
-			}
-			if pctx.Err() != nil {
-				return
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				continue // idle interval: loop and re-poll
-			}
-			if errors.Is(err, io.EOF) {
-				select {
-				case h.events <- hubEvent{app: a, eof: true}:
-				case <-pctx.Done():
-				}
-				return
-			}
+	judging := h.judging
+	h.pumps.Go(&a.pump, func(ctx context.Context) {
+		send := func(ev hubEvent) bool {
 			select {
-			case h.events <- hubEvent{app: a, err: err}:
-			case <-pctx.Done():
-				return
-			}
-			// Pace retries against a persistently failing stream.
-			select {
-			case <-heartbeat.After(h.clk, h.interval):
-			case <-pctx.Done():
-				return
+			case h.events <- ev:
+				return true
+			case <-judging:
+				return false
 			}
 		}
-	}()
+		deliver := func(b Batch) {
+			if !send(hubEvent{app: a, batch: b}) {
+				h.mu.Lock()
+				h.absorbQueuedLocked()
+				a.win.Absorb(b)
+				h.mu.Unlock()
+			}
+		}
+		fail := func(err error) bool {
+			send(hubEvent{app: a, err: err})
+			return false
+		}
+		if pump.Run(ctx, h.clk, h.interval, a.stream.Next, deliver, fail) {
+			h.mu.Lock()
+			a.eof = true
+			h.mu.Unlock()
+		}
+	})
+}
+
+// absorbQueuedLocked absorbs, without judging, every batch still queued for
+// Run's loop. Callers hold h.mu, after the loop has stopped.
+func (h *Hub) absorbQueuedLocked() {
+	for {
+		select {
+		case ev := <-h.events:
+			if ev.err == nil {
+				ev.app.win.Absorb(ev.batch)
+			}
+		default:
+			return
+		}
+	}
 }
 
 func (h *Hub) handleEvent(ev hubEvent) {
@@ -325,11 +302,6 @@ func (h *Hub) handleEvent(ev hubEvent) {
 		if cb != nil {
 			cb(a.name, ev.err)
 		}
-		return
-	}
-	if ev.eof {
-		a.eof = true
-		h.mu.Unlock()
 		return
 	}
 	a.win.Absorb(ev.batch)

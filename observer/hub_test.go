@@ -2,10 +2,13 @@ package observer_test
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/hbnet"
 	"repro/heartbeat"
 	"repro/observer"
 	"repro/sim"
@@ -154,41 +157,190 @@ func TestHubRunFansOutStatuses(t *testing.T) {
 	}
 }
 
+// Only a pump's bounded wait publishes these beats: no WithFlushInterval,
+// and a default shard far from its backlog threshold. Re-entering Next is
+// what merges pending shard records, so every consumer's pump must wake on
+// its interval even while its stream has nothing to report.
 func TestHubRunPublishesLowRateShardBeats(t *testing.T) {
-	// No WithFlushInterval and a default shard far from its backlog
-	// threshold: only the hub pump's periodic re-poll (which merges
-	// pending shard records) can publish these beats.
-	hb, err := heartbeat.New(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hb.Close()
-	tr := hb.Thread("w")
-	hub := observer.NewHub(2*time.Millisecond, nil)
-	if err := hub.Add("app", observer.HeartbeatStream(hb)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { hub.Run(ctx); close(done) }()
-	tr.GlobalBeat()
-	tr.GlobalBeat()
-	tr.GlobalBeat()
-	deadline := time.After(5 * time.Second)
-	for {
-		if st, ok := hub.Status("app"); ok && st.Count >= 3 {
-			break
-		}
-		select {
-		case <-deadline:
+	for _, tc := range []struct {
+		name string
+		// start registers s, runs the consumer until ctx is cancelled
+		// (closing done), and returns how many records it has absorbed.
+		start func(t *testing.T, ctx context.Context, s observer.Stream, done chan<- struct{}) (absorbed func() uint64)
+	}{
+		{"Hub", func(t *testing.T, ctx context.Context, s observer.Stream, done chan<- struct{}) func() uint64 {
+			hub := observer.NewHub(2*time.Millisecond, nil)
+			if err := hub.Add("app", s); err != nil {
+				t.Fatal(err)
+			}
+			go func() { hub.Run(ctx); close(done) }()
+			return func() uint64 {
+				st, _ := hub.Status("app")
+				return st.Count
+			}
+		}},
+		{"Relay", func(t *testing.T, ctx context.Context, s observer.Stream, done chan<- struct{}) func() uint64 {
+			relay := hbnet.NewRelay(hbnet.WithRollupInterval(2 * time.Millisecond))
+			t.Cleanup(func() { relay.Close() })
+			if err := relay.AddUpstream("app", s); err != nil {
+				t.Fatal(err)
+			}
+			go func() { relay.Run(ctx); close(done) }()
+			return relay.MergedHead
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hb, err := heartbeat.New(10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hb.Close()
+			tr := hb.Thread("w")
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			absorbed := tc.start(t, ctx, observer.HeartbeatStream(hb), done)
+			tr.GlobalBeat()
+			tr.GlobalBeat()
+			tr.GlobalBeat()
+			deadline := time.After(5 * time.Second)
+			for absorbed() < 3 {
+				select {
+				case <-deadline:
+					cancel()
+					<-done
+					t.Fatal("the sub-threshold shard beats were never published")
+				case <-time.After(time.Millisecond):
+				}
+			}
 			cancel()
 			<-done
-			t.Fatal("hub never published the sub-threshold shard beats")
-		case <-time.After(time.Millisecond):
+		})
+	}
+}
+
+// cancelStream hands over its next batch only once a wait's context is
+// cancelled: consumed from the stream just as the hub stops. While busy it
+// also has a batch ready for every Next under an already cancelled context,
+// like a producer beating faster than the hub absorbs. Batch k carries the
+// one record with Seq k, stamped k seconds after the epoch.
+type cancelStream struct {
+	busy    atomic.Bool
+	head    uint64
+	waiting chan struct{} // signalled each time a Next starts to wait
+}
+
+func (s *cancelStream) Next(ctx context.Context) (observer.Batch, error) {
+	if ctx.Err() == nil {
+		select {
+		case s.waiting <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+	} else if !s.busy.Load() {
+		return observer.Batch{}, ctx.Err()
+	}
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		return observer.Batch{}, ctx.Err() // an idle poll deadline, not a shutdown
+	}
+	s.head++
+	rec := heartbeat.Record{Seq: s.head, Time: time.Unix(int64(s.head), 0)}
+	return observer.Batch{Records: []heartbeat.Record{rec}, Count: s.head}, nil
+}
+
+// When Run stops, every batch its pumps took off a stream is in the
+// application's window — including one still queued for the judging loop
+// and one a pump had in hand — so a later Step neither misses it nor lets a
+// later Run replay it as a producer restart. The busy variant pins the
+// shutdown rule: a stream that always has data under a cancelled context
+// still lets Run return.
+func TestHubRunStopAbsorbsInHandDelivery(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		s := &cancelStream{waiting: make(chan struct{}, 1)}
+		hub := observer.NewHub(time.Hour, nil)
+		if err := hub.Add("a", s); err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run <= 4; run++ {
+			s.busy.Store(busy)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { defer close(done); hub.Run(ctx) }()
+			select {
+			case <-s.waiting:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("busy=%v run %d: the pump never waited in Next", busy, run)
+			}
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("busy=%v run %d: Run did not return with the stream still delivering", busy, run)
+			}
+			s.busy.Store(false)
+			st := hub.Step()[0].Status
+			if st.Count != s.head || !st.LastBeat.Equal(time.Unix(int64(s.head), 0)) {
+				t.Fatalf("busy=%v run %d: count %d, last beat %v; the stream's head is %d", busy, run, st.Count, st.LastBeat.Unix(), s.head)
+			}
+			// One record a second from the first: a window reset by a
+			// replayed batch, or missing one, reads another rate.
+			if s.head >= 2 && (!st.RateOK || st.Rate != 1) {
+				t.Fatalf("busy=%v run %d: rate %v (ok %v) over %d records, want 1/s", busy, run, st.Rate, st.RateOK, s.head)
+			}
 		}
 	}
-	cancel()
-	<-done
+}
+
+// floodStream has n one-record batches ready at once (numbered as
+// cancelStream's), then nothing more.
+type floodStream struct {
+	n    uint64
+	head atomic.Uint64
+}
+
+func (s *floodStream) Next(ctx context.Context) (observer.Batch, error) {
+	if s.head.Load() == s.n {
+		<-ctx.Done()
+		return observer.Batch{}, ctx.Err()
+	}
+	k := s.head.Add(1)
+	rec := heartbeat.Record{Seq: k, Time: time.Unix(int64(k), 0)}
+	return observer.Batch{Records: []heartbeat.Record{rec}, Count: k}, nil
+}
+
+// A pump left holding a batch when the judging loop stops absorbs it behind
+// the batches still queued for the loop, never ahead of them: an older
+// batch absorbed after a newer one reads as a producer restart and resets
+// the window. The first batch is judged and held there by onStatus, the
+// next 64 fill the loop's queue, and the pump holds the last; the loop then
+// stops either at once or after draining some of the queue.
+func TestHubRunStopAbsorbsQueueInOrder(t *testing.T) {
+	for attempt := 0; attempt < 8; attempt++ {
+		s := &floodStream{n: 66}
+		release := make(chan struct{})
+		var once sync.Once
+		hub := observer.NewHub(time.Hour, func(string, observer.Status) { once.Do(func() { <-release }) })
+		if err := hub.Add("a", s); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { defer close(done); hub.Run(ctx) }()
+		deadline := time.After(10 * time.Second)
+		for s.head.Load() < s.n {
+			select {
+			case <-deadline:
+				t.Fatalf("attempt %d: the pump took %d of %d batches", attempt, s.head.Load(), s.n)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		cancel()
+		close(release)
+		<-done
+		st := hub.Step()[0].Status
+		if st.Count != s.n || !st.RateOK || st.Rate != 1 {
+			t.Fatalf("attempt %d: count %d, rate %v (ok %v); want %d at 1/s", attempt, st.Count, st.Rate, st.RateOK, s.n)
+		}
+	}
 }
 
 func TestHubRunRestartable(t *testing.T) {
