@@ -100,18 +100,19 @@ drain-scenario:
 	$(GO) test -race ./balance ./internal/simcheck
 
 # The elastic-membership shard, race-checked: the relay and hub lifecycle
-# tests (add, remove, retire, Run stop and restart, rebalance) repeated to
-# shake out interleavings between pumps, removals and shutdown — both run
-# their streams through internal/pump — the deterministic
-# leaf-die failover and backpressure-shed tests, then full scenario-runner
-# replays of generated leaf-die seeds (seeds whose schedules contain
-# EvLeafDie — re-probe if the generator's draw order ever changes). The
-# failover arc also runs inside sim-matrix, whose gate asserts handoffs
-# were exercised; this shard keeps an elastic-membership failure
-# attributable. A failing scenario prints SIMNET_SEED=<seed> for exact
-# replay.
+# tests (add, remove, retire, Run stop and restart, rebalance), the
+# one-app hub (monitor) tests and the scheduler's ticker-driven Run,
+# repeated to shake out interleavings between pumps, removals and
+# shutdown (relay and hub run their streams through internal/pump); the
+# deterministic leaf-die failover and backpressure-shed tests, then full
+# scenario-runner replays of generated leaf-die seeds (seeds whose
+# schedules contain EvLeafDie — re-probe if the generator's draw order
+# ever changes). The failover arc also runs inside sim-matrix, whose gate
+# asserts handoffs were exercised; this shard keeps an elastic-membership
+# failure attributable. A failing scenario prints SIMNET_SEED=<seed> for
+# exact replay.
 failover-scenario:
-	$(GO) test -race -count=5 -run 'TestRelay|TestRebalance|TestHub' ./hbnet ./observer
+	$(GO) test -race -count=5 -run 'TestRelay|TestRebalance|TestHub|TestMonitor|TestRunLoop' ./hbnet ./observer ./scheduler
 	$(GO) test -race -run 'TestLeafDieFailoverDeterministic|TestBackpressureShedExactlyAccountsGap' ./simnet
 	@for seed in 1 26 42; do \
 		echo "failover-scenario: replaying SIMNET_SEED=$$seed"; \

@@ -72,6 +72,8 @@ import (
 	"repro/hbfile"
 	"repro/hbnet"
 	"repro/hbshm"
+	"repro/heartbeat"
+	"repro/internal/pump"
 	"repro/observer"
 )
 
@@ -248,16 +250,25 @@ func shmFeed(path string, poll time.Duration) hbnet.Feed {
 }
 
 // runFollow is the one report loop every mode shares: absorb new records
-// as they land, judge and report every interval.
+// as they land, judge and report every interval. Once the stream ends the
+// window keeps its final state, and each report still waits out its
+// interval.
 func runFollow(stream observer.Stream, classifier *observer.Classifier, interval time.Duration, count int) {
 	win := observer.NewWindow(classifier.Window)
-	ctx := context.Background()
+	fail := func(err error) bool {
+		fmt.Fprintln(os.Stderr, "hbmon:", err)
+		os.Exit(1)
+		return true
+	}
+	ended := false
 	var lastCount, lastMissed uint64
 	for reports := 0; count == 0 || reports < count; reports++ {
-		if _, err := observer.CollectInto(ctx, stream, win, time.Now().Add(interval), nil); err != nil { //hbvet:allow wallclock -- live monitor batch deadline; hbmon has no virtual mode
-			fmt.Fprintln(os.Stderr, "hbmon:", err)
-			os.Exit(1)
+		ctx, cancel := heartbeat.ContextWithTimeout(context.Background(), nil, interval)
+		if !ended {
+			ended = pump.Run(ctx, nil, interval, stream.Next, win.Absorb, fail)
 		}
+		<-ctx.Done()
+		cancel()
 		st := classifier.ClassifyWindow(win)
 		delta := st.Count - lastCount
 		if st.Count < lastCount {

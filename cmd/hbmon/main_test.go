@@ -4,11 +4,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/hbfile"
+	"repro/hbshm"
 	"repro/heartbeat"
 )
 
@@ -22,10 +24,7 @@ func TestReportLoopSmoke(t *testing.T) {
 		t.Skip("builds and runs the binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hbmon")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildHbmon(t, dir)
 
 	ring, err := hbfile.Create(filepath.Join(dir, "app.hb"), 8, 64)
 	if err != nil {
@@ -71,4 +70,56 @@ func TestReportLoopSmoke(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A stream that has ended keeps the report cadence: over a closed
+// shared-memory region every report but the first still waits out its
+// interval, instead of the loop printing them back to back.
+func TestReportLoopKeepsCadenceAfterStreamEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildHbmon(t, dir)
+	path := filepath.Join(dir, "app.shm")
+	w, err := hbshm.Create(path, 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteTarget(4, 400); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Now().Add(-time.Second)
+	for seq := uint64(1); seq <= 5; seq++ {
+		if err := w.WriteRecord(heartbeat.Record{Seq: seq, Time: base.Add(time.Duration(seq) * 25 * time.Millisecond)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const count, interval = 5, 100 * time.Millisecond
+	start := time.Now()
+	out, err := exec.Command(bin, "-shm", path, "-count", strconv.Itoa(count), "-interval", interval.String()).CombinedOutput()
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("hbmon: %v\n%s", err, out)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != count+1 {
+		t.Fatalf("printed %d lines, want a banner and %d reports:\n%s", len(lines), count, out)
+	}
+	if min := (count - 1) * interval; elapsed < min {
+		t.Fatalf("%d reports took %v, want at least %v: the loop spins once the stream ends", count, elapsed, min)
+	}
+}
+
+// buildHbmon builds the command into dir and returns the binary's path.
+func buildHbmon(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "hbmon")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -18,9 +18,9 @@
 //     hierarchical fan-in tier (Relay): many producers merged into one
 //     feed plus downsampled per-app rollups, composing into trees so one
 //     monitor watches a fleet through one connection
-//   - observer: external observation as incremental Streams — Monitor for
-//     one application, Hub to multiplex many named applications into one
-//     loop, RollupWindow/Downsampler to reduce streams to per-interval
+//   - observer: external observation as incremental Streams — Hub to
+//     judge one or many named applications in one loop,
+//     RollupWindow/Downsampler to reduce streams to per-interval
 //     summaries — plus health classification
 //   - control: adaptation policies (threshold stepper, PI, quality ladder)
 //   - scheduler: heart-rate-driven core allocation, deciding from streams

@@ -75,8 +75,8 @@ var jitterSeq atomic.Int64
 
 // Client is a remote heartbeat subscription: the consuming half of an
 // hbnet connection. It satisfies observer.Stream (and io.Closer), so it
-// plugs into everything the local streams plug into — observer.Monitor,
-// observer.Hub, scheduler.CoreScheduler, scheduler.Partitioner — which is
+// plugs into everything the local streams plug into — observer.Hub,
+// scheduler.CoreScheduler, scheduler.Partitioner — which is
 // the point: a scheduler does not know or care that its signal crosses a
 // machine boundary.
 //

@@ -140,18 +140,24 @@ func TestProcessBoundaryMonitorAndScheduler(t *testing.T) {
 	}
 	defer raw.Close()
 
-	// Monitor on its own direct connection.
+	// Monitor — a one-app hub — on its own direct connection.
 	mon, err := Dial(addr, "app")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var muStatus sync.Mutex
 	var statuses []observer.Status
-	monitor := observer.NewMonitor(mon, 50*time.Millisecond, func(st observer.Status) {
+	monitor := observer.NewHub(50*time.Millisecond, func(_ string, st observer.Status) {
 		muStatus.Lock()
 		statuses = append(statuses, st)
 		muStatus.Unlock()
-	}, observer.WithClassifier(&observer.Classifier{FlatlineFactor: 50}))
+	}, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{FlatlineFactor: 50}
+	}))
+	if err := monitor.Add("app", mon); err != nil {
+		t.Fatal(err)
+	}
+	defer monitor.Remove("app")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup

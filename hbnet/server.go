@@ -21,16 +21,6 @@ import (
 // closed when the connection ends.
 type Feed func(ctx context.Context, since uint64) (observer.Stream, error)
 
-// HeartbeatFeed publishes a live in-process Heartbeat: each subscriber
-// gets a cursor subscription (heartbeat.Heartbeat.SubscribeFrom via
-// observer.HeartbeatStreamFrom), so replay-then-live-push and Missed
-// accounting behave exactly like a local subscription.
-func HeartbeatFeed(hb *heartbeat.Heartbeat) Feed {
-	return func(ctx context.Context, since uint64) (observer.Stream, error) {
-		return observer.HeartbeatStreamFrom(hb, since), nil
-	}
-}
-
 // FileFeed publishes a heartbeat ring or log file: the relay case, where
 // the hbnet server and the observed application share a filesystem but
 // subscribers do not. Each subscriber opens its own live tail
@@ -157,12 +147,17 @@ func (s *Server) publish(name string, e feedEntry) error {
 	return nil
 }
 
-// PublishHeartbeat is Publish(name, HeartbeatFeed(hb)).
+// PublishHeartbeat publishes a live in-process Heartbeat under name: each
+// subscriber gets a cursor subscription (observer.HeartbeatStreamFrom), so
+// replay-then-live-push and Missed accounting behave exactly like a local
+// subscription.
 func (s *Server) PublishHeartbeat(name string, hb *heartbeat.Heartbeat) error {
 	if hb == nil {
 		return fmt.Errorf("hbnet: nil heartbeat for %q", name)
 	}
-	return s.Publish(name, HeartbeatFeed(hb))
+	return s.Publish(name, func(ctx context.Context, since uint64) (observer.Stream, error) {
+		return observer.HeartbeatStreamFrom(hb, since), nil
+	})
 }
 
 // Serve accepts subscribers on l until the listener fails or the server is

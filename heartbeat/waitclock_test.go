@@ -57,7 +57,7 @@ func TestContextWithTimeoutVirtualDeadline(t *testing.T) {
 		t.Fatal("virtual deadline never fired")
 	}
 	// The expiry must read as a deadline, not a cancellation: consumers
-	// (CollectInto, hub pumps) distinguish "interval elapsed" from
+	// (internal/pump's read loop) distinguish "interval elapsed" from
 	// "cancelled" by exactly this.
 	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		t.Fatalf("Err = %v, want DeadlineExceeded", ctx.Err())

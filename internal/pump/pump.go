@@ -1,9 +1,10 @@
 // Package pump is the one upstream read loop of the observation stack: the
-// goroutine that blocks in a stream's Next and hands each delivery to its
-// consumer. observer.Hub and hbnet.Relay both run one pump per registered
-// stream; the rules every such loop must follow live here, once, and the
-// consumers keep only what is their own (where a delivery goes, what a
-// failure means).
+// loop that blocks in a stream's Next and hands each delivery to its
+// consumer. It has three users: observer.Hub and hbnet.Relay run one pump
+// per registered stream, and cmd/hbmon runs one per report interval. The
+// rules every such loop must follow live here, once, and the consumers
+// keep only what is their own (where a delivery goes, what a failure
+// means).
 package pump
 
 import (

@@ -25,8 +25,10 @@ type NamedStatus struct {
 // one control loop — the §2.4 "organic OS" observer that watches every
 // registered application at once, as a library feature instead of a
 // hand-rolled loop per deployment. Each application gets its own
-// incremental Window and Classifier; the hub fans per-application Status
-// judgments out through one callback.
+// Classifier and an incremental Window retaining the classifier's Window
+// records (0: the application's own default); the hub fans
+// per-application Status judgments out through one callback. A hub of one
+// application is the §2.3 monitor.
 //
 // Two driving modes share the same state:
 //
@@ -142,7 +144,7 @@ func (h *Hub) Add(name string, stream Stream) error {
 	if cls.Epoch.IsZero() {
 		cls.Epoch = cls.now()
 	}
-	a := &hubApp{name: name, stream: stream, win: NewWindow(0), cls: cls}
+	a := &hubApp{name: name, stream: stream, win: NewWindow(cls.Window), cls: cls}
 	h.apps[name] = a
 	h.order = append(h.order, name)
 	h.startPumpLocked(a) // joins a live Run; a no-op otherwise

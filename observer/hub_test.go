@@ -106,6 +106,34 @@ func TestHubStepIsIncremental(t *testing.T) {
 	}
 }
 
+// Each application is judged over its classifier's Window, not over its own
+// default window: twenty beats at 1/s then ten at 100/s are 29 intervals
+// across 19.1s, while the default window of 10 would hold only the burst.
+func TestHubWindowFollowsClassifier(t *testing.T) {
+	clk := sim.NewClock(time.Time{})
+	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithCapacity(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		clk.Advance(time.Second)
+		hb.Beat()
+	}
+	for i := 0; i < 10; i++ {
+		clk.Advance(10 * time.Millisecond)
+		hb.Beat()
+	}
+	hub := observer.NewHub(time.Second, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Clock: clk, Window: 30}
+	}))
+	if err := hub.Add("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
+	if st := hub.Step()[0].Status; !st.RateOK || st.Rate < 1.5 || st.Rate > 1.55 {
+		t.Fatalf("rate = %v (ok %v), want 29/19.1s ≈ 1.52 over the classifier's 30 records", st.Rate, st.RateOK)
+	}
+}
+
 func TestHubRunFansOutStatuses(t *testing.T) {
 	hb, err := heartbeat.New(10)
 	if err != nil {

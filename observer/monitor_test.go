@@ -1,5 +1,8 @@
 package observer_test
 
+// The §2.3 monitor is a Hub of one application: these tests drive that
+// shape through Run.
+
 import (
 	"context"
 	"errors"
@@ -16,21 +19,26 @@ func TestMonitorOnErrorCallback(t *testing.T) {
 	boom := errors.New("stream unavailable")
 	src := scriptStream(func(context.Context) (observer.Batch, error) { return observer.Batch{}, boom })
 	var errs atomic.Int32
-	m := observer.NewMonitor(src, time.Millisecond, func(observer.Status) {
-		t.Error("status delivered from failing stream")
-	}, observer.WithOnError(func(err error) {
+	hub := observer.NewHub(time.Millisecond, func(_ string, st observer.Status) {
+		if st.Count != 0 {
+			t.Errorf("status %+v judged beats a failing stream never delivered", st)
+		}
+	}, observer.WithHubOnError(func(_ string, err error) {
 		if errors.Is(err, boom) {
 			errs.Add(1)
 		}
 	}))
+	if err := hub.Add("app", src); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	go func() { m.Run(ctx); close(done) }()
+	go func() { hub.Run(ctx); close(done) }()
 	deadline := time.After(5 * time.Second)
-	for errs.Load() == 0 {
+	for errs.Load() < 2 { // the first failure, then a paced retry
 		select {
 		case <-deadline:
-			t.Fatal("no error callbacks")
+			t.Fatalf("%d error callbacks, want a retry after the first", errs.Load())
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -39,22 +47,27 @@ func TestMonitorOnErrorCallback(t *testing.T) {
 	<-done
 }
 
-// firstStatus runs a Monitor over st until its first judgment — Run's
-// immediate one, from whatever the stream already holds — and returns it
-// once Run has unwound.
-func firstStatus(t *testing.T, st observer.Stream, opts ...observer.MonitorOption) observer.Status {
+// firstStatus runs a one-application Hub over st, judged by cls (nil: the
+// default classifier), until its first judgment — the one made as soon as
+// the stream's first batch lands — and returns it once Run has unwound and
+// the application is removed, releasing its stream. The hour-long interval
+// keeps the periodic judgments out of the way.
+func firstStatus(t *testing.T, st observer.Stream, cls *observer.Classifier) observer.Status {
 	t.Helper()
 	got := make(chan observer.Status, 1)
-	m := observer.NewMonitor(st, time.Hour, func(st observer.Status) {
+	hub := observer.NewHub(time.Hour, func(_ string, st observer.Status) {
 		select {
 		case got <- st:
 		default:
 		}
-	}, opts...)
+	}, observer.WithHubClassifier(func(string) *observer.Classifier { return cls }))
+	if err := hub.Add("app", st); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	go func() { m.Run(ctx); close(done) }()
-	defer func() { cancel(); <-done }()
+	go func() { hub.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done; hub.Remove("app") }()
 	select {
 	case st := <-got:
 		return st
@@ -80,9 +93,7 @@ func TestMonitorMaxRecordsOption(t *testing.T) {
 		hb.Beat()
 	}
 	// A classifier windowed to the last 4 records sees only the fast burst.
-	st := firstStatus(t, observer.HeartbeatStream(hb),
-		observer.WithClassifier(&observer.Classifier{Clock: clk, Window: 4}),
-		observer.WithMaxRecords(4))
+	st := firstStatus(t, observer.HeartbeatStream(hb), &observer.Classifier{Clock: clk, Window: 4})
 	if !st.RateOK || st.Rate < 99 || st.Rate > 101 {
 		t.Fatalf("windowed rate = %v, want ~100", st.Rate)
 	}
@@ -95,7 +106,7 @@ func TestMonitorRunWithDefaults(t *testing.T) {
 		clk.Advance(100 * time.Millisecond)
 		hb.Beat()
 	}
-	st := firstStatus(t, observer.HeartbeatStream(hb))
+	st := firstStatus(t, observer.HeartbeatStream(hb), nil)
 	// Default classifier uses the wall clock; the beats are at simulated
 	// epoch so SinceLast is enormous — flatline is the correct judgment,
 	// proving defaults engage end to end.
@@ -112,13 +123,14 @@ type closeCounter struct {
 
 func (c *closeCounter) Close() error { c.closes.Add(1); return nil }
 
-// One ownership rule: the monitor a stream was handed to closes it, once,
-// when Run returns.
+// One ownership rule: the hub a stream was handed to closes it, once, when
+// the application is removed.
 func TestMonitorRunClosesStream(t *testing.T) {
 	hb, _ := heartbeat.New(10)
+	hb.Beat()
 	st := &closeCounter{Stream: observer.HeartbeatStream(hb)}
-	firstStatus(t, st)
+	firstStatus(t, st, nil)
 	if n := st.closes.Load(); n != 1 {
-		t.Fatalf("Run closed its stream %d times, want 1", n)
+		t.Fatalf("Remove closed the stream %d times, want 1", n)
 	}
 }

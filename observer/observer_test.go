@@ -285,25 +285,35 @@ func TestMonitorRunDeliversStatuses(t *testing.T) {
 
 	var polls atomic.Int32
 	got := make(chan observer.Status, 64)
-	m := observer.NewMonitor(observer.HeartbeatStream(hb), time.Millisecond, func(st observer.Status) {
+	hub := observer.NewHub(time.Millisecond, func(_ string, st observer.Status) {
 		polls.Add(1)
 		select {
 		case got <- st:
 		default:
 		}
-	}, observer.WithClassifier(&observer.Classifier{Clock: clk}))
+	}, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Clock: clk}
+	}))
+	if err := hub.Add("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	go func() { m.Run(ctx); close(done) }()
+	go func() { hub.Run(ctx); close(done) }()
 
-	select {
-	case st := <-got:
-		if st.Health != observer.Healthy {
-			t.Fatalf("status = %+v", st)
+	// A tick may judge the app before its first batch lands: wait for the
+	// judgment of the beats.
+	deadline := time.After(5 * time.Second)
+	for judged := false; !judged; {
+		select {
+		case st := <-got:
+			if judged = st.Count > 0; judged && st.Health != observer.Healthy {
+				t.Fatalf("status = %+v", st)
+			}
+		case <-deadline:
+			t.Fatal("no status of the beats delivered")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no status delivered")
 	}
 	cancel()
 	<-done

@@ -9,23 +9,21 @@
 // There is one way to observe: Stream, a cursor-based incremental view that
 // delivers each heartbeat record to a consumer exactly once, in batches,
 // as the application publishes them. Consumers accumulate batches in a
-// Window and judge it with Classifier.ClassifyWindow; Monitor packages
-// that loop for one application, and Hub multiplexes many named
-// applications into one loop with per-application Status fan-out. Each
-// stream kind has one constructor: HeartbeatStream for in-process
-// heartbeats (wakes on flush, no polling), ReaderStream for a heartbeat
-// file or shared-memory region another process writes (idle ticks cost one
-// cursor read), FollowFile for a file path that must survive the producer
-// recreating it; package hbnet carries the same streams across machines
-// (hbnet.Client satisfies Stream, so hubs and monitors take remote
-// applications unchanged).
+// Window and judge it with Classifier.ClassifyWindow; Hub packages that
+// loop for one or many named applications with per-application Status
+// fan-out. Each stream kind has one constructor: HeartbeatStream for
+// in-process heartbeats (wakes on flush, no polling), ReaderStream for a
+// heartbeat file or shared-memory region another process writes (idle
+// ticks cost one cursor read), FollowFile for a file path that must
+// survive the producer recreating it; package hbnet carries the same
+// streams across machines (hbnet.Client satisfies Stream, so hubs and
+// schedulers take remote applications unchanged).
 //
-// One ownership rule: the consumer a stream is handed to (NewMonitor,
-// Hub.Add, scheduler.New, ...) releases it — when the consumer's Run
-// returns, or in its Close or Remove — by calling Close if the stream is an
-// io.Closer. The paper's two point reads, HB_get_history and
-// HB_current_rate, stay where the paper put them: on heartbeat.Heartbeat
-// (History, Rate) and hbfile.Reader (Last, Rate).
+// One ownership rule: the consumer a stream is handed to (Hub.Add,
+// scheduler.New, ...) releases it, in its Close or Remove, by calling
+// Close if the stream is an io.Closer. The paper's two point reads,
+// HB_get_history and HB_current_rate, stay where the paper put them: on
+// heartbeat.Heartbeat (History, Rate) and hbfile.Reader (Last, Rate).
 package observer
 
 import (
@@ -118,47 +116,6 @@ func DrainInto(s Stream, w *Window) (eof bool, err error) {
 		}
 	}
 }
-
-// CollectInto absorbs batches of s into w until deadline (eof false, err
-// nil — a normal idle tick), stream end (eof true), ctx cancellation
-// (err = ctx.Err()), or a stream failure. This is the one
-// deadline-bounded collect loop shared by the waiting consumers
-// (Monitor.Run, scheduler.CoreScheduler.Run, hbmon). The deadline is
-// interpreted (and waited out) on clk's time, so a virtual clock makes the
-// collect interval a simulation event instead of a host sleep; a nil clk
-// (or any clock without scheduling) is the wall clock.
-func CollectInto(ctx context.Context, s Stream, w *Window, deadline time.Time, clk heartbeat.Clock) (eof bool, err error) {
-	dctx, cancel := heartbeat.ContextWithTimeout(ctx, clk, deadline.Sub(clockNow(clk)))
-	defer cancel()
-	for {
-		b, nerr := s.Next(dctx)
-		if nerr == nil {
-			w.Absorb(b)
-			// Check the clock, not just dctx: a producer fast enough to
-			// have records pending on every Next would otherwise keep this
-			// loop absorbing forever (pending data wins over an expired
-			// context by the Stream contract) and starve the caller's
-			// judgment tick.
-			if !clockNow(clk).Before(deadline) {
-				return false, nil
-			}
-			continue
-		}
-		switch {
-		case errors.Is(nerr, io.EOF):
-			return true, nil
-		case ctx.Err() != nil:
-			return false, ctx.Err()
-		case errors.Is(nerr, context.DeadlineExceeded) && dctx.Err() != nil:
-			return false, nil // the interval elapsed: a normal idle tick
-		default:
-			return false, nerr
-		}
-	}
-}
-
-// clockNow is heartbeat.Now under the package's local name.
-func clockNow(clk heartbeat.Clock) time.Time { return heartbeat.Now(clk) }
 
 // HeartbeatStream streams an in-process *heartbeat.Heartbeat: the
 // self-observation path of Figure 1(a), now push-based. A blocked Next

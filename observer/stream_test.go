@@ -236,9 +236,9 @@ func TestMonitorRunFirstStatusImmediate(t *testing.T) {
 	}
 	hb.SetTarget(8, 12)
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)
-	// firstStatus runs the monitor on an hour-long interval: only the
-	// immediate initial judgment can deliver a status within its deadline.
-	st := firstStatus(t, observer.HeartbeatStream(hb), observer.WithClassifier(&observer.Classifier{Clock: clk}))
+	// firstStatus runs the hub on an hour-long interval: only the judgment
+	// of the first batch can deliver a status within its deadline.
+	st := firstStatus(t, observer.HeartbeatStream(hb), &observer.Classifier{Clock: clk})
 	if st.Health != observer.Healthy {
 		t.Fatalf("first status = %+v", st)
 	}
@@ -255,7 +255,7 @@ func TestMonitorRunOnStreamDetectsFlatline(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	flat := make(chan observer.Status, 1)
-	m := observer.NewMonitor(observer.HeartbeatStream(hb), 10*time.Millisecond, func(st observer.Status) {
+	hub := observer.NewHub(10*time.Millisecond, func(_ string, st observer.Status) {
 		if st.Health == observer.Flatlined {
 			select {
 			case flat <- st:
@@ -263,10 +263,13 @@ func TestMonitorRunOnStreamDetectsFlatline(t *testing.T) {
 			}
 		}
 	})
+	if err := hub.Add("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	done := make(chan struct{})
-	go func() { m.Run(ctx); close(done) }()
+	go func() { hub.Run(ctx); close(done) }()
 	select {
 	case <-flat: // beats stopped; the idle ticks alone must reveal it
 	case <-time.After(8 * time.Second):

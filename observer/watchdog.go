@@ -3,7 +3,7 @@ package observer
 // Watchdog implements the §2.3 system-administration use of heartbeats:
 // "heartbeats might be used to detect application hangs or crashes, and
 // restart the application". It is a pure state machine over Status
-// judgments — feed it from a Monitor callback or any polling loop — that
+// judgments — feed it from a Hub callback or any polling loop — that
 // debounces transient stalls and fires a restart hook after sustained
 // flatline or death.
 type Watchdog struct {

@@ -10,7 +10,6 @@ package scheduler
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -198,71 +197,32 @@ func (s *CoreScheduler) decide() Sample {
 	}
 }
 
-// Run decides every interval until ctx is cancelled, invoking onSample (if
-// non-nil) after each cycle and onError (if non-nil) on failures. Between
-// decisions it blocks on the stream, absorbing batches as the application
-// publishes them, so an idle application costs nothing per tick. A
-// non-positive interval is clamped to a 100ms decision cadence (the loop
-// would busy-spin on one).
+// Run calls Step every interval on the scheduler's clock until ctx is
+// cancelled, invoking onSample (if non-nil) after each cycle and onError
+// (if non-nil) on failures. The first decision is immediate. Step drains
+// everything published before each decision, so the stream is read only
+// at decision points and an idle application costs one cursor read per
+// tick. A non-positive interval is clamped to a 100ms decision cadence
+// (the loop would busy-spin on one).
 func (s *CoreScheduler) Run(ctx context.Context, interval time.Duration, onSample func(Sample), onError func(error)) {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
+	tick := heartbeat.NewTicker(s.clk, interval)
+	defer tick.Stop()
 	for {
-		sample, err := s.Step()
-		if err != nil {
+		if sample, err := s.Step(); err != nil {
 			if onError != nil {
 				onError(err)
 			}
 		} else if onSample != nil {
 			onSample(sample)
 		}
-		if ctx.Err() != nil {
-			return
-		}
-		if err := s.collect(ctx, s.now().Add(interval)); err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			if onError != nil {
-				onError(err)
-			}
-		}
-		if ctx.Err() != nil {
-			return
-		}
-	}
-}
-
-// collect absorbs stream batches until deadline or ctx cancellation.
-// After a stream end or error, the remaining interval is waited out so a
-// dead or failing stream cannot spin the decision loop.
-func (s *CoreScheduler) collect(ctx context.Context, deadline time.Time) error {
-	var streamErr error
-	if s.eof {
-		// Nothing more will ever arrive; just keep the decision cadence.
-	} else {
-		eof, err := observer.CollectInto(ctx, s.stream, s.win, deadline, s.clk)
-		if eof {
-			s.eof = true
-		}
-		switch {
-		case err == nil:
-			return nil // the interval elapsed (or the stream just ended)
-		case errors.Is(err, ctx.Err()) && ctx.Err() != nil:
-			return nil // cancelled: Run checks ctx itself
-		default:
-			streamErr = err
-		}
-	}
-	if d := deadline.Sub(s.now()); d > 0 {
 		select {
 		case <-ctx.Done():
-		case <-heartbeat.After(s.clk, d):
+			return
+		case <-tick.C():
+			tick.Next()
 		}
 	}
-	return streamErr
 }
-
-// now reads the scheduler's clock, falling back to the wall clock.
-func (s *CoreScheduler) now() time.Time { return heartbeat.Now(s.clk) }

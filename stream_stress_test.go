@@ -4,7 +4,7 @@ package repro
 // consumers of different kinds, all under -race. The raw subscriber
 // asserts the core streaming contract — every global sequence number is
 // delivered exactly once, in order, across a mid-stream resubscribe —
-// while a Monitor and a CoreScheduler consume the same heartbeat through
+// while a one-app Hub and a CoreScheduler consume the same heartbeat through
 // their own independent cursors.
 
 import (
@@ -59,17 +59,21 @@ func TestStreamFanoutNoLossNoDupAcrossResubscribe(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	// Consumer 1: a Monitor judging through its own stream.
+	// Consumer 1: a one-app Hub judging through its own stream.
 	var statuses atomic.Int64
 	mctx, mcancel := context.WithCancel(ctx)
 	defer mcancel()
 	monitorDone := make(chan struct{})
+	monitor := observer.NewHub(time.Millisecond, func(string, observer.Status) {
+		statuses.Add(1)
+	})
+	if err := monitor.Add("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
+	defer monitor.Remove("app")
 	go func() {
 		defer close(monitorDone)
-		m := observer.NewMonitor(observer.HeartbeatStream(hb), time.Millisecond, func(observer.Status) {
-			statuses.Add(1)
-		})
-		m.Run(mctx)
+		monitor.Run(mctx)
 	}()
 
 	// Consumer 2: a CoreScheduler deciding through its own stream.
