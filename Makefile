@@ -46,8 +46,11 @@ build-extras:
 test:
 	$(GO) test ./...
 
+# The second line repeats the race between a Thread's first local beat,
+# which publishes its on-demand local ring, and concurrent readers.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run TestThreadLocalRing ./heartbeat
 
 # The hbnet loopback round trip, briefly and race-checked: one real TCP
 # server and client exchanging records in-process — the fastest signal

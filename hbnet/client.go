@@ -80,13 +80,16 @@ var jitterSeq atomic.Int64
 // the point: a scheduler does not know or care that its signal crosses a
 // machine boundary.
 //
-// A background reader drains the connection into a bounded buffer, so a
-// briefly slow consumer does not stall the socket; a consumer slower than
-// the producer for long backpressures TCP, and any records the producer's
-// ring laps meanwhile surface as Missed. When the connection breaks, the
-// reader redials with the last delivered cursor (unless WithoutReconnect)
-// — the server replays what the history still retains and the gap, if any,
-// is counted in Missed, never silently dropped and never re-delivered.
+// A background reader decodes at most one frame ahead of the consumer: one
+// decoded batch waits for Next while the next frame is read and decoded.
+// Beyond that the stream waits in the socket buffers, held back by TCP flow
+// control in kernel memory rather than as decoded records on the heap; a
+// consumer slower than the producer for long backpressures the server, and
+// any records the producer's ring laps meanwhile surface as Missed. When the
+// connection breaks, the reader redials with the last delivered cursor
+// (unless WithoutReconnect) — the server replays what the history still
+// retains and the gap, if any, is counted in Missed, never silently dropped
+// and never re-delivered.
 //
 // Like every Stream, a Client is a single-consumer cursor: calls to Next
 // must not overlap. Close may be called from any goroutine.
@@ -190,7 +193,7 @@ func dial(addr, feed string, since uint64, kind byte, opts []ClientOption) (*Cli
 		reconnect:   true,
 		ctx:         ctx,
 		cancel:      cancel,
-		batches:     make(chan netMsg, 16),
+		batches:     make(chan netMsg, 1), // one frame of read-ahead (see Client)
 		readerDone:  make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -566,11 +569,11 @@ func (c *Client) Recycle(b observer.Batch) {
 		return
 	}
 	c.recMu.Lock()
-	// Keep enough slices to cover the delivery channel's depth plus the
-	// batch being decoded and the one being consumed: the reader can run
-	// that far ahead of the consumer, and a bound below it would make the
-	// reader allocate fresh slices while full-grown recycled ones are
-	// dropped here.
+	// Keep enough slices to cover the delivery channel's depth (one) plus
+	// the batch being decoded and the one being consumed — three: the
+	// reader can run that far ahead of the consumer, and a bound below it
+	// would make the reader allocate fresh slices while full-grown recycled
+	// ones are dropped here.
 	if len(c.recFree) < cap(c.batches)+2 {
 		c.recFree = append(c.recFree, b.Records[:0])
 	}

@@ -79,7 +79,7 @@ func rollupWireCost(r observer.Rollup) int { return len(r.App) + 64 }
 // Missed, through ordinary cursor arithmetic.
 type replayRing struct {
 	mu    sync.Mutex
-	recs  []heartbeat.Record // ring storage, strictly increasing Seq
+	recs  []replayEntry // ring storage, strictly increasing seq
 	start int
 	n     int
 	head  uint64 // newest assigned seq, counting gap (missed) seqs
@@ -111,11 +111,23 @@ type replayRing struct {
 	fcur uint64 // the cursor the cached frame advances to
 }
 
+// replayEntry is one retained record as the wire carries it: 32 bytes and
+// no pointer, where a heartbeat.Record is 48 bytes and, through its
+// time.Time's *Location, pointer-bearing — so a full ring is a span the
+// garbage collector never scans. Records convert on the way in (append) and
+// back at the API edge (readSince); frameSince encodes straight from it.
+type replayEntry struct {
+	seq      uint64
+	nanos    int64
+	tag      int64
+	producer int32
+}
+
 func newReplayRing(capacity int) *replayRing {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &replayRing{recs: make([]heartbeat.Record, capacity)}
+	return &replayRing{recs: make([]replayEntry, capacity)}
 }
 
 // wakeLocked wakes parked subscribers, if any. Callers hold r.mu.
@@ -146,9 +158,9 @@ func (r *replayRing) append(recs []heartbeat.Record, missed uint64, producer int
 	r.head += missed
 	for _, rec := range recs {
 		r.head++
-		rec.Seq = r.head
+		e := replayEntry{seq: r.head, nanos: rec.Time.UnixNano(), tag: rec.Tag, producer: rec.Producer}
 		if producer >= 0 {
-			rec.Producer = producer
+			e.producer = producer
 		}
 		idx := (r.start + r.n) % len(r.recs)
 		if r.n < len(r.recs) {
@@ -156,10 +168,10 @@ func (r *replayRing) append(recs []heartbeat.Record, missed uint64, producer int
 		} else {
 			// Overwriting the oldest retained record: every cursor below
 			// its seq is now lapped (see winBase).
-			r.winBase = r.recs[idx].Seq
+			r.winBase = r.recs[idx].seq
 			r.start = (r.start + 1) % len(r.recs)
 		}
-		r.recs[idx] = rec
+		r.recs[idx] = e
 	}
 	if r.fbuf != nil {
 		r.fbuf.release()
@@ -216,9 +228,9 @@ func (r *replayRing) readSince(since uint64, max int) (out []heartbeat.Record, c
 		r.shedTotal += shed
 		eff = floor
 	}
-	// First retained index with Seq > eff (records are Seq-ordered).
+	// First retained index with seq > eff (records are seq-ordered).
 	i := sort.Search(r.n, func(i int) bool {
-		return r.recs[(r.start+i)%len(r.recs)].Seq > eff
+		return r.recs[(r.start+i)%len(r.recs)].seq > eff
 	})
 	take := r.n - i
 	truncated := false
@@ -228,7 +240,8 @@ func (r *replayRing) readSince(since uint64, max int) (out []heartbeat.Record, c
 	if take > 0 {
 		out = make([]heartbeat.Record, take)
 		for k := 0; k < take; k++ {
-			out[k] = r.recs[(r.start+i+k)%len(r.recs)]
+			e := r.recs[(r.start+i+k)%len(r.recs)]
+			out[k] = heartbeat.Record{Seq: e.seq, Time: time.Unix(0, e.nanos), Tag: e.tag, Producer: e.producer}
 		}
 	}
 	if truncated {
@@ -280,13 +293,13 @@ func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64
 		return r.fbuf, r.fcur, shed, notify, closed
 	}
 	i := sort.Search(r.n, func(i int) bool { //hbvet:allow hotpath -- encode-once path: runs only on cache miss, once per (cursor, head)
-		return r.recs[(r.start+i)%len(r.recs)].Seq > eff
+		return r.recs[(r.start+i)%len(r.recs)].seq > eff
 	})
 	take := r.n - i
 	truncated := take > max
 	if truncated {
 		take = max
-		cur = r.recs[(r.start+i+take-1)%len(r.recs)].Seq
+		cur = r.recs[(r.start+i+take-1)%len(r.recs)].seq
 	} else {
 		cur = r.head // trailing gap seqs are accounted in the same read
 	}
@@ -299,7 +312,8 @@ func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64
 	var prevSeq uint64
 	var prevNanos int64
 	for k := 0; k < take; k++ {
-		buf = appendRecordDelta(buf, r.recs[(r.start+i+k)%len(r.recs)], &prevSeq, &prevNanos) //hbvet:allow hotpath -- encode-once path
+		e := &r.recs[(r.start+i+k)%len(r.recs)]
+		buf = appendRecordDelta(buf, e.seq, e.nanos, e.tag, e.producer, &prevSeq, &prevNanos) //hbvet:allow hotpath -- encode-once path
 	}
 	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	fb.data = buf
@@ -518,9 +532,9 @@ func WithRollupInterval(d time.Duration) RelayOption {
 	}
 }
 
-// WithMergedRetain bounds the merged replay ring (default 65536 records):
-// how far behind (or how long disconnected) a raw subscriber may fall
-// before lapped records surface as Missed.
+// WithMergedRetain bounds the merged replay ring (default 65536 records,
+// 32 bytes each, so 2 MiB): how far behind (or how long disconnected) a raw
+// subscriber may fall before lapped records surface as Missed.
 func WithMergedRetain(n int) RelayOption {
 	return func(r *Relay) { r.mergedRetain = n }
 }

@@ -179,7 +179,7 @@ func appendBatch(dst []byte, b observer.Batch, cursor uint64) []byte {
 	var prevSeq uint64
 	var prevNanos int64
 	for _, r := range b.Records {
-		dst = appendRecordDelta(dst, r, &prevSeq, &prevNanos)
+		dst = appendRecordDelta(dst, r.Seq, r.Time.UnixNano(), r.Tag, r.Producer, &prevSeq, &prevNanos)
 	}
 	return dst
 }
@@ -207,15 +207,17 @@ func appendBatchMeta(dst []byte, b observer.Batch, cursor uint64, nrecords int) 
 	return binary.AppendUvarint(dst, uint64(nrecords))
 }
 
-// appendRecordDelta encodes one record as deltas from its predecessor,
-// threading the predecessor state through prevSeq/prevNanos.
-func appendRecordDelta(dst []byte, r heartbeat.Record, prevSeq *uint64, prevNanos *int64) []byte {
-	dst = binary.AppendVarint(dst, int64(r.Seq-*prevSeq))
-	nanos := r.Time.UnixNano()
+// appendRecordDelta encodes one record, given by its wire fields, as
+// deltas from its predecessor, threading the predecessor state through
+// prevSeq/prevNanos. It takes fields rather than a heartbeat.Record so the
+// replay ring, which keeps records without their time.Time, encodes
+// straight from its storage through the same code as appendBatch.
+func appendRecordDelta(dst []byte, seq uint64, nanos, tag int64, producer int32, prevSeq *uint64, prevNanos *int64) []byte {
+	dst = binary.AppendVarint(dst, int64(seq-*prevSeq))
 	dst = binary.AppendVarint(dst, nanos-*prevNanos)
-	dst = binary.AppendVarint(dst, r.Tag)
-	dst = binary.AppendVarint(dst, int64(r.Producer))
-	*prevSeq, *prevNanos = r.Seq, nanos
+	dst = binary.AppendVarint(dst, tag)
+	dst = binary.AppendVarint(dst, int64(producer))
+	*prevSeq, *prevNanos = seq, nanos
 	return dst
 }
 
@@ -226,7 +228,11 @@ func decodeBatch(body []byte) (b observer.Batch, cursor uint64, err error) {
 // decodeBatchInto is decodeBatch appending into recs (which may be nil or
 // a recycled slice): with a pooled slice the steady-state decode path
 // allocates nothing, which is what Client.Recycle buys the Relay's merge
-// pump. The returned batch's Records alias recs's storage.
+// pump. recs is used only when it already holds the whole frame; otherwise
+// the records go to a fresh slice of exactly the frame's length, so no
+// decode re-grows a slice (copying it, and overshooting the capacity a
+// free list would then keep). The returned batch's Records alias the
+// storage they were decoded into.
 func decodeBatchInto(body []byte, recs []heartbeat.Record) (b observer.Batch, cursor uint64, err error) {
 	d := decoder{buf: body}
 	cursor = d.uvarint()
@@ -246,7 +252,7 @@ func decodeBatchInto(body []byte, recs []heartbeat.Record) (b observer.Batch, cu
 		return observer.Batch{}, 0, fmt.Errorf("hbnet: batch claims %d records in %d bytes", n, len(body))
 	}
 	if n > 0 && d.err == nil {
-		if cap(recs) > 0 {
+		if uint64(cap(recs)) >= n {
 			b.Records = recs[:0]
 		} else {
 			b.Records = make([]heartbeat.Record, 0, n)

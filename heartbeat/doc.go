@@ -31,12 +31,13 @@
 //
 // Beat registration is built to run as fast as the hardware allows:
 //
-//   - Every Thread owns two lock-free single-producer rings (internal/ring
-//     SP): a private local history for Beat, and a global shard for
-//     GlobalBeat. A beat is a mutex-free, allocation-free push; the rings
-//     run-length encode timestamps and store tags out of line, so in the
-//     steady state (repeated timestamp, tag 0) a beat is a single atomic
-//     store.
+//   - Every Thread owns a lock-free single-producer ring (internal/ring
+//     SP) as its global shard for GlobalBeat and, from its first Beat on, a
+//     second as its private local history. A beat is a mutex-free,
+//     allocation-free push (the first local beat allocates the local
+//     ring); the rings run-length encode timestamps and store tags out of
+//     line, so in the steady state (repeated timestamp, tag 0) a beat is a
+//     single atomic store.
 //   - Repeated timestamps are the norm on the default clock: a Thread reads
 //     the wall clock once per several beats, not once per beat — how many is
 //     private to the producer, adapts to its beat rate, and is capped at

@@ -365,7 +365,7 @@ func (h *Heartbeat) Thread(name string) *Thread {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.nextThreadID++
-	t := newThread(h, h.nextThreadID, name, h.threadCap, h.shardCap)
+	t := newThread(h, h.nextThreadID, name)
 	h.threads = append(h.threads, t)
 	return t
 }

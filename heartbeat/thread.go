@@ -1,6 +1,7 @@
 package heartbeat
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ring"
@@ -11,18 +12,20 @@ import (
 // observers can reason about them separately; threads cooperating on one
 // object report shared progress through GlobalBeat.
 //
-// A Thread owns two lock-free single-producer rings: a private local history
-// (Beat/BeatTag) and a global shard (GlobalBeat/GlobalBeatTag) that the
-// aggregator merges into the application history. Both beat paths are
-// mutex-free and allocation-free: in the steady state a beat is a single
-// atomic store. That speed rests on a single-producer contract: all beat
-// calls on one Thread must come from one goroutine (register one handle per
-// worker — Thread handles are cheap). Concurrent beats on a shared handle
-// are a data race: beats can be lost and `go test -race` will flag the
-// caller. This is stricter than the seed's mutex-guarded Thread, which
-// tolerated shared handles; heartbeat/compat serializes its local beats for
-// C-parity callers that relied on that. All read methods remain safe for
-// any number of concurrent observers.
+// A Thread owns a lock-free single-producer global shard
+// (GlobalBeat/GlobalBeatTag) that the aggregator merges into the application
+// history, and — from its first Beat/BeatTag on — a second such ring for its
+// private local history. A thread that only beats globally never allocates
+// the local one, and its Count, History and Rate read as empty. Both beat
+// paths are mutex-free and, after that first local beat, allocation-free: in
+// the steady state a beat is a single atomic store. That speed rests on a
+// single-producer contract: all beat calls on one Thread must come from one
+// goroutine (register one handle per worker — Thread handles are cheap).
+// Concurrent beats on a shared handle are a data race: beats can be lost and
+// `go test -race` will flag the caller. This is stricter than the seed's
+// mutex-guarded Thread, which tolerated shared handles; heartbeat/compat
+// serializes its local beats for C-parity callers that relied on that. All
+// read methods remain safe for any number of concurrent observers.
 //
 // # What a Thread's timestamp means
 //
@@ -71,8 +74,10 @@ type Thread struct {
 	readAt    int64 // the clock's own value at the last reading (lastNanos may sit above it after a backward step)
 	reuse     int   // beats that may still reuse lastNanos before the next reading
 	every     int   // beats per reading, 1 … h.maxEvery
-	local     *ring.SP
-	g         *gshard
+	// local is nil until the first local beat; only the producer stores it
+	// (single-producer contract), readers load it.
+	local atomic.Pointer[ring.SP]
+	g     *gshard
 }
 
 const (
@@ -82,15 +87,14 @@ const (
 	maxReuse = 64
 )
 
-func newThread(h *Heartbeat, id int32, name string, localCap, shardCap int) *Thread {
+func newThread(h *Heartbeat, id int32, name string) *Thread {
 	return &Thread{
 		h:        h,
 		id:       id,
 		name:     name,
 		nowNanos: h.nowNanos,
 		every:    1,
-		local:    ring.NewSP(localCap),
-		g:        h.agg.register(id, shardCap),
+		g:        h.agg.register(id, h.shardCap),
 	}
 }
 
@@ -142,12 +146,26 @@ func (t *Thread) Name() string { return t.name }
 // Beat registers a local heartbeat with tag 0 (HB_heartbeat, local=true).
 //
 //hbvet:hotpath
-func (t *Thread) Beat() { t.local.Push(t.now(), 0) }
+func (t *Thread) Beat() { t.localRing().Push(t.now(), 0) }
 
 // BeatTag registers a local heartbeat carrying a caller-defined tag.
 //
 //hbvet:hotpath
-func (t *Thread) BeatTag(tag int64) { t.local.Push(t.now(), tag) }
+func (t *Thread) BeatTag(tag int64) { t.localRing().Push(t.now(), tag) }
+
+// localRing returns the local history ring, allocating it on the first
+// local beat. The producer is its only writer, so a plain Store publishes
+// it; readers that load nil report an empty history.
+//
+//hbvet:hotpath
+func (t *Thread) localRing() *ring.SP {
+	if r := t.local.Load(); r != nil {
+		return r
+	}
+	r := ring.NewSP(t.h.threadCap) //hbvet:allow hotpath -- once per Thread: the first local beat allocates the local ring
+	t.local.Store(r)
+	return r
+}
 
 // GlobalBeat registers a heartbeat on the application's global history,
 // attributed to this thread. The write lands in this thread's lock-free
@@ -163,7 +181,12 @@ func (t *Thread) GlobalBeat() { t.g.beat(t.now(), 0) }
 func (t *Thread) GlobalBeatTag(tag int64) { t.g.beat(t.now(), tag) }
 
 // Count returns the number of local heartbeats ever registered.
-func (t *Thread) Count() uint64 { return t.local.Total() }
+func (t *Thread) Count() uint64 {
+	if r := t.local.Load(); r != nil {
+		return r.Total()
+	}
+	return 0
+}
 
 // Rate returns the local heart rate over the last window beats; window == 0
 // uses the application's default window. Windows beyond the retained
@@ -183,7 +206,11 @@ func (t *Thread) RateDetail(window int) (Rate, bool) {
 
 // History returns up to n of the most recent local records, oldest first.
 func (t *Thread) History(n int) []Record {
-	ents := t.local.Last(n)
+	r := t.local.Load()
+	if r == nil {
+		return nil
+	}
+	ents := r.Last(n)
 	if len(ents) == 0 {
 		return nil
 	}

@@ -36,6 +36,12 @@ import (
 // distinct-timestamp runs and tagged beats are retained). The zero value is
 // not usable; construct with NewSP.
 type SP struct {
+	// The counters and mirrors below are written on every push. The two
+	// pads keep the cache lines they sit on free of any neighbouring
+	// object: two producers' rings allocated back to back would otherwise
+	// share a line, and each push of one would invalidate it for the other.
+	_ [cacheLine]byte
+
 	// Published counters (written by the producer, polled by readers).
 	total   atomic.Uint64 // beats ever pushed
 	entries atomic.Uint64 // time-index entries ever written
@@ -48,7 +54,12 @@ type SP struct {
 	idx     []idxEntry
 	tagMark []atomic.Uint64
 	tagVal  []atomic.Int64
+
+	_ [cacheLine]byte
 }
+
+// cacheLine is the cache line size SP pads its producer-written fields by.
+const cacheLine = 64
 
 // idxEntry marks that records from start onward carry time, until the next
 // entry's start. ver holds the entry number while the pair is stable and 0
