@@ -17,10 +17,13 @@ vet:
 		echo "vet: gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Project-specific static analysis: tools/hbvet enforces the clock seam
-# (no wall-clock reads outside the seam files), the hot-path contract
-# (//hbvet:hotpath functions stay allocation- and lock-free, transitively),
-# and clock hygiene (types that store a Clock must use it). Every finding
+# Project-specific static analysis: tools/hbvet's four analyzers enforce
+# the clock seam (no wall-clock reads outside the seam files), the hot-path
+# contract (//hbvet:hotpath functions stay allocation- and lock-free,
+# transitively), clock hygiene (types that store a Clock must use it), and
+# a public surface with users (every export of a non-internal package is
+# used from another package's non-test file, or says why it stays with
+# //hbvet:api -- <reason>). Every finding
 # fails ci exactly like a broken test. staticcheck rides along when its
 # module is available (generate tools/staticcheck.sum with
 # `go mod tidy -modfile=tools/staticcheck.mod` on a networked machine);
@@ -68,7 +71,7 @@ net-loopback:
 # along with the fixed ones, widening coverage over time.
 sim-matrix:
 	@out=$$(mktemp); \
-		$(GO) test -race -run 'TestScenarioMatrix' -v -json ./simnet > $$out; \
+		$(GO) test -race -run 'TestScenarioMatrix' -v -json ./internal/simnet > $$out; \
 		status=$$?; \
 		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' $$out \
 			| awk '{printf "%s", $$0}' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' \
@@ -86,7 +89,7 @@ sim-matrix:
 scale-matrix:
 	@out=$$(mktemp); \
 		$(GO) test -run 'TestScale' $(if $(SCALE_FULL),,-short) -timeout 30m \
-			-v -json ./simnet > $$out; \
+			-v -json ./internal/simnet > $$out; \
 		status=$$?; \
 		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' $$out \
 			| awk '{printf "%s", $$0}' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' \
@@ -116,10 +119,10 @@ drain-scenario:
 # exact replay.
 failover-scenario:
 	$(GO) test -race -count=5 -run 'TestRelay|TestRebalance|TestHub|TestMonitor|TestRunLoop' ./hbnet ./observer ./scheduler
-	$(GO) test -race -run 'TestLeafDieFailoverDeterministic|TestBackpressureShedExactlyAccountsGap' ./simnet
+	$(GO) test -race -run 'TestLeafDieFailoverDeterministic|TestBackpressureShedExactlyAccountsGap' ./internal/simnet
 	@for seed in 1 26 42; do \
 		echo "failover-scenario: replaying SIMNET_SEED=$$seed"; \
-		SIMNET_SEED=$$seed $(GO) test -race -run 'TestScenarioMatrix' ./simnet || exit 1; \
+		SIMNET_SEED=$$seed $(GO) test -race -run 'TestScenarioMatrix' ./internal/simnet || exit 1; \
 	done
 
 # Short go-fuzz passes over the hbnet wire codec: the decoders face bytes
@@ -143,11 +146,13 @@ docs: vet
 	$(GO) test -run '^Example' ./...
 	$(GO) run ./tools/docscheck README.md ARCHITECTURE.md
 
-# The size of the observation stack's surface: non-test lines and exported
-# identifiers per package (tools/apicount). A PR that shrinks either runs
-# this at its parent and at itself and reports both tables in CHANGES.md.
+# The size of the public surface: non-test lines, exported identifiers and
+# //hbvet:api marks per package (tools/apicount) — every package in the
+# deadapi pass's scope, plus the internal packages and command the
+# observation stack shares. A PR that shrinks either runs this at its
+# parent and at itself and reports both tables in CHANGES.md.
 apicount:
-	@$(GO) run ./tools/apicount heartbeat hbnet hbshm observer internal/cursor internal/pump scheduler cmd/hbmon
+	@$(GO) run ./tools/apicount heartbeat heartbeat/compat hbnet hbshm hbfile observer sim balance scheduler control internal/cursor internal/pump cmd/hbmon
 
 # The paper's table and figure benchmarks with their ablations (the root
 # bench_test.go). Hot-path costs are hbbench's: bash bench/run.sh.

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// DefaultBuckets is the bucket-table size used by New unless WithBuckets
+// defaultBuckets is the bucket-table size used by New unless WithBuckets
 // overrides it. 1024 buckets keep the remap granularity under 0.1% per
 // bucket while a full rebuild stays a few thousand float multiplies.
-const DefaultBuckets = 1024
+const defaultBuckets = 1024
 
 // Option configures a Table.
 type Option func(*Table)
@@ -92,7 +92,7 @@ func (s Swap) Frac() float64 {
 
 // New returns an empty table. Pick on an empty table reports no node.
 func New(opts ...Option) *Table {
-	t := &Table{nbuckets: DefaultBuckets, scores: make(map[string][]float64)}
+	t := &Table{nbuckets: defaultBuckets, scores: make(map[string][]float64)}
 	for _, o := range opts {
 		o(t)
 	}
@@ -150,6 +150,8 @@ func (t *Table) Set(node string, weight float64) Swap {
 // Remove drops node from the table entirely and publishes the rebuilt
 // assignment. Equivalent to Set(node, 0) for routing purposes; Remove
 // additionally forgets the node and frees its cached scores.
+//
+//hbvet:api -- user need: decommission a node (membership, not health); Updater.Forget calls it
 func (t *Table) Remove(node string) Swap {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -267,16 +269,6 @@ func (t *Table) gscores(node string) []float64 {
 	return g
 }
 
-// Weight returns node's current weight (0 when absent).
-func (t *Table) Weight(node string) float64 {
-	s := t.state.Load()
-	i := sort.SearchStrings(s.nodes, node)
-	if i < len(s.nodes) && s.nodes[i] == node {
-		return s.weights[i]
-	}
-	return 0
-}
-
 // Weights returns a copy of the current node → weight map.
 func (t *Table) Weights() map[string]float64 {
 	s := t.state.Load()
@@ -286,15 +278,6 @@ func (t *Table) Weights() map[string]float64 {
 	}
 	return m
 }
-
-// Nodes returns the current member names, sorted.
-func (t *Table) Nodes() []string {
-	s := t.state.Load()
-	return append([]string(nil), s.nodes...)
-}
-
-// Buckets returns the bucket-table size.
-func (t *Table) Buckets() int { return t.nbuckets }
 
 // splitmix64 is the SplitMix64 finalizer: a full-avalanche mix of one
 // 64-bit word, used both to spread Pick keys across buckets and to derive

@@ -11,7 +11,7 @@ import (
 
 // Updater drives a Table from live heartbeat evidence: feed it rollup
 // windows (Absorb, or Run against an hbnet.RollupFeed) and classifier
-// judgments (ApplyStatus, or StatusHook wired into an observer.Hub), and
+// judgments (StatusHook, wired into an observer.Hub), and
 // it applies a Policy's weight decisions as copy-on-write table swaps.
 // All routing state changes happen here, event-driven — the per-request
 // Pick path never recomputes anything.
@@ -63,9 +63,6 @@ func NewUpdater(table *Table, policy Policy, opts ...UpdaterOption) *Updater {
 	return u
 }
 
-// Table returns the table this updater drives.
-func (u *Updater) Table() *Table { return u.table }
-
 // Absorb folds rollup windows into their nodes' state, swapping the table
 // wherever the policy decides a weight changed. Rollups for unseen apps
 // add the node: a first live window admits it at full target weight (a
@@ -84,9 +81,9 @@ func (u *Updater) Absorb(rollups ...observer.Rollup) {
 	}
 }
 
-// ApplyStatus folds one classifier judgment for app into its node state,
+// applyStatus folds one classifier judgment for app into its node state,
 // swapping the table if the policy decides the weight changed.
-func (u *Updater) ApplyStatus(app string, s observer.Status) {
+func (u *Updater) applyStatus(app string, s observer.Status) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	st, ok := u.nodes[app]
@@ -97,11 +94,11 @@ func (u *Updater) ApplyStatus(app string, s observer.Status) {
 	u.apply(app, st, u.policy.judgeStatus(st, s))
 }
 
-// StatusHook adapts ApplyStatus to the observer.Hub onStatus callback
+// StatusHook adapts applyStatus to the observer.Hub onStatus callback
 // signature: pass it to observer.NewHub (or chain it from an existing
 // callback) and every classifier judgment drives the table.
 func (u *Updater) StatusHook() func(name string, st observer.Status) {
-	return u.ApplyStatus
+	return u.applyStatus
 }
 
 // Run subscribes to a rollup feed from emission since and absorbs every
@@ -129,6 +126,8 @@ func (u *Updater) Weight(node string) float64 {
 // Forget drops a node from the updater and removes it from the table —
 // for membership changes (a node decommissioned), as opposed to health
 // changes (a node drained).
+//
+//hbvet:api -- user need: decommission a node, as opposed to draining it
 func (u *Updater) Forget(node string) Swap {
 	u.mu.Lock()
 	defer u.mu.Unlock()

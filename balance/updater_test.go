@@ -59,7 +59,7 @@ func TestRunDrainsAndReclaimsFromFeed(t *testing.T) {
 	}
 	// All of b's traffic, none of a's.
 	for k := uint64(0); k < 128; k++ {
-		n, ok := u.Table().Pick(k)
+		n, ok := u.table.Pick(k)
 		if !ok || n != "b" {
 			t.Fatalf("key %d -> %q, want b", k, n)
 		}
@@ -120,7 +120,7 @@ func TestForgetRemovesNode(t *testing.T) {
 	if len(*swaps) != n+1 {
 		t.Fatalf("forget did not report its swap")
 	}
-	if got := u.Table().Nodes(); len(got) != 1 || got[0] != "b" {
+	if got := u.table.state.Load().nodes; len(got) != 1 || got[0] != "b" {
 		t.Fatalf("nodes after forget = %v", got)
 	}
 	// A later rollup re-admits it fresh.

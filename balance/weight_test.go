@@ -68,7 +68,7 @@ func TestSustainedFlatlineDrains(t *testing.T) {
 		t.Fatalf("still weighted %v after DrainAfter silent windows, want 0", w)
 	}
 	// Traffic must stop flowing to the drained node.
-	if _, ok := u.Table().Pick(99); ok {
+	if _, ok := u.table.Pick(99); ok {
 		t.Fatalf("all nodes drained but Pick still routes")
 	}
 }
@@ -146,7 +146,7 @@ func TestRestartResyncKeepsWeight(t *testing.T) {
 func TestStatusFlatlineDrainsImmediately(t *testing.T) {
 	u, _ := newTestUpdater(DefaultPolicy())
 	u.Absorb(live("a", 0))
-	u.ApplyStatus("a", observer.Status{Health: observer.Flatlined})
+	u.applyStatus("a", observer.Status{Health: observer.Flatlined})
 	if w := u.Weight("a"); w != 0 {
 		t.Fatalf("Flatlined status left weight %v", w)
 	}
@@ -165,7 +165,7 @@ func TestStatusFlatlineDrainsImmediately(t *testing.T) {
 func TestStatusSlowCapsWeight(t *testing.T) {
 	u, _ := newTestUpdater(DefaultPolicy())
 	u.Absorb(live("a", 0))
-	u.ApplyStatus("a", observer.Status{Health: observer.Slow})
+	u.applyStatus("a", observer.Status{Health: observer.Slow})
 	if w := u.Weight("a"); w != 0.5 {
 		t.Fatalf("Slow status left weight %v, want capped 0.5", w)
 	}
@@ -175,7 +175,7 @@ func TestStatusSlowCapsWeight(t *testing.T) {
 		t.Fatalf("rollup pushed a Slow node to %v, want 0.5", w)
 	}
 	// Healthy clears the cap; the next rollup restores full weight.
-	u.ApplyStatus("a", observer.Status{Health: observer.Healthy})
+	u.applyStatus("a", observer.Status{Health: observer.Healthy})
 	if w := u.Weight("a"); w != 0.5 {
 		t.Fatalf("Healthy status alone moved weight to %v (rollups own upward moves)", w)
 	}
@@ -213,7 +213,7 @@ func TestFreshSilentNodeStaysOut(t *testing.T) {
 		t.Fatalf("never-alive node admitted at weight %v", w)
 	}
 	for k := uint64(0); k < 256; k++ {
-		if n, _ := u.Table().Pick(k); n == "ghost" {
+		if n, _ := u.table.Pick(k); n == "ghost" {
 			t.Fatalf("traffic routed to a never-alive node")
 		}
 	}

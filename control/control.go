@@ -17,6 +17,7 @@ import "math"
 // Decision is a discrete adaptation step.
 type Decision int
 
+//hbvet:api -- paper §5.2: the three decisions of the threshold policy
 const (
 	// StepDown releases resources or raises quality (rate above target).
 	StepDown Decision = -1
@@ -77,6 +78,8 @@ func (s *Stepper) Decide(rate float64, ok bool) Decision {
 }
 
 // Reset clears the settle cooldown.
+//
+//hbvet:api -- user need: re-arm a controller when the goal or the workload's phase changes
 func (s *Stepper) Reset() { s.cooldown = 0 }
 
 // PI is a proportional-integral controller mapping a heart-rate error to a
@@ -162,6 +165,8 @@ func (c *PI) clampIntegral() {
 }
 
 // Reset clears the accumulated integral and the held last output.
+//
+//hbvet:api -- user need: re-arm a controller when the goal or the workload's phase changes
 func (c *PI) Reset() {
 	c.integral = 0
 	c.lastOut, c.haveOut = 0, false

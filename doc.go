@@ -20,7 +20,7 @@
 //     monitor watches a fleet through one connection
 //   - observer: external observation as incremental Streams — Hub to
 //     judge one or many named applications in one loop,
-//     RollupWindow/Downsampler to reduce streams to per-interval
+//     Downsampler to reduce streams to per-interval
 //     summaries — plus health classification
 //   - control: adaptation policies (threshold stepper, PI, quality ladder)
 //   - scheduler: heart-rate-driven core allocation, deciding from streams

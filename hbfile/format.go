@@ -58,6 +58,8 @@ import (
 )
 
 // Format constants. Version bumps on any layout change.
+//
+//hbvet:api -- user need: the on-disk layout, for observers not written in Go (paper §3: the file is the interface)
 const (
 	Magic      = "APPHBv1\x00"
 	Version    = 1

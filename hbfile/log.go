@@ -9,7 +9,7 @@ import (
 	"repro/heartbeat"
 )
 
-// LogMagic identifies the append-only variant of the heartbeat file.
+// logMagic identifies the append-only variant of the heartbeat file.
 //
 // The ring file (Writer/Reader) bounds history, which §3 recommends for
 // efficiency; the paper's reference implementation, however, keeps the
@@ -18,7 +18,7 @@ import (
 // LogReader reproduce that behaviour: every heartbeat is appended, and
 // observers can read any range of the full history at the cost of
 // unbounded file growth.
-const LogMagic = "APPHBL1\x00"
+const logMagic = "APPHBL1\x00"
 
 // LogWriter appends heartbeats to a log file. It implements
 // heartbeat.BatchSink and heartbeat.TargetSink. One process writes a given
@@ -44,7 +44,7 @@ func CreateLog(path string, window int) (*LogWriter, error) {
 		return nil, fmt.Errorf("hbfile: create log: %w", err)
 	}
 	buf := make([]byte, HeaderSize)
-	copy(buf[offMagic:], LogMagic)
+	copy(buf[offMagic:], logMagic)
 	byteOrder.PutUint32(buf[offVersion:], Version)
 	byteOrder.PutUint32(buf[offRecordSize:], RecordSize)
 	byteOrder.PutUint32(buf[offWindow:], uint32(window))
@@ -113,13 +113,6 @@ func (w *LogWriter) WriteTarget(min, max float64) error {
 	return w.writeTarget(min, max)
 }
 
-// Count returns how many records have been appended.
-func (w *LogWriter) Count() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
-}
-
 // Close flushes and closes the log. Idempotent.
 func (w *LogWriter) Close() error {
 	w.mu.Lock()
@@ -129,6 +122,8 @@ func (w *LogWriter) Close() error {
 
 // LogReader observes an append-only heartbeat log, possibly while another
 // process is appending to it.
+//
+//hbvet:api -- paper §3: the reference implementation's append-only file, read by an external observer
 type LogReader struct {
 	f      *os.File
 	window int
@@ -145,7 +140,7 @@ func OpenLog(path string) (*LogReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("hbfile: read log header: %w", err)
 	}
-	if string(buf[offMagic:offMagic+8]) != LogMagic {
+	if string(buf[offMagic:offMagic+8]) != logMagic {
 		f.Close()
 		return nil, fmt.Errorf("hbfile: not a heartbeat log (magic %q)", buf[offMagic:offMagic+8])
 	}
@@ -218,19 +213,15 @@ func (r *LogReader) read(from uint64, n int, count uint64, buf []heartbeat.Recor
 	return out, nil
 }
 
-// ReadSince returns the records appended after the first since, oldest to
-// newest, plus the cursor to resume from (the count consumed so far; pass
-// it to the next ReadSince). max > 0 bounds the batch size — the cursor
-// then stops at the last returned record, so a tailing observer pages
-// through a large backlog without skipping anything. When nothing new has
-// been appended the call costs a single 8-byte header read. This is the
-// incremental tail over the full-history log: no record is ever re-read.
-func (r *LogReader) ReadSince(since uint64, max int) ([]heartbeat.Record, uint64, error) {
-	return r.ReadSinceInto(since, max, nil)
-}
-
-// ReadSinceInto is ReadSince decoding into buf when its capacity suffices
-// (see Reader.ReadSinceInto).
+// ReadSinceInto returns the records appended after the first since,
+// oldest to newest, plus the cursor to resume from (the count consumed so
+// far; pass it to the next call). max > 0 bounds the batch size — the
+// cursor then stops at the last returned record, so a tailing observer
+// pages through a large backlog without skipping anything. When nothing
+// new has been appended the call costs a single 8-byte header read. This
+// is the incremental tail over the full-history log: no record is ever
+// re-read. Records are decoded into buf when its capacity suffices (nil
+// buf allocates; see Reader.ReadSinceInto).
 func (r *LogReader) ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error) {
 	count, err := r.Count()
 	if err != nil {

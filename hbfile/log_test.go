@@ -28,9 +28,6 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := w.WriteTarget(9, 11); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != n {
-		t.Fatalf("writer Count = %d", w.Count())
-	}
 
 	r, err := hbfile.OpenLog(p)
 	if err != nil {

@@ -12,6 +12,8 @@ import (
 // same one). Readers never block the writer and never coordinate with it;
 // they detect overwritten or in-flight data and discard it. Reader is safe
 // for concurrent use.
+//
+//hbvet:api -- paper §3: an external observer's HB_current_rate and HB_get_history, read from the ring file
 type Reader struct {
 	f   *os.File
 	hdr header

@@ -160,11 +160,11 @@ func TestLogReaderReadSinceTail(t *testing.T) {
 	}
 	defer r.Close()
 
-	recs, cur, err := r.ReadSince(0, 0)
+	recs, cur, err := r.ReadSinceInto(0, 0, nil)
 	if err != nil || len(recs) != 6 || cur != 6 {
 		t.Fatalf("tail = %d records, cursor %d, err %v", len(recs), cur, err)
 	}
-	recs, cur, err = r.ReadSince(cur, 0)
+	recs, cur, err = r.ReadSinceInto(cur, 0, nil)
 	if err != nil || len(recs) != 0 || cur != 6 {
 		t.Fatalf("idle tail = %d records, cursor %d, err %v", len(recs), cur, err)
 	}
@@ -173,11 +173,11 @@ func TestLogReaderReadSinceTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, cur, err = r.ReadSince(cur, 2)
+	recs, cur, err = r.ReadSinceInto(cur, 2, nil)
 	if err != nil || len(recs) != 2 || recs[0].Seq != 7 || cur != 8 {
 		t.Fatalf("bounded tail = %+v, cursor %d, err %v", recs, cur, err)
 	}
-	recs, cur, err = r.ReadSince(cur, 2)
+	recs, cur, err = r.ReadSinceInto(cur, 2, nil)
 	if err != nil || len(recs) != 1 || recs[0].Seq != 9 || cur != 9 {
 		t.Fatalf("final tail = %+v, cursor %d, err %v", recs, cur, err)
 	}

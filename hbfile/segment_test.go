@@ -155,7 +155,7 @@ func TestLogWriteCallsPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	recs, cur, err := r.ReadSince(0, 0)
+	recs, cur, err := r.ReadSinceInto(0, 0, nil)
 	if err != nil || cur != 1025+maxRun || uint64(len(recs)) != cur {
 		t.Fatalf("log holds %d records to cursor %d, err %v", len(recs), cur, err)
 	}
@@ -386,8 +386,9 @@ func TestReadSinceIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// The aggregator delivers a flush to a LogWriter as one batch — alone or
-// behind a MultiSink — so 1024 sharded beats cost 2 writes, not 2048.
+// The aggregator delivers a flush to a LogWriter, and to a ring Writer, as
+// one batch, so 1024 sharded beats cost 2 writes to the log and 3 to the
+// ring, not 2048.
 func TestLogWriterIsBatchSinkForAggregator(t *testing.T) {
 	dir := t.TempDir()
 	lw, err := CreateLog(filepath.Join(dir, "agg.hblog"), 10)
@@ -402,18 +403,21 @@ func TestLogWriterIsBatchSinkForAggregator(t *testing.T) {
 	}
 	rc := &countingWriterAt{w: rw.f}
 	rw.out = rc
-	hb, err := heartbeat.New(10, heartbeat.WithCapacity(4096), heartbeat.WithSink(heartbeat.MultiSink(lw, rw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hb.Close() // closes both sinks
-	th := hb.Thread("producer")
-	for i := 0; i < 1024; i++ {
-		th.GlobalBeat()
-	}
-	hb.Flush()
-	if err := hb.SinkErr(); err != nil {
-		t.Fatal(err)
+	var th *heartbeat.Thread
+	for _, sink := range []heartbeat.Sink{lw, rw} {
+		hb, err := heartbeat.New(10, heartbeat.WithCapacity(4096), heartbeat.WithSink(sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hb.Close() // closes its sink
+		th = hb.Thread("producer")
+		for i := 0; i < 1024; i++ {
+			th.GlobalBeat()
+		}
+		hb.Flush()
+		if err := hb.SinkErr(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if lc.calls != 2 {
 		t.Fatalf("log sink made %d writes for a 1024-beat flush, want 2", lc.calls)
@@ -426,7 +430,7 @@ func TestLogWriterIsBatchSinkForAggregator(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lr.Close()
-	recs, cur, err := lr.ReadSince(0, 0)
+	recs, cur, err := lr.ReadSinceInto(0, 0, nil)
 	if err != nil || cur != 1024 || len(recs) != 1024 {
 		t.Fatalf("log holds %d records to cursor %d, err %v", len(recs), cur, err)
 	}

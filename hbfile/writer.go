@@ -215,6 +215,8 @@ func (w *Writer) WriteTarget(min, max float64) error {
 
 // Sync flushes the file to stable storage. Observers on the same host read
 // through the page cache and do not require it.
+//
+//hbvet:api -- user need: make the file durable before the host goes down
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -21,7 +21,12 @@ import (
 // surfaces the error (check with errors.Is). Transient server-side
 // failures (a feed file mid-recreation) are NOT rejections: the server
 // flags them as such and the client keeps retrying with backoff.
+//
+//hbvet:api -- user need: tell a permanent refusal from a transient failure with errors.Is (ARCHITECTURE failure rules)
 var ErrRejected = errors.New("hbnet: subscription rejected")
+
+// dialTimeout bounds each dial attempt, including the handshake.
+const dialTimeout = 5 * time.Second
 
 // ClientOption configures Dial.
 type ClientOption func(*Client)
@@ -29,14 +34,10 @@ type ClientOption func(*Client)
 // WithoutReconnect makes a broken connection terminal: Next returns the
 // connection error instead of redialing. The default is to reconnect with
 // capped exponential backoff, resuming from the last delivered cursor.
+//
+//hbvet:api -- user need: a one-shot probe that wants a broken connection to end the stream
 func WithoutReconnect() ClientOption {
 	return func(c *Client) { c.reconnect = false }
-}
-
-// WithDialTimeout bounds each dial attempt, including the handshake
-// (default 5 seconds).
-func WithDialTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.dialTimeout = d }
 }
 
 // WithReconnectBackoff sets the redial pacing: the first retry waits min,
@@ -52,19 +53,14 @@ func WithReconnectBackoff(min, max time.Duration) ClientOption {
 	}
 }
 
-// WithOnReconnect installs a callback invoked from the client's reader
-// goroutine after each successful reconnect, with the cursor the stream
-// resumed from.
-func WithOnReconnect(f func(cursor uint64)) ClientOption {
-	return func(c *Client) { c.onReconnect = f }
-}
-
 // WithReconnectJitterSeed seeds the client's backoff jitter (the default
 // seed is process-unique per client). Every backoff wait is drawn
 // uniformly from (0, backoff] — full jitter — so a fleet of clients that
 // lost the same server at the same instant spreads its redials across the
 // whole backoff window instead of stampeding back in lockstep. A fixed
 // seed makes a test's wait sequence reproducible.
+//
+//hbvet:api -- user need: a test substitutes a fixed jitter seed for a reproducible backoff sequence
 func WithReconnectJitterSeed(seed int64) ClientOption {
 	return func(c *Client) { c.rng = rand.New(rand.NewSource(seed)) }
 }
@@ -94,15 +90,13 @@ var jitterSeq atomic.Int64
 // Like every Stream, a Client is a single-consumer cursor: calls to Next
 // must not overlap. Close may be called from any goroutine.
 type Client struct {
-	addr, feed  string
-	dialTimeout time.Duration
-	backoffMin  time.Duration
-	backoffMax  time.Duration
-	reconnect   bool
-	onReconnect func(uint64)
-	dialer      Dialer          // nil = real network
-	clk         heartbeat.Clock // nil = wall clock; paces backoff waits
-	rng         *rand.Rand      // backoff jitter; used only by the reader goroutine
+	addr, feed string
+	backoffMin time.Duration
+	backoffMax time.Duration
+	reconnect  bool
+	dialer     Dialer          // nil = real network
+	clk        heartbeat.Clock // nil = wall clock; paces backoff waits
+	rng        *rand.Rand      // backoff jitter; used only by the reader goroutine
 
 	// recFree recycles decoded record slices (Recycle): consumers that are
 	// done with a batch before the next Next — the Relay merge pump — make
@@ -171,30 +165,22 @@ func DialFrom(addr, feed string, since uint64, opts ...ClientOption) (*Client, e
 // emissions. Consume it with NextRollups; Next is for raw feeds and
 // errors on a rollup subscription.
 func DialRollup(addr, feed string, opts ...ClientOption) (*Client, error) {
-	return DialRollupFrom(addr, feed, 0, opts...)
-}
-
-// DialRollupFrom is DialRollup resuming after emission number since (the
-// Cursor of the last delivered RollupBatch): emissions still retained are
-// replayed, emissions already lapped are counted as Missed.
-func DialRollupFrom(addr, feed string, since uint64, opts ...ClientOption) (*Client, error) {
-	return dial(addr, feed, since, frameRollup, opts)
+	return dial(addr, feed, 0, frameRollup, opts)
 }
 
 func dial(addr, feed string, since uint64, kind byte, opts []ClientOption) (*Client, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
-		addr:        addr,
-		feed:        feed,
-		kind:        kind,
-		dialTimeout: 5 * time.Second,
-		backoffMin:  50 * time.Millisecond,
-		backoffMax:  2 * time.Second,
-		reconnect:   true,
-		ctx:         ctx,
-		cancel:      cancel,
-		batches:     make(chan netMsg, 1), // one frame of read-ahead (see Client)
-		readerDone:  make(chan struct{}),
+		addr:       addr,
+		feed:       feed,
+		kind:       kind,
+		backoffMin: 50 * time.Millisecond,
+		backoffMax: 2 * time.Second,
+		reconnect:  true,
+		ctx:        ctx,
+		cancel:     cancel,
+		batches:    make(chan netMsg, 1), // one frame of read-ahead (see Client)
+		readerDone: make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(c)
@@ -219,25 +205,19 @@ func dial(addr, feed string, since uint64, kind byte, opts []ClientOption) (*Cli
 func (c *Client) dialOnce() (net.Conn, error) {
 	d := c.dialer
 	if d == nil {
-		d = &net.Dialer{Timeout: c.dialTimeout}
+		d = &net.Dialer{Timeout: dialTimeout}
 	}
 	// Bound the dial through the context too, so an injected dialer that
 	// blackholes is cut off after dialTimeout just like the real network.
-	dctx := c.ctx
-	if c.dialTimeout > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(c.ctx, c.dialTimeout) //hbvet:allow wallclock,clockthread -- deliberate wall bound: cuts off blackholed dialers even when c.clk is virtual and nobody advances it
-		defer cancel()
-	}
+	dctx, cancel := context.WithTimeout(c.ctx, dialTimeout) //hbvet:allow wallclock,clockthread -- deliberate wall bound: cuts off blackholed dialers even when c.clk is virtual and nobody advances it
+	defer cancel()
 	conn, err := d.DialContext(dctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("hbnet: dial %s: %w", c.addr, err)
 	}
-	if c.dialTimeout > 0 {
-		// On the client's clock, not the wall's: under a virtual clock the
-		// handshake deadline is part of the simulation.
-		conn.SetDeadline(heartbeat.Now(c.clk).Add(c.dialTimeout))
-	}
+	// On the client's clock, not the wall's: under a virtual clock the
+	// handshake deadline is part of the simulation.
+	conn.SetDeadline(heartbeat.Now(c.clk).Add(dialTimeout))
 	since := c.wireCursor.Load()
 	if err := writeFrame(conn, appendHello(nil, c.feed, since)); err != nil {
 		conn.Close()
@@ -334,9 +314,6 @@ func (c *Client) readLoop(conn net.Conn) {
 		}
 		conn = next
 		c.reconnects.Add(1)
-		if c.onReconnect != nil {
-			c.onReconnect(c.wireCursor.Load())
-		}
 	}
 }
 

@@ -56,7 +56,7 @@ func (s clientRollupStream) Close() error { return s.c.Close() }
 // loop — consume a relay across the network unchanged.
 func DialRollupFeed(addr, feed string, opts ...ClientOption) RollupFeed {
 	return func(ctx context.Context, since uint64) (RollupStream, error) {
-		c, err := DialRollupFrom(addr, feed, since, opts...)
+		c, err := dial(addr, feed, since, frameRollup, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -45,6 +45,8 @@ type RollupBatch struct {
 // until new emissions are published and honors the same non-blocking-drain
 // contract (pending data is returned even under an expired ctx; io.EOF
 // after the publisher closes).
+//
+//hbvet:api -- part of RollupFeed's signature: what opening a rollup feed yields, and what AddRollupUpstream takes
 type RollupStream interface {
 	Next(ctx context.Context) (RollupBatch, error)
 }
@@ -331,6 +333,8 @@ func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64
 // hop's bounded window (or its WithShedLag policy) rather than lost
 // upstream. Shed is always a refinement of the Missed the same subscriber
 // observed — shed <= missed, never in addition to it.
+//
+//hbvet:api -- ARCHITECTURE shedding tour: per-subscriber shed counts
 type ShedCounter interface {
 	Shed() uint64
 }
@@ -431,11 +435,12 @@ type rollupRing struct {
 	closed bool
 }
 
-func newRollupRing(capacity int) *rollupRing {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &rollupRing{emits: make([][]observer.Rollup, capacity), notify: make(chan struct{})}
+// rollupRetain is how many rollup emissions a relay retains: how many
+// downsample windows a reconnecting rollup subscriber can replay.
+const rollupRetain = 256
+
+func newRollupRing() *rollupRing {
+	return &rollupRing{emits: make([][]observer.Rollup, rollupRetain), notify: make(chan struct{})}
 }
 
 func (r *rollupRing) append(rs []observer.Rollup) {
@@ -539,12 +544,6 @@ func WithMergedRetain(n int) RelayOption {
 	return func(r *Relay) { r.mergedRetain = n }
 }
 
-// WithRollupRetain bounds the retained rollup emissions (default 256): how
-// many downsample windows a reconnecting rollup subscriber can replay.
-func WithRollupRetain(n int) RelayOption {
-	return func(r *Relay) { r.rollupRetain = n }
-}
-
 // WithRelayOnError installs a callback for per-upstream stream failures
 // (default: dropped; a failing upstream surfaces as silence in its
 // rollups). Transient failures are retried on the rollup cadence and
@@ -580,6 +579,8 @@ func WithRelayClock(clk heartbeat.Clock) RelayOption {
 // stay inside the subscriber's Missed: the wire contract delivered+Missed
 // == head is unchanged; shedding attributes the loss to this hop's
 // backpressure decision rather than to the upstream.
+//
+//hbvet:api -- README relay tour: the shed bound a relay operator tightens
 func WithShedLag(n int) RelayOption {
 	return func(r *Relay) { r.shedLag = n }
 }
@@ -605,7 +606,6 @@ func WithShedLag(n int) RelayOption {
 type Relay struct {
 	rollupEvery  time.Duration
 	mergedRetain int
-	rollupRetain int
 	shedLag      int // WithShedLag bound on the merged ring; 0 = off
 	onError      func(app string, err error)
 	onRollup     func([]observer.Rollup)
@@ -713,8 +713,8 @@ func NewRelay(opts ...RelayOption) *Relay {
 	r.winFrom = r.now()
 	r.merged = newReplayRing(r.mergedRetain)
 	r.merged.lagBound = r.shedLag
-	r.rollups = newRollupRing(r.rollupRetain)
-	r.compacted = newRollupRing(r.rollupRetain)
+	r.rollups = newRollupRing()
+	r.compacted = newRollupRing()
 	return r
 }
 
@@ -768,7 +768,7 @@ func (r *Relay) register(set *upstreamSet, up *relayUpstream) error {
 // client is owned by the relay; it is returned for introspection
 // (Reconnects, Missed).
 func (r *Relay) DialUpstream(app, addr, feed string, opts ...ClientOption) (*Client, error) {
-	return r.DialUpstreamFrom(app, addr, feed, 0, opts...)
+	return r.dialUpstream(app, addr, feed, 0, frameBatch, opts)
 }
 
 // dialUpstream is the one dial-and-register path behind the Dial*Upstream
@@ -816,8 +816,10 @@ func (r *Relay) AddFileUpstream(app, path string, poll time.Duration) error {
 // CursorSource is implemented by streams that report how far into their
 // upstream's sequence space they have consumed — the resume cursor. A
 // Handoff from a removal carries it so the destination can resume exactly
-// where the source stopped (Client implements it; DialUpstreamFrom accepts
+// where the source stopped (Client implements it; Rebalance dials from
 // it).
+//
+//hbvet:api -- ARCHITECTURE handoff tour: what Rebalance needs of a stream
 type CursorSource interface {
 	Cursor() uint64
 }
@@ -828,8 +830,7 @@ type CursorSource interface {
 // closed it); Cursor is its final consumed position when the stream reports
 // one (HasCursor). Re-homing has two shapes: re-add the detached Stream
 // itself (its internal cursor carries the position — RebalanceStream), or
-// dial a fresh connection positioned at Cursor (DialUpstreamFrom /
-// Rebalance).
+// dial a fresh connection positioned at Cursor (Rebalance).
 type Handoff struct {
 	App       string
 	Stream    observer.Stream
@@ -847,14 +848,6 @@ type Handoff struct {
 // the producer can resume it elsewhere exactly.
 func (r *Relay) RemoveUpstream(app string) (Handoff, error) {
 	return r.removeUpstream(app, true)
-}
-
-// DetachUpstream is RemoveUpstream without closing the stream: ownership
-// transfers to the caller through Handoff.Stream, which resumes from its
-// internal position when re-added elsewhere — the cursor-preserving half of
-// a migration.
-func (r *Relay) DetachUpstream(app string) (Handoff, error) {
-	return r.removeUpstream(app, false)
 }
 
 func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
@@ -878,6 +871,8 @@ func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
 // deliveries already folded into the compactor), stream closed, name freed.
 // Compactor per-app state stays — the applications still exist even when
 // this child stops reporting them.
+//
+//hbvet:api -- ARCHITECTURE elastic membership: rollup upstreams join and leave like raw ones
 func (r *Relay) RemoveRollupUpstream(name string) error {
 	up, err := r.unregister(&r.rollup, name)
 	if err != nil {
@@ -935,14 +930,6 @@ func (r *Relay) retireLocked(up *relayUpstream) []observer.Rollup {
 	return nil
 }
 
-// DialUpstreamFrom is DialUpstream with an explicit start cursor: the
-// subscription resumes after position since in the feed's sequence space —
-// the receiving half of a cursor-preserving handoff (pass Handoff.Cursor
-// from the removal on the source relay).
-func (r *Relay) DialUpstreamFrom(app, addr, feed string, since uint64, opts ...ClientOption) (*Client, error) {
-	return r.dialUpstream(app, addr, feed, since, frameBatch, opts)
-}
-
 // Rebalance migrates a dialed upstream from src to dst: src's registration
 // is removed (its connection closed) and dst dials the same feed resuming
 // at the cursor src had consumed to, so the producer's records arrive
@@ -950,6 +937,8 @@ func (r *Relay) DialUpstreamFrom(app, addr, feed string, since uint64, opts ...C
 // feed itself already lapped. The source stream must report its cursor
 // (CursorSource, as every *Client does); for streams that do not, move the
 // stream object itself with RebalanceStream.
+//
+//hbvet:api -- ARCHITECTURE handoff tour: the cursor-preserving re-dial
 func Rebalance(src, dst *Relay, app, addr, feed string, opts ...ClientOption) (*Client, error) {
 	src.mu.Lock()
 	up, ok := src.raw.byName[app]
@@ -968,7 +957,7 @@ func Rebalance(src, dst *Relay, app, addr, feed string, opts ...ClientOption) (*
 	if err != nil {
 		return nil, err
 	}
-	return dst.DialUpstreamFrom(app, addr, feed, h.Cursor, opts...)
+	return dst.dialUpstream(app, addr, feed, h.Cursor, frameBatch, opts)
 }
 
 // RebalanceStream migrates the named upstream from src to dst by moving the
@@ -978,7 +967,9 @@ func Rebalance(src, dst *Relay, app, addr, feed string, opts ...ClientOption) (*
 // src stopped — the migration path for file tails and in-process streams
 // that cannot be re-dialed.
 func RebalanceStream(src, dst *Relay, app string) error {
-	h, err := src.DetachUpstream(app)
+	// Removal without closing the stream: ownership moves to this call
+	// through h.Stream.
+	h, err := src.removeUpstream(app, false)
 	if err != nil {
 		return err
 	}
@@ -1006,6 +997,8 @@ func RebalanceStream(src, dst *Relay, app string) error {
 // independent of how many producers beat below the child. The relay takes
 // ownership (the stream is closed with the relay when it implements
 // io.Closer); the pump starts immediately when Run is active.
+//
+//hbvet:api -- ARCHITECTURE elastic membership: rollup upstreams join and leave like raw ones
 func (r *Relay) AddRollupUpstream(name string, stream RollupStream) error {
 	if stream == nil {
 		return fmt.Errorf("hbnet: nil rollup upstream stream for %q", name)

@@ -325,7 +325,7 @@ func TestRollupMissedParityUnderLap(t *testing.T) {
 	defer sub.Close()
 	var rawDelivered, rawMissed uint64
 	for {
-		recs, ok := sub.Poll()
+		recs, ok := sub.PollInto(nil)
 		if !ok {
 			break
 		}

@@ -74,7 +74,7 @@ func WithServerClock(clk heartbeat.Clock) ServerOption {
 }
 
 // Server fans named heartbeat feeds out to TCP subscribers. Publish feeds,
-// then drive it with Serve (or ListenAndServe); subscribers dial in with
+// then drive it with Serve; subscribers dial in with
 // Dial naming the feed they want. A server with many published feeds is
 // the network counterpart of observer.Hub: one endpoint exposing every
 // application on the machine, each subscriber picking one stream.
@@ -231,15 +231,6 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 		}()
 	}
-}
-
-// ListenAndServe listens on the TCP address addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Close stops every listener, disconnects every subscriber, and waits for

@@ -22,6 +22,8 @@ import (
 // caller). Records the subscription itself loses surface to observers as
 // sequence gaps, which readers account as missed — loss stays loss across
 // the bridge, never silence.
+//
+//hbvet:api -- user need: bridge a heartbeat into shared memory off the beat hot path, the alternative to WithSink
 func Export(ctx context.Context, hb *heartbeat.Heartbeat, w *Writer) error {
 	s := observer.HeartbeatStream(hb)
 	var tmin, tmax float64

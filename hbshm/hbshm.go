@@ -28,6 +28,8 @@ import (
 )
 
 // Format constants. Version bumps on any layout change.
+//
+//hbvet:api -- user need: the region's layout, for observers not written in Go
 const (
 	// Magic identifies a shared-memory heartbeat region (8 bytes).
 	Magic      = "HBSHMv1\x00"

@@ -45,7 +45,7 @@ func TestRoundTrip(t *testing.T) {
 	if h := r.Head(); h != 10 {
 		t.Fatalf("head = %d, want 10", h)
 	}
-	got, cur, err := r.ReadSince(0, 0)
+	got, cur, err := r.ReadSinceInto(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Incremental: nothing new after the cursor.
-	got, cur, err = r.ReadSince(cur, 0)
+	got, cur, err = r.ReadSinceInto(cur, 0, nil)
 	if err != nil || len(got) != 0 || cur != 10 {
 		t.Fatalf("ReadSince(10) = %d records, cursor %d, err %v; want 0, 10, nil", len(got), cur, err)
 	}
@@ -107,7 +107,7 @@ func TestLappedRecordsCountAsMissed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got, cur, err := r.ReadSince(0, 0)
+	got, cur, err := r.ReadSinceInto(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestReadSincePagesWithMax(t *testing.T) {
 	var all []heartbeat.Record
 	cur := uint64(0)
 	for i := 0; i < 5; i++ {
-		recs, c, err := r.ReadSince(cur, 3)
+		recs, c, err := r.ReadSinceInto(cur, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,11 +178,11 @@ func TestClosedRegionDrainsThenEOF(t *testing.T) {
 	}
 	defer r.Close()
 	// Published records drain first, then EOF.
-	recs, cur, err := r.ReadSince(0, 0)
+	recs, cur, err := r.ReadSinceInto(0, 0, nil)
 	if err != nil || len(recs) != 5 || cur != 5 {
 		t.Fatalf("drain = %d records, cursor %d, err %v; want 5, 5, nil", len(recs), cur, err)
 	}
-	if _, _, err := r.ReadSince(cur, 0); !errors.Is(err, io.EOF) {
+	if _, _, err := r.ReadSinceInto(cur, 0, nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("after drain err = %v, want io.EOF", err)
 	}
 }

@@ -17,6 +17,8 @@ import (
 // every method is a matter of loads from the shared mapping, validated by
 // the slot seqlocks — so any number of observers cost the producer
 // nothing. Methods are safe for concurrent use.
+//
+//hbvet:api -- paper §3: an external observer's view of the shared-memory heartbeat
 type Reader struct {
 	f        *os.File
 	mem      []byte
@@ -64,9 +66,6 @@ func (r *Reader) Capacity() int { return int(r.capacity) }
 // which is the entire cost of an idle observation tick.
 func (r *Reader) Head() uint64 { return wordU64(r.mem, offHead).Load() }
 
-// Closed reports whether the writing process closed the region.
-func (r *Reader) Closed() bool { return wordU64(r.mem, offClosed).Load() != 0 }
-
 // Target returns the advertised target heart-rate range; ok is false when
 // no target was ever published. Torn reads (writer mid-update) retry.
 func (r *Reader) Target() (min, max float64, ok bool, err error) {
@@ -110,20 +109,15 @@ func (r *Reader) readSlot(seq uint64) (heartbeat.Record, bool) {
 	}
 }
 
-// ReadSince returns up to max records with sequence numbers greater than
-// since, oldest to newest, plus the cursor to resume from — the same
+// ReadSinceInto returns up to max records with sequence numbers greater
+// than since, oldest to newest, plus the cursor to resume from — the same
 // incremental contract as the file ring and the in-process history.
 // Records lapped (or otherwise absent) before this reader got to them are
 // passed over; the caller detects that loss as cursor-since exceeding
 // len(records). Once the writer has closed the region and everything
-// published has been delivered, ReadSince returns io.EOF.
-func (r *Reader) ReadSince(since uint64, max int) ([]heartbeat.Record, uint64, error) {
-	return r.ReadSinceInto(since, max, nil)
-}
-
-// ReadSinceInto is ReadSince appending into buf when its capacity suffices
-// (nil buf allocates) — the reuse hook that keeps a polling observer
-// allocation-free.
+// published has been delivered, ReadSinceInto returns io.EOF. The records
+// are appended into buf when its capacity suffices (nil buf allocates) —
+// the reuse hook that keeps a polling observer allocation-free.
 func (r *Reader) ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error) {
 	cur := r.Head()
 	if cur < since {

@@ -50,6 +50,8 @@ func filterProducer(recs []Record, producer int32) []Record {
 
 // RateByTag computes the heart rate of only the records carrying tag,
 // over the last n global records.
+//
+//hbvet:api -- paper §3: HB_get_history's use case of filtering heartbeats by tag (ExampleHeartbeat_RateByTag)
 func (h *Heartbeat) RateByTag(n int, tag int64) (Rate, bool) {
 	return rateOf(filterTag(h.History(n), tag))
 }
@@ -59,26 +61,15 @@ func (h *Heartbeat) RateByTag(n int, tag int64) (Rate, bool) {
 // global records. With the sharded hot path every global record carries its
 // producer, so an observer can ask how fast each worker is contributing to
 // the shared history without the workers beating locally too.
+//
+//hbvet:api -- paper §3: how fast each registered thread contributes to the global history
 func (h *Heartbeat) RateByProducer(n int, producer int32) (Rate, bool) {
 	return rateOf(filterProducer(h.History(n), producer))
 }
 
-// Tags returns the distinct tags present in the last n global records, in
-// first-appearance order — a cheap way for an observer to discover an
-// application's tag vocabulary.
-func (h *Heartbeat) Tags(n int) []int64 {
-	seen := make(map[int64]bool)
-	var out []int64
-	for _, r := range h.History(n) {
-		if !seen[r.Tag] {
-			seen[r.Tag] = true
-			out = append(out, r.Tag)
-		}
-	}
-	return out
-}
-
 // IntervalStats summarizes the inter-beat gaps of a window of records.
+//
+//hbvet:api -- paper §3: examine the intervals between individual heartbeats
 type IntervalStats struct {
 	// Beats is the number of records examined.
 	Beats int
@@ -93,6 +84,8 @@ type IntervalStats struct {
 // IntervalStats summarizes the gaps of the last window global beats;
 // window <= 0 uses the default window. ok is false with fewer than two
 // distinct timestamps (see Intervals).
+//
+//hbvet:api -- paper §3: examine the intervals between individual heartbeats
 func (h *Heartbeat) IntervalStats(window int) (IntervalStats, bool) {
 	recs := h.History(h.clipWindow(window))
 	gaps := Intervals(recs)

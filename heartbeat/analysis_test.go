@@ -30,24 +30,6 @@ func TestRateByTag(t *testing.T) {
 	}
 }
 
-func TestTagsDiscovery(t *testing.T) {
-	hb, clk := newTestHB(t, 10)
-	for _, tag := range []int64{5, 5, 2, 5, 9, 2} {
-		clk.Advance(time.Millisecond)
-		hb.BeatTag(tag)
-	}
-	tags := hb.Tags(10)
-	want := []int64{5, 2, 9}
-	if len(tags) != len(want) {
-		t.Fatalf("Tags = %v", tags)
-	}
-	for i := range want {
-		if tags[i] != want[i] {
-			t.Fatalf("Tags = %v, want %v", tags, want)
-		}
-	}
-}
-
 func TestIntervalStats(t *testing.T) {
 	hb, clk := newTestHB(t, 10)
 	gaps := []time.Duration{100, 200, 300, 200} // ms

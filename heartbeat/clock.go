@@ -11,6 +11,8 @@ type Clock interface {
 }
 
 // ClockFunc adapts a function to the Clock interface.
+//
+//hbvet:api -- user need: a test substitutes a fake clock
 type ClockFunc func() time.Time
 
 // Now implements Clock.

@@ -26,6 +26,8 @@ import (
 
 // HB is a heartbeat instance created by Initialize. The zero value is
 // invalid.
+//
+//hbvet:api -- paper §3: the reference C API, one method per HB_* call (README)
 type HB struct {
 	app *heartbeat.Heartbeat
 
@@ -49,6 +51,8 @@ type compatThread struct {
 // per-thread buffers will be used; here per-thread buffers are always
 // available once RegisterThread is called, so local is accepted for source
 // compatibility and otherwise ignored.
+//
+//hbvet:api -- paper §3: HB_initialize (README)
 func Initialize(window int, local bool, opts ...heartbeat.Option) (*HB, error) {
 	_ = local
 	app, err := heartbeat.New(window, opts...)

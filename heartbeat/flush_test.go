@@ -106,27 +106,3 @@ func TestDirectBeatMergesPendingFirst(t *testing.T) {
 		t.Fatalf("second sink record = %+v", sink.records[1])
 	}
 }
-
-// MultiSink batches reach BatchSinks via WriteRecords and plain sinks via
-// per-record WriteRecord, in order either way.
-func TestMultiSinkBatchFanOut(t *testing.T) {
-	batch := &collectSink{}
-	var plain []int64
-	plainSink := heartbeat.SinkFunc(func(r heartbeat.Record) error {
-		plain = append(plain, r.Tag)
-		return nil
-	})
-	hb, clk := newTestHB(t, 5, heartbeat.WithSink(heartbeat.MultiSink(batch, plainSink)))
-	tr := hb.Thread("w")
-	for i := 1; i <= 4; i++ {
-		clk.Advance(time.Millisecond)
-		tr.GlobalBeatTag(int64(i))
-	}
-	hb.Flush()
-	if batch.batches == 0 || sinkLen(batch) != 4 {
-		t.Fatalf("batch sink: %d batches, %d records", batch.batches, sinkLen(batch))
-	}
-	if len(plain) != 4 || plain[0] != 1 || plain[3] != 4 {
-		t.Fatalf("plain sink got %v", plain)
-	}
-}

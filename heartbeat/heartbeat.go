@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// DefaultWindow is the default-window fallback used when New is given a
+// defaultWindow is the default-window fallback used when New is given a
 // window of 0.
-const DefaultWindow = 20
+const defaultWindow = 20
 
 // Heartbeat is an application's heartbeat handle: a global history of
 // records, a default averaging window, and an advertised target heart-rate
@@ -64,7 +64,6 @@ type Heartbeat struct {
 	flushDone chan struct{}
 
 	mu           sync.Mutex
-	threads      []*Thread
 	nextThreadID int32
 	threadCap    int
 	shardCap     int
@@ -99,6 +98,8 @@ func WithThreadCapacity(n int) Option { return func(c *config) { c.threadCap = n
 // producer triggers a flush when its backlog reaches half this capacity, so
 // larger shards mean larger (and rarer) merge batches. The default is the
 // global capacity, but at least 256.
+//
+//hbvet:api -- user need: size per-thread shards to a producer's bursts (README tuning)
 func WithShardCapacity(n int) Option { return func(c *config) { c.shardCap = n } }
 
 // WithFlushInterval starts a background flusher that merges pending shard
@@ -106,6 +107,8 @@ func WithShardCapacity(n int) Option { return func(c *config) { c.shardCap = n }
 // are merged on every read and whenever a shard fills past half its
 // capacity, so a flusher is only needed to bound sink latency while no one
 // beats on the global handle or reads.
+//
+//hbvet:api -- user need: bound sink latency while nothing beats or reads (README tuning)
 func WithFlushInterval(d time.Duration) Option { return func(c *config) { c.flushEvery = d } }
 
 // WithClock injects the timestamp source (default: the wall clock). An
@@ -122,14 +125,14 @@ func WithClock(clk Clock) Option { return func(c *config) { c.clock, c.clockSet 
 func WithSink(s Sink) Option { return func(c *config) { c.sink = s } }
 
 // New creates a Heartbeat whose default averaging window is window beats
-// (HB_initialize in the paper). A window of 0 selects DefaultWindow;
+// (HB_initialize in the paper). A window of 0 selects defaultWindow;
 // negative windows are an error.
 func New(window int, opts ...Option) (*Heartbeat, error) {
 	if window < 0 {
 		return nil, fmt.Errorf("heartbeat: negative window %d", window)
 	}
 	if window == 0 {
-		window = DefaultWindow
+		window = defaultWindow
 	}
 	if window < 2 {
 		window = 2 // a rate needs at least two beats
@@ -213,6 +216,8 @@ func (h *Heartbeat) flusher(every time.Duration) {
 func (h *Heartbeat) Window() int { return h.window }
 
 // Capacity returns how many global records are retained.
+//
+//hbvet:api -- user need: compare a consumer's read lag with the history it can still read
 func (h *Heartbeat) Capacity() int { return h.store.capacity() }
 
 // Beat registers a global heartbeat with tag 0 (HB_heartbeat, local=false).
@@ -300,6 +305,8 @@ func (h *Heartbeat) Rate(window int) (perSec float64, ok bool) {
 }
 
 // RateDetail is Rate with the full measurement (span, window endpoints).
+//
+//hbvet:api -- user need: the span and endpoints behind HB_current_rate's number
 func (h *Heartbeat) RateDetail(window int) (Rate, bool) {
 	return rateOf(h.History(h.clipWindow(window)))
 }
@@ -366,17 +373,7 @@ func (h *Heartbeat) Thread(name string) *Thread {
 	defer h.mu.Unlock()
 	h.nextThreadID++
 	t := newThread(h, h.nextThreadID, name)
-	h.threads = append(h.threads, t)
 	return t
-}
-
-// Threads returns all registered per-thread handles in registration order.
-func (h *Heartbeat) Threads() []*Thread {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]*Thread, len(h.threads))
-	copy(out, h.threads)
-	return out
 }
 
 // SinkErr returns the most recent error reported by the sink, if any.

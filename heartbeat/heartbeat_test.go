@@ -27,8 +27,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(0): %v", err)
 	}
-	if hb.Window() != heartbeat.DefaultWindow {
-		t.Fatalf("Window = %d, want DefaultWindow %d", hb.Window(), heartbeat.DefaultWindow)
+	if hb.Window() != 20 {
+		t.Fatalf("Window = %d, want the default 20", hb.Window())
 	}
 	if _, err := heartbeat.New(10, heartbeat.WithClock(nil)); err == nil {
 		t.Fatal("nil clock accepted")

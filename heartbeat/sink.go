@@ -43,55 +43,9 @@ type BatchSink interface {
 }
 
 // SinkFunc adapts a function to the Sink interface.
+//
+//hbvet:api -- user need: a function as a sink, for custom exporters and test fakes
 type SinkFunc func(Record) error
 
 // WriteRecord implements Sink.
 func (f SinkFunc) WriteRecord(r Record) error { return f(r) }
-
-// MultiSink fans records out to several sinks, returning the first error.
-func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
-
-type multiSink []Sink
-
-func (m multiSink) WriteRecord(r Record) error {
-	var first error
-	for _, s := range m {
-		if err := s.WriteRecord(r); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// WriteRecords fans a batch out to every sink, using each sink's batch
-// entry point when it has one. It returns the first error but still
-// attempts every sink.
-func (m multiSink) WriteRecords(recs []Record) error {
-	var first error
-	for _, s := range m {
-		if bs, ok := s.(BatchSink); ok {
-			if err := bs.WriteRecords(recs); err != nil && first == nil {
-				first = err
-			}
-			continue
-		}
-		for _, r := range recs {
-			if err := s.WriteRecord(r); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
-func (m multiSink) WriteTarget(min, max float64) error {
-	var first error
-	for _, s := range m {
-		if ts, ok := s.(TargetSink); ok {
-			if err := ts.WriteTarget(min, max); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}

@@ -103,34 +103,3 @@ func TestSinkFunc(t *testing.T) {
 		t.Fatalf("SinkFunc got %v", got)
 	}
 }
-
-func TestMultiSinkFansOut(t *testing.T) {
-	a, b := &recordingSink{}, &recordingSink{}
-	var funcCalls int
-	fn := heartbeat.SinkFunc(func(heartbeat.Record) error { funcCalls++; return nil })
-	hb, _ := newTestHB(t, 5, heartbeat.WithSink(heartbeat.MultiSink(a, fn, b)))
-	hb.SetTarget(5, 6)
-	hb.Beat()
-	if len(a.records) != 1 || len(b.records) != 1 || funcCalls != 1 {
-		t.Fatalf("fan-out: a=%d fn=%d b=%d", len(a.records), funcCalls, len(b.records))
-	}
-	// Targets reach only TargetSinks; the plain SinkFunc is skipped.
-	if len(a.targets) != 1 || len(b.targets) != 1 {
-		t.Fatalf("targets: a=%d b=%d", len(a.targets), len(b.targets))
-	}
-}
-
-func TestMultiSinkReturnsFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	ok := &recordingSink{}
-	bad := &recordingSink{err: boom}
-	hb, _ := newTestHB(t, 5, heartbeat.WithSink(heartbeat.MultiSink(ok, bad)))
-	hb.Beat()
-	if err := hb.SinkErr(); !errors.Is(err, boom) {
-		t.Fatalf("SinkErr = %v", err)
-	}
-	// The healthy sink still received the record.
-	if len(ok.records) != 1 {
-		t.Fatalf("healthy sink records = %d", len(ok.records))
-	}
-}

@@ -93,16 +93,18 @@ func (s *subscribers) close() {
 // (or discarded under backlog pressure) before this reader got to it;
 // consumers that must not miss records size WithCapacity to cover their
 // maximum read lag. Subscription tracks that loss as Missed.
+//
+//hbvet:api -- ARCHITECTURE data flow: consumers are cursors (ReadSince, Subscribe)
 func (h *Heartbeat) ReadSince(since uint64) ([]Record, uint64) {
-	return h.ReadSinceInto(since, nil)
+	return h.readSinceInto(since, nil)
 }
 
-// ReadSinceInto is ReadSince reusing buf as the returned slice's backing
+// readSinceInto is ReadSince reusing buf as the returned slice's backing
 // storage when its capacity suffices (nil buf allocates, exactly like
 // ReadSince). A poller that hands each delivered batch back — the hbnet
 // server's per-subscriber stream does, via its recycler — reads the
 // history with no per-poll allocation at all.
-func (h *Heartbeat) ReadSinceInto(since uint64, buf []Record) ([]Record, uint64) {
+func (h *Heartbeat) readSinceInto(since uint64, buf []Record) ([]Record, uint64) {
 	if h.agg.active() && h.agg.mu.TryLock() {
 		h.agg.mergeLocked()
 		h.agg.mu.Unlock()
@@ -112,7 +114,7 @@ func (h *Heartbeat) ReadSinceInto(since uint64, buf []Record) ([]Record, uint64)
 
 // Subscription is a cursor over the global heartbeat history that delivers
 // new records in batches as they are published — the push form of ReadSince.
-// Obtain one with Subscribe or SubscribeFrom. Next and Poll must be called
+// Obtain one with Subscribe or SubscribeFrom. Next and PollInto must be called
 // from a single goroutine at a time; Close may be called from any goroutine.
 // Independent subscriptions have independent cursors, so any number of
 // consumers can stream the same Heartbeat without coordinating.
@@ -160,13 +162,15 @@ func (h *Heartbeat) SubscribeFrom(ctx context.Context, since uint64) *Subscripti
 // Next returns ctx.Err() (or the Subscribe ctx's error) on cancellation and
 // ErrClosed once the Heartbeat — or this Subscription — is closed and
 // fully drained.
+//
+//hbvet:api -- README streaming tour: sub.Next delivers what was published since
 func (s *Subscription) Next(ctx context.Context) ([]Record, error) {
 	return s.NextInto(ctx, nil)
 }
 
 // NextInto is Next decoding into buf when its capacity suffices (nil buf
 // allocates, exactly like Next). Pair it with a consumer that returns each
-// delivered slice once done — see ReadSinceInto.
+// delivered slice once done.
 func (s *Subscription) NextInto(ctx context.Context, buf []Record) ([]Record, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -178,7 +182,7 @@ func (s *Subscription) NextInto(ctx context.Context, buf []Record) ([]Record, er
 		if s.h.subs.closed.Load() || s.isClosed() {
 			// Re-check after observing closed: Close publishes the final
 			// flush before setting the flag, but a record can land
-			// between our Poll and the flag load.
+			// between our PollInto and the flag load.
 			if recs, ok := s.PollInto(buf); ok {
 				return recs, nil
 			}
@@ -204,19 +208,13 @@ func (s *Subscription) isClosed() bool {
 	}
 }
 
-// Poll is the non-blocking form of Next: it returns (records, true) and
-// advances the cursor when anything was published since the last call —
-// records may be empty if the window was overwritten — and (nil, false)
-// when the cursor is already current.
-func (s *Subscription) Poll() ([]Record, bool) {
-	return s.PollInto(nil)
-}
-
-// PollInto is Poll decoding into buf when its capacity suffices (nil buf
-// allocates, exactly like Poll); see ReadSinceInto.
+// PollInto is the non-blocking form of NextInto: it returns (records, true)
+// and advances the cursor when anything was published since the last call
+// — records may be empty if the window was overwritten — and (nil, false)
+// when the cursor is already current. buf is reused as by NextInto.
 func (s *Subscription) PollInto(buf []Record) ([]Record, bool) {
 	for {
-		recs, head := s.h.ReadSinceInto(s.cursor, buf)
+		recs, head := s.h.readSinceInto(s.cursor, buf)
 		next, missed, move := cursor.Advance(s.cursor, head, len(recs))
 		s.cursor = next
 		switch move {

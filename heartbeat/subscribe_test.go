@@ -104,7 +104,7 @@ func TestSubscribeDeliversBacklogThenDeltas(t *testing.T) {
 	if err != nil || len(recs) != 4 {
 		t.Fatalf("backlog batch = %d records, err %v", len(recs), err)
 	}
-	if recs, ok := sub.Poll(); ok {
+	if recs, ok := sub.PollInto(nil); ok {
 		t.Fatalf("Poll after drain returned %d records", len(recs))
 	}
 	hb.Beat()
@@ -358,7 +358,7 @@ func TestSubscriptionMissedCountsOverwrites(t *testing.T) {
 		clk.Advance(time.Millisecond)
 		hb.Beat()
 	}
-	recs, ok := sub.Poll()
+	recs, ok := sub.PollInto(nil)
 	if !ok {
 		t.Fatal("no batch")
 	}

@@ -138,9 +138,13 @@ func (t *Thread) readClock() int64 {
 
 // ID returns the registration identifier stamped into this thread's records
 // (and into global records emitted via GlobalBeat).
+//
+//hbvet:api -- user need: match Record.Producer to the thread that beat
 func (t *Thread) ID() int32 { return t.id }
 
 // Name returns the label supplied at registration.
+//
+//hbvet:api -- user need: label a thread's local rate in an observer's report
 func (t *Thread) Name() string { return t.name }
 
 // Beat registers a local heartbeat with tag 0 (HB_heartbeat, local=true).
@@ -192,16 +196,11 @@ func (t *Thread) Count() uint64 {
 // uses the application's default window. Windows beyond the retained
 // history are clipped.
 func (t *Thread) Rate(window int) (perSec float64, ok bool) {
-	r, ok := t.RateDetail(window)
-	return r.PerSec, ok
-}
-
-// RateDetail is Rate with the full measurement.
-func (t *Thread) RateDetail(window int) (Rate, bool) {
 	if window <= 0 {
 		window = t.h.window
 	}
-	return rateOf(t.History(window))
+	r, ok := rateOf(t.History(window))
+	return r.PerSec, ok
 }
 
 // History returns up to n of the most recent local records, oldest first.

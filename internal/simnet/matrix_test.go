@@ -24,7 +24,7 @@ const matrixBaseSeed = 1
 
 // matrixSize is how many fixed-seed scenarios one matrix run executes.
 // Overridable via SIMNET_MATRIX for local sweeps (e.g. SIMNET_MATRIX=1000
-// go test -run ScenarioMatrix ./simnet).
+// go test -run ScenarioMatrix ./internal/simnet).
 func matrixSize() int {
 	if s := os.Getenv("SIMNET_MATRIX"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -129,7 +129,7 @@ func TestScenarioMatrix(t *testing.T) {
 			stats, err := sc.Run(t.TempDir())
 			if err != nil {
 				atomic.AddInt32(&failures, 1)
-				t.Errorf("scenario FAILED — replay with SIMNET_SEED=%d go test -run TestScenarioMatrix ./simnet\n  %s\n  %v", seed, sc, err)
+				t.Errorf("scenario FAILED — replay with SIMNET_SEED=%d go test -run TestScenarioMatrix ./internal/simnet\n  %s\n  %v", seed, sc, err)
 				return
 			}
 			mu.Lock()

@@ -12,7 +12,7 @@ import (
 // beat underneath: the leaves reduce raw records to per-app rollups
 // (Downsampler), and every interior node reduces its children's rollups
 // with a compactor instead of re-tracking producers. It is the rollup
-// counterpart of RollupWindow: constant state per app, absorbed windows
+// counterpart of rollupWindow: constant state per app, absorbed windows
 // folded in, Flush emits and resets.
 //
 // The count-conserving fields — Records and Missed — are pure sums, so
@@ -35,7 +35,7 @@ type RollupCompactor struct {
 type compactWindow struct {
 	records uint64
 	missed  uint64
-	count   uint64 // cumulative; survives Flush like RollupWindow's
+	count   uint64 // cumulative; survives Flush like rollupWindow's
 	windows uint64 // source windows folded in (silent ones included)
 
 	minIv, maxIv time.Duration
@@ -46,15 +46,15 @@ type compactWindow struct {
 }
 
 // NewRollupCompactor returns an empty compactor; applications register
-// lazily on first Absorb (or explicitly with Track).
+// lazily on first Absorb.
 func NewRollupCompactor() *RollupCompactor {
 	return &RollupCompactor{apps: make(map[string]*compactWindow)}
 }
 
-// Track registers app so Flush reports it even before (or without) any
+// track registers app so Flush reports it even before (or without) any
 // absorbed windows — parity with Downsampler.Track: a silent child still
 // shows up, as silence.
-func (c *RollupCompactor) Track(app string) {
+func (c *RollupCompactor) track(app string) {
 	if _, ok := c.apps[app]; !ok {
 		c.apps[app] = &compactWindow{}
 		c.order = append(c.order, app)
@@ -63,7 +63,7 @@ func (c *RollupCompactor) Track(app string) {
 
 // Absorb folds one child window into its app's current compaction window.
 func (c *RollupCompactor) Absorb(r Rollup) {
-	c.Track(r.App)
+	c.track(r.App)
 	w := c.apps[r.App]
 	w.records += r.Records
 	w.missed += r.Missed

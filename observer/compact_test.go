@@ -42,7 +42,7 @@ func TestCompactorConservation(t *testing.T) {
 // silent (the Silent() distinction survives compaction).
 func TestCompactorSilentApps(t *testing.T) {
 	c := NewRollupCompactor()
-	c.Track("quiet")
+	c.track("quiet")
 	c.Absorb(Rollup{App: "lossy", Missed: 7})
 	rs := c.Flush(time.Unix(0, 0), time.Unix(1, 0))
 	if len(rs) != 2 {
@@ -129,7 +129,7 @@ func TestCompactorWeightedSummaries(t *testing.T) {
 func TestCompactorOrder(t *testing.T) {
 	c := NewRollupCompactor()
 	c.Absorb(Rollup{App: "z"})
-	c.Track("a")
+	c.track("a")
 	c.Absorb(Rollup{App: "m"})
 	if got, want := c.Apps(), []string{"z", "a", "m"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Apps() = %v, want %v", got, want)

@@ -36,25 +36,6 @@ func ExampleClassifier_ClassifyWindow() {
 	// after hanging: flatlined
 }
 
-// A watchdog debounces transient stalls and fires a restart hook on a
-// sustained hang (§2.3).
-func ExampleWatchdog() {
-	dog := &observer.Watchdog{Threshold: 3, OnRestart: func(st observer.Status) {
-		fmt.Println("restarting application, health:", st.Health)
-	}}
-	judgments := []observer.Health{
-		observer.Healthy, observer.Flatlined, observer.Healthy, // blip: no restart
-		observer.Flatlined, observer.Flatlined, observer.Flatlined, // sustained
-	}
-	for _, h := range judgments {
-		dog.Observe(observer.Status{Health: h})
-	}
-	fmt.Println("restarts:", dog.Restarts())
-	// Output:
-	// restarting application, health: flatlined
-	// restarts: 1
-}
-
 // A Hub multiplexes many named applications into one control loop: each
 // gets its own incremental window and classifier, and judgments fan out
 // per application. Step() drives it deterministically (simulated clock);
@@ -88,23 +69,4 @@ func ExampleHub() {
 	// Output:
 	// video: healthy after 320 beats
 	// indexer: flatlined after 20 beats
-}
-
-// A phase detector segments execution into performance regimes from the
-// heart rate alone (§2.3, the structure of the paper's Figure 2).
-func ExamplePhaseDetector() {
-	d := &observer.PhaseDetector{RelThreshold: 0.25, MinSamples: 3}
-	for beat := 1; beat <= 300; beat++ {
-		rate := 13.0
-		if beat > 100 {
-			rate = 24.0
-		}
-		d.Observe(uint64(beat), rate)
-	}
-	for _, p := range d.Phases() {
-		fmt.Printf("phase %d: from beat %d, %.0f beats/s\n", p.Index, p.StartBeat, p.MeanRate)
-	}
-	// Output:
-	// phase 0: from beat 1, 13 beats/s
-	// phase 1: from beat 101, 24 beats/s
 }

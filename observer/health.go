@@ -13,6 +13,7 @@ import (
 // could indicate that a machine is about to fail", §2.6).
 type Health int
 
+//hbvet:api -- paper §2.6: every judgment a Status can carry
 const (
 	// Unknown: not enough heartbeats to judge yet.
 	Unknown Health = iota

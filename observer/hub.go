@@ -11,9 +11,9 @@ import (
 	"repro/internal/pump"
 )
 
-// DefaultHubInterval is the judgment cadence a Hub falls back to when
+// defaultHubInterval is the judgment cadence a Hub falls back to when
 // constructed with a non-positive interval.
-const DefaultHubInterval = 100 * time.Millisecond
+const defaultHubInterval = 100 * time.Millisecond
 
 // NamedStatus pairs an application name with its latest Status.
 type NamedStatus struct {
@@ -65,7 +65,10 @@ type hubApp struct {
 	last   Status
 	judged bool
 	eof    bool
-	pump   pump.Pump
+	// removing is set by Remove before it cancels the pump and waits for it
+	// without h.mu; the registration stays until the pump has exited.
+	removing bool
+	pump     pump.Pump
 }
 
 // hubEvent is what a pump hands Run's loop: a batch, or a stream failure.
@@ -88,6 +91,8 @@ func WithHubClassifier(mk func(name string) *Classifier) HubOption {
 // WithHubOnError installs a callback for per-application stream errors
 // (default: ignored; a stream that keeps failing surfaces as Flatlined or
 // Dead through its silence).
+//
+//hbvet:api -- user need: see per-application stream errors instead of only their silence
 func WithHubOnError(f func(name string, err error)) HubOption {
 	return func(h *Hub) { h.onError = f }
 }
@@ -96,16 +101,18 @@ func WithHubOnError(f func(name string, err error)) HubOption {
 // its pump re-poll bounds, and the default classifiers' notion of "now"
 // all follow clk — under a virtual clock (sim.Clock) the whole hub becomes
 // a deterministic simulation participant. A nil clk is the wall clock.
+//
+//hbvet:api -- user need: run the hub on a virtual clock, in tests and simulations
 func WithHubClock(clk heartbeat.Clock) HubOption {
 	return func(h *Hub) { h.clk = clk }
 }
 
 // NewHub creates a hub that judges every registered application at least
-// every interval (interval <= 0 selects DefaultHubInterval) and calls
+// every interval (interval <= 0 selects defaultHubInterval) and calls
 // onStatus — which may be nil — with each judgment.
 func NewHub(interval time.Duration, onStatus func(name string, st Status), opts ...HubOption) *Hub {
 	if interval <= 0 {
-		interval = DefaultHubInterval
+		interval = defaultHubInterval
 	}
 	h := &Hub{
 		interval: interval,
@@ -151,20 +158,26 @@ func (h *Hub) Add(name string, stream Stream) error {
 	return nil
 }
 
-// Remove unregisters an application, stops its pump (if running), and
-// releases its stream when the stream supports Close — so repeatedly
-// adding and removing live applications leaks nothing.
+// Remove unregisters an application, stops its pump (if running) and
+// waits for it to exit, then releases its stream when the stream supports
+// Close — so repeatedly adding and removing live applications leaks
+// nothing, and no Next is still reading a stream when it is closed.
+// Remove must not be called from the hub's callbacks, which run on Run's
+// goroutine: the removal would wait for a pump that may be waiting for it.
+//
+//hbvet:api -- user need: an application leaves a running hub (elastic membership)
 func (h *Hub) Remove(name string) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	a, ok := h.apps[name]
-	if !ok {
+	if !ok || a.removing {
+		h.mu.Unlock()
 		return
 	}
-	h.pumps.Cancel(&a.pump)
-	if c, ok := a.stream.(io.Closer); ok {
-		c.Close()
-	}
+	a.removing = true // no Run restarts its pump
+	done := h.pumps.Cancel(&a.pump)
+	h.mu.Unlock()
+	<-done // without h.mu: the pump's deliveries take it
+	h.mu.Lock()
 	delete(h.apps, name)
 	for i, n := range h.order {
 		if n == name {
@@ -172,10 +185,16 @@ func (h *Hub) Remove(name string) {
 			break
 		}
 	}
+	h.mu.Unlock()
+	if c, ok := a.stream.(io.Closer); ok {
+		c.Close()
+	}
 }
 
 // Status returns the latest judgment for name; ok is false before the
 // first judgment or for an unknown name.
+//
+//hbvet:api -- user need: read the latest judgment without an onStatus callback
 func (h *Hub) Status(name string) (Status, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -184,20 +203,6 @@ func (h *Hub) Status(name string) (Status, bool) {
 		return Status{}, false
 	}
 	return a.last, true
-}
-
-// Statuses returns the latest judgment of every application, in
-// registration order. Applications not yet judged are skipped.
-func (h *Hub) Statuses() []NamedStatus {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]NamedStatus, 0, len(h.order))
-	for _, name := range h.order {
-		if a := h.apps[name]; a.judged {
-			out = append(out, NamedStatus{Name: name, Status: a.last})
-		}
-	}
-	return out
 }
 
 // Run multiplexes every registered stream until ctx is cancelled. An
@@ -244,6 +249,9 @@ func (h *Hub) Run(ctx context.Context) {
 // itself, behind whatever the loop left queued, so nothing it consumed is
 // lost or reordered. Callers hold h.mu.
 func (h *Hub) startPumpLocked(a *hubApp) {
+	if a.removing {
+		return
+	}
 	judging := h.judging
 	h.pumps.Go(&a.pump, func(ctx context.Context) {
 		send := func(ev hubEvent) bool {

@@ -452,3 +452,60 @@ func TestHubAddWhileRunningAndRemove(t *testing.T) {
 	cancel()
 	<-done
 }
+
+// lingeringStream is a stream whose Next keeps running for a while after
+// its context is cancelled — a shared-memory or file read in progress —
+// and whose Close records whether a Next was still in flight.
+type lingeringStream struct {
+	entered        chan struct{}
+	inNext         atomic.Int32
+	closedInNext   atomic.Bool
+	closes         atomic.Int32
+	lingerOnCancel time.Duration
+}
+
+func (s *lingeringStream) Next(ctx context.Context) (observer.Batch, error) {
+	s.inNext.Add(1)
+	defer s.inNext.Add(-1)
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	time.Sleep(s.lingerOnCancel)
+	return observer.Batch{}, ctx.Err()
+}
+
+func (s *lingeringStream) Close() error {
+	if s.inNext.Load() > 0 {
+		s.closedInNext.Store(true)
+	}
+	s.closes.Add(1)
+	return nil
+}
+
+// Remove closes a stream only after its pump has left Next: closing an
+// hbshm stream unmaps memory a Next in flight may still be reading.
+func TestHubRemoveWaitsForPumpBeforeClose(t *testing.T) {
+	s := &lingeringStream{entered: make(chan struct{}, 1), lingerOnCancel: 20 * time.Millisecond}
+	hub := observer.NewHub(time.Hour, nil)
+	if err := hub.Add("app", s); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { hub.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	<-s.entered // the pump is inside Next
+	hub.Remove("app")
+	if s.closedInNext.Load() {
+		t.Fatal("Remove closed the stream while its pump was still inside Next")
+	}
+	if n := s.closes.Load(); n != 1 {
+		t.Fatalf("Remove closed the stream %d times, want 1", n)
+	}
+	if _, ok := hub.Status("app"); ok {
+		t.Fatal("removed app still reported")
+	}
+}

@@ -61,14 +61,14 @@ func (r Rollup) ObservedRate() float64 {
 	return 0
 }
 
-// RollupWindow reduces one application's stream batches into successive
+// rollupWindow reduces one application's stream batches into successive
 // Rollups. It is the batch-reducer counterpart of Window: where Window
-// retains the last N records for judgment, RollupWindow retains O(1) state
+// retains the last N records for judgment, rollupWindow retains O(1) state
 // — first/last record, interval accumulators, counters — so a relay can
 // run one per upstream at any fan-in without per-record memory.
 //
-// RollupWindow is not safe for concurrent use; each reducer owns one.
-type RollupWindow struct {
+// rollupWindow is not safe for concurrent use; each reducer owns one.
+type rollupWindow struct {
 	app string
 
 	// Window-local accumulation, reset by Flush.
@@ -92,16 +92,16 @@ type RollupWindow struct {
 	count uint64
 }
 
-// NewRollupWindow returns a reducer for the named application.
-func NewRollupWindow(app string) *RollupWindow {
-	return &RollupWindow{app: app}
+// newRollupWindow returns a reducer for the named application.
+func newRollupWindow(app string) *rollupWindow {
+	return &rollupWindow{app: app}
 }
 
-// App returns the application name given to NewRollupWindow.
-func (w *RollupWindow) App() string { return w.app }
+// App returns the application name given to newRollupWindow.
+func (w *rollupWindow) App() string { return w.app }
 
 // Absorb folds one batch into the current window.
-func (w *RollupWindow) Absorb(b Batch) {
+func (w *rollupWindow) Absorb(b Batch) {
 	w.missed += b.Missed
 	if b.Count > 0 {
 		// Follow the stream's advertised cumulative count wherever it
@@ -146,13 +146,13 @@ func (w *RollupWindow) Absorb(b Batch) {
 // Active reports whether the current window has absorbed any records or
 // losses since the last Flush — whether Flush would say anything beyond
 // "silent".
-func (w *RollupWindow) Active() bool { return w.records > 0 || w.missed > 0 }
+func (w *rollupWindow) Active() bool { return w.records > 0 || w.missed > 0 }
 
 // Flush emits the current window as a Rollup spanning [start, end] and
 // resets the window-local state. A window with no delivered records yields
 // Records == 0 and RateOK == false — silence is reported, not elided, so a
 // flatlined producer is as visible downsampled as raw.
-func (w *RollupWindow) Flush(start, end time.Time) Rollup {
+func (w *rollupWindow) Flush(start, end time.Time) Rollup {
 	r := Rollup{
 		App:     w.app,
 		Start:   start,
@@ -190,29 +190,31 @@ func (w *RollupWindow) Flush(start, end time.Time) Rollup {
 
 // Downsampler reduces the streams of many named applications into
 // per-interval Rollup slices: the fan-in reducer at the heart of a relay
-// tier. Absorb routes batches to per-app RollupWindows; Flush emits one
+// tier. Absorb routes batches to per-app windows; Flush emits one
 // Rollup per registered application (registration order), covering the
 // elapsed interval.
 //
 // Downsampler is not safe for concurrent use; a relay's pumps and rollup
 // tick share it under the relay's lock.
 type Downsampler struct {
-	apps  map[string]*RollupWindow
+	apps  map[string]*rollupWindow
 	order []string
 }
 
 // NewDownsampler returns an empty reducer; applications register lazily on
 // first Absorb (or explicitly with Track).
 func NewDownsampler() *Downsampler {
-	return &Downsampler{apps: make(map[string]*RollupWindow)}
+	return &Downsampler{apps: make(map[string]*rollupWindow)}
 }
 
 // Track registers app so Flush reports it even before (or without) any
 // records — a producer that never speaks still shows up as silent windows.
-func (d *Downsampler) Track(app string) *RollupWindow {
+func (d *Downsampler) Track(app string) { d.track(app) }
+
+func (d *Downsampler) track(app string) *rollupWindow {
 	w, ok := d.apps[app]
 	if !ok {
-		w = NewRollupWindow(app)
+		w = newRollupWindow(app)
 		d.apps[app] = w
 		d.order = append(d.order, app)
 	}
@@ -222,7 +224,7 @@ func (d *Downsampler) Track(app string) *RollupWindow {
 // Absorb folds one batch of the named application's stream into its
 // current window.
 func (d *Downsampler) Absorb(app string, b Batch) {
-	d.Track(app).Absorb(b)
+	d.track(app).Absorb(b)
 }
 
 // Flush emits one Rollup per tracked application for the window
@@ -239,6 +241,8 @@ func (d *Downsampler) Flush(start, end time.Time) []Rollup {
 }
 
 // Apps returns the tracked application names in registration order.
+//
+//hbvet:api -- user need: list the applications a downsampler accounts for
 func (d *Downsampler) Apps() []string {
 	return append([]string(nil), d.order...)
 }

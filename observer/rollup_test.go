@@ -20,7 +20,7 @@ func recsAt(base time.Time, step time.Duration, seqs ...uint64) []heartbeat.Reco
 
 func TestRollupWindowStats(t *testing.T) {
 	base := time.Unix(1000, 0)
-	w := NewRollupWindow("app")
+	w := newRollupWindow("app")
 	w.Absorb(Batch{Records: recsAt(base, 100*time.Millisecond, 1, 2, 3, 4, 5), Count: 5})
 
 	r := w.Flush(base, base.Add(time.Second))
@@ -55,7 +55,7 @@ func TestRollupWindowStats(t *testing.T) {
 // downsampled interval stats cover the same gaps a raw Window sees.
 func TestRollupWindowIntervalContinuity(t *testing.T) {
 	base := time.Unix(1000, 0)
-	w := NewRollupWindow("app")
+	w := newRollupWindow("app")
 	w.Absorb(Batch{Records: recsAt(base, 10*time.Millisecond, 1, 2)})
 	w.Flush(base, base.Add(time.Second))
 
@@ -78,7 +78,7 @@ func TestRollupWindowIntervalContinuity(t *testing.T) {
 }
 
 func TestRollupWindowMissed(t *testing.T) {
-	w := NewRollupWindow("app")
+	w := newRollupWindow("app")
 	w.Absorb(Batch{Missed: 7, Count: 7})
 	r := w.Flush(time.Time{}, time.Time{})
 	if r.Missed != 7 || r.Records != 0 {
@@ -152,7 +152,7 @@ func TestRollupObservedRate(t *testing.T) {
 	}
 }
 
-// perRecordWindow is RollupWindow as it was before Absorb went per batch:
+// perRecordWindow is rollupWindow as it was before Absorb went per batch:
 // every record copied into first/last and every gap taken with time.Time.Sub.
 // Kept as the reference the batch form must reproduce exactly.
 type perRecordWindow struct {
@@ -219,7 +219,7 @@ func (w *perRecordWindow) flush(app string, start, end time.Time) Rollup {
 func TestRollupWindowAbsorbMatchesPerRecordReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 200; trial++ {
-		got, want := NewRollupWindow("app"), &perRecordWindow{}
+		got, want := newRollupWindow("app"), &perRecordWindow{}
 		nanos := int64(1_700_000_000_000_000_000)
 		seq := uint64(rng.Intn(5))
 		start := time.Unix(0, nanos)

@@ -42,6 +42,8 @@ import (
 // process). Each check is a single tiny read — the cursor — never a window
 // re-decode, so the interval trades only detection latency, not per-tick
 // work.
+//
+//hbvet:api -- user need: the poll period a 0 selects, named by FollowFile, ReaderStream and the hbnet and hbshm constructors
 const DefaultPollInterval = 20 * time.Millisecond
 
 // Batch is one increment of an application's heartbeat stream: the records

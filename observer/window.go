@@ -77,6 +77,8 @@ func (w *Window) Absorb(b Batch) {
 
 // Records returns the retained records, oldest to newest. The slice is the
 // window's own storage: read it, don't keep it across Absorbs.
+//
+//hbvet:api -- user need: the records behind a judgment, for an observer that reports more than the rate
 func (w *Window) Records() []heartbeat.Record { return w.recs }
 
 // Count returns the observed application's total heartbeat count.
@@ -93,6 +95,8 @@ func (w *Window) Target() (min, max float64, ok bool) {
 
 // LastBeat returns the timestamp of the newest retained record (zero when
 // the window is empty).
+//
+//hbvet:api -- user need: how stale an application's newest beat is
 func (w *Window) LastBeat() time.Time {
 	if len(w.recs) == 0 {
 		return time.Time{}

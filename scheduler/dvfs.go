@@ -28,8 +28,11 @@ type DVFSGovernor struct {
 	observed
 	machine FrequencyMachine
 	window  int
-	step    float64
 }
+
+// governorStep is the frequency step per decision: eight P-state-like
+// levels across the DVFS range.
+const governorStep = 0.125
 
 // GovernorOption configures NewDVFSGovernor.
 type GovernorOption func(*DVFSGovernor)
@@ -39,19 +42,13 @@ func WithGovernorWindow(n int) GovernorOption {
 	return func(g *DVFSGovernor) { g.window = n }
 }
 
-// WithGovernorStep sets the frequency step per decision (default 0.125 —
-// eight P-state-like levels across the range).
-func WithGovernorStep(s float64) GovernorOption {
-	return func(g *DVFSGovernor) { g.step = s }
-}
-
 // NewDVFSGovernor creates a governor over the application's heartbeat
 // stream and the machine's frequency control.
 func NewDVFSGovernor(stream observer.Stream, machine FrequencyMachine, opts ...GovernorOption) (*DVFSGovernor, error) {
 	if stream == nil || machine == nil {
 		return nil, fmt.Errorf("scheduler: nil stream or machine")
 	}
-	g := &DVFSGovernor{machine: machine, step: 0.125}
+	g := &DVFSGovernor{machine: machine}
 	for _, o := range opts {
 		o(g)
 	}
@@ -82,9 +79,9 @@ func (g *DVFSGovernor) Step() (GovernorSample, error) {
 	if ok && tset {
 		switch {
 		case r.PerSec < tmin:
-			f = g.machine.SetFrequency(f + g.step)
+			f = g.machine.SetFrequency(f + governorStep)
 		case r.PerSec > tmax:
-			f = g.machine.SetFrequency(f - g.step)
+			f = g.machine.SetFrequency(f - governorStep)
 		}
 	}
 	return GovernorSample{

@@ -150,6 +150,8 @@ func WithWindow(n int) Option { return func(s *CoreScheduler) { s.window = n } }
 // follow clk (virtual for a sim.Clock), so a simulated scheduler decides
 // on the simulation's schedule instead of the host's. A nil clk is the
 // wall clock. Step is unaffected — it is already clock-free.
+//
+//hbvet:api -- user need: run the decision loop on a virtual clock, in tests and simulations
 func WithClock(clk heartbeat.Clock) Option { return func(s *CoreScheduler) { s.clk = clk } }
 
 // New creates a scheduler observing stream, which it owns from here on
@@ -204,6 +206,8 @@ func (s *CoreScheduler) decide() Sample {
 // at decision points and an idle application costs one cursor read per
 // tick. A non-positive interval is clamped to a 100ms decision cadence
 // (the loop would busy-spin on one).
+//
+//hbvet:api -- paper §5.3: the external scheduler's wall-clock loop around Step
 func (s *CoreScheduler) Run(ctx context.Context, interval time.Duration, onSample func(Sample), onError func(error)) {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond

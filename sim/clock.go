@@ -27,6 +27,8 @@ var Epoch = time.Date(2009, time.August, 7, 0, 0, 0, 0, time.UTC)
 // heartbeat.WaitClock: goroutines may wait on it through After (see
 // timer.go), and Advance fires their timers in deadline order as it sweeps
 // past them. The zero value is invalid; use NewClock.
+//
+//hbvet:api -- ARCHITECTURE simulated layer: the virtual clock tests and simulations advance by hand
 type Clock struct {
 	mu       sync.Mutex
 	now      time.Time
@@ -62,11 +64,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.fireDueLocked(target)
 	c.now = target
 	c.mu.Unlock()
-}
-
-// AdvanceSeconds moves the clock forward by s seconds.
-func (c *Clock) AdvanceSeconds(s float64) {
-	c.Advance(time.Duration(s * float64(time.Second)))
 }
 
 // Elapsed returns the time elapsed since start.

@@ -16,6 +16,8 @@ import (
 //
 // Cluster and Proc are not safe for concurrent use; drive them from one
 // experiment loop.
+//
+//hbvet:api -- paper §5.3: the shared machine the multi-application experiment partitions; its accessors are the model's state
 type Cluster struct {
 	clock    *Clock
 	coreRate float64
@@ -24,6 +26,8 @@ type Cluster struct {
 }
 
 // Proc is one application's execution context in a Cluster.
+//
+//hbvet:api -- paper §5.3: one application on the shared machine; its accessors are the model's state
 type Proc struct {
 	cluster   *Cluster
 	name      string

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"sync"
 	"time"
 )
@@ -20,6 +19,8 @@ import (
 // speed.
 
 // Frequency bounds of the simulated DVFS range, as a fraction of nominal.
+//
+//hbvet:api -- paper §2.1: the DVFS range a frequency governor steers within
 const (
 	MinFrequency = 0.25
 	MaxFrequency = 1.0
@@ -32,9 +33,9 @@ const (
 	dynamicPower = 0.7
 )
 
-// CorePower returns the power draw of one core at frequency f (clamped to
+// corePower returns the power draw of one core at frequency f (clamped to
 // the DVFS range), in normalized units.
-func CorePower(f float64) float64 {
+func corePower(f float64) float64 {
 	f = clampFreq(f)
 	return staticPower + dynamicPower*f*f*f
 }
@@ -107,9 +108,9 @@ func (m *Machine) Energy() float64 { return m.dvfs.energyTotal() }
 // ResetEnergy zeroes the energy accumulator.
 func (m *Machine) ResetEnergy() { m.dvfs.resetEnergy() }
 
-// IdleCorePower is the per-core power draw while idle (clock-gated
+// idleCorePower is the per-core power draw while idle (clock-gated
 // between paced work items): static leakage only.
-const IdleCorePower = staticPower
+const idleCorePower = staticPower
 
 // Idle advances the clock by d while the allocated cores draw only static
 // power — the state a paced application sits in between work-item
@@ -122,7 +123,7 @@ func (m *Machine) Idle(d time.Duration) {
 	m.mu.Lock()
 	cores := m.effectiveLocked()
 	m.mu.Unlock()
-	m.dvfs.addEnergy(float64(cores) * IdleCorePower * d.Seconds())
+	m.dvfs.addEnergy(float64(cores) * idleCorePower * d.Seconds())
 	m.clock.Advance(d)
 }
 
@@ -136,18 +137,7 @@ func (m *Machine) executeDVFS(w Work) time.Duration {
 	f := m.dvfs.frequency()
 	d := workDuration(w, cores, rate*f)
 	if d > 0 && d < time.Hour*24*365 {
-		m.dvfs.addEnergy(float64(cores) * CorePower(f) * d.Seconds())
+		m.dvfs.addEnergy(float64(cores) * corePower(f) * d.Seconds())
 	}
 	return d
-}
-
-// EnergyRatio compares consumed energy against running the same active
-// time at full frequency on the same cores — a convenience for the DVFS
-// experiment.
-func EnergyRatio(consumed, activeSeconds float64, cores int) float64 {
-	full := float64(cores) * CorePower(MaxFrequency) * activeSeconds
-	if full == 0 {
-		return math.NaN()
-	}
-	return consumed / full
 }

@@ -42,20 +42,20 @@ func TestEnergyAccounting(t *testing.T) {
 	if m.Energy() != 0 {
 		t.Fatal("fresh machine has energy")
 	}
-	// 4 cores, full frequency, 1 second of work: 4 × CorePower(1) = 4.
+	// 4 cores, full frequency, 1 second of work: 4 × corePower(1) = 4.
 	m.Execute(Work{Ops: 4000, ParallelFrac: 1})
-	if e := m.Energy(); math.Abs(e-4*CorePower(1)) > 1e-9 {
-		t.Fatalf("energy = %v, want %v", e, 4*CorePower(1))
+	if e := m.Energy(); math.Abs(e-4*corePower(1)) > 1e-9 {
+		t.Fatalf("energy = %v, want %v", e, 4*corePower(1))
 	}
 	m.ResetEnergy()
-	// Half frequency: the same work takes 2s but draws CorePower(0.5).
+	// Half frequency: the same work takes 2s but draws corePower(0.5).
 	m.SetFrequency(0.5)
 	start := clk.Now()
 	m.Execute(Work{Ops: 4000, ParallelFrac: 1})
 	if d := clk.Elapsed(start); d != 2*time.Second {
 		t.Fatalf("elapsed = %v", d)
 	}
-	want := 4 * CorePower(0.5) * 2
+	want := 4 * corePower(0.5) * 2
 	if e := m.Energy(); math.Abs(e-want) > 1e-9 {
 		t.Fatalf("energy = %v, want %v", e, want)
 	}
@@ -68,7 +68,7 @@ func TestIdleChargesStaticPowerOnly(t *testing.T) {
 	if got := clk.Elapsed(Epoch); got != 3*time.Second {
 		t.Fatalf("idle did not advance clock: %v", got)
 	}
-	want := 2 * IdleCorePower * 3
+	want := 2 * idleCorePower * 3
 	if e := m.Energy(); math.Abs(e-want) > 1e-9 {
 		t.Fatalf("idle energy = %v, want %v", e, want)
 	}
@@ -103,17 +103,17 @@ func TestDVFSBeatsRaceToIdle(t *testing.T) {
 	}
 }
 
-// Property: CorePower is monotone in frequency and bounded by the static
+// Property: corePower is monotone in frequency and bounded by the static
 // and full-power extremes.
 func TestCorePowerMonotoneProperty(t *testing.T) {
 	f := func(aRaw, bRaw uint8) bool {
 		a := MinFrequency + (MaxFrequency-MinFrequency)*float64(aRaw)/255
 		b := MinFrequency + (MaxFrequency-MinFrequency)*float64(bRaw)/255
-		pa, pb := CorePower(a), CorePower(b)
+		pa, pb := corePower(a), corePower(b)
 		if a > b && pa < pb {
 			return false
 		}
-		return pa >= IdleCorePower && pa <= CorePower(MaxFrequency)+1e-12
+		return pa >= idleCorePower && pa <= corePower(MaxFrequency)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -40,5 +40,5 @@ func (f *FaultInjector) Step(beat uint64, m *Machine) int {
 	return failed
 }
 
-// Pending returns how many events have not yet fired.
-func (f *FaultInjector) Pending() int { return len(f.events) - f.next }
+// pending returns how many events have not yet fired.
+func (f *FaultInjector) pending() int { return len(f.events) - f.next }

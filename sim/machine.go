@@ -40,6 +40,8 @@ func Speedup(cores int, parallelFrac float64) float64 {
 // cores from the pool entirely via FailCores (the paper's "core death").
 // Executing work advances the machine's clock by the modeled duration.
 // All methods are safe for concurrent use.
+//
+//hbvet:api -- paper §5.3, §5.4: the machine the scheduler and fault experiments drive; its accessors are the model's state
 type Machine struct {
 	clock *Clock
 

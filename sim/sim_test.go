@@ -14,7 +14,7 @@ func TestClockAdvances(t *testing.T) {
 	}
 	start := c.Now()
 	c.Advance(3 * time.Second)
-	c.AdvanceSeconds(0.5)
+	c.Advance(500 * time.Millisecond)
 	if got := c.Elapsed(start); got != 3500*time.Millisecond {
 		t.Fatalf("Elapsed = %v", got)
 	}
@@ -162,8 +162,8 @@ func TestFaultInjector(t *testing.T) {
 		FaultEvent{AtBeat: 160, FailCores: 2},
 		FaultEvent{AtBeat: 480, FailCores: 1},
 	)
-	if inj.Pending() != 3 {
-		t.Fatalf("Pending = %d", inj.Pending())
+	if inj.pending() != 3 {
+		t.Fatalf("Pending = %d", inj.pending())
 	}
 	if n := inj.Step(100, m); n != 0 {
 		t.Fatalf("Step(100) failed %d cores", n)
@@ -175,8 +175,8 @@ func TestFaultInjector(t *testing.T) {
 	if n := inj.Step(500, m); n != 2 || m.MaxCores() != 4 {
 		t.Fatalf("Step(500): n=%d max=%d", n, m.MaxCores())
 	}
-	if inj.Pending() != 0 {
-		t.Fatalf("Pending = %d at end", inj.Pending())
+	if inj.pending() != 0 {
+		t.Fatalf("Pending = %d at end", inj.pending())
 	}
 	// Re-stepping is a no-op.
 	if n := inj.Step(1000, m); n != 0 {

@@ -1,8 +1,10 @@
-// Command apicount prints, per package directory, the two sizes ROADMAP
-// reports like any other result: non-test source lines, and exported
-// identifiers (top-level declarations plus methods on exported types).
+// Command apicount prints, per package directory, the sizes ROADMAP
+// reports like any other result: non-test source lines, exported
+// identifiers (top-level declarations plus methods on exported types), and
+// how many of those the //hbvet:api marks keep without a user in another
+// package (see tools/hbvet's deadapi pass).
 //
-//	go run ./tools/apicount hbnet hbshm observer internal/cursor scheduler cmd/hbmon
+//	go run ./tools/apicount heartbeat hbnet observer cmd/hbmon
 package main
 
 import (
@@ -16,27 +18,40 @@ import (
 )
 
 func main() {
-	var lines, idents int
+	var lines, idents, marks int
 	for _, dir := range os.Args[1:] {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, 0)
+		}, parser.ParseComments)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "apicount:", err)
 			os.Exit(1)
 		}
-		l, n := 0, 0
+		l, n, m := 0, 0, 0
 		for _, pkg := range pkgs {
 			for _, f := range pkg.Files {
 				l += fset.File(f.Pos()).LineCount()
 				n += exported(f)
+				m += apiMarks(f)
 			}
 		}
-		fmt.Printf("%-20s %6d lines %4d exported\n", dir, l, n)
-		lines, idents = lines+l, idents+n
+		fmt.Printf("%-20s %6d lines %4d exported %3d api-marked\n", dir, l, n, m)
+		lines, idents, marks = lines+l, idents+n, marks+m
 	}
-	fmt.Printf("%-20s %6d lines %4d exported\n", "total", lines, idents)
+	fmt.Printf("%-20s %6d lines %4d exported %3d api-marked\n", "total", lines, idents, marks)
+}
+
+// apiMarks counts f's //hbvet:api lines.
+func apiMarks(f *ast.File) (n int) {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if strings.HasPrefix(c.Text, "//hbvet:api") {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // exported counts f's exported top-level identifiers and the exported

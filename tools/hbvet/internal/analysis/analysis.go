@@ -53,6 +53,10 @@ type Pass struct {
 	// packages are analyzed in dependency order, so facts written by a
 	// dependency are visible here.
 	Facts *Facts
+	// Module is every package loaded for the run, this one included, for
+	// the analyzers that must see who uses a package, not only what it
+	// uses.
+	Module *Module
 
 	allows allowIndex
 	diags  []Diagnostic
@@ -95,6 +99,31 @@ type Package struct {
 	Pkg     *types.Package
 	Info    *types.Info
 	RelPath func(token.Pos) string
+	// Module is the whole run this package belongs to.
+	Module *Module
+}
+
+// Module is every package of one run, in dependency order. It is built
+// before any analyzer runs, so a pass sees its dependents as well as its
+// dependencies.
+type Module struct {
+	Packages []*Package
+	memo     map[string]any
+}
+
+// Memo returns the value build computes for key, calling build once per
+// run: an index over the whole module is built by the first pass that
+// needs it and shared by the rest.
+func (m *Module) Memo(key string, build func() any) any {
+	if v, ok := m.memo[key]; ok {
+		return v
+	}
+	if m.memo == nil {
+		m.memo = make(map[string]any)
+	}
+	v := build()
+	m.memo[key] = v
+	return v
 }
 
 // RunPackage runs the analyzers over one package, applies seam and allow
@@ -122,6 +151,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Finding, e
 			TypesInfo: pkg.Info,
 			RelPath:   pkg.RelPath,
 			Facts:     facts,
+			Module:    pkg.Module,
 			allows:    allows,
 		}
 		if err := a.Run(pass); err != nil {

@@ -59,19 +59,35 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		fset:    token.NewFileSet(),
 		loaded:  make(map[string]*loadedPkg),
 		facts:   analysis.NewFacts(),
-		a:       a,
 		running: make(map[string]bool),
 	}
 	for _, path := range pkgPaths {
-		pkg := ld.load(path)
-		checkWants(t, ld.fset, pkg)
+		ld.load(path)
+	}
+	// Every package is type-checked before any is analyzed, so a pass sees
+	// the whole testdata module; analysis then runs in dependency order,
+	// so facts flow forward.
+	module := &analysis.Module{}
+	for _, pkg := range ld.order {
+		module.Packages = append(module.Packages, pkg.input)
+		pkg.input.Module = module
+	}
+	for _, pkg := range ld.order {
+		findings, err := analysis.RunPackage(pkg.input, []*analysis.Analyzer{a}, ld.facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg.findings = findings
+	}
+	for _, path := range pkgPaths {
+		checkWants(t, ld.fset, ld.loaded[path])
 	}
 }
 
 type loadedPkg struct {
 	path     string
 	files    []*ast.File
-	pkg      *types.Package
+	input    *analysis.Package
 	findings []analysis.Finding
 }
 
@@ -82,13 +98,12 @@ type testLoader struct {
 	loaded  map[string]*loadedPkg
 	imp     types.Importer // export-data importer for non-testdata imports
 	facts   *analysis.Facts
-	a       *analysis.Analyzer
 	running map[string]bool
+	order   []*loadedPkg // dependency order: imports before importers
 }
 
-// load parses, type-checks, and analyzes one testdata package (and,
-// recursively, the testdata packages it imports — those first, so facts
-// flow forward).
+// load parses and type-checks one testdata package (and, recursively, the
+// testdata packages it imports — those first).
 func (l *testLoader) load(path string) *loadedPkg {
 	l.t.Helper()
 	if pkg, ok := l.loaded[path]; ok {
@@ -122,7 +137,7 @@ func (l *testLoader) load(path string) *loadedPkg {
 
 	conf := types.Config{Importer: importerFunc(func(ipath string) (*types.Package, error) {
 		if l.isTestdata(ipath) {
-			return l.load(ipath).pkg, nil
+			return l.load(ipath).input.Pkg, nil
 		}
 		return l.external().Import(ipath)
 	})}
@@ -139,18 +154,15 @@ func (l *testLoader) load(path string) *loadedPkg {
 		}
 		return file
 	}
-	findings, err := analysis.RunPackage(&analysis.Package{
+	pkg := &loadedPkg{path: path, files: files, input: &analysis.Package{
 		Fset:    l.fset,
 		Files:   files,
 		Pkg:     tpkg,
 		Info:    info,
 		RelPath: relPath,
-	}, []*analysis.Analyzer{l.a}, l.facts)
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	pkg := &loadedPkg{path: path, files: files, pkg: tpkg, findings: findings}
+	}}
 	l.loaded[path] = pkg
+	l.order = append(l.order, pkg)
 	return pkg
 }
 

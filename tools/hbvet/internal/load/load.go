@@ -93,13 +93,21 @@ func goList(dir string, args ...string) ([]listPkg, error) {
 
 const jsonFields = "-json=ImportPath,Dir,Export,GoFiles,Standard,ForTest,Module"
 
-// Load lists patterns (plus all dependencies) from dir, type-checks every
-// module package from source, and returns them in dependency order.
+// Load type-checks every package of the module that contains dir from
+// source, whatever the patterns, and returns them in dependency order;
+// the packages the patterns (resolved from dir) match are marked
+// Requested. Loading the whole module lets an analyzer see every user of
+// a package, so checking one package reports what checking all of them
+// reports for it.
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	deps, err := goList(dir, append([]string{"-deps", "-export", jsonFields}, patterns...)...)
+	modPath, err := modulePath(dir)
+	if err != nil {
+		return nil, err
+	}
+	deps, err := goList(dir, append([]string{"-deps", "-export", jsonFields, modPath + "/..."}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +154,19 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		return nil, fmt.Errorf("no module packages matched %v", patterns)
 	}
 	return prog, nil
+}
+
+// modulePath returns the path of the main module containing dir.
+func modulePath(dir string) (string, error) {
+	cmd := exec.Command("go", "list", "-m")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("go list -m: %v\n%s", err, stderr.String())
+	}
+	return strings.TrimSpace(string(out)), nil
 }
 
 // checkPackage parses and type-checks one listed package from source.

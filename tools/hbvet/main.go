@@ -3,9 +3,9 @@
 // test suite only samples.
 //
 //	go run ./tools/hbvet ./...        # the whole module (what `make analyze` runs)
-//	go run ./tools/hbvet ./balance    # one package (dependencies load automatically for facts)
+//	go run ./tools/hbvet ./balance    # one package (the rest of the module loads for facts and uses)
 //
-// Three analyzers run by default (select a subset with -run):
+// Four analyzers run by default (select a subset with -run):
 //
 //   - wallclock: no direct time.Now/Sleep/After/NewTicker/NewTimer or
 //     context.WithTimeout/WithDeadline outside the clock seams
@@ -16,6 +16,12 @@
 //   - clockthread: a type that stores a clock must use it — its methods
 //     and constructors may not read the wall directly, whatever blanket
 //     wallclock waivers exist.
+//   - deadapi: every exported identifier of a public package (no
+//     "internal" path element, not main) is used from a non-test file of
+//     another package, or its doc comment says why it stays with
+//     //hbvet:api -- <reason>. Uses are indexed over the whole module
+//     whatever packages are named, so one package reports what ./...
+//     reports for it.
 //
 // hbvet exits non-zero when any finding survives seam and allow
 // filtering, printing one "path:line:col: analyzer: message" per line,
@@ -31,11 +37,12 @@ import (
 	"repro/tools/hbvet/internal/analysis"
 	"repro/tools/hbvet/internal/load"
 	"repro/tools/hbvet/internal/passes/clockthread"
+	"repro/tools/hbvet/internal/passes/deadapi"
 	"repro/tools/hbvet/internal/passes/hotpath"
 	"repro/tools/hbvet/internal/passes/wallclock"
 )
 
-var all = []*analysis.Analyzer{wallclock.Analyzer, hotpath.Analyzer, clockthread.Analyzer}
+var all = []*analysis.Analyzer{wallclock.Analyzer, hotpath.Analyzer, clockthread.Analyzer, deadapi.Analyzer}
 
 func main() {
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
@@ -75,22 +82,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	facts := analysis.NewFacts()
-	failed := false
+	module := &analysis.Module{}
 	for _, pkg := range prog.Packages {
-		findings, err := analysis.RunPackage(&analysis.Package{
+		module.Packages = append(module.Packages, &analysis.Package{
 			Fset:    prog.Fset,
 			Files:   pkg.Files,
 			Pkg:     pkg.Pkg,
 			Info:    pkg.Info,
 			RelPath: prog.RelPath,
-		}, analyzers, facts)
+			Module:  module,
+		})
+	}
+	facts := analysis.NewFacts()
+	failed := false
+	for i, pkg := range prog.Packages {
+		findings, err := analysis.RunPackage(module.Packages[i], analyzers, facts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hbvet:", err)
 			os.Exit(2)
 		}
 		if !pkg.Requested {
-			continue // loaded for facts only
+			continue // loaded for facts and uses only
 		}
 		for _, f := range findings {
 			failed = true
