@@ -51,85 +51,71 @@ var Analyzer = &analysis.Analyzer{
 // markRe matches a mark line; the reason is the text after "--".
 var markRe = regexp.MustCompile(`^//hbvet:api(?:\s+--\s*(\S.*))?$`)
 
-// mark is one //hbvet:api line found in a doc comment.
-type mark struct {
-	pos    token.Pos
-	reason bool
-}
-
 func run(pass *analysis.Pass) error {
 	if !inScope(pass.Pkg) {
 		return nil
 	}
 	idx := pass.Module.Memo("deadapi.index", func() any { return buildIndex(pass.Module) }).(*index)
 
-	// typeMarks records each exported type's mark, so its methods inherit
-	// it; methods may be declared before their type, so collect first.
-	typeMarks := make(map[*types.TypeName]*mark)
+	var decls []ast.Decl
 	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file) {
+		if !isTestFile(pass.Fset, file) {
+			decls = append(decls, file.Decls...)
+		}
+	}
+	// Types and values first: a method inherits its type's mark, and may be
+	// declared before its type.
+	typeMarks := make(map[*types.TypeName]token.Pos)
+	for _, d := range decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok {
 			continue
 		}
-		for _, d := range file.Decls {
-			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
-				for _, spec := range gd.Specs {
-					ts := spec.(*ast.TypeSpec)
-					if tn, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok && ts.Name.IsExported() {
-						typeMarks[tn] = findMark(pass, ts.Doc, gd.Doc)
-					}
-				}
+		if gd.Tok == token.CONST || gd.Tok == token.VAR {
+			checkValues(pass, idx, gd)
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts, ok := spec.(*ast.TypeSpec)
+			if !ok {
+				continue
+			}
+			tn, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			m := findMark(pass, ts.Doc, gd.Doc)
+			typeMarks[tn] = m
+			switch {
+			case !m.IsValid():
+				report(pass, idx, ts.Name, tn, "type "+tn.Name())
+			case idx.used[tn] && allMethodsUsed(idx, tn):
+				pass.Reportf(m, "type %s and all its exported methods are used from other packages; drop its //hbvet:api mark", tn.Name())
 			}
 		}
 	}
-
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file) {
+	for _, d := range decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || !fd.Name.IsExported() {
 			continue
 		}
-		for _, d := range file.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				fn, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				m := findMark(pass, d.Doc)
-				if d.Recv == nil {
-					check(pass, idx, d.Name, fn, "func "+fn.Name(), m)
-					continue
-				}
-				tn := receiverType(fn)
-				if tn == nil || !tn.Exported() {
-					continue
-				}
-				if tm := typeMarks[tn]; tm != nil && tm.reason && (m == nil || !m.reason) {
-					continue // covered by the type's mark
-				}
-				check(pass, idx, d.Name, fn, "method "+tn.Name()+"."+fn.Name(), m)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						tn, ok := pass.TypesInfo.Defs[spec.Name].(*types.TypeName)
-						if !ok || !spec.Name.IsExported() {
-							continue
-						}
-						m := typeMarks[tn]
-						if m != nil && m.reason && idx.used[tn] && allMethodsUsed(idx, tn) {
-							pass.Reportf(m.pos, "type %s and all its exported methods are used from other packages; drop its //hbvet:api mark", tn.Name())
-						} else if m == nil || !m.reason {
-							report(pass, idx, spec.Name, tn, "type "+tn.Name())
-						}
-					}
-				}
-				if d.Tok == token.CONST || d.Tok == token.VAR {
-					checkValues(pass, idx, d)
-				}
-			}
+		fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+		if !ok {
+			continue
 		}
+		m := findMark(pass, fd.Doc)
+		if fd.Recv == nil {
+			check(pass, idx, fd.Name, fn, "func "+fn.Name(), m)
+			continue
+		}
+		tn := receiverType(fn)
+		if tn == nil || !tn.Exported() {
+			continue
+		}
+		if typeMarks[tn].IsValid() && !m.IsValid() {
+			continue // covered by the type's mark
+		}
+		check(pass, idx, fd.Name, fn, "method "+tn.Name()+"."+fn.Name(), m)
 	}
 	return nil
 }
@@ -139,7 +125,7 @@ func run(pass *analysis.Pass) error {
 // name in the group (an enumeration is decided as one), and is stale only
 // when all of them are used.
 func checkValues(pass *analysis.Pass, idx *index, d *ast.GenDecl) {
-	var group *mark
+	group := token.NoPos
 	if d.Lparen.IsValid() {
 		group = findMark(pass, d.Doc)
 	}
@@ -159,23 +145,23 @@ func checkValues(pass *analysis.Pass, idx *index, d *ast.GenDecl) {
 			if !idx.objUsed(obj) {
 				allUsed = false
 			}
-			if group != nil && group.reason && (m == nil || !m.reason) {
+			if group.IsValid() && !m.IsValid() {
 				continue // covered by the group's mark
 			}
 			check(pass, idx, name, obj, d.Tok.String()+" "+name.Name, m)
 		}
 	}
-	if group != nil && group.reason && allUsed {
-		pass.Reportf(group.pos, "every name in this %s group is used from another package; drop its //hbvet:api mark", d.Tok)
+	if group.IsValid() && allUsed {
+		pass.Reportf(group, "every name in this %s group is used from another package; drop its //hbvet:api mark", d.Tok)
 	}
 }
 
 // check reports obj (described as what) when it is unused and unmarked,
 // or when its mark is stale because another package uses it after all.
-func check(pass *analysis.Pass, idx *index, id *ast.Ident, obj types.Object, what string, m *mark) {
-	if m != nil && m.reason {
+func check(pass *analysis.Pass, idx *index, id *ast.Ident, obj types.Object, what string, m token.Pos) {
+	if m.IsValid() {
 		if idx.objUsed(obj) {
-			pass.Reportf(m.pos, "%s is used from another package; drop its //hbvet:api mark", what)
+			pass.Reportf(m, "%s is used from another package; drop its //hbvet:api mark", what)
 		}
 		return
 	}
@@ -194,10 +180,11 @@ func report(pass *analysis.Pass, idx *index, id *ast.Ident, obj types.Object, wh
 	pass.Reportf(id.Pos(), "exported %s: %s; delete it or mark it //hbvet:api -- <reason>", what, how)
 }
 
-// findMark returns the first //hbvet:api line in the doc comments, in
-// order (a spec's own doc before its declaration group's), reporting a
-// mark that gives no reason.
-func findMark(pass *analysis.Pass, docs ...*ast.CommentGroup) *mark {
+// findMark returns the position of the first //hbvet:api line in the doc
+// comments, in order (a spec's own doc before its declaration group's), or
+// token.NoPos. A mark that gives no reason is reported and keeps nothing:
+// findMark returns token.NoPos for it.
+func findMark(pass *analysis.Pass, docs ...*ast.CommentGroup) token.Pos {
 	for _, doc := range docs {
 		if doc == nil {
 			continue
@@ -209,12 +196,12 @@ func findMark(pass *analysis.Pass, docs ...*ast.CommentGroup) *mark {
 			mm := markRe.FindStringSubmatch(strings.TrimSpace(c.Text))
 			if mm == nil || mm[1] == "" {
 				pass.Reportf(c.Slash, "//hbvet:api mark is missing its reason (write “//hbvet:api -- <paper section, tour or user need>”); it keeps nothing")
-				return &mark{pos: c.Slash}
+				return token.NoPos
 			}
-			return &mark{pos: c.Slash, reason: true}
+			return c.Slash
 		}
 	}
-	return nil
+	return token.NoPos
 }
 
 func allMethodsUsed(idx *index, tn *types.TypeName) bool {
@@ -311,13 +298,14 @@ func buildIndex(m *analysis.Module) *index {
 	for _, p := range m.Packages {
 		inModule[p.Pkg] = true
 	}
-	seenIface := make(map[*types.Interface]map[string]bool)
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	seen := make(map[ifaceMethod]bool)
 	addIface := func(iface *types.Interface, name string) {
-		if seenIface[iface] == nil {
-			seenIface[iface] = make(map[string]bool)
-		}
-		if !seenIface[iface][name] {
-			seenIface[iface][name] = true
+		if !seen[ifaceMethod{iface, name}] {
+			seen[ifaceMethod{iface, name}] = true
 			idx.ifaceMethods[name] = append(idx.ifaceMethods[name], iface)
 		}
 	}
