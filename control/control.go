@@ -17,7 +17,7 @@ import "math"
 // Decision is a discrete adaptation step.
 type Decision int
 
-//hbvet:api -- paper §5.2: the three decisions of the threshold policy
+//hbvet:api -- paper §5.2, §5.3: the three decisions of the threshold policies
 const (
 	// StepDown releases resources or raises quality (rate above target).
 	StepDown Decision = -1

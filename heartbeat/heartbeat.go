@@ -125,7 +125,7 @@ func WithClock(clk Clock) Option { return func(c *config) { c.clock, c.clockSet 
 func WithSink(s Sink) Option { return func(c *config) { c.sink = s } }
 
 // New creates a Heartbeat whose default averaging window is window beats
-// (HB_initialize in the paper). A window of 0 selects defaultWindow;
+// (HB_initialize in the paper). A window of 0 selects 20 beats;
 // negative windows are an error.
 func New(window int, opts ...Option) (*Heartbeat, error) {
 	if window < 0 {

@@ -11,9 +11,9 @@ import (
 // what keeps a relay tree's root at O(apps) state however many producers
 // beat underneath: the leaves reduce raw records to per-app rollups
 // (Downsampler), and every interior node reduces its children's rollups
-// with a compactor instead of re-tracking producers. It is the rollup
-// counterpart of rollupWindow: constant state per app, absorbed windows
-// folded in, Flush emits and resets.
+// with a compactor instead of re-tracking producers. Like the
+// Downsampler's per-app windows it keeps constant state per app: absorbed
+// windows folded in, Flush emits and resets.
 //
 // The count-conserving fields — Records and Missed — are pure sums, so
 // compaction preserves the conservation identity exactly: over any span,

@@ -108,7 +108,7 @@ func WithHubClock(clk heartbeat.Clock) HubOption {
 }
 
 // NewHub creates a hub that judges every registered application at least
-// every interval (interval <= 0 selects defaultHubInterval) and calls
+// every interval (interval <= 0 selects 100 ms) and calls
 // onStatus — which may be nil — with each judgment.
 func NewHub(interval time.Duration, onStatus func(name string, st Status), opts ...HubOption) *Hub {
 	if interval <= 0 {

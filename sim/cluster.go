@@ -17,7 +17,7 @@ import (
 // Cluster and Proc are not safe for concurrent use; drive them from one
 // experiment loop.
 //
-//hbvet:api -- paper §5.3: the shared machine the multi-application experiment partitions; its accessors are the model's state
+//hbvet:api -- paper §1's multi-application claim: the shared machine the multiapp experiment partitions; its accessors are the model's state
 type Cluster struct {
 	clock    *Clock
 	coreRate float64
@@ -27,7 +27,7 @@ type Cluster struct {
 
 // Proc is one application's execution context in a Cluster.
 //
-//hbvet:api -- paper §5.3: one application on the shared machine; its accessors are the model's state
+//hbvet:api -- paper §1's multi-application claim: one application on the shared machine; its accessors are the model's state
 type Proc struct {
 	cluster   *Cluster
 	name      string

@@ -39,6 +39,3 @@ func (f *FaultInjector) Step(beat uint64, m *Machine) int {
 	}
 	return failed
 }
-
-// pending returns how many events have not yet fired.
-func (f *FaultInjector) pending() int { return len(f.events) - f.next }

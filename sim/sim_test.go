@@ -162,8 +162,9 @@ func TestFaultInjector(t *testing.T) {
 		FaultEvent{AtBeat: 160, FailCores: 2},
 		FaultEvent{AtBeat: 480, FailCores: 1},
 	)
-	if inj.pending() != 3 {
-		t.Fatalf("Pending = %d", inj.pending())
+	pending := func() int { return len(inj.events) - inj.next }
+	if pending() != 3 {
+		t.Fatalf("pending = %d", pending())
 	}
 	if n := inj.Step(100, m); n != 0 {
 		t.Fatalf("Step(100) failed %d cores", n)
@@ -175,8 +176,8 @@ func TestFaultInjector(t *testing.T) {
 	if n := inj.Step(500, m); n != 2 || m.MaxCores() != 4 {
 		t.Fatalf("Step(500): n=%d max=%d", n, m.MaxCores())
 	}
-	if inj.pending() != 0 {
-		t.Fatalf("Pending = %d at end", inj.pending())
+	if pending() != 0 {
+		t.Fatalf("pending = %d at end", pending())
 	}
 	// Re-stepping is a no-op.
 	if n := inj.Step(1000, m); n != 0 {
