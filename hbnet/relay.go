@@ -46,7 +46,7 @@ type RollupBatch struct {
 // contract (pending data is returned even under an expired ctx; io.EOF
 // after the publisher closes).
 //
-//hbvet:api -- part of RollupFeed's signature: what opening a rollup feed yields, and what AddRollupUpstream takes
+//hbvet:api -- user need: implement or wrap a rollup source; opening a RollupFeed yields one, AddRollupUpstream takes one
 type RollupStream interface {
 	Next(ctx context.Context) (RollupBatch, error)
 }
