@@ -27,8 +27,12 @@ import (
 )
 
 func main() {
-	path := filepath.Join(os.TempDir(), "external-scheduler-demo.hb")
-	defer os.Remove(path)
+	dir, err := os.MkdirTemp("", "external-scheduler-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "app.hb")
 
 	// ---- Application side: beats into the file, knows nothing about
 	// schedulers.

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from the current output")
+	"repro/internal/golden"
+)
 
 // goldenScale is the scale the goldens are recorded at: 40 encoder frames
 // keeps the ten experiments to a few seconds together, and every decision
@@ -37,21 +34,7 @@ func TestGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderGolden(t, r)
-			path := filepath.Join("testdata", id+".golden")
-			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (create it with -update)", err)
-			}
-			if line, g, w, differ := firstDiff(got, want); differ {
-				t.Errorf("%s differs from %s at line %d:\n got: %q\nwant: %q\n(rerun with -update if the change is meant)", id, path, line, g, w)
-			}
+			golden.Check(t, filepath.Join("testdata", id+".golden"), renderGolden(t, r))
 		})
 	}
 }
@@ -82,24 +65,4 @@ func renderGolden(t *testing.T, r Result) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
-}
-
-// firstDiff returns the first line (1-based) at which got and want differ,
-// and that line of each; a missing line reads as "<end of output>".
-func firstDiff(got, want []byte) (line int, g, w string, differ bool) {
-	gl := strings.Split(string(got), "\n")
-	wl := strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		g, w = "<end of output>", "<end of output>"
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			return i + 1, g, w, true
-		}
-	}
-	return 0, "", "", false
 }
