@@ -58,8 +58,10 @@ func NewPartitioner(total, window int) (*Partitioner, error) {
 
 // Add registers an application: its heartbeat stream and its core
 // actuator (which must clamp and return the effective grant, e.g.
-// (*sim.Proc).SetCores). The initial grant is applied immediately.
-// Add fails if the pool cannot hold one core per registered application;
+// (*sim.Proc).SetCores). The initial grant is applied immediately, capped
+// by the free cores; when none is free, the new application's one core is
+// taken from the application holding the most. Add fails if the pool
+// cannot hold one core per registered application;
 // on success the partitioner owns the stream (see Close). The partitioner
 // is Step-driven — Step drains every stream without blocking, so a polled
 // stream's pacing is never waited on and no clock threading is needed
@@ -72,12 +74,18 @@ func (p *Partitioner) Add(name string, stream observer.Stream, set func(int) int
 	if len(p.apps)+1 > p.total {
 		return fmt.Errorf("scheduler: %d apps cannot share %d cores (1 core per app minimum)", len(p.apps)+1, p.total)
 	}
-	if initial < 1 {
-		initial = 1
+	if p.Free() < 1 {
+		// The pool is full: the new application's core comes from the one
+		// holding the most, as a revocation in Step would take it.
+		richest := p.apps[0]
+		for _, a := range p.apps {
+			if a.cores > richest.cores {
+				richest = a
+			}
+		}
+		richest.resize(-1)
 	}
-	if used := p.used() + initial; used > p.total {
-		initial = p.total - p.used()
-	}
+	initial = min(max(initial, 1), p.Free())
 	a := &partApp{observed: observe(stream, p.window), name: name, set: set}
 	a.cores = set(initial)
 	p.apps = append(p.apps, a)
@@ -148,31 +156,27 @@ func (p *Partitioner) Step() ([]AppStatus, error) {
 	switch {
 	case needy >= 0 && p.Free() > 0:
 		// Grant from the idle pool first.
-		p.grant(needy, statuses)
+		p.apps[needy].resize(+1)
 	case needy >= 0 && donor >= 0:
 		// Rob the most-over app for the most-under one.
-		p.revoke(donor, statuses)
-		p.grant(needy, statuses)
+		p.apps[donor].resize(-1)
+		p.apps[needy].resize(+1)
 	case needy < 0 && donor >= 0:
 		// Nobody starves: release surplus back to the pool (the paper's
 		// minimum-resource goal — reclaimed cores could be powered down
 		// or given to non-heartbeat work).
-		p.revoke(donor, statuses)
+		p.apps[donor].resize(-1)
+	}
+	for i, a := range p.apps {
+		statuses[i].Cores = a.cores
 	}
 	return statuses, nil
 }
 
-func (p *Partitioner) grant(i int, statuses []AppStatus) {
-	a := p.apps[i]
-	a.cores = a.set(a.cores + 1)
-	statuses[i].Cores = a.cores
-}
-
-func (p *Partitioner) revoke(i int, statuses []AppStatus) {
-	a := p.apps[i]
-	if a.cores <= 1 {
-		return
+// resize moves a's grant by delta cores through its actuator, never below
+// one core.
+func (a *partApp) resize(delta int) {
+	if a.cores+delta >= 1 {
+		a.cores = a.set(a.cores + delta)
 	}
-	a.cores = a.set(a.cores - 1)
-	statuses[i].Cores = a.cores
 }

@@ -233,3 +233,36 @@ func (s *rateStream) Next(ctx context.Context) (observer.Batch, error) {
 		TargetMin: s.min, TargetMax: s.max, TargetSet: true,
 	}, nil
 }
+
+// Add keeps its contract — it succeeds while the pool can hold one core
+// per application — without over-committing the pool: when no core is
+// free, the new application's core comes from the one holding the most.
+func TestPartitionerAddNeverOvercommits(t *testing.T) {
+	part, err := scheduler.NewPartitioner(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, _ := heartbeat.New(5)
+	cores := map[string]int{}
+	for _, app := range []struct {
+		name    string
+		initial int
+	}{{"a", 4}, {"b", 1}, {"c", 3}, {"d", 1}} {
+		name := app.name
+		set := func(n int) int {
+			n = max(n, 1)
+			cores[name] = n
+			return n
+		}
+		if err := part.Add(name, observer.HeartbeatStream(hb), set, app.initial); err != nil {
+			t.Fatal(err)
+		}
+		granted := 0
+		for _, n := range cores {
+			granted += n
+		}
+		if part.Free() < 0 || granted > 4 {
+			t.Fatalf("after adding %s: free %d, %d of 4 cores granted (%v)", name, part.Free(), granted, cores)
+		}
+	}
+}
