@@ -33,12 +33,19 @@ type NamedStatus struct {
 // Two driving modes share the same state:
 //
 //   - Run(ctx) pumps every stream concurrently (one goroutine per
-//     stream, each blocked in Next — no polling) into a single loop that
-//     re-judges an application when its batches land and re-judges all of
-//     them every interval, so silent applications still progress toward
+//     stream, each blocked in Next — no polling). Each pump absorbs its own
+//     batches and re-judges its application as they land; Run re-judges all
+//     of them every interval, so silent applications still progress toward
 //     Flatlined/Dead.
 //   - Step() drains every stream without blocking and returns all
 //     judgments, for deterministic (simulated-clock) loops.
+//
+// The hub is the stream owner controllers use: a controller (package
+// scheduler) holds no stream, it decides from the Status a hub hands it.
+// Callbacks are serialized and arrive in judgment order, whichever pump or
+// tick judged, so a callback may drive a controller without a lock of its
+// own. They run without the hub's lock held, but must not call Step or
+// Remove: both wait for callbacks in progress.
 //
 // Do not mix Run and Step concurrently: streams are single-consumer.
 // Add and the status accessors are safe to call at any time.
@@ -49,12 +56,11 @@ type Hub struct {
 	onError  func(name string, err error)
 	clk      heartbeat.Clock // nil = wall clock; paces Run's ticks and pumps
 
-	mu      sync.Mutex
-	apps    map[string]*hubApp
-	order   []string
-	events  chan hubEvent
-	judging chan struct{} // closed once the current Run's loop stops taking events
-	pumps   pump.Group
+	emit  sync.Mutex // held from a judgment through its callbacks; taken before mu
+	mu    sync.Mutex
+	apps  map[string]*hubApp
+	order []string
+	pumps pump.Group
 }
 
 type hubApp struct {
@@ -66,16 +72,10 @@ type hubApp struct {
 	judged bool
 	eof    bool
 	// removing is set by Remove before it cancels the pump and waits for it
-	// without h.mu; the registration stays until the pump has exited.
+	// without h.mu; the registration stays until the pump has exited, and
+	// the pump keeps absorbing but reports nothing.
 	removing bool
 	pump     pump.Pump
-}
-
-// hubEvent is what a pump hands Run's loop: a batch, or a stream failure.
-type hubEvent struct {
-	app   *hubApp
-	batch Batch
-	err   error
 }
 
 // HubOption configures NewHub.
@@ -118,7 +118,6 @@ func NewHub(interval time.Duration, onStatus func(name string, st Status), opts 
 		interval: interval,
 		onStatus: onStatus,
 		apps:     make(map[string]*hubApp),
-		events:   make(chan hubEvent, 64),
 	}
 	for _, o := range opts {
 		o(h)
@@ -162,8 +161,8 @@ func (h *Hub) Add(name string, stream Stream) error {
 // waits for it to exit, then releases its stream when the stream supports
 // Close — so repeatedly adding and removing live applications leaks
 // nothing, and no Next is still reading a stream when it is closed.
-// Remove must not be called from the hub's callbacks, which run on Run's
-// goroutine: the removal would wait for a pump that may be waiting for it.
+// Remove must not be called from the hub's callbacks: the removal would
+// wait for a pump that is waiting for the callback to return.
 //
 //hbvet:api -- user need: an application leaves a running hub (elastic membership)
 func (h *Hub) Remove(name string) {
@@ -206,72 +205,67 @@ func (h *Hub) Status(name string) (Status, bool) {
 }
 
 // Run multiplexes every registered stream until ctx is cancelled. An
-// application is re-judged immediately when one of its batches lands (the
-// fan-out fires on health changes) and every interval regardless (the
-// fan-out fires for every application), so both fast degradation and
-// silent death are noticed promptly. When Run returns, every pump has
-// exited and every batch a pump consumed is in its application's window —
-// the hub may be Run again with a fresh context, or stepped.
+// application is re-judged by its pump as soon as one of its batches lands
+// (the fan-out fires on health changes) and by Run every interval
+// regardless (the fan-out fires for every application), so both fast
+// degradation and silent death are noticed promptly. When Run returns,
+// every pump has exited and every batch a pump consumed is in its
+// application's window — the hub may be Run again with a fresh context, or
+// stepped.
 func (h *Hub) Run(ctx context.Context) {
 	h.mu.Lock()
 	h.pumps.Open(ctx)
-	judging := make(chan struct{})
-	h.judging = judging
 	for _, name := range h.order {
 		h.startPumpLocked(h.apps[name])
 	}
 	h.mu.Unlock()
-	defer func() {
-		close(judging)
-		h.pumps.Close() // streams are single-consumer: no pump may outlive Run
-		h.mu.Lock()
-		h.absorbQueuedLocked()
-		h.mu.Unlock()
-	}()
+	defer h.pumps.Close() // streams are single-consumer: no pump may outlive Run
 	tick := heartbeat.NewTicker(h.clk, h.interval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case ev := <-h.events:
-			h.handleEvent(ev)
 		case <-tick.C():
 			tick.Next()
-			h.judgeAll(true)
+			h.emit.Lock()
+			h.judgeAll()
+			h.emit.Unlock()
 		}
 	}
 }
 
-// startPumpLocked starts a's pump (internal/pump). It hands every batch and
-// failure to Run's loop, which keeps judgments and callbacks on Run's
-// goroutine. Once the loop has stopped, the pump absorbs a batch in hand
-// itself, behind whatever the loop left queued, so nothing it consumed is
-// lost or reordered. Callers hold h.mu.
+// startPumpLocked starts a's pump (internal/pump), which absorbs and judges
+// every batch itself before reading again, so a's batches land in order
+// with no hand-off, and reports every failure. Callers hold h.mu.
 func (h *Hub) startPumpLocked(a *hubApp) {
 	if a.removing {
 		return
 	}
-	judging := h.judging
 	h.pumps.Go(&a.pump, func(ctx context.Context) {
-		send := func(ev hubEvent) bool {
-			select {
-			case h.events <- ev:
-				return true
-			case <-judging:
-				return false
-			}
-		}
 		deliver := func(b Batch) {
-			if !send(hubEvent{app: a, batch: b}) {
-				h.mu.Lock()
-				h.absorbQueuedLocked()
-				a.win.Absorb(b)
-				h.mu.Unlock()
+			h.emit.Lock()
+			defer h.emit.Unlock()
+			h.mu.Lock()
+			a.win.Absorb(b)
+			st := a.cls.ClassifyWindow(a.win)
+			changed := !a.judged || st.Health != a.last.Health
+			a.last, a.judged = st, true
+			report := changed && !a.removing
+			h.mu.Unlock()
+			if report && h.onStatus != nil {
+				h.onStatus(a.name, st)
 			}
 		}
 		fail := func(err error) bool {
-			send(hubEvent{app: a, err: err})
+			h.emit.Lock()
+			defer h.emit.Unlock()
+			h.mu.Lock()
+			report := !a.removing
+			h.mu.Unlock()
+			if report && h.onError != nil {
+				h.onError(a.name, err)
+			}
 			return false
 		}
 		if pump.Run(ctx, h.clk, h.interval, a.stream.Next, deliver, fail) {
@@ -282,51 +276,9 @@ func (h *Hub) startPumpLocked(a *hubApp) {
 	})
 }
 
-// absorbQueuedLocked absorbs, without judging, every batch still queued for
-// Run's loop. Callers hold h.mu, after the loop has stopped.
-func (h *Hub) absorbQueuedLocked() {
-	for {
-		select {
-		case ev := <-h.events:
-			if ev.err == nil {
-				ev.app.win.Absorb(ev.batch)
-			}
-		default:
-			return
-		}
-	}
-}
-
-func (h *Hub) handleEvent(ev hubEvent) {
-	h.mu.Lock()
-	a := ev.app
-	// Identity, not name: after Remove("x")+Add("x") an in-flight event
-	// from the removed app must not be attributed to its successor.
-	if live, ok := h.apps[a.name]; !ok || live != a {
-		h.mu.Unlock()
-		return // removed while the event was in flight
-	}
-	if ev.err != nil {
-		cb := h.onError
-		h.mu.Unlock()
-		if cb != nil {
-			cb(a.name, ev.err)
-		}
-		return
-	}
-	a.win.Absorb(ev.batch)
-	st := a.cls.ClassifyWindow(a.win)
-	changed := !a.judged || st.Health != a.last.Health
-	a.last, a.judged = st, true
-	cb := h.onStatus
-	h.mu.Unlock()
-	if changed && cb != nil {
-		cb(a.name, st)
-	}
-}
-
-// judgeAll reclassifies every application; emit fans every judgment out.
-func (h *Hub) judgeAll(emit bool) {
+// judgeAll re-judges every application and fans every judgment out, in
+// registration order. Callers hold h.emit.
+func (h *Hub) judgeAll() []NamedStatus {
 	h.mu.Lock()
 	out := make([]NamedStatus, 0, len(h.order))
 	for _, name := range h.order {
@@ -335,13 +287,13 @@ func (h *Hub) judgeAll(emit bool) {
 		a.last, a.judged = st, true
 		out = append(out, NamedStatus{Name: name, Status: st})
 	}
-	cb := h.onStatus
 	h.mu.Unlock()
-	if emit && cb != nil {
+	if h.onStatus != nil {
 		for _, ns := range out {
-			cb(ns.Name, ns.Status)
+			h.onStatus(ns.Name, ns.Status)
 		}
 	}
+	return out
 }
 
 // Step drains every stream without blocking, re-judges every application,
@@ -354,6 +306,8 @@ func (h *Hub) Step() []NamedStatus {
 		name string
 		err  error
 	}
+	h.emit.Lock()
+	defer h.emit.Unlock()
 	h.mu.Lock()
 	var failed []appErr
 	for _, name := range h.order {
@@ -362,26 +316,16 @@ func (h *Hub) Step() []NamedStatus {
 			continue
 		}
 		eof, err := DrainInto(a.stream, a.win)
-		if eof {
-			a.eof = true
-		}
+		a.eof = eof
 		if err != nil {
 			failed = append(failed, appErr{name, err})
 		}
 	}
-	onError := h.onError
 	h.mu.Unlock()
-	if onError != nil {
+	if h.onError != nil {
 		for _, f := range failed {
-			onError(f.name, f.err)
+			h.onError(f.name, f.err)
 		}
 	}
-	h.judgeAll(true)
-	h.mu.Lock()
-	out := make([]NamedStatus, 0, len(h.order))
-	for _, name := range h.order {
-		out = append(out, NamedStatus{Name: name, Status: h.apps[name].last})
-	}
-	h.mu.Unlock()
-	return out
+	return h.judgeAll()
 }

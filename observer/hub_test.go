@@ -3,6 +3,7 @@ package observer_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,9 +277,9 @@ func (s *cancelStream) Next(ctx context.Context) (observer.Batch, error) {
 }
 
 // When Run stops, every batch its pumps took off a stream is in the
-// application's window — including one still queued for the judging loop
-// and one a pump had in hand — so a later Step neither misses it nor lets a
-// later Run replay it as a producer restart. The busy variant pins the
+// application's window — including one a pump had in hand when Run was
+// cancelled — so a later Step neither misses it nor lets a later Run
+// replay it as a producer restart. The busy variant pins the
 // shutdown rule: a stream that always has data under a cancelled context
 // still lets Run return.
 func TestHubRunStopAbsorbsInHandDelivery(t *testing.T) {
@@ -335,31 +336,34 @@ func (s *floodStream) Next(ctx context.Context) (observer.Batch, error) {
 	return observer.Batch{Records: []heartbeat.Record{rec}, Count: k}, nil
 }
 
-// A pump left holding a batch when the judging loop stops absorbs it behind
-// the batches still queued for the loop, never ahead of them: an older
-// batch absorbed after a newer one reads as a producer restart and resets
-// the window. The first batch is judged and held there by onStatus, the
-// next 64 fill the loop's queue, and the pump holds the last; the loop then
-// stops either at once or after draining some of the queue.
+// A callback in progress holds its pump, so a pump whose callback blocks
+// back-pressures its stream instead of queueing batches behind the
+// judgment. Run stopped while the first callback is blocked and batches
+// are still pending returns once the callback does, having absorbed every
+// batch it took, in order: an older batch absorbed after a newer one reads
+// as a producer restart and resets the window, so the later Step would
+// read a count or a rate that is not 1/s.
 func TestHubRunStopAbsorbsQueueInOrder(t *testing.T) {
 	for attempt := 0; attempt < 8; attempt++ {
 		s := &floodStream{n: 66}
-		release := make(chan struct{})
+		blocked, release := make(chan struct{}), make(chan struct{})
 		var once sync.Once
-		hub := observer.NewHub(time.Hour, func(string, observer.Status) { once.Do(func() { <-release }) })
+		hub := observer.NewHub(time.Hour, func(string, observer.Status) {
+			once.Do(func() { close(blocked); <-release })
+		})
 		if err := hub.Add("a", s); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() { defer close(done); hub.Run(ctx) }()
-		deadline := time.After(10 * time.Second)
-		for s.head.Load() < s.n {
-			select {
-			case <-deadline:
-				t.Fatalf("attempt %d: the pump took %d of %d batches", attempt, s.head.Load(), s.n)
-			case <-time.After(time.Millisecond):
-			}
+		select {
+		case <-blocked:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("attempt %d: no callback after the pump took %d batches", attempt, s.head.Load())
+		}
+		if taken := s.head.Load(); taken == s.n {
+			t.Fatalf("attempt %d: the pump took all %d batches past a blocked callback", attempt, taken)
 		}
 		cancel()
 		close(release)
@@ -368,6 +372,66 @@ func TestHubRunStopAbsorbsQueueInOrder(t *testing.T) {
 		if st.Count != s.n || !st.RateOK || st.Rate != 1 {
 			t.Fatalf("attempt %d: count %d, rate %v (ok %v); want %d at 1/s", attempt, st.Count, st.Rate, st.RateOK, s.n)
 		}
+	}
+}
+
+// Callbacks never overlap and arrive in judgment order, whether a pump or
+// Run's tick judged: with eight applications beating under a 1 ms tick, no
+// call starts while another is running, and no application's count goes
+// backwards between its calls.
+func TestHubCallbacksSerialized(t *testing.T) {
+	const apps = 8
+	var inCall atomic.Bool
+	var calls atomic.Int64
+	last := map[string]uint64{} // touched only inside callbacks
+	var failure atomic.Value
+	hub := observer.NewHub(time.Millisecond, func(name string, st observer.Status) {
+		if !inCall.CompareAndSwap(false, true) {
+			failure.CompareAndSwap(nil, "overlapping callbacks")
+			return
+		}
+		defer inCall.Store(false)
+		if st.Count < last[name] {
+			failure.CompareAndSwap(nil, fmt.Sprintf("%s: count %d after %d", name, st.Count, last[name]))
+		}
+		last[name] = st.Count
+		calls.Add(1)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	var beaters sync.WaitGroup
+	for i := 0; i < apps; i++ {
+		hb, err := heartbeat.New(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hb.Close()
+		if err := hub.Add(fmt.Sprint("app", i), observer.HeartbeatStream(hb)); err != nil {
+			t.Fatal(err)
+		}
+		beaters.Add(1)
+		go func() {
+			defer beaters.Done()
+			for ctx.Err() == nil {
+				hb.Beat()
+				time.Sleep(50 * time.Microsecond)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); hub.Run(ctx) }()
+	deadline := time.After(10 * time.Second)
+	for calls.Load() < 1000 && failure.Load() == nil {
+		select {
+		case <-deadline:
+			t.Fatalf("only %d callbacks in 10s", calls.Load())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	<-done
+	beaters.Wait()
+	if f := failure.Load(); f != nil {
+		t.Fatal(f)
 	}
 }
 
