@@ -107,7 +107,7 @@ drain-scenario:
 
 # The elastic-membership shard, race-checked: the relay and hub lifecycle
 # tests (add, remove, retire, Run stop and restart, rebalance), the
-# one-app hub (monitor) tests and the scheduler's ticker-driven Run,
+# one-app hub (monitor) tests and a running hub driving the scheduler,
 # repeated to shake out interleavings between pumps, removals and
 # shutdown (relay and hub run their streams through internal/pump); the
 # deterministic leaf-die failover and backpressure-shed tests, then full

@@ -217,11 +217,17 @@ func runSchedBench(b *testing.B, w parsec.SchedWorkload, pol scheduler.Policy) i
 		b.Fatal(err)
 	}
 	m.SetCores(1)
-	sched, err := scheduler.New(observer.HeartbeatStream(hb), m, pol, scheduler.WithWindow(w.Window))
+	sched, err := scheduler.New(m, pol)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sched.Close()
+	hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Window: w.Window, Clock: clk}
+	}))
+	if err := hub.Add(w.Name, observer.HeartbeatStream(hb)); err != nil {
+		b.Fatal(err)
+	}
+	defer hub.Remove(w.Name)
 	inWindow := 0
 	for beat := 1; beat <= w.Beats; beat++ {
 		m.Execute(w.Work(coreRate, beat))
@@ -230,9 +236,7 @@ func runSchedBench(b *testing.B, w parsec.SchedWorkload, pol scheduler.Policy) i
 			inWindow++
 		}
 		if beat%w.CheckEvery == 0 {
-			if _, err := sched.Step(); err != nil {
-				b.Fatal(err)
-			}
+			sched.Step(hub.Step()[0].Status)
 		}
 	}
 	return inWindow

@@ -67,11 +67,17 @@ func runWorkload(w parsec.SchedWorkload, policyName string, cw, ch int) error {
 	default:
 		return fmt.Errorf("unknown policy %q", policyName)
 	}
-	sched, err := scheduler.New(observer.HeartbeatStream(hb), m, pol, scheduler.WithWindow(w.Window))
+	sched, err := scheduler.New(m, pol)
 	if err != nil {
 		return err
 	}
-	defer sched.Close()
+	hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Window: w.Window, Clock: clk}
+	}))
+	if err := hub.Add(w.Name, observer.HeartbeatStream(hb)); err != nil {
+		return err
+	}
+	defer hub.Remove(w.Name)
 
 	series := &plot.Series{
 		Title:  fmt.Sprintf("%s under the external %s scheduler (target %g-%g beats/s)", w.Name, policyName, w.TargetMin, w.TargetMax),
@@ -87,9 +93,7 @@ func runWorkload(w parsec.SchedWorkload, policyName string, cw, ch int) error {
 		}
 		series.Add(float64(beat), rate, float64(m.Cores()))
 		if beat%w.CheckEvery == 0 {
-			if _, err := sched.Step(); err != nil {
-				return err
-			}
+			sched.Step(hub.Step()[0].Status)
 		}
 	}
 	series.Chart(os.Stdout, cw, ch)

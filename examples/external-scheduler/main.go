@@ -52,24 +52,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// ---- Scheduler side: reads ONLY the file, and incrementally — each
-	// decision consumes just the records the application published since
-	// the previous one, through the file's cursor (observer.ReaderStream).
+	// ---- Scheduler side: reads ONLY the file, and incrementally — a hub
+	// owns the file's stream (observer.ReaderStream), and each of its steps
+	// consumes just the records the application published since the
+	// previous one, through the file's cursor. The scheduler decides from
+	// the hub's judgment.
 	reader, err := hbfile.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer reader.Close()
-	sched, err := scheduler.New(
-		observer.ReaderStream(reader, 0, 0, nil),
-		machine,
-		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
-		scheduler.WithWindow(10),
-	)
+	hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Window: 10, Clock: clk}
+	}))
+	if err := hub.Add("app", observer.ReaderStream(reader, 0, 0, nil)); err != nil {
+		log.Fatal(err)
+	}
+	defer hub.Remove("app")
+	sched, err := scheduler.New(machine,
+		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sched.Close()
 
 	// The application works: heavy at first, then the load halves.
 	work := func(beat int) sim.Work {
@@ -85,10 +89,7 @@ func main() {
 		machine.Execute(work(beat))
 		hb.Beat()
 		if beat%10 == 0 {
-			s, err := sched.Step()
-			if err != nil {
-				log.Fatal(err)
-			}
+			s := sched.Step(hub.Step()[0].Status)
 			if s.Cores > peak {
 				peak = s.Cores
 			}

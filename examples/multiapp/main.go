@@ -5,11 +5,11 @@
 // "best global outcome" the paper argues registered goals enable, and the
 // scheduling behaviour an "organic OS" would build in.
 //
-// Both the partitioner and an observer.Hub consume the applications as
-// incremental streams: each decision and each health judgment reads only
-// the beats registered since the last one, and the hub multiplexes every
-// application's stream into one loop with per-application status fan-out —
-// the library form of what used to be a hand-rolled per-app polling loop.
+// An observer.Hub consumes the applications as incremental streams: each
+// of its steps reads only the beats registered since the last one, and
+// multiplexes every application's stream into one loop with
+// per-application status fan-out. The partitioner holds no stream; it
+// decides from the hub's judgments.
 //
 //	go run ./examples/multiapp
 package main
@@ -60,22 +60,20 @@ func main() {
 	}, 0.95)
 	indexHB, indexProc := mkApp("indexer", 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
 
-	part, err := scheduler.NewPartitioner(8, 10)
+	part, err := scheduler.NewPartitioner(8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer part.Close()
-	// Each consumer opens its own stream: the partitioner and the hub each
-	// hold an independent cursor into the same heartbeat histories.
-	if err := part.Add("video", observer.HeartbeatStream(videoHB), videoProc.SetCores, 1); err != nil {
+	if err := part.Add("video", videoProc.SetCores, 1); err != nil {
 		log.Fatal(err)
 	}
-	if err := part.Add("indexer", observer.HeartbeatStream(indexHB), indexProc.SetCores, 1); err != nil {
+	if err := part.Add("indexer", indexProc.SetCores, 1); err != nil {
 		log.Fatal(err)
 	}
 
 	// The hub multiplexes every application's health into one place; here
-	// it reports health transitions as they happen.
+	// it reports health transitions as they happen, and hands its
+	// judgments to the partitioner.
 	health := map[string]observer.Health{}
 	hub := observer.NewHub(0, func(name string, st observer.Status) {
 		if st.Health != health[name] {
@@ -83,14 +81,16 @@ func main() {
 			health[name] = st.Health
 		}
 	}, observer.WithHubClassifier(func(string) *observer.Classifier {
-		return &observer.Classifier{Clock: clk}
+		return &observer.Classifier{Window: 10, Clock: clk}
 	}))
 	if err := hub.Add("video", observer.HeartbeatStream(videoHB)); err != nil {
 		log.Fatal(err)
 	}
+	defer hub.Remove("video")
 	if err := hub.Add("indexer", observer.HeartbeatStream(indexHB)); err != nil {
 		log.Fatal(err)
 	}
+	defer hub.Remove("indexer")
 
 	fmt.Println("decision  video: rate cores [goal 8-10]   indexer: rate cores [goal 2-3]   free")
 	for step := 1; step <= 200; step++ {
@@ -99,11 +99,7 @@ func main() {
 			fmt.Println("-- video content becomes ~1.4x harder --")
 		}
 		cluster.RunUntil(clk.Now().Add(2 * time.Second))
-		sts, err := part.Step()
-		if err != nil {
-			log.Fatal(err)
-		}
-		hub.Step()
+		sts := part.Step(hub.Step())
 		if step%20 == 0 || step == 81 || step == 82 {
 			fmt.Printf("%8d  %12.2f %5d   %18.2f %5d   %4d\n",
 				step, sts[0].Rate, sts[0].Cores, sts[1].Rate, sts[1].Cores, part.Free())

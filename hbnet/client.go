@@ -71,10 +71,10 @@ var jitterSeq atomic.Int64
 
 // Client is a remote heartbeat subscription: the consuming half of an
 // hbnet connection. It satisfies observer.Stream (and io.Closer), so it
-// plugs into everything the local streams plug into — observer.Hub,
-// scheduler.CoreScheduler, scheduler.Partitioner — which is
-// the point: a scheduler does not know or care that its signal crosses a
-// machine boundary.
+// plugs into everything the local streams plug into — observer.Hub and
+// Relay, and through a Hub's Status every scheduler — which is the point:
+// a scheduler does not know or care that its signal crosses a machine
+// boundary.
 //
 // A background reader decodes at most one frame ahead of the consumer: one
 // decoded batch waits for Next while the next frame is read and decoded.

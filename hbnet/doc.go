@@ -7,8 +7,8 @@
 // A Server publishes named feeds — live heartbeats, heartbeat files, or
 // any cursor-resumable stream — over plain TCP using a length-prefixed
 // binary codec. A Client dials one feed and satisfies observer.Stream, so
-// every local consumer (observer.Hub, scheduler.CoreScheduler,
-// scheduler.Partitioner, the control policies)
+// every local stream owner (observer.Hub, Relay), and every controller
+// deciding from a Hub's Status (package scheduler, the control policies),
 // works unchanged across the process or machine boundary.
 //
 // Delivery keeps the local cursor semantics end to end: each record is

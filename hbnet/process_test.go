@@ -164,14 +164,14 @@ func TestProcessBoundaryMonitorAndScheduler(t *testing.T) {
 	wg.Add(1)
 	go func() { defer wg.Done(); monitor.Run(ctx) }()
 
-	// Scheduler on a third connection, actuating a simulated machine from
-	// the remote rate signal.
+	// Scheduler on a third connection, its own hub's judgments actuating a
+	// simulated machine from the remote rate signal.
 	schedStream, err := Dial(addr, "app")
 	if err != nil {
 		t.Fatal(err)
 	}
 	machine := sim.NewMachine(sim.NewClock(time.Time{}), 8, 1e6)
-	sched, err := scheduler.New(schedStream, machine, scheduler.StepperPolicy{
+	sched, err := scheduler.New(machine, scheduler.StepperPolicy{
 		Stepper: &control.Stepper{TargetMin: 50, TargetMax: 5000},
 	})
 	if err != nil {
@@ -179,16 +179,18 @@ func TestProcessBoundaryMonitorAndScheduler(t *testing.T) {
 	}
 	var muSample sync.Mutex
 	var samples []scheduler.Sample
+	schedHub := observer.NewHub(50*time.Millisecond, func(_ string, st observer.Status) {
+		s := sched.Step(st)
+		muSample.Lock()
+		samples = append(samples, s)
+		muSample.Unlock()
+	})
+	if err := schedHub.Add("app", schedStream); err != nil {
+		t.Fatal(err)
+	}
+	defer schedHub.Remove("app")
 	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sched.Run(ctx, 50*time.Millisecond, func(s scheduler.Sample) {
-			muSample.Lock()
-			samples = append(samples, s)
-			muSample.Unlock()
-		}, nil)
-	}()
-	defer sched.Close()
+	go func() { defer wg.Done(); schedHub.Run(ctx) }()
 
 	// Phase 1: clean streaming.
 	recs, missed := collect(t, raw, func(r []heartbeat.Record, _ uint64) bool { return len(r) >= 200 })

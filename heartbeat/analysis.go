@@ -18,7 +18,7 @@ import (
 // backward wall-clock step would otherwise produce — producers clamp beat
 // times non-decreasing, so a step plateaus the rate instead of making it
 // negative). This is the single shared definition of the windowed rate;
-// every consumer — Heartbeat.Rate, observer.Window.RateOver, the hbfile
+// every consumer — Heartbeat.Rate, observer.Window, the hbfile
 // readers — computes through it, so a step-tolerance fix lands everywhere
 // at once.
 func RateOf(recs []Record) (Rate, bool) { return rateOf(recs) }

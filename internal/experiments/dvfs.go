@@ -58,13 +58,17 @@ func DVFS(Options) Result {
 			panic(err)
 		}
 		var gov *scheduler.DVFSGovernor
+		hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+			return &observer.Classifier{Window: window, Clock: clk}
+		}))
 		if governed {
-			gov, err = scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), m,
-				scheduler.WithGovernorWindow(window))
-			if err != nil {
+			if gov, err = scheduler.NewDVFSGovernor(m); err != nil {
 				panic(err)
 			}
-			defer gov.Close()
+			if err := hub.Add("app", observer.HeartbeatStream(hb)); err != nil {
+				panic(err)
+			}
+			defer hub.Remove("app")
 			m.SetFrequency(0.5) // governors start low and earn speed
 		}
 		var res runResult
@@ -84,9 +88,7 @@ func DVFS(Options) Result {
 				res.violated++
 			}
 			if governed && beat%check == 0 {
-				if _, err := gov.Step(); err != nil {
-					panic(err)
-				}
+				gov.Step(hub.Step()[0].Status)
 			}
 		}
 		res.energy = m.Energy()

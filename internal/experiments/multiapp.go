@@ -30,6 +30,7 @@ func MultiApp(Options) Result {
 	cluster := sim.NewCluster(clk, 8, coreRate)
 
 	type app struct {
+		name string
 		hb   *heartbeat.Heartbeat
 		proc *sim.Proc
 	}
@@ -41,7 +42,7 @@ func MultiApp(Options) Result {
 		if err := hb.SetTarget(min, max); err != nil {
 			panic(err)
 		}
-		a := &app{hb: hb}
+		a := &app{name: name, hb: hb}
 		beat := uint64(0)
 		a.proc = cluster.AddProc(name, initial, func() (sim.Work, bool) {
 			if beat > 0 {
@@ -66,16 +67,21 @@ func MultiApp(Options) Result {
 	}, 0.95)
 	b := mkApp("B", 1, 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
 
-	part, err := scheduler.NewPartitioner(8, 10)
+	part, err := scheduler.NewPartitioner(8)
 	if err != nil {
 		panic(err)
 	}
-	defer part.Close()
-	if err := part.Add("A", observer.HeartbeatStream(a.hb), a.proc.SetCores, 1); err != nil {
-		panic(err)
-	}
-	if err := part.Add("B", observer.HeartbeatStream(b.hb), b.proc.SetCores, 1); err != nil {
-		panic(err)
+	hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Window: 10, Clock: clk}
+	}))
+	for _, x := range []*app{a, b} {
+		if err := part.Add(x.name, x.proc.SetCores, 1); err != nil {
+			panic(err)
+		}
+		if err := hub.Add(x.name, observer.HeartbeatStream(x.hb)); err != nil {
+			panic(err)
+		}
+		defer hub.Remove(x.name)
 	}
 
 	series := &plot.Series{
@@ -89,10 +95,7 @@ func MultiApp(Options) Result {
 			loadBoundary = a.hb.Count() // A's next beats get heavier
 		}
 		cluster.RunUntil(clk.Now().Add(decide))
-		sts, err := part.Step()
-		if err != nil {
-			panic(err)
-		}
+		sts := part.Step(hub.Step())
 		series.Add(float64(step), sts[0].Rate, sts[1].Rate, float64(sts[0].Cores), float64(sts[1].Cores))
 		inA := sts[0].RateOK && sts[0].Rate >= 8 && sts[0].Rate <= 10
 		inB := sts[1].RateOK && sts[1].Rate >= 2 && sts[1].Rate <= 3

@@ -27,15 +27,18 @@ func schedExperiment(id string, w parsec.SchedWorkload, paperNote string) Result
 		panic(err)
 	}
 	m.SetCores(1) // the paper's scheduler starts every application on one core
-	sched, err := scheduler.New(
-		observer.HeartbeatStream(hb), m,
-		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: w.TargetMin, TargetMax: w.TargetMax}},
-		scheduler.WithWindow(w.Window),
-	)
+	sched, err := scheduler.New(m,
+		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: w.TargetMin, TargetMax: w.TargetMax}})
 	if err != nil {
 		panic(err)
 	}
-	defer sched.Close()
+	hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Window: w.Window, Clock: clk}
+	}))
+	if err := hub.Add(w.Name, observer.HeartbeatStream(hb)); err != nil {
+		panic(err)
+	}
+	defer hub.Remove(w.Name)
 
 	series := &plot.Series{
 		Title:  fmt.Sprintf("%s: %s under the external scheduler", id, w.Name),
@@ -56,10 +59,7 @@ func schedExperiment(id string, w parsec.SchedWorkload, paperNote string) Result
 			enteredAt = beat
 		}
 		if beat%w.CheckEvery == 0 {
-			s, err := sched.Step()
-			if err != nil {
-				panic(err)
-			}
+			s := sched.Step(hub.Step()[0].Status)
 			if s.Cores > maxCores {
 				maxCores = s.Cores
 			}

@@ -206,8 +206,8 @@ func TestScenarioMatrix(t *testing.T) {
 }
 
 // TestVirtualTimeControlLoop drives the wall-clock control loops — an
-// observer.Hub and a scheduler.CoreScheduler.Run — entirely under virtual
-// time: ~2 virtual minutes of judgments and decisions in well under a
+// observer.Hub, and a second hub whose judgments drive a
+// scheduler.CoreScheduler — entirely under virtual time: ~2 virtual minutes of judgments and decisions in well under a
 // real second, including a flatline detection, with not one real sleep.
 func TestVirtualTimeControlLoop(t *testing.T) {
 	clk := sim.NewClock(time.Time{})
@@ -255,18 +255,24 @@ func TestVirtualTimeControlLoop(t *testing.T) {
 	go func() { defer close(hubDone); hub.Run(hctx) }()
 
 	var samples atomic.Int64
-	sched, err := scheduler.New(observer.HeartbeatStream(hb), &fakeMachine{},
-		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 5, TargetMax: 1e6}},
-		scheduler.WithClock(clk))
+	sched, err := scheduler.New(&fakeMachine{},
+		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 5, TargetMax: 1e6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sched.Close()
+	schedHub := observer.NewHub(500*time.Millisecond, func(_ string, st observer.Status) {
+		sched.Step(st)
+		samples.Add(1)
+	}, observer.WithHubClock(clk))
+	if err := schedHub.Add("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
+	defer schedHub.Remove("app")
 	sctx, scancel := context.WithCancel(ctx)
 	schedDone := make(chan struct{})
 	go func() {
 		defer close(schedDone)
-		sched.Run(sctx, 500*time.Millisecond, func(scheduler.Sample) { samples.Add(1) }, nil)
+		schedHub.Run(sctx)
 	}()
 
 	// Wait (real time) until two virtual minutes have elapsed.

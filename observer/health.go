@@ -120,7 +120,7 @@ func (c *Classifier) now() time.Time {
 // arrive — does no per-record work.
 func (c *Classifier) ClassifyWindow(w *Window) Status {
 	rate, rateOK, cv := w.cachedStats(c.Window)
-	targetMin, targetMax, targetSet := w.Target()
+	targetMin, targetMax, targetSet := w.targetMin, w.targetMax, w.targetSet
 	now := c.now()
 	st := Status{
 		Count:     w.count,

@@ -163,8 +163,6 @@ func (h *Hub) Add(name string, stream Stream) error {
 // nothing, and no Next is still reading a stream when it is closed.
 // Remove must not be called from the hub's callbacks: the removal would
 // wait for a pump that is waiting for the callback to return.
-//
-//hbvet:api -- user need: an application leaves a running hub (elastic membership)
 func (h *Hub) Remove(name string) {
 	h.mu.Lock()
 	a, ok := h.apps[name]

@@ -31,11 +31,17 @@ func attach(t *testing.T, st observer.Stream) *observer.Window {
 	return w
 }
 
+// judge classifies w over window beats (0: the application's default):
+// the count, goal and rate a consumer reads off its Window.
+func judge(w *observer.Window, window int) observer.Status {
+	return (&observer.Classifier{Window: window}).ClassifyWindow(w)
+}
+
 func wantRate(t *testing.T, w *observer.Window, window int, want float64) {
 	t.Helper()
-	r, ok := w.RateOver(window)
-	if !ok || r.PerSec < want*0.999 || r.PerSec > want*1.001 {
-		t.Fatalf("RateOver(%d) = %v (ok %v), want %v", window, r.PerSec, ok, want)
+	st := judge(w, window)
+	if !st.RateOK || st.Rate < want*0.999 || st.Rate > want*1.001 {
+		t.Fatalf("rate over %d = %v (ok %v), want %v", window, st.Rate, st.RateOK, want)
 	}
 }
 
@@ -56,8 +62,8 @@ func TestHeartbeatSourceSnapshot(t *testing.T) {
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)
 
 	w := attach(t, observer.HeartbeatStream(hb))
-	if min, max, ok := w.Target(); w.Count() != 20 || !ok || min != 5 || max != 15 {
-		t.Fatalf("count %d, target [%v, %v] set %v", w.Count(), min, max, ok)
+	if st := judge(w, 0); st.Count != 20 || !st.TargetSet || st.TargetMin != 5 || st.TargetMax != 15 {
+		t.Fatalf("count %d, target [%v, %v] set %v", st.Count, st.TargetMin, st.TargetMax, st.TargetSet)
 	}
 	if n := len(w.Records()); n != 10 {
 		t.Fatalf("records = %d, want default window 10", n)
@@ -112,8 +118,8 @@ func TestFileSourceSnapshot(t *testing.T) {
 	}
 	defer r.Close()
 	w := attach(t, observer.ReaderStream(r, 0, 0, nil))
-	if min, _, ok := w.Target(); w.Count() != 30 || !ok || min != 30 {
-		t.Fatalf("count %d, target min %v set %v", w.Count(), min, ok)
+	if st := judge(w, 0); st.Count != 30 || !st.TargetSet || st.TargetMin != 30 {
+		t.Fatalf("count %d, target min %v set %v", st.Count, st.TargetMin, st.TargetSet)
 	}
 	wantRate(t, w, 0, 40)
 }
@@ -139,8 +145,8 @@ func TestLogSourceSnapshot(t *testing.T) {
 	}
 	defer r.Close()
 	w := attach(t, observer.ReaderStream(r, 0, 0, nil))
-	if min, max, ok := w.Target(); w.Count() != 40 || !ok || min != 4 || max != 6 {
-		t.Fatalf("count %d, target [%v, %v] set %v", w.Count(), min, max, ok)
+	if st := judge(w, 0); st.Count != 40 || !st.TargetSet || st.TargetMin != 4 || st.TargetMax != 6 {
+		t.Fatalf("count %d, target [%v, %v] set %v", st.Count, st.TargetMin, st.TargetMax, st.TargetSet)
 	}
 	wantRate(t, w, 0, 5)
 	// A classifier over the log works end to end.

@@ -16,12 +16,13 @@
 // heartbeat file or shared-memory region another process writes (idle
 // ticks cost one cursor read), FollowFile for a file path that must
 // survive the producer recreating it; package hbnet carries the same
-// streams across machines (hbnet.Client satisfies Stream, so hubs and
-// schedulers take remote applications unchanged).
+// streams across machines (hbnet.Client satisfies Stream, so hubs take
+// remote applications unchanged).
 //
-// One ownership rule: the consumer a stream is handed to (Hub.Add,
-// scheduler.New, ...) releases it, in its Close or Remove, by calling
-// Close if the stream is an io.Closer. The paper's two point reads,
+// One ownership rule: only Hub and hbnet.Relay hold streams. The one a
+// stream is handed to (Hub.Add, Relay.AddUpstream) releases it, in Remove
+// or Close, by calling Close if the stream is an io.Closer. Controllers
+// (package scheduler) hold none: they take a Hub's Status. The paper's two point reads,
 // HB_get_history and HB_current_rate, stay where the paper put them: on
 // heartbeat.Heartbeat (History, Rate) and hbfile.Reader (Last, Rate).
 package observer
@@ -76,7 +77,7 @@ type Batch struct {
 // immediately even if ctx is already cancelled; cancellation is only
 // reported once there is nothing to deliver. This makes a Next with an
 // expired context a non-blocking drain, which is how deterministic loops
-// (Hub.Step, scheduler.CoreScheduler.Step) consume streams. Next returns
+// (Hub.Step, DrainInto) consume streams. Next returns
 // io.EOF when the producer has closed the stream and every record has been
 // delivered.
 //
@@ -99,8 +100,9 @@ var noWaitCtx = func() context.Context {
 // DrainInto absorbs every already-published batch of s into w without
 // blocking. eof reports that the stream ended (the producer closed); the
 // window keeps its final state and further drains are pointless. This is
-// the one drain loop shared by every deterministic consumer (Hub.Step,
-// scheduler.CoreScheduler.Step, scheduler.Partitioner.Step).
+// the drain loop behind Hub.Step, for a consumer that keeps its own Window.
+//
+//hbvet:api -- README tour "Consuming heartbeats": the non-blocking drain of a stream into a consumer's own Window
 func DrainInto(s Stream, w *Window) (eof bool, err error) {
 	for {
 		b, nerr := s.Next(noWaitCtx)

@@ -184,12 +184,12 @@ func TestWindowAbsorbTrimAndCachedStats(t *testing.T) {
 	if len(recs) != 4 || recs[0].Seq != 3 || recs[3].Seq != 6 {
 		t.Fatalf("trimmed window = %+v", recs)
 	}
-	if w.Count() != 6 || w.Missed() != 2 {
-		t.Fatalf("count %d missed %d", w.Count(), w.Missed())
+	st := judge(w, 0)
+	if st.Count != 6 || w.Missed() != 2 {
+		t.Fatalf("count %d missed %d", st.Count, w.Missed())
 	}
-	r, ok := w.RateOver(0)
-	if !ok || r.PerSec < 9.99 || r.PerSec > 10.01 {
-		t.Fatalf("rate = %+v", r)
+	if !st.RateOK || st.Rate < 9.99 || st.Rate > 10.01 {
+		t.Fatalf("rate = %v (ok %v)", st.Rate, st.RateOK)
 	}
 	if w.LastBeat() != mk(6).Time {
 		t.Fatalf("last beat = %v", w.LastBeat())
@@ -212,19 +212,20 @@ func TestWindowRestartDropsOldLife(t *testing.T) {
 		fresh = append(fresh, heartbeat.Record{Seq: seq, Time: born.Add(time.Duration(seq) * 100 * time.Millisecond)})
 	}
 	w.Absorb(observer.Batch{Records: fresh, Count: 3, Window: 8})
-	if w.Count() != 3 {
-		t.Fatalf("Count = %d, want the new life's 3", w.Count())
+	st := judge(w, 0)
+	if st.Count != 3 {
+		t.Fatalf("Count = %d, want the new life's 3", st.Count)
 	}
 	if recs := w.Records(); len(recs) != 3 || recs[0].Seq != 1 {
 		t.Fatalf("window straddles the restart: %+v", recs)
 	}
-	if r, ok := w.RateOver(0); !ok || r.PerSec < 9.99 || r.PerSec > 10.01 {
-		t.Fatalf("rate = %+v, want the new life's 10/s (not one spanning the dead hour)", r)
+	if !st.RateOK || st.Rate < 9.99 || st.Rate > 10.01 {
+		t.Fatalf("rate = %v (ok %v), want the new life's 10/s (not one spanning the dead hour)", st.Rate, st.RateOK)
 	}
 	// The new life then continues normally.
 	w.Absorb(observer.Batch{Records: []heartbeat.Record{{Seq: 4, Time: born.Add(400 * time.Millisecond)}}, Count: 4, Window: 8})
-	if w.Count() != 4 || len(w.Records()) != 4 {
-		t.Fatalf("after continuing: count %d, %d records", w.Count(), len(w.Records()))
+	if st := judge(w, 0); st.Count != 4 || len(w.Records()) != 4 {
+		t.Fatalf("after continuing: count %d, %d records", st.Count, len(w.Records()))
 	}
 }
 

@@ -81,17 +81,8 @@ func (w *Window) Absorb(b Batch) {
 //hbvet:api -- user need: the records behind a judgment, for an observer that reports more than the rate
 func (w *Window) Records() []heartbeat.Record { return w.recs }
 
-// Count returns the observed application's total heartbeat count.
-func (w *Window) Count() uint64 { return w.count }
-
 // Missed returns how many records the stream reported lost to overwrite.
 func (w *Window) Missed() uint64 { return w.missed }
-
-// Target returns the advertised target range; ok is false when the
-// application never set one.
-func (w *Window) Target() (min, max float64, ok bool) {
-	return w.targetMin, w.targetMax, w.targetSet
-}
 
 // LastBeat returns the timestamp of the newest retained record (zero when
 // the window is empty).
@@ -104,9 +95,9 @@ func (w *Window) LastBeat() time.Time {
 	return w.recs[len(w.recs)-1].Time
 }
 
-// RateOver computes the heart rate over the last window records;
+// rateOver computes the heart rate over the last window records;
 // window <= 0 uses the application's default window.
-func (w *Window) RateOver(window int) (heartbeat.Rate, bool) {
+func (w *Window) rateOver(window int) (heartbeat.Rate, bool) {
 	if window <= 0 {
 		window = w.window
 	}
@@ -122,7 +113,7 @@ func (w *Window) RateOver(window int) (heartbeat.Rate, bool) {
 // the last call. This is what makes an idle classification tick O(1).
 func (w *Window) cachedStats(rateWindow int) (heartbeat.Rate, bool, float64) {
 	if w.dirty || rateWindow != w.statsWindow {
-		w.rate, w.rateOK = w.RateOver(rateWindow)
+		w.rate, w.rateOK = w.rateOver(rateWindow)
 		w.cv = stats.Summarize(heartbeat.Intervals(w.recs)).CV()
 		w.statsWindow = rateWindow
 		w.dirty = false

@@ -22,38 +22,21 @@ type FrequencyMachine interface {
 // by the performance measurements and target heart rate mechanisms of the
 // Heartbeats framework". Below the window it raises frequency one step;
 // above it, it lowers one step, cutting dynamic power cubically. Like
-// CoreScheduler it observes incrementally and owns its stream; Close
-// releases it.
+// CoreScheduler it holds no stream: it decides from a hub's judgment.
 type DVFSGovernor struct {
-	observed
 	machine FrequencyMachine
-	window  int
 }
 
 // governorStep is the frequency step per decision: eight P-state-like
 // levels across the DVFS range.
 const governorStep = 0.125
 
-// GovernorOption configures NewDVFSGovernor.
-type GovernorOption func(*DVFSGovernor)
-
-// WithGovernorWindow sets the observation window in beats.
-func WithGovernorWindow(n int) GovernorOption {
-	return func(g *DVFSGovernor) { g.window = n }
-}
-
-// NewDVFSGovernor creates a governor over the application's heartbeat
-// stream and the machine's frequency control.
-func NewDVFSGovernor(stream observer.Stream, machine FrequencyMachine, opts ...GovernorOption) (*DVFSGovernor, error) {
-	if stream == nil || machine == nil {
-		return nil, fmt.Errorf("scheduler: nil stream or machine")
+// NewDVFSGovernor creates a governor over the machine's frequency control.
+func NewDVFSGovernor(machine FrequencyMachine) (*DVFSGovernor, error) {
+	if machine == nil {
+		return nil, fmt.Errorf("scheduler: nil machine")
 	}
-	g := &DVFSGovernor{machine: machine}
-	for _, o := range opts {
-		o(g)
-	}
-	g.observed = observe(stream, g.window)
-	return g, nil
+	return &DVFSGovernor{machine: machine}, nil
 }
 
 // GovernorSample records one governor decision.
@@ -66,26 +49,22 @@ type GovernorSample struct {
 	TargetMax float64
 }
 
-// Step performs one observe–decide–actuate cycle: raise frequency when the
-// application misses its minimum target, lower it when the application
-// exceeds its maximum (wasting energy on unneeded speed).
-func (g *DVFSGovernor) Step() (GovernorSample, error) {
-	if err := g.drain(); err != nil {
-		return GovernorSample{}, fmt.Errorf("scheduler: %w", err)
-	}
-	r, ok := g.win.RateOver(g.window)
-	tmin, tmax, tset := g.win.Target()
+// Step performs one decide–actuate cycle on the application's judged
+// state: raise frequency when the application misses its minimum target,
+// lower it when the application exceeds its maximum (wasting energy on
+// unneeded speed).
+func (g *DVFSGovernor) Step(st observer.Status) GovernorSample {
 	f := g.machine.Frequency()
-	if ok && tset {
+	if st.RateOK && st.TargetSet {
 		switch {
-		case r.PerSec < tmin:
+		case st.Rate < st.TargetMin:
 			f = g.machine.SetFrequency(f + governorStep)
-		case r.PerSec > tmax:
+		case st.Rate > st.TargetMax:
 			f = g.machine.SetFrequency(f - governorStep)
 		}
 	}
 	return GovernorSample{
-		Beat: g.win.Count(), Rate: r.PerSec, RateOK: ok, Frequency: f,
-		TargetMin: tmin, TargetMax: tmax,
-	}, nil
+		Beat: st.Count, Rate: st.Rate, RateOK: st.RateOK, Frequency: f,
+		TargetMin: st.TargetMin, TargetMax: st.TargetMax,
+	}
 }

@@ -1,6 +1,7 @@
 package scheduler_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,12 +14,7 @@ import (
 )
 
 func TestDVFSGovernorValidation(t *testing.T) {
-	hb, _ := heartbeat.New(10)
-	m := sim.NewMachine(sim.NewClock(time.Time{}), 8, 1e6)
-	if _, err := scheduler.NewDVFSGovernor(nil, m); err == nil {
-		t.Fatal("nil stream accepted")
-	}
-	if _, err := scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), nil); err == nil {
+	if _, err := scheduler.NewDVFSGovernor(nil); err == nil {
 		t.Fatal("nil machine accepted")
 	}
 }
@@ -34,11 +30,11 @@ func TestDVFSGovernorSettlesAtMinimumFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb.SetTarget(29, 33)
-	gov, err := scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), m,
-		scheduler.WithGovernorWindow(window))
+	gov, err := scheduler.NewDVFSGovernor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub := watch(t, window, map[string]observer.Stream{"app": observer.HeartbeatStream(hb)})
 	// Work sized so f=0.5 gives ~32.5 beats/s: the governor should land
 	// there from full frequency (saving power) and return there after a
 	// heavy interlude.
@@ -49,9 +45,7 @@ func TestDVFSGovernorSettlesAtMinimumFrequency(t *testing.T) {
 			m.Execute(w)
 			hb.Beat()
 			if b%window == 0 {
-				if _, err := gov.Step(); err != nil {
-					t.Fatal(err)
-				}
+				gov.Step(hub.Step()[0].Status)
 			}
 		}
 	}
@@ -78,44 +72,54 @@ func TestDVFSGovernorHoldsWithoutMeasurement(t *testing.T) {
 	m := sim.NewMachine(clk, 8, 1e6)
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(10, 20)
-	gov, err := scheduler.NewDVFSGovernor(observer.HeartbeatStream(hb), m)
+	gov, err := scheduler.NewDVFSGovernor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub := watch(t, 0, map[string]observer.Stream{"app": observer.HeartbeatStream(hb)})
 	before := m.Frequency()
-	s, err := gov.Step() // no beats yet
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := gov.Step(hub.Step()[0].Status) // no beats yet
 	if s.RateOK || m.Frequency() != before {
 		t.Fatalf("governor acted without measurement: %+v, freq %v", s, m.Frequency())
 	}
 }
 
+// tallyStream wraps a stream, counting the records it delivers.
+type tallyStream struct {
+	observer.Stream
+	records int
+}
+
+func (s *tallyStream) Next(ctx context.Context) (observer.Batch, error) {
+	b, err := s.Stream.Next(ctx)
+	s.records += len(b.Records)
+	return b, err
+}
+
 // A decision point at which the application published nothing reads
-// nothing: the governor observes incrementally, like the core scheduler.
+// nothing: the hub the governor decides from observes incrementally.
 func TestGovernorIdleStepReadsNothing(t *testing.T) {
 	clk := sim.NewClock(time.Time{})
 	m := sim.NewMachine(clk, 8, 1e6)
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(5, 15)
 	st := &tallyStream{Stream: observer.HeartbeatStream(hb)}
-	gov, err := scheduler.NewDVFSGovernor(st, m)
+	gov, err := scheduler.NewDVFSGovernor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gov.Close()
+	hub := watch(t, 0, map[string]observer.Stream{"app": st})
 	for i := 0; i < 10; i++ {
 		clk.Advance(100 * time.Millisecond)
 		hb.Beat()
 	}
-	busy, err := gov.Step()
-	if err != nil || !busy.RateOK || st.records != 10 {
-		t.Fatalf("first step = %+v, err %v, after absorbing %d records; want a rate from all 10", busy, err, st.records)
+	busy := gov.Step(hub.Step()[0].Status)
+	if !busy.RateOK || st.records != 10 {
+		t.Fatalf("first step = %+v after absorbing %d records; want a rate from all 10", busy, st.records)
 	}
-	idle, err := gov.Step()
-	if err != nil || st.records != 10 {
-		t.Fatalf("idle step absorbed %d records (err %v), want 0", st.records-10, err)
+	idle := gov.Step(hub.Step()[0].Status)
+	if st.records != 10 {
+		t.Fatalf("idle step absorbed %d records, want 0", st.records-10)
 	}
 	if idle != busy {
 		t.Fatalf("idle step decided differently: %+v, then %+v", busy, idle)
@@ -144,20 +148,17 @@ func TestGovernorOverFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	gov, err := scheduler.NewDVFSGovernor(observer.ReaderStream(r, 0, 0, nil), m,
-		scheduler.WithGovernorWindow(window))
+	gov, err := scheduler.NewDVFSGovernor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gov.Close()
+	hub := watch(t, window, map[string]observer.Stream{"app": observer.ReaderStream(r, 0, 0, nil)})
 	var last scheduler.GovernorSample
 	for b := 1; b <= 200; b++ {
 		m.Execute(sim.Work{Ops: 0.0912e9, ParallelFrac: 0.95}) // ~32.5 beats/s at f=0.5
 		hb.Beat()
 		if b%window == 0 {
-			if last, err = gov.Step(); err != nil {
-				t.Fatal(err)
-			}
+			last = gov.Step(hub.Step()[0].Status)
 		}
 	}
 	if m.Frequency() != 0.5 || last.Beat != 200 || last.Rate < 29 || last.Rate > 33 {

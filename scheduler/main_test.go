@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the package if any test leaves goroutines running — a
-// scheduler's Run loop must unwind on cancel.
+// hub's Run loop driving a scheduler must unwind on cancel.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

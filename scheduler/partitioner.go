@@ -11,23 +11,17 @@ import (
 // window — the paper's multi-application scenario (§1: resources
 // "reallocated to provide the best global outcome", §2.4's organic OS).
 // Like the single-application scheduler it observes nothing but
-// heartbeats; each decision moves at most one core, taken from the idle
-// pool, or from the application most above its window, and given to the
-// application furthest below its own.
-//
-// Each application is consumed as an incremental stream: a Step reads
-// only the records published since the previous Step, per application,
-// instead of re-fetching every window every decision.
+// heartbeats, as an observer.Hub judges them; each decision moves at most
+// one core, taken from the idle pool, or from the application most above
+// its window, and given to the application furthest below its own.
 //
 // Partitioner is not safe for concurrent use.
 type Partitioner struct {
-	total  int
-	window int
-	apps   []*partApp
+	total int
+	apps  []*partApp
 }
 
 type partApp struct {
-	observed
 	name  string
 	set   func(int) int
 	cores int
@@ -47,29 +41,27 @@ type AppStatus struct {
 }
 
 // NewPartitioner creates a partitioner over a pool of total cores.
-// window sets the rate-averaging window in beats (0: each application's
-// default).
-func NewPartitioner(total, window int) (*Partitioner, error) {
+func NewPartitioner(total int) (*Partitioner, error) {
 	if total < 1 {
 		return nil, fmt.Errorf("scheduler: partitioner needs at least 1 core, got %d", total)
 	}
-	return &Partitioner{total: total, window: window}, nil
+	return &Partitioner{total: total}, nil
 }
 
-// Add registers an application: its heartbeat stream and its core
-// actuator (which must clamp and return the effective grant, e.g.
+// Add registers an application under the name its statuses carry, with
+// its core actuator (which must clamp and return the effective grant, e.g.
 // (*sim.Proc).SetCores). The initial grant is applied immediately, capped
 // by the free cores; when none is free, the new application's one core is
-// taken from the application holding the most. Add fails if the pool
-// cannot hold one core per registered application;
-// on success the partitioner owns the stream (see Close). The partitioner
-// is Step-driven — Step drains every stream without blocking, so a polled
-// stream's pacing is never waited on and no clock threading is needed
-// (callers on a virtual clock call Step from their own clocked loop;
-// contrast CoreScheduler.Run, which waits and therefore takes WithClock).
-func (p *Partitioner) Add(name string, stream observer.Stream, set func(int) int, initial int) error {
-	if stream == nil || set == nil {
-		return fmt.Errorf("scheduler: nil stream or actuator for %q", name)
+// taken from the application holding the most. Add fails on a duplicate
+// name, and if the pool cannot hold one core per registered application.
+func (p *Partitioner) Add(name string, set func(int) int, initial int) error {
+	if set == nil {
+		return fmt.Errorf("scheduler: nil actuator for %q", name)
+	}
+	for _, a := range p.apps {
+		if a.name == name {
+			return fmt.Errorf("scheduler: duplicate app %q", name)
+		}
 	}
 	if len(p.apps)+1 > p.total {
 		return fmt.Errorf("scheduler: %d apps cannot share %d cores (1 core per app minimum)", len(p.apps)+1, p.total)
@@ -86,7 +78,7 @@ func (p *Partitioner) Add(name string, stream observer.Stream, set func(int) int
 		richest.resize(-1)
 	}
 	initial = min(max(initial, 1), p.Free())
-	a := &partApp{observed: observe(stream, p.window), name: name, set: set}
+	a := &partApp{name: name, set: set}
 	a.cores = set(initial)
 	p.apps = append(p.apps, a)
 	return nil
@@ -103,39 +95,28 @@ func (p *Partitioner) used() int {
 // Free returns the number of unallocated cores.
 func (p *Partitioner) Free() int { return p.total - p.used() }
 
-// Close releases every registered application's stream (see
-// CoreScheduler.Close). Close the partitioner once no Step is active.
-func (p *Partitioner) Close() error {
-	var first error
-	for _, a := range p.apps {
-		if err := a.Close(); err != nil && first == nil {
-			first = err
-		}
+// Step performs one decide–actuate cycle over all applications, each
+// judged by the status of its name in sts (as observer.Hub.Step returns
+// them; an application missing from sts counts as unobserved), and returns
+// their statuses after actuation, in registration order.
+func (p *Partitioner) Step(sts []observer.NamedStatus) []AppStatus {
+	judged := make(map[string]observer.Status, len(sts))
+	for _, ns := range sts {
+		judged[ns.Name] = ns.Status
 	}
-	return first
-}
-
-// Step performs one observe–decide–actuate cycle over all applications
-// and returns their statuses after actuation.
-func (p *Partitioner) Step() ([]AppStatus, error) {
 	statuses := make([]AppStatus, len(p.apps))
 	for i, a := range p.apps {
-		if err := a.drain(); err != nil {
-			return nil, fmt.Errorf("scheduler: observing %q: %w", a.name, err)
-		}
-		r, ok := a.win.RateOver(p.window)
-		rate := r.PerSec
-		targetMin, targetMax, targetSet := a.win.Target()
+		obs := judged[a.name]
 		st := AppStatus{
-			Name: a.name, Rate: rate, RateOK: ok, Cores: a.cores,
-			TargetMin: targetMin, TargetMax: targetMax,
+			Name: a.name, Rate: obs.Rate, RateOK: obs.RateOK, Cores: a.cores,
+			TargetMin: obs.TargetMin, TargetMax: obs.TargetMax,
 		}
-		if ok && targetSet {
-			if rate < targetMin && targetMin > 0 {
-				st.Need = (targetMin - rate) / targetMin
+		if obs.RateOK && obs.TargetSet {
+			if obs.Rate < obs.TargetMin && obs.TargetMin > 0 {
+				st.Need = (obs.TargetMin - obs.Rate) / obs.TargetMin
 			}
-			if rate > targetMax && targetMax > 0 {
-				st.Surplus = (rate - targetMax) / targetMax
+			if obs.Rate > obs.TargetMax && obs.TargetMax > 0 {
+				st.Surplus = (obs.Rate - obs.TargetMax) / obs.TargetMax
 			}
 		}
 		statuses[i] = st
@@ -170,7 +151,7 @@ func (p *Partitioner) Step() ([]AppStatus, error) {
 	for i, a := range p.apps {
 		statuses[i].Cores = a.cores
 	}
-	return statuses, nil
+	return statuses
 }
 
 // resize moves a's grant by delta cores through its actuator, never below

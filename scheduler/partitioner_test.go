@@ -2,6 +2,7 @@ package scheduler_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -50,24 +51,22 @@ func TestPartitionerBalancesTwoApps(t *testing.T) {
 	// App B: wants 2-3 beats/s, needs ~2 cores (0.8e6 ops/beat, p=0.9).
 	b := addClusterApp(t, cluster, "b", 1, 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
 
-	part, err := scheduler.NewPartitioner(8, 10)
+	part, err := scheduler.NewPartitioner(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("a", observer.HeartbeatStream(a.hb), a.proc.SetCores, 1); err != nil {
+	if err := part.Add("a", a.proc.SetCores, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("b", observer.HeartbeatStream(b.hb), b.proc.SetCores, 1); err != nil {
+	if err := part.Add("b", b.proc.SetCores, 1); err != nil {
 		t.Fatal(err)
 	}
+	hub := watch(t, 10, map[string]observer.Stream{"a": observer.HeartbeatStream(a.hb), "b": observer.HeartbeatStream(b.hb)})
 
 	var last []scheduler.AppStatus
 	for i := 0; i < 120; i++ {
 		cluster.RunUntil(clk.Now().Add(2 * time.Second))
-		last, err = part.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
+		last = part.Step(hub.Step())
 		if used := a.proc.Cores() + b.proc.Cores(); used > 8 {
 			t.Fatalf("oversubscribed: %d cores", used)
 		}
@@ -97,19 +96,18 @@ func TestPartitionerShiftsCoresOnLoadChange(t *testing.T) {
 	}, 0.95)
 	b := addClusterApp(t, cluster, "b", 4, 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
 
-	part, err := scheduler.NewPartitioner(8, 10)
+	part, err := scheduler.NewPartitioner(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part.Add("a", observer.HeartbeatStream(a.hb), a.proc.SetCores, 4)
-	part.Add("b", observer.HeartbeatStream(b.hb), b.proc.SetCores, 3)
+	part.Add("a", a.proc.SetCores, 4)
+	part.Add("b", b.proc.SetCores, 3)
+	hub := watch(t, 10, map[string]observer.Stream{"a": observer.HeartbeatStream(a.hb), "b": observer.HeartbeatStream(b.hb)})
 
 	coresAtPhase1 := 0
 	for i := 0; i < 300; i++ {
 		cluster.RunUntil(clk.Now().Add(2 * time.Second))
-		if _, err := part.Step(); err != nil {
-			t.Fatal(err)
-		}
+		part.Step(hub.Step())
 		if a.hb.Count() < 200 {
 			coresAtPhase1 = a.proc.Cores()
 		}
@@ -126,29 +124,27 @@ func TestPartitionerShiftsCoresOnLoadChange(t *testing.T) {
 }
 
 func TestPartitionerValidation(t *testing.T) {
-	if _, err := scheduler.NewPartitioner(0, 5); err == nil {
+	if _, err := scheduler.NewPartitioner(0); err == nil {
 		t.Fatal("0-core pool accepted")
 	}
-	part, err := scheduler.NewPartitioner(2, 5)
+	part, err := scheduler.NewPartitioner(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, _ := heartbeat.New(5)
-	src := func() observer.Stream { return observer.HeartbeatStream(hb) }
 	set := func(n int) int { return n }
-	if err := part.Add("a", nil, set, 1); err == nil {
-		t.Fatal("nil stream accepted")
-	}
-	if err := part.Add("a", src(), nil, 1); err == nil {
+	if err := part.Add("a", nil, 1); err == nil {
 		t.Fatal("nil actuator accepted")
 	}
-	if err := part.Add("a", src(), set, 1); err != nil {
+	if err := part.Add("a", set, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("b", src(), set, 1); err != nil {
+	if err := part.Add("a", set, 1); err == nil {
+		t.Fatal("duplicate name accepted")
+	}
+	if err := part.Add("b", set, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Add("c", src(), set, 1); err == nil {
+	if err := part.Add("c", set, 1); err == nil {
 		t.Fatal("third app on 2 cores accepted")
 	}
 }
@@ -158,7 +154,7 @@ func TestPartitionerValidation(t *testing.T) {
 func TestPartitionerInvariantsProperty(t *testing.T) {
 	f := func(rates []uint16) bool {
 		const total = 8
-		part, err := scheduler.NewPartitioner(total, 4)
+		part, err := scheduler.NewPartitioner(total)
 		if err != nil {
 			return false
 		}
@@ -166,9 +162,11 @@ func TestPartitionerInvariantsProperty(t *testing.T) {
 		// input; targets [10, 20] each.
 		cores := [3]int{2, 2, 2}
 		rate := [3]float64{15, 15, 15}
+		streams := map[string]observer.Stream{}
 		for i := 0; i < 3; i++ {
 			i := i
-			src := &rateStream{perSec: &rate[i], min: 10, max: 20}
+			name := fmt.Sprint("app", i)
+			streams[name] = &rateStream{perSec: &rate[i], min: 10, max: 20}
 			set := func(n int) int {
 				if n < 1 {
 					n = 1
@@ -176,15 +174,14 @@ func TestPartitionerInvariantsProperty(t *testing.T) {
 				cores[i] = n
 				return n
 			}
-			if err := part.Add("app", src, set, cores[i]); err != nil {
+			if err := part.Add(name, set, cores[i]); err != nil {
 				return false
 			}
 		}
+		hub := watch(t, 4, streams)
 		for step, r := range rates {
 			rate[step%3] = float64(r % 40)
-			if _, err := part.Step(); err != nil {
-				return false
-			}
+			part.Step(hub.Step())
 			sum := cores[0] + cores[1] + cores[2]
 			if sum > total {
 				return false
@@ -238,11 +235,10 @@ func (s *rateStream) Next(ctx context.Context) (observer.Batch, error) {
 // per application — without over-committing the pool: when no core is
 // free, the new application's core comes from the one holding the most.
 func TestPartitionerAddNeverOvercommits(t *testing.T) {
-	part, err := scheduler.NewPartitioner(4, 0)
+	part, err := scheduler.NewPartitioner(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, _ := heartbeat.New(5)
 	cores := map[string]int{}
 	for _, app := range []struct {
 		name    string
@@ -254,7 +250,7 @@ func TestPartitionerAddNeverOvercommits(t *testing.T) {
 			cores[name] = n
 			return n
 		}
-		if err := part.Add(name, observer.HeartbeatStream(hb), set, app.initial); err != nil {
+		if err := part.Add(name, set, app.initial); err != nil {
 			t.Fatal(err)
 		}
 		granted := 0

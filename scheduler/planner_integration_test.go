@@ -19,20 +19,18 @@ func TestPlannerPolicyConvergesFasterThanStepper(t *testing.T) {
 		hb, m := newSim(t, window)
 		hb.SetTarget(8, 10)
 		m.SetCores(1)
-		sched, err := scheduler.New(observer.HeartbeatStream(hb), m, pol)
+		sched, err := scheduler.New(m, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
+		hub := watch(t, 0, map[string]observer.Stream{"app": observer.HeartbeatStream(hb)})
 		work := func(int) sim.Work { return sim.Work{Ops: 0.5e6, ParallelFrac: 0.95} }
 		decisions := 0
 		for b := 1; b <= 600; b++ {
 			m.Execute(work(b))
 			hb.Beat()
 			if b%window == 0 {
-				s, err := sched.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := sched.Step(hub.Step()[0].Status)
 				decisions++
 				if s.RateOK && s.Rate >= 8 && s.Rate <= 10 {
 					return decisions

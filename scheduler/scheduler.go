@@ -9,14 +9,10 @@
 package scheduler
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"math"
-	"time"
 
 	"repro/control"
-	"repro/heartbeat"
 	"repro/observer"
 )
 
@@ -83,150 +79,41 @@ type Sample struct {
 	TargetMax float64
 }
 
-// observed is the consumer half every controller in this package shares:
-// one application's stream, drained without blocking into a private window
-// at each decision point, so a decision reads only the records published
-// since the previous one and a decision point at which the application made
-// no progress costs no per-record work.
-//
-// It carries the package's one ownership rule: a controller owns the stream
-// it was handed and releases it in Close.
-type observed struct {
-	stream observer.Stream // nil once closed
-	win    *observer.Window
-	eof    bool
-}
-
-func observe(stream observer.Stream, window int) observed {
-	return observed{stream: stream, win: observer.NewWindow(window)}
-}
-
-// drain absorbs the records published since the last drain. Once the
-// stream ends (the observed Heartbeat was closed) the window keeps its
-// final state.
-func (o *observed) drain() error {
-	if o.eof {
-		return nil
-	}
-	eof, err := observer.DrainInto(o.stream, o.win)
-	o.eof = eof
-	return err
-}
-
-// Close releases the observed stream: it is closed, once, if it is an
-// io.Closer (in-process streams hold a subscription on the observed
-// Heartbeat, remote ones a connection, for as long as they live). Call it
-// once no Step or Run is active; a later Step decides from the final
-// window.
-func (o *observed) Close() error {
-	c, ok := o.stream.(io.Closer)
-	o.stream, o.eof = nil, true
-	if !ok {
-		return nil
-	}
-	return c.Close()
-}
-
-// CoreScheduler couples an application's heartbeat stream to a CoreMachine
-// through a Policy. Drive it either by calling Step at decision points
-// (the deterministic experiment harness does this once per heartbeat
-// window) or with Run for a wall-clock loop; Close releases the stream.
+// CoreScheduler couples an application's judged heart rate to a
+// CoreMachine through a Policy. It holds no stream: an observer.Hub owns
+// the application's stream and judges it, and each call to Step decides
+// from one such judgment — at decision points of the caller's choosing
+// (the deterministic experiment harness steps once per heartbeat window),
+// or from the hub's onStatus callback for a wall-clock loop.
 type CoreScheduler struct {
-	observed
 	machine CoreMachine
 	policy  Policy
-	window  int             // observation window in beats (0: the application's default)
-	clk     heartbeat.Clock // nil = wall clock; paces Run's decision cadence
 }
 
-// Option configures New.
-type Option func(*CoreScheduler)
-
-// WithWindow sets the observation window in beats used for rate
-// measurements (default: the application's default window).
-func WithWindow(n int) Option { return func(s *CoreScheduler) { s.window = n } }
-
-// WithClock runs the decision loop on an explicit clock: Run's intervals
-// follow clk (virtual for a sim.Clock), so a simulated scheduler decides
-// on the simulation's schedule instead of the host's. A nil clk is the
-// wall clock. Step is unaffected — it is already clock-free.
-//
-//hbvet:api -- user need: run the decision loop on a virtual clock, in tests and simulations
-func WithClock(clk heartbeat.Clock) Option { return func(s *CoreScheduler) { s.clk = clk } }
-
-// New creates a scheduler observing stream, which it owns from here on
-// (see Close). A nil stream, machine or policy is an error.
-func New(stream observer.Stream, machine CoreMachine, policy Policy, opts ...Option) (*CoreScheduler, error) {
-	if stream == nil || machine == nil || policy == nil {
-		return nil, fmt.Errorf("scheduler: nil stream, machine, or policy")
+// New creates a scheduler actuating machine through policy. A nil machine
+// or policy is an error.
+func New(machine CoreMachine, policy Policy) (*CoreScheduler, error) {
+	if machine == nil || policy == nil {
+		return nil, fmt.Errorf("scheduler: nil machine or policy")
 	}
-	s := &CoreScheduler{machine: machine, policy: policy}
-	for _, o := range opts {
-		o(s)
-	}
-	s.observed = observe(stream, s.window)
-	return s, nil
+	return &CoreScheduler{machine: machine, policy: policy}, nil
 }
 
-// Step performs one observe–decide–actuate cycle: absorb the records
-// published since the last cycle, then decide from the accumulated window.
-// Once the stream ends (the observed Heartbeat was closed) the scheduler
-// keeps deciding from the final window.
-func (s *CoreScheduler) Step() (Sample, error) {
-	if err := s.drain(); err != nil {
-		return Sample{}, fmt.Errorf("scheduler: %w", err)
-	}
-	return s.decide(), nil
-}
-
-// decide runs the policy against the current window state.
-func (s *CoreScheduler) decide() Sample {
-	r, ok := s.win.RateOver(s.window)
+// Step performs one decide–actuate cycle on the application's judged
+// state: the policy maps st's rate to a core count, which is granted.
+func (s *CoreScheduler) Step(st observer.Status) Sample {
 	cur, max := s.machine.Cores(), s.machine.MaxCores()
-	desired := s.policy.DesiredCores(r.PerSec, ok, cur, max)
+	desired := s.policy.DesiredCores(st.Rate, st.RateOK, cur, max)
 	granted := cur
 	if desired != cur {
 		granted = s.machine.SetCores(desired)
 	}
-	tmin, tmax, _ := s.win.Target()
 	return Sample{
-		Beat:      s.win.Count(),
-		Rate:      r.PerSec,
-		RateOK:    ok,
+		Beat:      st.Count,
+		Rate:      st.Rate,
+		RateOK:    st.RateOK,
 		Cores:     granted,
-		TargetMin: tmin,
-		TargetMax: tmax,
-	}
-}
-
-// Run calls Step every interval on the scheduler's clock until ctx is
-// cancelled, invoking onSample (if non-nil) after each cycle and onError
-// (if non-nil) on failures. The first decision is immediate. Step drains
-// everything published before each decision, so the stream is read only
-// at decision points and an idle application costs one cursor read per
-// tick. A non-positive interval is clamped to a 100ms decision cadence
-// (the loop would busy-spin on one).
-//
-//hbvet:api -- paper §5.3: the external scheduler's wall-clock loop around Step
-func (s *CoreScheduler) Run(ctx context.Context, interval time.Duration, onSample func(Sample), onError func(error)) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	tick := heartbeat.NewTicker(s.clk, interval)
-	defer tick.Stop()
-	for {
-		if sample, err := s.Step(); err != nil {
-			if onError != nil {
-				onError(err)
-			}
-		} else if onSample != nil {
-			onSample(sample)
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C():
-			tick.Next()
-		}
+		TargetMin: st.TargetMin,
+		TargetMax: st.TargetMax,
 	}
 }

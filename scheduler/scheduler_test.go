@@ -14,21 +14,35 @@ import (
 	"repro/sim"
 )
 
+// watch registers each named stream with a fresh hub judging over window
+// beats (0: each application's default); the test's cleanup removes them,
+// releasing the streams.
+func watch(t testing.TB, window int, streams map[string]observer.Stream) *observer.Hub {
+	t.Helper()
+	hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Window: window}
+	}))
+	for name, st := range streams {
+		if err := hub.Add(name, st); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { hub.Remove(name) })
+	}
+	return hub
+}
+
 // runApp simulates an instrumented application: each beat costs work ops,
-// executed on the machine; the scheduler steps once every window beats.
+// executed on the machine; the scheduler steps on the hub's judgment once
+// every window beats.
 func runApp(t *testing.T, hb *heartbeat.Heartbeat, m *sim.Machine, sched *scheduler.CoreScheduler,
-	beats int, window int, cost func(beat int) sim.Work) []scheduler.Sample {
+	hub *observer.Hub, beats int, window int, cost func(beat int) sim.Work) []scheduler.Sample {
 	t.Helper()
 	var samples []scheduler.Sample
 	for b := 1; b <= beats; b++ {
 		m.Execute(cost(b))
 		hb.Beat()
 		if b%window == 0 {
-			s, err := sched.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			samples = append(samples, s)
+			samples = append(samples, sched.Step(hub.Step()[0].Status))
 		}
 	}
 	return samples
@@ -46,16 +60,12 @@ func newSim(t *testing.T, window int) (*heartbeat.Heartbeat, *sim.Machine) {
 }
 
 func TestNewValidation(t *testing.T) {
-	hb, m := newSim(t, 10)
-	src := observer.HeartbeatStream(hb)
+	_, m := newSim(t, 10)
 	pol := scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 2}}
-	if _, err := scheduler.New(nil, m, pol); err == nil {
-		t.Fatal("nil stream accepted")
-	}
-	if _, err := scheduler.New(src, nil, pol); err == nil {
+	if _, err := scheduler.New(nil, pol); err == nil {
 		t.Fatal("nil machine accepted")
 	}
-	if _, err := scheduler.New(src, m, nil); err == nil {
+	if _, err := scheduler.New(m, nil); err == nil {
 		t.Fatal("nil policy accepted")
 	}
 }
@@ -70,14 +80,12 @@ func TestStepperSchedulerReachesWindow(t *testing.T) {
 	work := func(int) sim.Work { return sim.Work{Ops: 0.5e6, ParallelFrac: 0.95} }
 	hb.SetTarget(8, 10)
 	m.SetCores(1)
-	sched, err := scheduler.New(
-		observer.HeartbeatStream(hb), m,
-		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
-	)
+	sched, err := scheduler.New(m, scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := runApp(t, hb, m, sched, 400, window, work)
+	hub := watch(t, 0, map[string]observer.Stream{"app": observer.HeartbeatStream(hb)})
+	samples := runApp(t, hb, m, sched, hub, 400, window, work)
 
 	// Once in the window, it must stay (deterministic plant).
 	entered := -1
@@ -108,20 +116,18 @@ func TestSchedulerReclaimsCoresOnLoadDrop(t *testing.T) {
 	hb, m := newSim(t, window)
 	hb.SetTarget(8, 10)
 	m.SetCores(1)
-	sched, err := scheduler.New(
-		observer.HeartbeatStream(hb), m,
-		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
-	)
+	sched, err := scheduler.New(m, scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub := watch(t, 0, map[string]observer.Stream{"app": observer.HeartbeatStream(hb)})
 	work := func(beat int) sim.Work {
 		if beat <= 300 {
 			return sim.Work{Ops: 0.5e6, ParallelFrac: 0.95}
 		}
 		return sim.Work{Ops: 0.1e6, ParallelFrac: 0.95} // 5x lighter
 	}
-	samples := runApp(t, hb, m, sched, 700, window, work)
+	samples := runApp(t, hb, m, sched, hub, 700, window, work)
 
 	heavyCores := 0
 	for _, s := range samples {
@@ -148,15 +154,13 @@ func TestPIPolicyScheduler(t *testing.T) {
 	hb.SetTarget(8, 10)
 	m.SetCores(1)
 	pi := &control.PI{Kp: 0.15, Ki: 0.4, Setpoint: 9, MinOutput: 1, MaxOutput: 8}
-	sched, err := scheduler.New(
-		observer.HeartbeatStream(hb), m,
-		scheduler.PIPolicy{PI: pi, Dt: 1},
-	)
+	sched, err := scheduler.New(m, scheduler.PIPolicy{PI: pi, Dt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub := watch(t, 0, map[string]observer.Stream{"app": observer.HeartbeatStream(hb)})
 	work := func(int) sim.Work { return sim.Work{Ops: 0.5e6, ParallelFrac: 0.95} }
-	samples := runApp(t, hb, m, sched, 600, window, work)
+	samples := runApp(t, hb, m, sched, hub, 600, window, work)
 	final := samples[len(samples)-1]
 	if !final.RateOK || final.Rate < 7 || final.Rate > 11 {
 		t.Fatalf("PI failed to settle: %+v", final)
@@ -186,15 +190,12 @@ func TestSchedulerOverFileSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sched, err := scheduler.New(
-		observer.ReaderStream(r, 0, 0, nil), m,
-		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}},
-		scheduler.WithWindow(window),
-	)
+	sched, err := scheduler.New(m, scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 8, TargetMax: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := runApp(t, hb, m, sched, 400, window, func(int) sim.Work {
+	hub := watch(t, window, map[string]observer.Stream{"app": observer.ReaderStream(r, 0, 0, nil)})
+	samples := runApp(t, hb, m, sched, hub, 400, window, func(int) sim.Work {
 		return sim.Work{Ops: 0.5e6, ParallelFrac: 0.95}
 	})
 	final := samples[len(samples)-1]
@@ -206,27 +207,30 @@ func TestSchedulerOverFileSource(t *testing.T) {
 	}
 }
 
-// Run drives Step on a wall-clock ticker and stops on cancellation.
+// A running hub drives Step from its wall-clock ticks and stops on
+// cancellation.
 func TestRunLoop(t *testing.T) {
 	hb, m := newSim(t, 10)
 	hb.SetTarget(1, 2)
-	sched, err := scheduler.New(
-		observer.HeartbeatStream(hb), m,
-		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 2}},
-	)
+	sched, err := scheduler.New(m, scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan scheduler.Sample, 1)
+	hub := observer.NewHub(time.Millisecond, func(_ string, st observer.Status) {
+		select {
+		case got <- sched.Step(st):
+		default:
+		}
+	})
+	if err := hub.Add("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Remove("app")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		sched.Run(ctx, time.Millisecond, func(s scheduler.Sample) {
-			select {
-			case got <- s:
-			default:
-			}
-		}, nil)
+		hub.Run(ctx)
 		close(done)
 	}()
 	select {

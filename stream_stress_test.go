@@ -4,8 +4,8 @@ package repro
 // consumers of different kinds, all under -race. The raw subscriber
 // asserts the core streaming contract — every global sequence number is
 // delivered exactly once, in order, across a mid-stream resubscribe —
-// while a one-app Hub and a CoreScheduler consume the same heartbeat through
-// their own independent cursors.
+// while a one-app Hub and a hub driving a CoreScheduler consume the same
+// heartbeat through their own independent cursors.
 
 import (
 	"context"
@@ -76,22 +76,29 @@ func TestStreamFanoutNoLossNoDupAcrossResubscribe(t *testing.T) {
 		monitor.Run(mctx)
 	}()
 
-	// Consumer 2: a CoreScheduler deciding through its own stream.
+	// Consumer 2: a CoreScheduler deciding from its own hub's judgments.
 	var samples atomic.Int64
 	sctx, scancel := context.WithCancel(ctx)
 	defer scancel()
+	sched, err := scheduler.New(&stressMachine{},
+		scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 1e9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedHub := observer.NewHub(time.Millisecond, func(_ string, st observer.Status) {
+		sched.Step(st)
+		samples.Add(1)
+	}, observer.WithHubClassifier(func(string) *observer.Classifier {
+		return &observer.Classifier{Window: 20}
+	}))
+	if err := schedHub.Add("app", observer.HeartbeatStream(hb)); err != nil {
+		t.Fatal(err)
+	}
+	defer schedHub.Remove("app")
 	schedDone := make(chan struct{})
 	go func() {
 		defer close(schedDone)
-		sched, err := scheduler.New(observer.HeartbeatStream(hb), &stressMachine{},
-			scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: 1, TargetMax: 1e9}},
-			scheduler.WithWindow(20))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer sched.Close()
-		sched.Run(sctx, time.Millisecond, func(scheduler.Sample) { samples.Add(1) }, nil)
+		schedHub.Run(sctx)
 	}()
 
 	// Producer: a single Thread beating through its lock-free shard.
