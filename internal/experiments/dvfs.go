@@ -58,13 +58,14 @@ func DVFS(Options) Result {
 			panic(err)
 		}
 		var gov *scheduler.DVFSGovernor
-		hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
-			return &observer.Classifier{Window: window, Clock: clk}
-		}))
+		var hub *observer.Hub
 		if governed {
 			if gov, err = scheduler.NewDVFSGovernor(m); err != nil {
 				panic(err)
 			}
+			hub = observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
+				return &observer.Classifier{Window: window, Clock: clk}
+			}))
 			if err := hub.Add("app", observer.HeartbeatStream(hb)); err != nil {
 				panic(err)
 			}

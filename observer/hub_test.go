@@ -107,6 +107,29 @@ func TestHubStepIsIncremental(t *testing.T) {
 	}
 }
 
+// Step routes a stream's error to the onError callback, as Run's pumps do,
+// and judges the application from what it delivered before failing.
+func TestHubStepSurfacesStreamError(t *testing.T) {
+	boom := errors.New("stream unavailable")
+	var errs []error
+	hub := observer.NewHub(0, nil, observer.WithHubOnError(func(name string, err error) {
+		if name == "app" {
+			errs = append(errs, err)
+		}
+	}))
+	src := scriptStream(func(context.Context) (observer.Batch, error) { return observer.Batch{}, boom })
+	if err := hub.Add("app", src); err != nil {
+		t.Fatal(err)
+	}
+	st := hub.Step()[0].Status
+	if len(errs) != 1 || !errors.Is(errs[0], boom) {
+		t.Fatalf("onError saw %v, want the stream's error once", errs)
+	}
+	if st.Count != 0 || st.RateOK {
+		t.Fatalf("judged %+v from a stream that delivered nothing", st)
+	}
+}
+
 // Each application is judged over its classifier's Window, not over its own
 // default window: twenty beats at 1/s then ten at 100/s are 29 intervals
 // across 19.1s, while the default window of 10 would hold only the burst.
@@ -336,9 +359,8 @@ func (s *floodStream) Next(ctx context.Context) (observer.Batch, error) {
 	return observer.Batch{Records: []heartbeat.Record{rec}, Count: k}, nil
 }
 
-// A callback in progress holds its pump, so a pump whose callback blocks
-// back-pressures its stream instead of queueing batches behind the
-// judgment. Run stopped while the first callback is blocked and batches
+// A callback in progress holds its pump: a blocked callback back-pressures
+// its stream. Run stopped while the first callback is blocked and batches
 // are still pending returns once the callback does, having absorbed every
 // batch it took, in order: an older batch absorbed after a newer one reads
 // as a producer restart and resets the window, so the later Step would

@@ -147,6 +147,11 @@ func TestPartitionerValidation(t *testing.T) {
 	if err := part.Add("c", set, 1); err == nil {
 		t.Fatal("third app on 2 cores accepted")
 	}
+	// An application missing from the statuses is unobserved: it is
+	// reported without a rate, and nothing moves.
+	if sts := part.Step(nil); len(sts) != 2 || sts[1].Name != "b" || sts[1].RateOK || sts[0].Cores != 1 || sts[1].Cores != 1 {
+		t.Fatalf("unobserved step = %+v", sts)
+	}
 }
 
 // Property: for arbitrary observed rates, the partitioner never
