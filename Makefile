@@ -50,10 +50,13 @@ test:
 	$(GO) test ./...
 
 # The second line repeats the race between a Thread's first local beat,
-# which publishes its on-demand local ring, and concurrent readers.
+# which publishes its on-demand local ring, and concurrent readers. The
+# third repeats the clock's timers and the pump's wait: a sim.Clock runs
+# timer callbacks outside its lock, on whichever goroutine advances it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run TestThreadLocalRing ./heartbeat
+	$(GO) test -race -count=20 -run 'AfterFunc|Wait|NoVirtualTimers' ./sim ./internal/pump
 
 # The hbnet loopback round trip, briefly and race-checked: one real TCP
 # server and client exchanging records in-process — the fastest signal

@@ -263,12 +263,12 @@ func runFollow(stream observer.Stream, classifier *observer.Classifier, interval
 	ended := false
 	var lastCount, lastMissed uint64
 	for reports := 0; count == 0 || reports < count; reports++ {
-		ctx, cancel := heartbeat.ContextWithTimeout(context.Background(), nil, interval)
+		ctx, cancel := context.WithCancel(context.Background())
+		heartbeat.AfterFunc(nil, interval, cancel)
 		if !ended {
 			ended = pump.Run(ctx, nil, interval, stream.Next, win.Absorb, fail)
 		}
 		<-ctx.Done()
-		cancel()
 		st := classifier.ClassifyWindow(win)
 		delta := st.Count - lastCount
 		if st.Count < lastCount {

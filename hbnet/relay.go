@@ -1104,9 +1104,10 @@ func (r *Relay) PublishOn(srv *Server, mergedName, rollupName string) error {
 
 // Run pumps every upstream into the merged history and emits rollups every
 // interval until ctx is cancelled. Each upstream's pump absorbs its own
-// deliveries; Run itself only ticks the rollup windows. When Run returns,
-// every pump has exited and everything the pumps consumed is absorbed; the
-// relay may be Run again with a fresh context.
+// deliveries; Run itself only ticks the rollup windows, on one timer
+// re-armed as each tick is taken, not a fixed period. When Run returns,
+// every pump has exited, no timer of the relay is queued, and everything
+// the pumps consumed is absorbed; Run may be called again.
 func (r *Relay) Run(ctx context.Context) {
 	r.mu.Lock()
 	r.pumps.Open(ctx)
@@ -1116,14 +1117,15 @@ func (r *Relay) Run(ctx context.Context) {
 	}
 	r.mu.Unlock()
 	defer r.pumps.Close()
-	tick := heartbeat.NewTicker(r.clk, r.rollupEvery)
-	defer tick.Stop()
+	tick := make(chan struct{}, 1)
+	t := heartbeat.AfterFunc(r.clk, r.rollupEvery, func() { tick <- struct{}{} })
+	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick.C():
-			tick.Next()
+		case <-tick:
+			t.Reset(r.rollupEvery)
 			r.flushRollups()
 		}
 	}

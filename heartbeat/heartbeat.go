@@ -194,19 +194,20 @@ func New(window int, opts ...Option) (*Heartbeat, error) {
 	return h, nil
 }
 
-// flusher periodically merges pending shard records until Close, on the
-// heartbeat's clock (a real ticker for wall clocks, virtual-timer re-arms
-// for a WaitClock — see Ticker).
+// flusher merges pending shard records every interval on the heartbeat's
+// clock until Close. Its one timer is re-armed as each tick is taken, so
+// at most one tick is ever pending and Close leaves none queued.
 func (h *Heartbeat) flusher(every time.Duration) {
 	defer close(h.flushDone)
-	t := NewTicker(h.clock, every)
+	tick := make(chan struct{}, 1)
+	t := AfterFunc(h.clock, every, func() { tick <- struct{}{} })
 	defer t.Stop()
 	for {
 		select {
 		case <-h.flushStop:
 			return
-		case <-t.C():
-			t.Next()
+		case <-tick:
+			t.Reset(every)
 			h.agg.flush()
 		}
 	}

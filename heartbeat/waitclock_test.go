@@ -2,7 +2,6 @@ package heartbeat_test
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -38,68 +37,21 @@ func TestAfterUsesWaitClock(t *testing.T) {
 	}
 }
 
-func TestContextWithTimeoutVirtualDeadline(t *testing.T) {
+// A cancelled sleep stops its timer, so it leaves nothing queued for a
+// virtual clock to leap to.
+func TestSleepCtxCancelStopsTimer(t *testing.T) {
 	clk := sim.NewClock(time.Time{})
-	ctx, cancel := heartbeat.ContextWithTimeout(context.Background(), clk, time.Minute)
-	defer cancel()
-	select {
-	case <-ctx.Done():
-		t.Fatal("virtual deadline fired without an advance")
-	case <-time.After(20 * time.Millisecond):
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan bool)
+	go func() { done <- heartbeat.SleepCtx(ctx, clk, time.Hour) }()
+	for clk.PendingTimers() == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if ctx.Err() != nil {
-		t.Fatalf("premature Err: %v", ctx.Err())
-	}
-	clk.Advance(2 * time.Minute)
-	select {
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("virtual deadline never fired")
-	}
-	// The expiry must read as a deadline, not a cancellation: consumers
-	// (internal/pump's read loop) distinguish "interval elapsed" from
-	// "cancelled" by exactly this.
-	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		t.Fatalf("Err = %v, want DeadlineExceeded", ctx.Err())
-	}
-}
-
-func TestContextWithTimeoutCancelAndParent(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
-	ctx, cancel := heartbeat.ContextWithTimeout(context.Background(), clk, time.Minute)
 	cancel()
-	select {
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancel never propagated")
+	if <-done {
+		t.Fatal("a cancelled SleepCtx reported a full sleep")
 	}
-	if !errors.Is(ctx.Err(), context.Canceled) {
-		t.Fatalf("Err = %v, want Canceled", ctx.Err())
-	}
-
-	parent, pcancel := context.WithCancel(context.Background())
-	ctx2, cancel2 := heartbeat.ContextWithTimeout(parent, clk, time.Minute)
-	defer cancel2()
-	pcancel()
-	select {
-	case <-ctx2.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("parent cancellation never propagated")
-	}
-	if !errors.Is(ctx2.Err(), context.Canceled) {
-		t.Fatalf("Err = %v, want Canceled", ctx2.Err())
-	}
-}
-
-func TestContextWithTimeoutWallFallback(t *testing.T) {
-	ctx, cancel := heartbeat.ContextWithTimeout(context.Background(), nil, 5*time.Millisecond)
-	defer cancel()
-	select {
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("wall-clock timeout never fired")
-	}
-	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		t.Fatalf("Err = %v, want DeadlineExceeded", ctx.Err())
+	if n := clk.PendingTimers(); n != 0 {
+		t.Fatalf("PendingTimers = %d after a cancelled sleep, want 0", n)
 	}
 }

@@ -273,10 +273,8 @@ func (f *Fleet) Run(ctx context.Context) {
 			if d <= 0 {
 				break
 			}
-			select {
-			case <-ctx.Done():
+			if !heartbeat.SleepCtx(ctx, f.clk, d) {
 				return
-			case <-f.clk.After(d):
 			}
 		}
 		if ctx.Err() != nil {

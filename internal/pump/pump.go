@@ -35,25 +35,12 @@ import (
 //     terminal. A terminal failure ends the stream as io.EOF does; otherwise
 //     the next read waits every on clk.
 func Run[T any](ctx context.Context, clk heartbeat.Clock, every time.Duration, next func(context.Context) (T, error), deliver func(T), fail func(error) bool) (ended bool) {
-	// Wall clocks bound every wait with one reusable timer; a WaitClock
-	// needs ContextWithTimeout's expiry on its own (virtual) time.
-	var wall *wallWait
-	if _, virtual := clk.(heartbeat.WaitClock); !virtual {
-		wall = newWallWait(ctx)
-		defer wall.stop()
-	}
+	w := newWait(ctx, clk)
+	defer w.stop()
 	for ctx.Err() == nil {
-		var v T
-		var err error
-		if wall != nil {
-			wall.arm(every)
-			v, err = next(wall)
-			wall.disarm()
-		} else {
-			wctx, cancel := heartbeat.ContextWithTimeout(ctx, clk, every)
-			v, err = next(wctx)
-			cancel()
-		}
+		w.arm(every)
+		v, err := next(w)
+		w.disarm()
 		switch {
 		case err == nil:
 			deliver(v)
@@ -72,16 +59,18 @@ func Run[T any](ctx context.Context, clk heartbeat.Clock, every time.Duration, n
 	return false
 }
 
-// wallWait is the reusable deadline context behind Run's wall-clock
-// waits: one context and one timer per pump instead of one of each per
-// batch (context.WithTimeout in the loop is a measurable allocation rate at
-// high fan-in). arm begins a new wait; a fired deadline reports
+// wait is the reusable deadline context behind Run's waits: one context
+// and one heartbeat.Timer per pump, on any clock, instead of one of each
+// per batch (context.WithTimeout in the loop is a measurable allocation
+// rate at high fan-in, and disarm stops the timer, so a delivery leaves no
+// virtual timer queued). arm begins a new wait; a fired deadline reports
 // context.DeadlineExceeded until the next arm; parent cancellation is
 // terminal. Single-consumer, like the loop that owns it: arm and disarm
 // never overlap a live wait.
-type wallWait struct {
+type wait struct {
 	parent context.Context
-	timer  *time.Timer
+	clk    heartbeat.Clock
+	timer  heartbeat.Timer
 	stop   func() bool // detaches the parent watch; the owning loop calls it on exit
 
 	mu    sync.Mutex
@@ -90,8 +79,8 @@ type wallWait struct {
 	armed bool
 }
 
-func newWallWait(parent context.Context) *wallWait {
-	p := &wallWait{parent: parent, done: make(chan struct{})}
+func newWait(parent context.Context, clk heartbeat.Clock) *wait {
+	p := &wait{parent: parent, clk: clk, done: make(chan struct{})}
 	p.stop = context.AfterFunc(parent, func() {
 		p.mu.Lock()
 		if p.err == nil {
@@ -103,7 +92,7 @@ func newWallWait(parent context.Context) *wallWait {
 	return p
 }
 
-func (p *wallWait) fire() {
+func (p *wait) fire() {
 	p.mu.Lock()
 	if p.armed && p.err == nil {
 		p.armed = false
@@ -118,7 +107,7 @@ func (p *wallWait) fire() {
 // one a fresh channel). A stale timer firing across the arm can only expire
 // the new wait early — a spurious timeout Run already treats as an idle
 // re-poll.
-func (p *wallWait) arm(d time.Duration) {
+func (p *wait) arm(d time.Duration) {
 	p.mu.Lock()
 	if p.err == context.DeadlineExceeded {
 		p.err = nil
@@ -127,30 +116,30 @@ func (p *wallWait) arm(d time.Duration) {
 	p.armed = p.err == nil
 	p.mu.Unlock()
 	if p.timer == nil {
-		p.timer = time.AfterFunc(d, p.fire) //hbvet:allow wallclock -- wall-path-only poll bound: virtual clocks take Run's heartbeat.ContextWithTimeout branch instead
+		p.timer = heartbeat.AfterFunc(p.clk, d, p.fire)
 	} else {
 		p.timer.Reset(d)
 	}
 }
 
 // disarm ends the current wait without expiring it.
-func (p *wallWait) disarm() {
+func (p *wait) disarm() {
 	p.timer.Stop()
 	p.mu.Lock()
 	p.armed = false
 	p.mu.Unlock()
 }
 
-func (p *wallWait) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (p *wallWait) Value(key any) any           { return p.parent.Value(key) }
+func (p *wait) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (p *wait) Value(key any) any           { return p.parent.Value(key) }
 
-func (p *wallWait) Done() <-chan struct{} {
+func (p *wait) Done() <-chan struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.done
 }
 
-func (p *wallWait) Err() error {
+func (p *wait) Err() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.err

@@ -87,25 +87,38 @@ func (c *conn) Read(p []byte) (int, error) {
 		// Nothing deliverable yet: wait for new data / close, for the
 		// latency front to pass, or for the read deadline — all on the
 		// network's clock, so a virtual simulation times out virtually.
-		var latency <-chan time.Time
-		if wait > 0 {
-			latency = heartbeat.After(c.nw.clk, wait)
-		}
-		var deadline <-chan time.Time
+		var untilDeadline time.Duration
 		if dl := c.readDeadline(); !dl.IsZero() {
-			d := dl.Sub(clockNow(c.nw.clk))
-			if d <= 0 {
+			if untilDeadline = dl.Sub(clockNow(c.nw.clk)); untilDeadline <= 0 {
 				return 0, timeoutError{}
 			}
-			deadline = heartbeat.After(c.nw.clk, d)
 		}
+		latency, stopLatency := c.after(wait)
+		deadline, stopDeadline := c.after(untilDeadline)
 		select {
 		case <-notify:
 		case <-latency:
 		case <-deadline:
+			stopLatency()
 			return 0, timeoutError{}
 		}
+		stopLatency()
+		stopDeadline()
 	}
+}
+
+// after arms one wait of d on the network's clock: the channel closes once
+// d has elapsed. A non-positive d arms nothing and returns a nil channel,
+// which never fires. The caller stops the timer as soon as its wait ends,
+// so a wait that data cut short leaves no timer for a virtual clock to
+// leap to.
+func (c *conn) after(d time.Duration) (<-chan struct{}, func() bool) {
+	if d <= 0 {
+		return nil, func() bool { return false }
+	}
+	ch := make(chan struct{})
+	t := heartbeat.AfterFunc(c.nw.clk, d, func() { close(ch) })
+	return ch, t.Stop
 }
 
 func (c *conn) Write(p []byte) (int, error) {
@@ -129,16 +142,16 @@ func (c *conn) Write(p []byte) (int, error) {
 		if !full {
 			break
 		}
-		var deadline <-chan time.Time
+		var untilDeadline time.Duration
 		if dl := c.writeDeadline(); !dl.IsZero() {
-			d := dl.Sub(clockNow(c.nw.clk))
-			if d <= 0 {
+			if untilDeadline = dl.Sub(clockNow(c.nw.clk)); untilDeadline <= 0 {
 				return 0, timeoutError{}
 			}
-			deadline = heartbeat.After(c.nw.clk, d)
 		}
+		deadline, stopDeadline := c.after(untilDeadline)
 		select {
 		case <-notify:
+			stopDeadline()
 		case <-deadline:
 			return 0, timeoutError{}
 		}

@@ -192,12 +192,7 @@ func TestServerWriteTimeoutDropsStalledSubscriber(t *testing.T) {
 	beats.Add(1)
 	go func() {
 		defer beats.Done()
-		for {
-			select {
-			case <-beatCtx.Done():
-				return
-			case <-clk.After(time.Millisecond):
-			}
+		for heartbeat.SleepCtx(beatCtx, clk, time.Millisecond) {
 			hb.Beat()
 		}
 	}()

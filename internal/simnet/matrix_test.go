@@ -228,12 +228,7 @@ func TestVirtualTimeControlLoop(t *testing.T) {
 	// The application: beats every 100ms virtual, then goes silent.
 	silentAfter := clk.Now().Add(time.Minute)
 	go func() {
-		for ctx.Err() == nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-clk.After(100 * time.Millisecond):
-			}
+		for heartbeat.SleepCtx(ctx, clk, 100*time.Millisecond) {
 			if clk.Now().Before(silentAfter) {
 				hb.Beat()
 			}

@@ -203,3 +203,61 @@ func TestReadDeadline(t *testing.T) {
 		t.Fatalf("want timeout, got %v", err)
 	}
 }
+
+// A conn wait cut short by data stops its timers: otherwise every blocked
+// read or write would leave its deadline queued on the virtual clock, and
+// AutoAdvance would leap to deadlines nobody waits on.
+func TestConnWaitsStopTheirTimers(t *testing.T) {
+	clk := sim.NewClock(time.Time{})
+	nw := New(clk)
+	nw.SetWriteLimit("client", "srv", 1)
+	c, s := pair(t, nw, "client", "srv")
+	defer c.Close()
+	defer s.Close()
+	blocked := func(base int) {
+		t.Helper()
+		for end := time.Now().Add(5 * time.Second); clk.PendingTimers() <= base; {
+			if time.Now().After(end) {
+				t.Fatal("the conn never armed its deadline")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.SetReadDeadline(clk.Now().Add(time.Hour))
+	c.SetWriteDeadline(clk.Now().Add(time.Hour))
+	buf := make([]byte, 1)
+	for i := 0; i < 100; i++ {
+		// A read that blocks until the peer writes.
+		base := clk.PendingTimers()
+		read := make(chan error, 1)
+		go func() { _, err := s.Read(buf); read <- err }()
+		blocked(base)
+		if _, err := c.Write([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-read; err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+
+		// A write that blocks on backpressure until the peer drains.
+		if _, err := c.Write([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		base = clk.PendingTimers()
+		wrote := make(chan error, 1)
+		go func() { _, err := c.Write([]byte{2}); wrote <- err }()
+		blocked(base)
+		if _, err := io.ReadFull(s, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-wrote; err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if _, err := io.ReadFull(s, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := clk.PendingTimers(); n != 0 {
+		t.Fatalf("%d timers queued after every wait ended in data, want 0", n)
+	}
+}

@@ -425,12 +425,7 @@ func (p *producer) restart(flipVariant bool) error {
 
 // beatLoop beats every interval on the virtual clock until stop.
 func (p *producer) beatLoop(ctx context.Context, every time.Duration) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-p.clk.After(every):
-		}
+	for heartbeat.SleepCtx(ctx, p.clk, every) {
 		p.mu.Lock()
 		if !p.paused && p.clk.Now().After(p.silentTo) {
 			p.hb.Beat()
@@ -1396,10 +1391,8 @@ func sleepUntilVirtual(ctx context.Context, clk *sim.Clock, t time.Time) bool {
 		if d <= 0 {
 			return true
 		}
-		select {
-		case <-ctx.Done():
+		if !heartbeat.SleepCtx(ctx, clk, d) {
 			return false
-		case <-clk.After(d):
 		}
 	}
 }

@@ -206,10 +206,11 @@ func (h *Hub) Status(name string) (Status, bool) {
 // application is re-judged by its pump as soon as one of its batches lands
 // (the fan-out fires on health changes) and by Run every interval
 // regardless (the fan-out fires for every application), so both fast
-// degradation and silent death are noticed promptly. When Run returns,
-// every pump has exited and every batch a pump consumed is in its
-// application's window — the hub may be Run again with a fresh context, or
-// stepped.
+// degradation and silent death are noticed promptly. Run's tick is one
+// timer re-armed as each tick is taken, not a fixed period. When Run
+// returns, every pump has exited, no timer of the hub is queued, and every
+// batch a pump consumed is in its application's window — the hub may be
+// Run again with a fresh context, or stepped.
 func (h *Hub) Run(ctx context.Context) {
 	h.mu.Lock()
 	h.pumps.Open(ctx)
@@ -218,14 +219,15 @@ func (h *Hub) Run(ctx context.Context) {
 	}
 	h.mu.Unlock()
 	defer h.pumps.Close() // streams are single-consumer: no pump may outlive Run
-	tick := heartbeat.NewTicker(h.clk, h.interval)
-	defer tick.Stop()
+	tick := make(chan struct{}, 1)
+	t := heartbeat.AfterFunc(h.clk, h.interval, func() { tick <- struct{}{} })
+	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick.C():
-			tick.Next()
+		case <-tick:
+			t.Reset(h.interval)
 			h.emit.Lock()
 			h.judgeAll()
 			h.emit.Unlock()

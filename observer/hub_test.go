@@ -270,6 +270,73 @@ func TestHubRunPublishesLowRateShardBeats(t *testing.T) {
 	}
 }
 
+// A Hub or Relay that has stopped leaves no timer on its virtual clock:
+// neither its tick nor any pump's wait outlives Run, so a simulation that
+// stops a consumer gives AutoAdvance no deadline nobody waits on.
+func TestHubAndRelayRunStopTheirTimers(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		// start registers s on a consumer running on clk until ctx is
+		// cancelled (closing done), and returns how many records it has
+		// absorbed.
+		start func(t *testing.T, ctx context.Context, clk *sim.Clock, s observer.Stream, done chan<- struct{}) (absorbed func() uint64)
+	}{
+		{"Hub", func(t *testing.T, ctx context.Context, clk *sim.Clock, s observer.Stream, done chan<- struct{}) func() uint64 {
+			hub := observer.NewHub(interval, nil, observer.WithHubClock(clk))
+			if err := hub.Add("app", s); err != nil {
+				t.Fatal(err)
+			}
+			go func() { hub.Run(ctx); close(done) }()
+			return func() uint64 {
+				st, _ := hub.Status("app")
+				return st.Count
+			}
+		}},
+		{"Relay", func(t *testing.T, ctx context.Context, clk *sim.Clock, s observer.Stream, done chan<- struct{}) func() uint64 {
+			relay := hbnet.NewRelay(hbnet.WithRollupInterval(interval), hbnet.WithRelayClock(clk))
+			t.Cleanup(func() { relay.Close() })
+			if err := relay.AddUpstream("app", s); err != nil {
+				t.Fatal(err)
+			}
+			go func() { relay.Run(ctx); close(done) }()
+			return relay.MergedHead
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := sim.NewClock(time.Time{})
+			hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hb.Close()
+			base := clk.PendingTimers()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			absorbed := tc.start(t, ctx, clk, observer.HeartbeatStream(hb), done)
+			deadline := time.After(5 * time.Second)
+			for i := uint64(1); i <= 20; i++ {
+				hb.Beat()
+				clk.Advance(interval / 2)
+				for absorbed() < i {
+					select {
+					case <-deadline:
+						cancel()
+						<-done
+						t.Fatalf("beat %d was never absorbed", i)
+					case <-time.After(time.Millisecond):
+					}
+				}
+			}
+			cancel()
+			<-done
+			if n := clk.PendingTimers(); n != base {
+				t.Fatalf("PendingTimers = %d after Run returned, want %d", n, base)
+			}
+		})
+	}
+}
+
 // cancelStream hands over its next batch only once a wait's context is
 // cancelled: consumed from the stream just as the hub stops. While busy it
 // also has a batch ready for every Next under an already cancelled context,

@@ -24,12 +24,14 @@ import (
 var Epoch = time.Date(2009, time.August, 7, 0, 0, 0, 0, time.UTC)
 
 // Clock is a manually advanced clock. It implements heartbeat.Clock — and
-// heartbeat.WaitClock: goroutines may wait on it through After (see
-// timer.go), and Advance fires their timers in deadline order as it sweeps
-// past them. The zero value is invalid; use NewClock.
+// heartbeat.WaitClock: AfterFunc queues a stoppable timer (see timer.go),
+// and Advance, AdvanceToNext and AutoAdvance run the due callbacks one at a
+// time, in deadline order, on the advancing goroutine. The zero value is
+// invalid; use NewClock.
 //
 //hbvet:api -- ARCHITECTURE simulated layer: the virtual clock tests and simulations advance by hand
 type Clock struct {
+	adv      sync.Mutex // held by each advancer for its whole sweep
 	mu       sync.Mutex
 	now      time.Time
 	timers   timerHeap
@@ -52,18 +54,16 @@ func (c *Clock) Now() time.Time {
 	return c.now
 }
 
-// Advance moves the clock forward by d, firing every timer whose deadline
+// Advance moves the clock forward by d, running every timer whose deadline
 // the sweep passes — each at its own deadline, in order. Negative d panics:
 // simulated time, like real time, never runs backwards.
 func (c *Clock) Advance(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative clock advance")
 	}
-	c.mu.Lock()
-	target := c.now.Add(d)
-	c.fireDueLocked(target)
-	c.now = target
-	c.mu.Unlock()
+	c.adv.Lock()
+	defer c.adv.Unlock()
+	c.runDue(c.Now().Add(d))
 }
 
 // Elapsed returns the time elapsed since start.

@@ -5,12 +5,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/heartbeat"
 )
+
+// after is the channel form of AfterFunc the timer tests wait on: the
+// channel delivers the clock's reading when the timer runs.
+func after(c *Clock, d time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	c.AfterFunc(d, func() { ch <- c.Now() })
+	return ch
+}
 
 func TestAfterFiresOnAdvanceInDeadlineOrder(t *testing.T) {
 	c := NewClock(time.Time{})
-	a := c.After(3 * time.Second)
-	b := c.After(1 * time.Second)
+	a := after(c, 3*time.Second)
+	b := after(c, 1*time.Second)
 	if got := c.PendingTimers(); got != 2 {
 		t.Fatalf("PendingTimers = %d, want 2", got)
 	}
@@ -44,9 +54,9 @@ func TestAfterFiresOnAdvanceInDeadlineOrder(t *testing.T) {
 func TestAfterNonPositiveFiresImmediately(t *testing.T) {
 	c := NewClock(time.Time{})
 	select {
-	case <-c.After(0):
+	case <-after(c, 0):
 	default:
-		t.Fatal("After(0) did not fire immediately")
+		t.Fatal("a timer of 0 did not fire immediately")
 	}
 }
 
@@ -55,8 +65,8 @@ func TestAdvanceToNext(t *testing.T) {
 	if c.AdvanceToNext() {
 		t.Fatal("AdvanceToNext with no timers reported true")
 	}
-	ch := c.After(5 * time.Second)
-	later := c.After(7 * time.Second)
+	ch := after(c, 5*time.Second)
+	later := after(c, 7*time.Second)
 	if !c.AdvanceToNext() {
 		t.Fatal("AdvanceToNext with a timer reported false")
 	}
@@ -86,7 +96,7 @@ func TestAutoAdvanceDrivesRearmedWaits(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			<-c.After(time.Second)
+			<-after(c, time.Second)
 			ticks.Add(1)
 		}
 	}()
@@ -111,7 +121,7 @@ func TestAutoAdvanceLimitStops(t *testing.T) {
 	defer cancel()
 	go func() { // a loop that would re-arm forever
 		for {
-			<-c.After(time.Second)
+			<-after(c, time.Second)
 		}
 	}()
 	done := make(chan struct{})
@@ -120,5 +130,83 @@ func TestAutoAdvanceLimitStops(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("AutoAdvance ignored its limit")
+	}
+}
+
+func TestAfterFuncStopReset(t *testing.T) {
+	c := NewClock(time.Time{})
+	var ran atomic.Int64
+
+	// A stopped timer drops out of the queue and never runs.
+	stopped := c.AfterFunc(time.Second, func() { ran.Add(1) })
+	if !stopped.Stop() {
+		t.Fatal("Stop of a pending timer reported false")
+	}
+	if stopped.Stop() {
+		t.Fatal("second Stop reported true")
+	}
+	if got := c.PendingTimers(); got != 0 {
+		t.Fatalf("PendingTimers = %d after Stop, want 0", got)
+	}
+	c.Advance(time.Hour)
+	if ran.Load() != 0 {
+		t.Fatal("a stopped timer ran")
+	}
+
+	// Reset re-arms from the clock's current reading and reports whether
+	// the timer was still pending.
+	start := c.Now()
+	var at time.Time
+	tm := c.AfterFunc(time.Second, func() { at = c.Now() })
+	if !tm.Reset(5 * time.Second) {
+		t.Fatal("Reset of a pending timer reported false")
+	}
+	if got := c.PendingTimers(); got != 1 {
+		t.Fatalf("PendingTimers = %d after Reset, want 1", got)
+	}
+	c.Advance(4 * time.Second)
+	if !at.IsZero() {
+		t.Fatal("reset timer ran at its old deadline")
+	}
+	c.Advance(time.Second)
+	if want := start.Add(5 * time.Second); !at.Equal(want) {
+		t.Fatalf("reset timer read %v, want %v", at, want)
+	}
+	if tm.Reset(time.Second) {
+		t.Fatal("Reset of a fired timer reported true")
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop of a re-armed timer reported false")
+	}
+
+	// A callback reads its own deadline and re-arms itself without
+	// deadlock; one sweep runs every re-armed deadline it passes.
+	var stamps []time.Time
+	var tick heartbeat.Timer
+	tick = c.AfterFunc(time.Second, func() {
+		stamps = append(stamps, c.Now())
+		if len(stamps) < 3 {
+			tick.Reset(time.Second)
+		}
+	})
+	start = c.Now()
+	c.Advance(10 * time.Second)
+	if len(stamps) != 3 {
+		t.Fatalf("re-arming callback ran %d times, want 3", len(stamps))
+	}
+	for i, st := range stamps {
+		if want := start.Add(time.Duration(i+1) * time.Second); !st.Equal(want) {
+			t.Fatalf("run %d read %v, want %v", i, st, want)
+		}
+	}
+	if got := c.PendingTimers(); got != 0 {
+		t.Fatalf("PendingTimers = %d, want 0", got)
+	}
+
+	// A non-positive d runs the callback at once.
+	c.AfterFunc(0, func() { ran.Add(1) })
+	c.AfterFunc(-time.Second, func() { ran.Add(1) })
+	if ran.Load() != 2 {
+		t.Fatalf("non-positive timers ran %d times, want 2", ran.Load())
 	}
 }

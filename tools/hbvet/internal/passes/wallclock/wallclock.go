@@ -68,7 +68,7 @@ func run(pass *analysis.Pass) error {
 			}
 			if name, ok := BannedFunc(pass.TypesInfo, id); ok {
 				pass.Reportf(id.Pos(),
-					"direct %s call outside a clock seam: thread the injected heartbeat.Clock (heartbeat.Now/After/NewTicker/ContextWithTimeout) or annotate //hbvet:allow wallclock -- <reason>",
+					"direct %s call outside a clock seam: thread the injected heartbeat.Clock (heartbeat.Now/After/AfterFunc/SleepCtx) or annotate //hbvet:allow wallclock -- <reason>",
 					name)
 			}
 			return true

@@ -7,10 +7,12 @@
 //
 // Four analyzers run by default (select a subset with -run):
 //
-//   - wallclock: no direct time.Now/Sleep/After/NewTicker/NewTimer or
-//     context.WithTimeout/WithDeadline outside the clock seams
+//   - wallclock: no direct time.Now/Sleep/After/AfterFunc/NewTicker/NewTimer
+//     or context.WithTimeout/WithDeadline outside the clock seams
 //     (heartbeat/clock*.go, sim/). Everything else must run on the
-//     injected heartbeat.Clock, or carry //hbvet:allow wallclock -- <reason>.
+//     injected heartbeat.Clock — reads through heartbeat.Now, every wait
+//     on one heartbeat.Timer from heartbeat.AfterFunc or its channel form
+//     heartbeat.After — or carry //hbvet:allow wallclock -- <reason>.
 //   - hotpath: functions marked //hbvet:hotpath are transitively
 //     allocation-, lock-, and channel-free, and only call verified code.
 //   - clockthread: a type that stores a clock must use it — its methods
