@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/clock"
 	"repro/control"
 	"repro/hbfile"
 	"repro/heartbeat"
@@ -207,7 +208,7 @@ func BenchmarkControllerWindow(b *testing.B) {
 func runSchedBench(b *testing.B, w parsec.SchedWorkload, pol scheduler.Policy) int {
 	b.Helper()
 	const coreRate = 1e9
-	clk := sim.NewClock(sim.Epoch)
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, coreRate)
 	hb, err := heartbeat.New(w.Window, heartbeat.WithClock(clk))
 	if err != nil {

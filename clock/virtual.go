@@ -1,27 +1,64 @@
-package sim
+package clock
 
 import (
 	"container/heap"
 	"context"
 	"runtime"
+	"sync"
 	"time"
-
-	"repro/heartbeat"
 )
 
-// This file gives the simulated clock a queue of stoppable timers, which
-// is what turns it from a readable counter into a schedulable one:
-// AfterFunc queues a callback and the clock runs it, in deadline order, as
-// it is advanced. Together with heartbeat.WaitClock (which Clock
-// satisfies) this lets the whole stack — observer tickers, hbnet backoff,
-// the pump's read deadline — run under virtual time: a blocked loop costs
-// nothing until the clock sweeps past its deadline, a wait that ends early
-// stops its timer, and a simulated minute takes the real time of its
-// events, not a minute.
+// epoch is where every Virtual starts. Any fixed instant works; this one
+// makes timestamps easy to read in dumps.
+var epoch = time.Date(2009, time.August, 7, 0, 0, 0, 0, time.UTC)
+
+// Virtual is a manually advanced clock with a queue of stoppable timers,
+// which is what turns it from a readable counter into a schedulable one:
+// AfterFunc queues a callback, and Advance, AdvanceToNext and AutoAdvance
+// run the due callbacks one at a time, in deadline order, on the advancing
+// goroutine. A blocked loop costs nothing until the clock sweeps past its
+// deadline, a wait that ends early stops its timer, and a simulated minute
+// takes the real time of its events, not a minute. The zero value is
+// invalid; use NewVirtual.
+//
+//hbvet:api -- ARCHITECTURE simulated layer: the virtual clock tests and simulations advance by hand
+type Virtual struct {
+	adv      sync.Mutex // held by each advancer for its whole sweep
+	mu       sync.Mutex
+	now      time.Time
+	timers   timerHeap
+	timerSeq uint64
+	armed    chan struct{} // non-nil while awaitTimer waits for a registration
+}
+
+// NewVirtual returns a Virtual reading a fixed instant, the same for every
+// clock, so runs on fresh clocks produce identical timestamps.
+func NewVirtual() *Virtual {
+	return &Virtual{now: epoch}
+}
+
+// Now returns the current virtual time.
+func (c *Virtual) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Advance moves the clock forward by d, running every timer whose deadline
+// the sweep passes — each at its own deadline, in order. Negative d panics:
+// virtual time, like real time, never runs backwards.
+func (c *Virtual) Advance(d time.Duration) {
+	if d < 0 {
+		panic("clock: negative clock advance")
+	}
+	c.adv.Lock()
+	defer c.adv.Unlock()
+	c.runDue(c.Now().Add(d))
+}
 
 // timer is one queued callback; c.mu guards when, seq and idx.
 type timer struct {
-	c    *Clock
+	c    *Virtual
 	f    func()
 	when time.Time
 	seq  uint64 // registration order breaks deadline ties deterministically
@@ -57,20 +94,20 @@ func (h *timerHeap) Pop() interface{} {
 	return t
 }
 
-// AfterFunc implements heartbeat.WaitClock: f runs on the goroutine
-// advancing the clock once it sweeps past now+d, or at once on the
-// caller's goroutine for a non-positive d. While f runs, Now reads its
-// timer's deadline and the clock is unlocked, so f may read the clock and
-// arm, stop or reset timers (one due by the sweep's target runs in the
-// same sweep). f must not block or advance the clock: every later timer,
-// and every other advancer, waits for it.
-func (c *Clock) AfterFunc(d time.Duration, f func()) heartbeat.Timer {
+// afterFunc is AfterFunc on a Virtual: f runs on the goroutine advancing
+// the clock once it sweeps past now+d, or at once on the caller's
+// goroutine for a non-positive d. While f runs, Now reads its timer's
+// deadline and the clock is unlocked, so f may read the clock and arm,
+// stop or reset timers (one due by the sweep's target runs in the same
+// sweep). f must not block or advance the clock: every later timer, and
+// every other advancer, waits for it.
+func (c *Virtual) afterFunc(d time.Duration, f func()) Timer {
 	t := &timer{c: c, f: f, idx: -1}
 	t.Reset(d)
 	return t
 }
 
-// Stop removes the timer from the queue; see heartbeat.Timer.
+// Stop removes the timer from the queue; see Timer.
 func (t *timer) Stop() bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
@@ -82,7 +119,7 @@ func (t *timer) Stop() bool {
 }
 
 // Reset re-arms the timer d after the clock's current reading (a
-// non-positive d runs the callback at once); see heartbeat.Timer.
+// non-positive d runs the callback at once); see Timer.
 func (t *timer) Reset(d time.Duration) bool {
 	c := t.c
 	c.mu.Lock()
@@ -115,7 +152,7 @@ func (t *timer) Reset(d time.Duration) bool {
 // target, stepping now to each deadline so a callback never observes a
 // clock that has not reached it, then moves now to target. Callers hold
 // c.adv, so two advancers' callbacks never interleave out of order.
-func (c *Clock) runDue(target time.Time) {
+func (c *Virtual) runDue(target time.Time) {
 	c.mu.Lock()
 	for len(c.timers) > 0 && !c.timers[0].when.After(target) {
 		t := heap.Pop(&c.timers).(*timer)
@@ -132,8 +169,8 @@ func (c *Clock) runDue(target time.Time) {
 	c.mu.Unlock()
 }
 
-// NextDeadline returns the earliest pending timer deadline, if any.
-func (c *Clock) NextDeadline() (time.Time, bool) {
+// nextDeadline returns the earliest pending timer deadline, if any.
+func (c *Virtual) nextDeadline() (time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.timers) == 0 {
@@ -143,7 +180,7 @@ func (c *Clock) NextDeadline() (time.Time, bool) {
 }
 
 // PendingTimers returns how many timers are queued on the clock.
-func (c *Clock) PendingTimers() int {
+func (c *Virtual) PendingTimers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.timers)
@@ -152,7 +189,7 @@ func (c *Clock) PendingTimers() int {
 // AdvanceToNext advances the clock exactly to the earliest pending timer
 // deadline, running every timer due by then. It reports whether a timer
 // was pending; a false return leaves the clock untouched.
-func (c *Clock) AdvanceToNext() bool {
+func (c *Virtual) AdvanceToNext() bool {
 	pending, _ := c.advanceNext(time.Time{})
 	return pending
 }
@@ -160,10 +197,10 @@ func (c *Clock) AdvanceToNext() bool {
 // advanceNext advances to the earliest pending deadline, or only to end
 // when that deadline lies beyond a non-zero end (capped). pending reports
 // whether a timer was queued; without one the clock stays put.
-func (c *Clock) advanceNext(end time.Time) (pending, capped bool) {
+func (c *Virtual) advanceNext(end time.Time) (pending, capped bool) {
 	c.adv.Lock()
 	defer c.adv.Unlock()
-	target, pending := c.NextDeadline()
+	target, pending := c.nextDeadline()
 	if !pending {
 		return false, false
 	}
@@ -176,7 +213,7 @@ func (c *Clock) advanceNext(end time.Time) (pending, capped bool) {
 
 // awaitTimer blocks until at least one timer is pending or ctx is done;
 // false means cancelled.
-func (c *Clock) awaitTimer(ctx context.Context) bool {
+func (c *Virtual) awaitTimer(ctx context.Context) bool {
 	for {
 		c.mu.Lock()
 		if len(c.timers) > 0 {
@@ -224,7 +261,7 @@ const settleRounds = 16
 // backstop against a runaway simulation. The backstop is exact: the clock
 // never sweeps past it, even when the next deadline lies beyond it (e.g.
 // one far-future backoff wait).
-func (c *Clock) AutoAdvance(ctx context.Context, limit time.Duration) {
+func (c *Virtual) AutoAdvance(ctx context.Context, limit time.Duration) {
 	var end time.Time
 	if limit > 0 {
 		end = c.Now().Add(limit)

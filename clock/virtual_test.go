@@ -1,24 +1,44 @@
-package sim
+package clock
 
 import (
 	"context"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/heartbeat"
 )
+
+func TestClockAdvances(t *testing.T) {
+	c := NewVirtual()
+	if !c.Now().Equal(epoch) {
+		t.Fatalf("a new clock != epoch: %v", c.Now())
+	}
+	start := c.Now()
+	c.Advance(3 * time.Second)
+	c.Advance(500 * time.Millisecond)
+	if got := c.Now().Sub(start); got != 3500*time.Millisecond {
+		t.Fatalf("elapsed = %v", got)
+	}
+}
+
+func TestClockRejectsNegativeAdvance(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative advance did not panic")
+		}
+	}()
+	NewVirtual().Advance(-time.Second)
+}
 
 // after is the channel form of AfterFunc the timer tests wait on: the
 // channel delivers the clock's reading when the timer runs.
-func after(c *Clock, d time.Duration) <-chan time.Time {
+func after(c *Virtual, d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	c.AfterFunc(d, func() { ch <- c.Now() })
+	AfterFunc(c, d, func() { ch <- c.Now() })
 	return ch
 }
 
 func TestAfterFiresOnAdvanceInDeadlineOrder(t *testing.T) {
-	c := NewClock(time.Time{})
+	c := NewVirtual()
 	a := after(c, 3*time.Second)
 	b := after(c, 1*time.Second)
 	if got := c.PendingTimers(); got != 2 {
@@ -40,10 +60,10 @@ func TestAfterFiresOnAdvanceInDeadlineOrder(t *testing.T) {
 	c.Advance(10 * time.Second)
 	tb := <-b
 	ta := <-a
-	if want := Epoch.Add(1 * time.Second); !tb.Equal(want) {
+	if want := epoch.Add(1 * time.Second); !tb.Equal(want) {
 		t.Fatalf("1s timer stamped %v, want %v", tb, want)
 	}
-	if want := Epoch.Add(3 * time.Second); !ta.Equal(want) {
+	if want := epoch.Add(3 * time.Second); !ta.Equal(want) {
 		t.Fatalf("3s timer stamped %v, want %v", ta, want)
 	}
 	if got := c.PendingTimers(); got != 0 {
@@ -52,7 +72,7 @@ func TestAfterFiresOnAdvanceInDeadlineOrder(t *testing.T) {
 }
 
 func TestAfterNonPositiveFiresImmediately(t *testing.T) {
-	c := NewClock(time.Time{})
+	c := NewVirtual()
 	select {
 	case <-after(c, 0):
 	default:
@@ -61,7 +81,7 @@ func TestAfterNonPositiveFiresImmediately(t *testing.T) {
 }
 
 func TestAdvanceToNext(t *testing.T) {
-	c := NewClock(time.Time{})
+	c := NewVirtual()
 	if c.AdvanceToNext() {
 		t.Fatal("AdvanceToNext with no timers reported true")
 	}
@@ -70,7 +90,7 @@ func TestAdvanceToNext(t *testing.T) {
 	if !c.AdvanceToNext() {
 		t.Fatal("AdvanceToNext with a timer reported false")
 	}
-	if want := Epoch.Add(5 * time.Second); !c.Now().Equal(want) {
+	if want := epoch.Add(5 * time.Second); !c.Now().Equal(want) {
 		t.Fatalf("Now = %v, want %v", c.Now(), want)
 	}
 	<-ch
@@ -79,15 +99,15 @@ func TestAdvanceToNext(t *testing.T) {
 		t.Fatal("later timer fired early")
 	default:
 	}
-	if dl, ok := c.NextDeadline(); !ok || !dl.Equal(Epoch.Add(7*time.Second)) {
-		t.Fatalf("NextDeadline = %v, %v", dl, ok)
+	if dl, ok := c.nextDeadline(); !ok || !dl.Equal(epoch.Add(7*time.Second)) {
+		t.Fatalf("nextDeadline = %v, %v", dl, ok)
 	}
 }
 
 // AutoAdvance must drive a ticker-style loop — wait, work, re-arm —
 // through many virtual seconds in a few real milliseconds.
 func TestAutoAdvanceDrivesRearmedWaits(t *testing.T) {
-	c := NewClock(time.Time{})
+	c := NewVirtual()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -110,13 +130,13 @@ func TestAutoAdvanceDrivesRearmedWaits(t *testing.T) {
 	if got := ticks.Load(); got != 1000 {
 		t.Fatalf("ticks = %d, want 1000", got)
 	}
-	if elapsed := c.Elapsed(Epoch); elapsed < 1000*time.Second {
+	if elapsed := c.Now().Sub(epoch); elapsed < 1000*time.Second {
 		t.Fatalf("virtual elapsed %v, want >= 1000s", elapsed)
 	}
 }
 
 func TestAutoAdvanceLimitStops(t *testing.T) {
-	c := NewClock(time.Time{})
+	c := NewVirtual()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() { // a loop that would re-arm forever
@@ -134,11 +154,11 @@ func TestAutoAdvanceLimitStops(t *testing.T) {
 }
 
 func TestAfterFuncStopReset(t *testing.T) {
-	c := NewClock(time.Time{})
+	c := NewVirtual()
 	var ran atomic.Int64
 
 	// A stopped timer drops out of the queue and never runs.
-	stopped := c.AfterFunc(time.Second, func() { ran.Add(1) })
+	stopped := AfterFunc(c, time.Second, func() { ran.Add(1) })
 	if !stopped.Stop() {
 		t.Fatal("Stop of a pending timer reported false")
 	}
@@ -157,7 +177,7 @@ func TestAfterFuncStopReset(t *testing.T) {
 	// the timer was still pending.
 	start := c.Now()
 	var at time.Time
-	tm := c.AfterFunc(time.Second, func() { at = c.Now() })
+	tm := AfterFunc(c, time.Second, func() { at = c.Now() })
 	if !tm.Reset(5 * time.Second) {
 		t.Fatal("Reset of a pending timer reported false")
 	}
@@ -182,8 +202,8 @@ func TestAfterFuncStopReset(t *testing.T) {
 	// A callback reads its own deadline and re-arms itself without
 	// deadlock; one sweep runs every re-armed deadline it passes.
 	var stamps []time.Time
-	var tick heartbeat.Timer
-	tick = c.AfterFunc(time.Second, func() {
+	var tick Timer
+	tick = AfterFunc(c, time.Second, func() {
 		stamps = append(stamps, c.Now())
 		if len(stamps) < 3 {
 			tick.Reset(time.Second)
@@ -204,8 +224,8 @@ func TestAfterFuncStopReset(t *testing.T) {
 	}
 
 	// A non-positive d runs the callback at once.
-	c.AfterFunc(0, func() { ran.Add(1) })
-	c.AfterFunc(-time.Second, func() { ran.Add(1) })
+	AfterFunc(c, 0, func() { ran.Add(1) })
+	AfterFunc(c, -time.Second, func() { ran.Add(1) })
 	if ran.Load() != 2 {
 		t.Fatalf("non-positive timers ran %d times, want 2", ran.Load())
 	}

@@ -69,10 +69,10 @@ import (
 	"time"
 
 	"repro/balance"
+	"repro/clock"
 	"repro/hbfile"
 	"repro/hbnet"
 	"repro/hbshm"
-	"repro/heartbeat"
 	"repro/internal/pump"
 	"repro/observer"
 )
@@ -264,7 +264,7 @@ func runFollow(stream observer.Stream, classifier *observer.Classifier, interval
 	var lastCount, lastMissed uint64
 	for reports := 0; count == 0 || reports < count; reports++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		heartbeat.AfterFunc(nil, interval, cancel)
+		clock.AfterFunc(nil, interval, cancel)
 		if !ended {
 			ended = pump.Run(ctx, nil, interval, stream.Next, win.Absorb, fail)
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/clock"
 	"repro/control"
 	"repro/heartbeat"
 	"repro/internal/parsec"
@@ -43,7 +44,7 @@ func main() {
 
 func runWorkload(w parsec.SchedWorkload, policyName string, cw, ch int) error {
 	const coreRate = 1e9
-	clk := sim.NewClock(sim.Epoch)
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, coreRate)
 	hb, err := heartbeat.New(w.Window, heartbeat.WithClock(clk))
 	if err != nil {

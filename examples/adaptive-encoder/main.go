@@ -9,8 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
+	"repro/clock"
 	"repro/control"
 	"repro/heartbeat"
 	"repro/internal/video"
@@ -29,7 +29,7 @@ func main() {
 	// Simulated eight-core machine; the per-core rate is chosen so the
 	// launch configuration manages only ~9 frames/s, like the paper's
 	// demanding Main-profile parameters.
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	machine := sim.NewMachine(clk, 8, 1.14e7)
 
 	hb, err := heartbeat.New(checkEvery, heartbeat.WithClock(clk))

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/clock"
 	"repro/control"
 	"repro/hbfile"
 	"repro/heartbeat"
@@ -40,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clk := sim.NewClock(sim.Epoch)
+	clk := clock.NewVirtual()
 	machine := sim.NewMachine(clk, 8, 1e6)
 	machine.SetCores(1)
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(writer))

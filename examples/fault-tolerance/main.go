@@ -10,8 +10,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
+	"repro/clock"
 	"repro/control"
 	"repro/heartbeat"
 	"repro/internal/video"
@@ -28,7 +28,7 @@ func main() {
 	ladder := x264.Ladder()
 	startLevel := len(ladder) - 2
 
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	machine := sim.NewMachine(clk, 8, 1.31e7)
 
 	hb, err := heartbeat.New(20, heartbeat.WithClock(clk))

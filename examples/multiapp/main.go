@@ -19,6 +19,7 @@ import (
 	"log"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/observer"
 	"repro/scheduler"
@@ -26,7 +27,7 @@ import (
 )
 
 func main() {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	cluster := sim.NewCluster(clk, 8, 1e6)
 
 	mkApp := func(name string, min, max float64, opsFn func(beat uint64) float64, pf float64) (*heartbeat.Heartbeat, *sim.Proc) {

@@ -9,9 +9,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
 	"repro/heartbeat"
-	"repro/sim"
 )
 
 func tempPath(t *testing.T) string {
@@ -246,7 +246,7 @@ func TestHeartbeatWithFileSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
 	"repro/heartbeat"
-	"repro/sim"
 )
 
 func TestLogRoundTrip(t *testing.T) {
@@ -107,7 +107,7 @@ func TestLogAsHeartbeatSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
 	if err != nil {
 		t.Fatal(err)

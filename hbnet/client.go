@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/observer"
 )
@@ -94,9 +95,9 @@ type Client struct {
 	backoffMin time.Duration
 	backoffMax time.Duration
 	reconnect  bool
-	dialer     Dialer          // nil = real network
-	clk        heartbeat.Clock // nil = wall clock; paces backoff waits
-	rng        *rand.Rand      // backoff jitter; used only by the reader goroutine
+	dialer     Dialer      // nil = real network
+	clk        clock.Clock // nil = wall clock; paces backoff waits
+	rng        *rand.Rand  // backoff jitter; used only by the reader goroutine
 
 	// recFree recycles decoded record slices (Recycle): consumers that are
 	// done with a batch before the next Next — the Relay merge pump — make
@@ -217,7 +218,7 @@ func (c *Client) dialOnce() (net.Conn, error) {
 	}
 	// On the client's clock, not the wall's: under a virtual clock the
 	// handshake deadline is part of the simulation.
-	conn.SetDeadline(heartbeat.Now(c.clk).Add(dialTimeout))
+	conn.SetDeadline(clock.Now(c.clk).Add(dialTimeout))
 	since := c.wireCursor.Load()
 	if err := writeFrame(conn, appendHello(nil, c.feed, since)); err != nil {
 		conn.Close()
@@ -294,9 +295,7 @@ func (c *Client) readLoop(conn net.Conn) {
 			} else if failBackoff *= 2; failBackoff > c.backoffMax {
 				failBackoff = c.backoffMax
 			}
-			select {
-			case <-heartbeat.After(c.clk, c.jitter(failBackoff)):
-			case <-c.ctx.Done():
+			if !clock.SleepCtx(c.ctx, c.clk, c.jitter(failBackoff)) {
 				c.termErr = io.EOF
 				return
 			}
@@ -404,13 +403,8 @@ func (c *Client) redial() (net.Conn, error) {
 			c.mu.Unlock()
 			return conn, nil
 		}
-		if c.ctx.Err() != nil {
+		if !clock.SleepCtx(c.ctx, c.clk, c.jitter(backoff)) {
 			return nil, err
-		}
-		select {
-		case <-c.ctx.Done():
-			return nil, err
-		case <-heartbeat.After(c.clk, c.jitter(backoff)):
 		}
 		if backoff *= 2; backoff > c.backoffMax {
 			backoff = c.backoffMax
@@ -429,7 +423,7 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 }
 
 // now reads the client's clock, falling back to the wall clock.
-func (c *Client) now() time.Time { return heartbeat.Now(c.clk) }
+func (c *Client) now() time.Time { return clock.Now(c.clk) }
 
 // Next implements observer.Stream: it blocks until the server pushes
 // records and returns them as a Batch. Batches already received are

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/control"
 	"repro/heartbeat"
 	"repro/internal/simcheck"
@@ -170,7 +171,7 @@ func TestProcessBoundaryMonitorAndScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := sim.NewMachine(sim.NewClock(time.Time{}), 8, 1e6)
+	machine := sim.NewMachine(clock.NewVirtual(), 8, 1e6)
 	sched, err := scheduler.New(machine, scheduler.StepperPolicy{
 		Stepper: &control.Stepper{TargetMin: 50, TargetMax: 5000},
 	})

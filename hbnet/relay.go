@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/internal/cursor"
 	"repro/internal/pump"
@@ -566,7 +567,7 @@ func WithRelayOnRollup(f func([]observer.Rollup)) RelayOption {
 // stamped and flushed on clk's time, and the pump re-poll/retry pacing
 // follows it, so a virtual clock drives the whole fan-in node as a
 // simulation participant. A nil clk is the wall clock.
-func WithRelayClock(clk heartbeat.Clock) RelayOption {
+func WithRelayClock(clk clock.Clock) RelayOption {
 	return func(r *Relay) { r.clk = clk }
 }
 
@@ -609,7 +610,7 @@ type Relay struct {
 	shedLag      int // WithShedLag bound on the merged ring; 0 = off
 	onError      func(app string, err error)
 	onRollup     func([]observer.Rollup)
-	clk          heartbeat.Clock // nil = wall clock
+	clk          clock.Clock // nil = wall clock
 
 	merged    *replayRing
 	rollups   *rollupRing
@@ -1118,7 +1119,7 @@ func (r *Relay) Run(ctx context.Context) {
 	r.mu.Unlock()
 	defer r.pumps.Close()
 	tick := make(chan struct{}, 1)
-	t := heartbeat.AfterFunc(r.clk, r.rollupEvery, func() { tick <- struct{}{} })
+	t := clock.AfterFunc(r.clk, r.rollupEvery, func() { tick <- struct{}{} })
 	defer t.Stop()
 	for {
 		select {
@@ -1144,7 +1145,7 @@ func (r *Relay) upstreamsLocked() []*relayUpstream {
 }
 
 // now reads the relay's clock, falling back to the wall clock.
-func (r *Relay) now() time.Time { return heartbeat.Now(r.clk) }
+func (r *Relay) now() time.Time { return clock.Now(r.clk) }
 
 // flushRollups emits one rollup per upstream for the elapsed window, and —
 // when rollup upstreams are registered — one compacted rollup per app into

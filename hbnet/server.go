@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/observer"
 )
@@ -31,7 +32,7 @@ type Feed func(ctx context.Context, since uint64) (observer.Stream, error)
 // detected per open, and the tail survives the file being deleted and
 // recreated by a restarted producer — including in the other format —
 // without dropping the connection.
-func FileFeed(path string, poll time.Duration, clk heartbeat.Clock) Feed {
+func FileFeed(path string, poll time.Duration, clk clock.Clock) Feed {
 	return func(ctx context.Context, since uint64) (observer.Stream, error) {
 		s, err := observer.FollowFile(path, poll, since, clk)
 		if err != nil {
@@ -69,7 +70,7 @@ func WithServerOnError(f func(error)) ServerOption {
 // (default: the wall clock). Under a virtual clock — with connections that
 // honor deadlines on the same clock, as simnet's do — simulated scenarios
 // drive the server's timeout paths deterministically instead of never.
-func WithServerClock(clk heartbeat.Clock) ServerOption {
+func WithServerClock(clk clock.Clock) ServerOption {
 	return func(s *Server) { s.clk = clk }
 }
 
@@ -85,7 +86,7 @@ type Server struct {
 	writeTimeout     time.Duration
 	handshakeTimeout time.Duration
 	onError          func(error)
-	clk              heartbeat.Clock // nil = wall clock; deadline arithmetic
+	clk              clock.Clock // nil = wall clock; deadline arithmetic
 
 	mu        sync.Mutex
 	feeds     map[string]feedEntry
@@ -200,7 +201,10 @@ func (s *Server) Serve(l net.Listener) error {
 				if s.onError != nil {
 					s.onError(fmt.Errorf("hbnet: accept: %w", err))
 				}
-				<-heartbeat.After(s.clk, acceptDelay)
+				// Serve takes no context and Close does not cut this
+				// wait short: the next Accept on the closed listener ends
+				// Serve at most a second later.
+				clock.SleepCtx(context.TODO(), s.clk, acceptDelay)
 				continue
 			}
 			return err
@@ -261,7 +265,7 @@ func (s *Server) Close() error {
 // feedEntry.open produces the next frame's bytes.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	if s.handshakeTimeout > 0 {
-		conn.SetReadDeadline(heartbeat.Now(s.clk).Add(s.handshakeTimeout))
+		conn.SetReadDeadline(clock.Now(s.clk).Add(s.handshakeTimeout))
 	}
 	ftype, body, err := readFrame(conn)
 	if err != nil {
@@ -382,7 +386,7 @@ func advanceCursor(cursor uint64, b observer.Batch) uint64 {
 // timeout (the rare handshake/shutdown frames; batches use writeRaw).
 func (s *Server) writeTimed(conn net.Conn, payload []byte) error {
 	if s.writeTimeout > 0 {
-		conn.SetWriteDeadline(heartbeat.Now(s.clk).Add(s.writeTimeout))
+		conn.SetWriteDeadline(clock.Now(s.clk).Add(s.writeTimeout))
 	}
 	err := writeFrame(conn, payload)
 	if s.writeTimeout > 0 {
@@ -394,7 +398,7 @@ func (s *Server) writeTimed(conn net.Conn, payload []byte) error {
 // writeRaw writes an already-framed buffer under the write timeout.
 func (s *Server) writeRaw(conn net.Conn, framed []byte) error {
 	if s.writeTimeout > 0 {
-		conn.SetWriteDeadline(heartbeat.Now(s.clk).Add(s.writeTimeout))
+		conn.SetWriteDeadline(clock.Now(s.clk).Add(s.writeTimeout))
 	}
 	_, err := conn.Write(framed)
 	if s.writeTimeout > 0 {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"net"
 
-	"repro/heartbeat"
+	"repro/clock"
 )
 
 // Dialer is the client-side transport seam: how a Client (and therefore a
@@ -33,6 +33,6 @@ func WithDialer(d Dialer) ClientOption {
 // Deadlines computed on a virtual clock only bound connections whose
 // transport evaluates them on the same clock (simnet does; a kernel
 // socket checks them against real time).
-func WithClientClock(clk heartbeat.Clock) ClientOption {
+func WithClientClock(clk clock.Clock) ClientOption {
 	return func(c *Client) { c.clk = clk }
 }

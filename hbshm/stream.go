@@ -3,7 +3,7 @@ package hbshm
 import (
 	"time"
 
-	"repro/heartbeat"
+	"repro/clock"
 	"repro/observer"
 )
 
@@ -28,7 +28,7 @@ var _ observer.Stream = (*Stream)(nil)
 // (0 streams the retained history first). poll paces idle checks (<= 0
 // selects observer.DefaultPollInterval); clk interprets the waits (nil is
 // the wall clock — a virtual clock makes an idle tail a simulation event).
-func StreamFrom(r *Reader, poll time.Duration, since uint64, clk heartbeat.Clock) *Stream {
+func StreamFrom(r *Reader, poll time.Duration, since uint64, clk clock.Clock) *Stream {
 	return &Stream{observer.ReaderStream(r, poll, since, clk), r}
 }
 

@@ -6,12 +6,17 @@ import (
 	"time"
 )
 
+// funcClock adapts a function to clock.Clock.
+type funcClock func() time.Time
+
+func (f funcClock) Now() time.Time { return f() }
+
 // steppedHB returns a heartbeat stamped by a clock that only the returned
 // advance function moves.
 func steppedHB(t *testing.T, window int) (*Heartbeat, func(time.Duration)) {
 	t.Helper()
 	now := time.Unix(0, 0)
-	hb, err := New(window, WithClock(ClockFunc(func() time.Time { return now })))
+	hb, err := New(window, WithClock(funcClock(func() time.Time { return now })))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

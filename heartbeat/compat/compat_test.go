@@ -4,14 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/heartbeat/compat"
-	"repro/sim"
 )
 
-func newHB(t *testing.T) (*compat.HB, *sim.Clock) {
+func newHB(t *testing.T) (*compat.HB, *clock.Virtual) {
 	t.Helper()
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := compat.Initialize(10, false, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)

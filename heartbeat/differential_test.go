@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
-	"repro/sim"
 )
 
 // refModel is the single-lock reference the sharded store is checked
@@ -89,7 +89,7 @@ func TestShardedMatchesSingleLockReference(t *testing.T) {
 				threads  = 4
 				ops      = 6000
 			)
-			clk := sim.NewClock(time.Time{})
+			clk := clock.NewVirtual()
 			opts := append([]heartbeat.Option{
 				heartbeat.WithClock(clk),
 				heartbeat.WithCapacity(capacity),

@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
-	"repro/sim"
 )
 
 // The basic instrumentation pattern: initialize, advertise a goal, beat at
 // significant points, observe the rate. (A manual clock stands in for real
 // time so the output is deterministic.)
 func Example() {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(30, 35)
 
@@ -31,7 +31,7 @@ func Example() {
 // and asks for the I-frame rate separately.
 func ExampleHeartbeat_RateByTag() {
 	const tagI, tagP = 1, 2
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(20, heartbeat.WithClock(clk))
 
 	for frame := 0; frame < 20; frame++ {
@@ -52,7 +52,7 @@ func ExampleHeartbeat_RateByTag() {
 // Per-thread ("local") heartbeats give observers per-worker visibility
 // while the global history tracks whole-application progress.
 func ExampleHeartbeat_Thread() {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	fast := hb.Thread("fast-worker")
 	slow := hb.Thread("slow-worker")
@@ -102,7 +102,7 @@ func ExampleHeartbeat_SubscribeFrom() {
 
 // History returns the recent records for in-depth analysis.
 func ExampleHeartbeat_History() {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	for i := 1; i <= 3; i++ {
 		clk.Advance(time.Second)

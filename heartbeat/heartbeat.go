@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/clock"
 )
 
 // defaultWindow is the default-window fallback used when New is given a
@@ -29,7 +31,7 @@ const defaultWindow = 20
 // assigned, and delivered to the sink before the call returns.
 type Heartbeat struct {
 	window   int
-	clock    Clock
+	clock    clock.Clock
 	nowNanos func() int64
 	store    store
 	sink     Sink
@@ -75,7 +77,7 @@ type config struct {
 	threadCap  int
 	shardCap   int
 	flushEvery time.Duration
-	clock      Clock
+	clock      clock.Clock
 	clockSet   bool
 	sink       Sink
 	locked     bool
@@ -116,7 +118,7 @@ func WithFlushInterval(d time.Duration) Option { return func(c *config) { c.flus
 // replays bit-identically, and WithClock(SystemClock()) is the way to ask for
 // a wall-clock reading on every Thread beat, which the default amortises (see
 // Thread).
-func WithClock(clk Clock) Option { return func(c *config) { c.clock, c.clockSet = clk, true } }
+func WithClock(clk clock.Clock) Option { return func(c *config) { c.clock, c.clockSet = clk, true } }
 
 // WithSink registers a Sink that receives every global record as it is
 // produced, e.g. an hbfile.Writer exposing the heartbeat to other processes.
@@ -200,7 +202,7 @@ func New(window int, opts ...Option) (*Heartbeat, error) {
 func (h *Heartbeat) flusher(every time.Duration) {
 	defer close(h.flushDone)
 	tick := make(chan struct{}, 1)
-	t := AfterFunc(h.clock, every, func() { tick <- struct{}{} })
+	t := clock.AfterFunc(h.clock, every, func() { tick <- struct{}{} })
 	defer t.Stop()
 	for {
 		select {

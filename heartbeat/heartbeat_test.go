@@ -4,14 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
-	"repro/sim"
 )
 
 // newTestHB returns a heartbeat on a manual clock.
-func newTestHB(t *testing.T, window int, opts ...heartbeat.Option) (*heartbeat.Heartbeat, *sim.Clock) {
+func newTestHB(t *testing.T, window int, opts ...heartbeat.Option) (*heartbeat.Heartbeat, *clock.Virtual) {
 	t.Helper()
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(window, append(opts, heartbeat.WithClock(clk))...)
 	if err != nil {
 		t.Fatalf("New: %v", err)

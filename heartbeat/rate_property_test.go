@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
-	"repro/sim"
 )
 
 // Property: for any positive gap sequence, the reported rate over the full
@@ -18,7 +18,7 @@ func TestRateMatchesDefinitionProperty(t *testing.T) {
 		if len(gapsRaw) == 0 || len(gapsRaw) > 200 {
 			return true
 		}
-		clk := sim.NewClock(time.Time{})
+		clk := clock.NewVirtual()
 		hb, err := heartbeat.New(2, heartbeat.WithCapacity(256), heartbeat.WithClock(clk))
 		if err != nil {
 			return false
@@ -58,7 +58,7 @@ func TestRateMatchesDefinitionProperty(t *testing.T) {
 // first-records: FirstSeq is non-increasing and Beats non-decreasing in
 // the window size.
 func TestWindowMonotonicityProperty(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(2, heartbeat.WithCapacity(128), heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)

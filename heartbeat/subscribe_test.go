@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
-	"repro/sim"
 )
 
 func TestReadSinceIncremental(t *testing.T) {
@@ -19,7 +19,7 @@ func TestReadSinceIncremental(t *testing.T) {
 		{"locked", []heartbeat.Option{heartbeat.WithLockedStore()}},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
-			clk := sim.NewClock(time.Time{})
+			clk := clock.NewVirtual()
 			hb, err := heartbeat.New(10, append(variant.opts, heartbeat.WithClock(clk), heartbeat.WithCapacity(64))...)
 			if err != nil {
 				t.Fatal(err)
@@ -70,7 +70,7 @@ func TestReadSinceSeesUnflushedShardBeats(t *testing.T) {
 }
 
 func TestReadSinceOverwriteReportsLoss(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(2, heartbeat.WithClock(clk), heartbeat.WithCapacity(8))
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestReadSinceOverwriteReportsLoss(t *testing.T) {
 }
 
 func TestSubscribeDeliversBacklogThenDeltas(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestSubscribeNextReturnsPendingDataBeforeCtx(t *testing.T) {
 }
 
 func TestSubscribeFromResumesWithoutLossOrDup(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithCapacity(64))
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestSubscribeFromResumesWithoutLossOrDup(t *testing.T) {
 // records, Missed, or an error. The subscription must resynchronize from
 // the new history instead, like the stream-side resyncs already do.
 func TestSubscribeFromFutureCursorResynchronizes(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithCapacity(64))
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestSubscriptionCloseWakesBlockedNext(t *testing.T) {
 }
 
 func TestSubscriptionMissedCountsOverwrites(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(2, heartbeat.WithClock(clk), heartbeat.WithCapacity(4))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/internal/plot"
 	"repro/observer"
@@ -48,7 +49,7 @@ func DVFS(Options) Result {
 		violated int // beats measured below target after warmup
 	}
 	run := func(governed bool) runResult {
-		clk := sim.NewClock(sim.Epoch)
+		clk := clock.NewVirtual()
 		m := sim.NewMachine(clk, 8, coreRate)
 		hb, err := heartbeat.New(window, heartbeat.WithClock(clk))
 		if err != nil {

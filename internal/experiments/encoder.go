@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/clock"
 	"repro/control"
 	"repro/heartbeat"
 	"repro/internal/plot"
@@ -97,7 +98,7 @@ func Fig2(opt Options) Result {
 	busyOnly := video.Uniform(prof(0))
 	coreRate := calibrateCoreRate(cfg, busyOnly, opt.Seed+1, 30, 13)
 
-	clk := sim.NewClock(sim.Epoch)
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, coreRate)
 	hb, err := heartbeat.New(20, heartbeat.WithClock(clk))
 	if err != nil {
@@ -187,7 +188,7 @@ func runAdaptive(opt Options) *adaptiveRun {
 	prof := demandingVideo()
 	coreRate := calibrateCoreRate(ladder[0], prof, opt.Seed+3, 30, fig3BaselineRate)
 
-	clk := sim.NewClock(sim.Epoch)
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, coreRate)
 	hb, err := heartbeat.New(fig3CheckEvery, heartbeat.WithClock(clk))
 	if err != nil {
@@ -345,7 +346,7 @@ func Fig8(opt Options) Result {
 		{name: "adaptive", adaptive: true, faults: true},
 	}
 	for _, c := range curves {
-		clk := sim.NewClock(sim.Epoch)
+		clk := clock.NewVirtual()
 		m := sim.NewMachine(clk, 8, coreRate)
 		hb, err := heartbeat.New(20, heartbeat.WithClock(clk))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/internal/plot"
 	"repro/observer"
@@ -26,7 +27,7 @@ func MultiApp(Options) Result {
 		steps    = 260
 		loadStep = 90 // decision step at which app A's load rises
 	)
-	clk := sim.NewClock(sim.Epoch)
+	clk := clock.NewVirtual()
 	cluster := sim.NewCluster(clk, 8, coreRate)
 
 	type app struct {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/clock"
 	"repro/control"
 	"repro/heartbeat"
 	"repro/internal/parsec"
@@ -17,7 +18,7 @@ import (
 // only heartbeats and the advertised target window — grows and shrinks the
 // core allocation.
 func schedExperiment(id string, w parsec.SchedWorkload, paperNote string) Result {
-	clk := sim.NewClock(sim.Epoch)
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, refCoreRate)
 	hb, err := heartbeat.New(w.Window, heartbeat.WithClock(clk))
 	if err != nil {

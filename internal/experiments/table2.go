@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
 	"repro/heartbeat"
 	"repro/internal/parsec"
@@ -31,7 +32,7 @@ func Table2(opt Options) Result {
 	notes := []string{}
 	worst := 0.0
 	for _, p := range parsec.Profiles() {
-		clk := sim.NewClock(sim.Epoch)
+		clk := clock.NewVirtual()
 		m := sim.NewMachine(clk, 8, refCoreRate)
 		hb, err := heartbeat.New(20, heartbeat.WithClock(clk), heartbeat.WithCapacity(p.Beats+1))
 		if err != nil {
@@ -43,7 +44,7 @@ func Table2(opt Options) Result {
 			hb.Beat()
 		}
 		// Whole-run average, as the paper reports.
-		measured := float64(p.Beats) / clk.Elapsed(start).Seconds()
+		measured := float64(p.Beats) / clk.Now().Sub(start).Seconds()
 		rel := (measured - p.PaperRate) / p.PaperRate
 		if rel < 0 {
 			rel = -rel

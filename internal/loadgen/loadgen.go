@@ -15,7 +15,7 @@
 // together) and per-beat rate jitter are all drawn from one seeded rng, so
 // a failing run replays exactly from its seed.
 //
-// Everything waits on a heartbeat.WaitClock: under sim.Clock/AutoAdvance a
+// Everything waits on a clock.Clock: under clock.Virtual/AutoAdvance a
 // simulated second costs the events in it, and the pump quantizes those
 // events to PumpTick — the virtual timer queue sees O(duration/tick)
 // registrations however many producers beat.
@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/observer"
 )
@@ -129,7 +130,7 @@ type burst struct {
 // concurrently with Run.
 type Fleet struct {
 	cfg   Config
-	clk   heartbeat.WaitClock
+	clk   clock.Clock
 	apps  []*AppStream
 	byApp []int // producer count per app, fixed at New
 
@@ -152,10 +153,10 @@ type Fleet struct {
 // New builds the fleet: app assignment (Zipf), initial beat stagger, churn
 // schedule and burst schedule are all drawn here, in this order, from the
 // config seed — New is the whole of a run's randomness.
-func New(cfg Config, clk heartbeat.WaitClock) *Fleet {
+func New(cfg Config, clk clock.Clock) *Fleet {
 	cfg = cfg.withDefaults()
 	if clk == nil {
-		panic("loadgen: New needs a WaitClock")
+		panic("loadgen: New needs a clock")
 	}
 	f := &Fleet{
 		cfg:     cfg,
@@ -273,7 +274,7 @@ func (f *Fleet) Run(ctx context.Context) {
 			if d <= 0 {
 				break
 			}
-			if !heartbeat.SleepCtx(ctx, f.clk, d) {
+			if !clock.SleepCtx(ctx, f.clk, d) {
 				return
 			}
 		}

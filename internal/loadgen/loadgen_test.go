@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/internal/simcheck"
-	"repro/sim"
 )
 
 // drainAll empties a stream without blocking (the Stream contract's
@@ -50,7 +50,7 @@ func TestFleetPump(t *testing.T) {
 		BurstLen:  500 * time.Millisecond,
 		PumpTick:  10 * time.Millisecond,
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	f := New(cfg, clk)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -60,9 +60,9 @@ func TestFleetPump(t *testing.T) {
 
 	start := clk.Now()
 	deadline := time.Now().Add(30 * time.Second)
-	for clk.Elapsed(start) < cfg.Duration {
+	for clk.Now().Sub(start) < cfg.Duration {
 		if time.Now().After(deadline) {
-			t.Fatalf("virtual clock stalled at %v", clk.Elapsed(start))
+			t.Fatalf("virtual clock stalled at %v", clk.Now().Sub(start))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -123,7 +123,7 @@ func TestFleetPump(t *testing.T) {
 // TestFleetDeterministicBuild: two fleets from the same seed draw the same
 // app assignment and the same churn schedule.
 func TestFleetDeterministicBuild(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	cfg := Config{Seed: 5, Producers: 300, Apps: 8, ChurnFrac: 0.3}
 	a, b := New(cfg, clk), New(cfg, clk)
 	for i := 0; i < a.Apps(); i++ {

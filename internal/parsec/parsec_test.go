@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/clock"
 	"repro/sim"
 )
 
@@ -139,11 +140,11 @@ func TestProfileByName(t *testing.T) {
 func TestOpsPerBeatCalibration(t *testing.T) {
 	const coreRate = 1e9
 	for _, p := range Profiles() {
-		clk := sim.NewClock(sim.Epoch)
+		clk := clock.NewVirtual()
 		m := sim.NewMachine(clk, 8, coreRate)
 		start := clk.Now()
 		m.Execute(p.Work(coreRate, 8))
-		got := clk.Elapsed(start).Seconds()
+		got := clk.Now().Sub(start).Seconds()
 		want := 1 / p.PaperRate
 		// The clock quantizes to nanoseconds, so allow ppm-level error.
 		if rel := (got - want) / want; rel > 1e-6 || rel < -1e-6 {

@@ -14,7 +14,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/heartbeat"
+	"repro/clock"
 )
 
 // Run reads next until ctx is cancelled or the stream ends, and reports
@@ -34,7 +34,7 @@ import (
 //   - Any other error goes to fail, which reports it and says whether it is
 //     terminal. A terminal failure ends the stream as io.EOF does; otherwise
 //     the next read waits every on clk.
-func Run[T any](ctx context.Context, clk heartbeat.Clock, every time.Duration, next func(context.Context) (T, error), deliver func(T), fail func(error) bool) (ended bool) {
+func Run[T any](ctx context.Context, clk clock.Clock, every time.Duration, next func(context.Context) (T, error), deliver func(T), fail func(error) bool) (ended bool) {
 	w := newWait(ctx, clk)
 	defer w.stop()
 	for ctx.Err() == nil {
@@ -53,14 +53,14 @@ func Run[T any](ctx context.Context, clk heartbeat.Clock, every time.Duration, n
 			if fail(err) {
 				return true
 			}
-			heartbeat.SleepCtx(ctx, clk, every) // pace retries against a persistently failing stream
+			clock.SleepCtx(ctx, clk, every) // pace retries against a persistently failing stream
 		}
 	}
 	return false
 }
 
 // wait is the reusable deadline context behind Run's waits: one context
-// and one heartbeat.Timer per pump, on any clock, instead of one of each
+// and one clock.Timer per pump, on any clock, instead of one of each
 // per batch (context.WithTimeout in the loop is a measurable allocation
 // rate at high fan-in, and disarm stops the timer, so a delivery leaves no
 // virtual timer queued). arm begins a new wait; a fired deadline reports
@@ -69,8 +69,8 @@ func Run[T any](ctx context.Context, clk heartbeat.Clock, every time.Duration, n
 // never overlap a live wait.
 type wait struct {
 	parent context.Context
-	clk    heartbeat.Clock
-	timer  heartbeat.Timer
+	clk    clock.Clock
+	timer  clock.Timer
 	stop   func() bool // detaches the parent watch; the owning loop calls it on exit
 
 	mu    sync.Mutex
@@ -79,7 +79,7 @@ type wait struct {
 	armed bool
 }
 
-func newWait(parent context.Context, clk heartbeat.Clock) *wait {
+func newWait(parent context.Context, clk clock.Clock) *wait {
 	p := &wait{parent: parent, clk: clk, done: make(chan struct{})}
 	p.stop = context.AfterFunc(parent, func() {
 		p.mu.Lock()
@@ -116,7 +116,7 @@ func (p *wait) arm(d time.Duration) {
 	p.armed = p.err == nil
 	p.mu.Unlock()
 	if p.timer == nil {
-		p.timer = heartbeat.AfterFunc(p.clk, d, p.fire)
+		p.timer = clock.AfterFunc(p.clk, d, p.fire)
 	} else {
 		p.timer.Reset(d)
 	}

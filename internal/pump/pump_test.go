@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/heartbeat"
-	"repro/sim"
+	"repro/clock"
 )
 
 // A pump bounds its waits with one reusable context and timer, on the wall
@@ -19,8 +18,8 @@ import (
 func TestWallWaitAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		clk  heartbeat.Clock
-	}{{"wall", nil}, {"sim", sim.NewClock(time.Time{})}} {
+		clk  clock.Clock
+	}{{"wall", nil}, {"sim", clock.NewVirtual()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -39,7 +38,7 @@ func TestWallWaitAllocs(t *testing.T) {
 				t.Fatalf("a delivering wait allocates %v, want 0", n)
 			}
 			expire := func() {}
-			if clk, ok := tc.clk.(*sim.Clock); ok {
+			if clk, ok := tc.clk.(*clock.Virtual); ok {
 				expire = func() { clk.Advance(time.Microsecond) }
 			}
 			if n := testing.AllocsPerRun(20, func() {
@@ -61,7 +60,7 @@ func TestWallWaitAllocs(t *testing.T) {
 // it, and the expiry reads as a deadline, not a cancellation: Run tells
 // "the interval elapsed" from "cancelled" by exactly this.
 func TestWaitVirtualDeadline(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	w := newWait(context.Background(), clk)
 	defer w.stop()
 	w.arm(time.Minute)
@@ -87,7 +86,7 @@ func TestWaitVirtualDeadline(t *testing.T) {
 // A disarmed wait never expires and leaves no timer queued; cancelling the
 // parent ends the wait as Canceled.
 func TestWaitDisarmAndParentCancel(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	parent, cancel := context.WithCancel(context.Background())
 	w := newWait(parent, clk)
 	defer w.stop()
@@ -132,7 +131,7 @@ func TestWaitWallDeadline(t *testing.T) {
 // not abandoned.
 func TestRunLeavesNoVirtualTimers(t *testing.T) {
 	const deliveries = 10000
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	run := func(n int) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/heartbeat"
+	"repro/clock"
 )
 
 // conn is one endpoint of an in-memory connection: a pair of directional
@@ -89,7 +89,7 @@ func (c *conn) Read(p []byte) (int, error) {
 		// network's clock, so a virtual simulation times out virtually.
 		var untilDeadline time.Duration
 		if dl := c.readDeadline(); !dl.IsZero() {
-			if untilDeadline = dl.Sub(clockNow(c.nw.clk)); untilDeadline <= 0 {
+			if untilDeadline = dl.Sub(clock.Now(c.nw.clk)); untilDeadline <= 0 {
 				return 0, timeoutError{}
 			}
 		}
@@ -117,7 +117,7 @@ func (c *conn) after(d time.Duration) (<-chan struct{}, func() bool) {
 		return nil, func() bool { return false }
 	}
 	ch := make(chan struct{})
-	t := heartbeat.AfterFunc(c.nw.clk, d, func() { close(ch) })
+	t := clock.AfterFunc(c.nw.clk, d, func() { close(ch) })
 	return ch, t.Stop
 }
 
@@ -144,7 +144,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		}
 		var untilDeadline time.Duration
 		if dl := c.writeDeadline(); !dl.IsZero() {
-			if untilDeadline = dl.Sub(clockNow(c.nw.clk)); untilDeadline <= 0 {
+			if untilDeadline = dl.Sub(clock.Now(c.nw.clk)); untilDeadline <= 0 {
 				return 0, timeoutError{}
 			}
 		}
@@ -173,7 +173,7 @@ func (c *conn) Write(p []byte) (int, error) {
 	}
 	c.nw.mu.Unlock()
 
-	ready := clockNow(c.nw.clk).Add(lat)
+	ready := clock.Now(c.nw.clk).Add(lat)
 	n, err := c.wr.write(deliver, ready)
 	if err != nil {
 		return n, err
@@ -213,9 +213,6 @@ func (c *conn) unregister() {
 	c.nw.mu.Unlock()
 }
 
-// clockNow is heartbeat.Now under the package's local name.
-func clockNow(clk heartbeat.Clock) time.Time { return heartbeat.Now(clk) }
-
 // seg is one write's worth of bytes, deliverable once the clock reaches
 // ready.
 type seg struct {
@@ -240,14 +237,14 @@ func newPipeBuf() *pipeBuf {
 // tryRead delivers available bytes. When nothing is deliverable it returns
 // (0, wait, notify, nil): wait > 0 means the head segment becomes ready
 // after wait on the network's clock; notify fires on any state change.
-func (b *pipeBuf) tryRead(p []byte, clk heartbeat.Clock) (n int, wait time.Duration, notify <-chan struct{}, err error) {
+func (b *pipeBuf) tryRead(p []byte, clk clock.Clock) (n int, wait time.Duration, notify <-chan struct{}, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.err != nil {
 		return 0, 0, nil, b.err
 	}
 	if len(b.segs) > 0 {
-		now := clockNow(clk)
+		now := clock.Now(clk)
 		s := &b.segs[0]
 		if s.ready.After(now) {
 			return 0, s.ready.Sub(now), b.notify, nil

@@ -8,10 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/hbnet"
 	"repro/heartbeat"
 	"repro/internal/simcheck"
-	"repro/sim"
 )
 
 // These tests pin the elastic-membership seams deterministically, where the
@@ -24,14 +24,14 @@ import (
 // network, and real-time waits that poll while virtual time races.
 type elasticHarness struct {
 	t   *testing.T
-	clk *sim.Clock
+	clk *clock.Virtual
 	nw  *Network
 	ctx context.Context
 }
 
 func newElasticHarness(t *testing.T) *elasticHarness {
 	t.Helper()
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go clk.AutoAdvance(ctx, 0)

@@ -9,11 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/hbnet"
 	"repro/heartbeat"
 	"repro/internal/simcheck"
 	"repro/observer"
-	"repro/sim"
 )
 
 // These tests drive the hbnet failure seams the scenario matrix can only
@@ -28,14 +28,14 @@ import (
 // attempt — the observable trace of the client's backoff schedule.
 type recordingDialer struct {
 	d     hbnet.Dialer
-	clk   heartbeat.Clock
+	clk   clock.Clock
 	mu    *sync.Mutex
 	times *[]time.Time
 }
 
 func (r recordingDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	r.mu.Lock()
-	*r.times = append(*r.times, clockNow(r.clk))
+	*r.times = append(*r.times, clock.Now(r.clk))
 	r.mu.Unlock()
 	return r.d.DialContext(ctx, network, addr)
 }
@@ -47,7 +47,7 @@ func (r recordingDialer) DialContext(ctx context.Context, network, addr string) 
 // backoff window; before jitter existed every client's first retry landed
 // at exactly cut+backoffMin — one distinct instant for the whole fleet.
 func TestReconnectJitterDesynchronizesRedials(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	nw := New(clk)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -141,7 +141,7 @@ func TestReconnectJitterDesynchronizesRedials(t *testing.T) {
 // simulated instant, the server disconnects the stall, and the subscriber
 // later reconnects from its cursor with nothing lost unaccounted.
 func TestServerWriteTimeoutDropsStalledSubscriber(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	nw := New(clk)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -192,7 +192,7 @@ func TestServerWriteTimeoutDropsStalledSubscriber(t *testing.T) {
 	beats.Add(1)
 	go func() {
 		defer beats.Done()
-		for heartbeat.SleepCtx(beatCtx, clk, time.Millisecond) {
+		for clock.SleepCtx(beatCtx, clk, time.Millisecond) {
 			hb.Beat()
 		}
 	}()
@@ -248,7 +248,7 @@ func TestServerWriteTimeoutDropsStalledSubscriber(t *testing.T) {
 // one included (it reconnects), must conserve against the relay's merged
 // head.
 func TestFrameFanoutSurvivesMidWriteDisconnect(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	nw := New(clk)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestMain pins the package to one P. sim.Clock.AutoAdvance settles the
+// TestMain pins the package to one P. clock.Virtual.AutoAdvance settles the
 // goroutines an advance woke by yielding (settleRounds × runtime.Gosched)
 // before it leaps to the next deadline, and a yield is a handshake only
 // when there is a single P: every runnable goroutine then runs, and parks

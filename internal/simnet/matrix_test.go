@@ -10,11 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/control"
 	"repro/heartbeat"
 	"repro/observer"
 	"repro/scheduler"
-	"repro/sim"
 )
 
 // matrixBaseSeed is the fixed seed `make ci` replays on every run; the
@@ -210,7 +210,7 @@ func TestScenarioMatrix(t *testing.T) {
 // scheduler.CoreScheduler — entirely under virtual time: ~2 virtual minutes of judgments and decisions in well under a
 // real second, including a flatline detection, with not one real sleep.
 func TestVirtualTimeControlLoop(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	start := clk.Now()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -228,7 +228,7 @@ func TestVirtualTimeControlLoop(t *testing.T) {
 	// The application: beats every 100ms virtual, then goes silent.
 	silentAfter := clk.Now().Add(time.Minute)
 	go func() {
-		for heartbeat.SleepCtx(ctx, clk, 100*time.Millisecond) {
+		for clock.SleepCtx(ctx, clk, 100*time.Millisecond) {
 			if clk.Now().Before(silentAfter) {
 				hb.Beat()
 			}

@@ -1,6 +1,6 @@
 // Package simnet is the deterministic whole-stack simulation harness: an
 // in-memory network with a programmable fault schedule, driven under
-// virtual time (sim.Clock via heartbeat.WaitClock), so the entire
+// virtual time (a clock.Virtual behind every clock.Clock), so the entire
 // heartbeat pipeline — producers, hbfile tails, hbnet servers, clients,
 // relay trees, observer hubs, schedulers — runs end to end with no real
 // socket, no real sleep, and thousands of simulated seconds per real
@@ -19,7 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/heartbeat"
+	"repro/clock"
 )
 
 // Network is an in-memory substitute for the real network. Addresses are
@@ -31,7 +31,7 @@ import (
 //
 // All methods are safe for concurrent use.
 type Network struct {
-	clk heartbeat.Clock // paces latency delivery; nil = wall clock
+	clk clock.Clock // paces latency delivery; nil = wall clock
 
 	mu        sync.Mutex
 	listeners map[string]*listener
@@ -41,7 +41,7 @@ type Network struct {
 // New creates an empty network. clk paces per-link latency delivery (use
 // the simulation's clock); nil is the wall clock, which with zero
 // latencies never waits at all.
-func New(clk heartbeat.Clock) *Network {
+func New(clk clock.Clock) *Network {
 	return &Network{
 		clk:       clk,
 		listeners: make(map[string]*listener),

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/sim"
+	"repro/clock"
 )
 
 func pair(t *testing.T, nw *Network, host, address string) (client, server net.Conn) {
@@ -159,7 +159,7 @@ func TestDropAfterBytes(t *testing.T) {
 }
 
 func TestLatencyOnVirtualClock(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	nw := New(clk)
 	nw.SetLatency("client", "srv", 250*time.Millisecond)
 	c, s := pair(t, nw, "client", "srv")
@@ -208,7 +208,7 @@ func TestReadDeadline(t *testing.T) {
 // read or write would leave its deadline queued on the virtual clock, and
 // AutoAdvance would leap to deadlines nobody waits on.
 func TestConnWaitsStopTheirTimers(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	nw := New(clk)
 	nw.SetWriteLimit("client", "srv", 1)
 	c, s := pair(t, nw, "client", "srv")

@@ -10,10 +10,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/clock"
 	"repro/hbnet"
 	"repro/internal/loadgen"
 	"repro/internal/simcheck"
-	"repro/sim"
 )
 
 // This file is the scale half of the matrix: where scenario.go proves the
@@ -22,7 +22,7 @@ import (
 // synthetic (package loadgen: one pump goroutine, producers as heap
 // entries), the relay tree is real (leaf relays subscribe the fleet's app
 // streams, a root relay dials every leaf's merged AND rollup feeds), and
-// the whole run rides sim.Clock/AutoAdvance, so a five-virtual-second
+// the whole run rides clock.Virtual/AutoAdvance, so a five-virtual-second
 // million-producer run costs only the events in it. The run's verdict is
 // the usual simcheck conservation ledger plus the two budgets the scale
 // axis exists to police: p99 record→consumer virtual latency, and live
@@ -190,7 +190,7 @@ func (sc ScaleScenario) Run() (ScaleStats, error) {
 	runtime.ReadMemStats(&m0)
 	realStart := time.Now() //hbvet:allow wallclock -- the real-time budget bounds the harness itself, not a simulated component
 
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	nw := New(clk)
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x5ca1e))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -473,7 +473,7 @@ func (sc ScaleScenario) Run() (ScaleStats, error) {
 	}
 
 	// Verdict: conservation at every hop, then the scale budgets.
-	stats.SimSeconds = clk.Elapsed(start).Seconds()
+	stats.SimSeconds = clk.Now().Sub(start).Seconds()
 	var verdict error
 	tracker.with(func(t *simcheck.Tracker) {
 		stats.Delivered = t.Delivered()

@@ -13,12 +13,12 @@ import (
 	"time"
 
 	"repro/balance"
+	"repro/clock"
 	"repro/hbfile"
 	"repro/hbnet"
 	"repro/heartbeat"
 	"repro/internal/simcheck"
 	"repro/observer"
-	"repro/sim"
 )
 
 // This file is the seeded scenario matrix: a generator that expands one
@@ -358,7 +358,7 @@ const serverWriteTimeout = time.Second
 // optionally sunk into a file, beating on the virtual clock and
 // restartable (new heartbeat, new file life) by the fault schedule.
 type producer struct {
-	clk     *sim.Clock
+	clk     *clock.Virtual
 	path    string // empty: in-process only (TopoDirect)
 	window  int
 	ringCap int
@@ -372,7 +372,7 @@ type producer struct {
 	heads    []uint64 // final head of each completed life
 }
 
-func newProducer(clk *sim.Clock, path string, ringCap int) (*producer, error) {
+func newProducer(clk *clock.Virtual, path string, ringCap int) (*producer, error) {
 	p := &producer{clk: clk, path: path, window: 20, ringCap: ringCap}
 	return p, p.start()
 }
@@ -425,7 +425,7 @@ func (p *producer) restart(flipVariant bool) error {
 
 // beatLoop beats every interval on the virtual clock until stop.
 func (p *producer) beatLoop(ctx context.Context, every time.Duration) {
-	for heartbeat.SleepCtx(ctx, p.clk, every) {
+	for clock.SleepCtx(ctx, p.clk, every) {
 		p.mu.Lock()
 		if !p.paused && p.clk.Now().After(p.silentTo) {
 			p.hb.Beat()
@@ -539,7 +539,7 @@ func (l *lockedTracker) with(f func(tr *simcheck.Tracker)) {
 // per-producer conservation checked at the end.
 func (sc Scenario) runLocal(dir string) (Stats, error) {
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x5eed))
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go clk.AutoAdvance(ctx, 0)
@@ -712,7 +712,7 @@ func (sc Scenario) runLocal(dir string) (Stats, error) {
 	if err := firstErr(&consumerErr); err != nil {
 		return stats, err
 	}
-	stats.SimSeconds = clk.Elapsed(start).Seconds()
+	stats.SimSeconds = clk.Now().Sub(start).Seconds()
 	for i, p := range producers {
 		var err error
 		trackers[i].with(func(t *simcheck.Tracker) {
@@ -773,7 +773,7 @@ func (sc Scenario) runLocal(dir string) (Stats, error) {
 // every leaf, and one consumer holds a raw and a rollup subscription to
 // the root — all over the in-memory network under virtual time.
 func (sc Scenario) runRelayTree(dir string) (Stats, error) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	nw := New(clk)
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x5eed))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -1277,7 +1277,7 @@ schedule:
 	if errNow != nil {
 		return stats, errNow
 	}
-	stats.SimSeconds = clk.Elapsed(start).Seconds()
+	stats.SimSeconds = clk.Now().Sub(start).Seconds()
 	var verdict error
 	tracker.with(func(t *simcheck.Tracker) {
 		stats.Delivered = t.Delivered()
@@ -1355,7 +1355,7 @@ schedule:
 // relay-tree runs cannot drift apart in fault semantics. It reports
 // whether it handled the event (network faults are the relay runner's
 // own).
-func (sc Scenario) applyProducerFault(producers []*producer, rng *rand.Rand, clk *sim.Clock, ev Event) (bool, error) {
+func (sc Scenario) applyProducerFault(producers []*producer, rng *rand.Rand, clk *clock.Virtual, ev Event) (bool, error) {
 	switch ev.Kind {
 	case EvRestart, EvRecreate:
 		if err := producers[ev.Producer].restart(ev.Kind == EvRecreate); err != nil {
@@ -1385,13 +1385,13 @@ func sortedEvents(events []Event) []Event {
 
 // sleepUntilVirtual blocks until the virtual clock reaches t (or ctx
 // ends); false means cancelled.
-func sleepUntilVirtual(ctx context.Context, clk *sim.Clock, t time.Time) bool {
+func sleepUntilVirtual(ctx context.Context, clk *clock.Virtual, t time.Time) bool {
 	for {
 		d := t.Sub(clk.Now())
 		if d <= 0 {
 			return true
 		}
-		if !heartbeat.SleepCtx(ctx, clk, d) {
+		if !clock.SleepCtx(ctx, clk, d) {
 			return false
 		}
 	}

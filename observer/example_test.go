@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/observer"
-	"repro/sim"
 )
 
 // An external observer classifies an application's health purely from its
 // heartbeats: a healthy app, then the same app after it stops beating.
 func ExampleClassifier_ClassifyWindow() {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(8, 12)
 	for i := 0; i < 20; i++ {
@@ -41,7 +41,7 @@ func ExampleClassifier_ClassifyWindow() {
 // per application. Step() drives it deterministically (simulated clock);
 // Run(ctx) is the wall-clock equivalent.
 func ExampleHub() {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	video, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	indexer, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 

@@ -7,8 +7,8 @@ import (
 	"os"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
-	"repro/heartbeat"
 )
 
 // FollowFile tails the heartbeat file at path — ring or append-only log,
@@ -30,7 +30,7 @@ import (
 // failures (the producer mid-recreation) are retried on the poll cadence
 // rather than surfaced. poll <= 0 selects DefaultPollInterval. The returned
 // stream implements io.Closer; Close releases the current reader.
-func FollowFile(path string, poll time.Duration, since uint64, clk heartbeat.Clock) (Stream, error) {
+func FollowFile(path string, poll time.Duration, since uint64, clk clock.Clock) (Stream, error) {
 	if poll <= 0 {
 		poll = DefaultPollInterval
 	}
@@ -45,8 +45,8 @@ func FollowFile(path string, poll time.Duration, since uint64, clk heartbeat.Clo
 type followStream struct {
 	path   string
 	poll   time.Duration
-	cursor uint64          // carried across reopens
-	clk    heartbeat.Clock // nil = wall clock
+	cursor uint64      // carried across reopens
+	clk    clock.Clock // nil = wall clock
 
 	fs     *PolledStream // nil between a failed reopen and the next retry
 	closer io.Closer

@@ -15,16 +15,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
 	"repro/heartbeat"
 	"repro/internal/simcheck"
 	"repro/observer"
-	"repro/sim"
 )
 
 // virtualRingProducer writes records through an in-process heartbeat
 // sinking into a ring file, timestamped by the virtual clock.
-func virtualRingProducer(t *testing.T, clk *sim.Clock, path string, capacity int) *heartbeat.Heartbeat {
+func virtualRingProducer(t *testing.T, clk *clock.Virtual, path string, capacity int) *heartbeat.Heartbeat {
 	t.Helper()
 	w, err := hbfile.Create(path, 10, capacity)
 	if err != nil {
@@ -45,7 +45,7 @@ func virtualRingProducer(t *testing.T, clk *sim.Clock, path string, capacity int
 // recreated while the tail is idle — between two virtual ticks — and the
 // tail must rotate into the new life, redelivering it from sequence 1.
 func TestFollowFileVirtualRecreateBetweenIdleTicks(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go clk.AutoAdvance(ctx, 0)
@@ -119,7 +119,7 @@ func TestFollowFileVirtualRecreateBetweenIdleTicks(t *testing.T) {
 
 // virtualSleep blocks (in real time) until the virtual clock has advanced
 // by d — letting AutoAdvance fire however many poll ticks fit in it.
-func virtualSleep(t *testing.T, clk *sim.Clock, d time.Duration) {
+func virtualSleep(t *testing.T, clk *clock.Virtual, d time.Duration) {
 	t.Helper()
 	target := clk.Now().Add(d)
 	deadline := time.Now().Add(10 * time.Second)
@@ -138,7 +138,7 @@ func virtualSleep(t *testing.T, clk *sim.Clock, d time.Duration) {
 // reopen-retry state, and a later valid successor — in the other variant —
 // heals it.
 func TestFollowFileDeletedWindowAndUnopenableSuccessor(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	path := filepath.Join(t.TempDir(), "app.hb")
 	hb := virtualRingProducer(t, clk, path, 1024)
 

@@ -3,7 +3,7 @@ package observer
 import (
 	"time"
 
-	"repro/heartbeat"
+	"repro/clock"
 )
 
 // Health is an observer's judgment of an application from its heartbeats
@@ -82,7 +82,7 @@ type Classifier struct {
 	// starts before it is declared Dead. Default 10s.
 	Grace time.Duration
 	// Clock supplies "now" (default: wall clock).
-	Clock heartbeat.Clock
+	Clock clock.Clock
 	// Epoch anchors the Dead grace period; typically the time
 	// observation began. Zero disables Dead classification.
 	Epoch time.Time
@@ -110,7 +110,7 @@ func (c *Classifier) grace() time.Duration {
 }
 
 func (c *Classifier) now() time.Time {
-	return heartbeat.Now(c.Clock)
+	return clock.Now(c.Clock)
 }
 
 // ClassifyWindow judges the state accumulated in a stream consumer's

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/heartbeat"
+	"repro/clock"
 	"repro/internal/pump"
 )
 
@@ -54,7 +54,7 @@ type Hub struct {
 	onStatus func(name string, st Status)
 	mkClass  func(name string) *Classifier
 	onError  func(name string, err error)
-	clk      heartbeat.Clock // nil = wall clock; paces Run's ticks and pumps
+	clk      clock.Clock // nil = wall clock; paces Run's ticks and pumps
 
 	emit  sync.Mutex // held from a judgment through its callbacks; taken before mu
 	mu    sync.Mutex
@@ -99,11 +99,11 @@ func WithHubOnError(f func(name string, err error)) HubOption {
 
 // WithHubClock runs the hub on an explicit clock: Run's judgment ticks,
 // its pump re-poll bounds, and the default classifiers' notion of "now"
-// all follow clk — under a virtual clock (sim.Clock) the whole hub becomes
+// all follow clk — under a virtual clock (clock.Virtual) the whole hub becomes
 // a deterministic simulation participant. A nil clk is the wall clock.
 //
 //hbvet:api -- user need: run the hub on a virtual clock, in tests and simulations
-func WithHubClock(clk heartbeat.Clock) HubOption {
+func WithHubClock(clk clock.Clock) HubOption {
 	return func(h *Hub) { h.clk = clk }
 }
 
@@ -220,7 +220,7 @@ func (h *Hub) Run(ctx context.Context) {
 	h.mu.Unlock()
 	defer h.pumps.Close() // streams are single-consumer: no pump may outlive Run
 	tick := make(chan struct{}, 1)
-	t := heartbeat.AfterFunc(h.clk, h.interval, func() { tick <- struct{}{} })
+	t := clock.AfterFunc(h.clk, h.interval, func() { tick <- struct{}{} })
 	defer t.Stop()
 	for {
 		select {

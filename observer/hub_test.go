@@ -9,14 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/hbnet"
 	"repro/heartbeat"
 	"repro/observer"
-	"repro/sim"
 )
 
 func TestHubStepJudgesAllAppsDeterministically(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	mkApp := func(min, max float64) *heartbeat.Heartbeat {
 		hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 		if err != nil {
@@ -80,7 +80,7 @@ func TestHubStepJudgesAllAppsDeterministically(t *testing.T) {
 }
 
 func TestHubStepIsIncremental(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestHubStepSurfacesStreamError(t *testing.T) {
 // default window: twenty beats at 1/s then ten at 100/s are 29 intervals
 // across 19.1s, while the default window of 10 would hold only the burst.
 func TestHubWindowFollowsClassifier(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithCapacity(64))
 	if err != nil {
 		t.Fatal(err)
@@ -280,9 +280,9 @@ func TestHubAndRelayRunStopTheirTimers(t *testing.T) {
 		// start registers s on a consumer running on clk until ctx is
 		// cancelled (closing done), and returns how many records it has
 		// absorbed.
-		start func(t *testing.T, ctx context.Context, clk *sim.Clock, s observer.Stream, done chan<- struct{}) (absorbed func() uint64)
+		start func(t *testing.T, ctx context.Context, clk *clock.Virtual, s observer.Stream, done chan<- struct{}) (absorbed func() uint64)
 	}{
-		{"Hub", func(t *testing.T, ctx context.Context, clk *sim.Clock, s observer.Stream, done chan<- struct{}) func() uint64 {
+		{"Hub", func(t *testing.T, ctx context.Context, clk *clock.Virtual, s observer.Stream, done chan<- struct{}) func() uint64 {
 			hub := observer.NewHub(interval, nil, observer.WithHubClock(clk))
 			if err := hub.Add("app", s); err != nil {
 				t.Fatal(err)
@@ -293,7 +293,7 @@ func TestHubAndRelayRunStopTheirTimers(t *testing.T) {
 				return st.Count
 			}
 		}},
-		{"Relay", func(t *testing.T, ctx context.Context, clk *sim.Clock, s observer.Stream, done chan<- struct{}) func() uint64 {
+		{"Relay", func(t *testing.T, ctx context.Context, clk *clock.Virtual, s observer.Stream, done chan<- struct{}) func() uint64 {
 			relay := hbnet.NewRelay(hbnet.WithRollupInterval(interval), hbnet.WithRelayClock(clk))
 			t.Cleanup(func() { relay.Close() })
 			if err := relay.AddUpstream("app", s); err != nil {
@@ -304,7 +304,7 @@ func TestHubAndRelayRunStopTheirTimers(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := sim.NewClock(time.Time{})
+			clk := clock.NewVirtual()
 			hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 			if err != nil {
 				t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/observer"
-	"repro/sim"
 )
 
 func TestMonitorOnErrorCallback(t *testing.T) {
@@ -78,7 +78,7 @@ func firstStatus(t *testing.T, st observer.Stream, cls *observer.Classifier) obs
 }
 
 func TestMonitorMaxRecordsOption(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithCapacity(64))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestMonitorMaxRecordsOption(t *testing.T) {
 }
 
 func TestMonitorRunWithDefaults(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	for i := 0; i < 10; i++ {
 		clk.Advance(100 * time.Millisecond)

@@ -7,13 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
 	"repro/heartbeat"
 	"repro/observer"
-	"repro/sim"
 )
 
-func beatSteadily(hb *heartbeat.Heartbeat, clk *sim.Clock, n int, gap time.Duration) {
+func beatSteadily(hb *heartbeat.Heartbeat, clk *clock.Virtual, n int, gap time.Duration) {
 	for i := 0; i < n; i++ {
 		clk.Advance(gap)
 		hb.Beat()
@@ -51,7 +51,7 @@ func wantRate(t *testing.T, w *observer.Window, window int, want float64) {
 // attached to a Window — observes the same count, goal and rate.
 
 func TestHeartbeatSourceSnapshot(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestHeartbeatSourceSnapshot(t *testing.T) {
 }
 
 func TestThreadSourceSnapshot(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(8, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestFileSourceSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(fw))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestLogSourceSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(lw))
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestLogSourceSnapshot(t *testing.T) {
 
 // classify judges hb the one way there is: its stream, absorbed into a
 // Window, through ClassifyWindow.
-func classify(t *testing.T, clk *sim.Clock, hb *heartbeat.Heartbeat, c *observer.Classifier) observer.Status {
+func classify(t *testing.T, clk *clock.Virtual, hb *heartbeat.Heartbeat, c *observer.Classifier) observer.Status {
 	t.Helper()
 	if c.Clock == nil {
 		c.Clock = clk
@@ -166,7 +166,7 @@ func classify(t *testing.T, clk *sim.Clock, hb *heartbeat.Heartbeat, c *observer
 }
 
 func TestClassifyHealthy(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(8, 12)
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)
@@ -180,7 +180,7 @@ func TestClassifyHealthy(t *testing.T) {
 }
 
 func TestClassifySlowAndFast(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(20, 30)
 	beatSteadily(hb, clk, 20, 100*time.Millisecond) // 10 beats/s < 20
@@ -197,7 +197,7 @@ func TestClassifySlowAndFast(t *testing.T) {
 }
 
 func TestClassifyNoTargetHealthy(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)
 	if st := classify(t, clk, hb, &observer.Classifier{}); st.Health != observer.Healthy {
@@ -206,7 +206,7 @@ func TestClassifyNoTargetHealthy(t *testing.T) {
 }
 
 func TestClassifyFlatlined(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(8, 12)
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)
@@ -223,7 +223,7 @@ func TestClassifyFlatlined(t *testing.T) {
 }
 
 func TestClassifyFlatlinedWithoutTarget(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	beatSteadily(hb, clk, 20, 100*time.Millisecond) // measured 10/s
 	clk.Advance(time.Minute)
@@ -234,7 +234,7 @@ func TestClassifyFlatlinedWithoutTarget(t *testing.T) {
 }
 
 func TestClassifyErratic(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	// Alternate tiny and huge gaps: mean ~0.5s, stddev ~0.5s → CV ~1.
 	for i := 0; i < 10; i++ {
@@ -252,7 +252,7 @@ func TestClassifyErratic(t *testing.T) {
 }
 
 func TestClassifyUnknownAndDead(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	epoch := clk.Now()
 	c := &observer.Classifier{Clock: clk, Epoch: epoch, Grace: 5 * time.Second}
@@ -284,7 +284,7 @@ func TestHealthString(t *testing.T) {
 }
 
 func TestMonitorRunDeliversStatuses(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(8, 12)
 	beatSteadily(hb, clk, 20, 100*time.Millisecond)

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/internal/cursor"
 )
@@ -237,7 +238,7 @@ const maxPolledBatch = 1 << 16
 // time (nil is the wall clock; a virtual clock makes an idle tail a
 // simulation event); new records are read and decoded exactly once. The
 // caller keeps ownership of r.
-func ReaderStream(r PolledReader, poll time.Duration, since uint64, clk heartbeat.Clock) *PolledStream {
+func ReaderStream(r PolledReader, poll time.Duration, since uint64, clk clock.Clock) *PolledStream {
 	if poll <= 0 {
 		poll = DefaultPollInterval
 	}
@@ -252,8 +253,8 @@ type PolledStream struct {
 	r      PolledReader
 	poll   time.Duration
 	cursor uint64
-	clk    heartbeat.Clock // nil = wall clock; paces the idle-tick waits
-	pool   *recycler       // the decode buffer; a followStream shares its own across reopens
+	clk    clock.Clock // nil = wall clock; paces the idle-tick waits
+	pool   *recycler   // the decode buffer; a followStream shares its own across reopens
 }
 
 // Recycle hands a delivered batch's record slice back for reuse by the
@@ -276,22 +277,18 @@ func (s *PolledStream) Next(ctx context.Context) (Batch, error) {
 	}
 }
 
-// waitPoll sits out one idle tick. Cancellation is checked before arming
-// the poll timer: a Next that is already cancelled — the non-blocking
-// drain — costs one cursor read, not a timer allocation.
-func waitPoll(ctx context.Context, clk heartbeat.Clock, poll time.Duration) error {
+// waitPoll sits out one idle tick. SleepCtx checks cancellation before
+// arming the poll timer, so a Next that is already cancelled — the
+// non-blocking drain — costs one cursor read, not a timer allocation, and
+// a Next cancelled mid-wait stops its timer.
+func waitPoll(ctx context.Context, clk clock.Clock, poll time.Duration) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case <-ctx.Done():
+	if !clock.SleepCtx(ctx, clk, poll) {
 		return ctx.Err()
-	case <-heartbeat.After(clk, poll):
-		return nil
 	}
+	return nil
 }
 
 // step performs one non-blocking cursor check: (batch, true, nil) when new

@@ -8,14 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
 	"repro/heartbeat"
 	"repro/observer"
-	"repro/sim"
 )
 
 func TestHeartbeatStreamDeltas(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestFileStreamTailsRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +98,40 @@ func TestFileStreamTailsRing(t *testing.T) {
 	}
 }
 
+// A Next cancelled while it waits out an idle poll stops its poll timer,
+// so it leaves nothing queued for a virtual clock to leap to.
+func TestPolledStreamCancelStopsPollTimer(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "idle.hb")
+	w, err := hbfile.Create(p, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r, err := hbfile.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	clk := clock.NewVirtual()
+	st := observer.ReaderStream(r, time.Hour, 0, clk)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := st.Next(ctx)
+		done <- err
+	}()
+	for clk.PendingTimers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Next err = %v, want context.Canceled", err)
+	}
+	if n := clk.PendingTimers(); n != 0 {
+		t.Fatalf("PendingTimers = %d after a cancelled Next, want 0", n)
+	}
+}
+
 // Regression: resuming a file stream with a cursor from a previous life
 // of the producer (the file was recreated, its seqs restarted) used to
 // jump the cursor down silently and skip the new life's retained records
@@ -109,7 +143,7 @@ func TestFileStreamFromFutureCursorResynchronizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +183,7 @@ func TestLogStreamTailsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +264,7 @@ func TestWindowRestartDropsOldLife(t *testing.T) {
 }
 
 func TestMonitorRunFirstStatusImmediate(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/hbfile"
 	"repro/heartbeat"
 	"repro/observer"
@@ -23,7 +24,7 @@ func TestDVFSGovernorValidation(t *testing.T) {
 // target, and track a load increase back up.
 func TestDVFSGovernorSettlesAtMinimumFrequency(t *testing.T) {
 	const window = 10
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, 1e9)
 	hb, err := heartbeat.New(window, heartbeat.WithClock(clk))
 	if err != nil {
@@ -68,7 +69,7 @@ func TestDVFSGovernorSettlesAtMinimumFrequency(t *testing.T) {
 }
 
 func TestDVFSGovernorHoldsWithoutMeasurement(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, 1e6)
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(10, 20)
@@ -99,7 +100,7 @@ func (s *tallyStream) Next(ctx context.Context) (observer.Batch, error) {
 // A decision point at which the application published nothing reads
 // nothing: the hub the governor decides from observes incrementally.
 func TestGovernorIdleStepReadsNothing(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, 1e6)
 	hb, _ := heartbeat.New(10, heartbeat.WithClock(clk))
 	hb.SetTarget(5, 15)
@@ -134,7 +135,7 @@ func TestGovernorOverFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, 1e9)
 	hb, err := heartbeat.New(window, heartbeat.WithClock(clk), heartbeat.WithSink(w))
 	if err != nil {

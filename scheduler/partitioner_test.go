@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/clock"
 	"repro/heartbeat"
 	"repro/observer"
 	"repro/scheduler"
@@ -19,10 +20,10 @@ type clusterApp struct {
 	proc *sim.Proc
 }
 
-func addClusterApp(t *testing.T, c *sim.Cluster, name string, initial int,
+func addClusterApp(t *testing.T, clk *clock.Virtual, c *sim.Cluster, name string, initial int,
 	min, max float64, ops func(beat uint64) float64, pf float64) *clusterApp {
 	t.Helper()
-	hb, err := heartbeat.New(10, heartbeat.WithClock(c.Clock()))
+	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +45,12 @@ func addClusterApp(t *testing.T, c *sim.Cluster, name string, initial int,
 // Two applications with different goals share eight cores: the partitioner
 // must put BOTH inside their windows and keep them there.
 func TestPartitionerBalancesTwoApps(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	cluster := sim.NewCluster(clk, 8, 1e6)
 	// App A: wants 8-10 beats/s, needs ~5 cores (0.5e6 ops/beat, p=0.95).
-	a := addClusterApp(t, cluster, "a", 1, 8, 10, func(uint64) float64 { return 0.5e6 }, 0.95)
+	a := addClusterApp(t, clk, cluster, "a", 1, 8, 10, func(uint64) float64 { return 0.5e6 }, 0.95)
 	// App B: wants 2-3 beats/s, needs ~2 cores (0.8e6 ops/beat, p=0.9).
-	b := addClusterApp(t, cluster, "b", 1, 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
+	b := addClusterApp(t, clk, cluster, "b", 1, 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
 
 	part, err := scheduler.NewPartitioner(8)
 	if err != nil {
@@ -85,16 +86,16 @@ func TestPartitionerBalancesTwoApps(t *testing.T) {
 // When one application's load rises, the partitioner must shift cores from
 // the over-performing application — the paper's global reallocation.
 func TestPartitionerShiftsCoresOnLoadChange(t *testing.T) {
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	cluster := sim.NewCluster(clk, 8, 1e6)
 	// A's per-beat cost doubles at beat 200.
-	a := addClusterApp(t, cluster, "a", 4, 8, 10, func(beat uint64) float64 {
+	a := addClusterApp(t, clk, cluster, "a", 4, 8, 10, func(beat uint64) float64 {
 		if beat > 200 {
 			return 0.9e6
 		}
 		return 0.5e6
 	}, 0.95)
-	b := addClusterApp(t, cluster, "b", 4, 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
+	b := addClusterApp(t, clk, cluster, "b", 4, 2, 3, func(uint64) float64 { return 0.8e6 }, 0.90)
 
 	part, err := scheduler.NewPartitioner(8)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/clock"
 	"repro/control"
 	"repro/hbfile"
 	"repro/heartbeat"
@@ -50,7 +51,7 @@ func runApp(t *testing.T, hb *heartbeat.Heartbeat, m *sim.Machine, sched *schedu
 
 func newSim(t *testing.T, window int) (*heartbeat.Heartbeat, *sim.Machine) {
 	t.Helper()
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, 1e6) // 1M ops/s per core
 	hb, err := heartbeat.New(window, heartbeat.WithClock(clk))
 	if err != nil {
@@ -175,7 +176,7 @@ func TestSchedulerOverFileSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := sim.NewMachine(clk, 8, 1e6)
 	hb, err := heartbeat.New(window, heartbeat.WithClock(clk), heartbeat.WithSink(w))
 	if err != nil {

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"time"
+
+	"repro/clock"
 )
 
 // Cluster is a discrete-event co-simulator for several applications
@@ -19,7 +21,7 @@ import (
 //
 //hbvet:api -- paper §1's multi-application claim: the shared machine the multiapp experiment partitions; its accessors are the model's state
 type Cluster struct {
-	clock    *Clock
+	clock    *clock.Virtual
 	coreRate float64
 	total    int
 	procs    []*Proc
@@ -41,18 +43,15 @@ type Proc struct {
 
 // NewCluster creates a cluster with the given shared core count and
 // per-core op rate.
-func NewCluster(clock *Clock, totalCores int, coreRate float64) *Cluster {
-	if clock == nil {
+func NewCluster(clk *clock.Virtual, totalCores int, coreRate float64) *Cluster {
+	if clk == nil {
 		panic("sim: nil clock")
 	}
 	if totalCores <= 0 || coreRate <= 0 {
 		panic(fmt.Sprintf("sim: invalid cluster (cores=%d, coreRate=%g)", totalCores, coreRate))
 	}
-	return &Cluster{clock: clock, coreRate: coreRate, total: totalCores}
+	return &Cluster{clock: clk, coreRate: coreRate, total: totalCores}
 }
-
-// Clock returns the shared clock.
-func (c *Cluster) Clock() *Clock { return c.clock }
 
 // TotalCores returns the shared core count.
 func (c *Cluster) TotalCores() int { return c.total }

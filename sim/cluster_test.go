@@ -3,10 +3,12 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"repro/clock"
 )
 
 func TestClusterSingleProcMatchesMachine(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	c := NewCluster(clk, 8, 1000)
 	items := 0
 	p := c.AddProc("app", 8, func() (Work, bool) {
@@ -20,7 +22,7 @@ func TestClusterSingleProcMatchesMachine(t *testing.T) {
 	for c.Step() {
 	}
 	// 5 items × 8000 ops at 8×1000 ops/s = 5 seconds.
-	if got := clk.Elapsed(start); got != 5*time.Second {
+	if got := clk.Now().Sub(start); got != 5*time.Second {
 		t.Fatalf("elapsed = %v, want 5s", got)
 	}
 	if p.Completed() != 5 || !p.Idle() {
@@ -29,7 +31,7 @@ func TestClusterSingleProcMatchesMachine(t *testing.T) {
 }
 
 func TestClusterTwoProcsShareTime(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	c := NewCluster(clk, 8, 1000)
 	mk := func(n *int, limit int, ops float64) func() (Work, bool) {
 		return func() (Work, bool) {
@@ -53,7 +55,7 @@ func TestClusterTwoProcsShareTime(t *testing.T) {
 }
 
 func TestClusterProportionalProgress(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	c := NewCluster(clk, 8, 1000)
 	mk := func() func() (Work, bool) {
 		return func() (Work, bool) { return Work{Ops: 1000, ParallelFrac: 1}, true }
@@ -69,7 +71,7 @@ func TestClusterProportionalProgress(t *testing.T) {
 }
 
 func TestClusterReallocationChangesRates(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	c := NewCluster(clk, 8, 1000)
 	p := c.AddProc("app", 2, func() (Work, bool) { return Work{Ops: 1000, ParallelFrac: 1}, true })
 	c.RunUntil(clk.Now().Add(10 * time.Second))
@@ -86,7 +88,7 @@ func TestClusterReallocationChangesRates(t *testing.T) {
 }
 
 func TestClusterOversubscriptionPanics(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	c := NewCluster(clk, 4, 1000)
 	c.AddProc("a", 3, func() (Work, bool) { return Work{Ops: 1, ParallelFrac: 1}, true })
 	c.AddProc("b", 3, func() (Work, bool) { return Work{Ops: 1, ParallelFrac: 1}, true })
@@ -99,7 +101,7 @@ func TestClusterOversubscriptionPanics(t *testing.T) {
 }
 
 func TestClusterIdleAndResume(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	c := NewCluster(clk, 2, 1000)
 	served := 0
 	budget := 3
@@ -128,7 +130,7 @@ func TestClusterIdleAndResume(t *testing.T) {
 }
 
 func TestClusterProcCoreClamping(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	c := NewCluster(clk, 4, 1000)
 	p := c.AddProc("app", 99, func() (Work, bool) { return Work{}, false })
 	if p.Cores() != 4 {
@@ -145,8 +147,8 @@ func TestClusterProcCoreClamping(t *testing.T) {
 func TestClusterValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewCluster(nil, 4, 1) },
-		func() { NewCluster(NewClock(time.Time{}), 0, 1) },
-		func() { NewCluster(NewClock(time.Time{}), 4, 0) },
+		func() { NewCluster(clock.NewVirtual(), 0, 1) },
+		func() { NewCluster(clock.NewVirtual(), 4, 0) },
 	} {
 		func() {
 			defer func() {

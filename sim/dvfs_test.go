@@ -5,10 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/clock"
 )
 
 func TestFrequencyDefaultsAndClamping(t *testing.T) {
-	m := NewMachine(NewClock(time.Time{}), 4, 1000)
+	m := NewMachine(clock.NewVirtual(), 4, 1000)
 	if m.Frequency() != MaxFrequency {
 		t.Fatalf("default frequency = %v", m.Frequency())
 	}
@@ -24,7 +26,7 @@ func TestFrequencyDefaultsAndClamping(t *testing.T) {
 }
 
 func TestFrequencyScalesDuration(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := NewMachine(clk, 1, 1000)
 	w := Work{Ops: 1000, ParallelFrac: 1}
 	if d := m.Duration(w); d != time.Second {
@@ -37,7 +39,7 @@ func TestFrequencyScalesDuration(t *testing.T) {
 }
 
 func TestEnergyAccounting(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := NewMachine(clk, 4, 1000)
 	if m.Energy() != 0 {
 		t.Fatal("fresh machine has energy")
@@ -52,7 +54,7 @@ func TestEnergyAccounting(t *testing.T) {
 	m.SetFrequency(0.5)
 	start := clk.Now()
 	m.Execute(Work{Ops: 4000, ParallelFrac: 1})
-	if d := clk.Elapsed(start); d != 2*time.Second {
+	if d := clk.Now().Sub(start); d != 2*time.Second {
 		t.Fatalf("elapsed = %v", d)
 	}
 	want := 4 * corePower(0.5) * 2
@@ -62,10 +64,11 @@ func TestEnergyAccounting(t *testing.T) {
 }
 
 func TestIdleChargesStaticPowerOnly(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
+	start := clk.Now()
 	m := NewMachine(clk, 2, 1000)
 	m.Idle(3 * time.Second)
-	if got := clk.Elapsed(Epoch); got != 3*time.Second {
+	if got := clk.Now().Sub(start); got != 3*time.Second {
 		t.Fatalf("idle did not advance clock: %v", got)
 	}
 	want := 2 * idleCorePower * 3
@@ -83,7 +86,7 @@ func TestIdleChargesStaticPowerOnly(t *testing.T) {
 // deadline — because P(f) is convex (cubic) while time is only 1/f.
 func TestDVFSBeatsRaceToIdle(t *testing.T) {
 	run := func(freq float64) float64 {
-		clk := NewClock(time.Time{})
+		clk := clock.NewVirtual()
 		m := NewMachine(clk, 8, 1000)
 		m.SetFrequency(freq)
 		deadline := clk.Now().Add(10 * time.Second)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/clock"
 )
 
 // Work is one unit of application work to execute on a Machine.
@@ -43,7 +45,7 @@ func Speedup(cores int, parallelFrac float64) float64 {
 //
 //hbvet:api -- paper §5.3, §5.4: the machine the scheduler and fault experiments drive; its accessors are the model's state
 type Machine struct {
-	clock *Clock
+	clock *clock.Virtual
 
 	mu         sync.Mutex
 	totalCores int
@@ -57,18 +59,15 @@ type Machine struct {
 // NewMachine returns a Machine with the given physical core count and
 // per-core execution rate in ops/second. All cores start granted and
 // healthy. It panics on non-positive arguments.
-func NewMachine(clock *Clock, cores int, coreRate float64) *Machine {
-	if clock == nil {
+func NewMachine(clk *clock.Virtual, cores int, coreRate float64) *Machine {
+	if clk == nil {
 		panic("sim: nil clock")
 	}
 	if cores <= 0 || coreRate <= 0 {
 		panic(fmt.Sprintf("sim: invalid machine (cores=%d, coreRate=%g)", cores, coreRate))
 	}
-	return &Machine{clock: clock, totalCores: cores, granted: cores, coreRate: coreRate}
+	return &Machine{clock: clk, totalCores: cores, granted: cores, coreRate: coreRate}
 }
-
-// Clock returns the machine's clock.
-func (m *Machine) Clock() *Clock { return m.clock }
 
 // TotalCores returns the physical core count, including failed cores.
 func (m *Machine) TotalCores() int { return m.totalCores }

@@ -5,29 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/clock"
 )
-
-func TestClockAdvances(t *testing.T) {
-	c := NewClock(time.Time{})
-	if !c.Now().Equal(Epoch) {
-		t.Fatalf("zero start != Epoch: %v", c.Now())
-	}
-	start := c.Now()
-	c.Advance(3 * time.Second)
-	c.Advance(500 * time.Millisecond)
-	if got := c.Elapsed(start); got != 3500*time.Millisecond {
-		t.Fatalf("Elapsed = %v", got)
-	}
-}
-
-func TestClockRejectsNegativeAdvance(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative advance did not panic")
-		}
-	}()
-	NewClock(time.Time{}).Advance(-time.Second)
-}
 
 func TestSpeedupKnownValues(t *testing.T) {
 	cases := []struct {
@@ -74,23 +54,23 @@ func TestSpeedupMonotoneBoundedProperty(t *testing.T) {
 }
 
 func TestMachineExecuteAdvancesClock(t *testing.T) {
-	clk := NewClock(time.Time{})
+	clk := clock.NewVirtual()
 	m := NewMachine(clk, 8, 1000) // 1000 ops/s per core
 	start := clk.Now()
 	m.Execute(Work{Ops: 8000, ParallelFrac: 1}) // full speedup: 1s
-	if got := clk.Elapsed(start); got != time.Second {
+	if got := clk.Now().Sub(start); got != time.Second {
 		t.Fatalf("Elapsed = %v, want 1s", got)
 	}
 	m.SetCores(1)
 	start = clk.Now()
 	m.Execute(Work{Ops: 1000, ParallelFrac: 1})
-	if got := clk.Elapsed(start); got != time.Second {
+	if got := clk.Now().Sub(start); got != time.Second {
 		t.Fatalf("Elapsed on 1 core = %v, want 1s", got)
 	}
 }
 
 func TestMachineCoreAccounting(t *testing.T) {
-	m := NewMachine(NewClock(time.Time{}), 8, 1)
+	m := NewMachine(clock.NewVirtual(), 8, 1)
 	if m.Cores() != 8 || m.MaxCores() != 8 || m.TotalCores() != 8 {
 		t.Fatal("fresh machine core counts wrong")
 	}
@@ -106,7 +86,7 @@ func TestMachineCoreAccounting(t *testing.T) {
 }
 
 func TestMachineFailures(t *testing.T) {
-	m := NewMachine(NewClock(time.Time{}), 8, 1)
+	m := NewMachine(clock.NewVirtual(), 8, 1)
 	m.SetCores(8)
 	m.FailCores(2)
 	if m.MaxCores() != 6 || m.Cores() != 6 || m.FailedCores() != 2 {
@@ -131,7 +111,7 @@ func TestDurationMonotoneInCoresProperty(t *testing.T) {
 	f := func(opsRaw uint16, pRaw uint8) bool {
 		ops := float64(opsRaw) + 1
 		p := float64(pRaw) / 255
-		m := NewMachine(NewClock(time.Time{}), 16, 100)
+		m := NewMachine(clock.NewVirtual(), 16, 100)
 		prev := time.Duration(math.MaxInt64)
 		for c := 1; c <= 16; c++ {
 			m.SetCores(c)
@@ -149,14 +129,14 @@ func TestDurationMonotoneInCoresProperty(t *testing.T) {
 }
 
 func TestZeroOpsWork(t *testing.T) {
-	m := NewMachine(NewClock(time.Time{}), 4, 10)
+	m := NewMachine(clock.NewVirtual(), 4, 10)
 	if d := m.Duration(Work{Ops: 0}); d != 0 {
 		t.Fatalf("zero work Duration = %v", d)
 	}
 }
 
 func TestFaultInjector(t *testing.T) {
-	m := NewMachine(NewClock(time.Time{}), 8, 1)
+	m := NewMachine(clock.NewVirtual(), 8, 1)
 	inj := NewFaultInjector(
 		FaultEvent{AtBeat: 320, FailCores: 1}, // out of order on purpose
 		FaultEvent{AtBeat: 160, FailCores: 2},
@@ -189,7 +169,7 @@ func TestFaultInjector(t *testing.T) {
 // Machine.FailCores actually failed — a machine with fewer healthy cores
 // than the event demands over-reported the damage.
 func TestFaultInjectorReportsActualFailures(t *testing.T) {
-	m := NewMachine(NewClock(time.Time{}), 4, 1)
+	m := NewMachine(clock.NewVirtual(), 4, 1)
 	inj := NewFaultInjector(
 		FaultEvent{AtBeat: 10, FailCores: 3},
 		FaultEvent{AtBeat: 20, FailCores: 3}, // only 1 healthy core left
@@ -205,7 +185,7 @@ func TestFaultInjectorReportsActualFailures(t *testing.T) {
 		t.Fatalf("Step(30) on a dead machine reported %d failures", n)
 	}
 	// FailCores itself reports the clamp.
-	m2 := NewMachine(NewClock(time.Time{}), 2, 1)
+	m2 := NewMachine(clock.NewVirtual(), 2, 1)
 	if n := m2.FailCores(5); n != 2 {
 		t.Fatalf("FailCores(5) on 2-core machine = %d", n)
 	}
@@ -217,10 +197,10 @@ func TestFaultInjectorReportsActualFailures(t *testing.T) {
 func TestMachineValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewMachine(nil, 8, 1) },
-		func() { NewMachine(NewClock(time.Time{}), 0, 1) },
-		func() { NewMachine(NewClock(time.Time{}), 8, 0) },
-		func() { NewMachine(NewClock(time.Time{}), 8, -2) },
-		func() { NewMachine(NewClock(time.Time{}), 8, 1).FailCores(-1) },
+		func() { NewMachine(clock.NewVirtual(), 0, 1) },
+		func() { NewMachine(clock.NewVirtual(), 8, 0) },
+		func() { NewMachine(clock.NewVirtual(), 8, -2) },
+		func() { NewMachine(clock.NewVirtual(), 8, 1).FailCores(-1) },
 	} {
 		func() {
 			defer func() {

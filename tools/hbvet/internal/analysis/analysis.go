@@ -21,7 +21,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path"
 	"regexp"
 	"sort"
 	"strings"
@@ -31,10 +30,10 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-	// SeamFiles are module-relative path patterns (path.Match syntax; a
-	// trailing “/” means the whole directory) where this analyzer does not
-	// apply — the files whose entire purpose is to touch what the analyzer
-	// forbids, like the wall-clock seam itself.
+	// SeamFiles are module-relative directories, each ending in “/”,
+	// where this analyzer does not apply — the files whose entire purpose
+	// is to touch what the analyzer forbids, like the wall-clock seam
+	// itself.
 	SeamFiles []string
 	Run       func(*Pass) error
 }
@@ -185,16 +184,10 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Finding, e
 	return findings, nil
 }
 
-// seamFile reports whether rel matches any seam pattern.
-func seamFile(patterns []string, rel string) bool {
-	for _, pat := range patterns {
-		if strings.HasSuffix(pat, "/") {
-			if strings.HasPrefix(rel, pat) {
-				return true
-			}
-			continue
-		}
-		if ok, _ := path.Match(pat, rel); ok {
+// seamFile reports whether rel lies under any seam directory.
+func seamFile(dirs []string, rel string) bool {
+	for _, dir := range dirs {
+		if strings.HasPrefix(rel, dir) {
 			return true
 		}
 	}

@@ -21,7 +21,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "clockthread",
 	Doc:       "flags types that store a Clock but whose methods or constructors call the wall clock directly",
-	SeamFiles: []string{"heartbeat/clock*.go", "sim/"},
+	SeamFiles: []string{"clock/"},
 	Run:       run,
 }
 
@@ -117,8 +117,8 @@ func namedOf(t types.Type) *types.TypeName {
 
 // isClock reports whether t (possibly behind a pointer) is a clock: an
 // interface whose method set includes Now() time.Time. Matching the shape
-// rather than the named heartbeat.Clock keeps the analyzer honest about
-// sim clocks, test fakes, and future clock interfaces alike.
+// rather than the named clock.Clock keeps the analyzer honest about
+// the virtual clock, test fakes, and future clock interfaces alike.
 func isClock(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()

@@ -1,12 +1,13 @@
 // Package wallclock flags direct wall-clock time outside the stack's
 // clock seams. Every loop in this codebase is supposed to run on the
-// injected heartbeat.Clock/WaitClock — that is what lets simnet's
-// scenario matrix drive the whole stack under virtual time — so a bare
-// time.Sleep or context.WithTimeout is a hole in the simulation's
-// coverage, invisible to the compiler and to -race. The allowed seams
-// are the clock implementations themselves (heartbeat/clock*.go, sim/)
-// and sites annotated //hbvet:allow wallclock -- <reason>: genuine
-// process edges like seeding an RNG or bounding a real TCP dial.
+// injected clock.Clock and wait through clock.AfterFunc or clock.SleepCtx —
+// that is what lets simnet's scenario matrix drive the whole stack under
+// virtual time — so a bare time.Sleep or context.WithTimeout is a hole in
+// the simulation's coverage, invisible to the compiler and to -race. The
+// allowed seam is package clock itself, which holds both the wall and the
+// virtual implementation, and sites annotated //hbvet:allow wallclock --
+// <reason>: genuine process edges like seeding an RNG or bounding a real
+// TCP dial.
 package wallclock
 
 import (
@@ -20,7 +21,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "wallclock",
 	Doc:       "flags time.Now/Sleep/After/... and context.WithTimeout/WithDeadline outside the clock seams",
-	SeamFiles: []string{"heartbeat/clock*.go", "sim/"},
+	SeamFiles: []string{"clock/"},
 	Run:       run,
 }
 
@@ -68,7 +69,7 @@ func run(pass *analysis.Pass) error {
 			}
 			if name, ok := BannedFunc(pass.TypesInfo, id); ok {
 				pass.Reportf(id.Pos(),
-					"direct %s call outside a clock seam: thread the injected heartbeat.Clock (heartbeat.Now/After/AfterFunc/SleepCtx) or annotate //hbvet:allow wallclock -- <reason>",
+					"direct %s call outside a clock seam: thread the injected clock.Clock (clock.Now/AfterFunc/SleepCtx) or annotate //hbvet:allow wallclock -- <reason>",
 					name)
 			}
 			return true

@@ -8,5 +8,5 @@ import (
 )
 
 func TestWallclock(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), wallclock.Analyzer, "a", "sim/inside")
+	analysistest.Run(t, analysistest.TestData(t), wallclock.Analyzer, "a", "clock/inside")
 }

@@ -9,10 +9,10 @@
 //
 //   - wallclock: no direct time.Now/Sleep/After/AfterFunc/NewTicker/NewTimer
 //     or context.WithTimeout/WithDeadline outside the clock seams
-//     (heartbeat/clock*.go, sim/). Everything else must run on the
-//     injected heartbeat.Clock — reads through heartbeat.Now, every wait
-//     on one heartbeat.Timer from heartbeat.AfterFunc or its channel form
-//     heartbeat.After — or carry //hbvet:allow wallclock -- <reason>.
+//     (package clock). Everything else must run on the injected
+//     clock.Clock — reads through clock.Now, every wait on one
+//     clock.Timer from clock.AfterFunc or clock.SleepCtx — or carry
+//     //hbvet:allow wallclock -- <reason>.
 //   - hotpath: functions marked //hbvet:hotpath are transitively
 //     allocation-, lock-, and channel-free, and only call verified code.
 //   - clockthread: a type that stores a clock must use it — its methods
