@@ -135,12 +135,14 @@ failover-scenario:
 # hbnet/testdata/fuzz holds past finds as regressions. The hbfile passes
 # cover the other bytes an observer does not own: files written by another
 # process (hostile headers, a reserved head ahead of the cursor) and the
-# segment encoder's round trip through a wrapping batch.
+# segment encoder's round trip through a wrapping batch. The hbshm pass
+# maps arbitrary bytes as a shared-memory region another process wrote.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRollup$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip$$' -fuzztime 3s ./hbfile
+	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbshm
 
 # Documentation verification: vet, every godoc Example compiled and run,
 # and the README/ARCHITECTURE code blocks checked against the sources they

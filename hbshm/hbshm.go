@@ -106,7 +106,9 @@ func checkHeader(mem []byte) (capacity, window uint64, err error) {
 	if capacity == 0 || capacity&(capacity-1) != 0 {
 		return 0, 0, fmt.Errorf("hbshm: capacity %d is not a power of two", capacity)
 	}
-	if len(mem) < regionSize(int(capacity)) {
+	// Divide rather than multiply: a hostile capacity of 2^58 or more
+	// would wrap regionSize past the region's length and be accepted.
+	if capacity > uint64(len(mem)-HeaderSize)/RecordSize {
 		return 0, 0, fmt.Errorf("hbshm: region truncated: %d bytes for capacity %d", len(mem), capacity)
 	}
 	return capacity, window, nil

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -67,23 +68,28 @@ func (r *Reader) Capacity() int { return int(r.capacity) }
 func (r *Reader) Head() uint64 { return wordU64(r.mem, offHead).Load() }
 
 // Target returns the advertised target heart-rate range; ok is false when
-// no target was ever published. Torn reads (writer mid-update) retry.
+// no target was ever published. Torn reads (writer mid-update) retry a
+// bounded number of times: a writer that died between the two version
+// bumps leaves the word odd for good, and that must surface as an error,
+// not a reader spinning forever.
 func (r *Reader) Target() (min, max float64, ok bool, err error) {
 	ver := wordU64(r.mem, offTargetVer)
-	for {
+	const maxTries = 100
+	for tries := 0; tries < maxTries; tries++ {
 		v1 := ver.Load()
 		if v1 == 0 {
 			return 0, 0, false, nil
 		}
-		if v1%2 == 1 {
-			continue // mid-update; retry
+		if v1%2 == 0 {
+			min = math.Float64frombits(wordU64(r.mem, offTargetMin).Load())
+			max = math.Float64frombits(wordU64(r.mem, offTargetMax).Load())
+			if ver.Load() == v1 {
+				return min, max, true, nil
+			}
 		}
-		min = math.Float64frombits(wordU64(r.mem, offTargetMin).Load())
-		max = math.Float64frombits(wordU64(r.mem, offTargetMax).Load())
-		if ver.Load() == v1 {
-			return min, max, true, nil
-		}
+		runtime.Gosched() // mid-update or raced with one: let the writer finish
 	}
+	return 0, 0, false, fmt.Errorf("hbshm: target read contended beyond %d retries", maxTries)
 }
 
 // readSlot loads the slot expected to hold seq, seqlock-validated: ok is
