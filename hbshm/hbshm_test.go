@@ -89,104 +89,6 @@ func TestTargetSeqlock(t *testing.T) {
 	}
 }
 
-func TestLappedRecordsCountAsMissed(t *testing.T) {
-	path := testRegion(t)
-	w, err := Create(path, 10, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	// 20 records through a ring of 8: the first 12 are lapped.
-	for seq := uint64(1); seq <= 20; seq++ {
-		if err := w.WriteRecord(mkRecord(seq, int64(seq))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, cur, err := r.ReadSinceInto(0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur != 20 || len(got) != 8 {
-		t.Fatalf("ReadSince(0) = %d records, cursor %d; want 8 records, cursor 20", len(got), cur)
-	}
-	if got[0].Seq != 13 || got[7].Seq != 20 {
-		t.Fatalf("retained range = %d..%d, want 13..20", got[0].Seq, got[7].Seq)
-	}
-	// Loss surfaces as cursor-since exceeding len(records): 20-0-8 = 12.
-	if missed := cur - 0 - uint64(len(got)); missed != 12 {
-		t.Fatalf("missed = %d, want 12", missed)
-	}
-}
-
-func TestReadSincePagesWithMax(t *testing.T) {
-	path := testRegion(t)
-	w, err := Create(path, 10, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for seq := uint64(1); seq <= 10; seq++ {
-		if err := w.WriteRecord(mkRecord(seq, int64(seq))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var all []heartbeat.Record
-	cur := uint64(0)
-	for i := 0; i < 5; i++ {
-		recs, c, err := r.ReadSinceInto(cur, 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, recs...)
-		cur = c
-		if cur == 10 {
-			break
-		}
-	}
-	if len(all) != 10 || cur != 10 {
-		t.Fatalf("paged read = %d records, cursor %d; want 10, 10", len(all), cur)
-	}
-}
-
-func TestClosedRegionDrainsThenEOF(t *testing.T) {
-	path := testRegion(t)
-	w, err := Create(path, 10, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 5; seq++ {
-		if err := w.WriteRecord(mkRecord(seq, int64(seq))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// Published records drain first, then EOF.
-	recs, cur, err := r.ReadSinceInto(0, 0, nil)
-	if err != nil || len(recs) != 5 || cur != 5 {
-		t.Fatalf("drain = %d records, cursor %d, err %v; want 5, 5, nil", len(recs), cur, err)
-	}
-	if _, _, err := r.ReadSinceInto(cur, 0, nil); !errors.Is(err, io.EOF) {
-		t.Fatalf("after drain err = %v, want io.EOF", err)
-	}
-}
-
 func TestStreamDeliversAndEnds(t *testing.T) {
 	path := testRegion(t)
 	w, err := Create(path, 10, 16)
