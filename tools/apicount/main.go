@@ -2,7 +2,9 @@
 // reports like any other result: non-test source lines, exported
 // identifiers (top-level declarations plus methods on exported types), and
 // how many of those the //hbvet:api marks keep without a user in another
-// package (see tools/hbvet's deadapi pass).
+// package (see tools/hbvet's deadapi pass). Its test holds the module's
+// surface to testdata/surface.golden, adding the //hbvet:allow waivers of
+// every file, tests included.
 //
 //	go run ./tools/apicount heartbeat hbnet observer cmd/hbmon
 package main
@@ -12,41 +14,57 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"strings"
 )
 
 func main() {
-	var lines, idents, marks int
+	var total surface
 	for _, dir := range os.Args[1:] {
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
+		n, err := measure(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "apicount:", err)
 			os.Exit(1)
 		}
-		l, n, m := 0, 0, 0
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				l += fset.File(f.Pos()).LineCount()
-				n += exported(f)
-				m += apiMarks(f)
-			}
-		}
-		fmt.Printf("%-20s %6d lines %4d exported %3d api-marked\n", dir, l, n, m)
-		lines, idents, marks = lines+l, idents+n, marks+m
+		fmt.Printf("%-20s %6d lines %4d exported %3d api-marked\n", dir, n.lines, n.exported, n.marks)
+		total.lines, total.exported, total.marks = total.lines+n.lines, total.exported+n.exported, total.marks+n.marks
 	}
-	fmt.Printf("%-20s %6d lines %4d exported %3d api-marked\n", "total", lines, idents, marks)
+	fmt.Printf("%-20s %6d lines %4d exported %3d api-marked\n", "total", total.lines, total.exported, total.marks)
 }
 
-// apiMarks counts f's //hbvet:api lines.
-func apiMarks(f *ast.File) (n int) {
+// surface is one package directory's size: lines, exported identifiers
+// and //hbvet:api marks of its non-test files, and //hbvet:allow waivers
+// in all of them.
+type surface struct {
+	lines, exported, marks, allows int
+}
+
+func measure(dir string) (surface, error) {
+	var n surface
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
+	if err != nil {
+		return n, err
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			n.allows += directives(f, "//hbvet:allow")
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			n.lines += fset.File(f.Pos()).LineCount()
+			n.exported += exported(f)
+			n.marks += directives(f, "//hbvet:api")
+		}
+	}
+	return n, nil
+}
+
+// directives counts f's comments that are the directive prefix names.
+func directives(f *ast.File, prefix string) (n int) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, "//hbvet:api") {
+			if strings.HasPrefix(c.Text, prefix) {
 				n++
 			}
 		}

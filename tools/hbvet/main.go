@@ -78,12 +78,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hbvet:", err)
 		os.Exit(2)
 	}
-	prog, err := load.Load(cwd, flag.Args()...)
+	findings, err := vet(cwd, analyzers, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hbvet:", err)
 		os.Exit(2)
 	}
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
+		os.Exit(1)
+	}
+}
 
+// vet runs analyzers over the packages patterns match, resolved from dir,
+// and returns one "path:line:col: analyzer: message" line per finding that
+// survives seam and allow filtering.
+func vet(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]string, error) {
+	prog, err := load.Load(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
 	module := &analysis.Module{}
 	for _, pkg := range prog.Packages {
 		module.Packages = append(module.Packages, &analysis.Package{
@@ -96,22 +111,18 @@ func main() {
 		})
 	}
 	facts := analysis.NewFacts()
-	failed := false
+	var out []string
 	for i, pkg := range prog.Packages {
 		findings, err := analysis.RunPackage(module.Packages[i], analyzers, facts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbvet:", err)
-			os.Exit(2)
+			return nil, err
 		}
 		if !pkg.Requested {
 			continue // loaded for facts and uses only
 		}
 		for _, f := range findings {
-			failed = true
-			fmt.Printf("%s:%d:%d: %s: %s\n", f.RelFile, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+			out = append(out, fmt.Sprintf("%s:%d:%d: %s: %s", f.RelFile, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message))
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return out, nil
 }
