@@ -53,11 +53,14 @@ test:
 # which publishes its on-demand local ring, and concurrent readers. The
 # third repeats the clock's timers and sleeps and the pump's wait: a
 # clock.Virtual runs timer callbacks outside its lock, on whichever
-# goroutine advances it.
+# goroutine advances it. The fourth repeats a reader lapped by a segment
+# writer over both access methods to the one ring (hbfile's pwrite/pread,
+# hbshm's mapping), the only stress net the mapping path has.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run TestThreadLocalRing ./heartbeat
 	$(GO) test -race -count=20 -run 'AfterFunc|Wait|Sleep|NoVirtualTimers' ./clock ./internal/pump
+	$(GO) test -race -count=5 -run TestSegmentWritesNeverTearUnderLappedReader ./hbfile
 
 # The hbnet loopback round trip, briefly and race-checked: one real TCP
 # server and client exchanging records in-process — the fastest signal
@@ -158,7 +161,7 @@ docs: vet
 # observation stack shares. A PR that shrinks either runs this at its
 # parent and at itself and reports both tables in CHANGES.md.
 apicount:
-	@$(GO) run ./tools/apicount clock heartbeat heartbeat/compat hbnet hbshm hbfile observer sim balance scheduler control internal/cursor internal/pump cmd/hbmon
+	@$(GO) run ./tools/apicount clock heartbeat heartbeat/compat hbnet hbshm hbfile internal/hbring observer sim balance scheduler control internal/cursor internal/pump cmd/hbmon
 
 # The paper's table and figure benchmarks with their ablations (the root
 # bench_test.go). Hot-path costs are hbbench's: bash bench/run.sh.

@@ -1,10 +1,10 @@
 // Shared-memory observation (§2.3, §3): the producer publishes heartbeats
-// into an mmap'd region — each beat is a handful of stores, no syscalls —
-// and a separate process observes it by mapping the same file read-only.
-// This is the paper's "standardized shared-memory buffer" topology: the
-// registry file plays the buffer, the seqlocked ring plays the protocol,
-// and the observer costs the producer nothing no matter how often it
-// polls.
+// into an mmap'd region — each beat is a copy into mapped memory, no
+// syscalls — and a separate process observes it by mapping the same file
+// read-only. This is the paper's "standardized shared-memory buffer"
+// topology: the registry file plays the buffer, the heartbeat ring's
+// layout and protocol (shared with hbfile) play the protocol, and the
+// observer costs the producer nothing no matter how often it polls.
 //
 // The example re-executes itself as the producer child, watches the region
 // from the parent, and closes with the delivery-contract audit every other

@@ -9,19 +9,28 @@
 // The file holds a fixed-size header followed by a ring of fixed-size
 // records. One process writes (the instrumented application, via
 // heartbeat.WithSink); any number of processes read concurrently without
-// coordinating with the writer. Consistency uses the same discipline as the
-// in-memory store: each record embeds its sequence number, the header
-// carries a monotone cursor, and targets are guarded by a version field
-// bumped odd before and even after each update, so readers detect and retry
-// or discard torn data instead of consuming it. This is a seqlock over a
-// file — the closest idiomatic Go analogue of the shared memory buffer the
-// paper standardizes for hardware observers.
+// coordinating with the writer. Each record embeds its sequence number, the
+// header carries a monotone cursor, and targets are guarded by a version
+// field bumped odd before and even after each update, so readers detect and
+// discard torn data instead of consuming it — the closest idiomatic Go
+// analogue of the shared memory buffer the paper standardizes for hardware
+// observers.
+//
+// # One layout, two access methods
+//
+// The ring layout and its protocol are shared with package hbshm: this
+// package moves the bytes with pwrite and pread, hbshm with copies into and
+// out of a shared mapping of the same file. A ring written by either is read
+// correctly by either. The header (HeaderSize bytes) holds magic, version,
+// record size, capacity and window as 32-bit words at offsets 0–20, then
+// 64-bit words: pid at 24, the target version, minimum and maximum at 32–48,
+// the cursor at 56, the reserved head at 64 and the closed word at 72.
 //
 // # Write granularity and the reserved head
 //
 // The writer stores a batch one contiguous ring segment at a time: each
 // maximal run of consecutive sequence numbers that does not wrap the ring
-// (capped at maxRun records, the writer's fixed encode buffer) is one
+// (capped at 1024 records, the writer's fixed encode buffer) is one
 // positional write, followed by one cursor write for the whole batch. While
 // such a write is in flight, every slot it covers is being overwritten at
 // once, so the header carries a second monotone word next to the cursor,
@@ -31,149 +40,37 @@
 //     exceeds cursor+1 stores that number in the reserved head. A call that
 //     only writes cursor+1 (the in-order single beat) or older sequence
 //     numbers skips the store, so a direct beat stays two writes: record,
-//     cursor. The word is never cleared — once the cursor catches up with it
-//     it adds nothing to the rule below.
-//   - Reader: after copying slots out it re-reads cursor and reserved head in
-//     one 16-byte read and discards every slot whose successor one lap later
-//     may have been in flight: want+capacity <= max(cursor+1, reserved).
-//     Discarded records are counted by the caller as missed, exactly like
-//     records overwritten outright.
+//     cursor. A record a full lap behind is not written at all: its slot
+//     holds a newer record. A late record within the lap, behind the
+//     cursor, is two writes, its body and then its sequence word, so a
+//     reader that wants it never sees its number over a half-written body.
+//     The reserved head is never cleared — once the cursor catches up
+//     with it it adds nothing to the rule below.
+//   - Reader: after copying slots out it re-reads cursor, reserved head and
+//     closed word in one 24-byte read and discards every slot whose
+//     successor one lap later may have been in flight:
+//     want+capacity <= max(cursor+1, reserved). Discarded records are
+//     counted by the caller as missed, exactly like records overwritten
+//     outright.
 //
 // # Version policy
 //
-// The reserved head occupies header bytes that every earlier writer left
-// zero, and a zero word makes the reader's rule collapse to the earlier
-// one-slot guard (cursor+1), so the layout stays Version 1: files from an
-// older writer read exactly as before, with no second decode path. An older
-// reader ignores the word; against a segment-writing producer it is exposed
-// only when it has fallen a full ring minus one batch behind — the same
-// lapped regime in which it was already exposed to out-of-order beats.
+// The reserved head and the closed word occupy header bytes that every
+// earlier writer left zero, and zero words make the reader's rule collapse
+// to the earlier one-slot guard (cursor+1), so the layout stays Version 1:
+// files from an older writer read exactly as before. Only hbshm's writer
+// sets the closed word, when it closes; a ring this package writes never
+// ends, and its readers return io.EOF only for a region hbshm closed.
 package hbfile
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"repro/heartbeat"
-)
+import "repro/internal/hbring"
 
 // Format constants. Version bumps on any layout change.
 //
 //hbvet:api -- user need: the on-disk layout, for observers not written in Go (paper §3: the file is the interface)
 const (
-	Magic      = "APPHBv1\x00"
-	Version    = 1
-	HeaderSize = 128
-	RecordSize = 32
+	Magic      = hbring.Magic
+	Version    = hbring.Version
+	HeaderSize = hbring.HeaderSize
+	RecordSize = hbring.RecordSize
 )
-
-// Header field offsets.
-const (
-	offMagic      = 0  // 8 bytes
-	offVersion    = 8  // uint32
-	offRecordSize = 12 // uint32
-	offCapacity   = 16 // uint32
-	offWindow     = 20 // uint32
-	offPID        = 24 // uint64
-	offTargetVer  = 32 // uint64, odd while target update in progress
-	offTargetMin  = 40 // float64 bits
-	offTargetMax  = 48 // float64 bits
-	offCursor     = 56 // uint64, highest sequence number published
-	offReserved   = 64 // uint64, highest sequence number any write in flight may cover (0: none beyond cursor+1); written before the slots, read together with offCursor
-)
-
-// maxRun caps one encoded segment, bounding each writer's encode buffer at
-// 32 KB.
-const maxRun = 1024
-
-// Record field offsets (within a 32-byte record).
-const (
-	recOffSeq      = 0  // uint64
-	recOffTime     = 8  // int64 unix nanos
-	recOffTag      = 16 // int64
-	recOffProducer = 24 // int32
-)
-
-var byteOrder = binary.LittleEndian
-
-// header is the decoded file header (static fields only; cursor and target
-// are re-read on demand since they change continuously).
-type header struct {
-	version    uint32
-	recordSize uint32
-	capacity   uint32
-	window     uint32
-	pid        uint64
-}
-
-func encodeStaticHeader(h header) []byte {
-	buf := make([]byte, HeaderSize)
-	copy(buf[offMagic:], Magic)
-	byteOrder.PutUint32(buf[offVersion:], h.version)
-	byteOrder.PutUint32(buf[offRecordSize:], h.recordSize)
-	byteOrder.PutUint32(buf[offCapacity:], h.capacity)
-	byteOrder.PutUint32(buf[offWindow:], h.window)
-	byteOrder.PutUint64(buf[offPID:], h.pid)
-	return buf
-}
-
-func decodeStaticHeader(buf []byte) (header, error) {
-	if len(buf) < HeaderSize {
-		return header{}, fmt.Errorf("hbfile: short header (%d bytes)", len(buf))
-	}
-	if string(buf[offMagic:offMagic+8]) != Magic {
-		return header{}, fmt.Errorf("hbfile: bad magic %q", buf[offMagic:offMagic+8])
-	}
-	h := header{
-		version:    byteOrder.Uint32(buf[offVersion:]),
-		recordSize: byteOrder.Uint32(buf[offRecordSize:]),
-		capacity:   byteOrder.Uint32(buf[offCapacity:]),
-		window:     byteOrder.Uint32(buf[offWindow:]),
-		pid:        byteOrder.Uint64(buf[offPID:]),
-	}
-	if h.version != Version {
-		return header{}, fmt.Errorf("hbfile: unsupported version %d", h.version)
-	}
-	if h.recordSize != RecordSize {
-		return header{}, fmt.Errorf("hbfile: unsupported record size %d", h.recordSize)
-	}
-	if h.capacity == 0 {
-		return header{}, fmt.Errorf("hbfile: zero capacity")
-	}
-	return h, nil
-}
-
-// encodeRun encodes recs back to back into buf, reallocating it only when
-// it is too small, and returns the encoded bytes. Callers keep the result
-// as their scratch, so a warmed writer encodes without allocating.
-func encodeRun(buf []byte, recs []heartbeat.Record) []byte {
-	n := len(recs) * RecordSize
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	for i, r := range recs {
-		b := buf[i*RecordSize : (i+1)*RecordSize]
-		byteOrder.PutUint64(b[recOffSeq:], r.Seq)
-		byteOrder.PutUint64(b[recOffTime:], uint64(r.Time.UnixNano()))
-		byteOrder.PutUint64(b[recOffTag:], uint64(r.Tag))
-		// The producer's upper half is padding; the buffer is reused, so
-		// it is zeroed explicitly.
-		byteOrder.PutUint64(b[recOffProducer:], uint64(uint32(r.Producer)))
-	}
-	return buf
-}
-
-func decodeRecord(buf []byte) heartbeat.Record {
-	return heartbeat.Record{
-		Seq:      byteOrder.Uint64(buf[recOffSeq:]),
-		Time:     unixTime(int64(byteOrder.Uint64(buf[recOffTime:]))),
-		Tag:      int64(byteOrder.Uint64(buf[recOffTag:])),
-		Producer: int32(byteOrder.Uint32(buf[recOffProducer:])),
-	}
-}
-
-// slotOffset returns the file offset of the ring slot holding seq.
-func slotOffset(seq uint64, capacity uint32) int64 {
-	return HeaderSize + int64((seq-1)%uint64(capacity))*RecordSize
-}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/heartbeat"
+	"repro/internal/hbring"
 )
 
 // logMagic identifies the append-only variant of the heartbeat file.
@@ -26,7 +27,6 @@ const logMagic = "APPHBL1\x00"
 type LogWriter struct {
 	mu sync.Mutex
 	fileWriter
-	count uint64
 }
 
 var (
@@ -39,21 +39,11 @@ func CreateLog(path string, window int) (*LogWriter, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("hbfile: invalid window %d", window)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	fw, err := create(path, logMagic, window, 0, HeaderSize)
 	if err != nil {
-		return nil, fmt.Errorf("hbfile: create log: %w", err)
+		return nil, err
 	}
-	buf := make([]byte, HeaderSize)
-	copy(buf[offMagic:], logMagic)
-	byteOrder.PutUint32(buf[offVersion:], Version)
-	byteOrder.PutUint32(buf[offRecordSize:], RecordSize)
-	byteOrder.PutUint32(buf[offWindow:], uint32(window))
-	byteOrder.PutUint64(buf[offPID:], uint64(os.Getpid()))
-	if _, err := f.WriteAt(buf, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("hbfile: write log header: %w", err)
-	}
-	return &LogWriter{fileWriter: fileWriter{f: f, out: f}}, nil
+	return &LogWriter{fileWriter: fw}, nil
 }
 
 // WriteRecord appends one heartbeat (heartbeat.Sink): a batch of one.
@@ -65,45 +55,17 @@ func (w *LogWriter) WriteRecord(r heartbeat.Record) error {
 }
 
 // WriteRecords appends a batch (heartbeat.BatchSink): one write of the
-// encoded records (one per maxRun records for a larger batch) and one of
+// encoded records (one per 1024 records for a larger batch) and one of
 // the count, instead of two per record. The batch is validated as a whole
 // before anything is written; a failed append loses its records, is
 // reported (first error wins) and does not stop the rest.
 func (w *LogWriter) WriteRecords(recs []heartbeat.Record) error {
-	for _, r := range recs {
-		if r.Seq == 0 {
-			return fmt.Errorf("hbfile: record with zero sequence number")
-		}
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("hbfile: writer closed")
+		return errClosed
 	}
-	var firstErr error
-	count := w.count
-	for len(recs) > 0 {
-		n := min(len(recs), maxRun)
-		w.scratch = encodeRun(w.scratch, recs[:n])
-		recs = recs[n:]
-		if _, err := w.out.WriteAt(w.scratch, HeaderSize+int64(count)*RecordSize); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("hbfile: append records: %w", err)
-			}
-			continue
-		}
-		count += uint64(n)
-	}
-	if count > w.count {
-		// A count that failed to reach the file is not remembered either:
-		// the next append overwrites what readers never saw.
-		if err := w.putWord(offCursor, count); err == nil {
-			w.count = count
-		} else if firstErr == nil {
-			firstErr = fmt.Errorf("hbfile: write count: %w", err)
-		}
-	}
-	return firstErr
+	return w.ring.Append(recs)
 }
 
 // WriteTarget publishes the target range (heartbeat.TargetSink).
@@ -135,44 +97,23 @@ func OpenLog(path string) (*LogReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hbfile: open log: %w", err)
 	}
-	buf := make([]byte, HeaderSize)
-	if _, err := f.ReadAt(buf, 0); err != nil {
+	h, err := hbring.ReadHeader("hbfile log", f, logMagic)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("hbfile: read log header: %w", err)
+		return nil, err
 	}
-	if string(buf[offMagic:offMagic+8]) != logMagic {
-		f.Close()
-		return nil, fmt.Errorf("hbfile: not a heartbeat log (magic %q)", buf[offMagic:offMagic+8])
-	}
-	if v := byteOrder.Uint32(buf[offVersion:]); v != Version {
-		f.Close()
-		return nil, fmt.Errorf("hbfile: unsupported log version %d", v)
-	}
-	return &LogReader{f: f, window: int(byteOrder.Uint32(buf[offWindow:]))}, nil
+	return &LogReader{f: f, window: int(h.Window)}, nil
 }
 
 // Window returns the application's default averaging window.
 func (r *LogReader) Window() int { return r.window }
 
-// Count returns the number of records appended so far. The header's count
-// word is input from outside the program, and — unlike a ring's capacity —
-// cannot be bounded once at open, because a log grows: every call clamps it
-// to the records the file is long enough to hold, so no read is ever sized
-// from (or pointed past the end by) a corrupt or hostile count.
+// Count returns the number of records appended so far. The header's
+// count word is input from outside the program, so it is clamped to the
+// records the file is long enough to hold.
 func (r *LogReader) Count() (uint64, error) {
-	var buf [8]byte
-	if _, err := r.f.ReadAt(buf[:], offCursor); err != nil {
-		return 0, fmt.Errorf("hbfile: read count: %w", err)
-	}
-	fi, err := r.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("hbfile: stat log: %w", err)
-	}
-	var held uint64
-	if size := fi.Size(); size > HeaderSize {
-		held = uint64(size-HeaderSize) / RecordSize
-	}
-	return min(byteOrder.Uint64(buf[:]), held), nil
+	_, count, err := hbring.ReadLog("hbfile", r.f, 0, 0, nil)
+	return count, err
 }
 
 // Read returns n records starting at index from (0-based, in append
@@ -180,37 +121,8 @@ func (r *LogReader) Count() (uint64, error) {
 // addressable, matching the reference implementation's unbounded
 // HB_get_history.
 func (r *LogReader) Read(from uint64, n int) ([]heartbeat.Record, error) {
-	count, err := r.Count()
-	if err != nil {
-		return nil, err
-	}
-	return r.read(from, n, count, nil)
-}
-
-// read is Read against an already fetched count, decoding into buf
-// (reallocated when too small).
-func (r *LogReader) read(from uint64, n int, count uint64, buf []heartbeat.Record) ([]heartbeat.Record, error) {
-	if from >= count || n <= 0 {
-		return nil, nil
-	}
-	if uint64(n) > count-from {
-		n = int(count - from)
-	}
-	out := buf[:0]
-	if cap(out) < n {
-		out = make([]heartbeat.Record, 0, n)
-	}
-	var raw [readChunk * RecordSize]byte
-	for len(out) < n {
-		b := raw[:min(n-len(out), readChunk)*RecordSize]
-		if _, err := r.f.ReadAt(b, HeaderSize+int64(from+uint64(len(out)))*RecordSize); err != nil {
-			return nil, fmt.Errorf("hbfile: read log records: %w", err)
-		}
-		for ; len(b) > 0; b = b[RecordSize:] {
-			out = append(out, decodeRecord(b))
-		}
-	}
-	return out, nil
+	recs, _, err := hbring.ReadLog("hbfile", r.f, from, n, nil)
+	return recs, err
 }
 
 // ReadSinceInto returns the records appended after the first since,
@@ -223,7 +135,10 @@ func (r *LogReader) read(from uint64, n int, count uint64, buf []heartbeat.Recor
 // re-read. Records are decoded into buf when its capacity suffices (nil
 // buf allocates; see Reader.ReadSinceInto).
 func (r *LogReader) ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error) {
-	count, err := r.Count()
+	if max <= 0 {
+		max = math.MaxInt
+	}
+	recs, count, err := hbring.ReadLog("hbfile", r.f, since, max, buf)
 	if err != nil {
 		return nil, since, err
 	}
@@ -232,61 +147,22 @@ func (r *LogReader) ReadSinceInto(since uint64, max int, buf []heartbeat.Record)
 		// the caller resynchronizes.
 		return nil, count, nil
 	}
-	n := count - since
-	if max > 0 && n > uint64(max) {
-		n = uint64(max)
-	}
-	recs, err := r.read(since, int(n), count, buf)
-	if err != nil {
-		return nil, since, err
-	}
 	return recs, since + uint64(len(recs)), nil
 }
 
 // Last returns the most recent n records in append order.
 func (r *LogReader) Last(n int) ([]heartbeat.Record, error) {
 	count, err := r.Count()
-	if err != nil {
+	if err != nil || n <= 0 {
 		return nil, err
 	}
-	if n <= 0 || count == 0 {
-		return nil, nil
-	}
-	from := uint64(0)
-	if uint64(n) < count {
-		from = count - uint64(n)
-	}
-	return r.read(from, n, count, nil)
+	return r.Read(count-min(uint64(n), count), n)
 }
 
-// Target returns the advertised target range, if set.
+// Target returns the advertised target range, if set, under the same
+// version-word discipline as the ring reader.
 func (r *LogReader) Target() (min, max float64, ok bool, err error) {
-	// Same seqlock discipline as the ring reader.
-	var buf [24]byte
-	const maxTries = 100
-	for tries := 0; tries < maxTries; tries++ {
-		if _, err := r.f.ReadAt(buf[:], offTargetVer); err != nil {
-			return 0, 0, false, err
-		}
-		v1 := byteOrder.Uint64(buf[0:8])
-		if v1%2 == 1 {
-			continue
-		}
-		minBits := byteOrder.Uint64(buf[8:16])
-		maxBits := byteOrder.Uint64(buf[16:24])
-		var check [8]byte
-		if _, err := r.f.ReadAt(check[:], offTargetVer); err != nil {
-			return 0, 0, false, err
-		}
-		if byteOrder.Uint64(check[:]) != v1 {
-			continue
-		}
-		if v1 == 0 {
-			return 0, 0, false, nil
-		}
-		return math.Float64frombits(minBits), math.Float64frombits(maxBits), true, nil
-	}
-	return 0, 0, false, fmt.Errorf("hbfile: log target read contended")
+	return hbring.ReadTarget("hbfile log", r.f)
 }
 
 // Rate computes the average heart rate over the last window records

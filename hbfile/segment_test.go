@@ -1,6 +1,7 @@
 package hbfile
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -9,6 +10,13 @@ import (
 	"time"
 
 	"repro/heartbeat"
+)
+
+// The writers' run cap and the reserved head's header offset (see the
+// package documentation).
+const (
+	maxRun      = 1024
+	offReserved = 64
 )
 
 // countingWriterAt is the test double behind the writers' out seam: it
@@ -47,7 +55,7 @@ func createCounted(t *testing.T, capacity int) (*Writer, *countingWriterAt, stri
 	}
 	t.Cleanup(func() { w.Close() })
 	c := &countingWriterAt{w: w.f}
-	w.out = c
+	w.ring.Out = c
 	return w, c, path
 }
 
@@ -124,7 +132,7 @@ func TestLogWriteCallsPerBatch(t *testing.T) {
 	}
 	defer w.Close()
 	c := &countingWriterAt{w: w.f}
-	w.out = c
+	w.ring.Out = c
 	if err := w.WriteRecords(seqRecords(1, 1024)); err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +202,8 @@ func TestWriteRecordsOutOfOrderAndGapped(t *testing.T) {
 	if c.calls != 6 { // reserved head, four runs, cursor
 		t.Fatalf("made %d writes, want 6", c.calls)
 	}
-	if w.Cursor() != 21 || w.reserved != 21 {
-		t.Fatalf("cursor %d reserved %d, want 21 21", w.Cursor(), w.reserved)
+	if res := readWord(t, path, offReserved); w.Cursor() != 21 || res != 21 {
+		t.Fatalf("cursor %d reserved %d, want 21 21", w.Cursor(), res)
 	}
 	recs, cur := readAll(t, path)
 	var got []uint64
@@ -211,12 +219,13 @@ func TestWriteRecordsOutOfOrderAndGapped(t *testing.T) {
 			t.Fatalf("read back %v, want %v", got, want)
 		}
 	}
-	// A late arrival behind the cursor is one slot write and nothing else.
+	// A late arrival behind the cursor is two slot writes, body then
+	// sequence word, and nothing else.
 	c.calls = 0
 	if err := w.WriteRecord(seqRecords(3, 3)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if c.calls != 1 || w.Cursor() != 21 {
+	if c.calls != 2 || w.Cursor() != 21 {
 		t.Fatalf("late record made %d writes, cursor %d", c.calls, w.Cursor())
 	}
 	// A single record ahead of cursor+1 (concurrent direct beats reaching
@@ -226,8 +235,8 @@ func TestWriteRecordsOutOfOrderAndGapped(t *testing.T) {
 	if err := w.WriteRecord(seqRecords(30, 30)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if c.calls != 3 || w.Cursor() != 30 || w.reserved != 30 {
-		t.Fatalf("record ahead of cursor+1 made %d writes, cursor %d, reserved %d; want 3, 30, 30", c.calls, w.Cursor(), w.reserved)
+	if res := readWord(t, path, offReserved); c.calls != 3 || w.Cursor() != 30 || res != 30 {
+		t.Fatalf("record ahead of cursor+1 made %d writes, cursor %d, reserved %d; want 3, 30, 30", c.calls, w.Cursor(), res)
 	}
 }
 
@@ -241,7 +250,7 @@ func TestWriteRecordsRunFailureKeepsLaterRuns(t *testing.T) {
 	// Runs: 11..20, 31..40 (fails), 22..25.
 	batch := append(seqRecords(11, 20), seqRecords(31, 40)...)
 	batch = append(batch, seqRecords(22, 25)...)
-	c.fail = func(off int64, n int) bool { return off == slotOffset(31, 64) }
+	c.fail = func(off int64, n int) bool { return off == HeaderSize+30*RecordSize } // 31's slot
 	err := w.WriteRecords(batch)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("failed run reported %v", err)
@@ -274,12 +283,16 @@ func TestWriteRecordsRunFailureKeepsLaterRuns(t *testing.T) {
 	}
 }
 
-// A batch larger than the ring is written in ring order; the reader still
-// accounts for every sequence number.
+// A batch larger than the ring stores only its last lap: every older record
+// is a full lap behind the batch's newest, so its slot is left to that
+// newer record. The reader still accounts for every sequence number.
 func TestWriteRecordsLargerThanRing(t *testing.T) {
-	w, _, path := createCounted(t, 100)
+	w, c, path := createCounted(t, 100)
 	if err := w.WriteRecords(seqRecords(1, 350)); err != nil {
 		t.Fatal(err)
+	}
+	if c.calls != 4 { // reserved head, 251..300, 301..350, cursor
+		t.Fatalf("made %d writes, want 4", c.calls)
 	}
 	recs, cur := readAll(t, path)
 	if cur != 350 {
@@ -291,6 +304,16 @@ func TestWriteRecordsLargerThanRing(t *testing.T) {
 	}
 }
 
+// readWord returns one 8-byte header word of the file at path.
+func readWord(t *testing.T, path string, off int64) uint64 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.Uint64(b[off:])
+}
+
 // patchWord overwrites one 8-byte header word of the file at path.
 func patchWord(t *testing.T, path string, off int64, v uint64) {
 	t.Helper()
@@ -300,7 +323,7 @@ func patchWord(t *testing.T, path string, off int64, v uint64) {
 	}
 	defer f.Close()
 	var buf [8]byte
-	byteOrder.PutUint64(buf[:], v)
+	binary.LittleEndian.PutUint64(buf[:], v)
 	if _, err := f.WriteAt(buf[:], off); err != nil {
 		t.Fatal(err)
 	}
@@ -396,13 +419,13 @@ func TestLogWriterIsBatchSinkForAggregator(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := &countingWriterAt{w: lw.f}
-	lw.out = lc
+	lw.ring.Out = lc
 	rw, err := Create(filepath.Join(dir, "agg.hb"), 10, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := &countingWriterAt{w: rw.f}
-	rw.out = rc
+	rw.ring.Out = rc
 	var th *heartbeat.Thread
 	for _, sink := range []heartbeat.Sink{lw, rw} {
 		hb, err := heartbeat.New(10, heartbeat.WithCapacity(4096), heartbeat.WithSink(sink))
@@ -478,7 +501,7 @@ func TestReaderDistrustsWholeInFlightSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := 0
-	w.out = &tearingWriterAt{w: w.f, mid: func() {
+	w.ring.Out = &tearingWriterAt{w: w.f, mid: func() {
 		reads++
 		// Slots of 1..32 are being overwritten by 65..96; slot 16 holds
 		// seq 17 over the body of 81. readAll fails on any such record.

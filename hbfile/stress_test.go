@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/hbfile"
+	"repro/hbshm"
 	"repro/heartbeat"
 	"repro/internal/simcheck"
 )
@@ -16,22 +17,60 @@ import (
 // Every field of a record is a function of its sequence number: the reader
 // must never deliver a record that disagrees with its own (a slot read
 // while a later lap was being stored), must deliver in order and at most
-// once, and must account for everything else as missed.
+// once, and must account for everything else as missed. It runs over both
+// access methods to the one ring layout: pwrite and pread here, copies
+// through a shared mapping in hbshm, where the reader's post-check is the
+// only guard a slot has. The late variants hold each batch's middle record
+// back and write it alone after the rest, behind the published cursor, the
+// way concurrent direct beats reach a sink out of order.
 func TestSegmentWritesNeverTearUnderLappedReader(t *testing.T) {
-	const capacity, batch, batches = 2048, 1024, 1500
-	tagOf := func(seq uint64) int64 { return int64(seq*0x9E3779B97F4A7C15) ^ int64(seq>>3) }
+	type writer interface {
+		WriteRecords([]heartbeat.Record) error
+		Close() error
+	}
+	type reader interface {
+		ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error)
+		Close() error
+	}
+	for _, m := range []struct {
+		name   string
+		create func(path string, window, capacity int) (writer, error)
+		open   func(path string) (reader, error)
+	}{
+		{"file",
+			func(p string, window, capacity int) (writer, error) { return hbfile.Create(p, window, capacity) },
+			func(p string) (reader, error) { return hbfile.Open(p) }},
+		{"mapping",
+			func(p string, window, capacity int) (writer, error) { return hbshm.Create(p, window, capacity) },
+			func(p string) (reader, error) { return hbshm.Open(p) }},
+	} {
+		for _, late := range []bool{false, true} {
+			name := m.name
+			if late {
+				name += "-late"
+			}
+			t.Run(name, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "stress.hb")
+				w, err := m.create(path, 10, 2048)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				r, err := m.open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				lappedReader(t, w.WriteRecords, r.ReadSinceInto, late)
+			})
+		}
+	}
+}
 
-	path := filepath.Join(t.TempDir(), "stress.hb")
-	w, err := hbfile.Create(path, 10, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	r, err := hbfile.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+func lappedReader(t *testing.T, write func([]heartbeat.Record) error,
+	read func(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error), late bool) {
+	const batch, batches = 1024, 1500
+	tagOf := func(seq uint64) int64 { return int64(seq*0x9E3779B97F4A7C15) ^ int64(seq>>3) }
 
 	written := make(chan error, 1)
 	go func() {
@@ -42,9 +81,16 @@ func TestSegmentWritesNeverTearUnderLappedReader(t *testing.T) {
 				seq++
 				recs[i] = heartbeat.Record{Seq: seq, Time: time.Unix(0, int64(seq)), Tag: tagOf(seq), Producer: int32(seq)}
 			}
-			if err := w.WriteRecords(recs); err != nil {
-				written <- err
-				return
+			calls := [][]heartbeat.Record{recs}
+			if late {
+				mid := batch / 2
+				calls = [][]heartbeat.Record{append(recs[:mid:mid], recs[mid+1:]...), recs[mid : mid+1]}
+			}
+			for _, call := range calls {
+				if err := write(call); err != nil {
+					written <- err
+					return
+				}
 			}
 		}
 		written <- nil
@@ -63,7 +109,7 @@ func TestSegmentWritesNeverTearUnderLappedReader(t *testing.T) {
 			default:
 			}
 		}
-		recs, cur, err := r.ReadSinceInto(since, 0, buf)
+		recs, cur, err := read(since, 0, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +137,7 @@ func TestSegmentWritesNeverTearUnderLappedReader(t *testing.T) {
 	if since != batch*batches {
 		t.Fatalf("final cursor = %d, want %d", since, batch*batches)
 	}
-	simcheck.RequireConserved(t, "lapped file reader", delivered, missed, since)
+	simcheck.RequireConserved(t, "lapped reader", delivered, missed, since)
 	if delivered == 0 || missed == 0 {
 		t.Fatalf("delivered %d, missed %d: the reader was meant to be lapped, not starved or keeping up", delivered, missed)
 	}

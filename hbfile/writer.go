@@ -1,14 +1,13 @@
 package hbfile
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"sync"
-	"time"
 
 	"repro/heartbeat"
+	"repro/internal/hbring"
 )
 
 // Writer publishes heartbeats into a ring file for external observers.
@@ -26,9 +25,6 @@ import (
 type Writer struct {
 	mu sync.Mutex
 	fileWriter
-	capacity uint32
-	cursor   uint64 // highest sequence number published
-	reserved uint64 // reserved head as last stored
 }
 
 var (
@@ -36,46 +32,42 @@ var (
 	_ heartbeat.BatchSink  = (*Writer)(nil)
 )
 
-// fileWriter is what the ring and log writers share: the file, the header
-// words both layouts keep at the same offsets, and the encode buffer. The
-// embedding writer's lock guards it.
+// fileWriter is what the ring and log writers share: the file and the
+// core writer over it. The embedding writer's lock guards it.
 type fileWriter struct {
-	f         *os.File
-	out       io.WriterAt // f; the seam tests count and fail writes through
-	scratch   []byte      // encodeRun's buffer, at most maxRun records
-	word      [8]byte     // putWord's buffer
-	targetVer uint64
-	closed    bool
+	f      *os.File
+	ring   *hbring.Writer
+	closed bool
 }
 
-// putWord stores one 8-byte header word.
-func (w *fileWriter) putWord(off int64, v uint64) error {
-	byteOrder.PutUint64(w.word[:], v)
-	_, err := w.out.WriteAt(w.word[:], off)
-	return err
+// create creates (or truncates) path, sizes it and writes its header.
+// Sizing comes first, so readers never see a header whose ring is not
+// there yet (Open rejects that).
+func create(path, magic string, window, capacity int, size int64) (fileWriter, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fileWriter{}, fmt.Errorf("hbfile: create: %w", err)
+	}
+	if err := f.Truncate(size); err != nil {
+		f.Close()
+		return fileWriter{}, fmt.Errorf("hbfile: truncate: %w", err)
+	}
+	ring, err := hbring.Create("hbfile", f, magic, window, capacity)
+	if err != nil {
+		f.Close()
+		return fileWriter{}, err
+	}
+	return fileWriter{f: f, ring: ring}, nil
 }
 
-// writeTarget publishes the target range under its version word: odd
-// while the update is in progress, even once it is stable.
+var errClosed = errors.New("hbfile: writer closed")
+
+// writeTarget publishes the target range under its version word.
 func (w *fileWriter) writeTarget(min, max float64) error {
 	if w.closed {
-		return fmt.Errorf("hbfile: writer closed")
+		return errClosed
 	}
-	w.targetVer++
-	if err := w.putWord(offTargetVer, w.targetVer); err != nil {
-		return fmt.Errorf("hbfile: write target version: %w", err)
-	}
-	if err := w.putWord(offTargetMin, math.Float64bits(min)); err != nil {
-		return fmt.Errorf("hbfile: write target min: %w", err)
-	}
-	if err := w.putWord(offTargetMax, math.Float64bits(max)); err != nil {
-		return fmt.Errorf("hbfile: write target max: %w", err)
-	}
-	w.targetVer++
-	if err := w.putWord(offTargetVer, w.targetVer); err != nil {
-		return fmt.Errorf("hbfile: write target version: %w", err)
-	}
-	return nil
+	return w.ring.WriteTarget(min, max)
 }
 
 // close flushes and closes the file; idempotent.
@@ -94,34 +86,15 @@ func (w *fileWriter) close() error {
 // Create creates (or truncates) a heartbeat ring file retaining capacity
 // records and advertising the application's default window.
 func Create(path string, window, capacity int) (*Writer, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("hbfile: invalid window %d", window)
-	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("hbfile: invalid capacity %d", capacity)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	size, err := hbring.Size("hbfile", window, capacity)
 	if err != nil {
-		return nil, fmt.Errorf("hbfile: create: %w", err)
+		return nil, err
 	}
-	hdr := header{
-		version:    Version,
-		recordSize: RecordSize,
-		capacity:   uint32(capacity),
-		window:     uint32(window),
-		pid:        uint64(os.Getpid()),
+	fw, err := create(path, hbring.Magic, window, capacity, size)
+	if err != nil {
+		return nil, err
 	}
-	// Size the ring before the header makes the file openable, so readers
-	// never see a header whose ring is not there yet (Open rejects that).
-	if err := f.Truncate(HeaderSize + int64(capacity)*RecordSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("hbfile: truncate: %w", err)
-	}
-	if _, err := f.WriteAt(encodeStaticHeader(hdr), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("hbfile: write header: %w", err)
-	}
-	return &Writer{fileWriter: fileWriter{f: f, out: f}, capacity: uint32(capacity)}, nil
+	return &Writer{fileWriter: fw}, nil
 }
 
 // WriteRecord publishes one heartbeat record (heartbeat.Sink): a batch of
@@ -137,72 +110,16 @@ func (w *Writer) WriteRecord(r heartbeat.Record) error {
 // write, and the cursor is advanced once, so the aggregator's shard merges
 // pay per-batch, not per-record, bookkeeping and I/O. The batch is
 // validated as a whole before anything is written. Records out of order or
-// with gaps still land; they only make the segments shorter.
+// with gaps still land; they only make the segments shorter. An I/O failure
+// loses that segment, is reported (first error wins) and does not stop the
+// rest.
 func (w *Writer) WriteRecords(recs []heartbeat.Record) error {
-	// Validate the whole batch before touching the file so an invalid
-	// batch is rejected without being applied at all.
-	var maxSeq uint64
-	for _, r := range recs {
-		if r.Seq == 0 {
-			return fmt.Errorf("hbfile: record with zero sequence number")
-		}
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
-		}
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("hbfile: writer closed")
+		return errClosed
 	}
-	// Readers distrust only the slot of cursor+1 unless told otherwise:
-	// announce how far this call reaches before any slot changes.
-	if maxSeq > w.cursor+1 && maxSeq > w.reserved {
-		if err := w.putWord(offReserved, maxSeq); err != nil {
-			// Readers were not warned, so no slot may be touched.
-			return fmt.Errorf("hbfile: write reserved head: %w", err)
-		}
-		w.reserved = maxSeq
-	}
-	// An I/O failure loses that run but keeps writing the rest — the
-	// batch is the aggregator's only delivery of these records, so one bad
-	// write must not drop its successors. The first error is reported; the
-	// cursor advances over whatever landed. A batch longer than the ring
-	// is written in ring order, later laps over earlier ones, like the
-	// beats it stands for.
-	var firstErr error
-	cursor := w.cursor
-	for len(recs) > 0 {
-		// The run ends at a sequence break, at the ring's last slot, or
-		// at the encode buffer's size.
-		first := recs[0].Seq
-		room := min(uint64(w.capacity)-(first-1)%uint64(w.capacity), maxRun)
-		n := 1
-		for n < len(recs) && uint64(n) < room && recs[n].Seq == first+uint64(n) {
-			n++
-		}
-		w.scratch = encodeRun(w.scratch, recs[:n])
-		recs = recs[n:]
-		if _, err := w.out.WriteAt(w.scratch, slotOffset(first, w.capacity)); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("hbfile: write records: %w", err)
-			}
-			continue
-		}
-		if last := first + uint64(n) - 1; last > cursor {
-			cursor = last
-		}
-	}
-	if cursor > w.cursor {
-		// A cursor that failed to reach the file is not remembered either,
-		// so the next call reserves and publishes from what readers see.
-		if err := w.putWord(offCursor, cursor); err == nil {
-			w.cursor = cursor
-		} else if firstErr == nil {
-			firstErr = fmt.Errorf("hbfile: write cursor: %w", err)
-		}
-	}
-	return firstErr
+	return w.ring.WriteRecords(recs)
 }
 
 // WriteTarget publishes the target heart-rate range
@@ -221,7 +138,7 @@ func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("hbfile: writer closed")
+		return errClosed
 	}
 	return w.f.Sync()
 }
@@ -230,7 +147,7 @@ func (w *Writer) Sync() error {
 func (w *Writer) Cursor() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.cursor
+	return w.ring.Cursor()
 }
 
 // Close flushes and closes the file. Close is idempotent.
@@ -239,5 +156,3 @@ func (w *Writer) Close() error {
 	defer w.mu.Unlock()
 	return w.close()
 }
-
-func unixTime(nanos int64) time.Time { return time.Unix(0, nanos) }

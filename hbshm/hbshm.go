@@ -1,115 +1,78 @@
 // Package hbshm implements a shared-memory heartbeat ring: the same
 // register-and-read observation contract as the file ring (package hbfile),
-// but over a memory-mapped region, so publishing a heartbeat is a handful
-// of ordinary stores into mapped memory and observing one is a load — no
-// write(2)/read(2) round trip through the kernel on either side. This is
-// the closest realization of the paper's standardized shared-memory
-// heartbeat buffer ("the heartbeat data structure is registered ... other
-// applications, or system software, can then read this data structure"):
-// producer and observer are separate processes coordinating only through
-// the bytes of one shared mapping.
+// but over a memory-mapped region, so publishing a heartbeat is a copy into
+// mapped memory and observing one is a copy out — no write(2)/read(2) round
+// trip through the kernel on either side. This is the closest realization
+// of the paper's standardized shared-memory heartbeat buffer ("the
+// heartbeat data structure is registered ... other applications, or system
+// software, can then read this data structure"): producer and observer are
+// separate processes coordinating only through the bytes of one shared
+// mapping.
 //
-// The region is a fixed-size header followed by a ring of fixed-size
-// record slots, backed by any mmap-able file (a tmpfs path such as
-// /dev/shm/... keeps it purely in memory). One process writes; any number
-// of processes map it read-only and read concurrently without
-// coordinating with the writer. Consistency uses the same seqlock
-// discipline as the in-memory store (internal/ring) and the file ring:
-// each slot's sequence word is zeroed before its fields are rewritten and
-// set last, so a reader that loads the expected sequence number, copies
-// the fields, and re-loads the same sequence number is guaranteed an
-// untorn record — anything else is skipped and surfaces through cursor
-// arithmetic as Missed, never as corrupt data.
+// The region is hbfile's ring file — the same header, slots and protocol
+// (cursor, reserved head, target version word) — reached through a
+// mapping instead of pread and pwrite, so a region is readable by
+// hbfile.Open and a ring file by Open. It is backed by any mmap-able file
+// (a tmpfs path such as /dev/shm/... keeps it purely in memory). One
+// process writes; any number of processes map it read-only and read
+// concurrently without coordinating with the writer. Slots carry no lock
+// word of their own: runs of records are copied in whole, a late record's
+// sequence word is stored after its body, slots are loaded word by word in
+// address order, and a reader keeps a slot only when its sequence number
+// matches and the cursor and reserved head, re-read after the copy, show
+// that no write could have been rewriting it. Anything else surfaces
+// through cursor arithmetic as Missed, never as corrupt data. Unlike a
+// ring file, a region ends: Close stores the header's closed word, after
+// which readers drain and see io.EOF.
 package hbshm
 
 import (
 	"encoding/binary"
-	"fmt"
+	"io"
+	"sync/atomic"
+	"unsafe"
+
+	"repro/internal/hbring"
 )
 
-// Format constants. Version bumps on any layout change.
-//
-//hbvet:api -- user need: the region's layout, for observers not written in Go
-const (
-	// Magic identifies a shared-memory heartbeat region (8 bytes).
-	Magic      = "HBSHMv1\x00"
-	Version    = 1
-	HeaderSize = 128
-	RecordSize = 32
-)
+// region is the mapping access method: the core's reads and writes as
+// loads and stores on the mapped bytes. Every read the core makes is whole
+// aligned 8-byte words (the mapping is page-aligned), loaded atomically and
+// in address order, so a slot's sequence word is loaded before its body.
+// A run of slots is stored with copy; a single word — a header word, or a
+// late record's sequence word — with an atomic swap, a full barrier no
+// earlier copy can pass. Words move in native byte order: the bytes are the
+// same on both sides, only moved atomically.
+type region []byte
 
-// Header field offsets. Every mutable field sits on its own 8-byte word so
-// it can be addressed atomically through the mapping; the mapping itself
-// is page-aligned, keeping each offset naturally aligned.
-const (
-	offMagic      = 0  // 8 bytes
-	offVersion    = 8  // uint32
-	offRecordSize = 12 // uint32
-	offCapacity   = 16 // uint64, ring slots
-	offWindow     = 24 // uint64, advertised averaging window
-	offHead       = 32 // uint64 atomic, highest published sequence number
-	offClosed     = 40 // uint64 atomic, nonzero once the writer closed
-	offTargetVer  = 48 // uint64 atomic, odd while a target update is in progress
-	offTargetMin  = 56 // float64 bits
-	offTargetMax  = 64 // float64 bits
-)
-
-// Record slot field offsets (within a 32-byte slot). seq doubles as the
-// slot's seqlock word: 0 while the slot is being rewritten.
-const (
-	recOffSeq      = 0  // uint64 atomic
-	recOffTime     = 8  // int64 unix nanos
-	recOffTag      = 16 // int64
-	recOffProducer = 24 // int32
-)
-
-var byteOrder = binary.LittleEndian
-
-// regionSize returns the byte size of a region retaining capacity records.
-func regionSize(capacity int) int {
-	return HeaderSize + capacity*RecordSize
+func (m region) word(off int64) *atomic.Uint64 {
+	return (*atomic.Uint64)(unsafe.Pointer(&m[off]))
 }
 
-// slotOff returns the region offset of the ring slot holding seq. mask is
-// capacity-1: capacity is always a power of two (Create rounds up,
-// checkHeader rejects anything else) precisely so this is a mask and not a
-// hardware divide on every record on both sides of the mapping.
-func slotOff(seq, mask uint64) int {
-	return HeaderSize + int((seq-1)&mask)*RecordSize
+func (m region) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 || off+int64(len(p)) > int64(len(m)) {
+		return 0, io.EOF
+	}
+	for i := 0; i < len(p); i += 8 {
+		binary.NativeEndian.PutUint64(p[i:], m.word(off+int64(i)).Load())
+	}
+	return len(p), nil
 }
 
-// nextPow2 rounds n up to the next power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
+func (m region) WriteAt(p []byte, off int64) (int, error) {
+	if off >= hbring.HeaderSize && len(p) != 8 {
+		return copy(m[off:], p), nil
 	}
-	return p
+	for i := 0; i < len(p); i += 8 {
+		m.word(off + int64(i)).Swap(binary.NativeEndian.Uint64(p[i:]))
+	}
+	return len(p), nil
 }
 
-// checkHeader validates the static header fields of a mapped region.
-func checkHeader(mem []byte) (capacity, window uint64, err error) {
-	if len(mem) < HeaderSize {
-		return 0, 0, fmt.Errorf("hbshm: short region (%d bytes)", len(mem))
-	}
-	if string(mem[offMagic:offMagic+8]) != Magic {
-		return 0, 0, fmt.Errorf("hbshm: bad magic %q", mem[offMagic:offMagic+8])
-	}
-	if v := byteOrder.Uint32(mem[offVersion:]); v != Version {
-		return 0, 0, fmt.Errorf("hbshm: unsupported version %d", v)
-	}
-	if rs := byteOrder.Uint32(mem[offRecordSize:]); rs != RecordSize {
-		return 0, 0, fmt.Errorf("hbshm: unsupported record size %d", rs)
-	}
-	capacity = byteOrder.Uint64(mem[offCapacity:])
-	window = byteOrder.Uint64(mem[offWindow:])
-	if capacity == 0 || capacity&(capacity-1) != 0 {
-		return 0, 0, fmt.Errorf("hbshm: capacity %d is not a power of two", capacity)
-	}
-	// Divide rather than multiply: a hostile capacity of 2^58 or more
-	// would wrap regionSize past the region's length and be accepted.
-	if capacity > uint64(len(mem)-HeaderSize)/RecordSize {
-		return 0, 0, fmt.Errorf("hbshm: region truncated: %d bytes for capacity %d", len(mem), capacity)
-	}
-	return capacity, window, nil
+// LoadWord loads the little-endian header word at off in place, sparing
+// an idle reader the buffered read.
+func (m region) LoadWord(off int64) uint64 {
+	var b [8]byte
+	binary.NativeEndian.PutUint64(b[:], m.word(off).Load())
+	return binary.LittleEndian.Uint64(b[:])
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/heartbeat"
+	"repro/internal/hbring"
 )
 
 func testRegion(t *testing.T) string {
@@ -89,67 +90,28 @@ func TestTargetSeqlock(t *testing.T) {
 	}
 }
 
-func TestStreamDeliversAndEnds(t *testing.T) {
-	path := testRegion(t)
-	w, err := Create(path, 10, 16)
+// A warmed writer publishes a batch without allocating: runs are encoded
+// into one reused buffer and copied into the mapping.
+func TestWriteRecordsWarmedDoesNotAllocate(t *testing.T) {
+	w, err := Create(testRegion(t), 10, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := uint64(1); seq <= 12; seq++ {
-		if err := w.WriteRecord(mkRecord(seq, int64(seq))); err != nil {
+	defer w.Close()
+	recs := make([]heartbeat.Record, 1024)
+	var seq uint64
+	next := func() {
+		for i := range recs {
+			seq++
+			recs[i] = mkRecord(seq, int64(seq))
+		}
+		if err := w.WriteRecords(recs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.WriteTarget(1, 9); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := StreamFrom(r, time.Millisecond, 0, nil)
-	defer s.Close()
-	b, err := s.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Records) != 12 || b.Count != 12 || b.Missed != 0 {
-		t.Fatalf("batch = %d records, count %d, missed %d; want 12, 12, 0", len(b.Records), b.Count, b.Missed)
-	}
-	if !b.TargetSet || b.TargetMin != 1 || b.TargetMax != 9 {
-		t.Fatalf("target = %v..%v set=%v, want 1..9 set", b.TargetMin, b.TargetMax, b.TargetSet)
-	}
-	s.Recycle(b)
-	w.Close()
-	if _, err := s.Next(context.Background()); !errors.Is(err, io.EOF) {
-		t.Fatalf("after close err = %v, want io.EOF", err)
-	}
-}
-
-func TestStreamResyncsOnRecreatedRegion(t *testing.T) {
-	path := testRegion(t)
-	w, err := Create(path, 10, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 9; seq++ {
-		w.WriteRecord(mkRecord(seq, int64(seq)))
-	}
-	w.Close()
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A cursor from a previous, longer life of the producer: the stream
-	// must resynchronize from the start instead of stalling forever.
-	s := StreamFrom(r, time.Millisecond, 100, nil)
-	defer s.Close()
-	b, err := s.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Records) != 9 || b.Records[0].Seq != 1 {
-		t.Fatalf("resync batch = %d records from seq %d; want 9 from 1", len(b.Records), b.Records[0].Seq)
+	next() // warm the encode buffer
+	if allocs := testing.AllocsPerRun(100, next); allocs != 0 {
+		t.Fatalf("warmed WriteRecords(1024) allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -263,4 +225,149 @@ func TestLiveSinkThroughHeartbeat(t *testing.T) {
 	if head != beats {
 		t.Fatalf("final count %d, want %d", head, beats)
 	}
+}
+
+// tearingRegion stores a multi-record run the way a reader may catch it
+// where a copy is not atomic per slot: everything lands except one middle
+// record's sequence word, mid runs, and only then does that word land.
+// During mid the slot holds the old lap's sequence number over the new
+// lap's body, which no sequence check alone can see.
+type tearingRegion struct {
+	region
+	mid func()
+}
+
+func (tr tearingRegion) WriteAt(p []byte, off int64) (int, error) {
+	if len(p) < 3*hbring.RecordSize {
+		return tr.region.WriteAt(p, off)
+	}
+	k := len(p) / hbring.RecordSize / 2 * hbring.RecordSize
+	tr.region.WriteAt(p[:k], off)
+	tr.region.WriteAt(p[k+8:], off+int64(k)+8)
+	tr.mid()
+	tr.region.WriteAt(p[k:k+8], off+int64(k))
+	return len(p), nil
+}
+
+// With no lock word per slot, the reader's re-read of cursor and reserved
+// head is what keeps a run in flight out of its result: every slot one lap
+// below the run is distrusted, the torn one included.
+func TestReaderDistrustsWholeInFlightRun(t *testing.T) {
+	const capacity = 64
+	path := testRegion(t)
+	w, err := Create(path, 10, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	batch := func(from, to uint64) []heartbeat.Record {
+		var recs []heartbeat.Record
+		for seq := from; seq <= to; seq++ {
+			recs = append(recs, mkRecord(seq, int64(seq)))
+		}
+		return recs
+	}
+	if err := w.WriteRecords(batch(1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	reads := 0
+	w.ring.Out = tearingRegion{region(w.mem), func() {
+		reads++
+		// Slots of 1..32 are being overwritten by 65..96; slot 16 holds
+		// seq 17 over the body of 81.
+		recs, cur, err := r.ReadSinceInto(0, 0, nil)
+		if err != nil || cur != 64 || len(recs) != 32 || recs[0].Seq != 33 {
+			t.Fatalf("mid-write read: %d records to cursor %d (err %v), want exactly 33..64", len(recs), cur, err)
+		}
+		for _, rec := range recs {
+			if want := mkRecord(rec.Seq, int64(rec.Seq)); rec != want {
+				t.Fatalf("mid-write read delivered %+v, want %+v", rec, want)
+			}
+		}
+	}}
+	if err := w.WriteRecords(batch(65, 96)); err != nil {
+		t.Fatal(err)
+	}
+	if reads != 1 {
+		t.Fatalf("run was stored in %d multi-record writes, want 1", reads)
+	}
+}
+
+// pausingRegion lands a write that covers the word at pause only up to that
+// word, runs mid, and then lands the rest.
+type pausingRegion struct {
+	region
+	pause int64
+	mid   func()
+}
+
+func (pr pausingRegion) WriteAt(p []byte, off int64) (int, error) {
+	cut := pr.pause - off
+	if cut <= 0 || cut >= int64(len(p)) {
+		return pr.region.WriteAt(p, off)
+	}
+	pr.region.WriteAt(p[:cut], off)
+	pr.mid()
+	pr.region.WriteAt(p[cut:], pr.pause)
+	return len(p), nil
+}
+
+// A late record is written in place, body first and sequence word last, so
+// a reader that wants it and catches its slot half written passes it over:
+// 1..8 and 10..12 in 8 slots, then 9 late over record 1, paused before its
+// tag lands.
+func TestLateRecordIsNeverReadHalfWritten(t *testing.T) {
+	path := testRegion(t)
+	w, err := Create(path, 10, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	batch := func(from, to uint64) []heartbeat.Record {
+		var recs []heartbeat.Record
+		for seq := from; seq <= to; seq++ {
+			recs = append(recs, mkRecord(seq, int64(seq)))
+		}
+		return recs
+	}
+	if err := w.WriteRecords(batch(1, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRecords(batch(10, 12)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	read := func(want ...uint64) {
+		t.Helper()
+		recs, cur, err := r.ReadSinceInto(8, 0, nil)
+		if err != nil || cur != 12 || len(recs) != len(want) {
+			t.Fatalf("read %d records to cursor %d (err %v), want %v", len(recs), cur, err, want)
+		}
+		for i, rec := range recs {
+			if rec != mkRecord(want[i], int64(want[i])) {
+				t.Fatalf("read %+v, want record %d", rec, want[i])
+			}
+		}
+	}
+	paused := 0
+	w.ring.Out = pausingRegion{region(w.mem), hbring.HeaderSize + 16, func() { // 9's tag word
+		paused++
+		read(10, 11, 12)
+	}}
+	if err := w.WriteRecords(batch(9, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if paused != 1 {
+		t.Fatalf("the late record's tag word was written %d times mid-write, want 1", paused)
+	}
+	read(9, 10, 11, 12)
 }

@@ -13,10 +13,10 @@ import (
 // system — records newer than the cursor delivered oldest to newest, lapped
 // records surfacing exactly once as Missed, a recreated region
 // resynchronizing from the start, io.EOF once the writer closed and
-// everything published was delivered. The idle tick is one atomic load of
-// the shared head word every poll interval; Recycle makes the observation
-// path allocation-free. What Stream adds is ownership: Close releases the
-// reader's mapping.
+// everything published was delivered. The idle tick is three atomic loads
+// of shared header words (cursor, reserved head, closed) every poll
+// interval; Recycle makes the observation path allocation-free. What
+// Stream adds is ownership: Close releases the reader's mapping.
 type Stream struct {
 	*observer.PolledStream
 	r *Reader

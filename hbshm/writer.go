@@ -1,144 +1,86 @@
 package hbshm
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 
 	"repro/heartbeat"
+	"repro/internal/hbring"
 )
 
 // Writer publishes heartbeats into a shared-memory ring for external
 // observers. It implements heartbeat.Sink, heartbeat.BatchSink, and
 // heartbeat.TargetSink, so it is normally attached with
 // heartbeat.WithSink — exactly like the file ring's writer, with each
-// record costing stores into mapped memory instead of a write(2). A
-// region has exactly one writing process; within that process Writer is
-// safe for concurrent use.
+// run of records costing one copy into mapped memory instead of a
+// write(2). A region has exactly one writing process; within that process
+// Writer is safe for concurrent use.
 type Writer struct {
-	mu       sync.Mutex
-	f        *os.File
-	mem      []byte
-	capacity uint64
-	mask     uint64 // capacity - 1, for slot addressing
-	cursor   uint64 // highest sequence number published
-	closed   bool
+	mu     sync.Mutex
+	f      *os.File
+	mem    []byte
+	ring   *hbring.Writer
+	closed bool
 }
 
 var _ heartbeat.TargetSink = (*Writer)(nil)
 var _ heartbeat.BatchSink = (*Writer)(nil)
 
+var errClosed = errors.New("hbshm: writer closed")
+
 // Create creates (or truncates) a shared-memory heartbeat region at path
-// retaining capacity records (rounded up to a power of two) and
-// advertising the application's default window. Put path on a memory
-// filesystem (/dev/shm on Linux) to keep the ring purely in memory; any
-// mmap-able filesystem works.
+// retaining capacity records and advertising the application's default
+// window. Put path on a memory filesystem (/dev/shm on Linux) to keep the
+// ring purely in memory; any mmap-able filesystem works.
 func Create(path string, window, capacity int) (*Writer, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("hbshm: invalid window %d", window)
+	size, err := hbring.Size("hbshm", window, capacity)
+	if err != nil {
+		return nil, err
 	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("hbshm: invalid capacity %d", capacity)
-	}
-	capacity = nextPow2(capacity)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("hbshm: create: %w", err)
 	}
-	size := regionSize(capacity)
 	// Size the file before mapping so observers never fault on a short
-	// region, then write the static header through the mapping itself.
-	if err := f.Truncate(int64(size)); err != nil {
+	// region, then write the header through the mapping itself.
+	if err := f.Truncate(size); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("hbshm: truncate: %w", err)
 	}
-	mem, err := mmapFile(f, size, true)
+	mem, err := mmapFile(f, int(size), true)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	copy(mem[offMagic:], Magic)
-	byteOrder.PutUint32(mem[offVersion:], Version)
-	byteOrder.PutUint32(mem[offRecordSize:], RecordSize)
-	byteOrder.PutUint64(mem[offCapacity:], uint64(capacity))
-	byteOrder.PutUint64(mem[offWindow:], uint64(window))
-	return &Writer{f: f, mem: mem, capacity: uint64(capacity), mask: uint64(capacity) - 1}, nil
+	ring, err := hbring.Create("hbshm", region(mem), hbring.Magic, window, capacity)
+	if err != nil {
+		munmap(mem)
+		f.Close()
+		return nil, err
+	}
+	return &Writer{f: f, mem: mem, ring: ring}, nil
 }
 
 // WriteRecord publishes one heartbeat record (heartbeat.Sink). Records may
 // arrive out of sequence order when multiple goroutines beat concurrently;
 // the head only ever moves forward.
 func (w *Writer) WriteRecord(r heartbeat.Record) error {
-	if r.Seq == 0 {
-		return fmt.Errorf("hbshm: record with zero sequence number")
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("hbshm: writer closed")
-	}
-	w.writeSlotLocked(r)
-	if r.Seq > w.cursor {
-		w.cursor = r.Seq
-		wordU64(w.mem, offHead).Store(r.Seq)
-	}
-	return nil
+	one := [1]heartbeat.Record{r}
+	return w.WriteRecords(one[:])
 }
 
-// WriteRecords publishes an ordered batch of records (heartbeat.BatchSink):
-// the lock is taken and the head advanced once for the whole batch.
+// WriteRecords publishes a batch of records (heartbeat.BatchSink): the
+// lock is taken and the head advanced once for the whole batch, and each
+// run of consecutive sequence numbers is one copy.
 func (w *Writer) WriteRecords(recs []heartbeat.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	for _, r := range recs {
-		if r.Seq == 0 {
-			return fmt.Errorf("hbshm: record with zero sequence number")
-		}
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("hbshm: writer closed")
+		return errClosed
 	}
-	cursor := w.cursor
-	for _, r := range recs {
-		w.writeSlotLocked(r)
-		if r.Seq > cursor {
-			cursor = r.Seq
-		}
-	}
-	if cursor > w.cursor {
-		w.cursor = cursor
-		// Head is stored after the batch's slots (mirroring the file
-		// ring's cursor), so a head an observer loads only ever promises
-		// records that were already published — and, dually, a slot that
-		// fails to validate under a head covering it is permanently gone.
-		wordU64(w.mem, offHead).Store(cursor)
-	}
-	return nil
-}
-
-// writeSlotLocked performs one seqlock slot write: zero the sequence word
-// (readers of the old record now see it mid-write), store the fields,
-// publish the new sequence number last. A reader that loads seq, copies
-// fields, and re-loads the same seq can never observe a torn record.
-//
-// Only the two sequence-word stores are atomic. The field stores between
-// them are plain: the bracketing atomics order them (neither the compiler
-// nor the CPU moves a store across a sequentially-consistent one), and a
-// sequentially-consistent store is an XCHG on amd64 — paying that per
-// field would triple the per-record publish cost for ordering the seqlock
-// already provides. Readers still load the fields atomically, which is
-// what the validating re-load's ordering needs on weaker architectures.
-func (w *Writer) writeSlotLocked(r heartbeat.Record) {
-	off := slotOff(r.Seq, w.mask)
-	wordU64(w.mem, off+recOffSeq).Store(0)
-	byteOrder.PutUint64(w.mem[off+recOffTime:], uint64(r.Time.UnixNano()))
-	byteOrder.PutUint64(w.mem[off+recOffTag:], uint64(r.Tag))
-	byteOrder.PutUint32(w.mem[off+recOffProducer:], uint32(r.Producer))
-	wordU64(w.mem, off+recOffSeq).Store(r.Seq)
+	return w.ring.WriteRecords(recs)
 }
 
 // WriteTarget publishes the target heart-rate range (heartbeat.TargetSink).
@@ -147,21 +89,16 @@ func (w *Writer) WriteTarget(min, max float64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("hbshm: writer closed")
+		return errClosed
 	}
-	ver := wordU64(w.mem, offTargetVer)
-	ver.Add(1) // odd: update in progress
-	wordU64(w.mem, offTargetMin).Store(math.Float64bits(min))
-	wordU64(w.mem, offTargetMax).Store(math.Float64bits(max))
-	ver.Add(1) // even: stable
-	return nil
+	return w.ring.WriteTarget(min, max)
 }
 
 // Cursor returns the highest sequence number published so far.
 func (w *Writer) Cursor() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.cursor
+	return w.ring.Cursor()
 }
 
 // Close marks the region ended — observers drain what is published and
@@ -175,9 +112,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	// The closed flag is stored after the final head, so an observer that
-	// sees it and then re-reads head is guaranteed the final cursor.
-	wordU64(w.mem, offClosed).Store(1)
+	_ = w.ring.Close() // a mapping write cannot fail
 	err := munmap(w.mem)
 	w.mem = nil
 	if cerr := w.f.Close(); err == nil {

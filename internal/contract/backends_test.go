@@ -82,7 +82,7 @@ var backends = []backend{
 	{name: "heartbeat", laps: true, ends: true, goal: true, lapped: retain, start: startHeartbeat},
 	{name: "hbfile-ring", laps: true, goal: true, lapped: retain - 1, start: startRing},
 	{name: "hbfile-log", goal: true, start: startLog},
-	{name: "hbshm", laps: true, ends: true, goal: true, lapped: retain, start: startShm},
+	{name: "hbshm", laps: true, ends: true, goal: true, lapped: retain - 1, start: startShm},
 	{name: "hbnet", laps: true, ends: true, reconnects: true, goal: true, async: true, lapped: retain, start: startNet},
 	{name: "relay", laps: true, ends: true, lapped: retain, start: startRelay},
 }
@@ -145,11 +145,10 @@ func seqs(from, to uint64) []heartbeat.Record {
 }
 
 // startPolled assembles a medium observed through a PolledReader: w
-// publishes, openReader attaches a reader, stream wraps one at a cursor on
-// a virtual clock, and the target version word sits at targetVer in the
-// file at path (the layout each package documents).
+// publishes, openReader attaches a reader, and stream wraps one at a cursor
+// on a virtual clock.
 func startPolled(t *testing.T, path string, w batchWriter, openReader func() (observer.PolledReader, error),
-	stream func(r observer.PolledReader, since uint64, clk clock.Clock) observer.Stream, targetVer int64) *medium {
+	stream func(r observer.PolledReader, since uint64, clk clock.Clock) observer.Stream) *medium {
 	if err := w.WriteTarget(goalMin, goalMax); err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +195,9 @@ func readerStream(r observer.PolledReader, since uint64, clk clock.Clock) observ
 	return observer.ReaderStream(r, poll, since, clk)
 }
 
-// The target version word's offset in the hbfile layouts (ring and log
-// alike) and in the hbshm region.
-const (
-	hbfileTargetVer = 32
-	hbshmTargetVer  = 48
-)
+// targetVer is the target version word's offset in the one ring layout
+// hbfile and hbshm share, and in the log.
+const targetVer = 32
 
 func startRing(t *testing.T) *medium {
 	path := filepath.Join(t.TempDir(), "app.hb")
@@ -211,7 +207,7 @@ func startRing(t *testing.T) *medium {
 	}
 	t.Cleanup(func() { w.Close() })
 	return startPolled(t, path, w, func() (observer.PolledReader, error) { return hbfile.Open(path) },
-		readerStream, hbfileTargetVer)
+		readerStream)
 }
 
 func startLog(t *testing.T) *medium {
@@ -222,7 +218,7 @@ func startLog(t *testing.T) *medium {
 	}
 	t.Cleanup(func() { w.Close() })
 	return startPolled(t, path, w, func() (observer.PolledReader, error) { return hbfile.OpenLog(path) },
-		readerStream, hbfileTargetVer)
+		readerStream)
 }
 
 func startShm(t *testing.T) *medium {
@@ -235,7 +231,7 @@ func startShm(t *testing.T) *medium {
 	m := startPolled(t, path, w, func() (observer.PolledReader, error) { return hbshm.Open(path) },
 		func(r observer.PolledReader, since uint64, clk clock.Clock) observer.Stream {
 			return hbshm.StreamFrom(r.(*hbshm.Reader), poll, since, clk)
-		}, hbshmTargetVer)
+		})
 	m.end = func() { w.Close() }
 	return m
 }

@@ -215,9 +215,10 @@ func (s *heartbeatStream) Close() error {
 // capacity suffices) plus the position consumed up to — the medium's head
 // when nothing bounded the read; io.EOF means the producer closed the
 // medium and everything was delivered. hbfile.Reader, hbfile.LogReader and
-// hbshm.Reader all have this shape, but only hbshm.Reader ever returns
-// io.EOF: the hbfile ring and log never end, and a follower of a finished
-// producer waits for a successor file (FollowFile).
+// hbshm.Reader all have this shape, but only a ring that hbshm's writer
+// closed ever returns io.EOF (through either ring reader, since the two
+// share one layout): rings hbfile writes and the log never end, and a
+// follower of a finished producer waits for a successor file (FollowFile).
 type PolledReader interface {
 	ReadSinceInto(since uint64, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64, error)
 	Window() int
