@@ -134,15 +134,19 @@ failover-scenario:
 
 # Short go-fuzz passes over the hbnet wire codec: the decoders face bytes
 # from the network, so they must never panic and must decode accepted
-# frames to values that re-encode identically. The checked-in corpus under
-# hbnet/testdata/fuzz holds past finds as regressions. The hbfile passes
-# cover the other bytes an observer does not own: files written by another
-# process (hostile headers, a reserved head ahead of the cursor) and the
-# segment encoder's round trip through a wrapping batch. The hbshm pass
-# maps arbitrary bytes as a shared-memory region another process wrote.
+# frames to values that re-encode identically, and the batch decoder's
+# word-at-a-time record loop must accept, reject and decode every body
+# exactly as the plain per-field loop it replaced does. The checked-in
+# corpus under hbnet/testdata/fuzz holds past finds as regressions. The
+# hbfile passes cover the other bytes an observer does not own: files
+# written by another process (hostile headers, a reserved head ahead of the
+# cursor) and the segment encoder's round trip through a wrapping batch.
+# The hbshm pass maps arbitrary bytes as a shared-memory region another
+# process wrote.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRollup$$' -fuzztime 3s ./hbnet
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatchMatchesReference$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbshm

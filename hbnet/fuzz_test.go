@@ -106,6 +106,78 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBatchMatchesReference holds decodeBatchInto's word-at-a-time
+// record loop to the plain per-field loop it replaced
+// (referenceDecodeBatch): on any body, the same records, the same cursor,
+// and the same accept or reject. Seeds put the last records within 40
+// bytes of the body's end, where the word path hands over to the careful
+// decoder, and give fields of 8, 9 and 10 bytes, where it declines them.
+func FuzzDecodeBatchMatchesReference(f *testing.F) {
+	f.Add(appendBatch(nil, fuzzSeedBatch(), 1009)[1:])
+	f.Add(appendBatch(nil, observer.Batch{Records: saturatedRecords(64)}, 64)[1:])
+	for _, width := range []int{8, 9, 10} {
+		// A seq delta of exactly width bytes (zig-zag of 2^(7(width-1))).
+		wide := uint64(1) << (7*(width-1) - 1)
+		for tail := 0; tail <= 40; tail += 4 {
+			recs := []heartbeat.Record{
+				{Seq: 1, Time: time.Unix(0, 1), Tag: 1 << 40},
+				{Seq: 1 + wide, Time: time.Unix(0, 2), Tag: -1 << 50, Producer: 3},
+			}
+			for i := 0; i < tail/4; i++ {
+				last := recs[len(recs)-1]
+				recs = append(recs, heartbeat.Record{Seq: last.Seq + 1, Time: last.Time, Tag: 5})
+			}
+			f.Add(appendBatch(nil, observer.Batch{Records: recs, Count: 7}, 9)[1:])
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantCursor, wantErr := referenceDecodeBatch(body)
+		got, gotCursor, err := decodeBatchInto(body, make([]heartbeat.Record, 0, len(body)/4+1))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decodeBatchInto err %v, reference err %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if gotCursor != wantCursor || !batchEquivalent(got, want) {
+			t.Fatalf("decodeBatchInto differs from the reference:\n got %+v (cursor %d)\nwant %+v (cursor %d)", got, gotCursor, want, wantCursor)
+		}
+	})
+}
+
+// referenceDecodeBatch is the batch decoder as a plain loop of careful
+// per-field reads, the meaning decodeBatchInto's fast path must keep.
+func referenceDecodeBatch(body []byte) (b observer.Batch, cursor uint64, err error) {
+	d := decoder{buf: body}
+	cursor = d.uvarint()
+	b.Count = d.uvarint()
+	b.Window = int(d.uvarint())
+	b.Missed = d.uvarint()
+	if d.byte()&batchFlagTargetSet != 0 {
+		b.TargetSet = true
+		b.TargetMin = math.Float64frombits(d.uint64())
+		b.TargetMax = math.Float64frombits(d.uint64())
+	}
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)-d.off)/4+1 {
+		return observer.Batch{}, 0, errFrameTooLarge
+	}
+	var prevSeq uint64
+	var prevNanos int64
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		seq := prevSeq + uint64(d.varint())
+		nanos := prevNanos + d.varint()
+		tag := d.varint()
+		producer := d.varint()
+		b.Records = append(b.Records, heartbeat.Record{Seq: seq, Time: time.Unix(0, nanos), Tag: tag, Producer: int32(producer)})
+		prevSeq, prevNanos = seq, nanos
+	}
+	if d.err != nil {
+		return observer.Batch{}, 0, d.err
+	}
+	return b, cursor, nil
+}
+
 // FuzzDecodeRollup aims the fuzzer squarely at the most intricate decoder.
 func FuzzDecodeRollup(f *testing.F) {
 	f.Add(appendRollups(nil, fuzzSeedRollups())[1:])

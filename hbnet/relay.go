@@ -152,29 +152,43 @@ func (r *replayRing) waitChanLocked() <-chan struct{} {
 
 // append re-sequences recs into the ring. missed widens the sequence space
 // without storing records; producer, when >= 0, overwrites each record's
-// Producer with the hop-local upstream id.
+// Producer with the hop-local upstream id. The batch is written in at most
+// two contiguous spans; records it would lap within itself are skipped.
 func (r *replayRing) append(recs []heartbeat.Record, missed uint64, producer int32) {
 	if len(recs) == 0 && missed == 0 {
 		return
 	}
 	r.mu.Lock()
 	r.head += missed
-	for _, rec := range recs {
-		r.head++
-		e := replayEntry{seq: r.head, nanos: rec.Time.UnixNano(), tag: rec.Tag, producer: rec.Producer}
-		if producer >= 0 {
-			e.producer = producer
+	if m := len(recs); m > 0 {
+		base := r.head + 1 // recs[j] gets seq base+j
+		c := len(r.recs)
+		skip := max(m-c, 0) // lapped within the batch itself
+		pos := (r.start + r.n + skip) % c
+		if evict := r.n + m - c; evict > 0 {
+			// The oldest evict entries of the window followed by the batch
+			// are overwritten: every cursor below the newest of them is now
+			// lapped (see winBase).
+			if evict <= r.n {
+				r.winBase = r.recs[(r.start+evict-1)%c].seq
+			} else {
+				r.winBase = base + uint64(evict-r.n-1)
+			}
+			r.start = (r.start + evict) % c
 		}
-		idx := (r.start + r.n) % len(r.recs)
-		if r.n < len(r.recs) {
-			r.n++
-		} else {
-			// Overwriting the oldest retained record: every cursor below
-			// its seq is now lapped (see winBase).
-			r.winBase = r.recs[idx].seq
-			r.start = (r.start + 1) % len(r.recs)
+		r.n = min(r.n+m, c)
+		for j := skip; j < m; {
+			span := r.recs[pos:min(c, pos+m-j)]
+			for k := range span {
+				rec := &recs[j+k]
+				span[k] = replayEntry{seq: base + uint64(j+k), nanos: rec.Time.UnixNano(), tag: rec.Tag, producer: rec.Producer}
+				if producer >= 0 {
+					span[k].producer = producer
+				}
+			}
+			j, pos = j+len(span), 0
 		}
-		r.recs[idx] = e
+		r.head += uint64(m)
 	}
 	if r.fbuf != nil {
 		r.fbuf.release()
@@ -182,6 +196,22 @@ func (r *replayRing) append(recs []heartbeat.Record, missed uint64, producer int
 	}
 	r.wakeLocked()
 	r.mu.Unlock()
+}
+
+// window returns the k retained entries from window index i (0 is the
+// oldest) as at most two contiguous runs of ring storage, in seq order:
+// the ring's one walk, shared by readSince and frameSince.
+func (r *replayRing) window(i, k int) (lo, hi []replayEntry) {
+	c := len(r.recs)
+	from, to := r.start+i, r.start+i+k
+	switch {
+	case from >= c:
+		return r.recs[from-c : to-c], nil
+	case to <= c:
+		return r.recs[from:to], nil
+	default:
+		return r.recs[from:], r.recs[:to-c]
+	}
 }
 
 // close marks the ring ended; subscribers drain and then see io.EOF.
@@ -241,10 +271,12 @@ func (r *replayRing) readSince(since uint64, max int) (out []heartbeat.Record, c
 		take, truncated = max, true
 	}
 	if take > 0 {
-		out = make([]heartbeat.Record, take)
-		for k := 0; k < take; k++ {
-			e := r.recs[(r.start+i+k)%len(r.recs)]
-			out[k] = heartbeat.Record{Seq: e.seq, Time: time.Unix(0, e.nanos), Tag: e.tag, Producer: e.producer}
+		out = make([]heartbeat.Record, 0, take)
+		lo, hi := r.window(i, take)
+		for _, span := range [2][]replayEntry{lo, hi} {
+			for _, e := range span {
+				out = append(out, heartbeat.Record{Seq: e.seq, Time: time.Unix(0, e.nanos), Tag: e.tag, Producer: e.producer})
+			}
 		}
 	}
 	if truncated {
@@ -271,8 +303,8 @@ func (r *replayRing) shed() uint64 {
 // reports head so the caller can resynchronize (cur < since) or wait on
 // notify (cur == since).
 //
-// Frame size needs no guard here: take <= maxRelayBatch and a worst-case
-// record encodes to ~35 bytes, keeping every frame far inside
+// Frame size needs no guard here: take <= maxRelayBatch and a record
+// encodes to at most maxRecordBytes, keeping every frame far inside
 // maxFramePayload.
 func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64, shed uint64, notify <-chan struct{}, closed bool) {
 	r.mu.Lock()         //hbvet:allow hotpath -- bounded per-feed critical section; the gated contract is zero allocations, not zero locks
@@ -314,9 +346,12 @@ func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64
 	buf = appendBatchMeta(buf, b, cur, take) //hbvet:allow hotpath -- encode-once path
 	var prevSeq uint64
 	var prevNanos int64
-	for k := 0; k < take; k++ {
-		e := &r.recs[(r.start+i+k)%len(r.recs)]
-		buf = appendRecordDelta(buf, e.seq, e.nanos, e.tag, e.producer, &prevSeq, &prevNanos) //hbvet:allow hotpath -- encode-once path
+	lo, hi := r.window(i, take)
+	for _, span := range [2][]replayEntry{lo, hi} {
+		for k := range span {
+			e := &span[k]
+			buf = appendRecordDelta(buf, e.seq, e.nanos, e.tag, e.producer, &prevSeq, &prevNanos) //hbvet:allow hotpath -- encode-once path
+		}
 	}
 	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	fb.data = buf

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/heartbeat"
@@ -39,10 +41,13 @@ const (
 	// maxFramePayload bounds a single frame: far above any sane batch,
 	// low enough that a garbage length prefix cannot balloon memory.
 	maxFramePayload = 1 << 24
+	// maxRecordBytes is the most one encoded record costs: three 64-bit
+	// zig-zag varints (seq delta, time delta, tag) and an int32's (producer).
+	maxRecordBytes = binary.MaxVarintLen64*3 + binary.MaxVarintLen32
 	// maxRecordsPerFrame caps how many records the server packs into one
-	// batch frame; a worst-case record costs ~35 varint bytes, so the cap
-	// keeps any frame under ~9 MiB, safely inside maxFramePayload.
-	// Oversized batches (a full-history replay) are split across frames.
+	// batch frame; at up to maxRecordBytes per record, the cap keeps any
+	// frame under ~9 MiB, safely inside maxFramePayload. Oversized batches
+	// (a full-history replay) are split across frames.
 	maxRecordsPerFrame = 1 << 18
 	// maxFeedName bounds the hello's feed-name field.
 	maxFeedName = 1024
@@ -211,21 +216,38 @@ func appendBatchMeta(dst []byte, b observer.Batch, cursor uint64, nrecords int) 
 // deltas from its predecessor, threading the predecessor state through
 // prevSeq/prevNanos. It takes fields rather than a heartbeat.Record so the
 // replay ring, which keeps records without their time.Time, encodes
-// straight from its storage through the same code as appendBatch.
+// straight from its storage through the same code as appendBatch. One
+// headroom check covers all four varints, which are then written by index.
 func appendRecordDelta(dst []byte, seq uint64, nanos, tag int64, producer int32, prevSeq *uint64, prevNanos *int64) []byte {
-	dst = binary.AppendVarint(dst, int64(seq-*prevSeq))
-	dst = binary.AppendVarint(dst, nanos-*prevNanos)
-	dst = binary.AppendVarint(dst, tag)
-	dst = binary.AppendVarint(dst, int64(producer))
+	dst = slices.Grow(dst, maxRecordBytes)
+	n := len(dst)
+	rec := dst[n : n+maxRecordBytes]
+	i := putZigzag(rec, 0, int64(seq-*prevSeq))
+	i = putZigzag(rec, i, nanos-*prevNanos)
+	i = putZigzag(rec, i, tag)
+	i = putZigzag(rec, i, int64(producer))
 	*prevSeq, *prevNanos = seq, nanos
-	return dst
+	return dst[:n+i]
+}
+
+// putZigzag writes v as a zig-zag varint at rec[i] and returns the index
+// after it.
+func putZigzag(rec []byte, i int, v int64) int {
+	x := uint64(v<<1) ^ uint64(v>>63)
+	for x >= 0x80 {
+		rec[i] = byte(x) | 0x80
+		x >>= 7
+		i++
+	}
+	rec[i] = byte(x)
+	return i + 1
 }
 
 func decodeBatch(body []byte) (b observer.Batch, cursor uint64, err error) {
 	return decodeBatchInto(body, nil)
 }
 
-// decodeBatchInto is decodeBatch appending into recs (which may be nil or
+// decodeBatchInto is decodeBatch decoding into recs (which may be nil or
 // a recycled slice): with a pooled slice the steady-state decode path
 // allocates nothing, which is what Client.Recycle buys the Relay's merge
 // pump. recs is used only when it already holds the whole frame; otherwise
@@ -233,6 +255,13 @@ func decodeBatch(body []byte) (b observer.Batch, cursor uint64, err error) {
 // decode re-grows a slice (copying it, and overshooting the capacity a
 // free list would then keep). The returned batch's Records alias the
 // storage they were decoded into.
+//
+// While a worst-case record and one more 8-byte load still fit in the
+// body, so no load can run past it, a one-byte field is read directly and
+// a longer one from a single 8-byte load (uvarintWord). A record with a
+// field longer than 8 bytes, and every record nearer the end, goes through
+// the careful decoder, which rejects truncated, overlong and overflowing
+// varints exactly as binary.Uvarint does.
 func decodeBatchInto(body []byte, recs []heartbeat.Record) (b observer.Batch, cursor uint64, err error) {
 	d := decoder{buf: body}
 	cursor = d.uvarint()
@@ -253,30 +282,85 @@ func decodeBatchInto(body []byte, recs []heartbeat.Record) (b observer.Batch, cu
 	}
 	if n > 0 && d.err == nil {
 		if uint64(cap(recs)) >= n {
-			b.Records = recs[:0]
+			b.Records = recs[:n]
 		} else {
-			b.Records = make([]heartbeat.Record, 0, n)
+			b.Records = make([]heartbeat.Record, n)
 		}
 		var prevSeq uint64
 		var prevNanos int64
-		for i := uint64(0); i < n; i++ {
-			seq := prevSeq + uint64(d.varint())
-			nanos := prevNanos + d.varint()
-			tag := d.varint()
-			producer := d.varint()
-			b.Records = append(b.Records, heartbeat.Record{
+		k := 0
+		off := d.off
+		for fastEnd := len(body) - (maxRecordBytes + 8); k < len(b.Records) && off <= fastEnd; k++ {
+			useq, o1 := uint64(body[off]), off+1
+			if useq >= 0x80 {
+				useq, o1 = uvarintWord(body, off)
+			}
+			unanos, o2 := uint64(body[o1]), o1+1
+			if unanos >= 0x80 {
+				unanos, o2 = uvarintWord(body, o1)
+			}
+			utag, o3 := uint64(body[o2]), o2+1
+			if utag >= 0x80 {
+				utag, o3 = uvarintWord(body, o2)
+			}
+			uprod, o4 := uint64(body[o3]), o3+1
+			if uprod >= 0x80 {
+				uprod, o4 = uvarintWord(body, o3)
+			}
+			if o1-off > 8 || o2-o1 > 8 || o3-o2 > 8 || o4-o3 > 8 {
+				// A field longer than 8 bytes: decode the record carefully.
+				d.off = off
+				b.Records[k] = d.record(&prevSeq, &prevNanos)
+				if off = d.off; d.err != nil {
+					break
+				}
+				continue
+			}
+			seq := prevSeq + uint64(unzigzag(useq))
+			nanos := prevNanos + unzigzag(unanos)
+			b.Records[k] = heartbeat.Record{
 				Seq:      seq,
 				Time:     time.Unix(0, nanos),
-				Tag:      tag,
-				Producer: int32(producer),
-			})
-			prevSeq, prevNanos = seq, nanos
+				Tag:      unzigzag(utag),
+				Producer: int32(unzigzag(uprod)),
+			}
+			prevSeq, prevNanos, off = seq, nanos, o4
+		}
+		d.off = off
+		for ; k < len(b.Records) && d.err == nil; k++ {
+			b.Records[k] = d.record(&prevSeq, &prevNanos)
 		}
 	}
 	if d.err != nil {
 		return observer.Batch{}, 0, fmt.Errorf("hbnet: truncated batch: %w", d.err)
 	}
 	return b, cursor, nil
+}
+
+// record decodes one record carefully, as deltas from its predecessor.
+func (d *decoder) record(prevSeq *uint64, prevNanos *int64) heartbeat.Record {
+	seq := *prevSeq + uint64(d.varint())
+	nanos := *prevNanos + d.varint()
+	tag := d.varint()
+	producer := d.varint()
+	*prevSeq, *prevNanos = seq, nanos
+	return heartbeat.Record{Seq: seq, Time: time.Unix(0, nanos), Tag: tag, Producer: int32(producer)}
+}
+
+// uvarintWord decodes the unsigned varint at buf[off], which must have 8
+// readable bytes, from one little-endian 8-byte load: the first byte
+// without its continuation bit ends the varint, and the seven-bit groups
+// up to it are gathered by shifts and masks. It returns the value and the
+// offset after it. A varint longer than the load, which only the careful
+// decoder may judge, returns off+9 (and a meaningless value).
+func uvarintWord(buf []byte, off int) (uint64, int) {
+	w := binary.LittleEndian.Uint64(buf[off:])
+	size := uint(bits.TrailingZeros64(^w&0x8080808080808080)) + 1 // bits through the last byte; 65 if none
+	w &= (^uint64(0) >> (64 - size)) & 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | (w&0x7f007f007f007f00)>>1
+	w = w&0x00003fff00003fff | (w&0x3fff00003fff0000)>>2
+	w = w&0x000000000fffffff | (w&0x0fffffff00000000)>>4
+	return w, off + int(size+7)/8
 }
 
 const rollupFlagRateOK = 1 << 0
@@ -445,7 +529,6 @@ func (d *decoder) uvarint() uint64 {
 }
 
 // varint reads one signed varint: zigzag over uvarint, as binary.Varint is.
-func (d *decoder) varint() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
+func (d *decoder) varint() int64 { return unzigzag(d.uvarint()) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

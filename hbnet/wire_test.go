@@ -152,7 +152,10 @@ func TestFrameIO(t *testing.T) {
 // The decoder's one-byte path must be binary.Uvarint/Varint on every value it
 // takes — every first byte, in the middle of a buffer and at its very end —
 // and leave the rest, truncation included, to the library with the same
-// outcome.
+// outcome. The batch decoder's word path (uvarintWord) must agree with the
+// library on every varint of 1 to 8 bytes and hand every longer one —
+// 9 and 10 bytes, an 11-byte overlong value, a 10th-byte overflow — back
+// untouched, wherever it sits within 48 bytes of the buffer's end.
 func TestDecoderVarintMatchesLibrary(t *testing.T) {
 	check := func(buf []byte, off int) {
 		t.Helper()
@@ -162,6 +165,18 @@ func TestDecoderVarintMatchesLibrary(t *testing.T) {
 		gotU := du.uvarint()
 		dv := decoder{buf: buf, off: off}
 		gotV := dv.varint()
+		if len(buf)-off >= 8 {
+			w, next := uvarintWord(buf, off)
+			declined := next-off > 8
+			switch {
+			case declined && nU > 0 && nU <= 8:
+				t.Fatalf("% x at %d: word path declined a %d-byte varint", buf, off, nU)
+			case !declined && (nU <= 0 || nU > 8):
+				t.Fatalf("% x at %d: word path read %d (%d bytes); library says %d bytes", buf, off, w, next-off, nU)
+			case !declined && (w != wantU || next != off+nU):
+				t.Fatalf("% x at %d: word path read %d, next %d; library says %d, %d bytes", buf, off, w, next, wantU, nU)
+			}
+		}
 		if nU <= 0 {
 			if du.err == nil || dv.err == nil || gotU != 0 || gotV != 0 {
 				t.Fatalf("% x at %d: library rejects, decoder read %d/%d (err %v/%v)", buf, off, gotU, gotV, du.err, dv.err)
@@ -183,10 +198,130 @@ func TestDecoderVarintMatchesLibrary(t *testing.T) {
 	}
 	check(nil, 0)
 	check([]byte{1}, 1)
+
+	var values [][]byte
+	for n := 1; n <= binary.MaxVarintLen64; n++ {
+		// The smallest and largest values of each length, and one between.
+		lo := uint64(1) << (7 * (n - 1))
+		if n == 1 {
+			lo = 0
+		}
+		hi := uint64(math.MaxUint64)
+		if n < binary.MaxVarintLen64 {
+			hi = uint64(1)<<(7*n) - 1
+		}
+		for _, v := range []uint64{lo, hi, lo + (hi-lo)/3} {
+			enc := binary.AppendUvarint(nil, v)
+			if len(enc) != n {
+				t.Fatalf("%d encodes to %d bytes, want %d", v, len(enc), n)
+			}
+			values = append(values, enc)
+		}
+	}
+	values = append(values,
+		[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, // overlong: 11 bytes
+		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},       // 10th byte overflows 64 bits
+	)
+	for _, v := range values {
+		for dist := 0; dist <= 48; dist++ {
+			// dist bytes follow the value; 0x80 keeps a truncated value truncated.
+			buf := append([]byte{0x01}, v...)
+			for i := 0; i < dist; i++ {
+				buf = append(buf, byte(0x80|i))
+			}
+			check(buf, 1)
+			check(buf[1:], 0)
+		}
+	}
+
 	// A decoder that has already failed keeps returning zero and its error.
 	d := decoder{buf: []byte{5, 5}}
 	d.fail()
 	if d.uvarint() != 0 || d.varint() != 0 || d.off != 0 {
 		t.Fatalf("failed decoder advanced: off %d", d.off)
 	}
+}
+
+// Property: appendRecordDelta writes exactly the bytes of four
+// binary.AppendVarint calls, onto any prefix and whatever capacity the
+// destination has left.
+func TestAppendRecordDeltaMatchesLibrary(t *testing.T) {
+	f := func(prefix []byte, spare uint8, seq, prevSeq uint64, nanos, prevNanos, tag int64, producer int32) bool {
+		dst := append(make([]byte, 0, len(prefix)+int(spare)), prefix...)
+		ps, pn := prevSeq, prevNanos
+		got := appendRecordDelta(dst, seq, nanos, tag, producer, &ps, &pn)
+		want := append([]byte(nil), prefix...)
+		want = binary.AppendVarint(want, int64(seq-prevSeq))
+		want = binary.AppendVarint(want, nanos-prevNanos)
+		want = binary.AppendVarint(want, tag)
+		want = binary.AppendVarint(want, int64(producer))
+		return bytes.Equal(got, want) && ps == seq && pn == nanos
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// The widest record: every field at its longest encoding.
+	for _, spare := range []int{0, maxRecordBytes - 1, maxRecordBytes} {
+		if !f(nil, uint8(spare), 1<<63, 0, math.MinInt64, 1, math.MinInt64, math.MinInt32) {
+			t.Fatalf("widest record with %d spare bytes differs from the library's", spare)
+		}
+	}
+	var ps uint64
+	var pn int64
+	if n := len(appendRecordDelta(nil, 1<<63, math.MinInt64, math.MinInt64, math.MinInt32, &ps, &pn)); n != maxRecordBytes {
+		t.Fatalf("widest record encodes to %d bytes, maxRecordBytes is %d", n, maxRecordBytes)
+	}
+}
+
+// saturatedRecords returns n records shaped like a tree_saturated relay
+// hop's merged feed: dense seqs, tag = app<<40 | index with eight apps
+// interleaved in 1024-record chunks, timestamps shared over runs of 64
+// beats, and hop-local producer ids.
+func saturatedRecords(n int) []heartbeat.Record {
+	const apps, chunk = 8, 1024
+	base := time.Unix(1_700_000_000, 0)
+	var index [apps]int64
+	recs := make([]heartbeat.Record, n)
+	for i := range recs {
+		app := i / chunk % apps
+		index[app]++
+		recs[i] = heartbeat.Record{
+			Seq:      uint64(i + 1),
+			Time:     base.Add(time.Duration(i/64) * 3 * time.Microsecond),
+			Tag:      int64(app)<<40 | index[app],
+			Producer: int32(app / 2),
+		}
+	}
+	return recs
+}
+
+const benchBatchRecords = 16384
+
+// Decoding into a recycled slice that holds the frame allocates nothing:
+// the Relay's merge pump decodes every upstream frame this way.
+func TestDecodeBatchIntoRecycledDoesNotAllocate(t *testing.T) {
+	body := appendBatch(nil, observer.Batch{Records: saturatedRecords(benchBatchRecords)}, benchBatchRecords)[1:]
+	recs := make([]heartbeat.Record, benchBatchRecords)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := decodeBatchInto(body, recs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decodeBatchInto into a recycled slice: %v allocations per frame, want 0", allocs)
+	}
+}
+
+// BenchmarkDecodeBatch is the decode half of a relay hop's codec: one
+// 16 384-record frame into a recycled slice, per record.
+func BenchmarkDecodeBatch(b *testing.B) {
+	body := appendBatch(nil, observer.Batch{Records: saturatedRecords(benchBatchRecords)}, benchBatchRecords)[1:]
+	recs := make([]heartbeat.Record, benchBatchRecords)
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := decodeBatchInto(body, recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatchRecords), "ns/record")
 }
