@@ -414,43 +414,6 @@ func TestReconnectRejectionIsTerminal(t *testing.T) {
 	}
 }
 
-// DialFrom resumes a brand-new client from a cursor, the
-// process-restart counterpart of automatic reconnect.
-func TestDialFromResumesCursor(t *testing.T) {
-	hb, err := heartbeat.New(10, heartbeat.WithCapacity(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer()
-	srv.PublishHeartbeat("app", hb)
-	addr := startServer(t, srv)
-
-	c1, err := Dial(addr, "app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		hb.Beat()
-	}
-	collect(t, c1, func(r []heartbeat.Record, _ uint64) bool { return len(r) >= 100 })
-	cursor := c1.Cursor()
-	c1.Close()
-
-	for i := 0; i < 50; i++ {
-		hb.Beat()
-	}
-	c2, err := DialFrom(addr, "app", cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	recs, missed := collect(t, c2, func(r []heartbeat.Record, _ uint64) bool { return len(r) >= 50 })
-	if missed != 0 || len(recs) != 50 {
-		t.Fatalf("resumed: %d records, %d missed", len(recs), missed)
-	}
-	assertDense(t, recs, cursor)
-}
-
 // Resuming with a cursor from a previous producer life (the application
 // restarted, its seqs regressed) must resynchronize ONCE: the wire cursor
 // follows the stream down into the new seq space, so a later reconnect

@@ -2,11 +2,9 @@ package hbnet
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,314 +54,6 @@ type RollupStream interface {
 // after emission number since — the rollup counterpart of Feed.
 type RollupFeed func(ctx context.Context, since uint64) (RollupStream, error)
 
-// maxRelayBatch bounds how many records a replay-ring subscriber receives
-// per Next, keeping every frame the server builds from it far inside the
-// wire caps.
-const maxRelayBatch = 1 << 16
-
-// maxRollupBatchBytes bounds the estimated encoded size of one rollup
-// delivery (whole emissions; at least one emission is always delivered),
-// keeping every frame far inside maxFramePayload even when app names run
-// to their maxFeedName limit. A single emission can only exceed it with
-// thousands of maximally-named upstreams on one relay — the server's
-// frame guard still catches that pathology explicitly.
-const maxRollupBatchBytes = 4 << 20
-
-// rollupWireCost over-estimates one rollup's encoded size: its app name
-// plus a generous fixed overhead for every other field.
-func rollupWireCost(r observer.Rollup) int { return len(r.App) + 64 }
-
-// replayRing is the relay's merged history: a bounded ring of records in
-// the relay's own dense sequence space, fanned out to any number of
-// cursor-carrying subscribers. Appends re-sequence the records (a relay
-// hop assigns hop-local sequence numbers — origin spaces from different
-// upstreams collide) and widen the space by the upstream's reported losses,
-// so a gap in the upstream surfaces to every subscriber exactly once, as
-// Missed, through ordinary cursor arithmetic.
-type replayRing struct {
-	mu    sync.Mutex
-	recs  []replayEntry // ring storage, strictly increasing seq
-	start int
-	n     int
-	head  uint64 // newest assigned seq, counting gap (missed) seqs
-	// notify wakes blocked subscribers; nil while nobody waits. Lazy on
-	// purpose: an append only pays for a channel when a subscriber is
-	// actually parked, so the saturated fan-in steady state — subscribers
-	// always behind, never waiting — closes and recreates nothing.
-	notify chan struct{}
-	closed bool
-
-	// Shed accounting: winBase is the newest evicted record's Seq — a
-	// cursor at or above it is still inside the retained window; a cursor
-	// below it has been lapped and the span up to the shed floor is
-	// charged to shedTotal when the subscriber next reads. lagBound, when
-	// positive, additionally floors every read at head-lagBound (the
-	// WithShedLag policy), so a slow subscriber is advanced and the skip
-	// counted instead of silently trailing the full ring.
-	winBase   uint64
-	lagBound  int
-	shedTotal uint64
-
-	// Encode-once fan-out cache (guarded by mu): the encoded frame of the
-	// last frameSince read, keyed by the cursor it was read from. In the
-	// fan-out steady state every subscriber sits at the same cursor, so N
-	// subscribers share one encode and one buffer instead of paying N.
-	// Invalidated (its reference released) by every append.
-	fbuf *frameBuf
-	fkey uint64 // the `since` the cached frame was encoded for
-	fcur uint64 // the cursor the cached frame advances to
-}
-
-// replayEntry is one retained record as the wire carries it: 32 bytes and
-// no pointer, where a heartbeat.Record is 48 bytes and, through its
-// time.Time's *Location, pointer-bearing — so a full ring is a span the
-// garbage collector never scans. Records convert on the way in (append) and
-// back at the API edge (readSince); frameSince encodes straight from it.
-type replayEntry struct {
-	seq      uint64
-	nanos    int64
-	tag      int64
-	producer int32
-}
-
-func newReplayRing(capacity int) *replayRing {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	return &replayRing{recs: make([]replayEntry, capacity)}
-}
-
-// wakeLocked wakes parked subscribers, if any. Callers hold r.mu.
-func (r *replayRing) wakeLocked() {
-	if r.notify != nil {
-		close(r.notify)
-		r.notify = nil
-	}
-}
-
-// waitChanLocked returns the channel a subscriber with nothing to read
-// parks on, creating it on first need. Callers hold r.mu.
-func (r *replayRing) waitChanLocked() <-chan struct{} {
-	if r.notify == nil {
-		r.notify = make(chan struct{})
-	}
-	return r.notify
-}
-
-// append re-sequences recs into the ring. missed widens the sequence space
-// without storing records; producer, when >= 0, overwrites each record's
-// Producer with the hop-local upstream id. The batch is written in at most
-// two contiguous spans; records it would lap within itself are skipped.
-func (r *replayRing) append(recs []heartbeat.Record, missed uint64, producer int32) {
-	if len(recs) == 0 && missed == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.head += missed
-	if m := len(recs); m > 0 {
-		base := r.head + 1 // recs[j] gets seq base+j
-		c := len(r.recs)
-		skip := max(m-c, 0) // lapped within the batch itself
-		pos := (r.start + r.n + skip) % c
-		if evict := r.n + m - c; evict > 0 {
-			// The oldest evict entries of the window followed by the batch
-			// are overwritten: every cursor below the newest of them is now
-			// lapped (see winBase).
-			if evict <= r.n {
-				r.winBase = r.recs[(r.start+evict-1)%c].seq
-			} else {
-				r.winBase = base + uint64(evict-r.n-1)
-			}
-			r.start = (r.start + evict) % c
-		}
-		r.n = min(r.n+m, c)
-		for j := skip; j < m; {
-			span := r.recs[pos:min(c, pos+m-j)]
-			for k := range span {
-				rec := &recs[j+k]
-				span[k] = replayEntry{seq: base + uint64(j+k), nanos: rec.Time.UnixNano(), tag: rec.Tag, producer: rec.Producer}
-				if producer >= 0 {
-					span[k].producer = producer
-				}
-			}
-			j, pos = j+len(span), 0
-		}
-		r.head += uint64(m)
-	}
-	if r.fbuf != nil {
-		r.fbuf.release()
-		r.fbuf = nil
-	}
-	r.wakeLocked()
-	r.mu.Unlock()
-}
-
-// window returns the k retained entries from window index i (0 is the
-// oldest) as at most two contiguous runs of ring storage, in seq order:
-// the ring's one walk, shared by readSince and frameSince.
-func (r *replayRing) window(i, k int) (lo, hi []replayEntry) {
-	c := len(r.recs)
-	from, to := r.start+i, r.start+i+k
-	switch {
-	case from >= c:
-		return r.recs[from-c : to-c], nil
-	case to <= c:
-		return r.recs[from:to], nil
-	default:
-		return r.recs[from:], r.recs[:to-c]
-	}
-}
-
-// close marks the ring ended; subscribers drain and then see io.EOF.
-func (r *replayRing) close() {
-	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		r.wakeLocked()
-	}
-	r.mu.Unlock()
-}
-
-// shedFloorLocked returns the lowest cursor this read may proceed from:
-// winBase (everything below it was lapped out of the ring) raised to
-// head-lagBound when the shed-lag policy is set. Callers hold r.mu.
-func (r *replayRing) shedFloorLocked() uint64 {
-	floor := r.winBase
-	if r.lagBound > 0 && r.head > uint64(r.lagBound) && r.head-uint64(r.lagBound) > floor {
-		floor = r.head - uint64(r.lagBound)
-	}
-	return floor
-}
-
-// readSince returns up to max retained records with Seq > since plus the
-// cursor to resume from, how many seqs below the shed floor were skipped
-// for this subscriber (already folded into shedTotal), the current notify
-// channel (valid until the next append) and the closed flag. When the
-// returned batch is not truncated by max the cursor advances to head, so
-// trailing gap seqs (upstream losses with no records) are accounted in the
-// same read.
-func (r *replayRing) readSince(since uint64, max int) (out []heartbeat.Record, cur uint64, shed uint64, notify <-chan struct{}, closed bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	closed = r.closed
-	if r.head <= since {
-		// Idle — or a foreign cursor from a previous relay life (head <
-		// since): return head either way so the caller resynchronizes.
-		// Only this branch can leave the caller waiting, so only it pays
-		// for a wait channel.
-		return nil, r.head, 0, r.waitChanLocked(), closed
-	}
-	eff := since
-	if floor := r.shedFloorLocked(); eff < floor {
-		// Lapped (or beyond the lag bound): the span up to the floor was
-		// dropped by THIS ring — attribute it, don't just widen Missed.
-		shed = floor - eff
-		r.shedTotal += shed
-		eff = floor
-	}
-	// First retained index with seq > eff (records are seq-ordered).
-	i := sort.Search(r.n, func(i int) bool {
-		return r.recs[(r.start+i)%len(r.recs)].seq > eff
-	})
-	take := r.n - i
-	truncated := false
-	if take > max {
-		take, truncated = max, true
-	}
-	if take > 0 {
-		out = make([]heartbeat.Record, 0, take)
-		lo, hi := r.window(i, take)
-		for _, span := range [2][]replayEntry{lo, hi} {
-			for _, e := range span {
-				out = append(out, heartbeat.Record{Seq: e.seq, Time: time.Unix(0, e.nanos), Tag: e.tag, Producer: e.producer})
-			}
-		}
-	}
-	if truncated {
-		cur = out[len(out)-1].Seq
-	} else {
-		cur = r.head
-	}
-	return out, cur, shed, notify, closed
-}
-
-// shed returns the cumulative shed count across every subscriber read.
-func (r *replayRing) shed() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shedTotal
-}
-
-// frameSince is readSince's zero-copy counterpart: the same read, returned
-// as an encoded batch frame built directly from ring storage — no record
-// slice is materialized, and the encode happens at most once per (cursor,
-// head) because the result is cached until the next append. The returned
-// frame carries one reference owned by the caller; release it after
-// writing. A nil frame means nothing newer than since exists — cur then
-// reports head so the caller can resynchronize (cur < since) or wait on
-// notify (cur == since).
-//
-// Frame size needs no guard here: take <= maxRelayBatch and a record
-// encodes to at most maxRecordBytes, keeping every frame far inside
-// maxFramePayload.
-func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64, shed uint64, notify <-chan struct{}, closed bool) {
-	r.mu.Lock()         //hbvet:allow hotpath -- bounded per-feed critical section; the gated contract is zero allocations, not zero locks
-	defer r.mu.Unlock() //hbvet:allow hotpath -- pairs with the lock above
-	closed = r.closed
-	if r.head <= since {
-		return nil, r.head, 0, r.waitChanLocked(), closed //hbvet:allow hotpath -- caught-up park path: lazily makes the notify channel, off the delivery path
-	}
-	eff := since
-	if floor := r.shedFloorLocked(); eff < floor {
-		// Shed attribution happens before the cache check so a cache hit
-		// still charges this subscriber; the shed span stays inside the
-		// frame's Missed (computed from the original cursor below), so the
-		// wire contract is unchanged — shed refines Missed, never adds to it.
-		shed = floor - eff
-		r.shedTotal += shed
-		eff = floor
-	}
-	if r.fbuf != nil && r.fkey == since {
-		r.fbuf.retain()
-		return r.fbuf, r.fcur, shed, notify, closed
-	}
-	i := sort.Search(r.n, func(i int) bool { //hbvet:allow hotpath -- encode-once path: runs only on cache miss, once per (cursor, head)
-		return r.recs[(r.start+i)%len(r.recs)].seq > eff
-	})
-	take := r.n - i
-	truncated := take > max
-	if truncated {
-		take = max
-		cur = r.recs[(r.start+i+take-1)%len(r.recs)].seq
-	} else {
-		cur = r.head // trailing gap seqs are accounted in the same read
-	}
-	var b observer.Batch
-	b.Count = cur
-	_, b.Missed, _ = cursor.Advance(since, cur, take)
-	fb = newFrameBuf()                       //hbvet:allow hotpath -- encode-once path: pooled buffer acquired once per (cursor, head)
-	buf := append(fb.data, 0, 0, 0, 0)       //hbvet:allow hotpath -- encode-once path: grows pooled storage, amortized across reuse
-	buf = appendBatchMeta(buf, b, cur, take) //hbvet:allow hotpath -- encode-once path
-	var prevSeq uint64
-	var prevNanos int64
-	lo, hi := r.window(i, take)
-	for _, span := range [2][]replayEntry{lo, hi} {
-		for k := range span {
-			e := &span[k]
-			buf = appendRecordDelta(buf, e.seq, e.nanos, e.tag, e.producer, &prevSeq, &prevNanos) //hbvet:allow hotpath -- encode-once path
-		}
-	}
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-	fb.data = buf
-	// The cache takes its own reference; the caller keeps the original.
-	fb.retain()
-	if r.fbuf != nil {
-		r.fbuf.release() //hbvet:allow hotpath -- encode-once path: cache handoff, once per new frame
-	}
-	r.fbuf, r.fkey, r.fcur = fb, since, cur
-	return fb, cur, shed, notify, closed
-}
-
 // ShedCounter is implemented by subscriber streams that count how many
 // sequence numbers the publisher shed to them: records dropped by this
 // hop's bounded window (or its WithShedLag policy) rather than lost
@@ -375,28 +65,58 @@ type ShedCounter interface {
 	Shed() uint64
 }
 
-// ringCursor is one subscriber's position in a relay ring, and the one
-// place the relay's subscriber streams settle a read: the cursor rule, then
-// — when there is nothing to deliver — the wait for the ring's next append.
-type ringCursor struct{ cursor uint64 }
+// waiter is one core ring's wake channel, and the one wake rule for all
+// three: it is made only when a subscriber parks, at the ring's head, and
+// closed by the first core call that moves the ring or closes the relay.
+// The saturated steady state, subscribers never waiting, makes none.
+type waiter struct {
+	ch chan struct{}
+	at uint64 // the ring's head when ch was made
+}
 
-// settle applies the cursor rule to one ring read: head is the position the
-// read consumed up to, n how many items it returned, notify and closed the
-// ring's wake channel and ended flag as of the read. ok means deliver (the
-// cursor has advanced; missed is the span the read passed over). Otherwise
-// the caller reads again: settle has either resynchronized a cursor from a
-// previous life of the relay (the records between the two lives are
-// unknowable, so not Missed) or parked until the ring moved. A closed,
-// drained ring is io.EOF; cancellation is reported only when idle.
-func (c *ringCursor) settle(ctx context.Context, head uint64, n int, notify <-chan struct{}, closed bool) (missed uint64, ok bool, err error) {
+// wake closes w's channel, if any, once the ring has moved or closed.
+func (w *waiter) wake(head uint64, closed bool) {
+	if w.ch != nil && (head != w.at || closed) {
+		close(w.ch)
+		w.ch = nil
+	}
+}
+
+// ringCursor is one subscriber's position in one of the core's rings, and
+// the one place the relay's subscriber streams settle a read: the cursor
+// rule, then — when there is nothing to deliver — the wait for the ring to
+// move.
+type ringCursor struct {
+	relay  *Relay
+	wait   *waiter // the ring's wake channel
+	cursor uint64
+}
+
+// settle applies the cursor rule to one ring read, made under relay.mu,
+// and releases the lock: head is the position the read consumed up to, n
+// how many items it returned. ok means deliver (the cursor has advanced;
+// missed is the span the read passed over). Otherwise the caller reads
+// again: settle has either resynchronized a cursor from a previous life of
+// the relay (the records between the two lives are unknowable, so not
+// Missed) or parked until the ring moved. A closed, drained ring is
+// io.EOF; cancellation is reported only when idle.
+func (c *ringCursor) settle(ctx context.Context, head uint64, n int) (missed uint64, ok bool, err error) {
+	r := c.relay
 	next, missed, move := cursor.Advance(c.cursor, head, n)
 	c.cursor = next
 	if move != cursor.Idle {
+		r.mu.Unlock()
 		return missed, move == cursor.Moved, nil
 	}
-	if closed {
+	if r.core.closed {
+		r.mu.Unlock()
 		return 0, false, io.EOF
 	}
+	if c.wait.ch == nil {
+		c.wait.ch, c.wait.at = make(chan struct{}), head
+	}
+	notify := c.wait.ch
+	r.mu.Unlock()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -408,11 +128,23 @@ func (c *ringCursor) settle(ctx context.Context, head uint64, n int, notify <-ch
 	}
 }
 
-// replayStream is one subscriber's cursor over a replayRing; it satisfies
-// observer.Stream with the same resync-and-loss semantics as every other
-// stream in the system.
+// readAt is every subscriber read: read runs under relay.mu and returns
+// what it found, the head it read up to and how many items; settle decides,
+// and readAt reads again until there is something to deliver or an error.
+func readAt[T any](ctx context.Context, c *ringCursor, read func() (T, uint64, int)) (T, uint64, uint64, error) {
+	for {
+		c.relay.mu.Lock()
+		v, head, n := read()
+		if missed, ok, err := c.settle(ctx, head, n); ok || err != nil {
+			return v, head, missed, err
+		}
+	}
+}
+
+// replayStream is one subscriber's cursor over the merged ring; it
+// satisfies observer.Stream with the same resync-and-loss semantics as
+// every other stream in the system.
 type replayStream struct {
-	ring *replayRing
 	ringCursor
 	shedN atomic.Uint64
 }
@@ -423,19 +155,15 @@ type replayStream struct {
 func (s *replayStream) Shed() uint64 { return s.shedN.Load() }
 
 func (s *replayStream) Next(ctx context.Context) (observer.Batch, error) {
-	for {
-		recs, cur, shed, notify, closed := s.ring.readSince(s.cursor, maxRelayBatch)
-		if shed != 0 {
-			s.shedN.Add(shed)
-		}
-		missed, ok, err := s.settle(ctx, cur, len(recs), notify, closed)
-		if ok {
-			return observer.Batch{Records: recs, Count: cur, Missed: missed}, nil
-		}
-		if err != nil {
-			return observer.Batch{}, err
-		}
+	recs, cur, missed, err := readAt(ctx, &s.ringCursor, func() ([]heartbeat.Record, uint64, int) {
+		recs, cur, shed := s.relay.core.merged.readSince(s.cursor, maxRelayBatch)
+		s.shedN.Add(shed)
+		return recs, cur, len(recs)
+	})
+	if err != nil {
+		return observer.Batch{}, err
 	}
+	return observer.Batch{Records: recs, Count: cur, Missed: missed}, nil
 }
 
 // NextFrame is the server's zero-copy fast path over the ring: the same
@@ -443,121 +171,30 @@ func (s *replayStream) Next(ctx context.Context) (observer.Batch, error) {
 // shared with every other subscriber at the same cursor (frameStream). The
 // frame carries its own Missed, so settle only moves the cursor.
 func (s *replayStream) NextFrame(ctx context.Context) (*frameBuf, error) {
-	for {
-		fb, cur, shed, notify, closed := s.ring.frameSince(s.cursor, maxRelayBatch)
-		if shed != 0 {
-			s.shedN.Add(shed)
-		}
-		_, ok, err := s.settle(ctx, cur, 0, notify, closed)
-		if ok {
-			return fb, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	fb, _, _, err := readAt(ctx, &s.ringCursor, func() (*frameBuf, uint64, int) {
+		fb, cur, shed := s.relay.core.merged.frameSince(s.cursor, maxRelayBatch)
+		s.shedN.Add(shed)
+		return fb, cur, 0
+	})
+	return fb, err
 }
 
-// rollupRing retains the last N rollup emissions (one emission = the
-// rollups of every tracked app for one downsample window) for replay to
-// reconnecting rollup subscribers.
-type rollupRing struct {
-	mu     sync.Mutex
-	emits  [][]observer.Rollup
-	start  int
-	n      int
-	head   uint64 // emission count
-	notify chan struct{}
-	closed bool
-}
-
-// rollupRetain is how many rollup emissions a relay retains: how many
-// downsample windows a reconnecting rollup subscriber can replay.
-const rollupRetain = 256
-
-func newRollupRing() *rollupRing {
-	return &rollupRing{emits: make([][]observer.Rollup, rollupRetain), notify: make(chan struct{})}
-}
-
-func (r *rollupRing) append(rs []observer.Rollup) {
-	if len(rs) == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.head++
-	r.emits[(r.start+r.n)%len(r.emits)] = rs
-	if r.n < len(r.emits) {
-		r.n++
-	} else {
-		r.start = (r.start + 1) % len(r.emits)
-	}
-	close(r.notify)
-	r.notify = make(chan struct{})
-	r.mu.Unlock()
-}
-
-func (r *rollupRing) close() {
-	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		close(r.notify)
-		r.notify = make(chan struct{})
-	}
-	r.mu.Unlock()
-}
-
-// readSince returns the flattened rollups of emissions since+1..head
-// (bounded by maxRollupBatchBytes, whole emissions, at least one), the
-// emission cursor consumed up to, how many emissions were delivered, the
-// notify channel, and the closed flag.
-func (r *rollupRing) readSince(since uint64) (out []observer.Rollup, cur uint64, delivered uint64, notify <-chan struct{}, closed bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	notify, closed = r.notify, r.closed
-	if r.head <= since {
-		return nil, r.head, 0, notify, closed
-	}
-	oldest := r.head - uint64(r.n) + 1
-	first := since + 1
-	if first < oldest {
-		first = oldest // the gap below is the caller's Missed
-	}
-	cur = since
-	bytes := 0
-	for e := first; e <= r.head; e++ {
-		rs := r.emits[(r.start+int(e-oldest))%len(r.emits)]
-		cost := 0
-		for _, ru := range rs {
-			cost += rollupWireCost(ru)
-		}
-		if len(out) > 0 && bytes+cost > maxRollupBatchBytes {
-			break
-		}
-		out = append(out, rs...)
-		bytes += cost
-		delivered++
-		cur = e
-	}
-	return out, cur, delivered, notify, closed
-}
-
-// rollupReplayStream is one subscriber's cursor over a rollupRing.
+// rollupReplayStream is one subscriber's cursor over one of the core's
+// rollup rings.
 type rollupReplayStream struct {
 	ring *rollupRing
 	ringCursor
 }
 
 func (s *rollupReplayStream) Next(ctx context.Context) (RollupBatch, error) {
-	for {
-		rs, cur, delivered, notify, closed := s.ring.readSince(s.cursor)
-		missed, ok, err := s.settle(ctx, cur, int(delivered), notify, closed)
-		if ok {
-			return RollupBatch{Rollups: rs, Cursor: cur, Missed: missed}, nil
-		}
-		if err != nil {
-			return RollupBatch{}, err
-		}
+	rs, cur, missed, err := readAt(ctx, &s.ringCursor, func() ([]observer.Rollup, uint64, int) {
+		rs, cur, delivered := s.ring.readSince(s.cursor)
+		return rs, cur, int(delivered)
+	})
+	if err != nil {
+		return RollupBatch{}, err
 	}
+	return RollupBatch{Rollups: rs, Cursor: cur, Missed: missed}, nil
 }
 
 // RelayOption configures NewRelay.
@@ -647,26 +284,18 @@ type Relay struct {
 	onRollup     func([]observer.Rollup)
 	clk          clock.Clock // nil = wall clock
 
-	merged    *replayRing
-	rollups   *rollupRing
-	compacted *rollupRing
-
-	mu        sync.Mutex
-	ds        *observer.Downsampler     // guarded by mu: every pump absorbs into it
-	raw       upstreamSet               // AddUpstream registrations
-	rollup    upstreamSet               // AddRollupUpstream registrations: their own namespace
-	nextID    int32                     // next raw upstream id: unique per registration life, never reused
-	compactor *observer.RollupCompactor // guarded by mu, like ds
-	rupMissed uint64                    // child rollup emissions lapped before absorption
-	winFrom   time.Time                 // current rollup window's start
-	pumps     pump.Group
-	closed    bool
+	// mu is the relay's one lock. Every core call runs under it, and it
+	// guards the three rings' wake channels.
+	mu                                     sync.Mutex
+	core                                   *relayCore
+	mergedWait, rollupsWait, compactedWait waiter
+	pumps                                  pump.Group
 }
 
 // relayUpstream is one registration, raw or rollup: exactly one of stream
 // and rstream is set, and that choice is the only thing the lifecycle —
-// pump, retire, remove — ever asks of the kind (next, absorbLocked,
-// retireLocked, closeStream).
+// pump, retire, remove — ever asks of the kind (next, relayCore.absorb,
+// relayCore.retire, closeStream).
 type relayUpstream struct {
 	set     *upstreamSet // the namespace it is registered in
 	name    string
@@ -703,29 +332,6 @@ func (up *relayUpstream) closeStream() {
 	}
 }
 
-// upstreamSet is one namespace of registrations in registration order.
-type upstreamSet struct {
-	kind   string // "upstream" or "rollup upstream", for error text
-	byName map[string]*relayUpstream
-	order  []string
-}
-
-func (s *upstreamSet) add(up *relayUpstream) {
-	up.set = s
-	s.byName[up.name] = up
-	s.order = append(s.order, up.name)
-}
-
-func (s *upstreamSet) remove(name string) {
-	delete(s.byName, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
-	}
-}
-
 // relayEvent is one delivery of a pump's read: batch or rbatch, by the
 // upstream's kind.
 type relayEvent struct {
@@ -736,22 +342,22 @@ type relayEvent struct {
 
 // NewRelay creates a relay with no upstreams yet.
 func NewRelay(opts ...RelayOption) *Relay {
-	r := &Relay{
-		rollupEvery: time.Second,
-		ds:          observer.NewDownsampler(),
-		raw:         upstreamSet{kind: "upstream", byName: make(map[string]*relayUpstream)},
-		compactor:   observer.NewRollupCompactor(),
-		rollup:      upstreamSet{kind: "rollup upstream", byName: make(map[string]*relayUpstream)},
-	}
+	r := &Relay{rollupEvery: time.Second}
 	for _, o := range opts {
 		o(r)
 	}
-	r.winFrom = r.now()
-	r.merged = newReplayRing(r.mergedRetain)
-	r.merged.lagBound = r.shedLag
-	r.rollups = newRollupRing()
-	r.compacted = newRollupRing()
+	r.core = newRelayCore(r.mergedRetain, r.shedLag, r.now())
 	return r
+}
+
+// unlock ends a core call that may move a ring: it wakes the subscribers
+// of every ring the call moved (or closed) and releases r.mu.
+func (r *Relay) unlock() {
+	c := r.core
+	r.mergedWait.wake(c.merged.head, c.closed)
+	r.rollupsWait.wake(c.rollups.head, c.closed)
+	r.compactedWait.wake(c.compacted.head, c.closed)
+	r.mu.Unlock()
 }
 
 // AddUpstream registers a live stream under a unique app name: feed
@@ -765,33 +371,17 @@ func (r *Relay) AddUpstream(app string, stream observer.Stream) error {
 	}
 	up := &relayUpstream{name: app, stream: stream}
 	up.rec, _ = stream.(BatchRecycler)
-	return r.register(&r.raw, up)
+	return r.register(&r.core.raw, up)
 }
 
-// register is the one registration path: validate, claim the name in set,
-// and start the pump when a Run loop is live.
+// register is the one registration path: the core claims the name in set,
+// and the pump starts when a Run loop is live.
 func (r *Relay) register(set *upstreamSet, up *relayUpstream) error {
-	if len(up.name) > maxFeedName {
-		return fmt.Errorf("hbnet: %s name exceeds %d bytes", set.kind, maxFeedName)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("hbnet: relay closed")
+	if err := r.core.register(set, up); err != nil {
+		return err
 	}
-	if _, dup := set.byName[up.name]; dup {
-		return fmt.Errorf("hbnet: duplicate %s %q", set.kind, up.name)
-	}
-	if up.stream != nil {
-		// Ids are allocated, never recycled: a name removed and re-added
-		// gets a fresh id, so records from the two registration lives stay
-		// distinguishable in the merged seq space (len(order) would collide
-		// after any removal).
-		up.id = r.nextID
-		r.nextID++
-		r.ds.Track(up.name) // silent upstreams still roll up, as silence
-	}
-	set.add(up)
 	r.startPumpLocked(up) // joins a live Run; a no-op otherwise
 	return nil
 }
@@ -887,7 +477,7 @@ func (r *Relay) RemoveUpstream(app string) (Handoff, error) {
 }
 
 func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
-	up, err := r.unregister(&r.raw, app)
+	up, err := r.unregister(&r.core.raw, app)
 	if err != nil {
 		return Handoff{}, err
 	}
@@ -910,7 +500,7 @@ func (r *Relay) removeUpstream(app string, closeStream bool) (Handoff, error) {
 //
 //hbvet:api -- ARCHITECTURE elastic membership: rollup upstreams join and leave like raw ones
 func (r *Relay) RemoveRollupUpstream(name string) error {
-	up, err := r.unregister(&r.rollup, name)
+	up, err := r.unregister(&r.core.rollup, name)
 	if err != nil {
 		return err
 	}
@@ -918,52 +508,25 @@ func (r *Relay) RemoveRollupUpstream(name string) error {
 	return nil
 }
 
-// unregister is the one removal path: cancel the named upstream's pump,
-// wait it out, and retire the registration. The pump is the registration's
-// only absorber, so once it has exited everything it consumed is in the
-// relay's state; and because removing is set before the cancel, the pump's
-// own end-of-stream path leaves the retirement to this call. It returns the
-// retired registration, whose stream is now the caller's.
+// unregister is the one removal path: mark the named upstream as being
+// removed, cancel its pump, wait it out, and retire the registration. The
+// pump is the registration's only absorber, so once it has exited
+// everything it consumed is in the relay's state. It returns the retired
+// registration, whose stream is now the caller's.
 func (r *Relay) unregister(set *upstreamSet, name string) (*relayUpstream, error) {
 	r.mu.Lock()
-	if r.closed {
+	up, err := r.core.unregister(set, name)
+	if err != nil {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("hbnet: relay closed")
+		return nil, err
 	}
-	up, ok := set.byName[name]
-	if !ok {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("hbnet: unknown %s %q", set.kind, name)
-	}
-	if up.removing {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("hbnet: %s %q already being removed", set.kind, name)
-	}
-	up.removing = true // pumps will not restart for it
 	done := r.pumps.Cancel(&up.pump)
 	r.mu.Unlock()
 	<-done
 	r.mu.Lock()
-	final := r.retireLocked(up)
-	r.mu.Unlock()
-	r.rollups.append(final)
+	r.core.retire(up, r.now())
+	r.unlock()
 	return up, nil
-}
-
-// retireLocked is the one retire step, shared by removal and stream end:
-// free the name and — for a raw upstream — close the app's downsampler
-// account, returning its mid-window counts as one last emission so rollup
-// conservation holds across the retirement. (Compactor state is keyed by
-// application, not by child name, so it stays.) Callers hold r.mu and
-// append the result to r.rollups after releasing it.
-func (r *Relay) retireLocked(up *relayUpstream) []observer.Rollup {
-	up.set.remove(up.name)
-	if up.stream != nil {
-		if final, active := r.ds.Remove(up.name, r.winFrom, r.now()); active {
-			return []observer.Rollup{final}
-		}
-	}
-	return nil
 }
 
 // Rebalance migrates a dialed upstream from src to dst: src's registration
@@ -977,16 +540,12 @@ func (r *Relay) retireLocked(up *relayUpstream) []observer.Rollup {
 //hbvet:api -- ARCHITECTURE handoff tour: the cursor-preserving re-dial
 func Rebalance(src, dst *Relay, app, addr, feed string, opts ...ClientOption) (*Client, error) {
 	src.mu.Lock()
-	up, ok := src.raw.byName[app]
-	var cs CursorSource
-	if ok {
-		cs, _ = up.stream.(CursorSource)
-	}
+	up := src.core.raw.byName[app]
 	src.mu.Unlock()
-	if !ok {
+	if up == nil {
 		return nil, fmt.Errorf("hbnet: unknown upstream %q", app)
 	}
-	if cs == nil {
+	if _, ok := up.stream.(CursorSource); !ok {
 		return nil, fmt.Errorf("hbnet: upstream %q reports no cursor; use RebalanceStream", app)
 	}
 	h, err := src.RemoveUpstream(app)
@@ -1039,7 +598,7 @@ func (r *Relay) AddRollupUpstream(name string, stream RollupStream) error {
 	if stream == nil {
 		return fmt.Errorf("hbnet: nil rollup upstream stream for %q", name)
 	}
-	return r.register(&r.rollup, &relayUpstream{name: name, rstream: stream})
+	return r.register(&r.core.rollup, &relayUpstream{name: name, rstream: stream})
 }
 
 // DialRollupUpstream dials a child relay's published rollup feed and
@@ -1055,15 +614,15 @@ func (r *Relay) DialRollupUpstream(name, addr, feed string, opts ...ClientOption
 func (r *Relay) Apps() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.raw.order...)
+	return append([]string(nil), r.core.raw.order...)
 }
 
 // MergedHead returns the newest sequence number of the merged history:
 // total records relayed plus upstream losses.
 func (r *Relay) MergedHead() uint64 {
-	r.merged.mu.Lock()
-	defer r.merged.mu.Unlock()
-	return r.merged.head
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.core.merged.head
 }
 
 // Shed returns the cumulative count of merged-history seqs shed across all
@@ -1073,14 +632,18 @@ func (r *Relay) MergedHead() uint64 {
 // Missed those subscribers observed — this counter attributes it to this
 // hop's backpressure rather than to the upstreams. Per-subscriber shares
 // are available on streams opened from MergedFeed via ShedCounter.
-func (r *Relay) Shed() uint64 { return r.merged.shed() }
+func (r *Relay) Shed() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.core.merged.shedTotal
+}
 
 // MergedFeed returns the raw merged feed: every upstream's records in the
 // relay's own dense sequence space (Producer = hop-local upstream id),
 // replay-then-live-push from any cursor.
 func (r *Relay) MergedFeed() Feed {
 	return func(ctx context.Context, since uint64) (observer.Stream, error) {
-		return &replayStream{ring: r.merged, ringCursor: ringCursor{since}}, nil
+		return &replayStream{ringCursor: ringCursor{r, &r.mergedWait, since}}, nil
 	}
 }
 
@@ -1088,7 +651,7 @@ func (r *Relay) MergedFeed() Feed {
 // interval, replayable across the retained emissions.
 func (r *Relay) RollupFeed() RollupFeed {
 	return func(ctx context.Context, since uint64) (RollupStream, error) {
-		return &rollupReplayStream{r.rollups, ringCursor{since}}, nil
+		return &rollupReplayStream{&r.core.rollups, ringCursor{r, &r.rollupsWait, since}}, nil
 	}
 }
 
@@ -1099,7 +662,7 @@ func (r *Relay) RollupFeed() RollupFeed {
 // convention "apps", beside the relay's own per-upstream "rollup" feed).
 func (r *Relay) CompactedFeed() RollupFeed {
 	return func(ctx context.Context, since uint64) (RollupStream, error) {
-		return &rollupReplayStream{r.compacted, ringCursor{since}}, nil
+		return &rollupReplayStream{&r.core.compacted, ringCursor{r, &r.compactedWait, since}}, nil
 	}
 }
 
@@ -1108,7 +671,7 @@ func (r *Relay) CompactedFeed() RollupFeed {
 func (r *Relay) RollupApps() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.compactor.Apps()
+	return r.core.compactor.Apps()
 }
 
 // RollupUpstreamMissed returns how many child rollup emissions were lapped
@@ -1118,7 +681,7 @@ func (r *Relay) RollupApps() []string {
 func (r *Relay) RollupUpstreamMissed() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.rupMissed
+	return r.core.rupMissed
 }
 
 // PublishOn registers the merged feed and the rollup feed on srv under the
@@ -1147,8 +710,7 @@ func (r *Relay) PublishOn(srv *Server, mergedName, rollupName string) error {
 func (r *Relay) Run(ctx context.Context) {
 	r.mu.Lock()
 	r.pumps.Open(ctx)
-	r.winFrom = r.now()
-	for _, up := range r.upstreamsLocked() {
+	for _, up := range r.core.start(r.now()) {
 		r.startPumpLocked(up)
 	}
 	r.mu.Unlock()
@@ -1167,85 +729,46 @@ func (r *Relay) Run(ctx context.Context) {
 	}
 }
 
-// upstreamsLocked returns every registration, raw then rollup, each in
-// registration order. Callers hold r.mu.
-func (r *Relay) upstreamsLocked() []*relayUpstream {
-	ups := make([]*relayUpstream, 0, len(r.raw.order)+len(r.rollup.order))
-	for _, set := range []*upstreamSet{&r.raw, &r.rollup} {
-		for _, name := range set.order {
-			ups = append(ups, set.byName[name])
-		}
-	}
-	return ups
-}
-
 // now reads the relay's clock, falling back to the wall clock.
 func (r *Relay) now() time.Time { return clock.Now(r.clk) }
 
-// flushRollups emits one rollup per upstream for the elapsed window, and —
-// when rollup upstreams are registered — one compacted rollup per app into
-// the compacted history.
+// flushRollups closes the elapsed rollup window: one rollup per upstream,
+// and — when rollup upstreams are registered — one compacted rollup per app
+// into the compacted history.
 func (r *Relay) flushRollups() {
 	now := r.now()
 	r.mu.Lock()
-	rs := r.ds.Flush(r.winFrom, now)
-	cs := r.compactor.Flush(r.winFrom, now)
-	r.winFrom = now
-	cb := r.onRollup
-	r.mu.Unlock()
-	r.rollups.append(rs)
-	r.compacted.append(cs)
-	if cb != nil && len(rs) > 0 {
-		cb(rs)
+	rs := r.core.tick(now)
+	r.unlock()
+	if r.onRollup != nil && len(rs) > 0 {
+		r.onRollup(rs)
 	}
 }
 
 // absorb folds one delivery into the relay's state. The upstream's pump
 // calls it before reading again, so each upstream's deliveries are absorbed
-// in order with no hand-off.
+// in order with no hand-off. The batch's slice then goes straight back to
+// the upstream's decode pool: at high fan-in that recycling is what keeps
+// the merge path allocation-free.
 func (r *Relay) absorb(ev relayEvent) {
 	r.mu.Lock()
-	r.absorbLocked(&ev)
-	r.mu.Unlock()
+	r.core.absorb(&ev)
+	r.unlock()
+	if ev.up.rec != nil {
+		ev.up.rec.Recycle(ev.batch)
+	}
 }
 
-// retire ends a registration whose stream has ended for good: it frees the
-// name and releases the stream. (Leaving it registered kept the stream open
-// and the name taken until relay Close: the retired-upstream leak.) A
-// concurrent removal owns the teardown instead, and relay Close has already
-// collected the stream for closing.
+// retire ends a registration whose stream has ended for good (see
+// relayCore.ended) and releases the stream. Leaving it registered kept the
+// stream open and the name taken until relay Close: the retired-upstream
+// leak.
 func (r *Relay) retire(up *relayUpstream) {
 	r.mu.Lock()
-	up.eof = true
-	if up.removing || r.closed {
-		r.mu.Unlock()
-		return
-	}
-	final := r.retireLocked(up)
-	r.mu.Unlock()
-	r.rollups.append(final)
-	up.closeStream()
-}
-
-// absorbLocked folds one delivery into the relay's state. A child's rollup
-// windows go to the compactor. A raw batch goes into the replay ring (re-
-// sequenced, loss-widened) and into the app's rollup window; both copy the
-// record values out, so the batch's slice can go straight back to the
-// upstream's decode pool — at high fan-in that recycling is what keeps the
-// merge path allocation-free. Callers hold r.mu.
-func (r *Relay) absorbLocked(ev *relayEvent) {
-	up := ev.up
-	if up.rstream != nil {
-		for _, ru := range ev.rbatch.Rollups {
-			r.compactor.Absorb(ru)
-		}
-		r.rupMissed += ev.rbatch.Missed
-		return
-	}
-	r.merged.append(ev.batch.Records, ev.batch.Missed, up.id)
-	r.ds.Absorb(up.name, ev.batch)
-	if up.rec != nil {
-		up.rec.Recycle(ev.batch)
+	retired := r.core.ended(up, r.now())
+	r.unlock()
+	if retired {
+		up.closeStream()
 	}
 }
 
@@ -1277,19 +800,11 @@ func (r *Relay) startPumpLocked(up *relayUpstream) {
 // histories and upstreams.
 func (r *Relay) Close() error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	ups := r.upstreamsLocked()
-	r.mu.Unlock()
+	ups := r.core.close()
+	r.unlock()
 	for _, up := range ups {
 		r.pumps.Cancel(&up.pump)
 		up.closeStream()
 	}
-	r.merged.close()
-	r.rollups.close()
-	r.compacted.close()
 	return nil
 }

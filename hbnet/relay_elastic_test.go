@@ -284,11 +284,13 @@ type lifecycleKind struct {
 var lifecycleKinds = []lifecycleKind{
 	{
 		name:   "raw",
-		set:    func(r *Relay) *upstreamSet { return &r.raw },
+		set:    func(r *Relay) *upstreamSet { return &r.core.raw },
 		add:    func(r *Relay, name string, s markerSource) error { return r.AddUpstream(name, rawScript{s}) },
 		remove: func(r *Relay, name string) error { _, err := r.RemoveUpstream(name); return err },
 		absorbed: func(r *Relay) []int {
-			recs, _, _, _, _ := r.merged.readSince(0, maxRelayBatch)
+			r.mu.Lock()
+			recs, _, _ := r.core.merged.readSince(0, maxRelayBatch)
+			r.mu.Unlock()
 			var ms []int
 			for _, rec := range recs {
 				ms = append(ms, int(rec.Time.UnixNano()))
@@ -298,7 +300,9 @@ var lifecycleKinds = []lifecycleKind{
 		readded: func(t *testing.T, r *Relay) {
 			// A fresh id per registration life: the second life's records
 			// are distinguishable in the merged history.
-			recs, _, _, _, _ := r.merged.readSince(0, maxRelayBatch)
+			r.mu.Lock()
+			recs, _, _ := r.core.merged.readSince(0, maxRelayBatch)
+			r.mu.Unlock()
 			var ids []int32
 			for _, rec := range recs {
 				ids = append(ids, rec.Producer)
@@ -310,7 +314,7 @@ var lifecycleKinds = []lifecycleKind{
 	},
 	{
 		name:   "rollup",
-		set:    func(r *Relay) *upstreamSet { return &r.rollup },
+		set:    func(r *Relay) *upstreamSet { return &r.core.rollup },
 		add:    func(r *Relay, name string, s markerSource) error { return r.AddRollupUpstream(name, rollupScript{s}) },
 		remove: func(r *Relay, name string) error { return r.RemoveRollupUpstream(name) },
 		// Compaction is commutative, but the compactor lists applications in
@@ -807,7 +811,9 @@ func TestRelayShedOnLap(t *testing.T) {
 	}
 
 	// The frame path charges identically (the server's zero-copy read).
-	fb, _, shed, _, _ := relay.merged.frameSince(0, maxRelayBatch)
+	relay.mu.Lock()
+	fb, _, shed := relay.core.merged.frameSince(0, maxRelayBatch)
+	relay.mu.Unlock()
 	if fb != nil {
 		fb.release()
 	}

@@ -63,7 +63,7 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 	for c := 1; c <= 5; c++ {
 		for _, producer := range []int32{-1, 9} {
 			for _, gap := range []uint64{0, 3} {
-				r, ref := newReplayRing(c), newReplayRing(c)
+				r, ref := &newRelayCore(c, 0, time.Time{}).merged, &newRelayCore(c, 0, time.Time{}).merged
 				var sizes []int
 				for m := 0; m <= 2*c+1; m++ {
 					sizes = append(sizes, m)
@@ -76,7 +76,7 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 					missed := gap * uint64(step%2)
 					var cached *frameBuf
 					if r.head > 0 {
-						cached, _, _, _, _ = r.frameSince(r.head-1, maxRelayBatch)
+						cached, _, _ = r.frameSince(r.head-1, maxRelayBatch)
 					}
 					r.append(recs, missed, producer)
 					referenceAppend(ref, recs, missed, producer)
@@ -101,8 +101,8 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 					// the same shed, and both rings serve the same frames.
 					for since := uint64(0); since <= r.head; since++ {
 						for _, max := range []int{2, maxRelayBatch} {
-							got, gotCur, gotShed, _, _ := r.readSince(since, max)
-							want, wantCur, wantShed, _, _ := ref.readSince(since, max)
+							got, gotCur, gotShed := r.readSince(since, max)
+							want, wantCur, wantShed := ref.readSince(since, max)
 							if gotCur != wantCur || gotShed != wantShed || len(got) != len(want) {
 								t.Fatalf("c=%d step %d: readSince(%d) cursor/shed/len = %d/%d/%d, reference %d/%d/%d",
 									c, step, since, gotCur, gotShed, len(got), wantCur, wantShed, len(want))
@@ -114,8 +114,8 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 									t.Fatalf("c=%d step %d: readSince(%d)[%d] = %+v, reference %+v", c, step, since, i, got[i], w)
 								}
 							}
-							gotFB, gotCur, gotShed, _, _ := r.frameSince(since, max)
-							wantFB, wantCur, wantShed, _, _ := ref.frameSince(since, max)
+							gotFB, gotCur, gotShed := r.frameSince(since, max)
+							wantFB, wantCur, wantShed := ref.frameSince(since, max)
 							if gotCur != wantCur || gotShed != wantShed || (gotFB == nil) != (wantFB == nil) {
 								t.Fatalf("c=%d step %d: frameSince(%d) cursor/shed = %d/%d, reference %d/%d", c, step, since, gotCur, gotShed, wantCur, wantShed)
 							}
@@ -128,8 +128,8 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 							}
 						}
 					}
-					if r.shed() != ref.shed() {
-						t.Fatalf("c=%d step %d: shed %d, reference %d", c, step, r.shed(), ref.shed())
+					if r.shedTotal != ref.shedTotal {
+						t.Fatalf("c=%d step %d: shed %d, reference %d", c, step, r.shedTotal, ref.shedTotal)
 					}
 				}
 			}
@@ -140,10 +140,10 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 // Once the frame pool is warm, a frameSince cache miss — a full encode of
 // the retained window — allocates nothing.
 func TestFrameSinceWarmedDoesNotAllocate(t *testing.T) {
-	r := newReplayRing(benchBatchRecords)
+	r := &newRelayCore(benchBatchRecords, 0, time.Time{}).merged
 	r.append(saturatedRecords(benchBatchRecords), 0, -1)
 	miss := func(since uint64) {
-		fb, _, _, _, _ := r.frameSince(since, maxRelayBatch)
+		fb, _, _ := r.frameSince(since, maxRelayBatch)
 		if fb == nil {
 			t.Fatalf("frameSince(%d): no frame", since)
 		}
@@ -162,7 +162,7 @@ func TestFrameSinceWarmedDoesNotAllocate(t *testing.T) {
 // ring walk: one 16 384-record frame from the replay ring on every call (a
 // cache miss each time), per record.
 func BenchmarkFrameSince(b *testing.B) {
-	r := newReplayRing(1 << 16)
+	r := &newRelayCore(1<<16, 0, time.Time{}).merged
 	// Start the window near the end of storage, so the walk wraps.
 	r.append(saturatedRecords(1<<16-benchBatchRecords/2), 0, -1)
 	r.append(saturatedRecords(benchBatchRecords), 0, -1)
@@ -171,7 +171,7 @@ func BenchmarkFrameSince(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := since + uint64(i&1) // alternating cursors miss the cache
-		fb, _, _, _, _ := r.frameSince(s, maxRelayBatch)
+		fb, _, _ := r.frameSince(s, maxRelayBatch)
 		fb.release()
 		records += int(r.head - s)
 	}

@@ -45,7 +45,7 @@ func TestReplayRingEntryPointerFree(t *testing.T) {
 		t.Fatal("replayEntry holds a pointer")
 	}
 
-	r := newReplayRing(8)
+	r := &newRelayCore(8, 0, time.Time{}).merged
 	base := time.Unix(1_700_000_000, 123_456_789)
 	var first []heartbeat.Record
 	for i, d := range []time.Duration{0, 1500 * time.Nanosecond, 1500 * time.Nanosecond, -40 * time.Microsecond, time.Hour} {
@@ -66,7 +66,7 @@ func TestReplayRingEntryPointerFree(t *testing.T) {
 		{3, 3, "0000001d0306060000000308e2cbaed8c7bfce972f03020200020402b788050c06"},
 		{4, 100, "0000003d030909000000050ae2cbaed8c7bfce972f020402b788050c060280f1c98bc6d1011a0802ffa79bc5cdd1018080808080400e0200ffffffffffffff030e"},
 	} {
-		fb, cur, _, _, _ := r.frameSince(tc.since, tc.max)
+		fb, cur, _ := r.frameSince(tc.since, tc.max)
 		if fb == nil {
 			t.Fatalf("frameSince(%d, %d): no frame", tc.since, tc.max)
 		}
@@ -78,7 +78,7 @@ func TestReplayRingEntryPointerFree(t *testing.T) {
 	}
 
 	// readSince hands back what went in, re-sequenced.
-	recs, _, _, _, _ := r.readSince(2, 100)
+	recs, _, _ := r.readSince(2, 100)
 	if len(recs) != 7 {
 		t.Fatalf("readSince returned %d records, want 7", len(recs))
 	}
