@@ -396,8 +396,8 @@ func TestReadSinceIntoReusesBuffer(t *testing.T) {
 	if err != nil || cur != 3000 || len(recs) != 3000 || &recs[0] != &buf[:1][0] {
 		t.Fatalf("ReadSinceInto: %d records, cursor %d, err %v, aliases buf: %v", len(recs), cur, err, len(recs) > 0 && &recs[0] == &buf[:1][0])
 	}
-	if testing.AllocsPerRun(20, func() { r.Cursor() }) != 0 {
-		t.Skip("this build heap-allocates stack read buffers (race detector), so the count below is not the reader's")
+	if raceEnabled {
+		t.Skip("the race detector heap-allocates stack read buffers, so the count below is not the reader's")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if recs, _, err := r.ReadSinceInto(0, 0, buf); err != nil || len(recs) != 3000 {

@@ -399,20 +399,20 @@ func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64
 		r.fbuf.retain()
 		return r.fbuf, r.fcur, shed
 	}
-	i, take, cur := r.next(from, max) //hbvet:allow hotpath -- encode-once path: runs only on cache miss, once per (cursor, head)
+	i, take, cur := r.next(from, max)
 	var b observer.Batch
 	b.Count = cur
 	_, b.Missed, _ = cursor.Advance(since, cur, take)
-	fb = newFrameBuf()                       //hbvet:allow hotpath -- encode-once path: pooled buffer acquired once per (cursor, head)
-	buf := append(fb.data, 0, 0, 0, 0)       //hbvet:allow hotpath -- encode-once path: grows pooled storage, amortized across reuse
-	buf = appendBatchMeta(buf, b, cur, take) //hbvet:allow hotpath -- encode-once path
+	fb = newFrameBuf()
+	buf := append(fb.data, 0, 0, 0, 0)
+	buf = appendBatchMeta(buf, b, cur, take)
 	var prevSeq uint64
 	var prevNanos int64
 	lo, hi := r.window(i, take)
 	for _, span := range [2][]replayEntry{lo, hi} {
 		for k := range span {
 			e := &span[k]
-			buf = appendRecordDelta(buf, e.seq, e.nanos, e.tag, e.producer, &prevSeq, &prevNanos) //hbvet:allow hotpath -- encode-once path
+			buf = appendRecordDelta(buf, e.seq, e.nanos, e.tag, e.producer, &prevSeq, &prevNanos)
 		}
 	}
 	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
@@ -420,7 +420,7 @@ func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64
 	// The cache takes its own reference; the caller keeps the original.
 	fb.retain()
 	if r.fbuf != nil {
-		r.fbuf.release() //hbvet:allow hotpath -- encode-once path: cache handoff, once per new frame
+		r.fbuf.release()
 	}
 	r.fbuf, r.fkey, r.fcur = fb, since, cur
 	return fb, cur, shed

@@ -88,35 +88,6 @@ func TestReadSinceOverwriteReportsLoss(t *testing.T) {
 	}
 }
 
-func TestSubscribeDeliversBacklogThenDeltas(t *testing.T) {
-	clk := clock.NewVirtual()
-	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		clk.Advance(time.Millisecond)
-		hb.Beat()
-	}
-	sub := hb.Subscribe(context.Background())
-	defer sub.Close()
-	recs, err := sub.Next(context.Background())
-	if err != nil || len(recs) != 4 {
-		t.Fatalf("backlog batch = %d records, err %v", len(recs), err)
-	}
-	if recs, ok := sub.PollInto(nil); ok {
-		t.Fatalf("Poll after drain returned %d records", len(recs))
-	}
-	hb.Beat()
-	recs, err = sub.Next(context.Background())
-	if err != nil || len(recs) != 1 || recs[0].Seq != 5 {
-		t.Fatalf("delta batch = %+v, err %v", recs, err)
-	}
-	if sub.Cursor() != 5 || sub.Missed() != 0 {
-		t.Fatalf("cursor %d missed %d", sub.Cursor(), sub.Missed())
-	}
-}
-
 func TestSubscribeWakesBlockedNextOnDirectBeat(t *testing.T) {
 	hb, err := heartbeat.New(10)
 	if err != nil {
@@ -174,72 +145,6 @@ func TestSubscribeWakesBlockedNextOnFlush(t *testing.T) {
 	}
 }
 
-func TestSubscribeNextContextCancel(t *testing.T) {
-	hb, err := heartbeat.New(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := hb.Subscribe(context.Background())
-	defer sub.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := sub.Next(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-}
-
-func TestSubscribeNextReturnsPendingDataBeforeCtx(t *testing.T) {
-	hb, err := heartbeat.New(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb.Beat()
-	sub := hb.Subscribe(context.Background())
-	defer sub.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already done: pending data must still win
-	recs, err := sub.Next(ctx)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("Next with cancelled ctx = %d records, err %v; want the pending record", len(recs), err)
-	}
-	if _, err := sub.Next(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("drained Next err = %v, want canceled", err)
-	}
-}
-
-func TestSubscribeFromResumesWithoutLossOrDup(t *testing.T) {
-	clk := clock.NewVirtual()
-	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithCapacity(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		clk.Advance(time.Millisecond)
-		hb.Beat()
-	}
-	sub := hb.Subscribe(context.Background())
-	first, err := sub.Next(context.Background())
-	if err != nil || len(first) != 6 {
-		t.Fatalf("first batch %d records, err %v", len(first), err)
-	}
-	cur := sub.Cursor()
-	sub.Close()
-
-	for i := 0; i < 3; i++ {
-		clk.Advance(time.Millisecond)
-		hb.Beat()
-	}
-	resumed := hb.SubscribeFrom(context.Background(), cur)
-	defer resumed.Close()
-	second, err := resumed.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(second) != 3 || second[0].Seq != 7 || second[2].Seq != 9 {
-		t.Fatalf("resumed batch = %+v, want seqs 7..9", second)
-	}
-}
-
 // Regression: a cursor saved from a previous life of the producer (whose
 // sequence numbers restarted at 1) used to stall the subscription forever
 // — ReadSince's head stayed below the cursor, so Poll never returned
@@ -273,28 +178,6 @@ func TestSubscribeFromFutureCursorResynchronizes(t *testing.T) {
 	}
 	if sub.Cursor() != 4 {
 		t.Fatalf("cursor = %d after resync", sub.Cursor())
-	}
-}
-
-func TestSubscribeNextErrClosedAfterDrain(t *testing.T) {
-	hb, err := heartbeat.New(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb.Beat()
-	sub := hb.Subscribe(context.Background())
-	defer sub.Close()
-	if err := hb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The pre-close record is still delivered...
-	recs, err := sub.Next(context.Background())
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("tail batch = %d records, err %v", len(recs), err)
-	}
-	// ...then the stream ends.
-	if _, err := sub.Next(context.Background()); !errors.Is(err, heartbeat.ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
 
@@ -344,25 +227,4 @@ func TestSubscriptionCloseWakesBlockedNext(t *testing.T) {
 		t.Fatal("Next never woke on Subscription.Close")
 	}
 	sub.Close() // idempotent
-}
-
-func TestSubscriptionMissedCountsOverwrites(t *testing.T) {
-	clk := clock.NewVirtual()
-	hb, err := heartbeat.New(2, heartbeat.WithClock(clk), heartbeat.WithCapacity(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := hb.Subscribe(context.Background())
-	defer sub.Close()
-	for i := 0; i < 12; i++ {
-		clk.Advance(time.Millisecond)
-		hb.Beat()
-	}
-	recs, ok := sub.PollInto(nil)
-	if !ok {
-		t.Fatal("no batch")
-	}
-	if len(recs) != 4 || sub.Missed() != 8 || sub.Cursor() != 12 {
-		t.Fatalf("recs=%d missed=%d cursor=%d; want 4, 8, 12", len(recs), sub.Missed(), sub.Cursor())
-	}
 }

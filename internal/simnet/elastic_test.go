@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -93,12 +94,10 @@ func (h *elasticHarness) relay(addr string, ropts ...hbnet.RelayOption) (*hbnet.
 
 func (h *elasticHarness) waitFor(desc string, cond func() bool) {
 	h.t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			h.t.Fatalf("timed out waiting for %s", desc)
-		}
-		time.Sleep(time.Millisecond)
+	if err := waitReal(30*time.Second, 1, cond, func() error {
+		return fmt.Errorf("timed out waiting for %s", desc)
+	}); err != nil {
+		h.t.Fatal(err)
 	}
 }
 

@@ -99,21 +99,19 @@ func TestReconnectJitterDesynchronizesRedials(t *testing.T) {
 	}
 	nw.SetListenerDown("srv", false)
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		reconnected := 0
+	reconnected := 0
+	if err := waitReal(30*time.Second, 1, func() bool {
+		reconnected = 0
 		for _, c := range clients {
 			if c.Reconnects() >= 1 {
 				reconnected++
 			}
 		}
-		if reconnected == fleet {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d clients reconnected after the outage lifted", reconnected, fleet)
-		}
-		time.Sleep(time.Millisecond)
+		return reconnected == fleet
+	}, func() error {
+		return fmt.Errorf("only %d/%d clients reconnected after the outage lifted", reconnected, fleet)
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	// attempts[i][0] is the successful initial dial; [1] is the first
@@ -215,21 +213,8 @@ func TestServerWriteTimeoutDropsStalledSubscriber(t *testing.T) {
 	// disconnect, reconnects from its cursor, and the delivery contract
 	// holds — everything published is delivered or counted missed.
 	tr := simcheck.NewTracker("stalled subscriber", 0)
-	deadline := time.Now().Add(30 * time.Second)
-	for tr.Delivered()+tr.Missed() < head {
-		if time.Now().After(deadline) {
-			t.Fatalf("drain stalled at delivered=%d missed=%d of head=%d (reconnects=%d)",
-				tr.Delivered(), tr.Missed(), head, c.Reconnects())
-		}
-		nctx, ncancel := context.WithTimeout(ctx, time.Second)
-		b, err := c.Next(nctx)
-		ncancel()
-		if err != nil {
-			continue // idle tick while the client redials
-		}
-		if aerr := tr.Absorb(b); aerr != nil {
-			t.Fatal(aerr)
-		}
+	if err := drainTo(ctx, c, tr, head); err != nil {
+		t.Fatal(err)
 	}
 	if c.Reconnects() < 1 {
 		t.Fatal("client never reconnected after the write-timeout disconnect")
@@ -347,9 +332,10 @@ func TestFrameFanoutSurvivesMidWriteDisconnect(t *testing.T) {
 // drainTo absorbs batches from c into tr until the tracker accounts for
 // every record up to head (delivered or missed), bounded in real time.
 func drainTo(ctx context.Context, c *hbnet.Client, tr *simcheck.Tracker, head uint64) error {
-	deadline := time.Now().Add(60 * time.Second)
+	ctx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
 	for tr.Delivered()+tr.Missed() < head {
-		if time.Now().After(deadline) {
+		if ctx.Err() != nil {
 			return fmt.Errorf("stalled at delivered=%d missed=%d of head=%d (reconnects=%d)",
 				tr.Delivered(), tr.Missed(), head, c.Reconnects())
 		}
@@ -371,23 +357,14 @@ func drainTo(ctx context.Context, c *hbnet.Client, tr *simcheck.Tracker, head ui
 // backlog and stopped moving, and returns it.
 func waitMergedStable(t *testing.T, relay *hbnet.Relay) uint64 {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	var last uint64
-	stable := 0
-	for {
-		h := relay.MergedHead()
-		if h > 0 && h == last {
-			stable++
-			if stable >= 5 {
-				return h
-			}
-		} else {
-			stable = 0
-		}
+	var h, last uint64
+	if err := waitReal(30*time.Second, 5, func() bool {
+		h = relay.MergedHead()
+		stable := h > 0 && h == last
 		last = h
-		if time.Now().After(deadline) {
-			t.Fatalf("relay merged head never settled (at %d)", h)
-		}
-		time.Sleep(2 * time.Millisecond)
+		return stable
+	}, func() error { return fmt.Errorf("relay merged head never settled (at %d)", h) }); err != nil {
+		t.Fatal(err)
 	}
+	return h
 }

@@ -15,7 +15,8 @@ import (
 // the scenario, scale and failover suites fail a different subset every
 // run. This states the precondition the simulator already has and removes
 // no assertion; ROADMAP item 1 (quiescence-driven virtual time) deletes the
-// pin together with the heuristic.
+// pin together with the heuristic and with waitReal, the one real-time wait
+// every settle and test wait in this package goes through.
 func TestMain(m *testing.M) {
 	runtime.GOMAXPROCS(1)
 	os.Exit(m.Run())

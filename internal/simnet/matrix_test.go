@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"strconv"
@@ -271,12 +272,10 @@ func TestVirtualTimeControlLoop(t *testing.T) {
 	}()
 
 	// Wait (real time) until two virtual minutes have elapsed.
-	deadline := time.Now().Add(30 * time.Second)
-	for clk.Now().Sub(start) < 2*time.Minute {
-		if time.Now().After(deadline) {
-			t.Fatalf("virtual time stalled at %v", clk.Now().Sub(start))
-		}
-		time.Sleep(time.Millisecond)
+	if err := waitReal(30*time.Second, 1, func() bool { return clk.Now().Sub(start) >= 2*time.Minute }, func() error {
+		return fmt.Errorf("virtual time stalled at %v", clk.Now().Sub(start))
+	}); err != nil {
+		t.Fatal(err)
 	}
 	hcancel()
 	scancel()

@@ -216,11 +216,10 @@ func TestConnWaitsStopTheirTimers(t *testing.T) {
 	defer s.Close()
 	blocked := func(base int) {
 		t.Helper()
-		for end := time.Now().Add(5 * time.Second); clk.PendingTimers() <= base; {
-			if time.Now().After(end) {
-				t.Fatal("the conn never armed its deadline")
-			}
-			time.Sleep(time.Millisecond)
+		if err := waitReal(5*time.Second, 1, func() bool { return clk.PendingTimers() > base }, func() error {
+			return errors.New("the conn never armed its deadline")
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	s.SetReadDeadline(clk.Now().Add(time.Hour))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"repro/hbnet"
 	"repro/internal/loadgen"
 	"repro/internal/simcheck"
+	"repro/observer"
 )
 
 // This file is the scale half of the matrix: where scenario.go proves the
@@ -214,180 +214,73 @@ func (sc ScaleScenario) Run() (ScaleStats, error) {
 
 	// Leaf tier: each leaf relay subscribes a round-robin share of the
 	// fleet's app streams — producers never touch a relay; applications do.
-	type scaleNode struct {
-		relay *hbnet.Relay
-		srv   *hbnet.Server
-		addr  string
-	}
+	// A link latency is drawn only when MaxLink is positive.
 	link := func() time.Duration {
 		if sc.MaxLink <= 0 {
 			return 0
 		}
 		return time.Duration(rng.Int63n(int64(sc.MaxLink + 1)))
 	}
-	newServer := func(n *scaleNode) error {
-		srv := hbnet.NewServer(
-			hbnet.WithHandshakeTimeout(2*time.Second),
-			hbnet.WithServerClock(clk))
-		if err := n.relay.PublishOn(srv, "merged", "rollup"); err != nil {
-			return err
-		}
-		ln, err := nw.Listen(n.addr)
-		if err != nil {
-			return err
-		}
-		go srv.Serve(ln)
-		n.srv = srv
-		return nil
-	}
-	leaves := make([]*scaleNode, sc.Leaves)
-	for li := range leaves {
-		relay := hbnet.NewRelay(
-			hbnet.WithRelayClock(clk),
-			hbnet.WithRollupInterval(sc.Rollup),
-			hbnet.WithMergedRetain(sc.MergedRetain),
-		)
-		for ai := 0; ai < fleet.Apps(); ai++ {
-			if ai%sc.Leaves != li {
-				continue
-			}
-			if err := relay.AddUpstream(fleet.AppName(ai), fleet.Stream(ai)); err != nil {
-				return stats, err
-			}
-		}
-		n := &scaleNode{relay: relay, addr: fmt.Sprintf("leaf%d", li)}
-		if err := newServer(n); err != nil {
-			return stats, err
-		}
-		leaves[li] = n
-		go relay.Run(ctx)
-		defer relay.Close()
-		defer n.srv.Close()
-	}
-
-	// Root tier: dial every leaf's merged feed (records) and rollup feed
-	// (already-downsampled windows). The rollup upstreams feed the root's
-	// compactor, so root rollup state is one window per application —
-	// O(apps) — however many producers beat below.
-	root := hbnet.NewRelay(
-		hbnet.WithRelayClock(clk),
-		hbnet.WithRollupInterval(sc.Rollup),
-		hbnet.WithMergedRetain(sc.MergedRetain),
-	)
-	for li, leaf := range leaves {
-		nw.SetLatency("root", leaf.addr, link())
-		opts := []hbnet.ClientOption{
-			hbnet.WithDialer(nw.Host("root")),
-			hbnet.WithClientClock(clk),
-			hbnet.WithReconnectBackoff(20*time.Millisecond, 500*time.Millisecond),
-		}
-		if _, err := root.DialUpstream(fmt.Sprintf("leaf%d", li), leaf.addr, "merged", opts...); err != nil {
-			return stats, err
-		}
-		if _, err := root.DialRollupUpstream(fmt.Sprintf("leaf%d", li), leaf.addr, "rollup", opts...); err != nil {
-			return stats, err
-		}
-	}
-	rootNode := &scaleNode{relay: root, addr: "root"}
-	if err := newServer(rootNode); err != nil {
-		return stats, err
-	}
-	if err := rootNode.srv.PublishRollup("apps", root.CompactedFeed()); err != nil {
-		return stats, err
-	}
-	go root.Run(ctx)
-	defer root.Close()
-	defer rootNode.srv.Close()
-
-	// The consumer: a raw subscription (latency histogram + conservation
-	// tracker) and a compacted-rollup subscription (per-app ledger), both
-	// over the simulated network.
-	nw.SetLatency("mon", "root", link())
-	dialOpts := func() []hbnet.ClientOption {
-		return []hbnet.ClientOption{
-			hbnet.WithDialer(nw.Host("mon")),
-			hbnet.WithClientClock(clk),
-			hbnet.WithReconnectBackoff(20*time.Millisecond, 500*time.Millisecond),
-		}
-	}
 	var (
-		consumerMu  sync.Mutex
-		consumerErr error
+		appsMu sync.Mutex
+		appSum = map[string]uint64{} // compacted-feed records + missed per app
+		histMu sync.Mutex
+		hist   = loadgen.NewHist() // record time → consumer delivery, virtual
 	)
-	setErr := func(err error) {
-		consumerMu.Lock()
-		if consumerErr == nil {
-			consumerErr = err
-		}
-		consumerMu.Unlock()
-	}
-	tracker := &lockedTracker{tr: simcheck.NewTracker("scale consumer", 0)}
-	histMu := sync.Mutex{}
-	hist := loadgen.NewHist()
-
-	raw, err := hbnet.Dial("root", "merged", dialOpts()...)
-	if err != nil {
-		return stats, err
-	}
-	defer raw.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ctx.Err() == nil {
-			b, err := raw.Next(ctx)
-			if err != nil {
-				if ctx.Err() == nil && !errors.Is(err, io.EOF) {
-					setErr(fmt.Errorf("raw subscription: %w", err))
+	tree, err := newRelayTree(ctx, clk, nw, treeConfig{
+		name:   "scale",
+		leaves: sc.Leaves,
+		rollup: sc.Rollup,
+		retain: sc.MergedRetain,
+		link:   link,
+		attach: func(li int, leaf *hbnet.Relay) error {
+			for ai := li; ai < fleet.Apps(); ai += sc.Leaves {
+				if err := leaf.AddUpstream(fleet.AppName(ai), fleet.Stream(ai)); err != nil {
+					return err
 				}
-				return
 			}
-			now := clk.Now()
+			return nil
+		},
+		// The consumer reads the root's compacted feed: one window per
+		// application, checked against the fleet's per-app heads.
+		rollupFeed: "apps",
+		onBatch: func(now time.Time, b observer.Batch) {
 			histMu.Lock()
 			for _, r := range b.Records {
 				hist.ObserveDuration(now.Sub(r.Time))
 			}
 			histMu.Unlock()
-			if aerr := tracker.absorb(b); aerr != nil {
-				setErr(aerr)
-				return
-			}
-		}
-	}()
-
-	var (
-		rollupMu sync.Mutex
-		rollups  simcheck.RollupAccount
-		appSum   = map[string]uint64{}
-	)
-	rollupC, err := hbnet.DialRollup("root", "apps", dialOpts()...)
-	if err != nil {
-		return stats, err
-	}
-	defer rollupC.Close()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ctx.Err() == nil {
-			rb, err := rollupC.NextRollups(ctx)
-			if err != nil {
-				if ctx.Err() == nil && !errors.Is(err, io.EOF) {
-					setErr(fmt.Errorf("rollup subscription: %w", err))
-				}
-				return
-			}
-			rollupMu.Lock()
-			rollups.AbsorbRollups(rb.Rollups, rb.Missed)
+		},
+		onRollups: func(rb hbnet.RollupBatch) {
+			appsMu.Lock()
 			for _, r := range rb.Rollups {
 				appSum[r.App] += r.Records + r.Missed
 			}
-			rollupMu.Unlock()
+			appsMu.Unlock()
+		},
+	})
+	if err != nil {
+		return stats, err
+	}
+	defer tree.close()
+	// The root also dials every leaf's rollup feed (already-downsampled
+	// windows) into its compactor, so root rollup state is one window per
+	// application — O(apps) — however many producers beat below.
+	root := tree.root.relay
+	for li, leaf := range tree.leaves {
+		if _, err := root.DialRollupUpstream(fmt.Sprintf("leaf%d", li), leaf.addr, "rollup", tree.clientOpts("root")...); err != nil {
+			return stats, err
 		}
-	}()
+	}
+	if err := tree.root.srv.PublishRollup("apps", root.CompactedFeed()); err != nil {
+		return stats, err
+	}
+	if err := tree.start(); err != nil {
+		return stats, err
+	}
 
 	start := clk.Now()
-	wg.Add(1)
-	go func() { defer wg.Done(); fleet.Run(ctx) }()
+	go fleet.Run(ctx)
 
 	// Mid-run elastic churn: re-home app streams between leaves through the
 	// cursor-preserving handoff path, spread across the run — membership
@@ -408,96 +301,42 @@ func (sc ScaleScenario) Run() (ScaleStats, error) {
 		}
 		ai := rng.Intn(fleet.Apps())
 		from, to := appLeaf[ai], (appLeaf[ai]+1)%sc.Leaves
-		if err := hbnet.RebalanceStream(leaves[from].relay, leaves[to].relay, fleet.AppName(ai)); err != nil {
+		if err := hbnet.RebalanceStream(tree.leaves[from].relay, tree.leaves[to].relay, fleet.AppName(ai)); err != nil {
 			return stats, fmt.Errorf("handoff %s leaf%d→leaf%d: %w", fleet.AppName(ai), from, to, err)
 		}
 		appLeaf[ai] = to
 		stats.Handoffs++
 	}
 
-	// Run to the horizon, pause emission, then settle: wait (in real time,
-	// while virtual time races on) until every hop agrees on a stable
-	// total — consumer == root head == Σ leaf heads == fleet published —
-	// and the compacted per-app ledger matches the fleet's per-app heads.
+	// Run to the horizon, pause emission, then settle: every hop agrees on
+	// the fleet's published total, and the compacted per-app ledger matches
+	// the fleet's per-app heads.
 	if !sleepUntilVirtual(ctx, clk, start.Add(sc.Duration)) {
 		return stats, ctx.Err()
 	}
 	fleet.Pause()
-	deadline := time.Now().Add(settleDeadline) //hbvet:allow wallclock -- settle deadline is a real-time bound on the harness itself
-	var lastTotal uint64
-	stable := 0
-	for {
-		consumerMu.Lock()
-		errNow := consumerErr
-		consumerMu.Unlock()
-		if errNow != nil {
-			return stats, errNow
-		}
-		var consumerTotal uint64
-		tracker.with(func(t *simcheck.Tracker) { consumerTotal = t.Delivered() + t.Missed() })
-		rootHead := root.MergedHead()
-		var leafSum uint64
-		for _, leaf := range leaves {
-			leafSum += leaf.relay.MergedHead()
-		}
+	if err := tree.settle(func(total uint64) (bool, string) {
 		fleetTotal := fleet.TotalPublished()
-		rollupMu.Lock()
-		rollupTotal := rollups.Records + rollups.Missed
 		appsMatch := true
+		appsMu.Lock()
 		for i := 0; i < fleet.Apps(); i++ {
 			if appSum[fleet.AppName(i)] != fleet.AppHead(i) {
 				appsMatch = false
 				break
 			}
 		}
-		rollupMu.Unlock()
-		if consumerTotal == rootHead && rootHead == leafSum && leafSum == fleetTotal &&
-			rollupTotal == rootHead && appsMatch && consumerTotal > 0 {
-			if consumerTotal == lastTotal {
-				stable++
-				if stable >= 5 {
-					break
-				}
-			} else {
-				stable = 0
-			}
-			lastTotal = consumerTotal
-		} else {
-			stable = 0
-		}
-		if time.Now().After(deadline) { //hbvet:allow wallclock -- checks the harness real-time settle deadline set above
-			return stats, fmt.Errorf("scale settle timed out: consumer=%d rootHead=%d leafSum=%d fleet=%d rollupTotal=%d appsMatch=%v",
-				consumerTotal, rootHead, leafSum, fleetTotal, rollupTotal, appsMatch)
-		}
-		time.Sleep(2 * time.Millisecond) //hbvet:allow wallclock -- real-time sampling cadence while virtual time races between samples
+		appsMu.Unlock()
+		return total == fleetTotal && appsMatch, fmt.Sprintf(" fleet=%d appsMatch=%v", fleetTotal, appsMatch)
+	}); err != nil {
+		return stats, err
 	}
 
 	// Verdict: conservation at every hop, then the scale budgets.
 	stats.SimSeconds = clk.Now().Sub(start).Seconds()
-	var verdict error
-	tracker.with(func(t *simcheck.Tracker) {
-		stats.Delivered = t.Delivered()
-		stats.Missed = t.Missed()
-		if e := t.Err(); e != nil {
-			verdict = e
-			return
-		}
-		if e := t.CheckLives(1); e != nil {
-			verdict = e
-			return
-		}
-		if e := t.CheckConserved(root.MergedHead()); e != nil {
-			verdict = e
-		}
-	})
-	if verdict != nil {
-		return stats, verdict
-	}
-	rollupMu.Lock()
-	verdict = rollups.CheckConserved("compacted rollups", root.MergedHead())
-	rollupMu.Unlock()
-	if verdict != nil {
-		return stats, verdict
+	tally, err := tree.verdict()
+	stats.Delivered, stats.Missed, stats.Shed = tally.delivered, tally.missed, tally.shed
+	if err != nil {
+		return stats, err
 	}
 	if missed := root.RollupUpstreamMissed(); missed != 0 {
 		return stats, fmt.Errorf("root lost %d rollup emissions from its leaves", missed)
@@ -527,13 +366,6 @@ func (sc ScaleScenario) Run() (ScaleStats, error) {
 	}
 	if handoffs > 0 && stats.Handoffs != handoffs {
 		return stats, fmt.Errorf("handoff churn unexercised: %d of %d re-homes ran", stats.Handoffs, handoffs)
-	}
-	stats.Shed = root.Shed()
-	for _, leaf := range leaves {
-		stats.Shed += leaf.relay.Shed()
-	}
-	if err := simcheck.CheckShed("scale tree", stats.Shed, stats.Missed); err != nil {
-		return stats, err
 	}
 
 	// The budgets, measured with the whole tier still live.

@@ -563,10 +563,8 @@ func (sc Scenario) runLocal(dir string) (Stats, error) {
 		resumes[i] = make(chan struct{}, 4)
 	}
 
-	var wg sync.WaitGroup
-	for i := range producers {
-		wg.Add(1)
-		go func(p *producer) { defer wg.Done(); p.beatLoop(ctx, sc.BeatEvery) }(producers[i])
+	for _, p := range producers {
+		go p.beatLoop(ctx, sc.BeatEvery)
 	}
 
 	// One consumer loop per producer: absorb batches, reattach on EOF (a
@@ -577,9 +575,7 @@ func (sc Scenario) runLocal(dir string) (Stats, error) {
 	// signal that lands while data is flowing must survive until the loop
 	// can act on it.
 	for i := range producers {
-		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
 			p, tr := producers[i], trackers[i]
 			var resumePending atomic.Bool
 			stream, err := p.stream(0, sc.Poll)
@@ -673,39 +669,29 @@ func (sc Scenario) runLocal(dir string) (Stats, error) {
 		p.paused = true
 		p.mu.Unlock()
 	}
-	deadline := time.Now().Add(settleDeadline) //hbvet:allow wallclock -- settle deadline is a real-time bound on the harness itself, not on simulated components
-	stable := 0
-	for {
-		done := true
+	// A final life that published nothing is fully drained by definition
+	// (there is nothing to deliver, and no record will ever arrive to
+	// advance the tracker into it); otherwise the tracker must reach the
+	// life's head. The condition must hold across a few samples — virtual
+	// time races on between them, so a pending rotation at a
+	// numerically-equal cursor still gets its polls in before the verdict
+	// runs.
+	if err := waitReal(settleDeadline, 3, func() bool {
+		if hasErr(&consumerErr) {
+			return true
+		}
 		for i, p := range producers {
-			// A final life that published nothing is fully drained by
-			// definition (there is nothing to deliver, and no record will
-			// ever arrive to advance the tracker into it); otherwise the
-			// tracker must reach the life's head. Require the condition to
-			// hold across a few samples — virtual time races on between
-			// them, so a pending rotation at a numerically-equal cursor
-			// still gets its polls in before the verdict runs.
 			if head := p.head(); head != 0 {
 				var cursor uint64
 				trackers[i].with(func(t *simcheck.Tracker) { cursor = t.Cursor() })
 				if cursor != head {
-					done = false
-					break
+					return false
 				}
 			}
 		}
-		if done {
-			stable++
-		} else {
-			stable = 0
-		}
-		if hasErr(&consumerErr) || stable >= 3 {
-			break
-		}
-		if time.Now().After(deadline) { //hbvet:allow wallclock -- checks the harness real-time settle deadline set above
-			return stats, settleFailure(producers, trackers)
-		}
-		time.Sleep(200 * time.Microsecond) //hbvet:allow wallclock -- real-time sampling cadence while virtual time races between samples
+		return true
+	}, func() error { return settleFailure(producers, trackers) }); err != nil {
+		return stats, err
 	}
 
 	// Verdict.
@@ -768,10 +754,11 @@ func (sc Scenario) runLocal(dir string) (Stats, error) {
 	return stats, nil
 }
 
-// runRelayTree runs the full stack: producers write files, leaf relays
-// tail them and publish merged feeds on leaf servers, a root relay dials
-// every leaf, and one consumer holds a raw and a rollup subscription to
-// the root — all over the in-memory network under virtual time.
+// runRelayTree runs the full stack: producers write files, a relayTree's
+// leaves tail them, and its consumer holds a raw and a rollup subscription
+// to the root — all over the in-memory network under virtual time. This
+// runner adds the server write timeout, the balancer watching every leaf's
+// rollup feed, and the network faults of the schedule.
 func (sc Scenario) runRelayTree(dir string) (Stats, error) {
 	clk := clock.NewVirtual()
 	nw := New(clk)
@@ -790,249 +777,44 @@ func (sc Scenario) runRelayTree(dir string) (Stats, error) {
 		defer p.close()
 		producers[i] = p
 	}
-	var wg sync.WaitGroup
-	for i := range producers {
-		wg.Add(1)
-		go func(p *producer) { defer wg.Done(); p.beatLoop(ctx, sc.BeatEvery) }(producers[i])
+	for _, p := range producers {
+		go p.beatLoop(ctx, sc.BeatEvery)
 	}
 
-	// Leaf tier: one relay + server per leaf. Retention is ample so the
-	// only Missed in the system comes from producer-file laps.
-	type node struct {
-		relay *hbnet.Relay
-		srv   *hbnet.Server
-		addr  string
-		mu    sync.Mutex
-		// dead marks a leaf decommissioned by EvLeafDie: later scheduled
-		// network faults that drew the same node become no-ops instead of
-		// resurrecting its server. Only the schedule goroutine touches it.
-		dead bool
-	}
-	newServerOn := func(n *node) error {
-		// The servers run their deadline arithmetic on the virtual clock
-		// (simnet conns evaluate deadlines on the same clock), so the write
-		// timeout is a simulation event the slow-consumer fault can trip.
-		srv := hbnet.NewServer(
-			hbnet.WithHandshakeTimeout(2*time.Second),
-			hbnet.WithServerClock(clk),
-			hbnet.WithWriteTimeout(serverWriteTimeout))
-		var err error
-		if n.relay != nil {
-			err = n.relay.PublishOn(srv, "merged", "rollup")
-		}
-		if err != nil {
-			return err
-		}
-		ln, err := nw.Listen(n.addr)
-		if err != nil {
-			return err
-		}
-		go srv.Serve(ln)
-		n.mu.Lock()
-		n.srv = srv
-		n.mu.Unlock()
-		return nil
-	}
-
-	leaves := make([]*node, sc.Leaves)
-	leafCancels := make([]context.CancelFunc, sc.Leaves)
-	for li := range leaves {
-		relay := hbnet.NewRelay(
-			hbnet.WithRelayClock(clk),
-			hbnet.WithRollupInterval(sc.Rollup),
-			hbnet.WithMergedRetain(1<<17),
-		)
-		for pi, p := range producers {
-			if pi%sc.Leaves != li {
-				continue
-			}
-			if err := relay.AddFileUpstream(fmt.Sprintf("app%d", pi), p.path, sc.Poll); err != nil {
-				return Stats{}, err
-			}
-		}
-		n := &node{relay: relay, addr: fmt.Sprintf("leaf%d", li)}
-		if err := newServerOn(n); err != nil {
-			return Stats{}, err
-		}
-		leaves[li] = n
-		// Each leaf's merge loop gets its own cancel so an EvLeafDie can
-		// stop exactly that leaf while the rest of the tree runs on.
-		lctx, lcancel := context.WithCancel(ctx)
-		leafCancels[li] = lcancel
-		go relay.Run(lctx)
-		defer relay.Close()
-		defer func(n *node) { n.mu.Lock(); n.srv.Close(); n.mu.Unlock() }(n)
-	}
-
-	// Root tier.
-	root := hbnet.NewRelay(
-		hbnet.WithRelayClock(clk),
-		hbnet.WithRollupInterval(sc.Rollup),
-		hbnet.WithMergedRetain(1<<17),
-	)
-	var rootUpstreams []*hbnet.Client
-	for li, leaf := range leaves {
-		nw.SetLatency("root", leaf.addr, time.Duration(rng.Int63n(int64(sc.MaxLink+1))))
-		c, err := root.DialUpstream(fmt.Sprintf("leaf%d", li), leaf.addr, "merged",
-			hbnet.WithDialer(nw.Host("root")),
-			hbnet.WithClientClock(clk),
-			hbnet.WithReconnectBackoff(20*time.Millisecond, 500*time.Millisecond))
-		if err != nil {
-			return Stats{}, err
-		}
-		rootUpstreams = append(rootUpstreams, c)
-	}
-	rootNode := &node{relay: root, addr: "root"}
-	if err := newServerOn(rootNode); err != nil {
-		return Stats{}, err
-	}
-	go root.Run(ctx)
-	defer root.Close()
-	defer func() { rootNode.mu.Lock(); rootNode.srv.Close(); rootNode.mu.Unlock() }()
-	servers := append([]*node{rootNode}, leaves...)
-
-	// The consumer: a raw subscription and a rollup subscription to the
-	// root, each over the simulated network.
-	nw.SetLatency("mon", "root", time.Duration(rng.Int63n(int64(sc.MaxLink+1))))
-	dialOpts := func() []hbnet.ClientOption {
-		return []hbnet.ClientOption{
-			hbnet.WithDialer(nw.Host("mon")),
-			hbnet.WithClientClock(clk),
-			hbnet.WithReconnectBackoff(20*time.Millisecond, 500*time.Millisecond),
-		}
-	}
-	tracker := &lockedTracker{tr: simcheck.NewTracker("relay consumer", 0)}
-	var (
-		consumerMu  sync.Mutex
-		consumerErr error
-		// reconnects/wireMissed accumulate the counters of every retired
-		// raw client; curClient is the live one, so readers (the resume
-		// forwarder, the verdict) always see the whole history as
-		// retired + live.
-		reconnects   int
-		wireMissed   uint64
-		curClient    *hbnet.Client
-		resumed      bool
-		rollups      simcheck.RollupAccount
-		rollupMu     sync.Mutex
-		resumeSignal = make(chan struct{}, 4)
-		stallSignal  = make(chan time.Duration, 1)
-	)
-	setErr := func(err error) {
-		consumerMu.Lock()
-		if consumerErr == nil {
-			consumerErr = err
-		}
-		consumerMu.Unlock()
-	}
-	// consumerWire reads the accumulated wire-level accounting, live
-	// client included.
-	consumerWire := func() (rec int, missed uint64) {
-		consumerMu.Lock()
-		defer consumerMu.Unlock()
-		return reconnects + curClient.Reconnects(), wireMissed + curClient.Missed()
-	}
-
-	raw, err := hbnet.Dial("root", "merged", dialOpts()...)
-	if err != nil {
-		return Stats{}, err
-	}
-	curClient = raw
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		client := raw
-		defer func() { client.Close() }()
-		for ctx.Err() == nil {
-			select {
-			case d := <-stallSignal:
-				// The slow-consumer fault: stop draining for d of virtual
-				// time. The link's write limit fills, the server's write
-				// blocks, and its virtual-clock write timeout disconnects
-				// this subscriber — the reconnect below resumes it.
-				sleepUntilVirtual(ctx, clk, clk.Now().Add(d))
-			default:
-			}
-			b, err := client.Next(ctx)
-			if err == nil {
-				if aerr := tracker.absorb(b); aerr != nil {
-					setErr(aerr)
-					return
-				}
-				continue
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			if errors.Is(err, io.EOF) {
-				// The consumer closed its own client for a cursor-resume:
-				// redial from the delivered cursor. Anything else ending
-				// the stream is a scenario failure.
-				consumerMu.Lock()
-				wasResume := resumed
-				reconnects += client.Reconnects()
-				wireMissed += client.Missed()
-				consumerMu.Unlock()
-				if !wasResume {
-					setErr(fmt.Errorf("raw subscription ended unexpectedly"))
-					return
-				}
-				cursor := client.Cursor()
-				client.Close()
-				for ctx.Err() == nil {
-					nc, derr := hbnet.DialFrom("root", "merged", cursor, dialOpts()...)
-					if derr == nil {
-						consumerMu.Lock()
-						client, curClient = nc, nc
-						consumerMu.Unlock()
-						break
+	// Retention is ample so the only Missed in the system comes from
+	// producer-file laps. The servers run their deadline arithmetic on the
+	// virtual clock (simnet conns evaluate deadlines on the same clock), so
+	// the write timeout is a simulation event the slow-consumer fault can
+	// trip. Every link latency is drawn, even when MaxLink is 0.
+	link := func() time.Duration { return time.Duration(rng.Int63n(int64(sc.MaxLink + 1))) }
+	tree, err := newRelayTree(ctx, clk, nw, treeConfig{
+		name:       "relay",
+		leaves:     sc.Leaves,
+		rollup:     sc.Rollup,
+		retain:     1 << 17,
+		serverOpts: []hbnet.ServerOption{hbnet.WithWriteTimeout(serverWriteTimeout)},
+		link:       link,
+		attach: func(li int, leaf *hbnet.Relay) error {
+			for pi, p := range producers {
+				if pi%sc.Leaves == li {
+					if err := leaf.AddFileUpstream(fmt.Sprintf("app%d", pi), p.path, sc.Poll); err != nil {
+						return err
 					}
-					time.Sleep(500 * time.Microsecond) //hbvet:allow wallclock -- real-time reconnect pacing: the consumer lives outside the virtual clock
 				}
-				continue
 			}
-			setErr(fmt.Errorf("raw subscription: %w", err))
-			return
-		}
-	}()
-	wg.Add(1)
-	go func() { // forward resume requests by closing the live client
-		defer wg.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-resumeSignal:
-				consumerMu.Lock()
-				resumed = true
-				c := curClient
-				consumerMu.Unlock()
-				c.Close()
-			}
-		}
-	}()
-
-	rollupC, err := hbnet.DialRollup("root", "rollup", dialOpts()...)
+			return nil
+		},
+		rollupFeed: "rollup",
+	})
 	if err != nil {
 		return Stats{}, err
 	}
-	defer rollupC.Close()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ctx.Err() == nil {
-			rb, err := rollupC.NextRollups(ctx)
-			if err != nil {
-				if ctx.Err() == nil && !errors.Is(err, io.EOF) {
-					setErr(fmt.Errorf("rollup subscription: %w", err))
-				}
-				return
-			}
-			rollupMu.Lock()
-			rollups.AbsorbRollups(rb.Rollups, rb.Missed)
-			rollupMu.Unlock()
-		}
-	}()
+	defer tree.close()
+	if err := tree.start(); err != nil {
+		return Stats{}, err
+	}
+	leaves := tree.leaves
+	servers := append([]*treeNode{tree.root}, leaves...)
 
 	// The balancer under test: a live routing table driven by each LEAF's
 	// own rollup feed (the root's rollups are per-leaf aggregates; only
@@ -1074,11 +856,9 @@ func (sc Scenario) runRelayTree(dir string) (Stats, error) {
 			}
 		}))
 	for _, leaf := range leaves {
-		nw.SetLatency("mon", leaf.addr, time.Duration(rng.Int63n(int64(sc.MaxLink+1))))
-		feed := hbnet.DialRollupFeed(leaf.addr, "rollup", dialOpts()...)
-		wg.Add(1)
+		nw.SetLatency("mon", leaf.addr, link())
+		feed := hbnet.DialRollupFeed(leaf.addr, "rollup", tree.clientOpts("mon")...)
 		go func(feed hbnet.RollupFeed) {
-			defer wg.Done()
 			// The client under the feed reconnects by cursor on its own;
 			// this loop only survives a torn-down open (a leaf listener
 			// outage racing the initial dial), resuming from the last
@@ -1120,7 +900,7 @@ schedule:
 		switch ev.Kind {
 		case EvResume:
 			stats.Resumed = true
-			resumeSignal <- struct{}{}
+			tree.resume()
 		case EvLinkBlip:
 			a, b := linkName(ev.Link)
 			nw.CutLink(a, b)
@@ -1139,13 +919,11 @@ schedule:
 			if n.dead {
 				continue // decommissioned by an earlier EvLeafDie: nothing to crash
 			}
-			n.mu.Lock()
 			n.srv.Close()
-			n.mu.Unlock()
 			if !sleepUntilVirtual(ctx, clk, clk.Now().Add(ev.Arg)) {
 				break schedule
 			}
-			if err := newServerOn(n); err != nil {
+			if err := tree.serve(n); err != nil {
 				return stats, fmt.Errorf("restore server %s: %w", n.addr, err)
 			}
 		case EvListenerOutage:
@@ -1156,7 +934,7 @@ schedule:
 			nw.SetListenerDown(n.addr, true)
 			// Blip the links into the downed listener so clients must
 			// redial into the outage and back off until it lifts.
-			if n == rootNode {
+			if n == tree.root {
 				nw.CutLink("mon", "root")
 			} else {
 				nw.CutLink("root", n.addr)
@@ -1171,7 +949,7 @@ schedule:
 			// when the window ends; the resumed consumer drains whatever
 			// is pending, notices the disconnect, and reconnects.
 			nw.SetWriteLimit("mon", "root", 512)
-			stallSignal <- ev.Arg
+			tree.stalls <- ev.Arg
 			if !sleepUntilVirtual(ctx, clk, clk.Now().Add(ev.Arg)) {
 				break schedule
 			}
@@ -1189,123 +967,53 @@ schedule:
 				}
 				stats.Handoffs++
 			}
-			// With its upstreams detached the dying head is frozen; wait (in
-			// real time, while virtual time races on) until the root's client
-			// has drained every record the leaf ever sequenced, so removal
-			// loses nothing. The root↔leaf link may be mid-blip or mid-drop
-			// here — the client's own reconnect covers that.
+			// With its upstreams detached the dying head is frozen; wait
+			// until the root's client has drained every record the leaf ever
+			// sequenced, so removal loses nothing. The root↔leaf link may be
+			// mid-blip or mid-drop here — the client's own reconnect covers
+			// that.
 			dyingHead := dying.relay.MergedHead()
-			handoffDeadline := time.Now().Add(settleDeadline) //hbvet:allow wallclock -- real-time bound on the harness's own drain wait, not on simulated components
-			for rootUpstreams[li].Cursor() < dyingHead {
-				if time.Now().After(handoffDeadline) { //hbvet:allow wallclock -- checks the harness real-time drain deadline set above
-					return stats, fmt.Errorf("leaf-die: root drained %d of %d from %s before deadline",
-						rootUpstreams[li].Cursor(), dyingHead, dying.addr)
-				}
-				time.Sleep(500 * time.Microsecond) //hbvet:allow wallclock -- real-time poll cadence while virtual time races
+			up := tree.rootUpstreams[li]
+			if err := waitReal(settleDeadline, 1, func() bool { return up.Cursor() >= dyingHead }, func() error {
+				return fmt.Errorf("leaf-die: root drained %d of %d from %s before deadline", up.Cursor(), dyingHead, dying.addr)
+			}); err != nil {
+				return stats, err
 			}
-			if _, err := root.RemoveUpstream(fmt.Sprintf("leaf%d", li)); err != nil {
+			if _, err := tree.root.relay.RemoveUpstream(fmt.Sprintf("leaf%d", li)); err != nil {
 				return stats, fmt.Errorf("leaf-die: remove root upstream: %w", err)
 			}
-			leafCancels[li]()
-			dying.mu.Lock()
+			dying.cancel()
 			dying.srv.Close()
-			dying.mu.Unlock()
 			dying.relay.Close()
 			dying.dead = true
 		}
 	}
 	sleepUntilVirtual(ctx, clk, start.Add(sc.Duration))
 
-	// Settle: pause producers, then wait until the pipeline drains and
-	// every hop agrees — consumer == root head == Σ leaf heads, rollups
-	// conserve — and the totals are stable while virtual time races on.
+	// Settle: pause producers, then wait until the pipeline drains, every
+	// hop agrees and — in a node-drain scenario — the balancer has
+	// completed its arc: its rollup subscriptions ride the same faulted
+	// network, so the drained app's reclaim can trail the record pipeline.
 	for _, p := range producers {
 		p.mu.Lock()
 		p.paused = true
 		p.mu.Unlock()
 	}
-	deadline := time.Now().Add(settleDeadline) //hbvet:allow wallclock -- settle deadline is a real-time bound on the harness itself, not on simulated components
-	var lastTotal uint64
-	stable := 0
-	for {
-		consumerMu.Lock()
-		errNow := consumerErr
-		consumerMu.Unlock()
-		if errNow != nil {
-			break
-		}
-		var consumerTotal uint64
-		tracker.with(func(t *simcheck.Tracker) { consumerTotal = t.Delivered() + t.Missed() })
-		rootHead := root.MergedHead()
-		var leafSum uint64
-		for _, leaf := range leaves {
-			leafSum += leaf.relay.MergedHead()
-		}
-		rollupMu.Lock()
-		rollupTotal := rollups.Records + rollups.Missed
-		rollupMu.Unlock()
-		// A node-drain scenario must also have completed its arc: the
-		// balancer's rollup subscriptions ride the same faulted network,
-		// so the drained app's reclaim can trail the record pipeline.
+	if err := tree.settle(func(uint64) (bool, string) {
 		balMu.Lock()
-		balSettled := drainApp == "" || balErr != nil || (drains > 0 && reclaims > 0)
-		balMu.Unlock()
-		if consumerTotal == rootHead && rootHead == leafSum && rollupTotal == rootHead && consumerTotal > 0 && balSettled {
-			if consumerTotal == lastTotal {
-				stable++
-				if stable >= 5 {
-					break
-				}
-			} else {
-				stable = 0
-			}
-			lastTotal = consumerTotal
-		} else {
-			stable = 0
-		}
-		if time.Now().After(deadline) { //hbvet:allow wallclock -- checks the harness real-time settle deadline set above
-			return stats, fmt.Errorf("relay settle timed out: consumer=%d rootHead=%d leafSum=%d rollupTotal=%d",
-				consumerTotal, rootHead, leafSum, rollupTotal)
-		}
-		time.Sleep(2 * time.Millisecond) //hbvet:allow wallclock -- real-time sampling cadence while virtual time races between samples
+		defer balMu.Unlock()
+		return drainApp == "" || balErr != nil || (drains > 0 && reclaims > 0),
+			fmt.Sprintf(" drains=%d reclaims=%d", drains, reclaims)
+	}); err != nil {
+		return stats, err
 	}
 
 	// Verdict.
-	consumerMu.Lock()
-	errNow := consumerErr
-	consumerMu.Unlock()
-	if errNow != nil {
-		return stats, errNow
-	}
 	stats.SimSeconds = clk.Now().Sub(start).Seconds()
-	var verdict error
-	tracker.with(func(t *simcheck.Tracker) {
-		stats.Delivered = t.Delivered()
-		stats.Missed = t.Missed()
-		stats.Lives = len(t.Lives())
-		if e := t.Err(); e != nil {
-			verdict = e
-			return
-		}
-		// Relay histories survive every injected fault, so the consumer
-		// must observe exactly one hop-local sequence space.
-		if e := t.CheckLives(1); e != nil {
-			verdict = e
-			return
-		}
-		if e := t.CheckConserved(root.MergedHead()); e != nil {
-			verdict = e
-			return
-		}
-	})
-	if verdict != nil {
-		return stats, verdict
-	}
-	rollupMu.Lock()
-	verdict = rollups.CheckConserved("rollups", root.MergedHead())
-	rollupMu.Unlock()
-	if verdict != nil {
-		return stats, verdict
+	tally, err := tree.verdict()
+	stats.Delivered, stats.Missed, stats.Lives, stats.Shed = tally.delivered, tally.missed, tally.lives, tally.shed
+	if err != nil {
+		return stats, err
 	}
 	// Balancer verdict: every swap stayed inside the remap bound, and a
 	// scheduled node-drain completed its whole arc.
@@ -1327,21 +1035,14 @@ schedule:
 	for _, p := range producers {
 		stats.Restarts += p.lives() - 1
 	}
-	for _, c := range rootUpstreams {
+	for _, c := range tree.rootUpstreams {
 		stats.Reconnects += c.Reconnects()
-	}
-	stats.Shed = root.Shed()
-	for _, leaf := range leaves {
-		stats.Shed += leaf.relay.Shed()
-	}
-	if err := simcheck.CheckShed("relay tree", stats.Shed, stats.Missed); err != nil {
-		return stats, err
 	}
 	// Wire-accounting parity: the client's own Missed tally (across every
 	// retired client plus the live one) must agree with what the tracker
 	// summed out of the delivered batches — the two independent ledgers of
 	// the same loss.
-	conRec, conMissed := consumerWire()
+	conRec, conMissed := tree.consumerWire()
 	stats.Reconnects += conRec
 	if conMissed != stats.Missed {
 		return stats, fmt.Errorf("wire accounting disagrees with tracker: client missed %d, tracker missed %d",
@@ -1393,6 +1094,33 @@ func sleepUntilVirtual(ctx context.Context, clk *clock.Virtual, t time.Time) boo
 		}
 		if !clock.SleepCtx(ctx, clk, d) {
 			return false
+		}
+	}
+}
+
+// waitCadence is how often waitReal samples its condition.
+const waitCadence = 2 * time.Millisecond
+
+// waitReal is the harness's one real-time wait. It samples cond every
+// waitCadence of real time — virtual time races on between samples — and
+// returns nil once cond has held on `samples` consecutive samples. If bound
+// passes first, it returns timeout(), which carries the caller's state.
+func waitReal(bound time.Duration, samples int, cond func() bool, timeout func() error) error {
+	expired := time.NewTimer(bound) //hbvet:allow wallclock -- a real-time bound on the harness itself, not on simulated components
+	defer expired.Stop()
+	for held := 0; ; {
+		if cond() {
+			held++
+		} else {
+			held = 0
+		}
+		if held >= samples {
+			return nil
+		}
+		select {
+		case <-expired.C:
+			return timeout()
+		case <-time.After(waitCadence): //hbvet:allow wallclock -- real-time sampling cadence while virtual time races between samples
 		}
 	}
 }
