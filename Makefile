@@ -75,10 +75,12 @@ net-loopback:
 # the simcheck delivery contract. The test2json capture goes to a
 # temporary file, from which the summary line and any failing scenario's
 # seed (replay with SIMNET_SEED=<seed>) are echoed. One rotating seed rides
-# along with the fixed ones, widening coverage over time.
+# along with the fixed ones, widening coverage over time. -count=1, here
+# and in scale-matrix, keeps a rerun from printing a cached summary as if
+# it were fresh.
 sim-matrix:
 	@out=$$(mktemp); \
-		$(GO) test -race -run 'TestScenarioMatrix' -v -json ./internal/simnet > $$out; \
+		$(GO) test -count=1 -race -run 'TestScenarioMatrix' -v -json ./internal/simnet > $$out; \
 		status=$$?; \
 		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' $$out \
 			| awk '{printf "%s", $$0}' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' \
@@ -95,7 +97,7 @@ sim-matrix:
 # prints SCALE_SEED=<seed> for exact replay.
 scale-matrix:
 	@out=$$(mktemp); \
-		$(GO) test -run 'TestScale' $(if $(SCALE_FULL),,-short) -timeout 30m \
+		$(GO) test -count=1 -run 'TestScale' $(if $(SCALE_FULL),,-short) -timeout 30m \
 			-v -json ./internal/simnet > $$out; \
 		status=$$?; \
 		sed -n 's/^{.*"Output":"\(.*\)"}$$/\1/p' $$out \
@@ -142,7 +144,9 @@ failover-scenario:
 # written by another process (hostile headers, a reserved head ahead of the
 # cursor) and the segment encoder's round trip through a wrapping batch.
 # The hbshm pass maps arbitrary bytes as a shared-memory region another
-# process wrote.
+# process wrote. The balance pass holds the table's incremental swaps to a
+# full re-election of the same (node, weight) set, bucket for bucket, and
+# each swap's accounting to a name-by-name recount.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRollup$$' -fuzztime 3s ./hbnet
@@ -150,6 +154,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbshm
+	$(GO) test -run '^$$' -fuzz 'FuzzTableMatchesRebuild$$' -fuzztime 3s ./balance
 
 # Documentation verification: vet, every godoc Example compiled and run,
 # and the README/ARCHITECTURE code blocks checked against the sources they

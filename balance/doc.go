@@ -9,11 +9,14 @@
 //   - Table is a lock-free consistent-hashing selector: a copy-on-write
 //     bucket table swapped by atomic pointer. The per-request Pick path
 //     is one atomic load, one hash, one slice index — zero locks, zero
-//     allocations. Membership and weight changes rebuild the table
-//     off to the side (weighted rendezvous over a fixed bucket space, so
-//     a change to one node's weight moves only buckets that node gains
-//     or loses) and swap it in atomically; every swap reports exactly
-//     how many buckets moved.
+//     allocations. Membership and weight changes update a copy of the
+//     table off to the side and swap it in atomically. Weighted
+//     rendezvous over a fixed bucket space means a change to one node's
+//     weight moves only buckets that node gains or loses, so only those
+//     are revisited: a rise compares the node's new score with each
+//     bucket's owner, a fall re-elects just the buckets it owned. A swap
+//     costs O(buckets + owned × nodes), the table holds O(nodes +
+//     buckets), and every swap reports exactly how many buckets moved.
 //
 //   - Policy turns a node's observed heartbeat windows (observer.Rollup)
 //     and classifier judgments (observer.Status) into a weight in [0,1],

@@ -2,14 +2,16 @@ package balance
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // defaultBuckets is the bucket-table size used by New unless WithBuckets
 // overrides it. 1024 buckets keep the remap granularity under 0.1% per
-// bucket while a full rebuild stays a few thousand float multiplies.
+// bucket. A swap's cost grows with it: a rise draws twice per bucket, a
+// fall draws once per node for each bucket the changed node owned (see
+// Set).
 const defaultBuckets = 1024
 
 // Option configures a Table.
@@ -36,9 +38,10 @@ func WithBuckets(n int) Option {
 // owned by one node, assigned by weighted rendezvous hashing. Readers call
 // Pick, which is one atomic pointer load plus a hash — no locks, no
 // allocations, safe from any number of goroutines. Writers (Set, Remove)
-// serialize among themselves, rebuild the assignment copy-on-write, and
-// publish it with a single atomic swap; a Pick racing a swap sees either
-// the old table or the new one, never a mix.
+// serialize among themselves, update a copy of the assignment in only the
+// buckets the change can move, and publish it with a single atomic swap; a
+// Pick racing a swap sees either the old table or the new one, never a
+// mix.
 //
 // Weighted rendezvous gives two properties the balancer leans on:
 //
@@ -53,16 +56,15 @@ type Table struct {
 
 	state atomic.Pointer[tableState]
 
-	// mu serializes writers; the cached per-node score arrays are only
-	// touched under it.
-	mu     sync.Mutex
-	scores map[string][]float64
+	// mu serializes writers.
+	mu sync.Mutex
 }
 
 // tableState is one immutable published assignment.
 type tableState struct {
 	nodes   []string  // sorted
 	weights []float64 // parallel to nodes
+	hashes  []uint64  // parallel to nodes: hashString(node), the seed of its draws
 	assign  []int32   // bucket -> index into nodes; -1 when no node has weight
 }
 
@@ -92,7 +94,7 @@ func (s Swap) Frac() float64 {
 
 // New returns an empty table. Pick on an empty table reports no node.
 func New(opts ...Option) *Table {
-	t := &Table{nbuckets: defaultBuckets, scores: make(map[string][]float64)}
+	t := &Table{nbuckets: defaultBuckets}
 	for _, o := range opts {
 		o(t)
 	}
@@ -132,7 +134,13 @@ func (t *Table) PickString(key string) (node string, ok bool) {
 
 // Set gives node the given weight (clamped to [0,1]; a new node is added,
 // weight 0 keeps it as a member owning nothing — a drain) and publishes
-// the rebuilt table. The returned Swap reports what moved.
+// the updated table. The returned Swap reports what moved.
+//
+// Only the changed node's score moves, so only it can gain or lose
+// buckets: a rise compares its new score with each bucket's owner, and a
+// fall re-elects just the buckets it owned, over every weighted node. A
+// swap therefore costs O(buckets + owned × nodes), not O(nodes × buckets),
+// and publishes exactly the assignment a full election would.
 func (t *Table) Set(node string, weight float64) Swap {
 	if weight < 0 || math.IsNaN(weight) {
 		weight = 0
@@ -143,13 +151,36 @@ func (t *Table) Set(node string, weight float64) Swap {
 	defer t.mu.Unlock()
 
 	old := t.state.Load()
-	nodes, weights, oldW := withWeight(old, node, weight)
-	return t.publish(old, nodes, weights, node, oldW, weight)
+	i, found := slices.BinarySearch(old.nodes, node)
+	next := &tableState{nodes: old.nodes, hashes: old.hashes, assign: slices.Clone(old.assign)}
+	oldW := 0.0
+	if found {
+		oldW = old.weights[i]
+		next.weights = slices.Clone(old.weights)
+		next.weights[i] = weight
+	} else {
+		next.nodes = slices.Concat(old.nodes[:i], []string{node}, old.nodes[i:])
+		next.weights = slices.Concat(old.weights[:i], []float64{weight}, old.weights[i:])
+		next.hashes = slices.Concat(old.hashes[:i], []uint64{hashString(node)}, old.hashes[i:])
+		for b, o := range next.assign {
+			if o >= int32(i) {
+				next.assign[b] = o + 1
+			}
+		}
+	}
+	remapped := 0
+	switch {
+	case weight > oldW:
+		remapped = next.raise(int32(i))
+	case weight < oldW:
+		remapped = next.reelect(int32(i))
+	}
+	return t.publish(old, next, node, oldW, weight, remapped)
 }
 
-// Remove drops node from the table entirely and publishes the rebuilt
+// Remove drops node from the table entirely and publishes the updated
 // assignment. Equivalent to Set(node, 0) for routing purposes; Remove
-// additionally forgets the node and frees its cached scores.
+// additionally forgets the node.
 //
 //hbvet:api -- user need: decommission a node (membership, not health); Updater.Forget calls it
 func (t *Table) Remove(node string) Swap {
@@ -157,58 +188,93 @@ func (t *Table) Remove(node string) Swap {
 	defer t.mu.Unlock()
 
 	old := t.state.Load()
-	oldW := 0.0
-	nodes := make([]string, 0, len(old.nodes))
-	weights := make([]float64, 0, len(old.nodes))
-	for i, n := range old.nodes {
-		if n == node {
-			oldW = old.weights[i]
+	i, found := slices.BinarySearch(old.nodes, node)
+	if !found {
+		return t.publish(old, old, node, 0, 0, 0)
+	}
+	next := &tableState{
+		nodes:   slices.Concat(old.nodes[:i], old.nodes[i+1:]),
+		weights: slices.Concat(old.weights[:i], old.weights[i+1:]),
+		hashes:  slices.Concat(old.hashes[:i], old.hashes[i+1:]),
+		assign:  slices.Clone(old.assign),
+	}
+	// The removed node's buckets become orphans, owned by no index, so
+	// that every one of them counts as moved when re-elected.
+	const orphan = -2
+	for b, o := range next.assign {
+		switch {
+		case o == int32(i):
+			next.assign[b] = orphan
+		case o > int32(i):
+			next.assign[b] = o - 1
+		}
+	}
+	return t.publish(old, next, node, old.weights[i], 0, next.reelect(orphan))
+}
+
+// raise hands node i, whose weight just rose, every bucket where its new
+// score beats the owner's, breaking a tie toward the lower node index as
+// elect does. No other bucket can move: every other node's score is
+// unchanged. It returns how many buckets changed owner.
+func (s *tableState) raise(i int32) (moved int) {
+	w, h := s.weights[i], s.hashes[i]
+	for b, o := range s.assign {
+		if o == i {
 			continue
 		}
-		nodes = append(nodes, n)
-		weights = append(weights, old.weights[i])
-	}
-	delete(t.scores, node)
-	return t.publish(old, nodes, weights, node, oldW, 0)
-}
-
-// withWeight returns old's membership with node set to weight, inserting
-// it in sorted position when new. oldW is the node's previous weight.
-func withWeight(old *tableState, node string, weight float64) (nodes []string, weights []float64, oldW float64) {
-	i := sort.SearchStrings(old.nodes, node)
-	if i < len(old.nodes) && old.nodes[i] == node {
-		oldW = old.weights[i]
-		nodes = append([]string(nil), old.nodes...)
-		weights = append([]float64(nil), old.weights...)
-		weights[i] = weight
-		return nodes, weights, oldW
-	}
-	nodes = make([]string, 0, len(old.nodes)+1)
-	weights = make([]float64, 0, len(old.nodes)+1)
-	nodes = append(append(nodes, old.nodes[:i]...), node)
-	nodes = append(nodes, old.nodes[i:]...)
-	weights = append(append(weights, old.weights[:i]...), weight)
-	weights = append(weights, old.weights[i:]...)
-	return nodes, weights, 0
-}
-
-// publish rebuilds the assignment for the new membership, swaps it in,
-// and accounts the change against the previous state. Callers hold t.mu.
-func (t *Table) publish(old *tableState, nodes []string, weights []float64, node string, oldW, newW float64) Swap {
-	next := &tableState{nodes: nodes, weights: weights, assign: t.rebuild(nodes, weights)}
-	remapped := 0
-	for b := range next.assign {
-		if ownerName(old, old.assign[b]) != ownerName(next, next.assign[b]) {
-			remapped++
+		best := 0.0
+		if o >= 0 {
+			best = s.weights[o] * draw(s.hashes[o], b)
+		}
+		if sc := w * draw(h, b); sc > best || sc == best && i < o {
+			s.assign[b] = i
+			moved++
 		}
 	}
+	return moved
+}
+
+// reelect re-runs the election of every bucket owned by from — a node
+// whose weight just fell, or orphan — and returns how many changed owner.
+func (s *tableState) reelect(from int32) (moved int) {
+	for b, o := range s.assign {
+		if o != from {
+			continue
+		}
+		if w := s.elect(b); w != from {
+			s.assign[b] = w
+			moved++
+		}
+	}
+	return moved
+}
+
+// elect returns the owner of bucket b under weighted rendezvous hashing:
+// the node maximizing weight × draw, the lower index on a tie, or -1 when
+// no node has weight.
+func (s *tableState) elect(b int) int32 {
+	owner, best := int32(-1), 0.0
+	for i, w := range s.weights {
+		if w <= 0 {
+			continue
+		}
+		if sc := w * draw(s.hashes[i], b); sc > best {
+			owner, best = int32(i), sc
+		}
+	}
+	return owner
+}
+
+// publish swaps next in and accounts the change against old. Callers hold
+// t.mu.
+func (t *Table) publish(old, next *tableState, node string, oldW, newW float64, remapped int) Swap {
 	t.state.Store(next)
 
 	var tb, ta float64
 	for _, w := range old.weights {
 		tb += w
 	}
-	for _, w := range weights {
+	for _, w := range next.weights {
 		ta += w
 	}
 	share := 0.0
@@ -218,55 +284,17 @@ func (t *Table) publish(old *tableState, nodes []string, weights []float64, node
 	return Swap{Node: node, Old: oldW, New: newW, Remapped: remapped, Buckets: t.nbuckets, Share: share}
 }
 
-func ownerName(s *tableState, i int32) string {
-	if i < 0 {
-		return ""
-	}
-	return s.nodes[i]
-}
-
-// rebuild computes the weighted-rendezvous assignment: bucket b belongs to
-// the node maximizing weight × g(node, b), where g is a deterministic
-// per-(node, bucket) draw from an exponential-like distribution
-// (-1/ln(u), u uniform in (0,1)). Scores of unchanged nodes never change,
-// which is what makes disruption minimal and reclaim exact. Callers hold
-// t.mu (the score cache).
-func (t *Table) rebuild(nodes []string, weights []float64) []int32 {
-	assign := emptyAssign(t.nbuckets)
-	best := make([]float64, t.nbuckets)
-	for i, n := range nodes {
-		w := weights[i]
-		if w <= 0 {
-			continue
-		}
-		g := t.gscores(n)
-		for b := 0; b < t.nbuckets; b++ {
-			if s := w * g[b]; s > best[b] {
-				best[b] = s
-				assign[b] = int32(i)
-			}
-		}
-	}
-	return assign
-}
-
-// gscores returns node's cached per-bucket rendezvous draws, computing
-// them once per node name. Deterministic: recomputing after eviction (or
-// in a different process) yields the same draws.
-func (t *Table) gscores(node string) []float64 {
-	if g, ok := t.scores[node]; ok {
-		return g
-	}
-	g := make([]float64, t.nbuckets)
-	h := hashString(node)
-	for b := range g {
-		v := splitmix64(h + uint64(b+1)*0x9E3779B97F4A7C15)
-		// u strictly inside (0,1): 53 mantissa bits, offset by half an ulp.
-		u := (float64(v>>11) + 0.5) * (1.0 / (1 << 53))
-		g[b] = -1 / math.Log(u)
-	}
-	t.scores[node] = g
-	return g
+// draw is the rendezvous draw of the node whose name hashes to h for
+// bucket b: -1/ln(u), an exponential-like variate of a u uniform in (0,1)
+// derived from h and b alone. Draws of unchanged nodes never change, which
+// is what makes disruption minimal and reclaim exact; and being a pure
+// function of the name, a draw is recomputed on demand (in any process)
+// rather than cached.
+func draw(h uint64, b int) float64 {
+	v := splitmix64(h + uint64(b+1)*0x9E3779B97F4A7C15)
+	// u strictly inside (0,1): 53 mantissa bits, offset by half an ulp.
+	u := (float64(v>>11) + 0.5) * (1.0 / (1 << 53))
+	return -1 / math.Log(u)
 }
 
 // Weights returns a copy of the current node → weight map.

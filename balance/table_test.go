@@ -1,8 +1,12 @@
 package balance
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,6 +187,27 @@ func TestPickZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkTableSet is the component row behind hbbench's
+// balance.swap_ns_p50: the same swap sequence (each node in turn to half
+// weight, then each back to full) over tables of 16, 256 and 2048 nodes.
+func BenchmarkTableSet(b *testing.B) {
+	for _, n := range []int{16, 256, 2048} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			tb := New()
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("node%d", i)
+				tb.Set(names[i], 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tb.Set(names[i%n], 0.5+0.5*float64((i/n)%2))
+			}
+		})
+	}
+}
+
 func TestPickStringStable(t *testing.T) {
 	tb := eightNodes(t)
 	n1, _ := tb.PickString("session-abcdef")
@@ -265,5 +290,209 @@ func TestConcurrentPickDuringSwaps(t *testing.T) {
 	case n := <-errs:
 		t.Fatalf("Pick returned %q, never a member", n)
 	default:
+	}
+}
+
+// oracle is the full weighted-rendezvous election, kept apart from Table's
+// incremental updates: bucket b belongs to the node maximizing
+// weight × g(node, b), the first (lowest index) on a tie, with each node's
+// draws computed once into its own per-bucket array. The fuzz target holds
+// every incremental swap to it bit for bit.
+type oracle struct {
+	nbuckets int
+	scores   map[string][]float64
+}
+
+func (o *oracle) rebuild(nodes []string, weights []float64) []int32 {
+	assign := emptyAssign(o.nbuckets)
+	best := make([]float64, o.nbuckets)
+	for i, n := range nodes {
+		w := weights[i]
+		if w <= 0 {
+			continue
+		}
+		g := o.gscores(n)
+		for b := 0; b < o.nbuckets; b++ {
+			if s := w * g[b]; s > best[b] {
+				best[b] = s
+				assign[b] = int32(i)
+			}
+		}
+	}
+	return assign
+}
+
+func (o *oracle) gscores(node string) []float64 {
+	if g, ok := o.scores[node]; ok {
+		return g
+	}
+	g := make([]float64, o.nbuckets)
+	h := hashString(node)
+	for b := range g {
+		v := splitmix64(h + uint64(b+1)*0x9E3779B97F4A7C15)
+		u := (float64(v>>11) + 0.5) * (1.0 / (1 << 53))
+		g[b] = -1 / math.Log(u)
+	}
+	o.scores[node] = g
+	return g
+}
+
+// recount accounts a swap from the two published states alone: every
+// bucket compared by owner name, and Share from the total weight before
+// and after.
+func recount(old, next *tableState, oldW, newW float64) (remapped int, share float64) {
+	for b := range next.assign {
+		if ownerName(old, old.assign[b]) != ownerName(next, next.assign[b]) {
+			remapped++
+		}
+	}
+	var tb, ta float64
+	for _, w := range old.weights {
+		tb += w
+	}
+	for _, w := range next.weights {
+		ta += w
+	}
+	if m := math.Max(tb, ta); m > 0 {
+		share = math.Abs(newW-oldW) / m
+	}
+	return remapped, share
+}
+
+func ownerName(s *tableState, i int32) string {
+	if i < 0 {
+		return ""
+	}
+	return s.nodes[i]
+}
+
+// FuzzTableMatchesRebuild decodes bytes into Set and Remove operations
+// over at most 64 node names and checks, after every one, that the
+// published assignment is exactly the oracle's full election of the same
+// (node, weight) set, and that the Swap accounts the change exactly as a
+// name-by-name recount does.
+//
+// Encoding: the first byte picks the bucket count (8, 64 or 1024); then
+// each operation is one byte, node index in the low six bits and Remove
+// when the top two are zero, else Set with a weight chosen by the next
+// byte: 0, 0.25, 0.5, 1, a two-byte fraction of [0,1], or eight raw bytes
+// as a float64 (negative, NaN, above 1 and subnormal weights included).
+// The seed corpus is under testdata/fuzz/FuzzTableMatchesRebuild.
+func FuzzTableMatchesRebuild(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		nbuckets := [...]int{8, 64, 1024}[int(data[0])%3]
+		data = data[1:]
+		tb := New(WithBuckets(nbuckets))
+		or := &oracle{nbuckets: nbuckets, scores: make(map[string][]float64)}
+		model := make(map[string]float64)
+		for op := 0; len(data) > 0; op++ {
+			name := fmt.Sprintf("n%02d", data[0]&63)
+			remove := data[0]>>6 == 0
+			data = data[1:]
+			weight := 0.0
+			if !remove && len(data) > 0 {
+				kind := data[0] % 6
+				data = data[1:]
+				switch {
+				case kind < 4:
+					weight = [...]float64{0, 0.25, 0.5, 1}[kind]
+				case kind == 4 && len(data) >= 2:
+					weight = float64(binary.LittleEndian.Uint16(data)) / math.MaxUint16
+					data = data[2:]
+				case kind == 5 && len(data) >= 8:
+					weight = math.Float64frombits(binary.LittleEndian.Uint64(data))
+					data = data[8:]
+				}
+			}
+
+			old := tb.state.Load()
+			oldW := model[name]
+			var sw Swap
+			if remove {
+				sw = tb.Remove(name)
+				delete(model, name)
+			} else {
+				sw = tb.Set(name, weight)
+				if weight < 0 || math.IsNaN(weight) {
+					weight = 0
+				} else if weight > 1 {
+					weight = 1
+				}
+				model[name] = weight
+			}
+			next := tb.state.Load()
+
+			nodes := make([]string, 0, len(model))
+			for n := range model {
+				nodes = append(nodes, n)
+			}
+			sort.Strings(nodes)
+			weights := make([]float64, len(nodes))
+			for i, n := range nodes {
+				weights[i] = model[n]
+			}
+			if !slices.Equal(next.nodes, nodes) || !slices.Equal(next.weights, weights) {
+				t.Fatalf("op %d (%s %s %v): table holds %v %v, want %v %v",
+					op, map[bool]string{true: "remove", false: "set"}[remove], name, weight,
+					next.nodes, next.weights, nodes, weights)
+			}
+			if want := or.rebuild(nodes, weights); !slices.Equal(next.assign, want) {
+				for b := range want {
+					if next.assign[b] != want[b] {
+						t.Fatalf("op %d (%s %v): bucket %d owned by %q, full election gives %q",
+							op, name, weight, b, ownerName(next, next.assign[b]), ownerName(next, want[b]))
+					}
+				}
+			}
+			remapped, share := recount(old, next, oldW, weight)
+			want := Swap{Node: name, Old: oldW, New: weight, Remapped: remapped, Buckets: nbuckets, Share: share}
+			if remove {
+				want.New = 0
+			}
+			if sw != want {
+				t.Fatalf("op %d: swap %+v, recount gives %+v", op, sw, want)
+			}
+		}
+	})
+}
+
+// TestTiesGoToLowerIndex covers the tie rule no fuzzed name set reaches:
+// two nodes with the same draws and weight score equally in every bucket,
+// and both the incremental raise and a re-election must hand each bucket
+// to the lower index, as the full election does.
+func TestTiesGoToLowerIndex(t *testing.T) {
+	const nb = 64
+	s := &tableState{nodes: []string{"a", "b"}, weights: []float64{0, 1}, hashes: []uint64{7, 7}, assign: emptyAssign(nb)}
+	steps := []struct {
+		what  string
+		step  func() int
+		moved int
+	}{
+		{"b rises alone", func() int { return s.raise(1) }, nb},
+		{"a rises to b's weight", func() int { s.weights[0] = 1; return s.raise(0) }, nb},
+		{"b rises to a tie again", func() int { return s.raise(1) }, 0},
+		{"a falls to a tie", func() int { return s.reelect(0) }, 0},
+		{"b re-elects its tied buckets", func() int {
+			for b := range s.assign {
+				s.assign[b] = 1
+			}
+			return s.reelect(1)
+		}, nb},
+	}
+	for _, st := range steps {
+		if moved := st.step(); moved != st.moved {
+			t.Fatalf("%s: moved %d buckets, want %d", st.what, moved, st.moved)
+		}
+		for b, o := range s.assign {
+			if o != s.elect(b) {
+				t.Fatalf("%s: bucket %d owned by %d, election gives %d", st.what, b, o, s.elect(b))
+			}
+		}
+	}
+	if s.elect(0) != 0 {
+		t.Fatalf("a tie elected %d, want the lower index 0", s.elect(0))
 	}
 }
