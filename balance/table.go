@@ -192,24 +192,20 @@ func (t *Table) Remove(node string) Swap {
 	if !found {
 		return t.publish(old, old, node, 0, 0, 0)
 	}
-	next := &tableState{
-		nodes:   slices.Concat(old.nodes[:i], old.nodes[i+1:]),
-		weights: slices.Concat(old.weights[:i], old.weights[i+1:]),
-		hashes:  slices.Concat(old.hashes[:i], old.hashes[i+1:]),
-		assign:  slices.Clone(old.assign),
-	}
-	// The removed node's buckets become orphans, owned by no index, so
-	// that every one of them counts as moved when re-elected.
-	const orphan = -2
+	// Drain the node first, re-electing its buckets exactly as Set(node, 0)
+	// does; then, owning nothing, it drops out of the index space.
+	next := &tableState{nodes: old.nodes, weights: slices.Clone(old.weights), hashes: old.hashes, assign: slices.Clone(old.assign)}
+	next.weights[i] = 0
+	remapped := next.reelect(int32(i))
+	next.nodes = slices.Concat(old.nodes[:i], old.nodes[i+1:])
+	next.weights = slices.Concat(old.weights[:i], old.weights[i+1:])
+	next.hashes = slices.Concat(old.hashes[:i], old.hashes[i+1:])
 	for b, o := range next.assign {
-		switch {
-		case o == int32(i):
-			next.assign[b] = orphan
-		case o > int32(i):
+		if o > int32(i) {
 			next.assign[b] = o - 1
 		}
 	}
-	return t.publish(old, next, node, old.weights[i], 0, next.reelect(orphan))
+	return t.publish(old, next, node, old.weights[i], 0, remapped)
 }
 
 // raise hands node i, whose weight just rose, every bucket where its new
@@ -234,8 +230,8 @@ func (s *tableState) raise(i int32) (moved int) {
 	return moved
 }
 
-// reelect re-runs the election of every bucket owned by from — a node
-// whose weight just fell, or orphan — and returns how many changed owner.
+// reelect re-runs the election of every bucket owned by from, a node
+// whose weight just fell, and returns how many changed owner.
 func (s *tableState) reelect(from int32) (moved int) {
 	for b, o := range s.assign {
 		if o != from {

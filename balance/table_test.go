@@ -435,15 +435,14 @@ func FuzzTableMatchesRebuild(f *testing.F) {
 				weights[i] = model[n]
 			}
 			if !slices.Equal(next.nodes, nodes) || !slices.Equal(next.weights, weights) {
-				t.Fatalf("op %d (%s %s %v): table holds %v %v, want %v %v",
-					op, map[bool]string{true: "remove", false: "set"}[remove], name, weight,
-					next.nodes, next.weights, nodes, weights)
+				t.Fatalf("op %d (%s, remove=%v): table holds %v %v, want %v %v",
+					op, name, remove, next.nodes, next.weights, nodes, weights)
 			}
 			if want := or.rebuild(nodes, weights); !slices.Equal(next.assign, want) {
 				for b := range want {
 					if next.assign[b] != want[b] {
-						t.Fatalf("op %d (%s %v): bucket %d owned by %q, full election gives %q",
-							op, name, weight, b, ownerName(next, next.assign[b]), ownerName(next, want[b]))
+						t.Fatalf("op %d (%s, remove=%v): bucket %d owned by %q, full election gives %q",
+							op, name, remove, b, ownerName(next, next.assign[b]), ownerName(next, want[b]))
 					}
 				}
 			}
