@@ -17,13 +17,15 @@ vet:
 		echo "vet: gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Project-specific static analysis: tools/hbvet's four analyzers enforce
+# Project-specific static analysis: tools/hbvet's five analyzers enforce
 # the clock seam (no wall-clock reads outside the seam files), the hot-path
 # contract (//hbvet:hotpath functions stay allocation- and lock-free,
-# transitively), clock hygiene (types that store a Clock must use it), and
-# a public surface with users (every export of a non-internal package is
+# transitively), clock hygiene (types that store a Clock must use it), a
+# public surface with users (every export of a non-internal package is
 # used from another package's non-test file, or says why it stays with
-# //hbvet:api -- <reason>). Every finding
+# //hbvet:api -- <reason>), and pure cores (a file marked //hbvet:pure
+# starts no goroutine, touches no channel and imports no sync, context or
+# clock). Every finding
 # fails ci exactly like a broken test. staticcheck rides along when its
 # module is available (generate tools/staticcheck.sum with
 # `go mod tidy -modfile=tools/staticcheck.mod` on a networked machine);
@@ -138,8 +140,12 @@ failover-scenario:
 # from the network, so they must never panic and must decode accepted
 # frames to values that re-encode identically, and the batch decoder's
 # word-at-a-time record loop must accept, reject and decode every body
-# exactly as the plain per-field loop it replaced does. The checked-in
-# corpus under hbnet/testdata/fuzz holds past finds as regressions. The
+# exactly as the plain per-field loop it replaced does. The client-core
+# pass scripts one subscription through the server and client protocol
+# cores — publishes, restarts, cuts mid-frame, corrupted frames, server
+# errors, redials — and holds every delivery to simcheck's exactly-once-
+# or-counted accounting. The checked-in corpus under hbnet/testdata/fuzz
+# holds past finds as regressions. The
 # hbfile passes cover the other bytes an observer does not own: files
 # written by another process (hostile headers, a reserved head ahead of the
 # cursor) and the segment encoder's round trip through a wrapping batch.
@@ -151,6 +157,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRollup$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatchMatchesReference$$' -fuzztime 3s ./hbnet
+	$(GO) test -run '^$$' -fuzz 'FuzzClientCore$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbshm

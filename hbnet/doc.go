@@ -32,6 +32,10 @@
 // producers exist. See ARCHITECTURE.md at the repository root for when to
 // choose each observation topology.
 //
+// Relay, Client and Server are each a shell around a sans-I/O core
+// (relaycore.go, clientcore.go, servercore.go) that makes every protocol
+// decision with no goroutines, channels, locks or clock.
+//
 // The transport is a seam, not a hard-coded socket: Serve accepts any
 // net.Listener, and WithDialer routes a Client's dials (initial and every
 // reconnect) through any Dialer. The deterministic simulation harness

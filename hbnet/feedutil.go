@@ -7,12 +7,9 @@ import (
 )
 
 // Consume opens the feed positioned after emission since and delivers
-// every batch to fn, in order, until ctx ends, the feed ends, or fn
-// returns an error. A clean feed end (io.EOF) returns nil; cancellation
-// returns ctx's error; fn's error is returned as-is. The programmatic
-// counterpart of the subscription loop every rollup consumer was writing
-// by hand — an Updater's Run, hbmon's -balance mode, and the simnet
-// balancer all sit on it.
+// every batch to fn, in order, until ctx ends (its error is returned), the
+// feed ends (nil), or fn returns an error (returned as-is) — the loop an
+// Updater's Run, hbmon's -balance mode and the simnet balancer sit on.
 func (f RollupFeed) Consume(ctx context.Context, since uint64, fn func(RollupBatch) error) error {
 	s, err := f(ctx, since)
 	if err != nil {
@@ -50,10 +47,8 @@ func (s clientRollupStream) Next(ctx context.Context) (RollupBatch, error) {
 func (s clientRollupStream) Close() error { return s.c.Close() }
 
 // DialRollupFeed adapts a remote rollup feed into a RollupFeed: each open
-// dials addr and subscribes to feed after the presented cursor, with the
-// client's usual cursor-resume reconnect underneath. It lets everything
-// written against a local Relay.RollupFeed() — an Updater, a Consume
-// loop — consume a relay across the network unchanged.
+// dials addr and subscribes after the presented cursor, so what is written
+// against a local Relay.RollupFeed() consumes a remote relay unchanged.
 func DialRollupFeed(addr, feed string, opts ...ClientOption) RollupFeed {
 	return func(ctx context.Context, since uint64) (RollupStream, error) {
 		c, err := dial(addr, feed, since, frameRollup, opts)
@@ -65,9 +60,8 @@ func DialRollupFeed(addr, feed string, opts ...ClientOption) RollupFeed {
 	}
 }
 
-// ctxRollupStream tears the dialed client down when the opening context
-// ends, so a cancelled Consume does not leak the connection behind a
-// blocked Next.
+// ctxRollupStream closes the dialed client when the opening context ends,
+// so a cancelled Consume does not leak the connection behind a blocked Next.
 type ctxRollupStream struct {
 	clientRollupStream
 	stop func() bool

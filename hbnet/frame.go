@@ -6,17 +6,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/heartbeat"
 	"repro/observer"
 )
 
-// This file is the encode-once fan-out machinery: at high fan-out every
-// subscriber of a feed used to re-run appendBatch over the same records —
-// N subscribers, N encodes, N scratch buffers of identical bytes. A
-// frameBuf is one encoded, length-prefixed batch frame shared by every
-// subscriber positioned at the same cursor; the replay ring encodes it
-// once (frameSince) and the server writes the identical bytes to each
-// connection.
+// This file is the encode-once fan-out machinery: a frameBuf is one
+// encoded, length-prefixed batch frame shared by every subscriber at the
+// same cursor, so the replay ring encodes it once (frameSince) however
+// many connections the server writes it to.
 
 // frameBuf is a pooled, reference-counted encoded frame. The encoding
 // cache (replayRing) holds one reference and each subscriber writing the
@@ -29,10 +25,9 @@ type frameBuf struct {
 }
 
 // framePool is a bounded free list, not a sync.Pool: the GC empties pools
-// every cycle, and a relay under load cycles GC fast enough that pooled
-// catch-up frames (megabytes each) would be reallocated — and zeroed —
-// over and over. The cap bounds retained storage; a frame released into a
-// full list is simply dropped for the GC.
+// every cycle, and under load pooled catch-up frames (megabytes each)
+// would be reallocated and zeroed over and over. A frame released into a
+// full list is left to the GC.
 var framePool = struct {
 	mu   sync.Mutex
 	free []*frameBuf
@@ -74,46 +69,41 @@ func (fb *frameBuf) release() {
 	}
 }
 
-// frameStream is the zero-copy fast path of a feed's stream: NextFrame
-// returns the next delivery as an encoded, ref-counted batch frame whose
-// bytes are shared with every other subscriber at the same cursor. The
-// caller owns one reference and must release it after writing. It follows
-// Next's blocking and error contract (io.EOF at stream end, ctx errors on
-// cancellation). Streams whose encodes cannot be shared simply don't
-// reach the server's push loop through an encode adapter (feedEntry.open).
+// frameStream is what the server's push loop drives: NextFrame returns the
+// next delivery as an encoded, ref-counted frame (shared with every other
+// subscriber at the same cursor, for the relay's ring) whose reference the
+// caller releases after writing, under Next's blocking and error contract.
 type frameStream interface {
 	NextFrame(ctx context.Context) (*frameBuf, error)
 }
 
-// open opens one subscriber's stream positioned after since and returns it
-// as the frameStream the server's push loop drives, plus the opened stream
-// itself (closed with the connection when it implements io.Closer). A
-// stream that already shares its encodes is used directly; a plain
-// observer.Stream or a RollupStream gets a per-connection encode adapter.
-func (e feedEntry) open(ctx context.Context, since uint64) (frameStream, any, error) {
+// open opens one subscriber's stream at the hello's cursor, as a
+// frameStream plus the stream itself (closed with the connection when it
+// is an io.Closer). A plain observer.Stream or a RollupStream gets a
+// per-connection encode adapter.
+func (e feedEntry) open(ctx context.Context, sc *serverCore) (frameStream, any, error) {
 	if e.rollup != nil {
-		rs, err := e.rollup(ctx, since)
+		rs, err := e.rollup(ctx, sc.cursor)
 		if err != nil {
 			return nil, nil, err
 		}
 		return &rollupFrames{stream: rs, fb: newPrivateFrameBuf()}, rs, nil
 	}
-	st, err := e.raw(ctx, since)
+	st, err := e.raw(ctx, sc.cursor)
 	if err != nil {
 		return nil, nil, err
 	}
 	if fs, ok := st.(frameStream); ok {
 		return fs, st, nil
 	}
-	bf := &batchFrames{stream: st, cursor: since, fb: newPrivateFrameBuf()}
+	bf := &batchFrames{stream: st, core: sc, fb: newPrivateFrameBuf()}
 	bf.rec, _ = st.(BatchRecycler)
 	return bf, st, nil
 }
 
 // newPrivateFrameBuf returns the one buffer an encode adapter reuses for
-// every frame of its connection: the steady-state push is one buffer, one
-// Write, no per-batch allocation. The adapter keeps a reference for life,
-// so the buffer never enters the shared pool.
+// every frame of its connection; it keeps a reference for life, so the
+// buffer never enters the shared pool.
 func newPrivateFrameBuf() *frameBuf {
 	fb := &frameBuf{data: make([]byte, 0, 4096)}
 	fb.refs.Store(1)
@@ -135,53 +125,32 @@ func (fb *frameBuf) seal(framed []byte) (*frameBuf, error) {
 	return fb, nil
 }
 
-// batchFrames encodes a plain observer.Stream for one connection. It owns
-// the wire cursor arithmetic (advanceCursor) and the frame-size split.
+// batchFrames encodes a plain observer.Stream for one connection; the
+// subscriber's core (serverCore) owns its cursor and frame-size split.
 type batchFrames struct {
 	stream observer.Stream
-	// The encode never retains records past appendBatch, so streams that
-	// can reuse their record storage get each batch back as soon as its
-	// last byte is framed — the server side of the same recycling contract
-	// the Relay pump uses on its upstream clients.
-	rec    BatchRecycler
-	cursor uint64
+	rec    BatchRecycler // gets each batch back once its last record is framed
+	core   *serverCore
 	fb     *frameBuf
-	held   observer.Batch     // the batch being framed
-	rest   []heartbeat.Record // its records not yet framed
 }
 
-// NextFrame frames the next delivery. A huge replay (a subscriber dialing
-// from 0 against a very large retained history arrives as ONE batch) must
-// not exceed the frame cap — aborting would make the client redial from
-// the same cursor and rebuild the same batch forever — so a batch over
-// maxRecordsPerFrame goes out one chunk per call; the cursor advances per
-// chunk, so even a disconnect mid-split resumes exactly.
 func (a *batchFrames) NextFrame(ctx context.Context) (*frameBuf, error) {
-	chunk := a.held
-	if len(a.rest) > 0 {
-		chunk.Missed = 0 // lapped records are reported once, with the first chunk
-	} else {
+	if !a.core.splitting() {
 		b, err := a.stream.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
-		a.held, a.rest, chunk = b, b.Records, b
+		a.core.take(b)
 	}
-	chunk.Records = a.rest
-	if len(a.rest) > maxRecordsPerFrame {
-		chunk.Records = a.rest[:maxRecordsPerFrame]
-	}
-	a.rest = a.rest[len(chunk.Records):]
-	a.cursor = advanceCursor(a.cursor, chunk)
-	framed := appendBatch(append(a.fb.data[:0], 0, 0, 0, 0), chunk, a.cursor)
-	if len(a.rest) == 0 && a.rec != nil {
-		a.rec.Recycle(a.held)
+	framed, last := a.core.batchFrame(append(a.fb.data[:0], 0, 0, 0, 0))
+	if last && a.rec != nil {
+		a.rec.Recycle(a.core.held)
 	}
 	return a.fb.seal(framed)
 }
 
-// rollupFrames encodes a RollupStream for one connection: each delivery is
-// one rollup frame (the ring bounds batch sizes, so no splitting is needed).
+// rollupFrames encodes a RollupStream for one connection, one frame per
+// delivery (the ring bounds batch sizes).
 type rollupFrames struct {
 	stream RollupStream
 	fb     *frameBuf

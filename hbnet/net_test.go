@@ -414,47 +414,6 @@ func TestReconnectRejectionIsTerminal(t *testing.T) {
 	}
 }
 
-// Resuming with a cursor from a previous producer life (the application
-// restarted, its seqs regressed) must resynchronize ONCE: the wire cursor
-// follows the stream down into the new seq space, so a later reconnect
-// does not resync again and replay everything already delivered.
-func TestProducerRestartResyncNoDuplicates(t *testing.T) {
-	hb, err := heartbeat.New(10, heartbeat.WithCapacity(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer()
-	srv.PublishHeartbeat("app", hb)
-	p := newProxy(t, startServer(t, srv))
-
-	for i := 0; i < 10; i++ {
-		hb.Beat()
-	}
-	// The consumer's cursor predates this producer's life entirely.
-	c, err := DialFrom(p.addr(), "app", 5000, WithReconnectBackoff(5*time.Millisecond, 50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	recs, _ := collect(t, c, func(r []heartbeat.Record, _ uint64) bool { return len(r) >= 10 })
-	assertDense(t, recs, 0) // resynchronized to the new life's seqs 1..10
-
-	// A blip after the resync: the reconnect must continue from seq 10,
-	// not replay 1..10 (nor stall on the stale 5000).
-	p.cut()
-	for i := 0; i < 5; i++ {
-		hb.Beat()
-	}
-	more, missed := collect(t, c, func(r []heartbeat.Record, _ uint64) bool { return len(r) >= 5 })
-	if missed != 0 {
-		t.Fatalf("missed %d across covered blip", missed)
-	}
-	assertDense(t, more, 10)
-	if last := more[len(more)-1].Seq; last != 15 {
-		t.Fatalf("post-blip stream ends at seq %d, want 15", last)
-	}
-}
-
 // A replay bigger than one frame can carry (a subscriber dialing from 0
 // against a huge retained history) must be split across frames and arrive
 // complete — not abort into a redial livelock at the frame cap.

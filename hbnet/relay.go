@@ -16,15 +16,12 @@ import (
 	"repro/observer"
 )
 
-// This file is the hierarchical fan-in tier: a Relay subscribes to many
-// upstream heartbeat streams (remote hbnet feeds, local files, in-process
-// heartbeats — anything satisfying observer.Stream), merges them into one
-// bounded replay ring with its own dense sequence space, reduces them into
-// per-app rollup windows, and re-exports both as hbnet feeds. Because the
-// merged feed is itself an ordinary feed, relays compose into trees:
-// producers → leaf relays → a root relay → one monitor connection, keeping
-// every node's fan-in (and every subscriber's connection count) bounded
-// while the fleet underneath grows.
+// This file is the shell of the hierarchical fan-in tier (the core is
+// relaycore.go): a Relay subscribes to many upstream streams, merges them
+// into one replay ring with its own dense sequence space, reduces them
+// into per-app rollup windows, and re-exports both as hbnet feeds. The
+// merged feed is an ordinary feed, so relays compose into trees that keep
+// every node's fan-in bounded while the fleet underneath grows.
 
 // RollupBatch is one delivery of a rollup feed: the rollups of one or more
 // emissions, flattened, plus the emission cursor to resume from. Missed
@@ -386,21 +383,16 @@ func (r *Relay) register(set *upstreamSet, up *relayUpstream) error {
 	return nil
 }
 
-// DialUpstream dials a remote feed and registers it as an upstream: how a
-// relay subscribes to a producer's server — or to another relay's merged
-// feed, composing a tree. The relay's clock (WithRelayClock) is passed to
-// the client so its reconnect pacing follows the same time as the rest of
-// the fan-in node; explicit ClientOptions still override it. The returned
-// client is owned by the relay; it is returned for introspection
-// (Reconnects, Missed).
+// DialUpstream dials a remote feed — a producer's server, or another
+// relay's merged feed, composing a tree — and registers it as an upstream.
+// The client runs on the relay's clock unless ClientOptions say otherwise;
+// the relay owns it, and returns it for introspection (Reconnects, Missed).
 func (r *Relay) DialUpstream(app, addr, feed string, opts ...ClientOption) (*Client, error) {
 	return r.dialUpstream(app, addr, feed, 0, frameBatch, opts)
 }
 
-// dialUpstream is the one dial-and-register path behind the Dial*Upstream
-// methods: the relay's clock goes ahead of opts (so explicit options still
-// override it), the client subscribes to a feed of the given kind from
-// since, and a client the relay refuses to register is closed.
+// dialUpstream is the one dial-and-register path: the relay's clock goes
+// ahead of opts, and a client the relay refuses to register is closed.
 func (r *Relay) dialUpstream(name, addr, feed string, since uint64, kind byte, opts []ClientOption) (*Client, error) {
 	if r.clk != nil {
 		opts = append([]ClientOption{WithClientClock(r.clk)}, opts...)
@@ -601,11 +593,9 @@ func (r *Relay) AddRollupUpstream(name string, stream RollupStream) error {
 	return r.register(&r.core.rollup, &relayUpstream{name: name, rstream: stream})
 }
 
-// DialRollupUpstream dials a child relay's published rollup feed and
-// registers it for compaction — how an interior node of a relay tree
-// subscribes to the per-app summaries below it. The relay's clock is
-// propagated like DialUpstream's. The returned client is owned by the
-// relay; it is returned for introspection.
+// DialRollupUpstream dials a child relay's rollup feed and registers it
+// for compaction, as DialUpstream registers a raw one: how an interior node
+// of a relay tree subscribes to the per-app summaries below it.
 func (r *Relay) DialRollupUpstream(name, addr, feed string, opts ...ClientOption) (*Client, error) {
 	return r.dialUpstream(name, addr, feed, 0, frameRollup, opts)
 }

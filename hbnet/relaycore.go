@@ -1,4 +1,4 @@
-package hbnet
+package hbnet //hbvet:pure
 
 import (
 	"encoding/binary"

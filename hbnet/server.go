@@ -2,7 +2,6 @@ package hbnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -22,16 +21,12 @@ import (
 // closed when the connection ends.
 type Feed func(ctx context.Context, since uint64) (observer.Stream, error)
 
-// FileFeed publishes a heartbeat ring or log file: the relay case, where
-// the hbnet server and the observed application share a filesystem but
-// subscribers do not. Each subscriber opens its own live tail
-// (observer.FollowFile — readers never coordinate, so concurrent
-// subscribers cost nothing extra), tailed every poll (poll <= 0 selects
-// observer.DefaultPollInterval) on clk's time (nil is the wall clock; a
-// simulated server relays a file at virtual speed). The variant is
-// detected per open, and the tail survives the file being deleted and
-// recreated by a restarted producer — including in the other format —
-// without dropping the connection.
+// FileFeed publishes a heartbeat ring or log file to subscribers that do
+// not share the server's filesystem. Each subscriber opens its own live
+// tail (observer.FollowFile; readers never coordinate), polled every poll
+// (<= 0: observer.DefaultPollInterval) on clk's time (nil: the wall
+// clock). The tail survives a restarted producer deleting and recreating
+// the file, even in the other format, without dropping the connection.
 func FileFeed(path string, poll time.Duration, clk clock.Clock) Feed {
 	return func(ctx context.Context, since uint64) (observer.Stream, error) {
 		s, err := observer.FollowFile(path, poll, since, clk)
@@ -45,11 +40,10 @@ func FileFeed(path string, poll time.Duration, clk clock.Clock) Feed {
 // ServerOption configures NewServer.
 type ServerOption func(*Server)
 
-// WithWriteTimeout bounds each batch write to a subscriber; one that stops
-// draining its socket for longer is disconnected rather than allowed to
-// pin the stream goroutine forever (it reconnects with its cursor and
-// resumes, so nothing is lost that the history still retains). The default
-// is 10 seconds; d <= 0 disables the bound.
+// WithWriteTimeout bounds each write to a subscriber (default 10 seconds;
+// d <= 0 disables it). One that stops draining its socket for longer is
+// disconnected rather than left to pin its goroutine; it reconnects with
+// its cursor, losing nothing the history still retains.
 func WithWriteTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.writeTimeout = d }
 }
@@ -67,21 +61,16 @@ func WithServerOnError(f func(error)) ServerOption {
 }
 
 // WithServerClock computes the handshake and write deadlines on clk
-// (default: the wall clock). Under a virtual clock — with connections that
-// honor deadlines on the same clock, as simnet's do — simulated scenarios
-// drive the server's timeout paths deterministically instead of never.
+// (default: the wall clock), so a simulation whose connections honor
+// deadlines on the same clock drives the timeout paths deterministically.
 func WithServerClock(clk clock.Clock) ServerOption {
 	return func(s *Server) { s.clk = clk }
 }
 
-// Server fans named heartbeat feeds out to TCP subscribers. Publish feeds,
-// then drive it with Serve; subscribers dial in with
-// Dial naming the feed they want. A server with many published feeds is
-// the network counterpart of observer.Hub: one endpoint exposing every
-// application on the machine, each subscriber picking one stream.
-//
-// Publish may be called while the server is running; Close stops the
-// listeners and disconnects every subscriber.
+// Server fans named heartbeat feeds out to TCP subscribers: publish feeds,
+// drive it with Serve, and subscribers Dial the feed they want — the
+// network counterpart of observer.Hub. Publish may be called while the
+// server runs; Close stops the listeners and disconnects every subscriber.
 type Server struct {
 	writeTimeout     time.Duration
 	handshakeTimeout time.Duration
@@ -149,9 +138,7 @@ func (s *Server) publish(name string, e feedEntry) error {
 }
 
 // PublishHeartbeat publishes a live in-process Heartbeat under name: each
-// subscriber gets a cursor subscription (observer.HeartbeatStreamFrom), so
-// replay-then-live-push and Missed accounting behave exactly like a local
-// subscription.
+// subscriber gets its own cursor subscription (observer.HeartbeatStreamFrom).
 func (s *Server) PublishHeartbeat(name string, hb *heartbeat.Heartbeat) error {
 	if hb == nil {
 		return fmt.Errorf("hbnet: nil heartbeat for %q", name)
@@ -179,7 +166,7 @@ func (s *Server) Serve(l net.Listener) error {
 		s.mu.Unlock()
 		l.Close()
 	}()
-	var acceptDelay time.Duration
+	acceptDelay := backoff{min: 5 * time.Millisecond, max: time.Second}
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -189,27 +176,20 @@ func (s *Server) Serve(l net.Listener) error {
 			if closed {
 				return nil
 			}
-			// Transient accept failures (EMFILE pressure, aborted
-			// handshakes) must not kill the whole relay; back off and
-			// retry, the way net/http's Serve does.
+			// Transient accept failures (EMFILE, aborted handshakes) must
+			// not kill the relay: back off and retry, as net/http does.
 			if ne, ok := err.(net.Error); ok && ne.Temporary() {
-				if acceptDelay == 0 {
-					acceptDelay = 5 * time.Millisecond
-				} else if acceptDelay *= 2; acceptDelay > time.Second {
-					acceptDelay = time.Second
-				}
 				if s.onError != nil {
 					s.onError(fmt.Errorf("hbnet: accept: %w", err))
 				}
-				// Serve takes no context and Close does not cut this
-				// wait short: the next Accept on the closed listener ends
-				// Serve at most a second later.
-				clock.SleepCtx(context.TODO(), s.clk, acceptDelay)
+				// Close does not cut this wait short: the next Accept on the
+				// closed listener ends Serve at most a second later.
+				clock.SleepCtx(context.TODO(), s.clk, acceptDelay.next())
 				continue
 			}
 			return err
 		}
-		acceptDelay = 0
+		acceptDelay.reset()
 		ctx, cancel := context.WithCancel(context.Background())
 		s.mu.Lock()
 		if s.closed {
@@ -260,48 +240,35 @@ func (s *Server) Close() error {
 }
 
 // serveConn runs one subscriber: handshake, open, welcome, watch, then the
-// replay-then-live push loop — the same sequence for a raw feed, an
-// encode-once ring feed and a rollup feed, which differ only in how
-// feedEntry.open produces the next frame's bytes.
+// push loop — for every kind of feed, which differ only in how
+// feedEntry.open frames them. The core (serverCore) makes the decisions.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	if s.handshakeTimeout > 0 {
 		conn.SetReadDeadline(clock.Now(s.clk).Add(s.handshakeTimeout))
 	}
-	ftype, body, err := readFrame(conn)
+	ftype, body, _, err := readFrameReuse(conn, nil, maxHelloPayload)
 	if err != nil {
 		return fmt.Errorf("reading hello: %w", err)
 	}
-	if ftype != frameHello {
-		return fmt.Errorf("first frame is %#x, want hello", ftype)
-	}
-	name, since, err := decodeHello(body)
-	if err != nil {
-		s.writeTimed(conn, appendError(nil, err.Error(), true))
-		return err
-	}
+	sc := &serverCore{perFrame: maxRecordsPerFrame}
 	s.mu.Lock()
-	entry := s.feeds[name]
+	entry, refusal, err := sc.hello(ftype, body, s.feeds)
 	s.mu.Unlock()
-	if entry.raw == nil && entry.rollup == nil {
-		err := fmt.Errorf("unknown feed %q", name)
-		s.writeTimed(conn, appendError(nil, "hbnet: "+err.Error(), true))
+	if err != nil {
+		if refusal != nil {
+			s.write(conn, refusal)
+		}
 		return err
 	}
-	kind := ""
-	if entry.rollup != nil {
-		kind = "rollup "
-	}
-	frames, src, err := entry.open(ctx, since)
+	frames, src, err := entry.open(ctx, sc)
 	if err != nil {
-		// Not permanent: the feed exists but failed to open — a file
-		// mid-recreation heals, so the subscriber should keep retrying.
-		s.writeTimed(conn, appendError(nil, err.Error(), false))
+		s.write(conn, sc.openFailed(err))
 		return err
 	}
 	if c, ok := src.(io.Closer); ok {
 		defer c.Close()
 	}
-	if err := s.writeTimed(conn, appendWelcome(nil, since)); err != nil {
+	if err := s.write(conn, sc.welcome()); err != nil {
 		return fmt.Errorf("writing welcome: %w", err)
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -312,36 +279,26 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 
 	for {
 		fb, err := frames.NextFrame(ctx)
-		switch {
-		case err == nil:
-		case errors.Is(err, io.EOF):
-			s.writeTimed(conn, []byte{frameEOF})
-			return nil
-		case ctx.Err() != nil:
-			return nil // subscriber went away or server closed: not a failure
-		default:
-			// A frame over the cap is permanent: redialing from the same
-			// cursor would rebuild the same frame forever.
-			s.writeTimed(conn, appendError(nil, err.Error(), errors.Is(err, errFrameTooLarge)))
-			return fmt.Errorf("%sfeed %q: %w", kind, name, err)
+		if err != nil {
+			last, err := sc.ended(err, ctx.Err() != nil)
+			if last != nil {
+				s.write(conn, last)
+			}
+			return err
 		}
-		werr := s.writeRaw(conn, fb.data)
+		werr := s.write(conn, fb.data)
 		fb.release()
 		if werr != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("writing %sbatch: %w", kind, werr)
+			return sc.writeFailed(werr, ctx.Err() != nil)
 		}
 	}
 }
 
-// watchSubscriber watches the subscriber side of an established stream:
-// the subscriber never speaks again, so a read can only return a close or
-// an error, either way meaning the connection is done — the only way to
-// notice a subscriber that vanished while the stream is idle (nothing to
-// write, nothing to fail). The returned cleanup closes the connection and
-// reaps the watch goroutine; call it (deferred) before cancel.
+// watchSubscriber cancels the stream when the subscriber's side ends: it
+// never speaks again, so a read returns only on close or error — the one
+// way to notice a subscriber that vanished while the stream is idle. The
+// returned cleanup closes the conn and reaps the watcher; defer it before
+// cancel.
 func (s *Server) watchSubscriber(ctx context.Context, conn net.Conn) (context.Context, context.CancelFunc, func()) {
 	watchDone := make(chan struct{})
 	ctx, cancel := context.WithCancel(ctx)
@@ -354,49 +311,8 @@ func (s *Server) watchSubscriber(ctx context.Context, conn net.Conn) (context.Co
 	return ctx, cancel, func() { conn.Close(); <-watchDone }
 }
 
-// advanceCursor computes the resume cursor after delivering b. For real
-// sequence numbers (every built-in stream) the newest record's Seq is
-// exact for everything up to that record — including when it regressed
-// below the cursor, which means the underlying stream resynchronized to a
-// restarted producer's new seq space and the wire cursor must follow it
-// down (a synthetic cursor left above the new head would make the next
-// resume resync again and replay everything already delivered). What the
-// last Seq does NOT cover is Missed that trails it: a batch may account
-// for more stream positions than the cursor-to-last-Seq span (a ring that
-// lapped between its newest retained record and its head), and a cursor
-// left at the last Seq would make the next read re-report that loss.
-// Advance past the excess. Foreign zero-Seq streams fall back to counting
-// delivered and lapped records.
-func advanceCursor(cursor uint64, b observer.Batch) uint64 {
-	if n := len(b.Records); n > 0 && b.Records[n-1].Seq > 0 {
-		last := b.Records[n-1].Seq
-		if last < cursor {
-			return last // resync-down: the new seq space's head is exact
-		}
-		span := last - cursor
-		if accounted := uint64(n) + b.Missed; accounted > span {
-			return last + (accounted - span) // trailing Missed
-		}
-		return last
-	}
-	return cursor + uint64(len(b.Records)) + b.Missed
-}
-
-// writeTimed frames and writes one payload under the server's write
-// timeout (the rare handshake/shutdown frames; batches use writeRaw).
-func (s *Server) writeTimed(conn net.Conn, payload []byte) error {
-	if s.writeTimeout > 0 {
-		conn.SetWriteDeadline(clock.Now(s.clk).Add(s.writeTimeout))
-	}
-	err := writeFrame(conn, payload)
-	if s.writeTimeout > 0 {
-		conn.SetWriteDeadline(time.Time{})
-	}
-	return err
-}
-
-// writeRaw writes an already-framed buffer under the write timeout.
-func (s *Server) writeRaw(conn net.Conn, framed []byte) error {
+// write sends one framed buffer under the server's write timeout.
+func (s *Server) write(conn net.Conn, framed []byte) error {
 	if s.writeTimeout > 0 {
 		conn.SetWriteDeadline(clock.Now(s.clk).Add(s.writeTimeout))
 	}

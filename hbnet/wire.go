@@ -55,33 +55,33 @@ const (
 
 var errFrameTooLarge = fmt.Errorf("hbnet: frame exceeds %d bytes", maxFramePayload)
 
-// writeFrame sends one payload (type byte already included) with its
-// length prefix in a single Write, so frames are never interleaved by the
-// kernel mid-frame.
+// writeFrame sends one payload (type byte included) framed in a single
+// Write, so frames are never interleaved mid-frame.
 func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return errFrameTooLarge
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
+	_, err := w.Write(framed(payload))
 	return err
+}
+
+// framed returns payload behind its length prefix: one frame.
+func framed(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload))), payload...)
 }
 
 // readFrame reads one frame and returns its type and body (payload minus
 // the type byte). The returned body aliases a fresh allocation.
 func readFrame(r io.Reader) (ftype byte, body []byte, err error) {
-	ftype, body, _, err = readFrameReuse(r, nil)
+	ftype, body, _, err = readFrameReuse(r, nil, maxFramePayload)
 	return ftype, body, err
 }
 
-// readFrameReuse is readFrame reading into buf's storage (grown as
-// needed); it returns the possibly-grown buffer for the caller to pass
-// back in. The returned body aliases that buffer and is valid only until
-// the next call — every decode path copies what it keeps, so a
-// steady-state reader (Client.readConn) pays zero allocation per frame.
-func readFrameReuse(r io.Reader, buf []byte) (ftype byte, body, next []byte, err error) {
+// readFrameReuse is readFrame refusing a payload over max before sizing
+// anything, and reading into buf's storage (grown as needed, and returned
+// for the next call). The body aliases it until then; every decode copies
+// what it keeps, so a steady-state reader allocates nothing per frame.
+func readFrameReuse(r io.Reader, buf []byte, max uint32) (ftype byte, body, next []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, buf, err
@@ -90,8 +90,8 @@ func readFrameReuse(r io.Reader, buf []byte) (ftype byte, body, next []byte, err
 	if n == 0 {
 		return 0, nil, buf, fmt.Errorf("hbnet: empty frame")
 	}
-	if n > maxFramePayload {
-		return 0, nil, buf, errFrameTooLarge
+	if n > max {
+		return 0, nil, buf, fmt.Errorf("hbnet: frame of %d bytes exceeds %d", n, max)
 	}
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)

@@ -43,9 +43,10 @@ func (r recordingDialer) DialContext(ctx context.Context, network, addr string) 
 // TestReconnectJitterDesynchronizesRedials is the stampede regression: a
 // fleet of clients that all lose the same server at the same virtual
 // instant must NOT redial in lockstep. Each client draws full jitter from
-// its own seed, so the recorded redial schedules have to spread across the
-// backoff window; before jitter existed every client's first retry landed
-// at exactly cut+backoffMin — one distinct instant for the whole fleet.
+// its own default seed — the production default this test defends — so
+// the recorded redial schedules have to spread across the backoff window;
+// before jitter existed every client's first retry landed at exactly
+// cut+backoffMin — one distinct instant for the whole fleet.
 func TestReconnectJitterDesynchronizesRedials(t *testing.T) {
 	clk := clock.NewVirtual()
 	nw := New(clk)
@@ -79,7 +80,6 @@ func TestReconnectJitterDesynchronizesRedials(t *testing.T) {
 		c, err := hbnet.Dial("srv", "app",
 			hbnet.WithDialer(recordingDialer{d: nw.Host(hosts[i]), clk: clk, mu: &mu, times: &attempts[i]}),
 			hbnet.WithClientClock(clk),
-			hbnet.WithReconnectJitterSeed(int64(1000+i)),
 			hbnet.WithReconnectBackoff(20*time.Millisecond, 500*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,7 @@
 //	go run ./tools/hbvet ./...        # the whole module (what `make analyze` runs)
 //	go run ./tools/hbvet ./balance    # one package (the rest of the module loads for facts and uses)
 //
-// Four analyzers run by default (select a subset with -run):
+// Five analyzers run by default (select a subset with -run):
 //
 //   - wallclock: no direct time.Now/Sleep/After/AfterFunc/NewTicker/NewTimer
 //     or context.WithTimeout/WithDeadline outside the clock seams
@@ -24,6 +24,9 @@
 //     //hbvet:api -- <reason>. Uses are indexed over the whole module
 //     whatever packages are named, so one package reports what ./...
 //     reports for it.
+//   - pure: a file marked //hbvet:pure (a sans-I/O core) starts no
+//     goroutine, has no channel type, channel operation or select, and
+//     imports none of sync, sync/atomic, context or repro/clock.
 //
 // hbvet exits non-zero when any finding survives seam and allow
 // filtering, printing one "path:line:col: analyzer: message" per line,
@@ -41,10 +44,11 @@ import (
 	"repro/tools/hbvet/internal/passes/clockthread"
 	"repro/tools/hbvet/internal/passes/deadapi"
 	"repro/tools/hbvet/internal/passes/hotpath"
+	"repro/tools/hbvet/internal/passes/pure"
 	"repro/tools/hbvet/internal/passes/wallclock"
 )
 
-var all = []*analysis.Analyzer{wallclock.Analyzer, hotpath.Analyzer, clockthread.Analyzer, deadapi.Analyzer}
+var all = []*analysis.Analyzer{wallclock.Analyzer, hotpath.Analyzer, clockthread.Analyzer, deadapi.Analyzer, pure.Analyzer}
 
 func main() {
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")

@@ -13,9 +13,10 @@ import (
 // moduleRoot is the module's directory, seen from this package's.
 const moduleRoot = "../.."
 
-// The four default analyzers find nothing in the module: `go test ./...`
-// carries the clock seam, the hot-path contract, clock hygiene and the
-// surface-with-users rule, not only `make analyze`.
+// The five default analyzers find nothing in the module: `go test ./...`
+// carries the clock seam, the hot-path contract, clock hygiene, the
+// surface-with-users rule and the purity of the sans-I/O cores, not only
+// `make analyze`.
 func TestModuleVet(t *testing.T) {
 	findings, err := vet(moduleRoot, all, "./...")
 	if err != nil {
