@@ -13,17 +13,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/clock"
-	"repro/control"
 	"repro/hbfile"
 	"repro/heartbeat"
 	"repro/internal/experiments"
 	"repro/internal/parsec"
 	"repro/internal/video"
 	"repro/internal/x264"
-	"repro/observer"
-	"repro/scheduler"
-	"repro/sim"
 )
 
 // ---------------------------------------------------------------- Table 2
@@ -153,32 +148,13 @@ func BenchmarkEncoderLadder(b *testing.B) {
 }
 
 // BenchmarkSchedulerPolicy ablates the paper's threshold stepper against
-// the PI extension on the Figure 5 workload, reporting beats-in-window.
+// the PI and planner extensions on the Figure 5 workload, reporting
+// beats-in-window.
 func BenchmarkSchedulerPolicy(b *testing.B) {
-	w := parsec.BodytrackSched()
-	mkPolicy := map[string]func() scheduler.Policy{
-		"stepper": func() scheduler.Policy {
-			return scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: w.TargetMin, TargetMax: w.TargetMax}}
-		},
-		"pi": func() scheduler.Policy {
-			set := (w.TargetMin + w.TargetMax) / 2
-			return scheduler.PIPolicy{
-				PI: &control.PI{Kp: 0.5 / set, Ki: 1.5 / set, Setpoint: set, MinOutput: 1, MaxOutput: 8},
-				Dt: float64(w.CheckEvery) / set,
-			}
-		},
-		"planner": func() scheduler.Policy {
-			return &control.AmdahlPlanner{ParallelFrac: w.ParallelFrac, TargetMin: w.TargetMin, TargetMax: w.TargetMax}
-		},
-	}
-	for _, name := range []string{"stepper", "pi", "planner"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			var inWindow int
-			for i := 0; i < b.N; i++ {
-				inWindow = runSchedBench(b, w, mkPolicy[name]())
-			}
-			b.ReportMetric(float64(inWindow), "beats-in-window")
+	for _, policy := range []string{"stepper", "pi", "planner"} {
+		policy := policy
+		b.Run(policy, func(b *testing.B) {
+			benchSched(b, parsec.BodytrackSched(), policy)
 		})
 	}
 }
@@ -186,59 +162,32 @@ func BenchmarkSchedulerPolicy(b *testing.B) {
 // BenchmarkControllerWindow ablates the observation window length on the
 // Figure 5 workload: short windows react faster but judge on fewer beats.
 func BenchmarkControllerWindow(b *testing.B) {
-	base := parsec.BodytrackSched()
 	for _, window := range []int{2, 5, 10, 20} {
 		window := window
 		b.Run(fmt.Sprintf("window-%d", window), func(b *testing.B) {
-			w := base
+			w := parsec.BodytrackSched()
 			w.Window = window
 			w.CheckEvery = window
-			var inWindow int
-			for i := 0; i < b.N; i++ {
-				inWindow = runSchedBench(b, w,
-					scheduler.StepperPolicy{Stepper: &control.Stepper{TargetMin: w.TargetMin, TargetMax: w.TargetMax}})
-			}
-			b.ReportMetric(float64(inWindow), "beats-in-window")
+			benchSched(b, w, "stepper")
 		})
 	}
 }
 
-// runSchedBench runs one scheduling workload and returns how many beats
-// landed inside the target window.
-func runSchedBench(b *testing.B, w parsec.SchedWorkload, pol scheduler.Policy) int {
-	b.Helper()
-	const coreRate = 1e9
-	clk := clock.NewVirtual()
-	m := sim.NewMachine(clk, 8, coreRate)
-	hb, err := heartbeat.New(w.Window, heartbeat.WithClock(clk))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := hb.SetTarget(w.TargetMin, w.TargetMax); err != nil {
-		b.Fatal(err)
-	}
-	m.SetCores(1)
-	sched, err := scheduler.New(m, pol)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hub := observer.NewHub(0, nil, observer.WithHubClassifier(func(string) *observer.Classifier {
-		return &observer.Classifier{Window: w.Window, Clock: clk}
-	}))
-	if err := hub.Add(w.Name, observer.HeartbeatStream(hb)); err != nil {
-		b.Fatal(err)
-	}
-	defer hub.Remove(w.Name)
-	inWindow := 0
-	for beat := 1; beat <= w.Beats; beat++ {
-		m.Execute(w.Work(coreRate, beat))
-		hb.Beat()
-		if rate, ok := hb.Rate(0); ok && rate >= w.TargetMin && rate <= w.TargetMax {
-			inWindow++
+// benchSched runs one scheduling workload b.N times and reports how many
+// beats landed inside the target window.
+func benchSched(b *testing.B, w parsec.SchedWorkload, policy string) {
+	var inWindow int
+	for i := 0; i < b.N; i++ {
+		run, err := experiments.RunSched(w, policy)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if beat%w.CheckEvery == 0 {
-			sched.Step(hub.Step()[0].Status)
+		inWindow = 0
+		for _, beat := range run.Beats {
+			if beat.OK && beat.Rate >= w.TargetMin && beat.Rate <= w.TargetMax {
+				inWindow++
+			}
 		}
 	}
-	return inWindow
+	b.ReportMetric(float64(inWindow), "beats-in-window")
 }

@@ -1,19 +1,14 @@
-// Command hbparsec runs the instrumented PARSEC-class kernels.
-//
-// Two modes:
-//
-//	-mode sim  (default): regenerate Table 2 rows on the simulated 8-core
-//	           reference machine (deterministic).
-//	-mode real: run the selected kernel's real computation on this host's
-//	           wall clock for -duration, beating at the Table 2 granularity,
-//	           and report the measured heart rate. With -hbfile the
-//	           heartbeats are also published for external observers (watch
-//	           with hbmon in another terminal).
+// Command hbparsec runs the instrumented PARSEC-class kernels' real
+// computation on this host's wall clock for -duration each, beating at the
+// Table 2 granularity, and reports the measured heart rate. With -hbfile
+// the heartbeats are also published for external observers (watch with
+// hbmon in another terminal). Table 2 itself, on the simulated 8-core
+// reference machine, is `hbexperiments -run table2`.
 //
 // Usage:
 //
-//	hbparsec [-bench all|blackscholes|...] [-mode sim|real]
-//	         [-duration 5s] [-hbfile PATH]
+//	hbparsec [-bench all|blackscholes|...] [-duration 5s] [-hbfile PATH]
+//	         [-workers N]
 package main
 
 import (
@@ -25,59 +20,30 @@ import (
 
 	"repro/hbfile"
 	"repro/heartbeat"
-	"repro/internal/experiments"
 	"repro/internal/parsec"
 )
 
 func main() {
 	bench := flag.String("bench", "all", "benchmark name or 'all'")
-	mode := flag.String("mode", "sim", "'sim' (Table 2 reproduction) or 'real' (wall-clock kernels)")
-	duration := flag.Duration("duration", 5*time.Second, "how long to run each kernel in real mode")
-	hbPath := flag.String("hbfile", "", "publish heartbeats to this ring file (real mode)")
-	workers := flag.Int("workers", 1, "concurrent workers with per-thread heartbeats (real mode)")
+	duration := flag.Duration("duration", 5*time.Second, "how long to run each kernel")
+	hbPath := flag.String("hbfile", "", "publish heartbeats to this ring file")
+	workers := flag.Int("workers", 1, "concurrent workers with per-thread heartbeats")
 	flag.Parse()
 
-	switch *mode {
-	case "sim":
-		r := experiments.Table2(experiments.Options{})
-		if *bench != "all" {
-			filtered := *r.Table
-			filtered.Rows = nil
-			for _, row := range r.Table.Rows {
-				if row[0] == *bench {
-					filtered.Rows = append(filtered.Rows, row)
-				}
-			}
-			if len(filtered.Rows) == 0 {
-				fmt.Fprintf(os.Stderr, "hbparsec: unknown benchmark %q\n", *bench)
-				os.Exit(1)
-			}
-			filtered.Render(os.Stdout)
-			return
+	kernels := parsec.Kernels()
+	if *bench != "all" {
+		k, ok := parsec.ByName(*bench)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "hbparsec: unknown benchmark %q\n", *bench)
+			os.Exit(1)
 		}
-		r.Table.Render(os.Stdout)
-		for _, n := range r.Notes {
-			fmt.Println("note:", n)
+		kernels = []parsec.Kernel{k}
+	}
+	for _, k := range kernels {
+		if err := runReal(k, *duration, *hbPath, *workers); err != nil {
+			fmt.Fprintln(os.Stderr, "hbparsec:", err)
+			os.Exit(1)
 		}
-	case "real":
-		kernels := parsec.Kernels()
-		if *bench != "all" {
-			k, ok := parsec.ByName(*bench)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "hbparsec: unknown benchmark %q\n", *bench)
-				os.Exit(1)
-			}
-			kernels = []parsec.Kernel{k}
-		}
-		for _, k := range kernels {
-			if err := runReal(k, *duration, *hbPath, *workers); err != nil {
-				fmt.Fprintln(os.Stderr, "hbparsec:", err)
-				os.Exit(1)
-			}
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "hbparsec: unknown mode %q\n", *mode)
-		os.Exit(2)
 	}
 }
 

@@ -10,8 +10,6 @@ package control
 // the ablation partner for the paper's threshold policy.
 //
 // It satisfies the scheduler package's Policy interface.
-//
-//hbvet:api -- ARCHITECTURE: the model-based ablation partner of the paper's §5.3 threshold policy
 type AmdahlPlanner struct {
 	// ParallelFrac is the assumed Amdahl parallel fraction of the
 	// application in [0, 1).

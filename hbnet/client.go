@@ -188,14 +188,15 @@ func (c *Client) dialOnce() (net.Conn, error) {
 }
 
 // handshake sends the core's hello and has the core judge the answer,
-// under a deadline on the client's clock (under a virtual clock it is part
-// of the simulation).
+// read under the cap a server's answer fits (maxWelcomePayload), under a
+// deadline on the client's clock (under a virtual clock it is part of the
+// simulation).
 func (c *Client) handshake(conn net.Conn) error {
 	conn.SetDeadline(clock.Now(c.clk).Add(dialTimeout))
-	if err := writeFrame(conn, c.core.hello()); err != nil {
+	if _, err := conn.Write(c.core.hello()); err != nil {
 		return fmt.Errorf("hbnet: hello: %w", err)
 	}
-	ftype, body, err := readFrame(conn)
+	ftype, body, _, err := readFrameReuse(conn, nil, maxWelcomePayload)
 	if err != nil {
 		return fmt.Errorf("hbnet: welcome: %w", err)
 	}

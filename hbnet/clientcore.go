@@ -41,7 +41,7 @@ type netMsg struct {
 	cursor, missed uint64
 }
 
-func (c *clientCore) hello() []byte { return appendHello(nil, c.feed, c.wire) }
+func (c *clientCore) hello() []byte { return framed(appendHello(nil, c.feed, c.wire)) }
 
 // welcome judges the server's answer to hello: nil to stream, an
 // ErrRejected error when retrying cannot help, any other error when it may.

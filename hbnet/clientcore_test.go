@@ -136,6 +136,8 @@ type coreFeed struct {
 	lost        map[uint64]bool
 	failOpen    bool // the next open fails, as a feed file mid-recreation does
 	unpublished bool // the feed is gone: every later hello is refused
+
+	tailOnResync bool // a resync read counts the new life's lost tail (read's second rule)
 }
 
 // publish appends n records, the newest lose of them lost in flight.
@@ -155,7 +157,8 @@ func (f *coreFeed) restart() { f.head, f.lost = 0, make(map[uint64]bool) }
 // newer than cur that were not lost, what the read leaves missed, and the
 // cursor after it. A reader that resyncs to a new life counts it up to its
 // newest readable record (a tail lost in flight surfaces as Missed on its
-// next read), and waits where it is until the new life has one.
+// next read), and waits where it is until the new life has one; with
+// tailOnResync it counts the new life up to its head, lost tail included.
 func (f *coreFeed) read(cur uint64) (observer.Batch, uint64, bool) {
 	oldest := uint64(1)
 	if f.head > f.capacity {
@@ -163,9 +166,9 @@ func (f *coreFeed) read(cur uint64) (observer.Batch, uint64, bool) {
 	}
 	readable := func(s uint64) bool { return s >= oldest && !f.lost[s] }
 	head := f.head
-	if head < cur { // resync: re-anchor on the new life's newest readable record
-		for head > 0 && !readable(head) {
-			head--
+	if head < cur { // resync
+		for !f.tailOnResync && head > 0 && !readable(head) {
+			head-- // re-anchor on the new life's newest readable record
 		}
 		if head == 0 {
 			return observer.Batch{}, cur, false
@@ -257,7 +260,7 @@ func newCoreRun(t *testing.T, capacity, split byte) *coreRun {
 	cancel()
 	return &coreRun{
 		t:        t,
-		feed:     &coreFeed{capacity: 4 + uint64(capacity%13), lost: make(map[uint64]bool)},
+		feed:     &coreFeed{capacity: 4 + uint64(capacity%13), lost: make(map[uint64]bool), tailOnResync: split&4 != 0},
 		perFrame: []int{1, 2, 3, maxRecordsPerFrame}[split%4],
 		done:     done,
 		c:        newTestClient("app", 0, 1),

@@ -72,10 +72,16 @@ func TestAdvanceCursor(t *testing.T) {
 			want:   3,
 		},
 		{
-			name:   "resync-down ignores missed above new head",
+			name:   "resync-down keeps missed inside the new span",
+			cursor: 100,
+			batch:  observer.Batch{Records: seqs(2, 3), Missed: 1},
+			want:   3,
+		},
+		{
+			name:   "resync-down advances past a lost tail",
 			cursor: 100,
 			batch:  observer.Batch{Records: seqs(1, 2, 3), Missed: 50},
-			want:   3,
+			want:   53,
 		},
 		{
 			name:   "zero-seq foreign stream counts deliveries",

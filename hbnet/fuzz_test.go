@@ -91,12 +91,12 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("error frame not stable: %q/%v -> %q/%v", msg, permanent, remsg, reperm)
 			}
 		case frameBatch:
-			b, cursor, err := decodeBatch(body)
+			b, cursor, err := decodeBatchInto(body, nil)
 			if err != nil {
 				return
 			}
 			reenc := appendBatch(nil, b, cursor)
-			b2, cursor2, rerr := decodeBatch(reenc[1:])
+			b2, cursor2, rerr := decodeBatchInto(reenc[1:], nil)
 			if rerr != nil || cursor2 != cursor || !batchEquivalent(b, b2) {
 				t.Fatalf("batch not stable:\n in %+v (cursor %d)\nout %+v (cursor %d), %v", b, cursor, b2, cursor2, rerr)
 			}

@@ -14,6 +14,14 @@ import (
 // two varints and a maxFeedName name. The shell reads the hello under it.
 const maxHelloPayload = 1 + 4 + 1 + 2*binary.MaxVarintLen64 + maxFeedName
 
+// maxErrorMsg bounds an error frame's message, and maxWelcomePayload is
+// the largest legal answer to a hello: an error frame (type, permanence
+// flag, message) — a welcome is shorter. The client reads it under the cap.
+const (
+	maxErrorMsg       = 512
+	maxWelcomePayload = 2 + maxErrorMsg
+)
+
 // serverCore is one subscriber's protocol: the verdict on its hello, the
 // cursor its batch frames carry and the split of a batch over frames, and
 // what an ending stream or a failed write means. It has no goroutines,
@@ -37,12 +45,12 @@ func (c *serverCore) hello(ftype byte, body []byte, feeds map[string]feedEntry) 
 	}
 	name, since, err := decodeHello(body)
 	if err != nil {
-		return feedEntry{}, framed(appendError(nil, err.Error(), true)), err
+		return feedEntry{}, errorFrame(err.Error(), true), err
 	}
 	entry := feeds[name]
 	if entry.raw == nil && entry.rollup == nil {
 		err := fmt.Errorf("unknown feed %q", name)
-		return feedEntry{}, framed(appendError(nil, "hbnet: "+err.Error(), true)), err
+		return feedEntry{}, errorFrame("hbnet: "+err.Error(), true), err
 	}
 	c.name, c.cursor = name, since
 	if entry.rollup != nil {
@@ -54,7 +62,12 @@ func (c *serverCore) hello(ftype byte, body []byte, feeds map[string]feedEntry) 
 // openFailed is the error frame for a feed that exists but failed to open:
 // transient, since a file mid-recreation heals.
 func (c *serverCore) openFailed(err error) []byte {
-	return framed(appendError(nil, err.Error(), false))
+	return errorFrame(err.Error(), false)
+}
+
+// errorFrame frames an error report with its message cut to maxErrorMsg.
+func errorFrame(msg string, permanent bool) []byte {
+	return framed(appendError(nil, msg[:min(len(msg), maxErrorMsg)], permanent))
 }
 
 func (c *serverCore) welcome() []byte { return framed(appendWelcome(nil, c.cursor)) }
@@ -72,7 +85,7 @@ func (c *serverCore) ended(err error, cancelled bool) ([]byte, error) {
 	}
 	// A frame over the cap is permanent: redialing from the same cursor
 	// would rebuild the same frame forever.
-	return framed(appendError(nil, err.Error(), errors.Is(err, errFrameTooLarge))), fmt.Errorf("%sfeed %q: %w", c.kind, c.name, err)
+	return errorFrame(err.Error(), errors.Is(err, errFrameTooLarge)), fmt.Errorf("%sfeed %q: %w", c.kind, c.name, err)
 }
 
 // writeFailed judges a failed write, by ended's rule for cancellation.
@@ -126,16 +139,17 @@ func lossBefore(cursor uint64, recs []heartbeat.Record) uint64 {
 // advanceCursor computes the resume cursor after delivering b. For real
 // sequence numbers the newest record's Seq is exact up to that record —
 // also when it regressed below the cursor: the stream resynchronized to a
-// restarted producer, and the cursor must follow it down or the next
-// resume would resync and replay again. Missed that trails the last Seq
-// (a ring that lapped between its newest retained record and its head) is
+// restarted producer, and the cursor must follow it down (counting from
+// zero, as lossBefore does) or the next resume would resync and replay
+// again. Missed that trails the last Seq (a ring that lapped between its
+// newest retained record and its head, or a new life's lost tail) is
 // advanced past, or the next read would re-report it. Foreign zero-Seq
 // streams fall back to counting records and losses.
 func advanceCursor(cursor uint64, b observer.Batch) uint64 {
 	if n := len(b.Records); n > 0 && b.Records[n-1].Seq > 0 {
 		last := b.Records[n-1].Seq
 		if last < cursor {
-			return last // resync-down: the new seq space's head is exact
+			cursor = 0 // resync-down: the new seq space counts from zero
 		}
 		span := last - cursor
 		if accounted := uint64(n) + b.Missed; accounted > span {

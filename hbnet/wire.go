@@ -55,30 +55,15 @@ const (
 
 var errFrameTooLarge = fmt.Errorf("hbnet: frame exceeds %d bytes", maxFramePayload)
 
-// writeFrame sends one payload (type byte included) framed in a single
-// Write, so frames are never interleaved mid-frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return errFrameTooLarge
-	}
-	_, err := w.Write(framed(payload))
-	return err
-}
-
-// framed returns payload behind its length prefix: one frame.
+// framed returns payload behind its length prefix: one frame, sent in a
+// single Write so frames are never interleaved mid-frame.
 func framed(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload))), payload...)
 }
 
-// readFrame reads one frame and returns its type and body (payload minus
-// the type byte). The returned body aliases a fresh allocation.
-func readFrame(r io.Reader) (ftype byte, body []byte, err error) {
-	ftype, body, _, err = readFrameReuse(r, nil, maxFramePayload)
-	return ftype, body, err
-}
-
-// readFrameReuse is readFrame refusing a payload over max before sizing
-// anything, and reading into buf's storage (grown as needed, and returned
+// readFrameReuse reads one frame and returns its type and body (payload
+// minus the type byte). It refuses a payload over max before sizing
+// anything, and reads into buf's storage (grown as needed, and returned
 // for the next call). The body aliases it until then; every decode copies
 // what it keeps, so a steady-state reader allocates nothing per frame.
 func readFrameReuse(r io.Reader, buf []byte, max uint32) (ftype byte, body, next []byte, err error) {
@@ -243,18 +228,14 @@ func putZigzag(rec []byte, i int, v int64) int {
 	return i + 1
 }
 
-func decodeBatch(body []byte) (b observer.Batch, cursor uint64, err error) {
-	return decodeBatchInto(body, nil)
-}
-
-// decodeBatchInto is decodeBatch decoding into recs (which may be nil or
-// a recycled slice): with a pooled slice the steady-state decode path
-// allocates nothing, which is what Client.Recycle buys the Relay's merge
-// pump. recs is used only when it already holds the whole frame; otherwise
-// the records go to a fresh slice of exactly the frame's length, so no
-// decode re-grows a slice (copying it, and overshooting the capacity a
-// free list would then keep). The returned batch's Records alias the
-// storage they were decoded into.
+// decodeBatchInto decodes a batch frame's body and the cursor after it
+// into recs (which may be nil or a recycled slice): with a pooled slice
+// the steady-state decode path allocates nothing, which is what
+// Client.Recycle buys the Relay's merge pump. recs is used only when it
+// already holds the whole frame; otherwise the records go to a fresh slice
+// of exactly the frame's length, so no decode re-grows a slice (copying
+// it, and overshooting the capacity a free list would then keep). The
+// returned batch's Records alias the storage they were decoded into.
 //
 // While a worst-case record and one more 8-byte load still fit in the
 // body, so no load can run past it, a one-byte field is read directly and

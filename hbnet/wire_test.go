@@ -86,7 +86,7 @@ func TestBatchRoundTripProperty(t *testing.T) {
 			})
 		}
 		payload := appendBatch(nil, b, count+1)
-		got, cursor, err := decodeBatch(payload[1:])
+		got, cursor, err := decodeBatchInto(payload[1:], nil)
 		if err != nil || cursor != count+1 {
 			return false
 		}
@@ -112,7 +112,7 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 	payload := appendBatch(nil, b, 10)[1:]
 	// Every truncation errors instead of panicking or fabricating records.
 	for n := 0; n < len(payload); n++ {
-		if _, _, err := decodeBatch(payload[:n]); err == nil {
+		if _, _, err := decodeBatchInto(payload[:n], nil); err == nil {
 			t.Fatalf("truncated batch of %d/%d bytes accepted", n, len(payload))
 		}
 	}
@@ -120,31 +120,27 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 	huge := []byte{0}                                 // cursor 0
 	huge = append(huge, 0, 0, 0, 0)                   // count, window, missed, flags
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // nrecs ≈ 34 billion
-	if _, _, err := decodeBatch(huge); err == nil {
+	if _, _, err := decodeBatchInto(huge, nil); err == nil {
 		t.Fatal("absurd record count accepted")
 	}
 }
 
 func TestFrameIO(t *testing.T) {
-	var buf bytes.Buffer
-	payload := appendWelcome(nil, 9)
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	ftype, body, err := readFrame(&buf)
+	buf := bytes.NewReader(framed(appendWelcome(nil, 9)))
+	ftype, body, _, err := readFrameReuse(buf, nil, maxWelcomePayload)
 	if err != nil || ftype != frameWelcome {
-		t.Fatalf("readFrame: type=%#x err=%v", ftype, err)
+		t.Fatalf("readFrameReuse: type=%#x err=%v", ftype, err)
 	}
 	if cursor, err := decodeWelcome(body); err != nil || cursor != 9 {
 		t.Fatalf("welcome body: cursor=%d err=%v", cursor, err)
 	}
 	// Oversized length prefix is rejected without allocating.
 	bad := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, _, err := readFrame(bytes.NewReader(bad)); err == nil {
+	if _, _, _, err := readFrameReuse(bytes.NewReader(bad), nil, maxFramePayload); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// Empty frame is rejected.
-	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
+	if _, _, _, err := readFrameReuse(bytes.NewReader([]byte{0, 0, 0, 0}), nil, maxFramePayload); err == nil {
 		t.Fatal("empty frame accepted")
 	}
 }

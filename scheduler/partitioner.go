@@ -66,7 +66,7 @@ func (p *Partitioner) Add(name string, set func(int) int, initial int) error {
 	if len(p.apps)+1 > p.total {
 		return fmt.Errorf("scheduler: %d apps cannot share %d cores (1 core per app minimum)", len(p.apps)+1, p.total)
 	}
-	if p.Free() < 1 {
+	if p.free() < 1 {
 		// The pool is full: the new application's core comes from the one
 		// holding the most, as a revocation in Step would take it.
 		richest := p.apps[0]
@@ -77,7 +77,7 @@ func (p *Partitioner) Add(name string, set func(int) int, initial int) error {
 		}
 		richest.resize(-1)
 	}
-	initial = min(max(initial, 1), p.Free())
+	initial = min(max(initial, 1), p.free())
 	a := &partApp{name: name, set: set}
 	a.cores = set(initial)
 	p.apps = append(p.apps, a)
@@ -92,8 +92,8 @@ func (p *Partitioner) used() int {
 	return used
 }
 
-// Free returns the number of unallocated cores.
-func (p *Partitioner) Free() int { return p.total - p.used() }
+// free returns the number of unallocated cores.
+func (p *Partitioner) free() int { return p.total - p.used() }
 
 // Step performs one decide–actuate cycle over all applications, each
 // judged by the status of its name in sts (as observer.Hub.Step returns
@@ -135,7 +135,7 @@ func (p *Partitioner) Step(sts []observer.NamedStatus) []AppStatus {
 	}
 
 	switch {
-	case needy >= 0 && p.Free() > 0:
+	case needy >= 0 && p.free() > 0:
 		// Grant from the idle pool first.
 		p.apps[needy].resize(+1)
 	case needy >= 0 && donor >= 0:
