@@ -48,8 +48,10 @@ build-extras:
 	$(GO) build ./examples/...
 	$(GO) build ./cmd/...
 
+# -count=1: a rerun runs the tests again rather than printing cached
+# results as fresh, as sim-matrix and scale-matrix do.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 # The second line repeats the race between a Thread's first local beat,
 # which publishes its on-demand local ring, and concurrent readers. The
@@ -142,10 +144,12 @@ failover-scenario:
 # word-at-a-time record loop must accept, reject and decode every body
 # exactly as the plain per-field loop it replaced does. The client-core
 # pass scripts one subscription through the server and client protocol
-# cores — publishes, restarts, cuts mid-frame, corrupted frames, server
-# errors, redials — and holds every delivery to simcheck's exactly-once-
-# or-counted accounting. The checked-in corpus under hbnet/testdata/fuzz
-# holds past finds as regressions. The
+# cores — publishes, losses, restarts, cursor reads paged at a size the
+# script picks, cuts mid-frame, corrupted frames, server errors, redials —
+# and holds every delivery, one frame per batch at the cursor its Count
+# reports, to simcheck's exactly-once-or-counted accounting. The
+# checked-in corpus under hbnet/testdata/fuzz holds past finds as
+# regressions. The
 # hbfile passes cover the other bytes an observer does not own: files
 # written by another process (hostile headers, a reserved head ahead of the
 # cursor) and the segment encoder's round trip through a wrapping batch.

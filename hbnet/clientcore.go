@@ -76,7 +76,7 @@ func (c *clientCore) frame(ftype byte, body []byte, recs []heartbeat.Record) (nb
 	switch {
 	case ftype == frameBatch && c.kind == frameBatch:
 		nb.b, nb.cursor, err = decodeBatchInto(body, recs)
-		nb.missed = nb.b.Missed
+		nb.b.Count, nb.missed = nb.cursor, nb.b.Missed // the batch reports where its reader stands: the wire cursor
 	case ftype == frameRollup && c.kind == frameRollup:
 		nb.rb, err = decodeRollups(body)
 		nb.cursor, nb.missed = nb.rb.Cursor, nb.rb.Missed
@@ -86,8 +86,13 @@ func (c *clientCore) frame(ftype byte, body []byte, recs []heartbeat.Record) (nb
 	case ftype == frameEOF:
 		return nb, errFeedEnded
 	case ftype == frameError:
-		msg, _ := decodeError(body) // the redial re-opens the feed: the failure may be transient
-		return nb, fmt.Errorf("hbnet: server: %s", msg)
+		msg, permanent := decodeError(body)
+		if permanent {
+			// The server cannot frame the stream (a batch over the cap or
+			// with no cursor): a redial would meet the same batch.
+			return nb, fmt.Errorf("%w by server: %s", ErrRejected, msg)
+		}
+		return nb, fmt.Errorf("hbnet: server: %s", msg) // the redial re-opens the feed: the failure may be transient
 	default:
 		return nb, fmt.Errorf("hbnet: unexpected frame %#x", ftype)
 	}

@@ -74,10 +74,13 @@ func TestClientCoreJitterWithinBackoff(t *testing.T) {
 // events: records published (some lost before any read, or from a
 // restarted producer), frames pushed, read and delivered, a cut mid-frame,
 // corrupted frame bytes, transient and permanent server errors, and
-// redials. Every delivery goes through simcheck.Tracker, the client's
-// Cursor and Missed must match its accounting after each one, and at the
-// end every published position must be delivered or counted missed: no
-// record twice, across any number of cuts.
+// redials. The script's first two bytes pick the feed's retention and
+// the page its cursor reads are bounded by; the server frames each batch
+// whole at the batch's Count. Every delivery goes through
+// simcheck.Tracker, the client's Cursor and Missed must match its
+// accounting after each one, and at the end every published position
+// must be delivered or counted missed: no record twice, across any number
+// of cuts.
 func FuzzClientCore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) < 2 {
@@ -132,12 +135,11 @@ func FuzzClientCore(f *testing.F) {
 // read) and the faults the script sets.
 type coreFeed struct {
 	capacity    uint64
+	page        uint64 // positions one read covers at most
 	head        uint64
 	lost        map[uint64]bool
 	failOpen    bool // the next open fails, as a feed file mid-recreation does
 	unpublished bool // the feed is gone: every later hello is refused
-
-	tailOnResync bool // a resync read counts the new life's lost tail (read's second rule)
 }
 
 // publish appends n records, the newest lose of them lost in flight.
@@ -153,39 +155,30 @@ func (f *coreFeed) publish(n, lose int) {
 // restart begins a new producer life: its sequence numbers start over.
 func (f *coreFeed) restart() { f.head, f.lost = 0, make(map[uint64]bool) }
 
-// read is one cursor read by cursor.Advance's rule: the retained records
-// newer than cur that were not lost, what the read leaves missed, and the
-// cursor after it. A reader that resyncs to a new life counts it up to its
-// newest readable record (a tail lost in flight surfaces as Missed on its
-// next read), and waits where it is until the new life has one; with
-// tailOnResync it counts the new life up to its head, lost tail included.
+// read is one cursor read by cursor.Advance's rule, a page at a time: the
+// retained records newer than cur that were not lost, over at most page
+// positions from the oldest retained one, and the batch's Count is where
+// the read stopped. A head below cur resyncs to the new life's zero.
 func (f *coreFeed) read(cur uint64) (observer.Batch, uint64, bool) {
-	oldest := uint64(1)
-	if f.head > f.capacity {
-		oldest = f.head - f.capacity + 1
-	}
-	readable := func(s uint64) bool { return s >= oldest && !f.lost[s] }
-	head := f.head
-	if head < cur { // resync
-		for !f.tailOnResync && head > 0 && !readable(head) {
-			head-- // re-anchor on the new life's newest readable record
+	for {
+		from := max(cur+1, max(f.head, f.capacity)-f.capacity+1)
+		to := min(f.head, from+f.page-1)
+		var recs []heartbeat.Record
+		for s := from; s <= to; s++ {
+			if !f.lost[s] {
+				recs = append(recs, heartbeat.Record{Seq: s, Time: time.Unix(0, int64(s))})
+			}
 		}
-		if head == 0 {
-			return observer.Batch{}, cur, false
+		next, missed, move := cursor.Advance(cur, to, len(recs))
+		switch move {
+		case cursor.Resync:
+			cur = next
+			continue
+		case cursor.Idle:
+			return observer.Batch{}, next, false
 		}
-		cur = 0
+		return observer.Batch{Records: recs, Count: next, Missed: missed}, next, true
 	}
-	var recs []heartbeat.Record
-	for s := max(cur+1, oldest); s <= head; s++ {
-		if readable(s) {
-			recs = append(recs, heartbeat.Record{Seq: s, Time: time.Unix(0, int64(s))})
-		}
-	}
-	next, missed, move := cursor.Advance(cur, head, len(recs))
-	if move == cursor.Idle {
-		return observer.Batch{}, next, false
-	}
-	return observer.Batch{Records: recs, Count: head, Missed: missed}, next, true
 }
 
 // coreStream is one connection's subscription to the feed. Its Next never
@@ -235,10 +228,9 @@ func (w *wireConn) SetDeadline(time.Time) error { return nil }
 // coreRun is one FuzzClientCore run: the feed, the server core of the live
 // connection, and the client with its read-ahead and its tracker.
 type coreRun struct {
-	t        *testing.T
-	feed     *coreFeed
-	perFrame int
-	done     context.Context // cancelled: stream reads never wait
+	t    *testing.T
+	feed *coreFeed
+	done context.Context // cancelled: stream reads never wait
 
 	sc     *serverCore
 	frames frameStream
@@ -252,19 +244,20 @@ type coreRun struct {
 	rbuf        []byte
 	ahead       []netMsg // read but not delivered: the channel's slot and the reader's hand
 	stopped     bool     // the client's stream ended for good
+	refused     bool     // the server sent a permanent stream error
 	tr          *simcheck.Tracker
 }
 
-func newCoreRun(t *testing.T, capacity, split byte) *coreRun {
+func newCoreRun(t *testing.T, capacity, page byte) *coreRun {
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	return &coreRun{
-		t:        t,
-		feed:     &coreFeed{capacity: 4 + uint64(capacity%13), lost: make(map[uint64]bool), tailOnResync: split&4 != 0},
-		perFrame: []int{1, 2, 3, maxRecordsPerFrame}[split%4],
-		done:     done,
-		c:        newTestClient("app", 0, 1),
-		tr:       simcheck.NewTracker("client", 0),
+		t: t,
+		feed: &coreFeed{capacity: 4 + uint64(capacity%13), lost: make(map[uint64]bool),
+			page: []uint64{1, 2, 3, cursor.Page}[page%4]},
+		done: done,
+		c:    newTestClient("app", 0, 1),
+		tr:   simcheck.NewTracker("client", 0),
 	}
 }
 
@@ -274,7 +267,7 @@ func (r *coreRun) accept(w *wireConn, hello []byte) {
 	if err != nil {
 		r.t.Fatalf("the client sent an unreadable hello: %v", err)
 	}
-	sc := &serverCore{perFrame: r.perFrame}
+	sc := new(serverCore)
 	feeds := map[string]feedEntry{"app": {raw: r.open}}
 	if r.feed.unpublished {
 		feeds = nil
@@ -313,6 +306,7 @@ func (r *coreRun) push() {
 		r.server.in = append(r.server.in, fb.data...)
 		fb.release()
 	case !errors.Is(err, context.Canceled): // not just idle: the stream ended
+		r.refused = r.refused || errors.Is(err, errFrameTooLarge)
 		last, _ := r.sc.ended(err, false)
 		r.server.in = append(r.server.in, last...)
 		r.server = nil
@@ -320,7 +314,7 @@ func (r *coreRun) push() {
 }
 
 // streamFails makes the live stream's next read fail: transiently, or
-// with the frame cap's permanent error.
+// with the frame cap's permanent error, which ends the client for good.
 func (r *coreRun) streamFails(permanent bool) {
 	if r.server == nil {
 		return
@@ -400,36 +394,24 @@ func (r *coreRun) redial() {
 	r.conn, r.connectedAt = w, r.now
 }
 
-// stop ends the client's stream for good, which only a feed that is gone
-// may do.
+// stop ends the client's stream for good, which only a feed that is gone,
+// or a server that said its stream cannot be framed, may do.
 func (r *coreRun) stop(err error) {
-	if !r.feed.unpublished || !errors.Is(err, ErrRejected) {
+	if !r.feed.unpublished && !r.refused || !errors.Is(err, ErrRejected) {
 		r.t.Fatalf("the stream ended for good while its feed was published: %v", err)
 	}
 	r.stopped = true
 }
 
 // deliver hands the oldest read-ahead batch out through the client's
-// deliver. A cursor past the batch's last record covers a loss that trails
-// it; the tracker takes that part as a loss-only batch after the records.
+// deliver, into the tracker.
 func (r *coreRun) deliver() {
 	if len(r.ahead) == 0 {
 		return
 	}
 	nb := r.c.deliver(r.ahead[0])
 	r.ahead = r.ahead[1:]
-	lead, trail := nb.b, uint64(0)
-	if n := len(lead.Records); n > 0 && nb.cursor > lead.Records[n-1].Seq {
-		trail = nb.cursor - lead.Records[n-1].Seq
-	}
-	if trail > lead.Missed {
-		r.t.Fatalf("delivery's cursor %d passes its last record by %d, but it reports only %d missed", nb.cursor, trail, lead.Missed)
-	}
-	lead.Missed -= trail
-	if err := r.tr.Absorb(lead); err != nil {
-		r.t.Fatal(err)
-	}
-	if err := r.tr.Absorb(observer.Batch{Missed: trail}); err != nil {
+	if err := r.tr.Absorb(nb.b); err != nil {
 		r.t.Fatal(err)
 	}
 	if r.c.Cursor() != r.tr.Cursor() || r.c.Missed() != r.tr.Missed() {

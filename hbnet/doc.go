@@ -16,10 +16,13 @@
 // before delivery are counted in Batch.Missed — exactly like a local
 // subscription. A subscriber presents its last cursor on connect; the
 // server replays newer retained records (heartbeat.Heartbeat.ReadSince
-// underneath) and then switches to live push. The Client redials broken
-// connections automatically with that same cursor, so a network blip costs
-// a delay, never a duplicate, and ring overwrites during the outage
-// surface as Missed rather than silent loss.
+// underneath, a page at a time) and then switches to live push. Each
+// batch travels as one frame at the cursor its stream reports
+// (observer.Batch.Count), and the Client hands it out with that cursor:
+// no hop works a cursor out again from the records. The Client redials
+// broken connections automatically with that same cursor, so a network
+// blip costs a delay, never a duplicate, and ring overwrites during the
+// outage surface as Missed rather than silent loss.
 //
 // Health judgments stay on the consumer side: the wire carries raw
 // records, not opinions, which is the paper's division of labor — the

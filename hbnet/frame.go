@@ -116,8 +116,9 @@ func newPrivateFrameBuf() *frameBuf {
 func (fb *frameBuf) seal(framed []byte) (*frameBuf, error) {
 	fb.data = framed
 	if len(framed)-4 > maxFramePayload {
-		// Cannot happen with the record and rollup caps; guard it with a
-		// visible, permanent error rather than a silent livelock.
+		// Only a foreign stream's batch (or a rollup emission) can be this
+		// large: end the subscription with a visible, permanent error
+		// rather than a silent livelock of redials.
 		return nil, errFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(framed, uint32(len(framed)-4))
@@ -125,26 +126,26 @@ func (fb *frameBuf) seal(framed []byte) (*frameBuf, error) {
 	return fb, nil
 }
 
-// batchFrames encodes a plain observer.Stream for one connection; the
-// subscriber's core (serverCore) owns its cursor and frame-size split.
+// batchFrames encodes a plain observer.Stream for one connection, one
+// frame per batch (serverCore.batchFrame).
 type batchFrames struct {
 	stream observer.Stream
-	rec    BatchRecycler // gets each batch back once its last record is framed
+	rec    BatchRecycler // gets each batch back once it is framed
 	core   *serverCore
 	fb     *frameBuf
 }
 
 func (a *batchFrames) NextFrame(ctx context.Context) (*frameBuf, error) {
-	if !a.core.splitting() {
-		b, err := a.stream.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		a.core.take(b)
+	b, err := a.stream.Next(ctx)
+	if err != nil {
+		return nil, err
 	}
-	framed, last := a.core.batchFrame(append(a.fb.data[:0], 0, 0, 0, 0))
-	if last && a.rec != nil {
-		a.rec.Recycle(a.core.held)
+	framed, err := a.core.batchFrame(append(a.fb.data[:0], 0, 0, 0, 0), b)
+	if a.rec != nil {
+		a.rec.Recycle(b)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return a.fb.seal(framed)
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/hbfile"
 	"repro/heartbeat"
+	"repro/internal/cursor"
 	"repro/internal/simcheck"
 	"repro/observer"
 )
@@ -414,14 +415,14 @@ func TestReconnectRejectionIsTerminal(t *testing.T) {
 	}
 }
 
-// A replay bigger than one frame can carry (a subscriber dialing from 0
-// against a huge retained history) must be split across frames and arrive
-// complete — not abort into a redial livelock at the frame cap.
-func TestHugeReplaySplitsAcrossFrames(t *testing.T) {
+// A replay of a huge retained history (a subscriber dialing from 0)
+// arrives complete and dense, one page (cursor.Page) per frame: the
+// heartbeat store pages the read, so no batch approaches the frame cap.
+func TestHugeReplayArrivesInPages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams several hundred thousand records")
 	}
-	const beats = maxRecordsPerFrame + 50_000
+	const beats = 312_144
 	hb, err := heartbeat.New(10, heartbeat.WithCapacity(1<<19))
 	if err != nil {
 		t.Fatal(err)
@@ -437,11 +438,78 @@ func TestHugeReplaySplitsAcrossFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	recs, missed := collect(t, c, func(r []heartbeat.Record, _ uint64) bool { return len(r) >= beats })
-	if missed != 0 {
-		t.Fatalf("split replay missed %d", missed)
+	tr := simcheck.NewTracker("replay", 0)
+	pages := 0
+	for tr.Cursor() != beats {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		b, err := c.Next(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("Next at cursor %d: %v", tr.Cursor(), err)
+		}
+		if len(b.Records) > cursor.Page {
+			t.Fatalf("a batch of %d records, over the page of %d", len(b.Records), cursor.Page)
+		}
+		if err := tr.Absorb(b); err != nil {
+			t.Fatal(err)
+		}
+		simcheck.RequireDense(t, b.Records, tr.Cursor()-uint64(len(b.Records)))
+		pages++
 	}
-	assertDense(t, recs, 0)
+	if tr.Missed() != 0 || pages < beats/cursor.Page {
+		t.Fatalf("replay missed %d in %d batches", tr.Missed(), pages)
+	}
+}
+
+// batchStream is a foreign stream that delivers one given batch, then
+// waits.
+type batchStream struct {
+	b    observer.Batch
+	sent bool
+}
+
+func (s *batchStream) Next(ctx context.Context) (observer.Batch, error) {
+	if !s.sent {
+		s.sent = true
+		return s.b, nil
+	}
+	<-ctx.Done()
+	return observer.Batch{}, ctx.Err()
+}
+
+// A foreign stream's batch the server cannot frame — over the frame cap,
+// or moving the stream with no Count to resume from — ends the
+// subscription for good: a redial would meet the same batch.
+func TestUnframeableBatchIsRejected(t *testing.T) {
+	huge := make([]heartbeat.Record, maxFramePayload/8)
+	for i := range huge {
+		huge[i] = heartbeat.Record{Seq: uint64(i + 1), Time: time.Unix(0, int64(i)<<40), Tag: -1 << 60}
+	}
+	for name, b := range map[string]observer.Batch{
+		"over the frame cap": {Records: huge, Count: uint64(len(huge))},
+		"records at Count 0": {Records: seqs(1, 2, 3)},
+		"loss at Count 0":    {Missed: 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := NewServer()
+			srv.Publish("app", func(ctx context.Context, since uint64) (observer.Stream, error) {
+				return &batchStream{b: b}, nil
+			})
+			c, err := Dial(startServer(t, srv), "app", WithReconnectBackoff(time.Millisecond, 10*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := c.Next(ctx); !errors.Is(err, ErrRejected) {
+				t.Fatalf("Next = %v, want ErrRejected", err)
+			}
+			if c.Reconnects() != 0 {
+				t.Fatalf("redialed %d times into the same batch", c.Reconnects())
+			}
+		})
+	}
 }
 
 // A FileFeed relays a heartbeat ring file to remote subscribers.

@@ -153,7 +153,7 @@ func (s *replayStream) Shed() uint64 { return s.shedN.Load() }
 
 func (s *replayStream) Next(ctx context.Context) (observer.Batch, error) {
 	recs, cur, missed, err := readAt(ctx, &s.ringCursor, func() ([]heartbeat.Record, uint64, int) {
-		recs, cur, shed := s.relay.core.merged.readSince(s.cursor, maxRelayBatch)
+		recs, cur, shed := s.relay.core.merged.readSince(s.cursor, cursor.Page)
 		s.shedN.Add(shed)
 		return recs, cur, len(recs)
 	})
@@ -169,7 +169,7 @@ func (s *replayStream) Next(ctx context.Context) (observer.Batch, error) {
 // frame carries its own Missed, so settle only moves the cursor.
 func (s *replayStream) NextFrame(ctx context.Context) (*frameBuf, error) {
 	fb, _, _, err := readAt(ctx, &s.ringCursor, func() (*frameBuf, uint64, int) {
-		fb, cur, shed := s.relay.core.merged.frameSince(s.cursor, maxRelayBatch)
+		fb, cur, shed := s.relay.core.merged.frameSince(s.cursor, cursor.Page)
 		s.shedN.Add(shed)
 		return fb, cur, 0
 	})

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/heartbeat"
+	"repro/internal/cursor"
 	"repro/observer"
 )
 
@@ -289,7 +290,7 @@ var lifecycleKinds = []lifecycleKind{
 		remove: func(r *Relay, name string) error { _, err := r.RemoveUpstream(name); return err },
 		absorbed: func(r *Relay) []int {
 			r.mu.Lock()
-			recs, _, _ := r.core.merged.readSince(0, maxRelayBatch)
+			recs, _, _ := r.core.merged.readSince(0, cursor.Page)
 			r.mu.Unlock()
 			var ms []int
 			for _, rec := range recs {
@@ -301,7 +302,7 @@ var lifecycleKinds = []lifecycleKind{
 			// A fresh id per registration life: the second life's records
 			// are distinguishable in the merged history.
 			r.mu.Lock()
-			recs, _, _ := r.core.merged.readSince(0, maxRelayBatch)
+			recs, _, _ := r.core.merged.readSince(0, cursor.Page)
 			r.mu.Unlock()
 			var ids []int32
 			for _, rec := range recs {
@@ -812,7 +813,7 @@ func TestRelayShedOnLap(t *testing.T) {
 
 	// The frame path charges identically (the server's zero-copy read).
 	relay.mu.Lock()
-	fb, _, shed := relay.core.merged.frameSince(0, maxRelayBatch)
+	fb, _, shed := relay.core.merged.frameSince(0, cursor.Page)
 	relay.mu.Unlock()
 	if fb != nil {
 		fb.release()

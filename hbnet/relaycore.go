@@ -18,11 +18,6 @@ import (
 // locks or clock: each input is one plain method, taking time as an
 // argument. The shell (Relay, relay.go) calls it under one mutex.
 
-// maxRelayBatch bounds how many records a replay-ring subscriber receives
-// per Next, keeping every frame the server builds from it far inside the
-// wire caps.
-const maxRelayBatch = 1 << 16
-
 // maxRollupBatchBytes bounds the estimated encoded size of one rollup
 // delivery (whole emissions; at least one emission is always delivered),
 // keeping every frame far inside maxFramePayload even when app names run
@@ -385,7 +380,7 @@ func (r *replayRing) readSince(since uint64, max int) (out []heartbeat.Record, c
 // writing. A nil frame means nothing newer than since exists — cur then
 // reports head, as readSince's does.
 //
-// Frame size needs no guard here: take <= maxRelayBatch and a record
+// Frame size needs no guard here: take <= cursor.Page and a record
 // encodes to at most maxRecordBytes, keeping every frame far inside
 // maxFramePayload.
 func (r *replayRing) frameSince(since uint64, max int) (fb *frameBuf, cur uint64, shed uint64) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/heartbeat"
+	"repro/internal/cursor"
 	"repro/observer"
 )
 
@@ -63,7 +64,7 @@ func TestRelayCoreLifecycleOnOneGoroutine(t *testing.T) {
 
 	// Merged history: re-sequenced, widened by b's one missed seq, each
 	// record carrying its upstream's hop-local id.
-	recs, cur, _ := c.merged.readSince(0, maxRelayBatch)
+	recs, cur, _ := c.merged.readSince(0, cursor.Page)
 	var ids []int32
 	for _, rec := range recs {
 		ids = append(ids, rec.Producer)

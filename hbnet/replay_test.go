@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/heartbeat"
+	"repro/internal/cursor"
 )
 
 // referenceAppend is replayRing.append one record at a time, with a
@@ -76,7 +77,7 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 					missed := gap * uint64(step%2)
 					var cached *frameBuf
 					if r.head > 0 {
-						cached, _, _ = r.frameSince(r.head-1, maxRelayBatch)
+						cached, _, _ = r.frameSince(r.head-1, cursor.Page)
 					}
 					r.append(recs, missed, producer)
 					referenceAppend(ref, recs, missed, producer)
@@ -100,7 +101,7 @@ func TestReplayRingAppendMatchesReference(t *testing.T) {
 					// Every cursor from 0 to head: lapped ones are charged
 					// the same shed, and both rings serve the same frames.
 					for since := uint64(0); since <= r.head; since++ {
-						for _, max := range []int{2, maxRelayBatch} {
+						for _, max := range []int{2, cursor.Page} {
 							got, gotCur, gotShed := r.readSince(since, max)
 							want, wantCur, wantShed := ref.readSince(since, max)
 							if gotCur != wantCur || gotShed != wantShed || len(got) != len(want) {
@@ -143,7 +144,7 @@ func TestFrameSinceWarmedDoesNotAllocate(t *testing.T) {
 	r := &newRelayCore(benchBatchRecords, 0, time.Time{}).merged
 	r.append(saturatedRecords(benchBatchRecords), 0, -1)
 	miss := func(since uint64) {
-		fb, _, _ := r.frameSince(since, maxRelayBatch)
+		fb, _, _ := r.frameSince(since, cursor.Page)
 		if fb == nil {
 			t.Fatalf("frameSince(%d): no frame", since)
 		}
@@ -171,7 +172,7 @@ func BenchmarkFrameSince(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := since + uint64(i&1) // alternating cursors miss the cache
-		fb, _, _ := r.frameSince(s, maxRelayBatch)
+		fb, _, _ := r.frameSince(s, cursor.Page)
 		fb.release()
 		records += int(r.head - s)
 	}

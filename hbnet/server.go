@@ -250,7 +250,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("reading hello: %w", err)
 	}
-	sc := &serverCore{perFrame: maxRecordsPerFrame}
+	sc := new(serverCore)
 	s.mu.Lock()
 	entry, refusal, err := sc.hello(ftype, body, s.feeds)
 	s.mu.Unlock()

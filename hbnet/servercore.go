@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/heartbeat"
 	"repro/observer"
 )
 
@@ -23,17 +22,13 @@ const (
 )
 
 // serverCore is one subscriber's protocol: the verdict on its hello, the
-// cursor its batch frames carry and the split of a batch over frames, and
-// what an ending stream or a failed write means. It has no goroutines,
-// channels, locks, context or clock; the shell (Server) owns the conn,
-// opens the feed and writes under the deadlines.
+// frame each batch becomes, and what an ending stream or a failed write
+// means. It has no goroutines, channels, locks, context or clock; the
+// shell (Server) owns the conn, opens the feed and writes under the
+// deadlines.
 type serverCore struct {
-	name, kind string             // the feed the hello named; "rollup " for a rollup feed, for error text
-	cursor     uint64             // the hello's, then the last batch frame's (batchFrames)
-	perFrame   int                // records per batch frame
-	held       observer.Batch     // the batch being framed
-	rest       []heartbeat.Record // its records not yet framed
-	missed     uint64             // its Missed not yet reported
+	name, kind string // the feed the hello named; "rollup " for a rollup feed, for error text
+	cursor     uint64 // the hello's: where the subscriber's stream opens
 }
 
 // hello judges the subscriber's first frame and resolves the feed it
@@ -83,9 +78,10 @@ func (c *serverCore) ended(err error, cancelled bool) ([]byte, error) {
 	case cancelled:
 		return nil, nil
 	}
-	// A frame over the cap is permanent: redialing from the same cursor
-	// would rebuild the same frame forever.
-	return errorFrame(err.Error(), errors.Is(err, errFrameTooLarge)), fmt.Errorf("%sfeed %q: %w", c.kind, c.name, err)
+	// A frame over the cap, or a batch with no cursor, is permanent:
+	// redialing from the same cursor would rebuild the same frame forever.
+	permanent := errors.Is(err, errFrameTooLarge) || errors.Is(err, errNoCursor)
+	return errorFrame(err.Error(), permanent), fmt.Errorf("%sfeed %q: %w", c.kind, c.name, err)
 }
 
 // writeFailed judges a failed write, by ended's rule for cancellation.
@@ -96,66 +92,19 @@ func (c *serverCore) writeFailed(err error, cancelled bool) error {
 	return fmt.Errorf("writing %sbatch: %w", c.kind, err)
 }
 
-// take starts framing b. splitting reports whether the batch being framed
-// has records left, so the next frame continues it.
-func (c *serverCore) take(b observer.Batch) { c.held, c.rest, c.missed = b, b.Records, b.Missed }
+// errNoCursor refuses a batch that moves the stream without naming where
+// its reader stands: records or loss at Count 0 leave the subscriber no
+// cursor to resume from, on this connection or any redial.
+var errNoCursor = errors.New("hbnet: batch carries records or loss at Count 0, no cursor to resume from")
 
-func (c *serverCore) splitting() bool { return len(c.rest) > 0 }
-
-// batchFrame appends the next frame of the batch being framed to dst and
-// reports whether it was the batch's last. A batch over perFrame records
-// (a huge replay) goes out one chunk per frame rather than over the frame
-// cap, which would make the client redial from the same cursor forever;
-// the cursor advances per chunk, so a cut mid-split resumes exactly. A
-// chunk reports the loss before its last record that it does not carry,
-// and the last chunk the rest.
-func (c *serverCore) batchFrame(dst []byte) ([]byte, bool) {
-	chunk := c.held
-	chunk.Records = c.rest[:min(len(c.rest), c.perFrame)]
-	c.rest = c.rest[len(chunk.Records):]
-	chunk.Missed = c.missed
-	if len(c.rest) > 0 {
-		chunk.Missed = min(c.missed, lossBefore(c.cursor, chunk.Records))
+// batchFrame appends the frame that carries b to dst: the whole batch, at
+// the cursor its stream reports (Count), which the subscriber resumes from
+// after a cut. A batch is never split: every built-in stream reads at most
+// a cursor.Page, far inside the frame cap, and a foreign batch over the cap
+// ends the subscription (seal's errFrameTooLarge).
+func (c *serverCore) batchFrame(dst []byte, b observer.Batch) ([]byte, error) {
+	if b.Count == 0 && (len(b.Records) > 0 || b.Missed > 0) {
+		return nil, errNoCursor
 	}
-	c.missed -= chunk.Missed
-	c.cursor = advanceCursor(c.cursor, chunk)
-	return appendBatch(dst, chunk, c.cursor), len(c.rest) == 0
-}
-
-// lossBefore counts the positions after cursor up to the last of recs
-// that recs do not carry: what a chunk's cursor covers beyond its records.
-// Zero-Seq records carry no positions, so the first chunk takes it all.
-func lossBefore(cursor uint64, recs []heartbeat.Record) uint64 {
-	last, n := recs[len(recs)-1].Seq, uint64(len(recs))
-	switch {
-	case last == 0:
-		return ^uint64(0)
-	case last < cursor:
-		cursor = 0 // resync-down: the new seq space counts from zero
-	}
-	return max(last-cursor, n) - n
-}
-
-// advanceCursor computes the resume cursor after delivering b. For real
-// sequence numbers the newest record's Seq is exact up to that record —
-// also when it regressed below the cursor: the stream resynchronized to a
-// restarted producer, and the cursor must follow it down (counting from
-// zero, as lossBefore does) or the next resume would resync and replay
-// again. Missed that trails the last Seq (a ring that lapped between its
-// newest retained record and its head, or a new life's lost tail) is
-// advanced past, or the next read would re-report it. Foreign zero-Seq
-// streams fall back to counting records and losses.
-func advanceCursor(cursor uint64, b observer.Batch) uint64 {
-	if n := len(b.Records); n > 0 && b.Records[n-1].Seq > 0 {
-		last := b.Records[n-1].Seq
-		if last < cursor {
-			cursor = 0 // resync-down: the new seq space counts from zero
-		}
-		span := last - cursor
-		if accounted := uint64(n) + b.Missed; accounted > span {
-			return last + (accounted - span) // trailing Missed
-		}
-		return last
-	}
-	return cursor + uint64(len(b.Records)) + b.Missed
+	return appendBatch(dst, b, b.Count), nil
 }

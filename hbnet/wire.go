@@ -26,7 +26,7 @@ import (
 const (
 	frameHello   = 0x01 // client → server: magic, version, resume cursor, feed name
 	frameWelcome = 0x02 // server → client: accepted; echoes the hello's cursor as an integrity check
-	frameBatch   = 0x03 // server → client: one observer.Batch plus the new cursor
+	frameBatch   = 0x03 // server → client: one whole observer.Batch plus the cursor after it (its Count)
 	frameEOF     = 0x04 // server → client: the feed ended cleanly (producer closed)
 	frameError   = 0x05 // server → client: failure; body = permanence flag byte + message
 	frameRollup  = 0x06 // server → client: one RollupBatch plus the new emission cursor
@@ -44,11 +44,6 @@ const (
 	// maxRecordBytes is the most one encoded record costs: three 64-bit
 	// zig-zag varints (seq delta, time delta, tag) and an int32's (producer).
 	maxRecordBytes = binary.MaxVarintLen64*3 + binary.MaxVarintLen32
-	// maxRecordsPerFrame caps how many records the server packs into one
-	// batch frame; at up to maxRecordBytes per record, the cap keeps any
-	// frame under ~9 MiB, safely inside maxFramePayload. Oversized batches
-	// (a full-history replay) are split across frames.
-	maxRecordsPerFrame = 1 << 18
 	// maxFeedName bounds the hello's feed-name field.
 	maxFeedName = 1024
 )
@@ -159,7 +154,9 @@ func decodeError(body []byte) (msg string, permanent bool) {
 
 const batchFlagTargetSet = 1 << 0
 
-// appendBatch encodes one batch and the server-side cursor after it. The
+// appendBatch encodes one batch and the cursor after it, which every
+// sender sets to the batch's Count (serverCore.batchFrame, and the relay
+// replay's frameSince through appendBatchMeta). The
 // per-record sequence numbers and timestamps are signed deltas from their
 // predecessor (the first record's from zero), which run-length friendly
 // streams compress to a couple of bytes per record while still encoding

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cursor"
 	"repro/internal/ring"
 )
 
@@ -31,11 +32,13 @@ type store interface {
 	// Records that were overwritten or are mid-write are skipped.
 	last(n int) []Record
 	// readSince returns the retained records with sequence numbers greater
-	// than since, oldest to newest, plus the cursor to resume from. The
-	// cursor normally equals the store total; it stops short of a record
-	// that is still mid-write so the next readSince retries it, whereas
-	// overwritten (or skipped) records are passed over for good — the
-	// caller detects that loss as cursor-since exceeding len(records).
+	// than since, oldest to newest and at most one page of positions
+	// (span), plus the cursor to resume from. The cursor normally equals
+	// the page's end, the store total when the page reaches it; it stops
+	// short of a record that is still mid-write so the next readSince
+	// retries it, whereas overwritten (or skipped) records are passed over
+	// for good — the caller detects that loss as cursor-since exceeding
+	// len(records).
 	// buf, when its capacity suffices, becomes the backing storage of the
 	// returned slice (pass nil for a fresh allocation) — the reuse hook
 	// that keeps a hot subscriber's poll loop allocation-free.
@@ -132,20 +135,36 @@ func (s *lockfreeStore) read(seq uint64) (Record, bool) {
 	return Record{Seq: seq, Time: time.Unix(0, t), Tag: tag, Producer: p}, true
 }
 
+// span is the paging rule both stores read by: the retained positions
+// newer than since in a history of capacity records whose head is head,
+// at most cursor.Page of them, oldest first. from > to when none is newer;
+// to is then head.
+func span(since, head uint64, capacity int) (from, to uint64) {
+	if head <= since {
+		return head + 1, head
+	}
+	from = since + 1
+	if head-since > uint64(capacity) {
+		from = head - uint64(capacity) + 1
+	}
+	return from, min(head, from+cursor.Page-1)
+}
+
+// recordBuf returns buf emptied, or a fresh slice when it cannot hold n.
+func recordBuf(buf []Record, n uint64) []Record {
+	if uint64(cap(buf)) < n {
+		return make([]Record, 0, n)
+	}
+	return buf[:0]
+}
+
 func (s *lockfreeStore) readSince(since uint64, buf []Record) ([]Record, uint64) {
-	cur := s.next.Load()
-	if cur <= since {
-		return nil, cur
+	from, to := span(since, s.next.Load(), len(s.slots))
+	if from > to {
+		return nil, to
 	}
-	from := since + 1
-	if cur-since > uint64(len(s.slots)) {
-		from = cur - uint64(len(s.slots)) + 1
-	}
-	out := buf[:0]
-	if uint64(cap(out)) < cur-from+1 {
-		out = make([]Record, 0, cur-from+1)
-	}
-	for seq := from; seq <= cur; seq++ {
+	out := recordBuf(buf, to-from+1)
+	for seq := from; seq <= to; seq++ {
 		r, ok := s.read(seq)
 		if ok {
 			out = append(out, r)
@@ -161,7 +180,7 @@ func (s *lockfreeStore) readSince(since uint64, buf []Record) ([]Record, uint64)
 		// stable.
 		return out, seq - 1
 	}
-	return out, cur
+	return out, to
 }
 
 func (s *lockfreeStore) last(n int) []Record {
@@ -232,27 +251,20 @@ func (s *lockedStore) capacity() int { return s.buf.Cap() }
 func (s *lockedStore) readSince(since uint64, buf []Record) ([]Record, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.buf.Total()
-	if cur <= since {
-		return nil, cur
+	from, to := span(since, s.buf.Total(), s.buf.Cap())
+	if from > to {
+		return nil, to
 	}
-	n := cur - since
-	if n > uint64(s.buf.Cap()) {
-		n = uint64(s.buf.Cap())
-	}
-	recs := s.buf.Last(int(n))
-	out := buf[:0]
-	if cap(out) < len(recs) {
-		out = make([]Record, 0, len(recs))
-	}
-	for _, r := range recs {
+	out := recordBuf(buf, to-from+1)
+	first := int(from - (s.buf.Total() - uint64(s.buf.Len())) - 1) // from's index among the retained
+	for i := range int(to - from + 1) {
 		// Skipped positions read back as zero Records; they were
 		// discarded on arrival and count as lost, like an overwrite.
-		if r.Seq != 0 {
+		if r := s.buf.At(first + i); r.Seq != 0 {
 			out = append(out, r)
 		}
 	}
-	return out, cur
+	return out, to
 }
 
 func (s *lockedStore) last(n int) []Record {

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/cursor"
 )
 
 // Both store implementations must agree on everything observable when
@@ -43,6 +45,42 @@ func TestStoreEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Both stores page a read the same way: at most cursor.Page positions,
+// oldest retained first, the cursor at the page's end. A history larger than a page is read whole
+// in pages, each one continuing where the last stopped.
+func TestStoresPageIdentically(t *testing.T) {
+	const capacity = cursor.Page + 100
+	for name, s := range map[string]store{"lockfree": newLockfreeStore(capacity), "locked": newLockedStore(capacity)} {
+		t.Run(name, func(t *testing.T) {
+			s.appendRun(1, 0, make([]int64, capacity+103))
+			head := s.total() // 103 lapped
+			var since, got uint64
+			var pages []uint64
+			for since != head {
+				recs, next := s.readSince(since, nil)
+				if next-max(since, head-capacity) > cursor.Page {
+					t.Fatalf("readSince(%d) = %d records up to %d: more than a page", since, len(recs), next)
+				}
+				for i, r := range recs {
+					if r.Seq <= since || r.Seq > next || i > 0 && r.Seq <= recs[i-1].Seq {
+						t.Fatalf("readSince(%d) up to %d returned seq %d at %d", since, next, r.Seq, i)
+					}
+				}
+				got += uint64(len(recs))
+				pages = append(pages, next)
+				since = next
+			}
+			want := []uint64{head - capacity + cursor.Page, head}
+			if len(pages) != 2 || pages[0] != want[0] || pages[1] != want[1] {
+				t.Fatalf("pages ended at %v, want %v", pages, want)
+			}
+			if got != capacity {
+				t.Fatalf("read %d records, want the %d retained", got, capacity)
+			}
+		})
 	}
 }
 

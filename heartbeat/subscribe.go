@@ -82,13 +82,17 @@ func (s *subscribers) close() {
 	s.wake()
 }
 
-// ReadSince returns every retained global record with sequence number
+// ReadSince returns the retained global records with sequence number
 // greater than since, oldest to newest, plus the cursor to pass to the next
 // ReadSince. Pending shard records are merged first (same discipline as
 // History). An idle call — no beats since the last cursor — does no
 // per-record work: it is a merge-backlog check plus one atomic load.
 //
-// The cursor normally advances to the newest assigned sequence number.
+// One call returns at most one page: the records among the oldest
+// cursor.Page (65 536) positions newer than since that the history still
+// retains. The cursor normally advances to the page's end — the newest
+// assigned sequence number once the reader has caught up — so a reader
+// far behind a history larger than a page catches up over several calls.
 // When cursor-since exceeds len(records), the difference was overwritten
 // (or discarded under backlog pressure) before this reader got to it;
 // consumers that must not miss records size WithCapacity to cover their
@@ -113,9 +117,11 @@ func (h *Heartbeat) readSinceInto(since uint64, buf []Record) ([]Record, uint64)
 }
 
 // Subscription is a cursor over the global heartbeat history that delivers
-// new records in batches as they are published — the push form of ReadSince.
-// Obtain one with Subscribe or SubscribeFrom. Next and PollInto must be called
-// from a single goroutine at a time; Close may be called from any goroutine.
+// new records in batches as they are published — the push form of
+// ReadSince, and like it at most one page (cursor.Page) per call; Cursor
+// is where the last call stopped. Obtain one with Subscribe or
+// SubscribeFrom. Next and PollInto must be called from a single goroutine
+// at a time; Close may be called from any goroutine.
 // Independent subscriptions have independent cursors, so any number of
 // consumers can stream the same Heartbeat without coordinating.
 type Subscription struct {

@@ -40,6 +40,9 @@ type backend struct {
 	ends bool
 	// reconnects: the stream survives a cut connection (the hbnet client).
 	reconnects bool
+	// restarts: the producer can begin a new life under the same name,
+	// path or feed, and a stream opened on the old one sees it.
+	restarts bool
 	// goal: batches carry the producer's Window and Target. A relay's
 	// merged feed mixes applications, so it carries only Count.
 	goal bool
@@ -63,6 +66,9 @@ type medium struct {
 	end func()
 	// cut breaks the stream's connection; nil unless reconnects.
 	cut func()
+	// restart begins a new life of the history under the same name, path
+	// or feed: its sequence numbers start over. nil unless restarts.
+	restart func()
 	// polled is the reader level; nil for a medium with no PolledReader.
 	polled *polled
 }
@@ -80,10 +86,10 @@ type polled struct {
 
 var backends = []backend{
 	{name: "heartbeat", laps: true, ends: true, goal: true, lapped: retain, start: startHeartbeat},
-	{name: "hbfile-ring", laps: true, goal: true, lapped: retain - 1, start: startRing},
-	{name: "hbfile-log", goal: true, start: startLog},
-	{name: "hbshm", laps: true, ends: true, goal: true, lapped: retain - 1, start: startShm},
-	{name: "hbnet", laps: true, ends: true, reconnects: true, goal: true, async: true, lapped: retain, start: startNet},
+	{name: "hbfile-ring", laps: true, restarts: true, goal: true, lapped: retain - 1, start: startRing},
+	{name: "hbfile-log", restarts: true, goal: true, start: startLog},
+	{name: "hbshm", laps: true, ends: true, restarts: true, goal: true, lapped: retain - 1, start: startShm},
+	{name: "hbnet", laps: true, ends: true, reconnects: true, restarts: true, goal: true, async: true, lapped: retain, start: startNet},
 	{name: "relay", laps: true, ends: true, lapped: retain, start: startRelay},
 }
 
@@ -133,6 +139,7 @@ func startHeartbeat(t *testing.T) *medium {
 type batchWriter interface {
 	WriteRecords([]heartbeat.Record) error
 	WriteTarget(min, max float64) error
+	Close() error
 }
 
 // seqs returns the records numbered from through to.
@@ -144,14 +151,26 @@ func seqs(from, to uint64) []heartbeat.Record {
 	return recs
 }
 
-// startPolled assembles a medium observed through a PolledReader: w
-// publishes, openReader attaches a reader, and stream wraps one at a cursor
-// on a virtual clock.
-func startPolled(t *testing.T, path string, w batchWriter, openReader func() (observer.PolledReader, error),
+// startPolled assembles a medium observed through a PolledReader: create
+// makes (or, on a restart, remakes in place) the file's writer,
+// openReader attaches a reader, and stream wraps one at a cursor on a
+// virtual clock.
+func startPolled(t *testing.T, path string, create func() (batchWriter, error), openReader func() (observer.PolledReader, error),
 	stream func(r observer.PolledReader, since uint64, clk clock.Clock) observer.Stream) *medium {
-	if err := w.WriteTarget(goalMin, goalMax); err != nil {
-		t.Fatal(err)
+	var w batchWriter
+	var head uint64
+	begin := func() {
+		var err error
+		if w, err = create(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteTarget(goalMin, goalMax); err != nil {
+			t.Fatal(err)
+		}
+		head = 0
 	}
+	begin()
+	t.Cleanup(func() { w.Close() })
 	attach := func() observer.PolledReader {
 		r, err := openReader()
 		if err != nil {
@@ -165,7 +184,6 @@ func startPolled(t *testing.T, path string, w batchWriter, openReader func() (ob
 			t.Fatal(err)
 		}
 	}
-	var head uint64
 	clk := clock.NewVirtual()
 	return &medium{
 		open: func(since uint64) observer.Stream {
@@ -174,6 +192,14 @@ func startPolled(t *testing.T, path string, w batchWriter, openReader func() (ob
 		publish: func(n int) {
 			write(seqs(head+1, head+uint64(n)))
 			head += uint64(n)
+		},
+		// The producer recreates its file in place, as a restarted one
+		// does: open readers see the new life.
+		restart: func() {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			begin()
 		},
 		polled: &polled{r: attach(), write: write, tear: func(version uint64) {
 			f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -201,34 +227,24 @@ const targetVer = 32
 
 func startRing(t *testing.T) *medium {
 	path := filepath.Join(t.TempDir(), "app.hb")
-	w, err := hbfile.Create(path, window, retain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return startPolled(t, path, w, func() (observer.PolledReader, error) { return hbfile.Open(path) },
-		readerStream)
+	return startPolled(t, path, func() (batchWriter, error) { return hbfile.Create(path, window, retain) },
+		func() (observer.PolledReader, error) { return hbfile.Open(path) }, readerStream)
 }
 
 func startLog(t *testing.T) *medium {
 	path := filepath.Join(t.TempDir(), "app.hbl")
-	w, err := hbfile.CreateLog(path, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return startPolled(t, path, w, func() (observer.PolledReader, error) { return hbfile.OpenLog(path) },
-		readerStream)
+	return startPolled(t, path, func() (batchWriter, error) { return hbfile.CreateLog(path, window) },
+		func() (observer.PolledReader, error) { return hbfile.OpenLog(path) }, readerStream)
 }
 
 func startShm(t *testing.T) *medium {
 	path := filepath.Join(t.TempDir(), "app.shm")
-	w, err := hbshm.Create(path, window, retain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	m := startPolled(t, path, w, func() (observer.PolledReader, error) { return hbshm.Open(path) },
+	var w *hbshm.Writer
+	m := startPolled(t, path, func() (batchWriter, error) {
+		var err error
+		w, err = hbshm.Create(path, window, retain)
+		return w, err
+	}, func() (observer.PolledReader, error) { return hbshm.Open(path) },
 		func(r observer.PolledReader, since uint64, clk clock.Clock) observer.Stream {
 			return hbshm.StreamFrom(r.(*hbshm.Reader), poll, since, clk)
 		})
@@ -284,9 +300,18 @@ func startNet(t *testing.T) *medium {
 			}
 			return closeOnCleanup(t, c)
 		},
-		publish: beat,
+		publish: func(n int) { beat(n) },
 		end:     func() { hb.Close() },
 		cut:     d.cut,
+		// A new producer is published under the feed's name; the client
+		// meets it on its redial, at its old cursor.
+		restart: func() {
+			hb, beat = newHeartbeat(t)
+			if err := srv.PublishHeartbeat("app", hb); err != nil {
+				t.Fatal(err)
+			}
+			d.cut()
+		},
 	}
 }
 

@@ -205,6 +205,40 @@ var streamCases = []contractCase{
 		st.idle()
 		st.counts(8, 0, 2)
 	}},
+	// Rule 4, across a restart: the producer begins a new life under the
+	// same name, path or feed with its head below the stream's cursor; the
+	// stream resyncs to the new life's zero and delivers it, the gap
+	// between lives counted nowhere.
+	{"restart-below-cursor-resyncs", func(b backend) bool { return b.restarts }, func(t *testing.T, b backend, m *medium) {
+		m.publish(8)
+		st := open(t, m, 0)
+		st.drain(8)
+		m.restart()
+		m.publish(3)
+		if first := st.drain(3); first.Records[0].Seq != 1 {
+			t.Fatalf("resynced to the new life, first record is seq %d", first.Records[0].Seq)
+		}
+		st.idle()
+		st.counts(11, 0, 2)
+		if m.polled == nil || !b.laps {
+			return
+		}
+		// A medium addressed by sequence number can begin a life whose
+		// first read finds no readable record: its first positions were
+		// never written (a bridge passing an upstream loss through), and
+		// a one-position read covers only them. The read still resyncs,
+		// counting what it covered Missed from the new life's zero.
+		m.restart()
+		m.polled.write(seqs(2, 2))
+		tr := simcheck.NewTracker(t.Name(), st.tr.Cursor())
+		if recs, head := read(t, tr, m.polled.r, 1, nil); len(recs) != 0 || head != 1 {
+			t.Fatalf("first read of the new life: %d records up to %d, want none up to 1", len(recs), head)
+		}
+		read(t, tr, m.polled.r, 1, nil)
+		if lives := tr.Lives(); len(lives) != 2 || lives[1] != (simcheck.Life{Delivered: 1, Missed: 1, Head: 2}) {
+			t.Fatalf("lives %+v, want the new one at head 2 with 1 delivered and 1 missed", lives)
+		}
+	}},
 	// Rule 5: under an expired context Next drains pending records and
 	// reports the context's error only when idle; a blocked Next returns
 	// when its context is cancelled.
@@ -269,8 +303,9 @@ var streamCases = []contractCase{
 		}
 		st.counts(5, 0, 1)
 	}},
-	// Every batch carries the producer's head as Count and, for a single
-	// application, its Window and Target.
+	// Every batch carries where its reader stands as Count — the
+	// producer's head once drained — and, for a single application, its
+	// Window and Target.
 	{"count-window-target", nil, func(t *testing.T, b backend, m *medium) {
 		m.publish(5)
 		st := open(t, m, 0)
@@ -299,19 +334,26 @@ func (c *waitCtx) Done() <-chan struct{} {
 }
 
 // read is one reader-level read, fed to the tracker as the batch a
-// polled stream would deliver: the span the read passed over is Missed.
+// polled stream would deliver: the span the read passed over is Missed,
+// and a head below the cursor resyncs and reads again from zero.
 func read(t *testing.T, tr *simcheck.Tracker, r observer.PolledReader, max int, buf []heartbeat.Record) ([]heartbeat.Record, uint64) {
 	t.Helper()
 	since := tr.Cursor()
-	recs, head, err := r.ReadSinceInto(since, max, buf)
-	if err != nil {
-		t.Fatalf("ReadSinceInto(%d, %d): %v", since, max, err)
+	for {
+		recs, head, err := r.ReadSinceInto(since, max, buf)
+		if err != nil {
+			t.Fatalf("ReadSinceInto(%d, %d): %v", since, max, err)
+		}
+		next, missed, move := cursor.Advance(since, head, len(recs))
+		if move == cursor.Resync {
+			since = next
+			continue
+		}
+		if err := tr.Absorb(observer.Batch{Records: recs, Count: next, Missed: missed}); err != nil {
+			t.Fatal(err)
+		}
+		return recs, head
 	}
-	_, missed, _ := cursor.Advance(since, head, len(recs))
-	if err := tr.Absorb(observer.Batch{Records: recs, Missed: missed}); err != nil {
-		t.Fatal(err)
-	}
-	return recs, head
 }
 
 // readerCases are the contract at the PolledReader level (hbfile.Reader,

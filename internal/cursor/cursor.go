@@ -6,7 +6,21 @@
 // medium's head and how many records newer than the cursor it got, and
 // asks Advance what that means. The rule used to be spelled out at each of
 // those sites; PRs 3, 5 and 6 each fixed a bug in one copy.
+//
+// A delivered batch's Count is the cursor its read returned — where the
+// reader stands after the batch — so a consumer, a network hop or an
+// oracle downstream never works the cursor out again from the records.
 package cursor
+
+// Page bounds how many positions one cursor read covers, and so how many
+// records it returns: the in-process history, the polled file, log and
+// shared-memory streams and the relay's replay ring all read at most a
+// page at a time. A read that stops short
+// of the head reports the position it consumed up to, so the next read
+// continues from there. At the wire's worst case per record a page stays
+// far inside one network frame, so every batch a built-in stream delivers
+// crosses a hop whole.
+const Page = 1 << 16
 
 // Move classifies one read.
 type Move int

@@ -21,27 +21,6 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
-func TestAllCoversEveryID(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep in long mode only")
-	}
-	results := All(quick)
-	if len(results) != len(IDs()) {
-		t.Fatalf("All = %d results, want %d", len(results), len(IDs()))
-	}
-	for i, r := range results {
-		if r.ID != IDs()[i] {
-			t.Errorf("result %d = %q, want %q", i, r.ID, IDs()[i])
-		}
-		if r.Table == nil && r.Series == nil {
-			t.Errorf("%s: no table or series", r.ID)
-		}
-		if len(r.Notes) == 0 {
-			t.Errorf("%s: no notes", r.ID)
-		}
-	}
-}
-
 func TestTable2ReproducesPaperRates(t *testing.T) {
 	r := Table2(quick)
 	if r.Table == nil || len(r.Table.Rows) != 10 {
@@ -73,6 +52,9 @@ func TestTable2ReproducesPaperRates(t *testing.T) {
 
 func TestOverheadShape(t *testing.T) {
 	r := Overhead(quick)
+	if r.Table == nil || len(r.Notes) == 0 {
+		t.Fatalf("overhead: table %v, %d notes", r.Table != nil, len(r.Notes))
+	}
 	slowdown := func(row int) float64 {
 		s := strings.TrimSuffix(r.Table.Rows[row][4], "x")
 		v, err := strconv.ParseFloat(s, 64)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/golden"
@@ -22,12 +24,32 @@ var goldenScale = Options{EncoderFrames: 40}
 // evaluation fails here; one that means to rewrites the goldens with
 //
 //	go test ./internal/experiments -run TestGoldens -update
+//
+// The goldens and the IDs cover each other: every ID but overhead has a
+// golden (TestOverheadShape covers overhead), and every golden an ID —
+// checked once the subtests have written any goldens -update asked for.
 func TestGoldens(t *testing.T) {
+	var ids []string
 	for _, id := range IDs() {
-		if id == "overhead" {
-			continue
+		if id != "overhead" {
+			ids = append(ids, id)
 		}
-		id := id
+	}
+	t.Cleanup(func() {
+		files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var goldens []string
+		for _, f := range files {
+			goldens = append(goldens, strings.TrimSuffix(filepath.Base(f), ".golden"))
+		}
+		want := slices.Clone(ids)
+		if slices.Sort(want); !slices.Equal(goldens, want) {
+			t.Errorf("goldens %v, want one per ID but overhead: %v", goldens, want)
+		}
+	})
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			r, err := Run(id, goldenScale)
@@ -43,6 +65,10 @@ func TestGoldens(t *testing.T) {
 // chart size, followed by the CSV its -out flag writes.
 func renderGolden(t *testing.T, r Result) []byte {
 	t.Helper()
+	if r.Table == nil && r.Series == nil || len(r.Notes) == 0 {
+		t.Fatalf("%s: table %v, series %v, %d notes; want a table or a series, and notes",
+			r.ID, r.Table != nil, r.Series != nil, len(r.Notes))
+	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "== %s ==\n", r.Title)
 	if r.Table != nil {

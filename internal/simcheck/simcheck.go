@@ -67,13 +67,16 @@ type Life struct {
 }
 
 // Tracker absorbs one consumer's batches and verifies the delivery
-// contract incrementally: sequence numbers strictly increase, every gap is
-// accounted by the batch's Missed exactly, and a sequence regression is
-// only legal as a producer-restart resynchronization (the stream reset its
-// cursor to zero and redelivered the new life), which closes the current
-// Life and opens the next. Any other shape — duplicates, unaccounted gaps,
-// over-reported losses — is a contract violation, returned by Absorb and
-// latched in Err.
+// contract incrementally. Each batch's Count is where its reader stands
+// after it (observer.Batch), so the tracker never infers a cursor from the
+// records: a batch must read exactly the span from a base to its Count —
+// records strictly increasing inside it, the rest of it Missed. The base
+// is the tracker's cursor (a continuation) or zero (a producer-restart
+// resynchronization: the stream reset its cursor to zero and read the new
+// life, which closes the current Life and opens the next), with or without
+// records. Any other shape — duplicates, unaccounted gaps, over-reported
+// losses, records past the Count — is a contract violation, returned by
+// Absorb and latched in Err.
 //
 // A Tracker is one consumer's view: feed it every batch of a single
 // Stream, in order.
@@ -104,56 +107,58 @@ func (t *Tracker) fail(format string, args ...interface{}) error {
 // absorbed best-effort so totals remain inspectable.
 func (t *Tracker) Absorb(b observer.Batch) error {
 	recs := b.Records
-	if len(recs) == 0 {
-		// A record-free batch can only report losses (every record that
-		// advanced the head was lapped before delivery).
-		t.cursor += b.Missed
-		t.cur.Missed += b.Missed
-		t.cur.Head = t.cursor
-		return nil
-	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Seq <= recs[i-1].Seq {
 			return t.fail("batch not strictly increasing: seq %d after %d (index %d)",
 				recs[i].Seq, recs[i-1].Seq, i)
 		}
 	}
-	first, last := recs[0].Seq, recs[len(recs)-1].Seq
 	n := uint64(len(recs))
 	switch {
-	case first > t.cursor && b.Missed == last-t.cursor-n:
-		// Continuation: the gap between the cursor and what arrived is
-		// accounted by Missed, exactly.
-	case b.Missed == last-n:
-		// Restart resynchronization: the stream reset its cursor to zero
-		// and the batch's loss accounting is exact relative to zero. This
-		// is how a sequence regression is legal — and it can also arrive
-		// with first > cursor, when the new life lapped past the old
-		// cursor before its first delivery. (A continuation whose Missed
-		// happens to equal last-n only coincides when cursor is 0, where
-		// the two readings are the same batch.) The harness-level
-		// CheckLives guard keeps a stream that wrongly re-reports from
-		// zero from hiding here.
+	case spans(t.cursor, b):
+		// Continuation: the batch reads on from the cursor.
+	case spans(0, b):
+		// Restart resynchronization: the batch reads the new life from
+		// zero. It can also arrive at a Count past the old cursor, when
+		// the new life lapped past it before its first delivery; Missed
+		// tells the two readings apart, and where they agree (cursor 0)
+		// they are the same batch. The harness-level CheckLives guard
+		// keeps a stream that wrongly re-reports from zero from hiding
+		// here.
 		t.lives = append(t.lives, t.cur)
 		t.cur = Life{}
-	case first > t.cursor:
-		return t.fail("missed %d records between cursor %d and head %d, batch reports Missed=%d",
-			last-t.cursor-n, t.cursor, last, b.Missed)
+	case b.Count >= t.cursor+n && (n == 0 || recs[0].Seq > t.cursor):
+		return t.fail("batch from cursor %d to Count %d carries %d records and reports Missed=%d, want %d",
+			t.cursor, b.Count, n, b.Missed, b.Count-t.cursor-n)
 	default:
-		return t.fail("seq regressed to %d at cursor %d without a restart-shaped resync (Missed=%d, want %d)",
-			first, t.cursor, b.Missed, last-n)
+		return t.fail("batch at Count %d with %d records (Missed=%d) neither continues cursor %d nor restarts from zero",
+			b.Count, n, b.Missed, t.cursor)
 	}
-	t.cursor = last
+	t.cursor = b.Count
 	t.cur.Delivered += n
 	t.cur.Missed += b.Missed
 	t.cur.Head = t.cursor
 	return nil
 }
 
+// spans reports whether b reads exactly the span after base up to its
+// Count: every record inside it and the rest of it counted Missed.
+func spans(base uint64, b observer.Batch) bool {
+	n := uint64(len(b.Records))
+	if b.Count < base+n {
+		return false
+	}
+	if n > 0 && (b.Records[0].Seq <= base || b.Records[n-1].Seq > b.Count) {
+		return false
+	}
+	return b.Missed == b.Count-base-n
+}
+
 // Err returns the first contract violation observed, if any.
 func (t *Tracker) Err() error { return t.err }
 
-// Cursor returns the newest sequence number absorbed (current life).
+// Cursor returns where the stream stands: the last batch's Count (the
+// current life's), or since before the first batch.
 func (t *Tracker) Cursor() uint64 { return t.cursor }
 
 // Lives returns the accounting of every producer life observed, completed

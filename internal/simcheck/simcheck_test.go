@@ -42,10 +42,10 @@ func TestConserved(t *testing.T) {
 
 func TestTrackerCleanContinuation(t *testing.T) {
 	tr := NewTracker("t", 0)
-	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3), Count: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Absorb(observer.Batch{Records: recs(4, 5)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(4, 5), Count: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Delivered() != 5 || tr.Missed() != 0 || tr.Cursor() != 5 {
@@ -62,7 +62,7 @@ func TestTrackerCleanContinuation(t *testing.T) {
 func TestTrackerLapAccounting(t *testing.T) {
 	tr := NewTracker("t", 0)
 	// A lap: seqs 1..10 published, 1..4 overwritten before delivery.
-	if err := tr.Absorb(observer.Batch{Records: recs(5, 6, 7, 8, 9, 10), Missed: 4}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(5, 6, 7, 8, 9, 10), Count: 10, Missed: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckConserved(10); err != nil {
@@ -70,25 +70,25 @@ func TestTrackerLapAccounting(t *testing.T) {
 	}
 	// Under-reported loss is a violation.
 	tr2 := NewTracker("t2", 0)
-	if err := tr2.Absorb(observer.Batch{Records: recs(5, 6), Missed: 2}); err == nil {
+	if err := tr2.Absorb(observer.Batch{Records: recs(5, 6), Count: 6, Missed: 2}); err == nil {
 		t.Fatal("under-reported Missed not detected")
 	}
 	// Over-reported loss too.
 	tr3 := NewTracker("t3", 0)
-	if err := tr3.Absorb(observer.Batch{Records: recs(1, 2), Missed: 1}); err == nil {
+	if err := tr3.Absorb(observer.Batch{Records: recs(1, 2), Count: 2, Missed: 1}); err == nil {
 		t.Fatal("over-reported Missed not detected")
 	}
 }
 
 func TestTrackerMissedOnlyBatch(t *testing.T) {
 	tr := NewTracker("t", 0)
-	if err := tr.Absorb(observer.Batch{Records: recs(1, 2)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(1, 2), Count: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Absorb(observer.Batch{Missed: 3}); err != nil {
+	if err := tr.Absorb(observer.Batch{Count: 5, Missed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Absorb(observer.Batch{Records: recs(6, 7)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(6, 7), Count: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckConserved(7); err != nil {
@@ -98,12 +98,12 @@ func TestTrackerMissedOnlyBatch(t *testing.T) {
 
 func TestTrackerRestartRotatesLife(t *testing.T) {
 	tr := NewTracker("t", 0)
-	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3), Count: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Producer restarted; the stream resynced to zero and redelivers the
 	// new life from seq 1.
-	if err := tr.Absorb(observer.Batch{Records: recs(1, 2)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(1, 2), Count: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckLives(2); err != nil {
@@ -125,12 +125,12 @@ func TestTrackerRestartLappedPastOldCursor(t *testing.T) {
 	// looks like a continuation — but only the restart reading (Missed
 	// exact relative to zero) accounts it. Absorb must rotate, not fail.
 	tr := NewTracker("t", 0)
-	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3, 4, 5)}); err != nil { // cursor 5
+	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3, 4, 5), Count: 5}); err != nil { // cursor 5
 		t.Fatal(err)
 	}
 	// New life at head 40, ring retains 31..40: Missed=30 relative to zero.
 	burst := recs(31, 32, 33, 34, 35, 36, 37, 38, 39, 40)
-	if err := tr.Absorb(observer.Batch{Records: burst, Missed: 30}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: burst, Count: 40, Missed: 30}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckLives(2); err != nil {
@@ -143,12 +143,12 @@ func TestTrackerRestartLappedPastOldCursor(t *testing.T) {
 
 func TestTrackerRestartWithNewLifeLap(t *testing.T) {
 	tr := NewTracker("t", 0)
-	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3, 4, 5)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3, 4, 5), Count: 5}); err != nil {
 		t.Fatal(err)
 	}
 	// New life already at head 8 with records 1..3 lapped: the resynced
 	// stream reports Missed relative to zero.
-	if err := tr.Absorb(observer.Batch{Records: recs(4, 5, 6, 7, 8), Missed: 3}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(4, 5, 6, 7, 8), Count: 8, Missed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckLives(2); err != nil {
@@ -159,20 +159,55 @@ func TestTrackerRestartWithNewLifeLap(t *testing.T) {
 	}
 }
 
+// A record-free batch takes the same two shapes as one with records: a
+// loss that continues from the cursor, or a restart whose new life had no
+// readable record at the first read (its whole span Missed, counted from
+// zero). Nothing else is legal.
+func TestTrackerRecordFreeBatches(t *testing.T) {
+	tr := NewTracker("t", 0)
+	for _, b := range []observer.Batch{
+		{Records: recs(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), Count: 12},
+		{Count: 9, Missed: 9},                      // restart: nothing of the new life readable yet
+		{Records: recs(10, 11), Count: 11},         // the new life continues
+		{Count: 11},                                // a batch that moves nothing
+		{Count: 14, Missed: 3},                     // a loss that continues
+		{Records: recs(1, 2), Count: 4, Missed: 2}, // restart: the tail is lost
+	} {
+		if err := tr.Absorb(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.CheckLives(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckConserved(12 + 14 + 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []observer.Batch{
+		{Count: 2, Missed: 1},                      // below the cursor, not from zero
+		{Count: 9, Missed: 4},                      // above it, losing too much or too little
+		{Records: recs(5, 6), Count: 5, Missed: 3}, // a record past the Count
+	} {
+		if err := NewTracker("bad", 4).Absorb(b); err == nil {
+			t.Fatalf("batch %+v from cursor 4 accepted", b)
+		}
+	}
+}
+
 func TestTrackerDuplicateDetected(t *testing.T) {
 	tr := NewTracker("t", 0)
-	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3)}); err != nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(1, 2, 3), Count: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// A re-delivered batch is a regression that does NOT look like a
 	// restart resync (its Missed accounting is wrong relative to zero)…
-	if err := tr.Absorb(observer.Batch{Records: recs(2, 3)}); err == nil {
+	if err := tr.Absorb(observer.Batch{Records: recs(2, 3), Count: 3}); err == nil {
 		t.Fatal("duplicate delivery not detected")
 	}
 	// …and even one that does (dense from 1) is caught by the life count.
 	tr2 := NewTracker("t2", 0)
-	tr2.Absorb(observer.Batch{Records: recs(1, 2, 3)})
-	tr2.Absorb(observer.Batch{Records: recs(1, 2, 3)})
+	tr2.Absorb(observer.Batch{Records: recs(1, 2, 3), Count: 3})
+	tr2.Absorb(observer.Batch{Records: recs(1, 2, 3), Count: 3})
 	if err := tr2.CheckLives(1); err == nil {
 		t.Fatal("duplicate-as-restart not caught by life count")
 	}
@@ -180,7 +215,7 @@ func TestTrackerDuplicateDetected(t *testing.T) {
 
 func TestTrackerUnsortedBatch(t *testing.T) {
 	tr := NewTracker("t", 0)
-	err := tr.Absorb(observer.Batch{Records: recs(1, 3, 2)})
+	err := tr.Absorb(observer.Batch{Records: recs(1, 3, 2), Count: 3})
 	if err == nil || !strings.Contains(err.Error(), "strictly increasing") {
 		t.Fatalf("unsorted batch not detected: %v", err)
 	}

@@ -55,7 +55,11 @@ type Batch struct {
 	// re-delivered data: across the life of a Stream each record is
 	// returned at most once.
 	Records []heartbeat.Record
-	// Count is the total number of heartbeats registered so far.
+	// Count is where the stream's reader stands after this batch: the
+	// position its read consumed up to in the producer's sequence space —
+	// the producer's head once the reader has caught up. It is the cursor
+	// to resume from, and a batch after a resync counts from the new
+	// life's zero.
 	Count uint64
 	// Window is the application's default averaging window.
 	Window int
@@ -188,7 +192,7 @@ func (s *heartbeatStream) Next(ctx context.Context) (Batch, error) {
 		}
 		return Batch{}, err
 	}
-	b := Batch{Records: recs, Count: s.hb.Count(), Window: s.hb.Window()}
+	b := Batch{Records: recs, Count: s.sub.Cursor(), Window: s.hb.Window()}
 	b.TargetMin, b.TargetMax, b.TargetSet = s.hb.Target()
 	m := s.sub.Missed()
 	b.Missed = m - s.lastMissed
@@ -224,10 +228,6 @@ type PolledReader interface {
 	Window() int
 	Target() (min, max float64, ok bool, err error)
 }
-
-// maxPolledBatch pages very large backlogs so one Next never materializes
-// more records than the wire layer would accept in a single frame.
-const maxPolledBatch = 1 << 16
 
 // ReaderStream streams a PolledReader: the external-observation path of
 // Figure 1(b), incrementally, and the one polled cursor loop behind ring
@@ -301,7 +301,7 @@ func waitPoll(ctx context.Context, clk clock.Clock, poll time.Duration) error {
 func (s *PolledStream) step() (Batch, bool, error) {
 	buf := s.pool.take()
 	for {
-		recs, head, err := s.r.ReadSinceInto(s.cursor, maxPolledBatch, buf)
+		recs, head, err := s.r.ReadSinceInto(s.cursor, cursor.Page, buf)
 		if err != nil {
 			s.pool.put(buf) // EOF and failures deliver no records: keep the buffer
 			return Batch{}, false, err

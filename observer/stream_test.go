@@ -3,7 +3,6 @@ package observer_test
 import (
 	"context"
 	"errors"
-	"io"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,41 +12,6 @@ import (
 	"repro/heartbeat"
 	"repro/observer"
 )
-
-func TestHeartbeatStreamDeltas(t *testing.T) {
-	clk := clock.NewVirtual()
-	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb.SetTarget(5, 15)
-	beatSteadily(hb, clk, 4, 100*time.Millisecond)
-
-	st := observer.HeartbeatStream(hb)
-	b, err := st.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Records) != 4 || b.Count != 4 || b.Window != 10 || !b.TargetSet || b.TargetMin != 5 {
-		t.Fatalf("first batch = %+v", b)
-	}
-	beatSteadily(hb, clk, 2, 100*time.Millisecond)
-	b, err = st.Next(context.Background())
-	if err != nil || len(b.Records) != 2 || b.Records[0].Seq != 5 {
-		t.Fatalf("delta batch = %+v, err %v", b, err)
-	}
-	// Idle + expired ctx = non-blocking drain outcome.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := st.Next(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("idle err = %v", err)
-	}
-	// Closed heartbeat ends the stream.
-	hb.Close()
-	if _, err := st.Next(context.Background()); !errors.Is(err, io.EOF) {
-		t.Fatalf("closed err = %v, want io.EOF", err)
-	}
-}
 
 func TestFileStreamTailsRing(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "a.hb")
@@ -129,77 +93,6 @@ func TestPolledStreamCancelStopsPollTimer(t *testing.T) {
 	}
 	if n := clk.PendingTimers(); n != 0 {
 		t.Fatalf("PendingTimers = %d after a cancelled Next, want 0", n)
-	}
-}
-
-// Regression: resuming a file stream with a cursor from a previous life
-// of the producer (the file was recreated, its seqs restarted) used to
-// jump the cursor down silently and skip the new life's retained records
-// entirely — where the in-process Subscription resync redelivers them.
-// The two backends must agree: resynchronize and deliver.
-func TestFileStreamFromFutureCursorResynchronizes(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "a.hb")
-	w, err := hbfile.Create(p, 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := clock.NewVirtual()
-	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hb.Close()
-	beatSteadily(hb, clk, 5, 25*time.Millisecond)
-
-	r, err := hbfile.Open(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// The consumer's cursor predates this file's life entirely.
-	st := observer.ReaderStream(r, time.Millisecond, 100, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for delivered := 0; delivered < 5; {
-		b, err := st.Next(ctx)
-		if err != nil {
-			t.Fatalf("resumed-from-future Next stalled after %d records: %v", delivered, err)
-		}
-		for _, rec := range b.Records {
-			delivered++
-			if rec.Seq != uint64(delivered) {
-				t.Fatalf("record %d has seq %d: resync skipped or duplicated", delivered, rec.Seq)
-			}
-		}
-		if b.Missed != 0 {
-			t.Fatalf("resync counted %d phantom missed records", b.Missed)
-		}
-	}
-}
-
-func TestLogStreamTailsLog(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "a.hbl")
-	w, err := hbfile.CreateLog(p, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := clock.NewVirtual()
-	hb, err := heartbeat.New(10, heartbeat.WithClock(clk), heartbeat.WithSink(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hb.Close()
-	beatSteadily(hb, clk, 4, 10*time.Millisecond)
-
-	r, err := hbfile.OpenLog(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	st := observer.ReaderStream(r, time.Millisecond, 0, nil)
-	b, err := st.Next(context.Background())
-	if err != nil || len(b.Records) != 4 || b.Count != 4 {
-		t.Fatalf("log batch = %+v, err %v", b, err)
 	}
 }
 

@@ -126,7 +126,7 @@ func TestStreamFanoutNoLossNoDupAcrossResubscribe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("consumed %d records, then: %v", tracker.Delivered(), err)
 		}
-		if err := tracker.Absorb(observer.Batch{Records: recs}); err != nil {
+		if err := tracker.Absorb(observer.Batch{Records: recs, Count: sub.Cursor()}); err != nil {
 			t.Fatal(err)
 		}
 		if !resubscribed && tracker.Cursor() > beats/2 {
