@@ -147,8 +147,11 @@ failover-scenario:
 # cores — publishes, losses, restarts, cursor reads paged at a size the
 # script picks, cuts mid-frame, corrupted frames, server errors, redials —
 # and holds every delivery, one frame per batch at the cursor its Count
-# reports, to simcheck's exactly-once-or-counted accounting. The
-# checked-in corpus under hbnet/testdata/fuzz holds past finds as
+# reports, to simcheck's exactly-once-or-counted accounting. The replay
+# ring pass scripts a relay's merged ring — appends with losses, reads and
+# frames from arbitrary cursors, with and without a shed-lag bound, under
+# limits that make its storage grow in doubling steps — against a plain
+# fixed-size reference ring. The checked-in corpus under hbnet/testdata/fuzz holds past finds as
 # regressions. The
 # hbfile passes cover the other bytes an observer does not own: files
 # written by another process (hostile headers, a reserved head ahead of the
@@ -162,6 +165,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRollup$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatchMatchesReference$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzClientCore$$' -fuzztime 3s ./hbnet
+	$(GO) test -run '^$$' -fuzz 'FuzzReplayRingMatchesReference$$' -fuzztime 3s ./hbnet
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip$$' -fuzztime 3s ./hbfile
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenArbitraryBytes$$' -fuzztime 3s ./hbshm

@@ -208,8 +208,11 @@ func WithRollupInterval(d time.Duration) RelayOption {
 }
 
 // WithMergedRetain bounds the merged replay ring (default 65536 records,
-// 32 bytes each, so 2 MiB): how far behind (or how long disconnected) a raw
-// subscriber may fall before lapped records surface as Missed.
+// 32 bytes each, so at most 2 MiB): how far behind (or how long
+// disconnected) a raw subscriber may fall before lapped records surface as
+// Missed. The bound is a cap the ring grows to, not an up-front allocation:
+// its storage doubles with the history it holds, and a relay that relays
+// no raw record allocates none.
 func WithMergedRetain(n int) RelayOption {
 	return func(r *Relay) { r.mergedRetain = n }
 }

@@ -675,4 +675,11 @@ func TestRelayRollupCompaction(t *testing.T) {
 	if raw := root.Apps(); len(raw) != 0 {
 		t.Fatalf("root re-tracks raw upstreams %v through a rollup subscription", raw)
 	}
+	// Nor does it hold a raw replay ring: storage is allocated by traffic.
+	root.mu.Lock()
+	held := len(root.core.merged.recs)
+	root.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("rollup-only root holds %d raw ring entries", held)
+	}
 }

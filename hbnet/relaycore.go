@@ -57,7 +57,7 @@ func newRelayCore(retain, shedLag int, now time.Time) *relayCore {
 		retain = 1 << 16
 	}
 	return &relayCore{
-		merged:    replayRing{recs: make([]replayEntry, retain), lagBound: shedLag},
+		merged:    replayRing{limit: retain, lagBound: shedLag},
 		rollups:   rollupRing{emits: make([][]observer.Rollup, rollupRetain)},
 		compacted: rollupRing{emits: make([][]observer.Rollup, rollupRetain)},
 		ds:        observer.NewDownsampler(),
@@ -219,10 +219,16 @@ func (c *relayCore) upstreams() []*relayUpstream {
 // upstreams collide) and widen the space by the upstream's reported losses,
 // so a gap in the upstream surfaces to every subscriber exactly once, as
 // Missed, through ordinary cursor arithmetic.
+//
+// Storage is allocated by traffic and capped by limit: it starts empty and
+// grows (see grow) only while the window it must hold is larger than it
+// and it is below limit. Nothing is evicted before storage reaches limit,
+// so the window is always what a ring of limit entries would retain.
 type replayRing struct {
 	recs  []replayEntry // ring storage, strictly increasing seq
 	start int
 	n     int
+	limit int    // the most entries recs ever holds (WithMergedRetain)
 	head  uint64 // newest assigned seq, counting gap (missed) seqs
 
 	// Shed accounting: winBase is the newest evicted record's Seq — a
@@ -268,6 +274,7 @@ func (r *replayRing) append(recs []heartbeat.Record, missed uint64, producer int
 	}
 	r.head += missed
 	if m := len(recs); m > 0 {
+		r.grow(r.n + m)
 		base := r.head + 1 // recs[j] gets seq base+j
 		c := len(r.recs)
 		skip := max(m-c, 0) // lapped within the batch itself
@@ -301,6 +308,28 @@ func (r *replayRing) append(recs []heartbeat.Record, missed uint64, producer int
 		r.fbuf.release()
 		r.fbuf = nil
 	}
+}
+
+// firstGrow is a replay ring's smallest storage: its first growth step.
+const firstGrow = 1024
+
+// grow makes room for need entries when storage is short of them and
+// below limit: it doubles storage (from firstGrow) until need fits, caps
+// it at limit, and copies the window to the front of the new storage.
+// An append that still overflows storage then evicts as a full ring does.
+func (r *replayRing) grow(need int) {
+	c := len(r.recs)
+	if need <= c || c >= r.limit {
+		return
+	}
+	nc := max(2*c, firstGrow)
+	for nc < need && nc < r.limit {
+		nc *= 2
+	}
+	recs := make([]replayEntry, min(nc, r.limit))
+	lo, hi := r.window(0, r.n)
+	copy(recs[copy(recs, lo):], hi)
+	r.recs, r.start = recs, 0
 }
 
 // window returns the k retained entries from window index i (0 is the

@@ -156,6 +156,62 @@ func TestWindowRestartDropsOldLife(t *testing.T) {
 	}
 }
 
+// A record-free batch whose Count falls below the window's is a new life
+// whose first positions could not be read (a resync to an unreadable life
+// delivers one); a Count of 0 is a foreign stream that reports no
+// position, and never resets the window.
+func TestWindowRecordFreeRestart(t *testing.T) {
+	base := time.Unix(0, 0)
+	seqs := func(from, to uint64) []heartbeat.Record {
+		var recs []heartbeat.Record
+		for seq := from; seq <= to; seq++ {
+			recs = append(recs, heartbeat.Record{Seq: seq, Time: base.Add(time.Duration(seq) * 100 * time.Millisecond)})
+		}
+		return recs
+	}
+	for _, tc := range []struct {
+		name    string
+		batches []observer.Batch
+		want    []uint64 // first and last retained Seq
+		count   uint64
+	}{
+		{"restart below the count", []observer.Batch{
+			{Records: seqs(1, 12), Count: 12},
+			{Count: 9, Missed: 9},
+			{Records: seqs(13, 14), Count: 14, Missed: 3},
+		}, []uint64{13, 14}, 14},
+		{"idle at the count", []observer.Batch{
+			{Records: seqs(1, 12), Count: 12},
+			{Count: 12},
+			{Records: seqs(13, 14), Count: 14},
+		}, []uint64{1, 14}, 14},
+		{"foreign stream reports no position", []observer.Batch{
+			{Records: seqs(1, 12)},
+			{Missed: 2},
+			{Records: seqs(15, 16)},
+		}, []uint64{1, 16}, 0},
+		{"position-free batch after a counted one", []observer.Batch{
+			{Records: seqs(1, 12), Count: 12},
+			{},
+			{Records: seqs(13, 14), Count: 14},
+		}, []uint64{1, 14}, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := observer.NewWindow(64)
+			for _, b := range tc.batches {
+				w.Absorb(b)
+			}
+			recs := w.Records()
+			if len(recs) == 0 || recs[0].Seq != tc.want[0] || recs[len(recs)-1].Seq != tc.want[1] {
+				t.Fatalf("window holds %+v, want Seqs %d..%d", recs, tc.want[0], tc.want[1])
+			}
+			if st := judge(w, 0); st.Count != tc.count {
+				t.Fatalf("Count = %d, want %d", st.Count, tc.count)
+			}
+		})
+	}
+}
+
 func TestMonitorRunFirstStatusImmediate(t *testing.T) {
 	clk := clock.NewVirtual()
 	hb, err := heartbeat.New(10, heartbeat.WithClock(clk))

@@ -48,16 +48,21 @@ func (w *Window) limit() int {
 	return 64
 }
 
-// Absorb folds one batch into the window. A batch whose first record does
-// not continue the retained sequence (its Seq is at or below the newest
-// retained one) is a new life of the producer — a stream resynchronized
-// after a restart — so the old life's records and count are dropped rather
-// than judged across the gap between lives.
+// Absorb folds one batch into the window. A batch that begins a new life
+// of the producer — a stream resynchronized after a restart — drops the
+// old life's records and count rather than judge across the gap between
+// lives. A batch begins a new life when its first record does not continue
+// the retained sequence (its Seq is at or below the newest retained one),
+// or when it carries no record and its Count, the reader's position, is
+// below the window's count. A Count of 0 is a stream that reports no
+// position, never a restart.
 func (w *Window) Absorb(b Batch) {
 	if b.Window > 0 {
 		w.window = b.Window
 	}
-	if n := len(w.recs); n > 0 && len(b.Records) > 0 && b.Records[0].Seq <= w.recs[n-1].Seq {
+	n := len(w.recs)
+	if n > 0 && len(b.Records) > 0 && b.Records[0].Seq <= w.recs[n-1].Seq ||
+		len(b.Records) == 0 && b.Count > 0 && b.Count < w.count {
 		w.recs, w.count = w.recs[:0], b.Count
 	} else if b.Count > w.count {
 		w.count = b.Count
